@@ -508,8 +508,14 @@ let wall_clock f =
   let r = f () in
   (r, (Unix.gettimeofday () -. t0) *. 1000.0)
 
+(* Median wall clock of five runs: a single run of a few milliseconds
+   mostly measures where the GC happened to be. *)
+let median_wall_clock f =
+  let runs = List.init 5 (fun _ -> wall_clock f) in
+  List.nth (List.sort (fun (_, a) (_, b) -> compare a b) runs) 2
+
 let par () =
-  header "E20 parallel exploration: jobs sweep (deterministic vs fast engines)";
+  header "E20 parallel exploration: jobs sweep (work-stealing engine)";
   (* The physical parallelism actually available to the run: speedups in
      BENCH_par.json are only meaningful relative to this. *)
   let cores = Domain.recommended_domain_count () in
@@ -525,12 +531,13 @@ let par () =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "{\n  \"bench\": \"par\",\n  \"cores\": %d,\n  \"series\": [" cores);
-  Format.printf "  %-22s %-10s %-6s %-10s %-8s %-10s %-8s@." "workload"
-    "states" "jobs" "det (ms)" "det" "fast (ms)" "fast";
+  Format.printf "  %-22s %-10s %-6s %-10s %-8s@." "workload" "states" "jobs" "ms"
+    "speedup";
   List.iteri
     (fun wi (name, sys) ->
-      (* Sequential reference: states and the Theorem-1 verdict. *)
-      let seq_space, seq_ms = wall_clock (fun () -> Sched.Explore.explore sys) in
+      let seq_space, seq_ms =
+        median_wall_clock (fun () -> Sched.Explore.explore sys)
+      in
       let seq_states = Sched.Explore.state_count seq_space in
       Format.printf "  %-22s %-10d %-6s %-10.1f %-8s@." name seq_states "seq"
         seq_ms "1.00x";
@@ -542,30 +549,18 @@ let par () =
       List.iteri
         (fun ji jobs ->
           let space, ms =
-            wall_clock (fun () -> Par.Par_explore.explore ~jobs sys)
+            median_wall_clock (fun () -> Par.Par_explore.explore ~jobs sys)
           in
           let states = Par.Par_explore.state_count space in
           assert (states = seq_states);
-          (* Same space on the relaxed engine: identical state count,
-             different (unordered) discovery — the speedup headline. *)
-          let fspace, fast_ms =
-            wall_clock (fun () ->
-                Par.Par_explore.explore ~mode:`Fast ~jobs sys)
-          in
-          assert (Par.Par_explore.state_count fspace = seq_states);
           let speedup = seq_ms /. ms in
-          let fast_speedup = seq_ms /. fast_ms in
-          Format.printf "  %-22s %-10d %-6d %-10.1f %-8s %-10.1f %-8s@." ""
-            states jobs ms
-            (Printf.sprintf "%.2fx" speedup)
-            fast_ms
-            (Printf.sprintf "%.2fx" fast_speedup);
+          Format.printf "  %-22s %-10d %-6d %-10.1f %-8s@." "" states jobs ms
+            (Printf.sprintf "%.2fx" speedup);
           if ji > 0 then Buffer.add_char buf ',';
           Buffer.add_string buf
             (Printf.sprintf
-               "\n      { \"jobs\": %d, \"ms\": %.2f, \"speedup\": %.2f, \
-                \"fast_ms\": %.2f, \"fast_speedup\": %.2f }"
-               jobs ms speedup fast_ms fast_speedup))
+               "\n      { \"jobs\": %d, \"ms\": %.2f, \"speedup\": %.2f }"
+               jobs ms speedup))
         jobs_list;
       Buffer.add_string buf "\n    ] }")
     workloads;
@@ -577,17 +572,12 @@ let par () =
       List.iter
         (fun jobs ->
           let df, ms =
-            wall_clock (fun () ->
+            median_wall_clock (fun () ->
                 Deadlock.Prefix_search.deadlock_free ~jobs repaired)
           in
           assert df;
-          let fdf, fms =
-            wall_clock (fun () ->
-                Deadlock.Prefix_search.deadlock_free ~fast:true ~jobs repaired)
-          in
-          assert fdf;
-          Format.printf "  %-22s %-10s %-6d %-10.1f %-8s %-10.1f@."
-            "prefix-search" "-" jobs ms "" fms)
+          Format.printf "  %-22s %-10s %-6d %-10.1f@." "prefix-search" "-" jobs
+            ms)
         jobs_list);
   Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out "BENCH_par.json" in

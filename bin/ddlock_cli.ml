@@ -56,8 +56,10 @@ let seed_arg =
 
 let jobs_arg =
   Arg.(value & opt int 1 & info [ "jobs" ]
-       ~doc:"Worker domains for the exhaustive search (results are \
-             identical for every value; 1 = sequential).")
+       ~doc:"Worker domains for the exhaustive search: 1 runs the \
+             sequential engine, N >= 2 the work-stealing engine on N \
+             domains.  Output is identical for every value (witnesses \
+             of positive verdicts come from the sequential engine).")
 
 let check_jobs jobs =
   if jobs < 1 then begin
@@ -101,25 +103,6 @@ let check_por ~por sys =
     Format.eprintf
       "ddlock: --por: no two steps are independent; partial-order \
        reduction is a no-op@."
-
-let fast_arg =
-  Arg.(value & flag & info [ "fast" ]
-       ~doc:"Relaxed work-stealing exhaustive search: drops the \
-             deterministic engine's per-level barrier for real \
-             multicore speedup.  The verdict — and for $(b,analyze), \
-             the reported witness schedule — is identical to the plain \
-             search (witnesses are re-canonicalized by a sequential \
-             re-search, as with --por); composes with --symmetry and \
-             --por.  Requires --jobs N with N >= 2.")
-
-(* Fast mode with one domain would silently be a slower way to spell
-   the sequential engine's verdict; require an explicit worker count
-   so the flag always means "use the cores". *)
-let check_fast ~fast jobs =
-  if fast && jobs < 2 then begin
-    Format.eprintf "ddlock: --fast requires --jobs N with N >= 2@.";
-    exit 2
-  end
 
 (* --------------------------- observability ------------------------- *)
 
@@ -188,16 +171,15 @@ let validate_cmd =
 (* ----------------------------- analyze ----------------------------- *)
 
 let analyze_cmd =
-  let run file max_states jobs symmetry por fast stats trace =
+  let run file max_states jobs symmetry por stats trace =
     check_jobs jobs;
-    check_fast ~fast jobs;
     obs_start ~stats ~trace;
     let r = load file in
     let sys = Parser.system_of_result r in
     check_symmetry ~symmetry sys;
     check_por ~por sys;
     let text, status, _report =
-      Analysis.render_full ~max_states ~jobs ~symmetry ~por ~fast sys
+      Analysis.render_full ~max_states ~jobs ~symmetry ~por sys
     in
     print_string text;
     exit status
@@ -209,7 +191,7 @@ let analyze_cmd =
           exhaustive deadlock search.")
     Term.(
       const run $ file_arg $ max_states_arg $ jobs_arg $ symmetry_arg
-      $ por_arg $ fast_arg $ stats_arg $ trace_arg)
+      $ por_arg $ stats_arg $ trace_arg)
 
 (* ------------------------------- pair ------------------------------ *)
 
@@ -517,15 +499,14 @@ let repair_cmd =
 (* ----------------------------- minimize ---------------------------- *)
 
 let minimize_cmd =
-  let run file max_states jobs symmetry por fast stats trace =
+  let run file max_states jobs symmetry por stats trace =
     check_jobs jobs;
-    check_fast ~fast jobs;
     obs_start ~stats ~trace;
     let r = load file in
     let sys = Parser.system_of_result r in
     check_symmetry ~symmetry sys;
     check_por ~por sys;
-    match Minimize.deadlock_core ~max_states ~jobs ~symmetry ~por ~fast sys with
+    match Minimize.deadlock_core ~max_states ~jobs ~symmetry ~por sys with
     | None ->
         Format.printf
           "# no deadlock found (deadlock-free, or search budget exceeded)@.";
@@ -555,7 +536,7 @@ let minimize_cmd =
          "Shrink a deadlocking system to a minimal core that still           deadlocks (drops transactions and entity accesses).")
     Term.(
       const run $ file_arg $ max_states_arg $ jobs_arg $ symmetry_arg
-      $ por_arg $ fast_arg $ stats_arg $ trace_arg)
+      $ por_arg $ stats_arg $ trace_arg)
 
 (* ------------------------------- dot ------------------------------- *)
 

@@ -24,32 +24,26 @@
      wound-wait and the probabilistic scheme every round;
    - rw invariants: exclusive-abstraction deadlock-freedom implies rw
      deadlock-freedom (2 transactions);
-   - with [--jobs n], n > 1: the deterministic parallel engine
-     (Par.Par_explore) vs the sequential explorer — identical state
-     counts, identical deadlock witnesses, identical Lemma-1
-     counterexamples, identical Theorem-1 prefix verdicts;
+   - with [--jobs n], n > 1: the work-stealing engine
+     (Par.Par_explore on 2..n domains) vs the sequential explorer —
+     identical find_deadlock results (the witness of a positive verdict
+     comes from the sequential engine), identical state counts and
+     explore.states_visited totals on full explorations, identical
+     Lemma-1 counterexamples, Theorem-1 prefix verdicts, and legality /
+     endpoint / deadlock of the raw bfs witness via Schedule replay;
    - with [--symmetry]: the orbit-canonicalized engines (Sched.Canon)
      vs the plain ones — identical deadlock verdicts on both generic
      and identical-copy systems, witness legality, canonical state
      counts within [raw/orbit_size, raw], Theorem-1 prefix verdicts,
-     and (under --jobs) par-vs-seq symmetric equality plus identical
-     explore.states_visited / canon.hits counter totals;
+     and (under --jobs) par-vs-seq symmetric find_deadlock and state
+     count equality;
    - with [--por]: the persistent/sleep-set reduced engines
      (Sched.Indep) vs the plain ones — byte-identical deadlock
      witnesses, reduced state counts never above plain, Theorem-1
      prefix verdicts, composition with --symmetry on copies systems,
-     and (under --jobs) par-vs-seq reduced equality plus identical
-     por.pruned / por.persistent_size counter totals;
-   - with [--fast] (requires --jobs >= 2): the relaxed work-stealing
-     engine (Par_explore ~mode:`Fast) vs the sequential ground truth —
-     byte-identical find_deadlock results (fast re-canonicalizes its
-     witness exactly like --por), identical state counts, identical
-     Lemma-1 counterexamples, Theorem-1 prefix verdicts, legality /
-     endpoint / deadlock of the raw (un-canonicalized) bfs witness via
-     Schedule replay, and composition with --symmetry / --por.  The
-     par.steals / par.intern_hits / par.arena_reuse counters are
-     intentionally NOT cross-checked: they are racy by design and the
-     jobs-invariance contract exempts them.
+     and (under --jobs) par-vs-plain witness equality and the
+     reduced-count bound.  Counters of reduced searches depend on the
+     engine and are not cross-checked.
 
    The every-100-rounds summary line also reports cumulative per-engine
    wall-clock, so long soaks double as a coarse perf regression check.
@@ -62,7 +56,6 @@ let () =
   let rounds = ref 500 and seed = ref 1 and txns = ref 3 and jobs = ref 1 in
   let symmetry = ref false in
   let por = ref false in
-  let fast = ref false in
   let args =
     [
       ("--rounds", Arg.Set_int rounds, "number of rounds (default 500)");
@@ -70,7 +63,7 @@ let () =
       ("--txns", Arg.Set_int txns, "transactions per system (default 3)");
       ( "--jobs",
         Arg.Set_int jobs,
-        "also cross-check the parallel engine with 2..jobs domains \
+        "also cross-check the work-stealing engine with 2..jobs domains \
          (default 1 = off)" );
       ( "--symmetry",
         Arg.Set symmetry,
@@ -80,19 +73,11 @@ let () =
         Arg.Set por,
         "also cross-check the persistent/sleep-set reduced engines against \
          the plain ones every round" );
-      ( "--fast",
-        Arg.Set fast,
-        "also cross-check the relaxed work-stealing engine against the \
-         sequential ground truth every round (requires --jobs >= 2)" );
     ]
   in
   Arg.parse args (fun _ -> ()) "fuzz [options]";
   if !jobs < 1 then begin
     prerr_endline "fuzz: --jobs must be >= 1";
-    exit 2
-  end;
-  if !fast && !jobs < 2 then begin
-    prerr_endline "fuzz: --fast requires --jobs N with N >= 2";
     exit 2
   end;
   (* Cumulative wall-clock per engine family, reported every 100 rounds. *)
@@ -248,14 +233,13 @@ let () =
             ("probabilistic", Sim.Recovery.Probabilistic);
           ])
       [ ("tpcc", tpcc_sys); ("replicated", rep_sys) ];
-    (* --- parallel engine vs sequential ground truth --- *)
+    (* --- work-stealing engine vs sequential ground truth --- *)
     if !jobs > 1 then begin
       timed "par" @@ fun () ->
       let j = 2 + (round mod (!jobs - 1)) in
-      if
-        Par.Par_explore.find_deadlock ~jobs:j sys
-        <> Sched.Explore.find_deadlock sys
-      then report "par find_deadlock" round;
+      let plain = Sched.Explore.find_deadlock sys in
+      if Par.Par_explore.find_deadlock ~jobs:j sys <> plain then
+        report "par find_deadlock" round;
       if
         Par.Par_explore.state_count (Par.Par_explore.explore ~jobs:j sys)
         <> Sched.Explore.state_count (Sched.Explore.explore sys)
@@ -268,23 +252,38 @@ let () =
         Deadlock.Prefix_search.find ~jobs:j sys = None
         <> (Deadlock.Prefix_search.find sys = None)
       then report "par prefix search" round;
-      (* Telemetry cross-check: both engines must report the same
-         counter totals — the parallel reduction replays the sequential
-         insertion order, so the counts are jobs-invariant. *)
-      let counters_after f =
+      (* The raw witness is whichever deadlock a worker reached first:
+         not deterministic, but always a legal schedule whose replay
+         ends in its deadlocked endpoint. *)
+      (match
+         Par.Par_explore.bfs ~jobs:j sys ~found:(Sched.State.is_deadlock sys)
+       with
+      | None -> if plain <> None then report "par bfs verdict" round
+      | Some (sched, stf) ->
+          if plain = None then report "par bfs verdict" round
+          else if not (Sched.Schedule.is_legal sys sched) then
+            report "par witness legality" round
+          else if
+            not (Sched.State.equal (Sched.Schedule.prefix_vector sys sched) stf)
+          then report "par witness endpoint" round
+          else if not (Sched.State.is_deadlock sys stf) then
+            report "par witness deadlock" round);
+      (* A full exploration without POR inserts exactly the reachable
+         set, so its explore.states_visited total is the same on both
+         engines; every other counter depends on the engine. *)
+      let states_visited f =
+        Obs.Control.on ();
         Obs.Metrics.reset ();
         ignore (f ());
-        ( Obs.Metrics.counter_value "explore.states_visited",
-          Obs.Metrics.counter_value "explore.deadlock_witnesses" )
+        let n = Obs.Metrics.counter_value "explore.states_visited" in
+        Obs.Control.off ();
+        Obs.Metrics.reset ();
+        n
       in
-      Obs.Control.on ();
-      let seq_counts = counters_after (fun () -> Sched.Explore.find_deadlock sys) in
-      let par_counts =
-        counters_after (fun () -> Par.Par_explore.find_deadlock ~jobs:j sys)
-      in
-      Obs.Control.off ();
-      Obs.Metrics.reset ();
-      if seq_counts <> par_counts then report "obs counter determinism" round
+      if
+        states_visited (fun () -> Sched.Explore.explore sys)
+        <> states_visited (fun () -> Par.Par_explore.explore ~jobs:j sys)
+      then report "obs states_visited" round
     end;
     (* --- symmetry-reduced engines vs plain ground truth --- *)
     if !symmetry then begin
@@ -331,27 +330,7 @@ let () =
           Par.Par_explore.state_count
             (Par.Par_explore.explore ~symmetry:true ~jobs:j ksys)
           <> reduced
-        then report "sym par state count" round;
-        (* Counter totals must be jobs-invariant under symmetry too. *)
-        let counters_after f =
-          Obs.Metrics.reset ();
-          ignore (f ());
-          ( Obs.Metrics.counter_value "explore.states_visited",
-            Obs.Metrics.counter_value "canon.hits" )
-        in
-        Obs.Control.on ();
-        let seq_counts =
-          counters_after (fun () ->
-              Sched.Explore.find_deadlock ~symmetry:true ksys)
-        in
-        let par_counts =
-          counters_after (fun () ->
-              Par.Par_explore.find_deadlock ~symmetry:true ~jobs:j ksys)
-        in
-        Obs.Control.off ();
-        Obs.Metrics.reset ();
-        if seq_counts <> par_counts then
-          report "sym counter determinism" round
+        then report "sym par state count" round
       end
     end;
     (* --- partial-order-reduced engines vs plain ground truth --- *)
@@ -385,87 +364,8 @@ let () =
         if
           Par.Par_explore.state_count
             (Par.Par_explore.explore ~por:true ~jobs:j sys)
-          <> Sched.Explore.state_count (Sched.Explore.explore ~por:true sys)
-        then report "por par state count" round;
-        (* POR telemetry totals are jobs-invariant: the work-item
-           multiset is the same whichever engine expands it. *)
-        let counters_after f =
-          Obs.Metrics.reset ();
-          ignore (f ());
-          ( Obs.Metrics.counter_value "explore.states_visited",
-            Obs.Metrics.counter_value "por.pruned",
-            Obs.Metrics.counter_value "por.persistent_size" )
-        in
-        Obs.Control.on ();
-        let seq_counts =
-          counters_after (fun () -> Sched.Explore.explore ~por:true sys)
-        in
-        let par_counts =
-          counters_after (fun () ->
-              Par.Par_explore.explore ~por:true ~jobs:j sys)
-        in
-        Obs.Control.off ();
-        Obs.Metrics.reset ();
-        if seq_counts <> par_counts then
-          report "por counter determinism" round
-      end
-    end;
-    (* --- relaxed work-stealing engine vs sequential ground truth --- *)
-    if !fast then begin
-      timed "fast" @@ fun () ->
-      let j = 2 + (round mod (!jobs - 1)) in
-      let plain = Sched.Explore.find_deadlock sys in
-      (* find_deadlock re-canonicalizes (same contract as --por), so the
-         result is byte-identical to the sequential engine's. *)
-      if Par.Par_explore.find_deadlock ~mode:`Fast ~jobs:j sys <> plain then
-        report "fast find_deadlock" round;
-      if
-        Par.Par_explore.state_count
-          (Par.Par_explore.explore ~mode:`Fast ~jobs:j sys)
-        <> Sched.Explore.state_count (Sched.Explore.explore sys)
-      then report "fast state count" round;
-      if
-        Par.Par_explore.safe_and_deadlock_free ~mode:`Fast ~jobs:j pair_sys
-        <> Sched.Explore.safe_and_deadlock_free pair_sys
-      then report "fast lemma1" round;
-      if
-        Deadlock.Prefix_search.find ~fast:true ~jobs:j sys = None
-        <> (Deadlock.Prefix_search.find sys = None)
-      then report "fast prefix verdict" round;
-      (* The raw relaxed witness (before canonicalization) is whichever
-         deadlock a worker reached first: not deterministic, but always a
-         legal schedule whose replay ends in its deadlocked endpoint. *)
-      (match
-         Par.Par_explore.bfs ~mode:`Fast ~jobs:j sys
-           ~found:(Sched.State.is_deadlock sys)
-       with
-      | None -> if plain <> None then report "fast bfs verdict" round
-      | Some (sched, stf) ->
-          if plain = None then report "fast bfs verdict" round
-          else if not (Sched.Schedule.is_legal sys sched) then
-            report "fast witness legality" round
-          else if
-            not (Sched.State.equal (Sched.Schedule.prefix_vector sys sched) stf)
-          then report "fast witness endpoint" round
-          else if not (Sched.State.is_deadlock sys stf) then
-            report "fast witness deadlock" round);
-      (* Composition: re-canonicalization makes fast+sym / fast+por land
-         on the plain sequential result too. *)
-      if !symmetry then
-        if
-          Par.Par_explore.find_deadlock ~mode:`Fast ~symmetry:true ~jobs:j sys
-          <> plain
-        then report "fast+sym verdict" round;
-      if !por then begin
-        if
-          Par.Par_explore.find_deadlock ~mode:`Fast ~por:true ~jobs:j sys
-          <> plain
-        then report "fast+por verdict" round;
-        if
-          Par.Par_explore.state_count
-            (Par.Par_explore.explore ~mode:`Fast ~por:true ~jobs:j sys)
           > Sched.Explore.state_count (Sched.Explore.explore sys)
-        then report "fast por state-count bound" round
+        then report "por par state-count bound" round
       end
     end;
     (* --- rw invariants --- *)

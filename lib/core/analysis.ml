@@ -43,7 +43,7 @@ let pp_deadlock_verdict sys ppf = function
         states_explored
 
 let deadlock_free ?(max_states = 500_000) ?(jobs = 1) ?(symmetry = false)
-    ?(por = false) ?(fast = false) sys =
+    ?(por = false) sys =
   Ddlock_par.Par_explore.validate_jobs jobs;
   match safe_and_deadlock_free sys with
   | Safe_and_deadlock_free -> Deadlock_free
@@ -52,12 +52,7 @@ let deadlock_free ?(max_states = 500_000) ?(jobs = 1) ?(symmetry = false)
         ~args:[ ("jobs", string_of_int jobs) ]
       @@ fun () ->
       match
-        if jobs = 1 && not fast then
-          Explore.find_deadlock ~max_states ~symmetry ~por sys
-        else
-          let mode = if fast then `Fast else `Deterministic in
-          Ddlock_par.Par_explore.find_deadlock ~max_states ~symmetry ~por ~mode
-            ~jobs sys
+        Ddlock_par.Par_explore.find_deadlock ~max_states ~symmetry ~por ~jobs sys
       with
       | Some (schedule, state) -> Deadlocks { schedule; state }
       | None -> Deadlock_free
@@ -75,7 +70,7 @@ type report = {
   deadlock : deadlock_verdict;
 }
 
-let report ?max_states ?jobs ?symmetry ?por ?fast sys =
+let report ?max_states ?jobs ?symmetry ?por sys =
   Ddlock_obs.Trace.span "analysis.report" @@ fun () ->
   let db = System.db sys in
   let g = System.interaction_graph sys in
@@ -96,7 +91,7 @@ let report ?max_states ?jobs ?symmetry ?por ?fast sys =
           acc + 1)
         0 (Ungraph.cycles g);
     safety = safe_and_deadlock_free sys;
-    deadlock = deadlock_free ?max_states ?jobs ?symmetry ?por ?fast sys;
+    deadlock = deadlock_free ?max_states ?jobs ?symmetry ?por sys;
   }
 
 type pair_counterexample = { steps : Step.t list; d_cycle : int list }
@@ -174,8 +169,8 @@ let pp_report sys ppf r =
    analyze] prints on stdout, byte for byte — the CLI prints this
    string verbatim, and the serve daemon caches it, so served verdicts
    stay diffable against the CLI by construction. *)
-let render_full ?max_states ?jobs ?symmetry ?por ?fast sys =
-  let r = report ?max_states ?jobs ?symmetry ?por ?fast sys in
+let render_full ?max_states ?jobs ?symmetry ?por sys =
+  let r = report ?max_states ?jobs ?symmetry ?por sys in
   let buf = Buffer.create 1024 in
   let ppf = Format.formatter_of_buffer buf in
   Format.fprintf ppf "%a@." (pp_report sys) r;

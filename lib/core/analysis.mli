@@ -52,22 +52,12 @@ val pp_deadlock_verdict : System.t -> Format.formatter -> deadlock_verdict -> un
     re-search (see {!Ddlock_schedule.Explore.find_deadlock}), so the
     verdict {e and} witness are identical to the plain analysis under
     every [jobs]/[symmetry] combination — only a [Gave_up] budget
-    count can differ (it then reports reduced-search states).
-
-    With [~fast:true] the exhaustive search uses the relaxed
-    work-stealing engine ([~mode:`Fast] of {!Ddlock_par.Par_explore})
-    instead of the deterministic one — same witness-canonicalization
-    contract as [~por:true], so the verdict and witness are again
-    identical to the plain analysis (only a [Gave_up] count can
-    differ).  [fast] composes with [symmetry], [por] and any [jobs]
-    (including 1, where it still swaps the representation-optimized
-    engine in). *)
+    count can differ (it then reports reduced-search states). *)
 val deadlock_free :
   ?max_states:int ->
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   deadlock_verdict
 
@@ -94,7 +84,6 @@ val report :
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   report
 
@@ -112,7 +101,6 @@ val render_full :
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   string * int * report
 

@@ -14,24 +14,19 @@ let obs_shrunk = Ddlock_obs.Metrics.Counter.make "minimize.shrink_steps"
    the candidate move is rejected.  Probes are verdict-only, so with
    [?por] they take the single reduced search (no witness
    canonicalization cost; see {!Explore.deadlock_free}). *)
-let deadlocks ?max_states ?(jobs = 1) ?symmetry ?por ?(fast = false) sys =
+let deadlocks ?max_states ~jobs ?symmetry ?por sys =
   Ddlock_obs.Metrics.Counter.incr obs_candidates;
   match
-    if jobs = 1 && not fast then
-      Explore.deadlock_free ?max_states ?symmetry ?por sys
-    else
-      let mode = if fast then `Fast else `Deterministic in
-      Ddlock_par.Par_explore.deadlock_free ?max_states ?symmetry ?por ~mode
-        ~jobs sys
+    Ddlock_par.Par_explore.deadlock_free ?max_states ?symmetry ?por ~jobs sys
   with
   | false -> Some true
   | true -> Some false
   | exception Explore.Too_large _ -> None
 
-let deadlock_core ?max_states ?(jobs = 1) ?symmetry ?por ?fast sys =
+let deadlock_core ?max_states ?(jobs = 1) ?symmetry ?por sys =
   Ddlock_par.Par_explore.validate_jobs jobs;
   Ddlock_obs.Trace.span "minimize.deadlock_core" @@ fun () ->
-  match deadlocks ?max_states ~jobs ?symmetry ?por ?fast sys with
+  match deadlocks ?max_states ~jobs ?symmetry ?por sys with
   | None | Some false -> None
   | Some true ->
       (* State: list of (original index, transaction). *)
@@ -40,7 +35,7 @@ let deadlock_core ?max_states ?(jobs = 1) ?symmetry ?por ?fast sys =
       let mk txns = System.create (List.map snd txns) in
       let still_deadlocks txns =
         List.length txns >= 2
-        && deadlocks ?max_states ~jobs ?symmetry ?por ?fast (mk txns)
+        && deadlocks ?max_states ~jobs ?symmetry ?por (mk txns)
            = Some true
       in
       let changed = ref true in

@@ -14,22 +14,19 @@ type witness = {
   cycle : Step.t list;  (** a cycle of R(A′) *)
 }
 
-(** First deadlock prefix found.  With [jobs = 1] (the default) the
-    exact historical sequential path runs: the whole space is explored,
-    then scanned in table order.  With [jobs > 1] the search runs on the
-    deterministic parallel engine ({!Ddlock_par.Par_explore}), evaluating
-    the reduction-graph predicate concurrently, and returns the {e
-    canonical} witness — the first deadlock prefix in BFS insertion
-    order (hence of minimal depth) — identically for every [jobs > 1].
-    Raises [Invalid_argument] when [jobs < 1].
+(** First deadlock prefix in BFS insertion order (hence of minimal
+    depth), found by a goal-directed search that stops there.  The
+    engine is picked by {!Ddlock_par.Par_explore}: sequential for
+    [jobs = 1] (the default), work-stealing on [jobs] domains otherwise,
+    with the witness taken from the sequential search so the result is
+    identical for every [jobs].  Raises [Invalid_argument] when
+    [jobs < 1].
 
     With [~symmetry:true] the search runs over orbit representatives of
     the identical-transaction automorphism group (sound because the
     reduction-graph predicate is invariant under those permutations);
     the returned schedule and prefix are translated back to the original
-    system, identically for {e every} [jobs] (including [jobs = 1],
-    which then also takes the BFS goal-directed path rather than the
-    historical table-order scan).
+    system.
 
     With [~por:true] the search runs over the persistent/sleep-set
     reduced space ({!Ddlock_schedule.Indep}) — sound here because a
@@ -37,20 +34,12 @@ type witness = {
     and the reduction preserves every reachable deadlock state.  The
     verdict is identical to plain; the witness is the first cyclic
     prefix in the {e reduced} BFS order (valid, but possibly a
-    different prefix than the plain engine returns), identical for
-    every [jobs].
-
-    With [~fast:true] the search runs on the relaxed work-stealing
-    engine ([~mode:`Fast] of {!Ddlock_par.Par_explore}) for any [jobs]
-    (including 1).  The verdict is identical to plain; the witness is
-    whichever cyclic prefix a worker reached first — valid, but not
-    deterministic across runs. *)
+    different prefix than the plain search returns). *)
 val find :
   ?max_states:int ->
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   witness option
 
@@ -64,22 +53,18 @@ val deadlock_free :
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   bool
 
-(** All deadlock prefixes (reachable states with cyclic R).  With
-    [jobs > 1] the result is in deterministic BFS discovery order; with
-    [~symmetry:true] one representative per deadlock-prefix orbit; with
-    [~por:true] the cyclic states of the reduced space — a subset of
-    the plain result that is nonempty iff the plain result is.  With
-    [~fast:true] the same state {e set} in fast shard order (or a
-    valid reduced set, under [~por:true]). *)
+(** All deadlock prefixes (reachable states with cyclic R), in
+    {!Ddlock_par.Par_explore.states} order.  With [~symmetry:true] one
+    representative per deadlock-prefix orbit; with [~por:true] the
+    cyclic states of a reduced space — a subset of the plain result
+    that is nonempty iff the plain result is. *)
 val all :
   ?max_states:int ->
   ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?fast:bool ->
   System.t ->
   State.t Seq.t

@@ -125,7 +125,7 @@ let exists p t =
   | exception Found _ -> true
 
 let for_all p t = not (exists (fun i -> not (p i)) t)
-let hash t = Hashtbl.hash (t.cap, t.words)
+let hash t = Hashtbl.hash t
 
 let pp ppf t =
   Format.fprintf ppf "{%a}"

@@ -1,86 +1,57 @@
 open Ddlock_model
 open Ddlock_schedule
 
-(** Deterministic multicore state-space exploration.
+(** Multicore state-space exploration, and the one place that picks an
+    engine.
 
-    A level-synchronous parallel BFS over [jobs] worker domains: the
-    visited set is sharded by state-key hash (one lock-free hash table
-    per shard), successors crossing shards are handed over on per-shard
-    channels, and a deterministic reduction merges each level in the
-    exact sequential BFS insertion order.  Consequently every observable
-    — state counts, reachability, deadlock verdicts, the {e first}
-    witness and its schedule, and the exact [max_states] cap behaviour —
-    is bit-identical to {!Ddlock_schedule.Explore} for {e every} value
-    of [jobs], including [jobs = 1].
-
-    All functions raise [Invalid_argument] when [jobs < 1] and
-    {!Ddlock_schedule.Explore.Too_large} on budget exhaustion, with the
-    same exact-cap semantics as the sequential engine. *)
-
-(** Raises [Invalid_argument] when [jobs < 1]. *)
-val validate_jobs : int -> unit
-
-(** Exploration mode.
-
-    [`Deterministic] (the default) is the level-synchronous engine
-    described above: bit-identical to the sequential engine for every
-    [jobs], at the cost of a per-level barrier and a sequential
-    rank-ordered reduction.
-
-    [`Fast] is the relaxed work-stealing engine: per-domain deques with
-    batch stealing, a hash-sharded visited set of intern tables (no
-    string keys — {!Ddlock_schedule.State.hash} + structural equality,
-    dense int ids, packed parent/via arenas), no barrier, and an
-    early-exit broadcast on the first witness.  Guarantees kept:
+    With [jobs = 1] every function delegates to the sequential
+    {!Ddlock_schedule.Explore}.  With [jobs > 1] the search runs on the
+    relaxed work-stealing engine: [jobs] domains with per-domain deques
+    and batch stealing, a hash-sharded visited set of intern tables
+    ({!Ddlock_schedule.State.hash} + structural equality, dense int ids,
+    packed parent/via arenas), no barrier, and an early-exit broadcast
+    on the first witness.  It keeps:
     {ul
-    {- {e verdicts} — the explored state {e set} equals the
-       deterministic one (same dedup relation), so emptiness answers
+    {- {e verdicts} — the explored state {e set} equals the sequential
+       one (same dedup relation), so emptiness answers
        ([deadlock_free], [safe], budget-free [bfs = None]) coincide;}
     {- {e witness validity} — any returned schedule is a real path
        from the initial state to a state satisfying the goal;}
     {- {e cap soundness} — [Explore.Too_large n] is raised {e iff} the
        reachable set (truncated at the stop point) exceeds
-       [max_states]; the carried [n >= max_states] may overshoot by
-       the work in flight (at most one wave), never undershoot.}}
-    Relaxed: discovery order, {e which} witness is found, and the
-    [par.steals]/[par.intern_hits]/[par.arena_reuse] counters (racy by
-    nature, not jobs-invariant — unlike every deterministic-mode
-    counter).  [find_deadlock]/[safe]/[safe_and_deadlock_free]
-    re-canonicalize positive verdicts with a plain sequential
-    re-search — exactly the [--por] contract — so their output stays
-    byte-identical to the deterministic engines on every workload whose
-    re-search fits the budget.  Composes with [?symmetry], [?por] and
-    {!Ddlock_obs.Cancel} deadlines (worker 0 runs in the calling domain
-    and polls). *)
-type mode = [ `Deterministic | `Fast ]
+       [max_states], and carries [n = max_states] as in the sequential
+       engine (the search itself may overshoot by the work in flight
+       before it stops).}}
+    It relaxes discovery order, {e which} witness is found, and the
+    counters: only a full exploration without [~por] has a
+    jobs-invariant [explore.states_visited]; [par.steals],
+    [par.intern_hits] and [par.arena_reuse] are racy by nature.
+    [find], [find_deadlock], [safe] and [safe_and_deadlock_free] take
+    the witness of a positive verdict from the sequential engine run
+    with the same flags, so their answers are identical for every
+    [jobs] whenever that re-search fits the budget.  Composes with
+    [?symmetry], [?por] and {!Ddlock_obs.Cancel} deadlines (worker 0
+    runs in the calling domain and polls).
+
+    All functions raise [Invalid_argument] when [jobs < 1] and
+    {!Ddlock_schedule.Explore.Too_large} on budget exhaustion. *)
+
+(** Raises [Invalid_argument] when [jobs < 1]. *)
+val validate_jobs : int -> unit
 
 (** {1 Full state space} *)
 
 type space
 
-(** [explore ?max_states ?symmetry ~jobs sys] — the reachable state
-    space, with parent pointers, computed on [jobs] domains.  Same
-    states, counts and shortest schedules as {!Explore.explore}, for the
-    same [symmetry] flag.  With [~symmetry:true] the canonical key
-    replaces the raw state key in the dedup shard map (the stored nodes
-    are orbit representatives, see {!Ddlock_schedule.Canon}), and orbit
-    members pruned by canonical dedup never count against
-    [max_states].
-
-    With [~por:true] the space is the persistent/sleep-set reduced
-    space ({!Ddlock_schedule.Indep}): bit-identical to
-    [Explore.explore ~por:true] — same states, ranks and schedules —
-    for every [jobs], and composes with [~symmetry:true].
-
-    With [~mode:`Fast] the space holds the same state {e set} (for
-    [~por:false]; a valid reduced set for [~por:true]) but no BFS
-    ranks: {!states} enumerates in shard order and {!schedule_to}
-    returns a valid (not necessarily shortest) schedule. *)
+(** [explore ?max_states ?symmetry ?por ~jobs sys] — the reachable state
+    space with parent pointers.  Same state {e set} as
+    {!Explore.explore} for [~por:false] (orbit representatives with
+    [~symmetry:true]); with [~por:true] a valid reduced set, never
+    larger than the plain one. *)
 val explore :
   ?max_states:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?mode:mode ->
   jobs:int ->
   System.t ->
   space
@@ -89,85 +60,85 @@ val system : space -> System.t
 val jobs : space -> int
 val state_count : space -> int
 
-(** States in discovery order — deterministic spaces: BFS rank order;
-    fast spaces: shard-major order (deterministic for a given run
-    only). *)
+(** Stored states: in {!Explore.states} order for [jobs = 1], in
+    shard-major order (fixed for a given run only) otherwise. *)
 val states : space -> State.t Seq.t
 
 val is_reachable : space -> State.t -> bool
 
-(** A (shortest) partial schedule realizing a reachable state; identical
-    to the sequential engine's choice. *)
+(** A partial schedule realizing a reachable state: the shortest one for
+    [jobs = 1], a valid one otherwise. *)
 val schedule_to : space -> State.t -> Step.t list option
 
 (** {1 Goal-directed search} *)
 
-(** [bfs ?max_states ?restrict ?symmetry ~jobs sys ~found] — first state
-    (in BFS insertion order) satisfying [found], with the schedule
-    reaching it; identical to {!Explore.bfs} output for every [jobs] and
-    the same [symmetry] flag.  [found] and [restrict] are evaluated
-    concurrently on worker domains and must be pure; with
-    [~symmetry:true] they see orbit representatives and must be
-    invariant under identical-transaction permutations.
-
-    With [~por:true] the search runs over the reduced space and is
-    bit-identical to [Explore.bfs ~por:true]; sound only for
-    predicates implied by deadlock (see {!Explore.bfs}).
-
-    With [~mode:`Fast] the returned witness is the first one {e some}
-    worker reached — valid, but not the BFS-minimal one; [None] answers
-    are still equivalent to the deterministic engine's. *)
+(** [bfs ?max_states ?restrict ?symmetry ?por ~jobs sys ~found] — a state
+    satisfying [found], with the schedule reaching it (translated back to
+    the original system under [~symmetry:true]).  [jobs = 1] is
+    {!Explore.bfs}; otherwise the witness is the first one {e some}
+    worker reached — valid, not necessarily BFS-minimal.  [found] and
+    [restrict] are evaluated concurrently on worker domains and must be
+    pure; see {!Explore.bfs} for their invariance requirements under
+    [~symmetry] and [~por]. *)
 val bfs :
   ?max_states:int ->
   ?restrict:(State.t -> bool) ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?mode:mode ->
   jobs:int ->
   System.t ->
   found:(State.t -> bool) ->
   (Step.t list * State.t) option
 
-(** With [~por:true] or [~mode:`Fast], verdict from the reduced or
-    relaxed search and witness from a plain sequential re-search —
-    byte-identical to the sequential [find_deadlock] for every [jobs]
-    (falling back to the valid raw witness when the re-search exceeds
-    the budget). *)
+(** {!bfs} with a jobs-invariant answer: a positive verdict's witness
+    comes from {!Explore.bfs} with the same flags (the raw witness is
+    kept only when that re-search exceeds [max_states]). *)
+val find :
+  ?max_states:int ->
+  ?restrict:(State.t -> bool) ->
+  ?symmetry:bool ->
+  ?por:bool ->
+  jobs:int ->
+  System.t ->
+  found:(State.t -> bool) ->
+  (Step.t list * State.t) option
+
+(** Verdict from the search on [jobs] domains, witness from
+    {!Explore.find_deadlock} with the same [symmetry]/[por] flags — so
+    the result is identical for every [jobs] (falling back to the valid
+    raw witness when the re-search exceeds the budget). *)
 val find_deadlock :
   ?max_states:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?mode:mode ->
   jobs:int ->
   System.t ->
   (Step.t list * State.t) option
 
+(** Verdict only: a single search, no witness re-search. *)
 val deadlock_free :
   ?max_states:int ->
   ?symmetry:bool ->
   ?por:bool ->
-  ?mode:mode ->
   jobs:int ->
   System.t ->
   bool
 
 (** {1 Lemma-1 searches (safety)}
 
-    Parallel equivalents of {!Explore.safe_and_deadlock_free} and
-    {!Explore.safe}, over the same extended state space
-    ({!Explore.Lemma1}); counterexamples are identical to the sequential
-    ones. *)
+    {!Explore.safe_and_deadlock_free} and {!Explore.safe} on [jobs]
+    domains, over the same extended state space ({!Explore.Lemma1});
+    counterexamples come from the sequential search, as for
+    {!find_deadlock}. *)
 
 val safe_and_deadlock_free :
   ?max_states:int ->
-  ?mode:mode ->
   jobs:int ->
   System.t ->
   (unit, Explore.counterexample) result
 
 val safe :
   ?max_states:int ->
-  ?mode:mode ->
   jobs:int ->
   System.t ->
   (unit, Explore.counterexample) result

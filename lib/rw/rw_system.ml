@@ -105,20 +105,17 @@ let is_deadlock sys st =
 
 exception Too_large of int
 
-let key st =
-  let buf = Buffer.create 64 in
-  Array.iter
-    (fun s ->
-      Bitset.iter (fun i -> Buffer.add_string buf (string_of_int i ^ ",")) s;
-      Buffer.add_char buf '|')
-    st;
-  Buffer.contents buf
+(* Visited sets are keyed by the states themselves (prefix vectors, as
+   in the exclusive explorer): structural equality and a hash compatible
+   with it, no string keys. *)
+module State = Ddlock_schedule.State
+module Visited = Hashtbl.Make (State)
 
 let bfs ?(max_states = 2_000_000) sys ~found =
-  let table = Hashtbl.create 1024 in
+  let table = Visited.create 1024 in
   let q = Queue.create () in
   let init = initial sys in
-  Hashtbl.replace table (key init) ();
+  Visited.replace table init ();
   Queue.push (init, []) q;
   let result = ref None in
   (try
@@ -131,11 +128,10 @@ let bfs ?(max_states = 2_000_000) sys ~found =
        List.iter
          (fun s ->
            let st' = apply st s in
-           let k = key st' in
-           if not (Hashtbl.mem table k) then begin
-             if Hashtbl.length table >= max_states then
-               raise (Too_large (Hashtbl.length table));
-             Hashtbl.replace table k ();
+           if not (Visited.mem table st') then begin
+             if Visited.length table >= max_states then
+               raise (Too_large (Visited.length table));
+             Visited.replace table st' ();
              let rev' = s :: rev in
              if found st' then begin
                result := Some (List.rev rev', st');
@@ -197,16 +193,24 @@ module Edge_set = Set.Make (struct
   let compare = compare
 end)
 
+(* The hash folds over the arcs in order: the balanced tree's shape
+   depends on insertion order, so hashing the set itself would not be
+   compatible with [Edge_set.equal]. *)
+module Visited_arcs = Hashtbl.Make (struct
+  type t = Bitset.t array * Edge_set.t
+
+  let equal (a, x) (b, y) = State.equal a b && Edge_set.equal x y
+
+  let hash (st, es) =
+    Edge_set.fold (fun (a, b) h -> (((h * 31) + a) * 31) + b) es (State.hash st)
+    land max_int
+end)
+
 let safe ?(max_states = 2_000_000) sys =
-  let table = Hashtbl.create 1024 in
+  let table = Visited_arcs.create 1024 in
   let q = Queue.create () in
   let init = initial sys in
-  let ekey es =
-    String.concat ";"
-      (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) (Edge_set.elements es))
-  in
-  let kk st es = key st ^ "#" ^ ekey es in
-  Hashtbl.replace table (kk init Edge_set.empty) ();
+  Visited_arcs.replace table (init, Edge_set.empty) ();
   Queue.push (init, Edge_set.empty, []) q;
   let result = ref (Ok ()) in
   (try
@@ -233,11 +237,10 @@ let safe ?(max_states = 2_000_000) sys =
                  !acc
            in
            let st' = apply st s in
-           let k' = kk st' es' in
-           if not (Hashtbl.mem table k') then begin
-             if Hashtbl.length table >= max_states then
-               raise (Too_large (Hashtbl.length table));
-             Hashtbl.replace table k' ();
+           if not (Visited_arcs.mem table (st', es')) then begin
+             if Visited_arcs.length table >= max_states then
+               raise (Too_large (Visited_arcs.length table));
+             Visited_arcs.replace table (st', es') ();
              let rev' = s :: rev in
              if
                all_finished sys st'

@@ -95,8 +95,6 @@ let normalize c (st : State.t) =
     c.classes;
   (rep, perm)
 
-let canon_key c st = State.key (fst (normalize c st))
-
 let apply_perm perm (st : State.t) : State.t =
   let n = Array.length st in
   let out = Array.make n st.(0) in

@@ -64,10 +64,6 @@ val orbit_size : t -> int
     (immutable-by-convention) bitsets of [st]. *)
 val normalize : t -> State.t -> State.t * int array
 
-(** [canon_key c st] is [State.key (fst (normalize c st))] — equal on two
-    states iff they lie in the same orbit. *)
-val canon_key : t -> State.t -> string
-
 (** [apply_perm π st] permutes the prefix vector: slot [π.(i)] of the
     result is [st.(i)]. *)
 val apply_perm : int array -> State.t -> State.t

@@ -3,10 +3,13 @@ open Ddlock_model
 
 exception Too_large of int
 
-(* Telemetry: both exploration engines increment the same counters at
-   state-insertion time, so totals are invariant under [jobs] (the
-   parallel reduction replays the sequential insertion sequence).  All
-   recording is a no-op unless Ddlock_obs.Control is switched on. *)
+(* Telemetry, shared by name with the parallel engine.  Every counter is
+   bumped at state-insertion (or work-item expansion) time.  A full
+   exploration without partial-order reduction inserts exactly the
+   reachable set, so its [explore.states_visited] total is the same on
+   either engine; every other total depends on which engine ran and, for
+   the work-stealing one, on how its races fell.  All recording is a
+   no-op unless Ddlock_obs.Control is switched on. *)
 module Obs = struct
   module T = Ddlock_obs.Trace
 
@@ -19,19 +22,15 @@ module Obs = struct
   let visit () = Ddlock_obs.Metrics.Counter.incr states_visited
 
   (* Symmetry-reduction telemetry.  [canon_hits] counts inserted states
-     whose generating successor differed from its orbit representative;
-     like [states_visited] it is bumped at insertion time, so totals are
-     jobs-invariant.  [orbit_gauge] records the largest automorphism
-     group order seen by a symmetric search. *)
+     whose generating successor differed from its orbit representative.
+     [orbit_gauge] records the largest automorphism group order seen by a
+     symmetric search. *)
   let canon_hits = Ddlock_obs.Metrics.Counter.make "canon.hits"
   let orbit_gauge = Ddlock_obs.Metrics.Gauge.make "canon.orbit_size"
   let hit moved = if moved then Ddlock_obs.Metrics.Counter.incr canon_hits
 
   (* Partial-order-reduction telemetry, bumped once per work-item
-     expansion.  The work-item multiset is invariant under [jobs] (the
-     parallel engine replays the sequential covering-rule decisions in
-     candidate order), so both totals are jobs-invariant.
-     [por_pruned] sums the enabled transitions not expanded;
+     expansion.  [por_pruned] sums the enabled transitions not expanded;
      [por_persistent_size] sums the persistent-set sizes. *)
   let por_pruned = Ddlock_obs.Metrics.Counter.make "por.pruned"
 
@@ -42,14 +41,6 @@ module Obs = struct
     Ddlock_obs.Metrics.Counter.add por_pruned (enabled - selected);
     Ddlock_obs.Metrics.Counter.add por_persistent_size persistent
 end
-
-type entry = { state : State.t; parent : string option; via : Step.t option }
-
-type space = {
-  sys : System.t;
-  table : (string, entry) Hashtbl.t;
-  canon : Canon.t option;  (* Some ⇒ the table holds orbit representatives *)
-}
 
 (* The canonicalizer a symmetric search should use: [None] when symmetry
    is off or the automorphism group is trivial (then canonicalization is
@@ -64,16 +55,6 @@ let active_canon ~symmetry sys =
     end
     else None
 
-(* Successor normalization: identity when no canonicalizer is active;
-   otherwise the orbit representative plus whether the raw successor was
-   moved (feeds the [canon.hits] counter at insertion). *)
-let normalizer = function
-  | None -> fun st -> (st, false)
-  | Some c ->
-      fun st ->
-        let rep, _ = Canon.normalize c st in
-        (rep, not (State.equal st rep))
-
 let default_cap = 2_000_000
 
 (* Exact cap: a search may hold at most [max_states] states; discovering
@@ -86,39 +67,169 @@ let check_room count max_states =
   Ddlock_obs.Cancel.poll ();
   if count >= max_states then raise (Too_large count)
 
-let system sp = sp.sys
-let state_count sp = Hashtbl.length sp.table
-let states sp = Seq.map (fun (_, e) -> e.state) (Hashtbl.to_seq sp.table)
+(* ------------------------- search instances ------------------------ *)
 
-let lookup_key sp st =
-  match sp.canon with
-  | None -> State.key st
-  | Some c -> Canon.canon_key c st
+type 'n ops = {
+  hash : 'n -> int;
+  equal : 'n -> 'n -> bool;
+  next : 'n -> (Step.t * 'n) list;
+  restrict : 'n -> bool;
+  found : 'n -> bool;
+  moved : parent:'n -> Step.t -> 'n -> bool;
+}
 
-let is_reachable sp st = Hashtbl.mem sp.table (lookup_key sp st)
+let never ~parent:_ _ _ = false
 
-let path_to sp key =
-  let rec go key acc =
-    match Hashtbl.find_opt sp.table key with
-    | None -> None
-    | Some { parent = None; _ } -> Some acc
-    | Some { parent = Some p; via = Some s; _ } -> go p (s :: acc)
-    | Some { parent = Some _; via = None; _ } -> assert false
+(* With a canonicalizer the successors are orbit representatives, so
+   interning them dedups whole orbits; [restrict]/[found] then see
+   representatives and must be invariant under the group (the deadlock
+   and reduction-cycle predicates are). *)
+let state_ops canon sys ~restrict ~found =
+  let norm, moved =
+    match canon with
+    | None -> (Fun.id, never)
+    | Some c ->
+        ( (fun st -> fst (Canon.normalize c st)),
+          fun ~parent step rep ->
+            not (State.equal (State.apply parent step) rep) )
   in
-  go key []
+  {
+    hash = State.hash;
+    equal = State.equal;
+    next =
+      (fun st ->
+        List.map (fun s -> (s, norm (State.apply st s))) (State.enabled sys st));
+    restrict;
+    found;
+    moved;
+  }
+
+let initial_node canon sys =
+  match canon with
+  | None -> State.initial sys
+  | Some c -> fst (Canon.normalize c (State.initial sys))
+
+(* ------------------------- the search table ------------------------
+
+   Nodes are interned ({!Intern}) with dense ids in insertion order; the
+   BFS tree lives in packed arrays indexed by id. *)
+
+type 'n table = {
+  nodes : 'n Intern.t;
+  mutable parent : int array;  (* -1 at the root *)
+  mutable via : Step.t array;
+}
+
+let no_step = Step.v (-1) (-1)
+
+let table_create ~hash ~equal =
+  { nodes = Intern.create ~capacity:1024 ~equal ~hash (); parent = [||];
+    via = [||] }
+
+(* Intern [node] as a child of [parent].  Dedup comes before the cap
+   check, so a node already held (an orbit already stored, under
+   symmetry) never counts against [max_states]. *)
+let add t ~max_states node ~parent ~via =
+  let id, fresh = Intern.intern t.nodes node in
+  if fresh then begin
+    check_room id max_states;
+    let cap = Array.length t.parent in
+    if id >= cap then begin
+      let grow a fill =
+        let b = Array.make (max 64 (2 * cap)) fill in
+        Array.blit a 0 b 0 cap;
+        b
+      in
+      t.parent <- grow t.parent (-1);
+      t.via <- grow t.via no_step
+    end;
+    t.parent.(id) <- parent;
+    t.via.(id) <- via;
+    Obs.visit ()
+  end;
+  (id, fresh)
+
+let path t id =
+  let rec go id acc =
+    let p = t.parent.(id) in
+    if p < 0 then acc else go p (t.via.(id) :: acc)
+  in
+  go id []
+
+exception Hit of int
+
+(* Breadth-first search over [ops].  Ids are dense and assigned in
+   insertion order, so the BFS queue is exactly the id sequence and a
+   cursor replaces it.  Returns the table and the id of the first node
+   (in insertion order) satisfying [found], or -1. *)
+let search ~name ~max_states ops init =
+  Ddlock_obs.Metrics.Counter.incr Obs.searches;
+  Obs.T.span name @@ fun () ->
+  let t = table_create ~hash:ops.hash ~equal:ops.equal in
+  let telemetry = Ddlock_obs.Control.is_on () in
+  let hit =
+    try
+      ignore (add t ~max_states init ~parent:(-1) ~via:no_step);
+      if ops.found init then raise (Hit 0);
+      let cursor = ref 0 in
+      while !cursor < Intern.count t.nodes do
+        let id = !cursor in
+        incr cursor;
+        let node = Intern.get t.nodes id in
+        List.iter
+          (fun (step, node') ->
+            if ops.restrict node' then
+              let id', fresh = add t ~max_states node' ~parent:id ~via:step in
+              if fresh then begin
+                if telemetry then Obs.hit (ops.moved ~parent:node step node');
+                if ops.found node' then raise (Hit id')
+              end)
+          (ops.next node)
+      done;
+      -1
+    with Hit id -> id
+  in
+  (t, hit)
+
+(* ------------------------------ spaces ----------------------------- *)
+
+type space = {
+  sys : System.t;
+  canon : Canon.t option;  (* Some ⇒ the table holds orbit representatives *)
+  table : State.t table;
+}
+
+let system sp = sp.sys
+let state_count sp = Intern.count sp.table.nodes
+let states sp = Seq.init (state_count sp) (Intern.get sp.table.nodes)
+
+let find_rep sp st =
+  let rep = match sp.canon with None -> st | Some c -> fst (Canon.normalize c st) in
+  Intern.find sp.table.nodes rep
+
+let is_reachable sp st = find_rep sp st <> None
 
 let schedule_to sp st =
-  match sp.canon with
-  | None -> path_to sp (State.key st)
-  | Some c ->
+  Option.map
+    (fun id ->
+      let steps = path sp.table id in
+      match sp.canon with
+      | None -> steps
       (* The stored path reaches the representative of [st]'s orbit;
          replay it through the permutations to reach [st] itself. *)
-      Option.map
-        (fun steps -> Canon.realize_to c steps st)
-        (path_to sp (Canon.canon_key c st))
+      | Some c -> Canon.realize_to c steps st)
+    (find_rep sp st)
+
+(* A witness found in the quotient space, translated back to the
+   original system. *)
+let witness canon t id =
+  let steps = path t id in
+  match canon with
+  | None -> (steps, Intern.get t.nodes id)
+  | Some c -> Canon.realize c steps
 
 (* Persistent/sleep-set selective search (partial-order reduction).
-   Work items are (state, key, sleep set); [Indep.expand] selects the
+   Work items are (state id, sleep set); [Indep.expand] selects the
    persistent steps not in the sleep set and computes each successor's
    inherited sleep set.  Re-arriving at a stored state with a
    non-covering sleep set shrinks the stored set to the intersection
@@ -129,184 +240,109 @@ let schedule_to sp st =
    plain engine.  [found] must be implied by deadlock (evaluated at
    first insertion only): the persistent-set construction preserves
    reachability of deadlock states, not of arbitrary targets. *)
-let por_search ?(max_states = default_cap) ?(restrict = fun _ -> true)
-    ?(symmetry = false) sys ~found =
+let por_search ~max_states ~restrict ~symmetry sys ~found =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span "explore.por" @@ fun () ->
   let canon = active_canon ~symmetry sys in
-  let table = Hashtbl.create 1024 in
-  let sleeps : (string, Step.t list) Hashtbl.t = Hashtbl.create 1024 in
-  let q = Queue.create () in
-  let init, _ = normalizer canon (State.initial sys) in
-  check_room 0 max_states;
-  let ikey = State.key init in
-  Hashtbl.replace table ikey { state = init; parent = None; via = None };
-  Obs.visit ();
-  Hashtbl.replace sleeps ikey [];
-  let sp = { sys; table; canon } in
-  let finish (steps, st) =
-    match canon with None -> (steps, st) | Some c -> Canon.realize c steps
+  let t = table_create ~hash:State.hash ~equal:State.equal in
+  let sleeps = ref [||] in
+  let set_sleep id z =
+    let cap = Array.length !sleeps in
+    if id >= cap then begin
+      let b = Array.make (max 64 (2 * cap)) [] in
+      Array.blit !sleeps 0 b 0 cap;
+      sleeps := b
+    end;
+    !sleeps.(id) <- z
   in
-  let result = ref None in
-  if found init then result := Some (finish ([], init))
-  else begin
-    Queue.push (init, ikey, []) q;
+  let q = Queue.create () in
+  let init = initial_node canon sys in
+  let hit =
     try
+      ignore (add t ~max_states init ~parent:(-1) ~via:no_step);
+      set_sleep 0 [];
+      if found init then raise (Hit 0);
+      Queue.push (0, []) q;
       while not (Queue.is_empty q) do
-        let st, k, sleep = Queue.pop q in
-        let exp = Indep.expand ?canon sys st ~sleep in
+        let id, sleep = Queue.pop q in
+        let exp = Indep.expand ?canon sys (Intern.get t.nodes id) ~sleep in
         Obs.por_expand ~enabled:exp.Indep.enabled_count
           ~persistent:exp.Indep.persistent_count
           ~selected:(List.length exp.Indep.succs);
         List.iter
           (fun { Indep.step; succ; moved; sleep = child } ->
-            if restrict succ then begin
-              let k' = State.key succ in
-              match Hashtbl.find_opt sleeps k' with
-              | None ->
-                  check_room (Hashtbl.length table) max_states;
-                  Hashtbl.replace table k'
-                    { state = succ; parent = Some k; via = Some step };
-                  Obs.visit ();
-                  Obs.hit moved;
-                  Hashtbl.replace sleeps k' child;
-                  if found succ then begin
-                    result := Some (finish (Option.get (path_to sp k'), succ));
-                    raise Exit
-                  end;
-                  Queue.push (succ, k', child) q
-              | Some stored -> (
-                  match Indep.sleep_covered ~stored ~incoming:child with
-                  | `Covered -> ()
-                  | `Shrink z ->
-                      Hashtbl.replace sleeps k' z;
-                      Queue.push ((Hashtbl.find table k').state, k', z) q)
-            end)
+            if restrict succ then
+              let id', fresh = add t ~max_states succ ~parent:id ~via:step in
+              if fresh then begin
+                Obs.hit moved;
+                set_sleep id' child;
+                if found succ then raise (Hit id');
+                Queue.push (id', child) q
+              end
+              else
+                match Indep.sleep_covered ~stored:!sleeps.(id') ~incoming:child with
+                | `Covered -> ()
+                | `Shrink z ->
+                    set_sleep id' z;
+                    Queue.push (id', z) q)
           exp.Indep.succs
-      done
-    with Exit -> ()
-  end;
-  (!result, sp)
+      done;
+      -1
+    with Hit id -> id
+  in
+  ( (if hit < 0 then None else Some (witness canon t hit)),
+    { sys; canon; table = t } )
 
 let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
   if por then
-    snd (por_search ~max_states ~symmetry sys ~found:(fun _ -> false))
-  else begin
-    Ddlock_obs.Metrics.Counter.incr Obs.searches;
-    Obs.T.span "explore.explore" @@ fun () ->
+    snd
+      (por_search ~max_states ~restrict:(fun _ -> true) ~symmetry sys
+         ~found:(fun _ -> false))
+  else
     let canon = active_canon ~symmetry sys in
-    let norm = normalizer canon in
-    let table = Hashtbl.create 1024 in
-    let q = Queue.create () in
-    let init, _ = norm (State.initial sys) in
-    check_room 0 max_states;
-    Hashtbl.replace table (State.key init)
-      { state = init; parent = None; via = None };
-    Obs.visit ();
-    Queue.push init q;
-    while not (Queue.is_empty q) do
-      let st = Queue.pop q in
-      let k = State.key st in
-      List.iter
-        (fun step ->
-          (* Canonical dedup happens before the cap check: a successor that
-             merely lands in an already-stored orbit never counts against
-             [max_states]. *)
-          let st', moved = norm (State.apply st step) in
-          let k' = State.key st' in
-          if not (Hashtbl.mem table k') then begin
-            check_room (Hashtbl.length table) max_states;
-            Hashtbl.replace table k'
-              { state = st'; parent = Some k; via = Some step };
-            Obs.visit ();
-            Obs.hit moved;
-            Queue.push st' q
-          end)
-        (State.enabled sys st)
-    done;
-    { sys; table; canon }
-  end
+    let table, _ =
+      search ~name:"explore.explore" ~max_states
+        (state_ops canon sys ~restrict:(fun _ -> true) ~found:(fun _ -> false))
+        (initial_node canon sys)
+    in
+    { sys; canon; table }
 
-(* Breadth-first search with a found predicate, shared by the deadlock and
-   targeted searches. *)
 let bfs ?(max_states = default_cap) ?(restrict = fun _ -> true)
     ?(symmetry = false) ?(por = false) sys ~found =
   if por then fst (por_search ~max_states ~restrict ~symmetry sys ~found)
-  else begin
-  Ddlock_obs.Metrics.Counter.incr Obs.searches;
-  Obs.T.span "explore.bfs" @@ fun () ->
-  let canon = active_canon ~symmetry sys in
-  let norm = normalizer canon in
-  (* With a canonicalizer active, [found] and [restrict] are evaluated on
-     orbit representatives; both must be invariant under the group (the
-     deadlock and reduction-cycle predicates are).  The canonical witness
-     path is translated back to the original system on the way out. *)
-  let finish (steps, st) =
-    match canon with None -> (steps, st) | Some c -> Canon.realize c steps
-  in
-  let table = Hashtbl.create 1024 in
-  let q = Queue.create () in
-  let init, _ = norm (State.initial sys) in
-  check_room 0 max_states;
-  Hashtbl.replace table (State.key init) { state = init; parent = None; via = None };
-  Obs.visit ();
-  let sp = { sys; table; canon } in
-  if found init then Some (finish ([], init))
-  else begin
-    Queue.push init q;
-    let result = ref None in
-    (try
-       while not (Queue.is_empty q) do
-         let st = Queue.pop q in
-         let k = State.key st in
-         List.iter
-           (fun step ->
-             let st', moved = norm (State.apply st step) in
-             if restrict st' then begin
-               let k' = State.key st' in
-               if not (Hashtbl.mem table k') then begin
-                 check_room (Hashtbl.length table) max_states;
-                 Hashtbl.replace table k'
-                   { state = st'; parent = Some k; via = Some step };
-                 Obs.visit ();
-                 Obs.hit moved;
-                 if found st' then begin
-                   result := Some (finish (Option.get (path_to sp k'), st'));
-                   raise Exit
-                 end;
-                 Queue.push st' q
-               end
-             end)
-           (State.enabled sys st)
-       done
-     with Exit -> ());
-    !result
-  end
-  end
+  else
+    let canon = active_canon ~symmetry sys in
+    let t, hit =
+      search ~name:"explore.bfs" ~max_states
+        (state_ops canon sys ~restrict ~found)
+        (initial_node canon sys)
+    in
+    if hit < 0 then None else Some (witness canon t hit)
 
-let find_deadlock ?max_states ?symmetry ?(por = false) sys =
-  let dead st = State.is_deadlock sys st in
-  let r =
-    if por then
-      (* Verdict from the reduced search; witness from a plain
-         non-symmetric re-search so [--por] output is byte-identical to
-         plain [analyze] under every flag combination.  When the plain
-         re-search blows the budget the reduced witness — valid, just
-         not BFS-minimal — is returned instead. *)
-      match bfs ?max_states ?symmetry ~por:true sys ~found:dead with
-      | None -> None
-      | Some raw -> (
-          match bfs ?max_states sys ~found:dead with
-          | Some w -> Some w
-          | None -> Some raw
-          | exception Too_large _ -> Some raw)
-    else bfs ?max_states ?symmetry sys ~found:dead
-  in
+let count_witness r =
   if r <> None then begin
     Ddlock_obs.Metrics.Counter.incr Obs.deadlock_witnesses;
     Obs.T.instant "explore.deadlock_witness"
   end;
   r
+
+let find_deadlock ?max_states ?symmetry ?(por = false) sys =
+  let dead st = State.is_deadlock sys st in
+  count_witness
+    (if por then
+       (* Verdict from the reduced search; witness from a plain
+          non-symmetric re-search so [--por] output is byte-identical to
+          plain [analyze] under every flag combination.  When the plain
+          re-search blows the budget the reduced witness — valid, just
+          not BFS-minimal — is returned instead. *)
+       match bfs ?max_states ?symmetry ~por:true sys ~found:dead with
+       | None -> None
+       | Some raw -> (
+           match bfs ?max_states sys ~found:dead with
+           | Some w -> Some w
+           | None -> Some raw
+           | exception Too_large _ -> Some raw)
+     else bfs ?max_states ?symmetry sys ~found:dead)
 
 let deadlock_free ?max_states ?symmetry ?(por = false) sys =
   if por then
@@ -325,10 +361,6 @@ module Edge_set = Set.Make (struct
   let compare = compare
 end)
 
-let edges_key es =
-  String.concat ";"
-    (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) (Edge_set.elements es))
-
 let d_arcs_of_step sys st (step : Step.t) =
   let tx = System.txn sys step.txn in
   let nd = Transaction.node tx step.node in
@@ -345,15 +377,21 @@ let d_arcs_of_step sys st (step : Step.t) =
 
 let edge_graph n es = Digraph.create n (Edge_set.elements es)
 
-(* The Lemma-1 extended state: a prefix vector plus the accumulated
-   D-arcs.  Exposed so the parallel engine explores exactly the same
-   graph as [lemma1_search]. *)
 module Lemma1 = struct
   type node = { st : State.t; es : Edge_set.t }
 
   let initial sys = { st = State.initial sys; es = Edge_set.empty }
-  let key n = State.key n.st ^ "#" ^ edges_key n.es
   let state n = n.st
+  let equal a b = State.equal a.st b.st && Edge_set.equal a.es b.es
+
+  (* Folds over the elements in order: the balanced tree's shape depends
+     on insertion order, so [Hashtbl.hash] of [es] itself would not be
+     compatible with [Edge_set.equal]. *)
+  let hash n =
+    Edge_set.fold
+      (fun (a, b) h -> (((h * 31) + a) * 31) + b)
+      n.es (State.hash n.st)
+    land max_int
 
   let next sys n =
     List.map
@@ -369,52 +407,35 @@ module Lemma1 = struct
   let complete sys n = State.all_finished sys n.st
 end
 
+(* [`All_cyclic] stops on the first cyclic-D extended state,
+   [`Complete_cyclic] on cyclic D at a complete state. *)
+let lemma1_ops sys ~report =
+  {
+    hash = Lemma1.hash;
+    equal = Lemma1.equal;
+    next = Lemma1.next sys;
+    restrict = (fun _ -> true);
+    found =
+      (fun n ->
+        Lemma1.cycle sys n <> None
+        && (match report with
+           | `All_cyclic -> true
+           | `Complete_cyclic -> Lemma1.complete sys n));
+    moved = never;
+  }
+
 let lemma1_search ?(max_states = default_cap) sys ~report =
-  (* report: `All_cyclic  -> stop on the first cyclic-D extended state
-             `Complete_cyclic -> stop on cyclic D at a complete state *)
-  Ddlock_obs.Metrics.Counter.incr Obs.searches;
-  Obs.T.span "explore.lemma1_search" @@ fun () ->
-  let table : (string, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let q = Queue.create () in
-  let init = Lemma1.initial sys in
-  check_room 0 max_states;
-  Hashtbl.replace table (Lemma1.key init) ();
-  Obs.visit ();
-  Queue.push (init, []) q;
-  let result = ref None in
-  let check node rev_steps =
-    match Lemma1.cycle sys node with
-    | Some cycle ->
-        let fire =
-          match report with
-          | `All_cyclic -> true
-          | `Complete_cyclic -> Lemma1.complete sys node
-        in
-        if fire then begin
-          result := Some { steps = List.rev rev_steps; cycle };
-          true
-        end
-        else false
-    | None -> false
+  let t, hit =
+    search ~name:"explore.lemma1_search" ~max_states (lemma1_ops sys ~report)
+      (Lemma1.initial sys)
   in
-  (try
-     while not (Queue.is_empty q) do
-       let node, rev_steps = Queue.pop q in
-       List.iter
-         (fun (step, node') ->
-           let k' = Lemma1.key node' in
-           if not (Hashtbl.mem table k') then begin
-             check_room (Hashtbl.length table) max_states;
-             let rev' = step :: rev_steps in
-             Hashtbl.replace table k' ();
-             Obs.visit ();
-             if check node' rev' then raise Exit;
-             Queue.push (node', rev') q
-           end)
-         (Lemma1.next sys node)
-     done
-   with Exit -> ());
-  !result
+  if hit < 0 then None
+  else
+    Some
+      {
+        steps = path t hit;
+        cycle = Option.get (Lemma1.cycle sys (Intern.get t.nodes hit));
+      }
 
 let safe_and_deadlock_free ?max_states sys =
   match lemma1_search ?max_states sys ~report:`All_cyclic with

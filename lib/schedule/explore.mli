@@ -53,7 +53,9 @@ val system : space -> System.t
 val state_count : space -> int
 
 (** Stored states: all reachable states, or one representative per
-    reachable orbit for a [~symmetry:true] space. *)
+    reachable orbit for a [~symmetry:true] space.  Yielded in insertion
+    order, which for a plain or symmetric space is BFS order: the first
+    state satisfying a predicate is the one {!bfs} stops at. *)
 val states : space -> State.t Seq.t
 
 (** Membership (of the state's orbit, for a symmetric space). *)
@@ -67,8 +69,39 @@ val schedule_to : space -> State.t -> Step.t list option
 
 (** The canonicalizer a symmetric search uses: [None] when [symmetry] is
     false or the automorphism group of [sys] is trivial.  Exposed for the
-    parallel engine and the CLI no-op warning. *)
+    parallel engine. *)
 val active_canon : symmetry:bool -> System.t -> Canon.t option
+
+(** {1 Search instances}
+
+    Both engines search a graph given by an [ops] record: nodes are
+    deduplicated by [hash] + [equal] (no string keys), successors come
+    from [next] in the canonical ({!State.enabled}) order.  Exposed so
+    the parallel engine ({!Ddlock_par.Par_explore}) explores exactly the
+    graphs the sequential searches do. *)
+
+type 'n ops = {
+  hash : 'n -> int;  (** compatible with [equal] *)
+  equal : 'n -> 'n -> bool;
+  next : 'n -> (Step.t * 'n) list;
+  restrict : 'n -> bool;  (** successors failing it are not stored *)
+  found : 'n -> bool;  (** the goal *)
+  moved : parent:'n -> Step.t -> 'n -> bool;
+      (** whether the stored successor differs from the raw one (symmetry
+          canonicalization); evaluated only while telemetry is on *)
+}
+
+(** The state graph: orbit representatives when a canonicalizer is
+    given (see {!active_canon}). *)
+val state_ops :
+  Canon.t option ->
+  System.t ->
+  restrict:(State.t -> bool) ->
+  found:(State.t -> bool) ->
+  State.t ops
+
+(** The initial state, normalized under the canonicalizer if any. *)
+val initial_node : Canon.t option -> System.t -> State.t
 
 (** {1 Goal-directed search} *)
 
@@ -144,8 +177,13 @@ module Lemma1 : sig
   type node
 
   val initial : System.t -> node
-  val key : node -> string
   val state : node -> State.t
+  val equal : node -> node -> bool
+
+  (** Compatible with {!equal}: folds over the D-arcs in order, so
+      nodes holding equal arc sets built in different orders hash
+      equally. *)
+  val hash : node -> int
 
   (** Successors in the canonical ({!State.enabled}) order. *)
   val next : System.t -> node -> (Step.t * node) list
@@ -155,6 +193,12 @@ module Lemma1 : sig
 
   val complete : System.t -> node -> bool
 end
+
+(** The Lemma-1 search graph: [`All_cyclic] makes every node with a
+    cyclic D the goal ({!safe_and_deadlock_free}), [`Complete_cyclic]
+    only complete ones ({!safe}). *)
+val lemma1_ops :
+  System.t -> report:[ `All_cyclic | `Complete_cyclic ] -> Lemma1.node ops
 
 (** {1 Schedules} *)
 

@@ -15,7 +15,7 @@ let commutes sys st (s : Step.t) (t : Step.t) =
   match (t_alive, s_alive) with
   | false, false -> true (* conflict both ways: no diamond to check *)
   | true, true ->
-      State.key (State.apply after_s t) = State.key (State.apply after_t s)
+      State.equal (State.apply after_s t) (State.apply after_t s)
   | _ -> false
 
 let has_independent_pair sys =

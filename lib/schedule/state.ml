@@ -19,15 +19,6 @@ let hash st =
   Array.iter (fun s -> h := (!h * 486187739) + Bitset.hash s) st;
   !h land max_int
 
-let key st =
-  let buf = Buffer.create 64 in
-  Array.iter
-    (fun s ->
-      Bitset.iter (fun i -> Buffer.add_string buf (string_of_int i ^ ",")) s;
-      Buffer.add_char buf '|')
-    st;
-  Buffer.contents buf
-
 let is_valid sys st =
   Array.length st = System.size sys
   && Array.for_all2

@@ -11,12 +11,9 @@ val final : System.t -> t
 val copy : t -> t
 val equal : t -> t -> bool
 
-(** Stable structural key for hashtables. *)
-val key : t -> string
-
 (** Structural hash, compatible with {!equal}: equal states hash
-    equally.  Far cheaper than hashing {!key} — no string is built —
-    which is what the relaxed parallel engine's intern tables rely on. *)
+    equally.  Both exploration engines deduplicate states with it
+    through {!Intern} tables. *)
 val hash : t -> int
 
 (** [is_valid sys st] iff every component is a prefix of its transaction. *)

@@ -9,10 +9,6 @@ type config = {
   default_max_states : int option;
   default_deadline_ms : int option;
   jobs : int;
-  fast_under_pressure : bool;
-      (* use the relaxed work-stealing engine for deadlined multi-domain
-         requests: same rendered bytes (witnesses re-canonicalize), more
-         headroom before the deadline *)
   idle_timeout_ms : int;
   busy_retry_ms : int;
   flight_cap : int;
@@ -30,7 +26,6 @@ let default_config ~socket_path =
     default_max_states = None;
     default_deadline_ms = None;
     jobs = 1;
-    fast_under_pressure = true;
     idle_timeout_ms = 5_000;
     busy_retry_ms = 100;
     flight_cap = 256;
@@ -214,16 +209,9 @@ type job_result =
 
 let run_analysis t ~max_states ~symmetry ~deadline_ns sys =
   try
-    (* Deadlined multi-domain requests default to the relaxed engine:
-       rendered bytes are unchanged (fast verdicts are equivalent and
-       witnesses re-canonicalize, see {!Analysis.deadlock_free}), but
-       the search races the deadline with real parallel speedup. *)
-    let fast =
-      t.cfg.fast_under_pressure && t.cfg.jobs > 1 && deadline_ns <> None
-    in
     let run () =
       let text, status, _report =
-        Analysis.render_full ?max_states ~jobs:t.cfg.jobs ~symmetry ~fast sys
+        Analysis.render_full ?max_states ~jobs:t.cfg.jobs ~symmetry sys
       in
       Done (status, text)
     in

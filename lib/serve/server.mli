@@ -19,15 +19,13 @@
       in-flight requests finish and reply, queued jobs run, worker
       domains join, the socket file is unlinked.
 
-    Deadlines bound the sequential engines (the worker installs the
-    deadline poll in its own domain).  With [jobs > 1] the
-    deterministic parallel engine's extra domains do not inherit the
-    poll — but deadlined multi-domain requests default to the relaxed
-    work-stealing engine ([fast_under_pressure]), whose coordinating
-    worker runs in the polling domain and broadcasts cancellation to
-    the others, so deadlines stay effective.  Configure [jobs = 1]
-    (the default) when deadlines must be strict {e and}
-    [fast_under_pressure] is off. *)
+    Deadlines bound the analysis on either engine: the worker installs
+    the deadline poll in its own domain, where the sequential search
+    runs and where the work-stealing search ([jobs > 1]) runs its
+    coordinating worker, which broadcasts cancellation to the others.
+    Rendered bytes do not depend on [jobs] (see
+    {!Ddlock.Analysis.render_full}), so cached verdicts are valid
+    whichever engine computed them. *)
 
 type config = {
   socket_path : string;
@@ -39,10 +37,6 @@ type config = {
       (** when the request names none; [None] = analysis default *)
   default_deadline_ms : int option;  (** when the request names none *)
   jobs : int;  (** worker domains {e per analysis} (see above) *)
-  fast_under_pressure : bool;
-      (** deadlined requests with [jobs > 1] use the relaxed
-          work-stealing engine — same rendered bytes, real speedup,
-          and deadline polls reach the search (see above) *)
   idle_timeout_ms : int;  (** per-read deadline (slowloris guard) *)
   busy_retry_ms : int;  (** retry hint sent with [busy] *)
   flight_cap : int;  (** flight-recorder ring: last N request summaries *)
@@ -54,7 +48,7 @@ type config = {
 
 val default_config : socket_path:string -> config
 (** 2 workers, queue 16, cache 128, 1 MiB bodies, no default deadline,
-    [jobs = 1], fast-under-pressure on, 5 s idle timeout, 100 ms retry
+    [jobs = 1], 5 s idle timeout, 100 ms retry
     hint, flight ring 256, trace rings 64, slow threshold 250 ms. *)
 
 type t

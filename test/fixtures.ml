@@ -31,3 +31,8 @@ let to_alcotest test =
    generators live in Workload.Gentx (also used by fuzz and bench). *)
 let small_random_pair st = Ddlock_workload.Gentx.small_random_pair st
 let small_random_system st ~txns = Ddlock_workload.Gentx.small_random_system st ~txns
+
+(* A state as plain data (the executed nodes of each transaction), for
+   sorting and comparing state sets. *)
+let state_key (st : Ddlock_schedule.State.t) =
+  Array.map Ddlock_graph.Bitset.to_list st

@@ -6,7 +6,7 @@ let () =
       ("schedule", Test_schedule.suite);
       ("deadlock", Test_deadlock.suite);
       ("par", Test_par.suite);
-      ("fast", Test_fast.suite);
+      ("fast", Test_par.stealing_suite);
       ("sym", Test_sym.suite);
       ("por", Test_por.suite);
       ("safety", Test_safety.suite);

@@ -1,6 +1,6 @@
 (* Telemetry layer: histogram bucket arithmetic, shard merging under
    real domain parallelism, snapshot determinism, trace well-formedness,
-   and the jobs-invariance of the engine counters. *)
+   and the engine counter totals that do not depend on jobs. *)
 
 open Ddlock_schedule
 module Obs = Ddlock_obs
@@ -372,27 +372,44 @@ let test_json_validate () =
   bad ""
 
 (* ------------------------------------------------------------------ *)
-(* Engine counters are jobs-invariant                                  *)
+(* Engine counters: the jobs-invariant totals                          *)
 (* ------------------------------------------------------------------ *)
 
-let engine_counts f =
-  Metrics.reset ();
-  ignore (f ());
-  ( Metrics.counter_value "explore.states_visited",
-    Metrics.counter_value "explore.deadlock_witnesses" )
+(* Two totals are the same on either engine: [explore.states_visited]
+   of a full exploration without partial-order reduction (both store
+   exactly the reachable set), and [explore.deadlock_witnesses] (one per
+   positive verdict).  Everything else depends on the engine: a jobs > 1
+   find_deadlock also runs the sequential witness re-search. *)
+let engine_counts ~explore ~find =
+  let counter f name =
+    Metrics.reset ();
+    ignore (f ());
+    Metrics.counter_value name
+  in
+  ( counter explore "explore.states_visited",
+    counter find "explore.deadlock_witnesses" )
+
+let seq_counts sys =
+  engine_counts
+    ~explore:(fun () -> Explore.explore sys)
+    ~find:(fun () -> Explore.find_deadlock sys)
+
+let par_counts ~jobs sys =
+  engine_counts
+    ~explore:(fun () -> Par.explore ~jobs sys)
+    ~find:(fun () -> Par.find_deadlock ~jobs sys)
 
 let test_counters_jobs_invariant_fig2 () =
   with_obs @@ fun () ->
   let sys =
     Ddlock_model.System.copies (Ddlock_workload.Gentx.guard_ring 4) 2
   in
-  let seq = engine_counts (fun () -> Explore.find_deadlock sys) in
+  let seq = seq_counts sys in
   check bool_t "a witness was found" true (snd seq = 1);
   List.iter
     (fun jobs ->
-      let par = engine_counts (fun () -> Par.find_deadlock ~jobs sys) in
       check bool_t (Printf.sprintf "jobs=%d equals sequential" jobs) true
-        (par = seq))
+        (par_counts ~jobs sys = seq))
     [ 1; 2; 4 ]
 
 let counters_invariant_prop =
@@ -409,12 +426,7 @@ let counters_invariant_prop =
           Obs.Control.off ();
           Metrics.reset ();
           Trace.clear ())
-        (fun () ->
-          let seq = engine_counts (fun () -> Explore.find_deadlock sys) in
-          let par =
-            engine_counts (fun () -> Par.find_deadlock ~jobs sys)
-          in
-          seq = par))
+        (fun () -> seq_counts sys = par_counts ~jobs sys))
 
 let qtests = List.map Fixtures.to_alcotest [ counters_invariant_prop ]
 

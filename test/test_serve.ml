@@ -302,6 +302,37 @@ let test_served_verdicts_equal_local () =
       check string_t "cached bytes" local_text body')
     systems
 
+let test_jobs_daemon_symmetric_bytes () =
+  (* A multi-domain daemon runs the work-stealing engine, which takes
+     its witness from the sequential engine with the same flags: a
+     symmetric request renders the same bytes with or without a
+     deadline, equal to local [render_full ~symmetry:true].  The cache
+     is off so both requests are really analysed. *)
+  with_server
+    ~tweak:(fun c -> { c with Server.jobs = 2; cache_cap = 0 })
+  @@ fun ~socket _t ->
+  List.iter
+    (fun sys ->
+      let source = source_of sys in
+      let local_text, local_status, _ =
+        Analysis.render_full ~symmetry:true sys
+      in
+      let status, body =
+        expect_verdict (Client.analyze ~socket ~symmetry:true source)
+      in
+      let status', body' =
+        expect_verdict
+          (Client.analyze ~socket ~symmetry:true ~deadline_ms:60_000 source)
+      in
+      check int_t "status equals analyze exit" local_status status;
+      check string_t "bytes equal local symmetric analysis" local_text body;
+      check int_t "deadlined status" local_status status';
+      check string_t "deadlined bytes equal undeadlined" body body')
+    [
+      Model.System.copies (Ddlock_workload.Gentx.guard_ring 4) 2;
+      Model.System.copies (Ddlock_workload.Gentx.guard_ring 3) 3;
+    ]
+
 let test_cache_collapses_symmetric_copies () =
   with_server @@ fun ~socket _t ->
   let t = Ddlock_workload.Gentx.guard_ring 3 in
@@ -872,6 +903,8 @@ let suite =
     Alcotest.test_case "system key symmetry" `Quick test_system_key_symmetry;
     Alcotest.test_case "served = local verdicts" `Quick
       test_served_verdicts_equal_local;
+    Alcotest.test_case "jobs=2 daemon: symmetric bytes independent of deadline"
+      `Quick test_jobs_daemon_symmetric_bytes;
     Alcotest.test_case "cache collapses symmetric copies" `Quick
       test_cache_collapses_symmetric_copies;
     Alcotest.test_case "busy backpressure" `Quick test_busy_backpressure;
