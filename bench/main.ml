@@ -1,21 +1,18 @@
 (* Benchmark & experiment harness.
 
    The paper (PODS'85/JCSS'86) is a theory paper with no measured tables;
-   EXPERIMENTS.md defines experiments E1-E11 that operationalize its
-   figures, theorems and complexity claims.  This executable regenerates
-   every series:
-
-   - agreement tables (polynomial algorithms vs exhaustive ground truth);
-   - Bechamel micro-benchmarks for the polynomial kernels (Theorem 3,
-     the O(n³) minimal-prefix ablation, Corollary 3, reduction graphs,
-     DPLL, the Theorem-2 gadget construction);
-   - wall-clock macro series for Theorem 4 (interaction-graph cycles),
-     the exponential exhaustive searches, and the simulator.
+   EXPERIMENTS.md defines experiments E1-E28 that operationalize its
+   theorems and complexity claims.  Agreement with the exhaustive oracle
+   is checked by qcheck properties in [dune runtest]; this executable
+   regenerates the measured series: Bechamel micro-benchmarks for the
+   polynomial kernels, macro series timed by [measure], and the
+   scenario matrix.  Sections with a table worth keeping write it as
+   BENCH_<section>.json through [write_json].
 
    Run with:  dune exec bench/main.exe                 (everything)
               dune exec bench/main.exe -- SECTION...   (a subset)
-   Sections: agreement micro theorem4 exhaustive sim crossover recovery
-             faults sm geometry rw par obs sym serve matrix
+   Sections: micro theorem4 exhaustive crossover sim recovery faults sm
+             rw par obs sym por serve matrix
 *)
 
 open Bechamel
@@ -25,15 +22,177 @@ module System = Model.System
 module Transaction = Model.Transaction
 
 let rng seed = Random.State.make [| seed; 0xbe7c4 |]
+let header title = Format.printf "@.== %s ==@." title
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel plumbing                                                   *)
+(* Timing and percentiles                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Timed trials per measurement.  Odd, so the median is a sample. *)
+let trials = 7
+
+(* Nearest-rank percentile, [q] in [0, 1]: with fewer than 100 samples
+   p99 is the maximum.  0.0 when there are no samples. *)
+let percentile q samples =
+  match List.sort Float.compare samples with
+  | [] -> 0.0
+  | sorted ->
+      let n = List.length sorted in
+      let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
+      List.nth sorted (max 0 (min (n - 1) (rank - 1)))
+
+(* Milliseconds; [mad] is the median absolute deviation from [median]. *)
+type timing = { median : float; min : float; mad : float }
+
+let summarize samples =
+  let median = percentile 0.5 samples in
+  {
+    median;
+    min = List.fold_left Float.min infinity samples;
+    mad = percentile 0.5 (List.map (fun x -> Float.abs (x -. median)) samples);
+  }
+
+(* Monotonic wall clock: CPU time would sum over the parallel engine's
+   domains and make a run look slower the better it scales. *)
+let time_ms f =
+  let t0 = Obs.Clock.now_ns () in
+  let r = f () in
+  (r, float_of_int (Obs.Clock.now_ns () - t0) /. 1e6)
+
+(* One untimed warm-up run (caches, lazy set-up, first major GC), whose
+   result is returned, then [trials] timed runs. *)
+let measure f =
+  let r = f () in
+  (r, summarize (List.init trials (fun _ -> snd (time_ms f))))
+
+let pp_timing t = Printf.sprintf "%.3f ±%.3f" t.median t.mad
+
+(* States stored and time taken by a timed exploration of [sys]. *)
+let explore_timed ?symmetry ?por sys =
+  let space, t = measure (fun () -> Sched.Explore.explore ?symmetry ?por sys) in
+  (Sched.Explore.state_count space, t)
+
+(* ------------------------------------------------------------------ *)
+(* JSON output                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type json =
+  | Int of int
+  | Num of float
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+(* A timed value: the median under [key], its MAD under [key_mad]. *)
+let timed key t = [ (key, Num t.median); (key ^ "_mad", Num t.mad) ]
+
+(* Floats keep a '.' even when integral, so a reader sees the same type
+   in every row; nan and inf print as themselves and fail validation. *)
+let number x =
+  let s = Printf.sprintf "%.4g" x in
+  if String.for_all (function '0' .. '9' | '-' -> true | _ -> false) s then
+    s ^ ".0"
+  else s
+
+let quote s = "\"" ^ Obs.Json.escape s ^ "\""
+
+(* Telemetry cost on [body], run [repeat] times per timed trial: [trials]
+   rounds, each a [measure] with collection off and then on, so drift on
+   the host hits both sides alike.  Off and on are per-run times over the
+   round medians; the overhead is the median of the per-round overheads,
+   its spread their MAD.  Returns the JSON fields and a printable line. *)
+let overhead ~repeat body =
+  let switch on =
+    Obs.Metrics.reset ();
+    Obs.Trace.clear ();
+    if on then Obs.Control.on () else Obs.Control.off ()
+  in
+  let runs () = for _ = 1 to repeat do body () done in
+  let per_run t = t.median /. float_of_int repeat in
+  let rounds =
+    List.init trials (fun _ ->
+        switch false;
+        let _, off = measure runs in
+        switch true;
+        let _, on = measure runs in
+        switch false;
+        (per_run off, per_run on))
+  in
+  let off = summarize (List.map fst rounds)
+  and on = summarize (List.map snd rounds)
+  and pct =
+    summarize (List.map (fun (off, on) -> 100.0 *. (on -. off) /. off) rounds)
+  in
+  ( timed "off_ms" off @ timed "on_ms" on
+    @ [
+        ("overhead_pct", Num pct.median); ("overhead_spread_pct", Num pct.mad);
+      ],
+    Printf.sprintf "off %s (min %.3f), on %s (min %.3f): %+.1f%% ±%.1f"
+      (pp_timing off) off.min (pp_timing on) on.min pct.median pct.mad )
+
+(* A container holding another non-empty container puts each member on
+   its own line; a flat one stays on one line. *)
+let rec render indent v =
+  let inner = indent ^ "  " in
+  let block opening closing members =
+    let nested (_, v) =
+      match v with Arr (_ :: _) | Obj (_ :: _) -> true | _ -> false
+    in
+    let first, sep, last =
+      if List.exists nested members then
+        ("\n" ^ inner, ",\n" ^ inner, "\n" ^ indent)
+      else ("", ", ", "")
+    in
+    opening ^ first
+    ^ String.concat sep
+        (List.map (fun (prefix, v) -> prefix ^ render inner v) members)
+    ^ last ^ closing
+  in
+  match v with
+  | Int n -> string_of_int n
+  | Num x -> number x
+  | Str s -> quote s
+  | Arr vs -> block "[" "]" (List.map (fun v -> ("", v)) vs)
+  | Obj kvs -> block "{" "}" (List.map (fun (k, v) -> (quote k ^ ": ", v)) kvs)
+
+(* Writes BENCH_<name>.json, stamped with the section and the host's
+   core count (numbers are only comparable between equal hosts), after
+   checking it with [Obs.Json.validate]: a malformed file exits 1 and
+   is never written. *)
+let write_json ?(detail = "") name fields =
+  let file = Printf.sprintf "BENCH_%s.json" name in
+  let doc =
+    render ""
+      (Obj
+         (("bench", Str name)
+         :: ("cores", Int (Domain.recommended_domain_count ()))
+         :: fields))
+    ^ "\n"
+  in
+  (match Obs.Json.validate doc with
+  | Ok () -> ()
+  | Error msg ->
+      Format.eprintf "bench: %s invalid: %s@." file msg;
+      exit 1);
+  let oc = open_out file in
+  output_string oc doc;
+  close_out oc;
+  Format.printf "  wrote %s (validated%s)@." file detail
+
+(* ------------------------------------------------------------------ *)
+(* Micro benchmarks (Bechamel)                                         *)
 (* ------------------------------------------------------------------ *)
 
 let ols =
   Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
 
-let benchmark_and_print tests =
+(* One Bechamel group of (name, thunk) cases. *)
+let bechamel title group cases =
+  header title;
+  let tests =
+    Test.make_grouped ~name:group
+      (List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) cases)
+  in
   let instances = Instance.[ monotonic_clock ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None ()
@@ -60,202 +219,93 @@ let benchmark_and_print tests =
         | _ -> ""))
     (List.sort compare rows)
 
-let wall f =
-  let t0 = Sys.time () in
-  let r = f () in
-  (r, (Sys.time () -. t0) *. 1000.0)
-
-let header title = Format.printf "@.== %s ==@." title
-
-(* ------------------------------------------------------------------ *)
-(* Agreement tables (E5-E10 correctness side)                          *)
-(* ------------------------------------------------------------------ *)
-
-let random_pair st = Workload.Gentx.small_random_pair st
-
-let agreement () =
-  header "E6/E7/E8 agreement: pair deciders vs exhaustive (500 random pairs)";
-  let st = rng 1 in
-  let n = 500 in
-  let agree_t3 = ref 0 and agree_mp = ref 0 and positives = ref 0 in
-  for _ = 1 to n do
-    let sys = random_pair st in
-    let t1 = System.txn sys 0 and t2 = System.txn sys 1 in
-    let exh = Result.is_ok (Sched.Explore.safe_and_deadlock_free sys) in
-    if exh then incr positives;
-    if Safety.Pair.safe_and_deadlock_free t1 t2 = exh then incr agree_t3;
-    if Safety.Minimal_prefix.safe_and_deadlock_free t1 t2 = exh then
-      incr agree_mp
-  done;
-  Format.printf "  %-36s %4d/%d@." "Theorem 3 = exhaustive" !agree_t3 n;
-  Format.printf "  %-36s %4d/%d@." "minimal-prefix = exhaustive" !agree_mp n;
-  Format.printf "  %-36s %4d/%d@." "safe&DF systems in sample" !positives n;
-
-  header "E10 agreement: Theorem 4 vs exhaustive (200 random 3-txn systems)";
-  let st = rng 2 in
-  let n = 200 in
-  let agree = ref 0 in
-  for _ = 1 to n do
-    let sites = 1 + Random.State.int st 2 in
-    let entities = 2 + Random.State.int st 2 in
-    let db = Workload.Gentx.random_db ~sites ~entities in
-    let density = Random.State.float st 0.5 in
-    let sys =
-      System.create
-        (List.init 3 (fun _ ->
-             Workload.Gentx.random_transaction st db
-               ~entities:
-                 (Workload.Gentx.random_entity_subset st db
-                    ~k:(1 + Random.State.int st entities))
-               ~density))
-    in
-    if
-      Safety.Many.safe_and_deadlock_free sys
-      = Result.is_ok (Sched.Explore.safe_and_deadlock_free sys)
-    then incr agree
-  done;
-  Format.printf "  %-36s %4d/%d@." "Theorem 4 = exhaustive" !agree n;
-
-  header "E1 agreement: Theorem 1 (deadlock ⇔ deadlock prefix, 200 pairs)";
-  let st = rng 3 in
-  let n = 200 in
-  let agree = ref 0 and deadlocking = ref 0 in
-  for _ = 1 to n do
-    let sys = random_pair st in
-    let a, b = Deadlock.Theorem1.verdicts sys in
-    if a = b then incr agree;
-    if not a then incr deadlocking
-  done;
-  Format.printf "  %-36s %4d/%d@." "schedule-search = prefix-search" !agree n;
-  Format.printf "  %-36s %4d/%d@." "deadlocking systems in sample" !deadlocking
-    n;
-
-  header "E4 agreement: Theorem 2 reduction vs DPLL (100 random 3SAT')";
-  let st = rng 4 in
-  let n = 100 in
-  let ok = ref 0 and sat = ref 0 in
-  for _ = 1 to n do
-    let f = Conp.Gen3sat.generate st ~n_vars:(3 + Random.State.int st 5) in
-    match Conp.Dpll.solve f with
-    | None -> incr ok (* nothing to verify constructively *)
-    | Some model -> (
-        incr sat;
-        let r = Conp.Reduction_sat.build f in
-        match Conp.Reduction_sat.deadlock_witness r model with
-        | Some (_, cycle)
-          when Conp.Formula.satisfies
-                 (Conp.Reduction_sat.assignment_of_cycle r cycle)
-                 f ->
-            incr ok
-        | _ -> ())
-  done;
-  Format.printf "  %-36s %4d/%d@." "model ⇒ deadlock prefix ⇒ model" !ok n;
-  Format.printf "  %-36s %4d/%d@." "satisfiable in sample" !sat n
-
-(* ------------------------------------------------------------------ *)
-(* Micro benchmarks (Bechamel)                                         *)
-(* ------------------------------------------------------------------ *)
-
 let micro () =
-  header "E7 Theorem 3 pair test — O(n²) scaling (n = entities)";
-  let tests =
-    List.map
-      (fun n ->
-        let t1, t2 = Workload.Gentx.chain_pair n in
-        Test.make
-          ~name:(Printf.sprintf "pair/theorem3/n=%d" n)
-          (Staged.stage (fun () ->
-               ignore (Safety.Pair.safe_and_deadlock_free t1 t2))))
-      [ 32; 64; 128; 256 ]
-  in
-  benchmark_and_print (Test.make_grouped ~name:"theorem3" tests);
-
-  header "E8 ablation: O(n³) minimal-prefix algorithm on the same inputs";
-  let tests =
-    List.map
-      (fun n ->
-        let t1, t2 = Workload.Gentx.chain_pair n in
-        Test.make
-          ~name:(Printf.sprintf "pair/minimal-prefix/n=%d" n)
-          (Staged.stage (fun () ->
-               ignore (Safety.Minimal_prefix.safe_and_deadlock_free t1 t2))))
-      [ 32; 64; 128 ]
-  in
-  benchmark_and_print (Test.make_grouped ~name:"minimal-prefix" tests);
-
-  header "E9 Corollary 3 copies test";
-  let tests =
-    List.map
-      (fun n ->
-        let t = Workload.Gentx.guard_ring n in
-        Test.make
-          ~name:(Printf.sprintf "copies/corollary3/k=%d" n)
-          (Staged.stage (fun () ->
-               ignore (Safety.Copies.safe_and_deadlock_free t))))
-      [ 32; 128; 512 ]
-  in
-  benchmark_and_print (Test.make_grouped ~name:"copies" tests);
-
-  header "E1 reduction-graph construction + cycle check (k-ring, 3 copies)";
-  let tests =
-    List.map
-      (fun k ->
-        let t = Workload.Gentx.guard_ring k in
-        let sys = System.copies t 3 in
-        (* Prefix: copy i holds entity i. *)
-        let p = Sched.State.initial sys in
-        for i = 0 to 2 do
-          Ddlock_graph.Bitset.set p.(i) (Transaction.lock_node_exn t i)
-        done;
-        Test.make
-          ~name:(Printf.sprintf "reduction-graph/k=%d" k)
-          (Staged.stage (fun () ->
-               ignore
-                 (Deadlock.Reduction.has_cycle (Deadlock.Reduction.make sys p)))))
-      [ 8; 32; 128 ]
-  in
-  benchmark_and_print (Test.make_grouped ~name:"reduction" tests);
-
-  header "E4 DPLL and Theorem-2 gadget construction (random 3SAT', n vars)";
+  bechamel "E7 Theorem 3 pair test — O(n²) scaling (n = entities)" "theorem3"
+    (List.map
+       (fun n ->
+         let t1, t2 = Workload.Gentx.chain_pair n in
+         ( Printf.sprintf "pair/theorem3/n=%d" n,
+           fun () -> ignore (Safety.Pair.safe_and_deadlock_free t1 t2) ))
+       [ 32; 64; 128; 256 ]);
+  bechamel "E8 ablation: O(n³) minimal-prefix algorithm on the same inputs"
+    "minimal-prefix"
+    (List.map
+       (fun n ->
+         let t1, t2 = Workload.Gentx.chain_pair n in
+         ( Printf.sprintf "pair/minimal-prefix/n=%d" n,
+           fun () ->
+             ignore (Safety.Minimal_prefix.safe_and_deadlock_free t1 t2) ))
+       [ 32; 64; 128 ]);
+  bechamel "E9 Corollary 3 copies test" "copies"
+    (List.map
+       (fun n ->
+         let t = Workload.Gentx.guard_ring n in
+         ( Printf.sprintf "copies/corollary3/k=%d" n,
+           fun () -> ignore (Safety.Copies.safe_and_deadlock_free t) ))
+       [ 32; 128; 512 ]);
+  bechamel "E1 reduction-graph construction + cycle check (k-ring, 3 copies)"
+    "reduction"
+    (List.map
+       (fun k ->
+         let t = Workload.Gentx.guard_ring k in
+         let sys = System.copies t 3 in
+         (* Prefix: copy i holds entity i. *)
+         let p = Sched.State.initial sys in
+         for i = 0 to 2 do
+           Ddlock_graph.Bitset.set p.(i) (Transaction.lock_node_exn t i)
+         done;
+         ( Printf.sprintf "reduction-graph/k=%d" k,
+           fun () ->
+             ignore
+               (Deadlock.Reduction.has_cycle (Deadlock.Reduction.make sys p)) ))
+       [ 8; 32; 128 ]);
   let st = rng 5 in
-  let dpll_tests =
+  let formula n = Conp.Gen3sat.generate st ~n_vars:n in
+  let dpll =
     List.map
       (fun n ->
-        let f = Conp.Gen3sat.generate st ~n_vars:n in
-        Test.make
-          ~name:(Printf.sprintf "dpll/n=%d" n)
-          (Staged.stage (fun () -> ignore (Conp.Dpll.satisfiable f))))
+        let f = formula n in
+        (Printf.sprintf "dpll/n=%d" n, fun () -> ignore (Conp.Dpll.satisfiable f)))
       [ 10; 20; 40 ]
   in
-  let build_tests =
+  let build =
     List.map
       (fun n ->
-        let f = Conp.Gen3sat.generate st ~n_vars:n in
-        Test.make
-          ~name:(Printf.sprintf "reduction-build/n=%d" n)
-          (Staged.stage (fun () -> ignore (Conp.Reduction_sat.build f))))
+        let f = formula n in
+        ( Printf.sprintf "reduction-build/n=%d" n,
+          fun () -> ignore (Conp.Reduction_sat.build f) ))
       [ 5; 10; 20 ]
   in
-  benchmark_and_print (Test.make_grouped ~name:"conp" (dpll_tests @ build_tests));
-
-  header "substrate: transitive closure (random DAG, n nodes)";
+  bechamel "E4 DPLL and Theorem-2 gadget construction (random 3SAT', n vars)"
+    "conp" (dpll @ build);
   let st = rng 6 in
-  let tests =
-    List.map
-      (fun n ->
-        let edges = ref [] in
-        for u = 0 to n - 1 do
-          for v = u + 1 to n - 1 do
-            if Random.State.float st 1.0 < 0.05 then edges := (u, v) :: !edges
-          done
-        done;
-        let g = Ddlock_graph.Digraph.create n !edges in
-        Test.make
-          ~name:(Printf.sprintf "closure/n=%d" n)
-          (Staged.stage (fun () -> ignore (Ddlock_graph.Closure.closure g))))
-      [ 64; 256; 1024 ]
-  in
-  benchmark_and_print (Test.make_grouped ~name:"closure" tests)
+  bechamel "substrate: transitive closure (random DAG, n nodes)" "closure"
+    (List.map
+       (fun n ->
+         let edges = ref [] in
+         for u = 0 to n - 1 do
+           for v = u + 1 to n - 1 do
+             if Random.State.float st 1.0 < 0.05 then edges := (u, v) :: !edges
+           done
+         done;
+         let g = Ddlock_graph.Digraph.create n !edges in
+         ( Printf.sprintf "closure/n=%d" n,
+           fun () -> ignore (Ddlock_graph.Closure.closure g) ))
+       [ 64; 256; 1024 ]);
+  bechamel "E16 geometric deciders for centralized pairs ([LP]/[SW])" "geometry"
+    (List.concat_map
+       (fun n ->
+         let names = List.init n (fun i -> "e" ^ string_of_int i) in
+         let db = Model.Db.single_site names in
+         let t1 = Model.Builder.two_phase_chain db names
+         and t2 = Model.Builder.two_phase_chain db (List.rev names) in
+         [
+           ( Printf.sprintf "geometry/deadlock/n=%d" n,
+             fun () -> ignore (Safety.Geometry.deadlock_free t1 t2) );
+           ( Printf.sprintf "geometry/safe/n=%d" n,
+             fun () -> ignore (Safety.Geometry.safe t1 t2) );
+         ])
+       [ 16; 32; 64 ])
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 4 macro series                                              *)
@@ -263,23 +313,23 @@ let micro () =
 
 let theorem4 () =
   header "E10 Theorem 4 vs interaction-graph cycles (philosopher rings)";
-  Format.printf "  %-10s %-12s %-12s %-12s@." "k" "candidates" "verdict"
+  Format.printf "  %-10s %-12s %-12s %-18s@." "k" "candidates" "verdict"
     "time (ms)";
   List.iter
     (fun k ->
       let sys = Workload.Gentx.dining_philosophers k in
       let candidates = Safety.Many.candidate_count sys in
-      let verdict, ms =
-        wall (fun () -> Safety.Many.safe_and_deadlock_free sys)
+      let verdict, t =
+        measure (fun () -> Safety.Many.safe_and_deadlock_free sys)
       in
-      Format.printf "  %-10d %-12d %-12s %-12.2f@." k candidates
+      Format.printf "  %-10d %-12d %-12s %-18s@." k candidates
         (if verdict then "safe&DF" else "violation")
-        ms)
+        (pp_timing t))
     [ 3; 4; 5; 6; 8; 10; 12 ];
 
   Format.printf
     "@.  dense interaction graphs (philosophers + one hot transaction):@.";
-  Format.printf "  %-10s %-12s %-12s@." "k" "cycles" "time (ms)";
+  Format.printf "  %-10s %-12s %-18s@." "k" "cycles" "time (ms)";
   List.iter
     (fun k ->
       let base = Workload.Gentx.dining_philosophers k in
@@ -290,8 +340,8 @@ let theorem4 () =
       let cycles =
         Seq.length (Ddlock_graph.Ungraph.cycles (System.interaction_graph sys))
       in
-      let _, ms = wall (fun () -> Safety.Many.safe_and_deadlock_free sys) in
-      Format.printf "  %-10d %-12d %-12.2f@." k cycles ms)
+      let _, t = measure (fun () -> Safety.Many.safe_and_deadlock_free sys) in
+      Format.printf "  %-10d %-12d %-18s@." k cycles (pp_timing t))
     [ 3; 4; 5; 6; 7 ]
 
 (* ------------------------------------------------------------------ *)
@@ -300,25 +350,22 @@ let theorem4 () =
 
 let exhaustive () =
   header "E2/E4 exhaustive search blow-up (reachable states)";
-  Format.printf "  %-26s %-12s %-12s@." "system" "states" "time (ms)";
+  Format.printf "  %-26s %-12s %-18s@." "system" "states" "time (ms)";
+  let row name sys =
+    let states, t = explore_timed sys in
+    Format.printf "  %-26s %-12d %-18s@." name states (pp_timing t)
+  in
   List.iter
     (fun k ->
-      let sys = Workload.Gentx.dining_philosophers k in
-      let sp, ms = wall (fun () -> Sched.Explore.explore sys) in
-      Format.printf "  %-26s %-12d %-12.2f@."
+      row
         (Printf.sprintf "philosophers k=%d" k)
-        (Sched.Explore.state_count sp)
-        ms)
+        (Workload.Gentx.dining_philosophers k))
     [ 2; 3; 4; 5; 6 ];
   List.iter
     (fun k ->
-      let t = Workload.Gentx.guard_ring k in
-      let sys = System.copies t 2 in
-      let sp, ms = wall (fun () -> Sched.Explore.explore sys) in
-      Format.printf "  %-26s %-12d %-12.2f@."
+      row
         (Printf.sprintf "2 copies of %d-ring" k)
-        (Sched.Explore.state_count sp)
-        ms)
+        (System.copies (Workload.Gentx.guard_ring k) 2))
     [ 3; 4; 5; 6 ]
 
 (* ------------------------------------------------------------------ *)
@@ -327,16 +374,18 @@ let exhaustive () =
 
 let crossover () =
   header "E7 crossover: Theorem 3 vs exhaustive on growing chain pairs";
-  Format.printf "  %-8s %-16s %-16s@." "n" "theorem3 (ms)" "exhaustive (ms)";
+  Format.printf "  %-8s %-18s %-18s@." "n" "theorem3 (ms)" "exhaustive (ms)";
   List.iter
     (fun n ->
       let t1, t2 = Workload.Gentx.chain_pair n in
       let sys = System.create [ t1; t2 ] in
       let _, fast =
-        wall (fun () -> Safety.Pair.safe_and_deadlock_free t1 t2)
+        measure (fun () -> Safety.Pair.safe_and_deadlock_free t1 t2)
       in
-      let _, slow = wall (fun () -> Sched.Explore.safe_and_deadlock_free sys) in
-      Format.printf "  %-8d %-16.3f %-16.3f@." n fast slow)
+      let _, slow =
+        measure (fun () -> Sched.Explore.safe_and_deadlock_free sys)
+      in
+      Format.printf "  %-8d %-18s %-18s@." n (pp_timing fast) (pp_timing slow))
     [ 2; 3; 4; 5; 6; 7 ]
 
 (* ------------------------------------------------------------------ *)
@@ -345,13 +394,16 @@ let crossover () =
 
 let sim () =
   header "E11 simulator: certified vs deadlocking workloads (200 runs each)";
-  Format.printf "  %-26s %-12s %-16s %-12s@." "workload" "deadlocks"
+  Format.printf "  %-26s %-12s %-16s %-18s@." "workload" "deadlocks"
     "non-serializable" "time (ms)";
   let bench name sys =
-    let st = rng 7 in
-    let stats, ms = wall (fun () -> Sim.Runtime.batch st sys ~runs:200) in
-    Format.printf "  %-26s %-12d %-16d %-12.2f@." name
-      stats.Sim.Runtime.deadlocks stats.Sim.Runtime.non_serializable ms
+    (* A fresh generator per trial: every trial simulates the same runs. *)
+    let stats, t =
+      measure (fun () -> Sim.Runtime.batch (rng 7) sys ~runs:200)
+    in
+    Format.printf "  %-26s %-12d %-16d %-18s@." name
+      stats.Sim.Runtime.deadlocks stats.Sim.Runtime.non_serializable
+      (pp_timing t)
   in
   let db = Model.Db.one_site_per_entity [ "a"; "b"; "c"; "d" ] in
   let ordered =
@@ -373,7 +425,7 @@ let sm_fixed () =
     "E15 [SM]: exhaustive deadlock test is polynomial for fixed (txns, sites)";
   Format.printf
     "  2 transactions over s sites, n entities each (states ~ n^(2s)):@.";
-  Format.printf "  %-8s %-8s %-12s %-12s %-10s@." "s" "n" "states" "time (ms)"
+  Format.printf "  %-8s %-8s %-12s %-18s %-10s@." "s" "n" "states" "time (ms)"
     "growth";
   let prev = ref 0.0 in
   List.iter
@@ -385,42 +437,13 @@ let sm_fixed () =
         Workload.Gentx.random_transaction st db ~entities:all ~density:0.0
       in
       let sys = System.create [ mk (); mk () ] in
-      let sp, ms = wall (fun () -> Sched.Explore.explore sys) in
-      let states = float_of_int (Sched.Explore.state_count sp) in
-      Format.printf "  %-8d %-8d %-12.0f %-12.2f %-10s@." s n states ms
+      let states, t = explore_timed sys in
+      let states = float_of_int states in
+      Format.printf "  %-8d %-8d %-12.0f %-18s %-10s@." s n states
+        (pp_timing t)
         (if !prev > 0.0 then Printf.sprintf "%.1fx" (states /. !prev) else "-");
       prev := states)
     [ (1, 4); (1, 8); (1, 16); (2, 4); (2, 8); (2, 16); (3, 6); (3, 12) ]
-
-(* ------------------------------------------------------------------ *)
-(* Geometry ([LP]/[SW]) micro benchmarks                               *)
-(* ------------------------------------------------------------------ *)
-
-let geometry () =
-  header "E16 geometric deciders for centralized pairs ([LP]/[SW])";
-  let centralized_chain_pair n =
-    let db =
-      Model.Db.single_site (List.init n (fun i -> "e" ^ string_of_int i))
-    in
-    let names = List.init n (fun i -> "e" ^ string_of_int i) in
-    ( Model.Builder.two_phase_chain db names,
-      Model.Builder.two_phase_chain db (List.rev names) )
-  in
-  let tests =
-    List.concat_map
-      (fun n ->
-        let t1, t2 = centralized_chain_pair n in
-        [
-          Test.make
-            ~name:(Printf.sprintf "geometry/deadlock/n=%d" n)
-            (Staged.stage (fun () -> ignore (Safety.Geometry.deadlock_free t1 t2)));
-          Test.make
-            ~name:(Printf.sprintf "geometry/safe/n=%d" n)
-            (Staged.stage (fun () -> ignore (Safety.Geometry.safe t1 t2)));
-        ])
-      [ 16; 32; 64 ]
-  in
-  benchmark_and_print (Test.make_grouped ~name:"geometry" tests)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery schemes                                                    *)
@@ -497,523 +520,6 @@ let faults () =
     [ 0.0; 0.2; 0.4; 0.6; 0.8 ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel exploration: jobs sweep on the biggest state spaces        *)
-(* ------------------------------------------------------------------ *)
-
-(* [Sys.time] measures CPU time summed over domains, which makes a
-   parallel run look slower the better it scales; the jobs sweep needs
-   wall clock. *)
-let wall_clock f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1000.0)
-
-(* Median wall clock of five runs: a single run of a few milliseconds
-   mostly measures where the GC happened to be. *)
-let median_wall_clock f =
-  let runs = List.init 5 (fun _ -> wall_clock f) in
-  List.nth (List.sort (fun (_, a) (_, b) -> compare a b) runs) 2
-
-let par () =
-  header "E20 parallel exploration: jobs sweep (work-stealing engine)";
-  (* The physical parallelism actually available to the run: speedups in
-     BENCH_par.json are only meaningful relative to this. *)
-  let cores = Domain.recommended_domain_count () in
-  Format.printf "  recommended domain count on this machine: %d@." cores;
-  let jobs_list = [ 1; 2; 4; 8 ] in
-  let workloads =
-    [
-      ("philosophers k=5", Workload.Gentx.dining_philosophers 5);
-      ("philosophers k=6", Workload.Gentx.dining_philosophers 6);
-      ("2 copies of 6-ring", System.copies (Workload.Gentx.guard_ring 6) 2);
-    ]
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\n  \"bench\": \"par\",\n  \"cores\": %d,\n  \"series\": [" cores);
-  Format.printf "  %-22s %-10s %-6s %-10s %-8s@." "workload" "states" "jobs" "ms"
-    "speedup";
-  List.iteri
-    (fun wi (name, sys) ->
-      let seq_space, seq_ms =
-        median_wall_clock (fun () -> Sched.Explore.explore sys)
-      in
-      let seq_states = Sched.Explore.state_count seq_space in
-      Format.printf "  %-22s %-10d %-6s %-10.1f %-8s@." name seq_states "seq"
-        seq_ms "1.00x";
-      if wi > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"workload\": %S, \"states\": %d, \"seq_ms\": %.2f, \"runs\": ["
-           name seq_states seq_ms);
-      List.iteri
-        (fun ji jobs ->
-          let space, ms =
-            median_wall_clock (fun () -> Par.Par_explore.explore ~jobs sys)
-          in
-          let states = Par.Par_explore.state_count space in
-          assert (states = seq_states);
-          let speedup = seq_ms /. ms in
-          Format.printf "  %-22s %-10d %-6d %-10.1f %-8s@." "" states jobs ms
-            (Printf.sprintf "%.2fx" speedup);
-          if ji > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf
-            (Printf.sprintf
-               "\n      { \"jobs\": %d, \"ms\": %.2f, \"speedup\": %.2f }"
-               jobs ms speedup))
-        jobs_list;
-      Buffer.add_string buf "\n    ] }")
-    workloads;
-  (* Theorem-1 prefix search with the predicate evaluated in parallel. *)
-  (match Analysis.repair_with_global_order (Workload.Gentx.dining_philosophers 6) with
-  | None -> ()
-  | Some repaired ->
-      Format.printf "@.  prefix search (repaired philosophers k=6, deadlock-free):@.";
-      List.iter
-        (fun jobs ->
-          let df, ms =
-            median_wall_clock (fun () ->
-                Deadlock.Prefix_search.deadlock_free ~jobs repaired)
-          in
-          assert df;
-          Format.printf "  %-22s %-10s %-6d %-10.1f@." "prefix-search" "-" jobs
-            ms)
-        jobs_list);
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_par.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote BENCH_par.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Observability overhead: telemetry on vs off on the same search      *)
-(* ------------------------------------------------------------------ *)
-
-let obs () =
-  header "E21 observability overhead: telemetry on vs off (jobs=1)";
-  let workloads =
-    [
-      ("philosophers k=5", Workload.Gentx.dining_philosophers 5);
-      ("philosophers k=6", Workload.Gentx.dining_philosophers 6);
-      ("2 copies of 5-ring", System.copies (Workload.Gentx.guard_ring 5) 2);
-    ]
-  in
-  (* Best-of-k wall clock: the quantity of interest is the cost the
-     instrumentation adds to the hot path, so take the minimum, which
-     strips scheduler noise. *)
-  let best_of k f =
-    let best = ref infinity in
-    for _ = 1 to k do
-      let _, ms = wall_clock f in
-      if ms < !best then best := ms
-    done;
-    !best
-  in
-  Format.printf "  %-22s %-12s %-12s %-10s@." "workload" "off (ms)" "on (ms)"
-    "overhead";
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\n  \"bench\": \"obs\",\n  \"series\": [";
-  List.iteri
-    (fun i (name, sys) ->
-      let body () = ignore (Sched.Explore.explore sys) in
-      Obs.Control.off ();
-      body ();
-      (* warm-up *)
-      let off_ms = best_of 5 body in
-      Obs.Metrics.reset ();
-      Obs.Trace.clear ();
-      Obs.Control.on ();
-      let on_ms = best_of 5 body in
-      Obs.Control.off ();
-      Obs.Metrics.reset ();
-      Obs.Trace.clear ();
-      let overhead = 100.0 *. (on_ms -. off_ms) /. off_ms in
-      Format.printf "  %-22s %-12.2f %-12.2f %+.1f%%@." name off_ms on_ms
-        overhead;
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"workload\": %S, \"off_ms\": %.3f, \"on_ms\": %.3f, \
-            \"overhead_pct\": %.2f }"
-           name off_ms on_ms overhead))
-    workloads;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote BENCH_obs.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Symmetry reduction: orbit-quotient state counts vs copies           *)
-(* ------------------------------------------------------------------ *)
-
-let sym () =
-  header "E22 symmetry reduction: states visited, plain vs orbit quotient";
-  (* Copies of a guard ring are the worst case the paper's counterexample
-     figures are built from, and the best case for symmetry: the whole
-     automorphism group is the symmetric group on the copies, so the
-     quotient approaches raw/c! as the copies stop interacting. *)
-  let workloads =
-    List.map
-      (fun c -> (Printf.sprintf "%d copies of 3-ring" c, System.copies (Workload.Gentx.guard_ring 3) c, c))
-      [ 2; 3; 4 ]
-    @ List.map
-        (fun c -> (Printf.sprintf "%d copies of 2-ring" c, System.copies (Workload.Gentx.guard_ring 2) c, c))
-        [ 2; 3; 4; 5; 6 ]
-    (* Philosophers have pairwise-distinct transactions: the group is
-       trivial and --symmetry must degrade to a no-op (factor 1.0). *)
-    @ [ ("philosophers k=4 (no-op)", Workload.Gentx.dining_philosophers 4, 1) ]
-  in
-  Format.printf "  %-26s %-8s %-10s %-10s %-8s %-12s %-12s@." "workload"
-    "copies" "raw" "reduced" "factor" "raw (ms)" "sym (ms)";
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"bench\": \"sym\",\n  \"series\": [";
-  List.iteri
-    (fun i (name, sys, copies) ->
-      let raw_space, raw_ms = wall_clock (fun () -> Sched.Explore.explore sys) in
-      let raw = Sched.Explore.state_count raw_space in
-      let sym_space, sym_ms =
-        wall_clock (fun () -> Sched.Explore.explore ~symmetry:true sys)
-      in
-      let reduced = Sched.Explore.state_count sym_space in
-      let orbit = Sched.Canon.orbit_size (Sched.Canon.detect sys) in
-      assert (reduced <= raw && raw <= reduced * orbit);
-      let factor = float_of_int raw /. float_of_int reduced in
-      Format.printf "  %-26s %-8d %-10d %-10d %-8.2f %-12.2f %-12.2f@." name
-        copies raw reduced factor raw_ms sym_ms;
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"workload\": %S, \"copies\": %d, \"orbit\": %d, \
-            \"raw_states\": %d, \"sym_states\": %d, \"factor\": %.2f, \
-            \"raw_ms\": %.2f, \"sym_ms\": %.2f }"
-           name copies orbit raw reduced factor raw_ms sym_ms))
-    workloads;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_sym.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote BENCH_sym.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Partial-order reduction: persistent/sleep-set state counts          *)
-(* ------------------------------------------------------------------ *)
-
-let por () =
-  header
-    "E24 partial-order reduction: states visited, plain vs persistent/sleep \
-     sets";
-  (* Asymmetric workloads are where POR earns its keep: philosophers are
-     pairwise distinct (trivial automorphism group, so --symmetry is a
-     no-op, factor 1.0 in BENCH_sym.json) yet almost all interleavings
-     of far-apart philosophers commute.  Single guard-ring transactions
-     have wide diamonds and no copies at all.  The copies workload shows
-     the reduction composing with a nontrivial group. *)
-  let workloads =
-    List.map
-      (fun k ->
-        ( Printf.sprintf "philosophers k=%d" k,
-          Workload.Gentx.dining_philosophers k ))
-      [ 4; 5; 6 ]
-    @ [
-        ("single 6-ring txn", System.create [ Workload.Gentx.guard_ring 6 ]);
-        ("single 8-ring txn", System.create [ Workload.Gentx.guard_ring 8 ]);
-        ("2 copies of 4-ring", System.copies (Workload.Gentx.guard_ring 4) 2);
-      ]
-  in
-  Format.printf "  %-22s %-10s %-10s %-8s %-10s %-12s %-12s@." "workload"
-    "plain" "reduced" "factor" "sym-fact" "plain (ms)" "por (ms)";
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"bench\": \"por\",\n  \"series\": [";
-  List.iteri
-    (fun i (name, sys) ->
-      let plain_space, plain_ms =
-        wall_clock (fun () -> Sched.Explore.explore sys)
-      in
-      let plain = Sched.Explore.state_count plain_space in
-      let por_space, por_ms =
-        wall_clock (fun () -> Sched.Explore.explore ~por:true sys)
-      in
-      let reduced = Sched.Explore.state_count por_space in
-      let sym_states =
-        Sched.Explore.state_count (Sched.Explore.explore ~symmetry:true sys)
-      in
-      assert (reduced <= plain);
-      assert (
-        Sched.Explore.deadlock_free ~por:true sys
-        = Sched.Explore.deadlock_free sys);
-      let factor = float_of_int plain /. float_of_int reduced in
-      let sym_factor = float_of_int plain /. float_of_int sym_states in
-      Format.printf "  %-22s %-10d %-10d %-8.2f %-10.2f %-12.2f %-12.2f@."
-        name plain reduced factor sym_factor plain_ms por_ms;
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"workload\": %S, \"plain_states\": %d, \
-            \"por_states\": %d, \"factor\": %.2f, \"sym_factor\": %.2f, \
-            \"plain_ms\": %.2f, \"por_ms\": %.2f }"
-           name plain reduced factor sym_factor plain_ms por_ms))
-    workloads;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_por.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote BENCH_por.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Analysis daemon: served latency and verdict-cache collapse          *)
-(* ------------------------------------------------------------------ *)
-
-let json_counter key s =
-  (* Extract ["key": N] from the daemon's one-line stats JSON. *)
-  let needle = Printf.sprintf "\"%s\": " key in
-  let nl = String.length needle and n = String.length s in
-  let rec find i =
-    if i + nl > n then None
-    else if String.sub s i nl = needle then Some (i + nl)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> 0
-  | Some i ->
-      let j = ref i in
-      while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
-        incr j
-      done;
-      int_of_string (String.sub s i (!j - i))
-
-let serve_bench () =
-  header "E23 analysis daemon: served latency, cache collapse, zipf workload";
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ddlock-bench-%d.sock" (Unix.getpid ()))
-  in
-  let t =
-    Ddlock_serve.Server.start
-      { (Ddlock_serve.Server.default_config ~socket_path:socket) with
-        Ddlock_serve.Server.cache_cap = 256 }
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Ddlock_serve.Server.request_stop t;
-      Ddlock_serve.Server.wait t)
-  @@ fun () ->
-  let analyze source =
-    let t0 = Unix.gettimeofday () in
-    match Ddlock_serve.Client.analyze ~socket source with
-    | Ok (Ddlock_serve.Client.Verdict _) -> (Unix.gettimeofday () -. t0) *. 1000.0
-    | _ -> failwith "bench serve: daemon did not return a verdict"
-  in
-  (* K-copies workload: many clients submitting permuted renderings of
-     the same few copies-of-a-ring systems.  Canon.system_key collapses
-     the permutations, so everything after the first sighting of each
-     shape must be a cache hit (the ISSUE floor is a 90% hit rate). *)
-  let st = rng 23 in
-  let bases =
-    [
-      System.copies (Workload.Gentx.guard_ring 3) 2;
-      System.copies (Workload.Gentx.guard_ring 3) 3;
-      System.copies (Workload.Gentx.guard_ring 4) 2;
-    ]
-  in
-  let permuted_source sys =
-    let named =
-      Array.of_list
-        (List.mapi
-           (fun i txn -> (Printf.sprintf "T%d" (i + 1), txn))
-           (Array.to_list (System.txns sys)))
-    in
-    (* Shuffle which copy gets which name: a different source text with
-       the same structural key. *)
-    let txns = Array.map snd named in
-    for i = Array.length txns - 1 downto 1 do
-      let j = Random.State.int st (i + 1) in
-      let tmp = txns.(i) in
-      txns.(i) <- txns.(j);
-      txns.(j) <- tmp
-    done;
-    Model.Parser.to_source (System.db sys)
-      (Array.to_list (Array.mapi (fun i txn -> (fst named.(i), txn)) txns))
-  in
-  let requests = 48 in
-  let lat = Array.make requests 0.0 in
-  for i = 0 to requests - 1 do
-    lat.(i) <- analyze (permuted_source (List.nth bases (i mod List.length bases)))
-  done;
-  let stats = Ddlock_serve.Server.stats_json t in
-  let hits = json_counter "cache_hits" stats in
-  let misses = json_counter "cache_misses" stats in
-  let hit_rate = float_of_int hits /. float_of_int (hits + misses) in
-  let mean a = Array.fold_left ( +. ) 0.0 a /. float_of_int (Array.length a) in
-  let miss_lat = Array.sub lat 0 (List.length bases) in
-  let hit_lat = Array.sub lat (List.length bases) (requests - List.length bases) in
-  Format.printf
-    "  k-copies stream: %d requests over %d shapes: %d hits / %d misses \
-     (%.0f%% hit rate)@."
-    requests (List.length bases) hits misses (100.0 *. hit_rate);
-  Format.printf "  mean served latency: %.2f ms cold, %.3f ms cached@."
-    (mean miss_lat) (mean hit_lat);
-  assert (hit_rate >= 0.9);
-  (* Zipf hotspot workload: fresh systems (all cache misses) across the
-     contention spectrum, uniform to heavily skewed. *)
-  let zipf_rows =
-    List.map
-      (fun theta ->
-        let sys =
-          Workload.Gentx.zipf_system st ~sites:2 ~entities:5 ~txns:4 ~theta
-        in
-        let ms = analyze (Model.Parser.to_source (System.db sys)
-                            (List.mapi (fun i txn -> (Printf.sprintf "T%d" (i + 1), txn))
-                               (Array.to_list (System.txns sys))))
-        in
-        Format.printf "  zipf theta=%-4.1f served in %.2f ms@." theta ms;
-        (theta, ms))
-      [ 0.0; 0.8; 1.5 ]
-  in
-  (* Tracing overhead on the served path: the same cached request with
-     the Obs switch off vs on.  With tracing on every request records a
-     span tree and retires it into the rings, so this measures the whole
-     per-request observability cost (ISSUE 9 budget: <= 5%). *)
-  let overhead_src =
-    Model.Parser.to_source
-      (System.db (List.hd bases))
-      (List.mapi
-         (fun i txn -> (Printf.sprintf "T%d" (i + 1), txn))
-         (Array.to_list (System.txns (List.hd bases))))
-  in
-  ignore (analyze overhead_src);
-  (* primed *)
-  let timed_cached n =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      ignore (analyze overhead_src)
-    done;
-    (Unix.gettimeofday () -. t0) *. 1000.0 /. float_of_int n
-  in
-  Obs.Control.off ();
-  ignore (timed_cached 50);
-  (* warm-up *)
-  let off_ms = timed_cached 200 in
-  Obs.Metrics.reset ();
-  Obs.Trace.clear ();
-  Obs.Control.on ();
-  let on_ms = timed_cached 200 in
-  Obs.Control.off ();
-  Obs.Metrics.reset ();
-  Obs.Trace.clear ();
-  let overhead_pct = 100.0 *. (on_ms -. off_ms) /. off_ms in
-  Format.printf
-    "  tracing overhead (cached request): %.3f ms off, %.3f ms on \
-     (%+.1f%%)@."
-    off_ms on_ms overhead_pct;
-  (* Saturation sweep: fresh systems (all cache misses) offered at an
-     increasing open-loop rate until the bounded admission queue starts
-     rejecting.  Sources are pre-generated so the submitter threads only
-     pace and send. *)
-  let fresh_sources n =
-    Array.init n (fun _ ->
-        let sys =
-          Workload.Gentx.zipf_system st ~sites:2 ~entities:6 ~txns:5
-            ~theta:0.8
-        in
-        Model.Parser.to_source (System.db sys)
-          (List.mapi
-             (fun i txn -> (Printf.sprintf "T%d" (i + 1), txn))
-             (Array.to_list (System.txns sys))))
-  in
-  let saturation_point rate =
-    let window = 0.6 in
-    let n = max 1 (int_of_float (rate *. window)) in
-    let sources = fresh_sources n in
-    let results = Array.make n `Pending in
-    let threads =
-      List.init n (fun i ->
-          Thread.create
-            (fun () ->
-              Thread.delay (float_of_int i /. rate);
-              let t0 = Unix.gettimeofday () in
-              results.(i) <-
-                (match Ddlock_serve.Client.analyze ~socket sources.(i) with
-                | Ok (Ddlock_serve.Client.Verdict _) ->
-                    `Ok ((Unix.gettimeofday () -. t0) *. 1000.0)
-                | Ok (Ddlock_serve.Client.Busy _) -> `Busy
-                | Ok Ddlock_serve.Client.Timeout -> `Timeout
-                | _ -> `Err))
-            ())
-    in
-    let t0 = Unix.gettimeofday () in
-    List.iter Thread.join threads;
-    let elapsed = Unix.gettimeofday () -. t0 in
-    let oks =
-      Array.to_list results
-      |> List.filter_map (function `Ok ms -> Some ms | _ -> None)
-      |> List.sort compare |> Array.of_list
-    in
-    let count p = Array.fold_left (fun acc r -> if p r then acc + 1 else acc) 0 results in
-    let busy = count (function `Busy -> true | _ -> false) in
-    let quant q =
-      if Array.length oks = 0 then 0.0
-      else oks.(min (Array.length oks - 1)
-                  (int_of_float (q *. float_of_int (Array.length oks))))
-    in
-    ( n,
-      float_of_int (Array.length oks) /. elapsed,
-      float_of_int busy /. float_of_int n,
-      quant 0.5,
-      quant 0.99 )
-  in
-  Format.printf "  %-14s %-14s %-10s %-10s %-10s@." "offered req/s"
-    "served req/s" "busy" "p50 ms" "p99 ms";
-  let saturation_rows =
-    let rec sweep acc = function
-      | [] -> List.rev acc
-      | rate :: rest ->
-          let n, achieved, busy_rate, p50, p99 = saturation_point rate in
-          Format.printf "  %-14.0f %-14.1f %-10.2f %-10.2f %-10.2f@." rate
-            achieved busy_rate p50 p99;
-          let acc = (rate, n, achieved, busy_rate, p50, p99) :: acc in
-          (* Past busy onset the queue is already the bottleneck; higher
-             offered rates only add rejected requests. *)
-          if busy_rate > 0.2 then List.rev acc else sweep acc rest
-    in
-    sweep [] [ 25.0; 50.0; 100.0; 200.0; 400.0 ]
-  in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"bench\": \"serve\",\n  \"kcopies\": { \"requests\": %d, \
-        \"shapes\": %d, \"hits\": %d, \"misses\": %d, \"hit_rate\": %.3f, \
-        \"cold_ms\": %.3f, \"cached_ms\": %.4f },\n  \"zipf\": ["
-       requests (List.length bases) hits misses hit_rate (mean miss_lat)
-       (mean hit_lat));
-  List.iteri
-    (fun i (theta, ms) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    { \"theta\": %.1f, \"ms\": %.3f }" theta ms))
-    zipf_rows;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\n  ],\n  \"tracing_overhead\": { \"off_ms\": %.4f, \"on_ms\": \
-        %.4f, \"overhead_pct\": %.2f },\n  \"saturation\": ["
-       off_ms on_ms overhead_pct);
-  List.iteri
-    (fun i (rate, n, achieved, busy_rate, p50, p99) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n    { \"offered_rps\": %.0f, \"requests\": %d, \
-            \"served_rps\": %.1f, \"busy_rate\": %.3f, \"p50_ms\": %.3f, \
-            \"p99_ms\": %.3f }"
-           rate n achieved busy_rate p50 p99))
-    saturation_rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Format.printf "  wrote BENCH_serve.json@."
-
-(* ------------------------------------------------------------------ *)
 (* Read/write modes: readers-share speedup                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1050,6 +556,387 @@ let rw_modes () =
         excl.Sim.Runtime.mean_makespan rwb.Rw.Rw_runtime.mean_makespan
         (excl.Sim.Runtime.mean_makespan /. rwb.Rw.Rw_runtime.mean_makespan))
     [ 2; 4; 8; 16 ]
+
+(* ------------------------------------------------------------------ *)
+(* Parallel exploration: jobs sweep on the biggest state spaces        *)
+(* ------------------------------------------------------------------ *)
+
+let par () =
+  header "E20 parallel exploration: jobs sweep (work-stealing engine)";
+  (* Speedups are only meaningful relative to the physical parallelism
+     available; write_json records it as "cores". *)
+  Format.printf "  recommended domain count on this machine: %d@."
+    (Domain.recommended_domain_count ());
+  let jobs_list = [ 1; 2; 4; 8 ] in
+  let workloads =
+    [
+      ("philosophers k=5", Workload.Gentx.dining_philosophers 5);
+      ("philosophers k=6", Workload.Gentx.dining_philosophers 6);
+      ("2 copies of 6-ring", System.copies (Workload.Gentx.guard_ring 6) 2);
+    ]
+  in
+  Format.printf "  %-22s %-10s %-6s %-18s %-8s@." "workload" "states" "jobs"
+    "ms" "speedup";
+  let series =
+    List.map
+      (fun (name, sys) ->
+        let seq_states, seq = explore_timed sys in
+        Format.printf "  %-22s %-10d %-6s %-18s %-8s@." name seq_states "seq"
+          (pp_timing seq) "1.00x";
+        let runs =
+          List.map
+            (fun jobs ->
+              let space, t =
+                measure (fun () -> Par.Par_explore.explore ~jobs sys)
+              in
+              let states = Par.Par_explore.state_count space in
+              assert (states = seq_states);
+              let speedup = seq.median /. t.median in
+              Format.printf "  %-22s %-10d %-6d %-18s %-8s@." "" states jobs
+                (pp_timing t)
+                (Printf.sprintf "%.2fx" speedup);
+              Obj
+                ((("jobs", Int jobs) :: timed "ms" t)
+                @ [ ("speedup", Num speedup) ]))
+            jobs_list
+        in
+        Obj
+          ([ ("workload", Str name); ("states", Int seq_states) ]
+          @ timed "seq_ms" seq
+          @ [ ("runs", Arr runs) ]))
+      workloads
+  in
+  (* Theorem-1 prefix search with the predicate evaluated in parallel. *)
+  (match Analysis.repair_with_global_order (Workload.Gentx.dining_philosophers 6) with
+  | None -> ()
+  | Some repaired ->
+      Format.printf "@.  prefix search (repaired philosophers k=6, deadlock-free):@.";
+      List.iter
+        (fun jobs ->
+          let df, t =
+            measure (fun () ->
+                Deadlock.Prefix_search.deadlock_free ~jobs repaired)
+          in
+          assert df;
+          Format.printf "  %-22s %-10s %-6d %-18s@." "prefix-search" "-" jobs
+            (pp_timing t))
+        jobs_list);
+  write_json "par" [ ("series", Arr series) ]
+
+(* ------------------------------------------------------------------ *)
+(* Observability overhead: telemetry on vs off on the same search      *)
+(* ------------------------------------------------------------------ *)
+
+let obs () =
+  header "E21 observability overhead: telemetry on vs off (jobs=1)";
+  let workloads =
+    [
+      ("philosophers k=5", Workload.Gentx.dining_philosophers 5);
+      ("philosophers k=6", Workload.Gentx.dining_philosophers 6);
+      ("2 copies of 5-ring", System.copies (Workload.Gentx.guard_ring 5) 2);
+    ]
+  in
+  let series =
+    List.map
+      (fun (name, sys) ->
+        let fields, line =
+          overhead ~repeat:1 (fun () -> ignore (Sched.Explore.explore sys))
+        in
+        Format.printf "  %-22s ms %s@." name line;
+        Obj (("workload", Str name) :: fields))
+      workloads
+  in
+  write_json "obs" [ ("series", Arr series) ]
+
+(* ------------------------------------------------------------------ *)
+(* Symmetry reduction: orbit-quotient state counts vs copies           *)
+(* ------------------------------------------------------------------ *)
+
+let sym () =
+  header "E22 symmetry reduction: states visited, plain vs orbit quotient";
+  (* Copies of a guard ring are the worst case the paper's counterexample
+     figures are built from, and the best case for symmetry: the whole
+     automorphism group is the symmetric group on the copies, so the
+     quotient approaches raw/c! as the copies stop interacting. *)
+  let workloads =
+    List.map
+      (fun c -> (Printf.sprintf "%d copies of 3-ring" c, System.copies (Workload.Gentx.guard_ring 3) c, c))
+      [ 2; 3; 4 ]
+    @ List.map
+        (fun c -> (Printf.sprintf "%d copies of 2-ring" c, System.copies (Workload.Gentx.guard_ring 2) c, c))
+        [ 2; 3; 4; 5; 6 ]
+    (* Philosophers have pairwise-distinct transactions: the group is
+       trivial and --symmetry must degrade to a no-op (factor 1.0). *)
+    @ [ ("philosophers k=4 (no-op)", Workload.Gentx.dining_philosophers 4, 1) ]
+  in
+  Format.printf "  %-26s %-8s %-10s %-10s %-8s %-18s %-18s@." "workload"
+    "copies" "raw" "reduced" "factor" "raw (ms)" "sym (ms)";
+  let series =
+    List.map
+      (fun (name, sys, copies) ->
+        let raw, raw_t = explore_timed sys in
+        let reduced, sym_t = explore_timed ~symmetry:true sys in
+        let orbit = Sched.Canon.orbit_size (Sched.Canon.detect sys) in
+        assert (reduced <= raw && raw <= reduced * orbit);
+        let factor = float_of_int raw /. float_of_int reduced in
+        Format.printf "  %-26s %-8d %-10d %-10d %-8.2f %-18s %-18s@." name
+          copies raw reduced factor (pp_timing raw_t) (pp_timing sym_t);
+        Obj
+          ([
+             ("workload", Str name);
+             ("copies", Int copies);
+             ("orbit", Int orbit);
+             ("raw_states", Int raw);
+             ("sym_states", Int reduced);
+             ("factor", Num factor);
+           ]
+          @ timed "raw_ms" raw_t @ timed "sym_ms" sym_t))
+      workloads
+  in
+  write_json "sym" [ ("series", Arr series) ]
+
+(* ------------------------------------------------------------------ *)
+(* Partial-order reduction: persistent/sleep-set state counts          *)
+(* ------------------------------------------------------------------ *)
+
+let por () =
+  header
+    "E24 partial-order reduction: states visited, plain vs persistent/sleep \
+     sets";
+  (* Asymmetric workloads are where POR earns its keep: philosophers are
+     pairwise distinct (trivial automorphism group, so --symmetry is a
+     no-op, factor 1.0 in BENCH_sym.json) yet almost all interleavings
+     of far-apart philosophers commute.  Single guard-ring transactions
+     have wide diamonds and no copies at all.  The copies workload shows
+     the reduction composing with a nontrivial group. *)
+  let workloads =
+    List.map
+      (fun k ->
+        ( Printf.sprintf "philosophers k=%d" k,
+          Workload.Gentx.dining_philosophers k ))
+      [ 4; 5; 6 ]
+    @ [
+        ("single 6-ring txn", System.create [ Workload.Gentx.guard_ring 6 ]);
+        ("single 8-ring txn", System.create [ Workload.Gentx.guard_ring 8 ]);
+        ("2 copies of 4-ring", System.copies (Workload.Gentx.guard_ring 4) 2);
+      ]
+  in
+  Format.printf "  %-22s %-10s %-10s %-8s %-10s %-18s %-18s@." "workload"
+    "plain" "reduced" "factor" "sym-fact" "plain (ms)" "por (ms)";
+  let series =
+    List.map
+      (fun (name, sys) ->
+        let plain, plain_t = explore_timed sys in
+        let reduced, por_t = explore_timed ~por:true sys in
+        let sym_states =
+          Sched.Explore.state_count (Sched.Explore.explore ~symmetry:true sys)
+        in
+        assert (reduced <= plain);
+        assert (
+          Sched.Explore.deadlock_free ~por:true sys
+          = Sched.Explore.deadlock_free sys);
+        let factor = float_of_int plain /. float_of_int reduced in
+        let sym_factor = float_of_int plain /. float_of_int sym_states in
+        Format.printf "  %-22s %-10d %-10d %-8.2f %-10.2f %-18s %-18s@." name
+          plain reduced factor sym_factor (pp_timing plain_t) (pp_timing por_t);
+        Obj
+          ([
+             ("workload", Str name);
+             ("plain_states", Int plain);
+             ("por_states", Int reduced);
+             ("factor", Num factor);
+             ("sym_factor", Num sym_factor);
+           ]
+          @ timed "plain_ms" plain_t @ timed "por_ms" por_t))
+      workloads
+  in
+  write_json "por" [ ("series", Arr series) ]
+
+(* ------------------------------------------------------------------ *)
+(* Analysis daemon: served latency and verdict-cache collapse          *)
+(* ------------------------------------------------------------------ *)
+
+let serve_bench () =
+  header "E23 analysis daemon: served latency, cache collapse, zipf workload";
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ddlock-bench-%d.sock" (Unix.getpid ()))
+  in
+  let t =
+    Ddlock_serve.Server.start
+      { (Ddlock_serve.Server.default_config ~socket_path:socket) with
+        Ddlock_serve.Server.cache_cap = 256 }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Ddlock_serve.Server.request_stop t;
+      Ddlock_serve.Server.wait t)
+  @@ fun () ->
+  (* The reply's cache=hit|miss header token and the served latency. *)
+  let analyze source =
+    match time_ms (fun () -> Ddlock_serve.Client.analyze_ex ~socket source) with
+    | Ok (Ddlock_serve.Client.Verdict _, { cached = Some c; _ }), ms -> (c, ms)
+    | _ -> failwith "bench serve: daemon did not return a verdict"
+  in
+  let source_of db txns =
+    Model.Parser.to_source db
+      (List.mapi (fun i txn -> (Printf.sprintf "T%d" (i + 1), txn)) txns)
+  in
+  let system_source sys =
+    source_of (System.db sys) (Array.to_list (System.txns sys))
+  in
+  (* K-copies workload: many clients submitting permuted renderings of
+     the same few copies-of-a-ring systems.  Canon.system_key collapses
+     the permutations, so everything after the first sighting of each
+     shape must be a cache hit (the floor is a 90% hit rate). *)
+  let st = rng 23 in
+  let bases =
+    [
+      System.copies (Workload.Gentx.guard_ring 3) 2;
+      System.copies (Workload.Gentx.guard_ring 3) 3;
+      System.copies (Workload.Gentx.guard_ring 4) 2;
+    ]
+  in
+  let shapes = List.length bases in
+  (* Shuffle which copy gets which name: a different source text with
+     the same structural key. *)
+  let permuted_source sys =
+    let txns = Array.copy (System.txns sys) in
+    for i = Array.length txns - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let tmp = txns.(i) in
+      txns.(i) <- txns.(j);
+      txns.(j) <- tmp
+    done;
+    source_of (System.db sys) (Array.to_list txns)
+  in
+  let requests = 48 in
+  let stream =
+    List.init requests (fun i ->
+        analyze (permuted_source (List.nth bases (i mod shapes))))
+  in
+  let latencies hit =
+    List.filter_map (fun (c, ms) -> if c = hit then Some ms else None) stream
+  in
+  let cached = summarize (latencies true)
+  and cold = summarize (latencies false) in
+  let hits = List.length (latencies true) in
+  let misses = requests - hits in
+  let hit_rate = float_of_int hits /. float_of_int requests in
+  Format.printf
+    "  k-copies stream: %d requests over %d shapes: %d hits / %d misses \
+     (%.0f%% hit rate)@."
+    requests shapes hits misses (100.0 *. hit_rate);
+  Format.printf "  served latency (ms): %s cold, %s cached@." (pp_timing cold)
+    (pp_timing cached);
+  assert (hit_rate >= 0.9);
+  (* Zipf hotspot workload: fresh systems (all cache misses) across the
+     contention spectrum, uniform to heavily skewed.  One request each:
+     a repeat would be a cache hit. *)
+  let zipf_rows =
+    List.map
+      (fun theta ->
+        let sys =
+          Workload.Gentx.zipf_system st ~sites:2 ~entities:5 ~txns:4 ~theta
+        in
+        let _, ms = analyze (system_source sys) in
+        Format.printf "  zipf theta=%-4.1f served in %.2f ms@." theta ms;
+        Obj [ ("theta", Num theta); ("ms", Num ms) ])
+      [ 0.0; 0.8; 1.5 ]
+  in
+  (* Tracing overhead on the served path: the same cached request with
+     the Obs switch off vs on.  With tracing on every request records a
+     span tree and retires it into the rings, so this measures the whole
+     per-request observability cost (budget: <= 5%).  Ten requests per
+     timed trial keep each sample well above the clock's jitter. *)
+  let overhead_src = system_source (List.hd bases) in
+  let overhead_fields, line =
+    overhead ~repeat:10 (fun () -> ignore (analyze overhead_src))
+  in
+  Format.printf "  tracing overhead (cached request), ms %s@." line;
+  (* Saturation sweep: fresh systems (all cache misses) offered at an
+     increasing open-loop rate until the bounded admission queue starts
+     rejecting.  Sources are pre-generated so the submitter threads only
+     pace and send. *)
+  let saturation_point rate =
+    let window = 0.6 in
+    let n = max 1 (int_of_float (float_of_int rate *. window)) in
+    let sources =
+      Array.init n (fun _ ->
+          system_source
+            (Workload.Gentx.zipf_system st ~sites:2 ~entities:6 ~txns:5
+               ~theta:0.8))
+    in
+    let results = Array.make n `Failed in
+    let threads =
+      List.init n (fun i ->
+          Thread.create
+            (fun () ->
+              Thread.delay (float_of_int i /. float_of_int rate);
+              results.(i) <-
+                (match
+                   time_ms (fun () ->
+                       Ddlock_serve.Client.analyze ~socket sources.(i))
+                 with
+                | Ok (Ddlock_serve.Client.Verdict _), ms -> `Ok ms
+                | Ok (Ddlock_serve.Client.Busy _), _ -> `Busy
+                | _ -> `Failed))
+            ())
+    in
+    let (), elapsed_ms = time_ms (fun () -> List.iter Thread.join threads) in
+    let oks =
+      Array.to_list results
+      |> List.filter_map (function `Ok ms -> Some ms | _ -> None)
+    in
+    let busy =
+      Array.fold_left (fun acc r -> if r = `Busy then acc + 1 else acc) 0 results
+    in
+    let served_rps = float_of_int (List.length oks) /. (elapsed_ms /. 1000.0)
+    and busy_rate = float_of_int busy /. float_of_int n
+    and p50 = percentile 0.5 oks and p99 = percentile 0.99 oks in
+    Format.printf "  %-14d %-14.1f %-10.2f %-10.2f %-10.2f@." rate served_rps
+      busy_rate p50 p99;
+    ( busy_rate,
+      Obj
+        [
+          ("offered_rps", Int rate);
+          ("requests", Int n);
+          ("served_rps", Num served_rps);
+          ("busy_rate", Num busy_rate);
+          ("p50_ms", Num p50);
+          ("p99_ms", Num p99);
+        ] )
+  in
+  Format.printf "  %-14s %-14s %-10s %-10s %-10s@." "offered req/s"
+    "served req/s" "busy" "p50 ms" "p99 ms";
+  let saturation_rows =
+    let rec sweep acc = function
+      | [] -> List.rev acc
+      | rate :: rest ->
+          let busy_rate, row = saturation_point rate in
+          (* Past busy onset the queue is already the bottleneck; higher
+             offered rates only add rejected requests. *)
+          if busy_rate > 0.2 then List.rev (row :: acc)
+          else sweep (row :: acc) rest
+    in
+    sweep [] [ 25; 50; 100; 200; 400 ]
+  in
+  write_json "serve"
+    [
+      ( "kcopies",
+        Obj
+          ([
+             ("requests", Int requests);
+             ("shapes", Int shapes);
+             ("hits", Int hits);
+             ("misses", Int misses);
+             ("hit_rate", Num hit_rate);
+           ]
+          @ timed "cold_ms" cold @ timed "cached_ms" cached) );
+      ("zipf", Arr zipf_rows);
+      ("tracing_overhead", Obj overhead_fields);
+      ("saturation", Arr saturation_rows);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Scenario matrix: schemes x workload families x fault intensity      *)
@@ -1094,140 +981,99 @@ let matrix () =
   in
   let schemes = Sim.Chaos.default_schemes in
   let violations_total = ref 0 in
-  let buf = Buffer.create 8192 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\n  \"bench\": \"matrix\",\n  \"runs_per_cell\": %d,\n  \
-        \"horizon\": %.1f,\n  \"max_time\": %.1f,\n  \"schemes\": [%s],\n  \
-        \"intensities\": [%s],\n  \"families\": ["
-       runs horizon config.Sim.Recovery.max_time
-       (String.concat ", "
-          (List.map (fun (n, _) -> Printf.sprintf "\"%s\"" n) schemes))
-       (String.concat ", " (List.map (Printf.sprintf "%.1f") intensities)));
   Format.printf "  %-20s %-14s %-10s %-8s %-8s %-8s %-8s@." "family" "scheme"
     "intensity" "commit" "aborts" "p50" "p99";
-  List.iteri
-    (fun fi (fname, sys) ->
-      let n = System.size sys in
-      if fi > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\n    { \"family\": \"%s\", \"txns\": %d, \"cells\": ["
-           fname n);
-      let first_cell = ref true in
-      List.iteri
-        (fun si (sname, scheme) ->
-          List.iteri
-            (fun ii intensity ->
-              let commits = ref 0 and aborts = ref 0 and timeouts = ref 0 in
-              let total_makespan = ref 0.0 and completed = ref 0 in
-              let buckets =
-                Array.make (Obs.Metrics.Histogram.max_bucket + 1) 0
-              in
-              let sum_ms = ref 0 in
-              for seed = 0 to runs - 1 do
-                (* The fault plan is keyed by (family, intensity, seed)
-                   only, so all five schemes face the same plans
-                   head-to-head; the simulator rng is per-scheme. *)
-                let plan_rng = Random.State.make [| 0x3a7c; fi; ii; seed |] in
-                let plan =
-                  Sim.Faults.random plan_rng (System.db sys) ~intensity
-                    ~horizon
-                in
-                let sim_rng =
-                  Random.State.make [| 0x3a7d; fi; si; ii; seed |]
-                in
-                let r = Sim.Recovery.run ~scheme ~config ~faults:plan sim_rng sys in
-                commits := !commits + r.Sim.Recovery.stats.Sim.Recovery.commits;
-                aborts := !aborts + r.Sim.Recovery.stats.Sim.Recovery.aborts;
-                if r.Sim.Recovery.stats.Sim.Recovery.timed_out then
-                  incr timeouts
-                else begin
-                  incr completed;
-                  let mk = r.Sim.Recovery.stats.Sim.Recovery.makespan in
-                  total_makespan := !total_makespan +. mk;
-                  let ms = int_of_float (mk *. 1000.0) in
-                  sum_ms := !sum_ms + ms;
-                  buckets.(Obs.Metrics.Histogram.bucket_of ms) <-
-                    buckets.(Obs.Metrics.Histogram.bucket_of ms) + 1;
-                  (* Legality/mutex/serializability on every committed
-                     trace; timeouts are commit-rate data, not
-                     violations, under the finite budget. *)
-                  violations_total :=
-                    !violations_total
-                    + List.length (Sim.Chaos.check_run sys r)
-                end
-              done;
-              let offered = runs * n in
-              let commit_rate = float_of_int !commits /. float_of_int offered in
-              let abort_rate = float_of_int !aborts /. float_of_int offered in
-              let timeout_rate =
-                float_of_int !timeouts /. float_of_int runs
-              in
-              let mean_makespan =
-                if !completed = 0 then 0.0
-                else !total_makespan /. float_of_int !completed
-              in
-              let hist =
-                {
-                  Obs.Metrics.count = !completed;
-                  sum = !sum_ms;
-                  buckets =
-                    List.filter
-                      (fun (_, c) -> c > 0)
-                      (List.init (Array.length buckets) (fun i ->
-                           (i, buckets.(i))));
-                }
-              in
-              let p50 = Obs.Metrics.quantile hist 0.5 in
-              let p99 = Obs.Metrics.quantile hist 0.99 in
-              Format.printf "  %-20s %-14s %-10.1f %-8.2f %-8.2f %-8.0f %-8.0f@."
-                fname sname intensity commit_rate abort_rate p50 p99;
-              if not !first_cell then Buffer.add_char buf ',';
-              first_cell := false;
-              Buffer.add_string buf
-                (Printf.sprintf
-                   "\n      { \"scheme\": \"%s\", \"intensity\": %.1f, \
-                    \"runs\": %d, \"commit_rate\": %.4f, \"abort_rate\": \
-                    %.4f, \"timeout_rate\": %.4f, \"mean_makespan\": %.3f, \
-                    \"p50_ms\": %.1f, \"p99_ms\": %.1f, \"latency_ms\": [%s] }"
-                   sname intensity runs commit_rate abort_rate timeout_rate
-                   mean_makespan p50 p99
-                   (String.concat ", "
-                      (List.map
-                         (fun (i, c) ->
-                           Printf.sprintf
-                             "{ \"lo\": %d, \"count\": %d }"
-                             (Obs.Metrics.Histogram.bucket_lower i)
-                             c)
-                         hist.Obs.Metrics.buckets))))
-            intensities)
-        schemes;
-      Buffer.add_string buf "\n    ] }")
-    families;
-  Buffer.add_string buf
-    (Printf.sprintf "\n  ],\n  \"violations\": %d\n}\n" !violations_total);
-  let json = Buffer.contents buf in
-  (match Obs.Json.validate json with
-  | Ok () -> ()
-  | Error msg ->
-      Format.eprintf "bench: BENCH_matrix.json invalid: %s@." msg;
-      exit 1);
+  let cell fi (fname, sys) si (sname, scheme) ii intensity =
+    let commits = ref 0 and aborts = ref 0 and timeouts = ref 0 in
+    let makespans = ref [] in
+    for seed = 0 to runs - 1 do
+      (* The fault plan is keyed by (family, intensity, seed) only, so
+         all five schemes face the same plans head-to-head; the
+         simulator rng is per-scheme. *)
+      let plan_rng = Random.State.make [| 0x3a7c; fi; ii; seed |] in
+      let plan =
+        Sim.Faults.random plan_rng (System.db sys) ~intensity ~horizon
+      in
+      let sim_rng = Random.State.make [| 0x3a7d; fi; si; ii; seed |] in
+      let r = Sim.Recovery.run ~scheme ~config ~faults:plan sim_rng sys in
+      let stats = r.Sim.Recovery.stats in
+      commits := !commits + stats.Sim.Recovery.commits;
+      aborts := !aborts + stats.Sim.Recovery.aborts;
+      if stats.Sim.Recovery.timed_out then incr timeouts
+      else begin
+        makespans := stats.Sim.Recovery.makespan :: !makespans;
+        (* Legality/mutex/serializability on every committed trace;
+           timeouts are commit-rate data, not violations, under the
+           finite budget. *)
+        violations_total :=
+          !violations_total + List.length (Sim.Chaos.check_run sys r)
+      end
+    done;
+    let offered = float_of_int (runs * System.size sys) in
+    let commit_rate = float_of_int !commits /. offered in
+    let abort_rate = float_of_int !aborts /. offered in
+    let samples = List.length !makespans in
+    let mean_makespan =
+      if samples = 0 then 0.0
+      else List.fold_left ( +. ) 0.0 !makespans /. float_of_int samples
+    in
+    let p50 = percentile 0.5 !makespans and p99 = percentile 0.99 !makespans in
+    Format.printf "  %-20s %-14s %-10.1f %-8.2f %-8.2f %-8.1f %-8.1f@." fname
+      sname intensity commit_rate abort_rate p50 p99;
+    Obj
+      [
+        ("scheme", Str sname);
+        ("intensity", Num intensity);
+        ("runs", Int runs);
+        ("commit_rate", Num commit_rate);
+        ("abort_rate", Num abort_rate);
+        ("timeout_rate", Num (float_of_int !timeouts /. float_of_int runs));
+        ("mean_makespan", Num mean_makespan);
+        ("samples", Int samples);
+        ("p50_makespan", Num p50);
+        ("p99_makespan", Num p99);
+      ]
+  in
+  let family_rows =
+    List.mapi
+      (fun fi ((fname, sys) as family) ->
+        let cells =
+          List.concat
+            (List.mapi
+               (fun si scheme ->
+                 List.mapi (cell fi family si scheme) intensities)
+               schemes)
+        in
+        Obj
+          [
+            ("family", Str fname);
+            ("txns", Int (System.size sys));
+            ("cells", Arr cells);
+          ])
+      families
+  in
   if !violations_total > 0 then begin
     Format.eprintf "bench: %d invariant violations in the matrix sweep@."
       !violations_total;
     exit 1
   end;
-  let oc = open_out "BENCH_matrix.json" in
-  output_string oc json;
-  close_out oc;
-  Format.printf
-    "  wrote BENCH_matrix.json (validated, %d cells, 0 violations)@."
-    (List.length families * List.length schemes * List.length intensities)
+  write_json "matrix"
+    ~detail:
+      (Printf.sprintf ", %d cells, 0 violations"
+         (List.length families * List.length schemes * List.length intensities))
+    [
+      ("runs_per_cell", Int runs);
+      ("horizon", Num horizon);
+      ("max_time", Num config.Sim.Recovery.max_time);
+      ("schemes", Arr (List.map (fun (n, _) -> Str n) schemes));
+      ("intensities", Arr (List.map (fun i -> Num i) intensities));
+      ("families", Arr family_rows);
+      ("violations", Int !violations_total);
+    ]
 
 let () =
   let sections =
     [
-      ("agreement", agreement);
       ("micro", micro);
       ("theorem4", theorem4);
       ("exhaustive", exhaustive);
@@ -1236,7 +1082,6 @@ let () =
       ("recovery", recovery);
       ("faults", faults);
       ("sm", sm_fixed);
-      ("geometry", geometry);
       ("rw", rw_modes);
       ("par", par);
       ("obs", obs);
