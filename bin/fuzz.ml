@@ -219,8 +219,8 @@ let () =
                       v)
                   vs;
                 List.iter
-                  (fun (w, _, h) ->
-                    Format.printf "  stuck: T%d waits on T%d@." (w + 1) (h + 1))
+                  (Format.printf "  stuck: %a@."
+                     (Sim.Recovery.pp_wait (System.db ssys)))
                   r.Sim.Recovery.stuck_waits;
                 print_string
                   (Model.Parser.to_source (System.db ssys)

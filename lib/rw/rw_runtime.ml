@@ -1,7 +1,7 @@
 open Ddlock_graph
 open Ddlock_model
 module Pqueue = Ddlock_sim.Pqueue
-module Rcfg = Ddlock_sim.Runtime
+module Net = Ddlock_sim.Net
 module Faults = Ddlock_sim.Faults
 
 type outcome =
@@ -18,11 +18,11 @@ type lock_state = {
   waiters : Rw_system.step Queue.t;
 }
 
-let run ?(config = Rcfg.default_config) ?(faults = Faults.none) rng sys =
+let run ?(config = Net.default_config) ?(faults = Faults.none) rng sys =
   let n = Rw_system.size sys in
   let db = Rw_system.db sys in
   let ne = Db.entity_count db in
-  let inj = Faults.injector faults in
+  let net = Net.create config rng (Faults.injector faults) db ~txns:n in
   let locks =
     Array.init ne (fun _ ->
         { holders = []; write_mode = false; waiters = Queue.create () })
@@ -32,25 +32,9 @@ let run ?(config = Rcfg.default_config) ?(faults = Faults.none) rng sys =
   (* Requests already processed by a lock manager, for dedup of
      duplicated deliveries. *)
   let arrived = Array.init n (fun i -> Rw_txn.empty_prefix (Rw_system.txn sys i)) in
-  let last_site = Array.make n (-1) in
   let events : event Pqueue.t = Pqueue.create () in
   let trace = ref [] in
   let now = ref 0.0 in
-  let duration i e =
-    let d =
-      config.Rcfg.min_duration
-      +. Random.State.float rng
-           (max 1e-9 (config.Rcfg.max_duration -. config.Rcfg.min_duration))
-    in
-    let site = Db.site_of db e in
-    let extra =
-      if last_site.(i) >= 0 && last_site.(i) <> site then
-        config.Rcfg.site_latency
-      else 0.0
-    in
-    last_site.(i) <- site;
-    d +. extra
-  in
   let node_of (s : Rw_system.step) = Rw_txn.node (Rw_system.txn sys s.txn) s.node in
   let mode_of_step s =
     match (node_of s).Rw_txn.op with
@@ -60,20 +44,11 @@ let run ?(config = Rcfg.default_config) ?(faults = Faults.none) rng sys =
   let rec start (s : Rw_system.step) =
     let nd = node_of s in
     Bitset.set started.(s.txn) s.node;
-    let site = Db.site_of db nd.Rw_txn.entity in
     match nd.Rw_txn.op with
     | Rw_txn.Unlock ->
-        let d = duration s.txn nd.Rw_txn.entity in
-        Pqueue.push events
-          (Faults.deliver inj ~site ~now:!now ~transit:d)
-          (Complete s)
+        Net.execute net events ~now:!now s.txn nd.Rw_txn.entity (Complete s)
     | Rw_txn.Lock _ ->
-        let transit = Random.State.float rng (max 1e-9 config.Rcfg.request_jitter) in
-        Pqueue.push events (Faults.deliver inj ~site ~now:!now ~transit) (Arrive s);
-        if Faults.duplicated inj ~now:!now then
-          Pqueue.push events
-            (Faults.deliver inj ~site ~now:!now ~transit)
-            (Arrive s)
+        Net.request net events ~now:!now nd.Rw_txn.entity (Arrive s)
   and start_ready i =
     List.iter
       (fun v ->
@@ -85,12 +60,7 @@ let run ?(config = Rcfg.default_config) ?(faults = Faults.none) rng sys =
     let l = locks.(nd.Rw_txn.entity) in
     l.holders <- s.txn :: l.holders;
     l.write_mode <- mode_of_step s = Rw_txn.Write;
-    Pqueue.push events
-      (Faults.deliver inj
-         ~site:(Db.site_of db nd.Rw_txn.entity)
-         ~now:!now
-         ~transit:(duration s.txn nd.Rw_txn.entity))
-      (Complete s)
+    Net.execute net events ~now:!now s.txn nd.Rw_txn.entity (Complete s)
   in
   (* Grant from the queue: the head, plus — if the head is a Read — every
      consecutive Read behind it. *)

@@ -18,7 +18,7 @@ type run = { outcome : outcome; trace : Rw_system.step list }
 (** [run ?config ?faults rng sys] — [faults] injects message loss with
     retransmission, duplicated lock requests (deduplicated at the
     manager), and crash/stall unavailability windows, exactly as in
-    {!Ddlock_sim.Runtime}. *)
+    {!Ddlock_sim.Runtime}: both send through {!Ddlock_sim.Net}. *)
 val run :
   ?config:Ddlock_sim.Runtime.config ->
   ?faults:Ddlock_sim.Faults.plan ->

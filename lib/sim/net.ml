@@ -1,0 +1,43 @@
+open Ddlock_model
+
+type config = {
+  min_duration : float;
+  max_duration : float;
+  site_latency : float;
+  request_jitter : float;
+}
+
+let default_config =
+  { min_duration = 1.0; max_duration = 2.0; site_latency = 0.5; request_jitter = 2.0 }
+
+type t = {
+  config : config;
+  rng : Random.State.t;
+  inj : Faults.t;
+  db : Db.t;
+  last_site : int array;
+}
+
+let create config rng inj db ~txns =
+  { config; rng; inj; db; last_site = Array.make txns (-1) }
+
+let execute t q ~now i e ev =
+  let c = t.config in
+  let d =
+    c.min_duration
+    +. Random.State.float t.rng (max 1e-9 (c.max_duration -. c.min_duration))
+  in
+  let site = Db.site_of t.db e in
+  let extra =
+    if t.last_site.(i) >= 0 && t.last_site.(i) <> site then c.site_latency
+    else 0.0
+  in
+  t.last_site.(i) <- site;
+  Pqueue.push q (Faults.deliver t.inj ~site ~now ~transit:(d +. extra)) ev
+
+let request t q ~now e ev =
+  let site = Db.site_of t.db e in
+  let transit = Random.State.float t.rng (max 1e-9 t.config.request_jitter) in
+  Pqueue.push q (Faults.deliver t.inj ~site ~now ~transit) ev;
+  if Faults.duplicated t.inj ~now then
+    Pqueue.push q (Faults.deliver t.inj ~site ~now ~transit) ev

@@ -10,13 +10,13 @@ type scheme =
   | Probabilistic
 
 type config = {
-  base : Runtime.config;
+  base : Net.config;
   restart_delay : float;
   max_time : float;
 }
 
 let default_config =
-  { base = Runtime.default_config; restart_delay = 3.0; max_time = 100_000.0 }
+  { base = Net.default_config; restart_delay = 3.0; max_time = 100_000.0 }
 
 let default_timeout = Timeout { base = 6.0; cap = 60.0; max_retries = 6 }
 
@@ -31,20 +31,19 @@ type run = {
   stats : stats;
   aborts_by_txn : int array;
   committed_trace : Step.t list;
-  stuck_waits : (int * int * int) list;
-      (* (waiter, entity, holder) at end of a timed-out run *)
+  stuck_waits : (int * Db.entity * int) list;
 }
 
 type event =
   | Arrive of Step.t * int  (** lock request reaches the manager *)
   | Complete of Step.t * int  (** step finishes executing *)
   | Restart of int * int  (** transaction, incarnation *)
-  | Tick  (** detect-and-abort period *)
+  | Tick of float  (** detect-and-abort, every [period] *)
   | Crash of Db.site  (** site goes down and drops its lock tables *)
   | Deadline of Step.t * int  (** lock-wait timeout check *)
 
 (* Waiters carry (step, incarnation, enqueue time); the time feeds the
-   shared lock wait-time histogram and survives the re-queue that happens
+   lock wait-time histogram and survives the re-queue that happens
    when a grant replays the remaining waiters against a new holder. *)
 type lock_state = {
   mutable holder : int option;
@@ -56,13 +55,25 @@ let obs_retries = Ddlock_obs.Metrics.Counter.make "sim.retries"
 let obs_lock_timeouts = Ddlock_obs.Metrics.Counter.make "sim.lock_timeouts"
 let obs_commits = Ddlock_obs.Metrics.Counter.make "sim.commits"
 let obs_crashes = Ddlock_obs.Metrics.Counter.make "sim.site_crashes"
+let obs_lock_wait = Ddlock_obs.Metrics.Histogram.make "sim.lock_wait_us"
+let obs_queue_depth = Ddlock_obs.Metrics.Histogram.make "sim.queue_depth"
 
-let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
+(* Sim time is abstract (float); wait times are recorded in micro-units
+   so the log2 buckets resolve sub-unit waits. *)
+let obs_wait ~since ~now =
+  Ddlock_obs.Metrics.Histogram.observe obs_lock_wait
+    (int_of_float ((now -. since) *. 1e6))
+
+let pp_wait db ppf (w, e, h) =
+  Format.fprintf ppf "T%d waits for %s held by T%d" (w + 1)
+    (Db.entity_name db e) (h + 1)
+
+let simulate scheme config faults rng sys =
   let n = System.size sys in
   let db = System.db sys in
   let ne = Db.entity_count db in
-  let cfg = config.base in
   let inj = Faults.injector faults in
+  let net = Net.create config.base rng inj db ~txns:n in
   let locks =
     Array.init ne (fun _ -> { holder = None; waiters = Queue.create () })
   in
@@ -83,39 +94,22 @@ let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
      backoff. *)
   let attempts = Array.make n 0 in
   let aborts_by_txn = Array.make n 0 in
-  (* Timestamp (priority): arrival order; kept across restarts. *)
-  let ts i = i in
-  (* Probabilistic scheme: a random priority per incarnation, redrawn on
-     every abort.  Drawn only under [Probabilistic] so the other schemes'
-     random streams are unchanged. *)
+  (* The priority order of the prevention schemes.  Priorities are
+     constant, so [beats] is timestamp order (a lower index is older),
+     except under [Probabilistic], where every incarnation draws a fresh
+     uniform priority.  Ties break by index, so the order is strict. *)
   let prio =
     match scheme with
-    | Probabilistic -> Array.init n (fun _ -> Random.State.float rng 1.0)
-    | Wait_die | Wound_wait | Detect _ | Timeout _ -> [||]
+    | Some Probabilistic -> Array.init n (fun _ -> Random.State.float rng 1.0)
+    | None | Some (Wait_die | Wound_wait | Detect _ | Timeout _) ->
+        Array.make n 0.0
   in
-  (* Strict total order on live incarnations (ties broken by index). *)
   let beats r h = prio.(r) > prio.(h) || (prio.(r) = prio.(h) && r < h) in
-  let last_site = Array.make n (-1) in
   let events : event Pqueue.t = Pqueue.create () in
   let now = ref 0.0 in
   let commits = ref 0 and aborts = ref 0 and makespan = ref 0.0 in
+  (* (time, step, inc) completions, newest first *)
   let trace = ref [] in
-  (* (step, inc) completions, newest first *)
-  let duration i e =
-    let d =
-      cfg.Runtime.min_duration
-      +. Random.State.float rng
-           (max 1e-9 (cfg.Runtime.max_duration -. cfg.Runtime.min_duration))
-    in
-    let site = Db.site_of db e in
-    let extra =
-      if last_site.(i) >= 0 && last_site.(i) <> site then
-        cfg.Runtime.site_latency
-      else 0.0
-    in
-    last_site.(i) <- site;
-    d +. extra
-  in
   let entity_of (step : Step.t) =
     (Transaction.node (System.txn sys step.txn) step.node).Node.entity
   in
@@ -128,41 +122,24 @@ let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
   let jittered w = w *. (0.5 +. Random.State.float rng 1.0) in
   let restart_backoff j =
     match scheme with
-    | Timeout { base; cap; max_retries } ->
+    | Some (Timeout { base; cap; max_retries }) ->
         jittered (backoff_window base cap max_retries j)
-    | Wait_die | Wound_wait | Detect _ | Probabilistic -> 0.0
+    | None | Some (Wait_die | Wound_wait | Detect _ | Probabilistic) -> 0.0
   in
   (* The grant message travels back from the manager, subject to faults. *)
   let push_grant (w : Step.t) winc e =
-    Pqueue.push events
-      (Faults.deliver inj
-         ~site:(Db.site_of db e)
-         ~now:!now
-         ~transit:(duration w.Step.txn e))
-      (Complete (w, winc))
+    Net.execute net events ~now:!now w.Step.txn e (Complete (w, winc))
   in
   let rec start (step : Step.t) =
     let nd = Transaction.node (System.txn sys step.txn) step.node in
     Bitset.set started.(step.txn) step.node;
     let inc = incarnation.(step.txn) in
-    let site = Db.site_of db nd.entity in
     match nd.Node.op with
     | Node.Unlock ->
-        let d = duration step.txn nd.entity in
-        Pqueue.push events
-          (Faults.deliver inj ~site ~now:!now ~transit:d)
+        Net.execute net events ~now:!now step.txn nd.entity
           (Complete (step, inc))
     | Node.Lock ->
-        let transit =
-          Random.State.float rng (max 1e-9 cfg.Runtime.request_jitter)
-        in
-        Pqueue.push events
-          (Faults.deliver inj ~site ~now:!now ~transit)
-          (Arrive (step, inc));
-        if Faults.duplicated inj ~now:!now then
-          Pqueue.push events
-            (Faults.deliver inj ~site ~now:!now ~transit)
-            (Arrive (step, inc))
+        Net.request net events ~now:!now nd.entity (Arrive (step, inc))
   and start_ready i =
     if not committed.(i) then
       List.iter
@@ -188,7 +165,7 @@ let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
       match pop_valid () with
       | None -> ()
       | Some (w, winc, since) ->
-          Runtime.obs_wait ~since ~now:!now;
+          obs_wait ~since ~now:!now;
           l.holder <- Some w.Step.txn;
           push_grant w winc e;
           let rest = ref [] in
@@ -207,7 +184,7 @@ let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
                 | Some h -> on_lock_conflict w' winc' ~since:since' h
                 | None ->
                     (* the scheme aborted the holder meanwhile *)
-                    Runtime.obs_wait ~since:since' ~now:!now;
+                    obs_wait ~since:since' ~now:!now;
                     l.holder <- Some w'.Step.txn;
                     push_grant w' winc' e)
             (List.rev !rest)
@@ -218,11 +195,11 @@ let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
     aborts_by_txn.(j) <- aborts_by_txn.(j) + 1;
     incarnation.(j) <- incarnation.(j) + 1;
     (match scheme with
-    | Probabilistic ->
+    | Some Probabilistic ->
         (* Redraw: a repeatedly-wounded transaction eventually draws the
            top priority, which bounds starvation with probability 1. *)
         prio.(j) <- Random.State.float rng 1.0
-    | Wait_die | Wound_wait | Detect _ | Timeout _ -> ());
+    | None | Some (Wait_die | Wound_wait | Detect _ | Timeout _) -> ());
     executed.(j) <- Transaction.empty_prefix (System.txn sys j);
     started.(j) <- Transaction.empty_prefix (System.txn sys j);
     arrived.(j) <- Transaction.empty_prefix (System.txn sys j);
@@ -238,58 +215,39 @@ let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
       (!now +. config.restart_delay +. restart_backoff j)
       (Restart (j, incarnation.(j)))
 
-  and on_lock_conflict (step : Step.t) inc ?(since = Float.nan) holder =
-    let since = if Float.is_nan since then !now else since in
+  and on_lock_conflict (step : Step.t) inc ~since holder =
     let r = step.Step.txn in
+    let wait () =
+      Queue.push (step, inc, since) locks.(entity_of step).waiters
+    in
     match scheme with
-    | Detect _ -> Queue.push (step, inc, since) locks.(entity_of step).waiters
-    | Timeout { base; cap; max_retries } ->
-        Queue.push (step, inc, since) locks.(entity_of step).waiters;
+    | None | Some (Detect _) -> wait ()
+    | Some (Timeout { base; cap; max_retries }) ->
+        wait ();
         let w = jittered (backoff_window base cap max_retries r) in
         Pqueue.push events (!now +. w) (Deadline (step, inc))
-    | Wait_die ->
-        if ts r < ts holder then
-          Queue.push (step, inc, since) locks.(entity_of step).waiters
-        else abort r (* younger requester dies *)
-    | Wound_wait ->
-        if ts r < ts holder then begin
-          (* older requester wounds the younger holder and takes over *)
-          abort holder;
-          let l = locks.(entity_of step) in
-          (* abort released the entity (holder was [holder]); it may have
-             been re-granted to a queued waiter — re-apply the rule
-             against the new holder.  Queueing unconditionally here would
-             let an older transaction wait behind a younger one (a
-             descending wait arc), and one such arc is enough to close a
-             wait-for cycle that the scheme exists to preclude. *)
-          match l.holder with
-          | None ->
-              l.holder <- Some r;
-              push_grant step inc (entity_of step)
-          | Some h' -> on_lock_conflict step inc ~since h'
-        end
-        else Queue.push (step, inc, since) locks.(entity_of step).waiters
-    | Probabilistic ->
-        (* Wound-wait with random per-incarnation priorities [O&B,
-           arXiv:1010.4411]: a higher-priority requester preempts the
-           holder, a lower-priority one waits.  Wait arcs then always
-           ascend the (priority, index) total order, so the wait-for
-           graph is acyclic — no deadlock — and the redraw-on-abort
-           makes persistent starvation a probability-zero event. *)
+    | Some Wait_die -> if beats r holder then wait () else abort r
+    | Some (Wound_wait | Probabilistic) ->
+        (* Preemption: a requester that beats the holder wounds it and
+           takes over; otherwise it waits.  Wait arcs then always ascend
+           the priority order, so the wait-for graph stays acyclic.
+           Probabilistic is wound-wait under random priorities [O&B,
+           arXiv:1010.4411]. *)
         if beats r holder then begin
           abort holder;
           let l = locks.(entity_of step) in
-          (* Same re-application as wound-wait above: the entity may have
-             been re-granted to a queued waiter that [r] also beats, and
-             waiting behind it would be a descending arc — the cycle
-             seed.  (Found by the partial-replication chaos fuzz.) *)
+          (* abort released the entity; it may have been re-granted to a
+             queued waiter that [r] also beats.  Re-apply the rule against
+             the new holder: queueing unconditionally would let [r] wait
+             behind a transaction it beats (a descending wait arc), and
+             one such arc is enough to close a wait-for cycle. *)
           match l.holder with
           | None ->
               l.holder <- Some r;
               push_grant step inc (entity_of step)
           | Some h' -> on_lock_conflict step inc ~since h'
         end
-        else Queue.push (step, inc, since) locks.(entity_of step).waiters
+        else wait ()
   in
   (* A site crash drops its lock tables: holders of its entities abort
      (their in-flight grants die with the incarnation bump) and queued
@@ -321,32 +279,36 @@ let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
       end
     done
   in
-  (* The wait-for graph of currently-valid waiters. *)
+  (* The (waiter, entity, holder) arcs of currently-valid waiters, by
+     entity and then queue order. *)
   let wait_for_arcs () =
     let arcs = ref [] in
     Array.iteri
-      (fun _e l ->
+      (fun e l ->
         match l.holder with
         | None -> ()
         | Some h ->
             Queue.iter
               (fun ((w, winc, _) : Step.t * int * float) ->
                 if winc = incarnation.(w.Step.txn) then
-                  arcs := (w.Step.txn, h) :: !arcs)
+                  arcs := (w.Step.txn, e, h) :: !arcs)
               l.waiters)
       locks;
-    !arcs
+    List.rev !arcs
   in
   for i = 0 to n - 1 do
     start_ready i
   done;
   (match scheme with
-  | Detect { period } -> Pqueue.push events period Tick
-  | Wait_die | Wound_wait | Timeout _ | Probabilistic -> ());
-  List.iter
-    (fun (w : Faults.window) ->
-      Pqueue.push events w.Faults.from_t (Crash w.Faults.site))
-    faults.Faults.crashes;
+  | Some (Detect { period }) -> Pqueue.push events period (Tick period)
+  | None | Some (Wait_die | Wound_wait | Timeout _ | Probabilistic) -> ());
+  (* Without a scheme nothing can abort, so a crash window is only the
+     unavailability that [Faults.deliver] already models. *)
+  if scheme <> None then
+    List.iter
+      (fun (w : Faults.window) ->
+        Pqueue.push events w.Faults.from_t (Crash w.Faults.site))
+      faults.Faults.crashes;
   let rec loop () =
     if !commits < n then
       match Pqueue.pop events with
@@ -375,18 +337,17 @@ let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
                 Ddlock_obs.Metrics.Counter.incr obs_lock_timeouts;
                 abort j
               end
-          | Tick ->
-              (match scheme with
-              | Detect { period } ->
-                  let arcs = wait_for_arcs () in
-                  let g = Digraph.create n arcs in
-                  (match Topo.find_cycle g with
-                  | Some cycle ->
-                      (* Abort the youngest (largest timestamp). *)
-                      abort (List.fold_left max (List.hd cycle) cycle)
-                  | None -> ());
-                  if !commits < n then Pqueue.push events (t +. period) Tick
-              | Wait_die | Wound_wait | Timeout _ | Probabilistic -> ())
+          | Tick period ->
+              let arcs =
+                List.rev_map (fun (w, _, h) -> (w, h)) (wait_for_arcs ())
+              in
+              (match Topo.find_cycle (Digraph.create n arcs) with
+              | Some cycle ->
+                  (* Abort the youngest (largest timestamp). *)
+                  abort (List.fold_left max (List.hd cycle) cycle)
+              | None -> ());
+              if !commits < n then
+                Pqueue.push events (t +. period) (Tick period)
           | Arrive (step, inc) ->
               if
                 inc = incarnation.(step.Step.txn)
@@ -398,11 +359,14 @@ let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
                 | None ->
                     l.holder <- Some step.Step.txn;
                     push_grant step inc (entity_of step)
-                | Some h -> on_lock_conflict step inc h
+                | Some h ->
+                    on_lock_conflict step inc ~since:t h;
+                    Ddlock_obs.Metrics.Histogram.observe obs_queue_depth
+                      (Queue.length l.waiters)
               end
           | Complete (step, inc) ->
               if inc = incarnation.(step.Step.txn) then begin
-                trace := (step, inc) :: !trace;
+                trace := (t, step, inc) :: !trace;
                 Bitset.set executed.(step.txn) step.node;
                 let nd =
                   Transaction.node (System.txn sys step.txn) step.node
@@ -427,29 +391,32 @@ let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
   in
   loop ();
   let committed_trace =
-    List.rev_map fst
+    List.rev_map
+      (fun (_, s, _) -> s)
       (List.filter
-         (fun ((s : Step.t), inc) ->
+         (fun (_, (s : Step.t), inc) ->
            committed.(s.txn) && inc = incarnation.(s.txn))
          !trace)
   in
-  let stuck_waits =
-    if !commits < n then
-      List.map (fun (w, h) -> (w, -1, h)) (wait_for_arcs ())
-    else []
+  let run =
+    {
+      stats =
+        {
+          commits = !commits;
+          aborts = !aborts;
+          makespan = !makespan;
+          timed_out = !commits < n;
+        };
+      aborts_by_txn;
+      committed_trace;
+      stuck_waits = (if !commits < n then wait_for_arcs () else []);
+    }
   in
-  {
-    stats =
-      {
-        commits = !commits;
-        aborts = !aborts;
-        makespan = !makespan;
-        timed_out = !commits < n;
-      };
-    aborts_by_txn;
-    committed_trace;
-    stuck_waits;
-  }
+  (run, !trace, !now)
+
+let run ~scheme ?(config = default_config) ?(faults = Faults.none) rng sys =
+  let r, _, _ = simulate (Some scheme) config faults rng sys in
+  r
 
 type batch_stats = {
   runs : int;

@@ -6,10 +6,18 @@ open Ddlock_schedule
     detect-and-abort, and lock-wait timeout with exponential backoff —
     the {e dynamic} alternatives to the paper's static guarantees.
 
-    Unlike {!Runtime}, transactions here can {e abort}: an aborted
-    transaction releases all its locks, discards its progress, and
-    restarts after a delay, keeping its {e original} timestamp (which is
-    what makes wound-wait and wait-die starvation-free).
+    This module holds the simulator's one event loop for exclusive
+    locks; {!Runtime.run} is the same loop with no scheme.  Under a
+    scheme, transactions can {e abort}: an aborted transaction releases
+    all its locks, discards its progress, and restarts after a delay,
+    keeping its {e original} timestamp (which is what makes wound-wait
+    and wait-die starvation-free).
+
+    Wait-die, wound-wait and probabilistic share one strict priority
+    order: a transaction beats another if it has the higher priority,
+    ties going to the lower index.  Priorities are constant (so the
+    order is timestamp order) except under probabilistic, which draws
+    them at random.
 
     - {b Wait-die} (non-preemptive): an older requester waits; a younger
       one dies (aborts itself).
@@ -28,9 +36,9 @@ open Ddlock_schedule
       per-incarnation priorities instead of timestamps, after Oliveira &
       Barbosa's probabilistic deadlock-avoidance scheme
       (arXiv:1010.4411).  Every incarnation draws a fresh uniform
-      priority; a higher-priority requester wounds the holder, a
-      lower-priority one waits.  Wait arcs always ascend the strict
-      (priority, index) order, so deadlock is impossible; because a
+      priority; the same preemption rule as wound-wait then applies.
+      Wait arcs always ascend the strict priority order, so deadlock is
+      impossible; because a
       wounded transaction {e redraws} on restart, it eventually outranks
       any fixed set of rivals with probability 1 — starvation-freedom
       holds probabilistically rather than by timestamp monotonicity, at
@@ -45,7 +53,12 @@ open Ddlock_schedule
     {!Runtime}, a crash window here {e drops the site's lock tables}:
     transactions holding locks at the crashed site are aborted (their
     in-flight grants die with the incarnation bump) and queued waiters
-    retransmit their requests once the site is back up. *)
+    retransmit their requests once the site is back up.
+
+    Metrics: every run of the loop, with or without a scheme, feeds
+    ["sim.lock_wait_us"] (each granted wait) and ["sim.queue_depth"]
+    (the entity's wait-queue length once a request that found it held
+    has been handled); ["sim.commits"] counts every commit. *)
 
 type scheme =
   | Wait_die
@@ -55,7 +68,7 @@ type scheme =
   | Probabilistic
 
 type config = {
-  base : Runtime.config;
+  base : Net.config;  (** the service-time model, = {!Runtime.config} *)
   restart_delay : float;  (** delay before an aborted transaction retries *)
   max_time : float;  (** safety cutoff; runs never exceed this clock *)
 }
@@ -81,10 +94,15 @@ type run = {
   committed_trace : Step.t list;
       (** steps of committed incarnations only, in completion order — a
           legal schedule of the system when [timed_out = false] *)
-  stuck_waits : (int * int * int) list;
-      (** diagnostic: (waiter txn, entity, holder txn) wait-for arcs when
-          a run ends without all transactions committed *)
+  stuck_waits : (int * Db.entity * int) list;
+      (** diagnostic: (waiter txn, entity, holder txn) wait-for arcs, by
+          entity and then queue order, when a run ends without all
+          transactions committed *)
 }
+
+(** [pp_wait db] prints one wait-for arc as ["T1 waits for f0 held by
+    T2"]; {!Runtime.pp_outcome} prints its deadlocks the same way. *)
+val pp_wait : Db.t -> Format.formatter -> int * Db.entity * int -> unit
 
 (** [run ~scheme ?config ?faults rng sys] executes until every
     transaction has committed (or [max_time]). *)
@@ -120,3 +138,19 @@ val batch :
   batch_stats
 
 val pp_batch : Format.formatter -> batch_stats -> unit
+
+(**/**)
+
+(** [simulate scheme config faults rng sys] is the one event loop behind
+    {!run} and {!Runtime.run}.  [None] is the abort-free runtime:
+    conflicts queue, there is no tick, and crash windows are pure
+    unavailability.  The cutoff is [config.max_time].  Also returns every
+    completion as (time, step, incarnation), newest first, and the time
+    of the last event processed. *)
+val simulate :
+  scheme option ->
+  config ->
+  Faults.plan ->
+  Random.State.t ->
+  System.t ->
+  run * (float * Step.t * int) list * float

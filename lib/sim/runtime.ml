@@ -2,15 +2,14 @@ open Ddlock_graph
 open Ddlock_model
 open Ddlock_schedule
 
-type config = {
+type config = Net.config = {
   min_duration : float;
   max_duration : float;
   site_latency : float;
   request_jitter : float;
 }
 
-let default_config =
-  { min_duration = 1.0; max_duration = 2.0; site_latency = 0.5; request_jitter = 2.0 }
+let default_config = Net.default_config
 
 type trace_entry = { time : float; step : Step.t }
 
@@ -24,169 +23,30 @@ type outcome =
 
 type run = { outcome : outcome; trace : trace_entry list }
 
-(* Waiters carry their enqueue time so the grant path can record the
-   lock wait-time histogram. *)
-type lock_state = {
-  mutable holder : int option;
-  waiters : (Step.t * float) Queue.t;
-}
-
-let obs_lock_wait = Ddlock_obs.Metrics.Histogram.make "sim.lock_wait_us"
-let obs_queue_depth = Ddlock_obs.Metrics.Histogram.make "sim.queue_depth"
 let obs_runs = Ddlock_obs.Metrics.Counter.make "sim.runs"
 let obs_deadlocks = Ddlock_obs.Metrics.Counter.make "sim.deadlock_runs"
 
-(* Sim time is abstract (float); wait times are recorded in micro-units
-   so the log2 buckets resolve sub-unit waits. *)
-let obs_wait ~since ~now =
-  Ddlock_obs.Metrics.Histogram.observe obs_lock_wait
-    (int_of_float ((now -. since) *. 1e6))
-
-(* A Lock step first travels to the lock manager (Arrive), then, once
-   granted, executes (Complete).  Unlocks only have a Complete phase. *)
-type event = Arrive of Step.t | Complete of Step.t
-
 let run ?(config = default_config) ?(faults = Faults.none) rng sys =
-  let n = System.size sys in
-  let db = System.db sys in
-  let ne = Db.entity_count db in
-  let inj = Faults.injector faults in
-  let locks = Array.init ne (fun _ -> { holder = None; waiters = Queue.create () }) in
-  let executed = Array.init n (fun i -> Transaction.empty_prefix (System.txn sys i)) in
-  let started = Array.init n (fun i -> Transaction.empty_prefix (System.txn sys i)) in
-  (* Requests already processed by a lock manager, for dedup of
-     duplicated deliveries. *)
-  let arrived = Array.init n (fun i -> Transaction.empty_prefix (System.txn sys i)) in
-  let last_site = Array.make n (-1) in
-  let events : event Pqueue.t = Pqueue.create () in
-  let trace = ref [] in
-  let now = ref 0.0 in
-  let duration i e =
-    let d =
-      config.min_duration
-      +. Random.State.float rng (max 1e-9 (config.max_duration -. config.min_duration))
-    in
-    let site = Db.site_of db e in
-    let extra = if last_site.(i) >= 0 && last_site.(i) <> site then config.site_latency else 0.0 in
-    last_site.(i) <- site;
-    d +. extra
+  let config =
+    { Recovery.base = config; restart_delay = 0.0; max_time = Float.infinity }
   in
-  (* Begin executing a node whose predecessors are all done.  Locks first
-     travel to the lock manager; everything else is scheduled directly.
-     Every message (request, grant, release) goes through the fault
-     injector, which may add loss-retransmission and crash/stall delays
-     and duplicate lock requests. *)
-  let rec start (step : Step.t) =
-    let tx = System.txn sys step.txn in
-    let nd = Transaction.node tx step.node in
-    Bitset.set started.(step.txn) step.node;
-    let site = Db.site_of db nd.entity in
-    match nd.Node.op with
-    | Node.Unlock ->
-        let d = duration step.txn nd.entity in
-        Pqueue.push events
-          (Faults.deliver inj ~site ~now:!now ~transit:d)
-          (Complete step)
-    | Node.Lock ->
-        let transit = Random.State.float rng (max 1e-9 config.request_jitter) in
-        Pqueue.push events
-          (Faults.deliver inj ~site ~now:!now ~transit)
-          (Arrive step);
-        if Faults.duplicated inj ~now:!now then
-          Pqueue.push events
-            (Faults.deliver inj ~site ~now:!now ~transit)
-            (Arrive step)
-  and start_ready i =
-    List.iter
-      (fun v ->
-        if not (Bitset.mem started.(i) v) then start (Step.v i v))
-      (Transaction.minimal_remaining (System.txn sys i) executed.(i))
-  in
-  for i = 0 to n - 1 do
-    start_ready i
-  done;
-  let finished () =
-    let rec go i =
-      i >= n
-      || (Bitset.cardinal executed.(i)
-            = Transaction.node_count (System.txn sys i)
-         && go (i + 1))
-    in
-    go 0
-  in
-  let entity_of (step : Step.t) =
-    (Transaction.node (System.txn sys step.txn) step.node).Node.entity
-  in
-  (* The grant travels back from the manager to the transaction, so it is
-     subject to the same message faults as requests. *)
-  let grant_delivery (w : Step.t) e =
-    Pqueue.push events
-      (Faults.deliver inj
-         ~site:(Db.site_of db e)
-         ~now:!now
-         ~transit:(duration w.Step.txn e))
-      (Complete w)
-  in
-  let rec loop () =
-    match Pqueue.pop events with
-    | None -> ()
-    | Some (t, Arrive step) ->
-        now := t;
-        (* Duplicated deliveries of the same request are ignored. *)
-        if not (Bitset.mem arrived.(step.Step.txn) step.Step.node) then begin
-          Bitset.set arrived.(step.Step.txn) step.Step.node;
-          let l = locks.(entity_of step) in
-          match l.holder with
-          | None ->
-              l.holder <- Some step.Step.txn;
-              grant_delivery step (entity_of step)
-          | Some _ ->
-              Queue.push (step, t) l.waiters;
-              Ddlock_obs.Metrics.Histogram.observe obs_queue_depth
-                (Queue.length l.waiters)
-        end;
-        loop ()
-    | Some (t, Complete step) ->
-        now := t;
-        trace := { time = t; step } :: !trace;
-        Bitset.set executed.(step.txn) step.node;
-        let tx = System.txn sys step.txn in
-        let nd = Transaction.node tx step.node in
-        (match nd.Node.op with
-        | Node.Unlock ->
-            let l = locks.(nd.entity) in
-            l.holder <- None;
-            (match Queue.take_opt l.waiters with
-            | None -> ()
-            | Some (w, since) ->
-                obs_wait ~since ~now:!now;
-                l.holder <- Some w.Step.txn;
-                grant_delivery w nd.entity)
-        | Node.Lock -> ());
-        start_ready step.txn;
-        loop ()
-  in
-  loop ();
+  let r, completions, last = Recovery.simulate None config faults rng sys in
   Ddlock_obs.Metrics.Counter.incr obs_runs;
-  let trace = List.rev !trace in
+  let trace =
+    List.rev_map (fun (time, step, _) -> { time; step }) completions
+  in
   let outcome =
-    if finished () then Finished { makespan = !now }
+    if r.Recovery.stats.Recovery.commits = System.size sys then
+      Finished { makespan = r.Recovery.stats.Recovery.makespan }
     else begin
-      let waits_for = ref [] in
-      Array.iteri
-        (fun e l ->
-          match l.holder with
-          | Some h ->
-              Queue.iter
-                (fun ((w : Step.t), _) ->
-                  waits_for := (w.txn, e, h) :: !waits_for)
-                l.waiters
-          | None -> ())
-        locks;
-      let g = Digraph.create n (List.map (fun (w, _, h) -> (w, h)) !waits_for) in
-      let cycle = Option.value ~default:[] (Topo.find_cycle g) in
       Ddlock_obs.Metrics.Counter.incr obs_deadlocks;
-      Deadlock { time = !now; waits_for = List.rev !waits_for; cycle }
+      let waits_for = r.Recovery.stuck_waits in
+      let g =
+        Digraph.create (System.size sys)
+          (List.map (fun (w, _, h) -> (w, h)) waits_for)
+      in
+      let cycle = Option.value ~default:[] (Topo.find_cycle g) in
+      Deadlock { time = last; waits_for; cycle }
     end
   in
   { outcome; trace }
@@ -223,10 +83,7 @@ let pp_outcome sys ppf = function
   | Deadlock { time; waits_for; cycle } ->
       Format.fprintf ppf "@[<v>deadlock at t=%.2f" time;
       List.iter
-        (fun (w, e, h) ->
-          Format.fprintf ppf "@,T%d waits for %s held by T%d" (w + 1)
-            (Db.entity_name (System.db sys) e)
-            (h + 1))
+        (Format.fprintf ppf "@,%a" (Recovery.pp_wait (System.db sys)))
         waits_for;
       if cycle <> [] then
         Format.fprintf ppf "@,wait-for cycle: %a"

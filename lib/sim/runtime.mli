@@ -2,7 +2,7 @@ open Ddlock_model
 open Ddlock_schedule
 
 (** Discrete-event execution of a transaction system on a multi-site
-    database with per-entity lock managers.
+    database with per-entity lock managers, and no deadlock handling.
 
     Each transaction executes its partial order with true intra-
     transaction concurrency: all ready steps proceed in parallel (one
@@ -12,19 +12,23 @@ open Ddlock_schedule
     head.  Step durations are drawn from the configuration, so different
     seeds explore different interleavings.
 
-    A run ends when all transactions finish, or when no event is in
-    flight and someone is blocked — a runtime deadlock.  The trace is a
-    legal schedule of the system by construction (re-checked in tests). *)
+    This is {!Recovery}'s event loop run with no scheme: conflicts
+    always queue, nothing aborts, there is no detection tick and no time
+    cutoff.  A run ends when all transactions finish, or when no event is
+    in flight and someone is blocked — a runtime deadlock.  The trace is
+    a legal schedule of the system by construction (re-checked in tests).
 
-type config = {
-  min_duration : float;  (** lower bound of a step's service time *)
-  max_duration : float;  (** upper bound (uniform) *)
-  site_latency : float;  (** added once per cross-site transition *)
+    Every run counts into the ["sim.runs"] metric, and a run that ends in
+    a deadlock also into ["sim.deadlock_runs"]; {!Recovery.run} feeds
+    neither. *)
+
+type config = Net.config = {
+  min_duration : float;
+  max_duration : float;
+  site_latency : float;
   request_jitter : float;
-      (** a Lock request reaches its entity's lock manager after a
-          uniform [0, request_jitter) transit delay, so concurrent
-          requests race in different orders on different seeds *)
 }
+(** The service-time model; fields are documented in {!Net.config}. *)
 
 val default_config : config
 
@@ -32,6 +36,7 @@ type trace_entry = { time : float; step : Step.t }
 
 type outcome =
   | Finished of { makespan : float }
+      (** the time of the last completion, the last trace entry's [time] *)
   | Deadlock of {
       time : float;
       waits_for : (int * Db.entity * int) list;
@@ -46,9 +51,9 @@ type run = { outcome : outcome; trace : trace_entry list }
     [faults] (default {!Faults.none}) injects message loss with
     retransmission, duplication of lock requests (deduplicated at the
     manager), and crash/stall windows during which a site buffers
-    incoming messages.  This runtime has no abort machinery, so crashed
-    sites keep their lock tables (fail-stop with stable storage); see
-    {!Recovery} for crashes that drop lock state.  With [faults] absent
+    incoming messages.  Nothing aborts here, so crashed sites keep their
+    lock tables (fail-stop with stable storage); see {!Recovery} for
+    crashes that drop lock state.  With [faults] absent
     the run is byte-identical to the fault-free simulator. *)
 val run :
   ?config:config -> ?faults:Faults.plan -> Random.State.t -> System.t -> run
@@ -78,8 +83,3 @@ val batch :
 
 val pp_outcome : System.t -> Format.formatter -> outcome -> unit
 val pp_batch : Format.formatter -> batch_stats -> unit
-
-(** Record one lock wait into the shared ["sim.lock_wait_us"] histogram
-    (sim time is scaled to micro-units so log2 buckets resolve sub-unit
-    waits).  Shared with {!Recovery}, whose runs feed the same metric. *)
-val obs_wait : since:float -> now:float -> unit

@@ -387,6 +387,134 @@ let matrix_zero_intensity_prop =
             Chaos.default_schemes)
         (matrix_scenarios ()))
 
+(* ------------------------------------------------------------------ *)
+(* Golden digest                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* One digest over everything the simulator decides: Runtime traces and
+   deadlock reports, and Recovery stats, per-transaction aborts and
+   committed traces under all five schemes.  Inputs are philosophers,
+   guard-ring copies and seeded random systems, each run fault-free and
+   under a random plan that always holds at least one early crash window.
+   Floats are hashed exactly ([%h]).  Runtime's [Finished.makespan] and
+   Recovery's [stuck_waits] are left out: both were redefined after the
+   digest was recorded. *)
+let golden_digest = "8665e3668336a6a8c45f43d20bb40cfd"
+
+let golden_systems () =
+  let module G = Ddlock_workload.Gentx in
+  [
+    G.dining_philosophers 3;
+    G.dining_philosophers 5;
+    System.copies (G.guard_ring 3) 2;
+    System.copies (G.guard_ring 4) 2;
+  ]
+  @ List.init 4 (fun i ->
+        Fixtures.small_random_system (Fixtures.rng (100 + i)) ~txns:3)
+
+let simulator_digest () =
+  let b = Buffer.create (1 lsl 16) in
+  let crashy si seed sys =
+    let st = Fixtures.rng ((1000 * si) + seed) in
+    let db = System.db sys in
+    let p = Faults.random st db ~intensity:0.8 ~horizon:40.0 in
+    let from_t = Random.State.float st 10.0 in
+    let site = Random.State.int st (Db.site_count db) in
+    let w = { Faults.site; from_t; until_t = from_t +. 3.0 } in
+    { p with Faults.crashes = w :: p.Faults.crashes }
+  in
+  List.iteri
+    (fun si sys ->
+      for seed = 0 to 149 do
+        List.iter
+          (fun plan ->
+            let r = Runtime.run ~faults:plan (Fixtures.rng seed) sys in
+            List.iter
+              (fun { Runtime.time; step } ->
+                Printf.bprintf b "%h:%d.%d " time step.Step.txn step.Step.node)
+              r.Runtime.trace;
+            (match r.Runtime.outcome with
+            | Runtime.Finished _ -> Buffer.add_string b "F\n"
+            | Runtime.Deadlock { time; waits_for; cycle } ->
+                Printf.bprintf b "D %h" time;
+                List.iter
+                  (fun (w, e, h) -> Printf.bprintf b " %d>%d>%d" w e h)
+                  waits_for;
+                List.iter (Printf.bprintf b " c%d") cycle;
+                Buffer.add_char b '\n');
+            List.iter
+              (fun (_, scheme) ->
+                let r =
+                  Recovery.run ~scheme ~faults:plan (Fixtures.rng seed) sys
+                in
+                let s = r.Recovery.stats in
+                Printf.bprintf b "%d %d %h %b |" s.Recovery.commits
+                  s.Recovery.aborts s.Recovery.makespan s.Recovery.timed_out;
+                Array.iter (Printf.bprintf b " %d") r.Recovery.aborts_by_txn;
+                List.iter
+                  (fun (s : Step.t) -> Printf.bprintf b " %d.%d" s.txn s.node)
+                  r.Recovery.committed_trace;
+                Buffer.add_char b '\n')
+              Chaos.default_schemes)
+          [ Faults.none; crashy si seed sys ]
+      done)
+    (golden_systems ());
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_digest () =
+  check Alcotest.string "simulator digest" golden_digest (simulator_digest ())
+
+(* A duplicated lock request may reach its manager after the last
+   completion; the makespan must still be the last completion's time. *)
+let test_makespan_is_last_completion () =
+  let finished = ref 0 in
+  List.iteri
+    (fun si sys ->
+      for seed = 0 to 99 do
+        let faults =
+          {
+            Faults.none with
+            Faults.dup = 0.9;
+            loss = 0.3;
+            horizon = 1000.0;
+            seed = (1000 * si) + seed;
+          }
+        in
+        let r = Runtime.run ~faults (Fixtures.rng seed) sys in
+        match r.Runtime.outcome with
+        | Runtime.Deadlock _ -> ()
+        | Runtime.Finished { makespan } ->
+            incr finished;
+            let last = List.hd (List.rev r.Runtime.trace) in
+            check (Alcotest.float 0.0) "makespan = last trace entry"
+              last.Runtime.time makespan
+      done)
+    (golden_systems ());
+  check bool_t "some runs finished" true (!finished > 100)
+
+(* Runs cut off by [max_time] leave waiters behind; every reported arc
+   names an entity that both the waiter and the holder lock. *)
+let test_stuck_waits_name_entities () =
+  let config = { Recovery.default_config with Recovery.max_time = 6.0 } in
+  let arcs = ref 0 in
+  List.iter
+    (fun sys ->
+      let locks i e = List.mem e (Transaction.entities (System.txn sys i)) in
+      for seed = 0 to 39 do
+        List.iter
+          (fun (name, scheme) ->
+            let r = Recovery.run ~scheme ~config (Fixtures.rng seed) sys in
+            List.iter
+              (fun (w, e, h) ->
+                incr arcs;
+                check bool_t (name ^ ": waiter locks it") true (locks w e);
+                check bool_t (name ^ ": holder locks it") true (locks h e))
+              r.Recovery.stuck_waits)
+          Chaos.default_schemes
+      done)
+    (golden_systems ());
+  check bool_t "stuck arcs exercised" true (!arcs > 100)
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -422,5 +550,10 @@ let suite =
       test_zipf_skews_hot_entities;
     Alcotest.test_case "matrix scenarios survive chaos sweep" `Quick
       test_matrix_scenarios_chaos_clean;
+    Alcotest.test_case "golden simulator digest" `Quick test_golden_digest;
+    Alcotest.test_case "makespan is the last completion" `Quick
+      test_makespan_is_last_completion;
+    Alcotest.test_case "stuck waits name their entity" `Quick
+      test_stuck_waits_name_entities;
   ]
   @ qtests
