@@ -42,10 +42,11 @@ let pp_deadlock_verdict sys ppf = function
         "unknown (search budget exhausted after %d states; the problem is coNP-hard)"
         states_explored
 
-let deadlock_free ?(max_states = 500_000) ?(jobs = 1) ?(symmetry = false)
-    ?(por = false) sys =
-  Ddlock_par.Par_explore.validate_jobs jobs;
-  match safe_and_deadlock_free sys with
+(* The deadlock decision given the Theorem 4 verdict [safety]: a
+   certified system is deadlock-free, anything else is searched. *)
+let decide_deadlock ?(max_states = 500_000) ?(symmetry = false) ?(por = false)
+    ~jobs sys safety =
+  match safety with
   | Safe_and_deadlock_free -> Deadlock_free
   | _ -> (
       Ddlock_obs.Trace.span "analysis.deadlock_search"
@@ -57,6 +58,11 @@ let deadlock_free ?(max_states = 500_000) ?(jobs = 1) ?(symmetry = false)
       | Some (schedule, state) -> Deadlocks { schedule; state }
       | None -> Deadlock_free
       | exception Explore.Too_large n -> Gave_up { states_explored = n })
+
+let deadlock_free ?max_states ?(jobs = 1) ?symmetry ?por sys =
+  Ddlock_par.Par_explore.validate_jobs jobs;
+  decide_deadlock ?max_states ~jobs ?symmetry ?por sys
+    (safe_and_deadlock_free sys)
 
 type report = {
   txn_count : int;
@@ -70,8 +76,11 @@ type report = {
   deadlock : deadlock_verdict;
 }
 
-let report ?max_states ?jobs ?symmetry ?por sys =
+let report ?max_states ?(jobs = 1) ?symmetry ?por sys =
   Ddlock_obs.Trace.span "analysis.report" @@ fun () ->
+  Ddlock_par.Par_explore.validate_jobs jobs;
+  let safety = safe_and_deadlock_free sys in
+  let deadlock = decide_deadlock ?max_states ~jobs ?symmetry ?por sys safety in
   let db = System.db sys in
   let g = System.interaction_graph sys in
   {
@@ -90,8 +99,8 @@ let report ?max_states ?jobs ?symmetry ?por sys =
           Ddlock_obs.Cancel.poll ();
           acc + 1)
         0 (Ungraph.cycles g);
-    safety = safe_and_deadlock_free sys;
-    deadlock = deadlock_free ?max_states ?jobs ?symmetry ?por sys;
+    safety;
+    deadlock;
   }
 
 type pair_counterexample = { steps : Step.t list; d_cycle : int list }

@@ -39,6 +39,7 @@ type t = {
   db : Db.t;
   node_labels : Node.t array;
   arcs : Digraph.t;
+  preds : Bitset.t array; (* node -> its immediate predecessors *)
   closure : Closure.t;
   hasse : Digraph.t;
   lock_of : int array; (* entity -> node id or -1 *)
@@ -102,6 +103,9 @@ let make db node_labels arc_list =
             db;
             node_labels;
             arcs;
+            preds =
+              Array.init n (fun u ->
+                  Bitset.of_list n (Array.to_list (Digraph.pred arcs u)));
             closure;
             hasse = Closure.reduction arcs;
             lock_of;
@@ -179,12 +183,15 @@ let down_closure t ns =
   List.iter add ns;
   p
 
+let is_minimal_remaining t p u =
+  (not (Bitset.mem p u)) && Bitset.subset t.preds.(u) p
+
 let minimal_remaining t p =
-  List.filter
-    (fun u ->
-      (not (Bitset.mem p u))
-      && Array.for_all (Bitset.mem p) (Digraph.pred t.arcs u))
-    (List.init (node_count t) Fun.id)
+  let r = ref [] in
+  for u = node_count t - 1 downto 0 do
+    if is_minimal_remaining t p u then r := u :: !r
+  done;
+  !r
 
 let prefixes t =
   (* Enumerate order ideals by deciding nodes in topological order: a node
@@ -199,7 +206,7 @@ let prefixes t =
         fun () ->
           let without = go acc rest in
           let with_ =
-            if Array.for_all (Bitset.mem acc) (Digraph.pred t.arcs u) then begin
+            if Bitset.subset t.preds.(u) acc then begin
               let acc' = Bitset.copy acc in
               Bitset.set acc' u;
               go acc' rest

@@ -94,8 +94,12 @@ val is_prefix : t -> Bitset.t -> bool
 val down_closure : t -> int list -> Bitset.t
 
 (** Nodes not in the prefix all of whose predecessors are in the prefix —
-    the candidates for execution next. *)
+    the candidates for execution next, in ascending order. *)
 val minimal_remaining : t -> Bitset.t -> int list
+
+(** [is_minimal_remaining t p u] iff [u] is in [minimal_remaining t p],
+    decided without allocating. *)
+val is_minimal_remaining : t -> Bitset.t -> int -> bool
 
 (** All prefixes (downward-closed sets).  Exponential; small inputs only. *)
 val prefixes : t -> Bitset.t Seq.t

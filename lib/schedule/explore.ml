@@ -123,8 +123,7 @@ type 'n table = {
 let no_step = Step.v (-1) (-1)
 
 let table_create ~hash ~equal =
-  { nodes = Intern.create ~capacity:1024 ~equal ~hash (); parent = [||];
-    via = [||] }
+  { nodes = Intern.create ~equal ~hash (); parent = [||]; via = [||] }
 
 (* Intern [node] as a child of [parent].  Dedup comes before the cap
    check, so a node already held (an orbit already stored, under

@@ -72,7 +72,7 @@ let closure_from sys st (seed : Step.t) =
     let i, u = Queue.pop q in
     let tx = System.txn sys i in
     let nd = Transaction.node tx u in
-    if not (List.mem u (Transaction.minimal_remaining tx st.(i))) then begin
+    if not (Transaction.is_minimal_remaining tx st.(i) u) then begin
       (* Disabled by its own partial order: any path enabling it first
          executes every predecessor, so one unexecuted predecessor is a
          necessary-enabling set.  Prefer one already in the closure (no

@@ -2,14 +2,21 @@
 
     [intern] maps a value to a stable id (its insertion index); equal
     values get equal ids, so equality downstream is integer equality
-    and visited sets can store ints instead of keys.  Backing storage
-    is a growable arena with amortized doubling.  Not thread-safe; the
-    parallel engine shards tables behind per-shard mutexes. *)
+    and visited sets can store ints instead of keys.
+
+    Storage is open addressing with linear probing: a power-of-two
+    array of ids, doubled when more than half full, beside an arena of
+    values and an array of each id's hash (both grown by amortized
+    doubling).  A probe runs [equal] only on a slot whose stored hash
+    matches, and a resize re-slots ids from the stored hashes without
+    calling [hash] again.  Not thread-safe; the parallel engine shards
+    tables behind per-shard mutexes. *)
 
 type 'a t
 
 (** [create ~equal ~hash ()] — [hash] must be compatible with [equal]
-    (equal values hash equally). *)
+    (equal values hash equally).  The table holds at least [capacity]
+    values (default 16) before its first resize. *)
 val create :
   ?capacity:int -> equal:('a -> 'a -> bool) -> hash:('a -> int) -> unit -> 'a t
 

@@ -14,10 +14,11 @@ let final sys =
 let copy st = Array.map Bitset.copy st
 let equal a b = Array.length a = Array.length b && Array.for_all2 Bitset.equal a b
 
-let hash st =
-  let h = ref (Array.length st) in
-  Array.iter (fun s -> h := (!h * 486187739) + Bitset.hash s) st;
-  !h land max_int
+let rec hash_from st h i =
+  if i >= Array.length st then h land max_int
+  else hash_from st ((h * 486187739) + Bitset.hash st.(i)) (i + 1)
+
+let hash st = hash_from st (Array.length st) 0
 
 let is_valid sys st =
   Array.length st = System.size sys
@@ -25,18 +26,17 @@ let is_valid sys st =
        (fun tx p -> Transaction.is_prefix tx p)
        (System.txns sys) st
 
+(* [j] holds [x]: it has locked but not unlocked it. *)
+let holds sys st j x =
+  let tx = System.txn sys j in
+  Transaction.accesses tx x
+  && Bitset.mem st.(j) (Transaction.lock_node_exn tx x)
+  && not (Bitset.mem st.(j) (Transaction.unlock_node_exn tx x))
+
 let holder sys st x =
   let n = System.size sys in
-  let rec go i =
-    if i >= n then None
-    else
-      let tx = System.txn sys i in
-      if Transaction.accesses tx x then
-        let l = Transaction.lock_node_exn tx x
-        and u = Transaction.unlock_node_exn tx x in
-        if Bitset.mem st.(i) l && not (Bitset.mem st.(i) u) then Some i
-        else go (i + 1)
-      else go (i + 1)
+  let rec go j =
+    if j >= n then None else if holds sys st j x then Some j else go (j + 1)
   in
   go 0
 
@@ -50,53 +50,57 @@ let all_finished sys st =
   let rec go i = i >= n || (finished sys st i && go (i + 1)) in
   go 0
 
+let rec held_by_other sys st i x j =
+  j < System.size sys
+  && ((j <> i && holds sys st j x) || held_by_other sys st i x (j + 1))
+
+(* Node [v] of [Tᵢ], minimal among its remaining nodes, can run: an
+   Unlock always can, a Lock when no other transaction holds its
+   entity.  Loops and top-level recursion only, so deciding it
+   allocates nothing. *)
+let can_run sys st i v =
+  let nd = Transaction.node (System.txn sys i) v in
+  match nd.Node.op with
+  | Node.Unlock -> true
+  | Node.Lock -> not (held_by_other sys st i nd.Node.entity 0)
+
+(* Transactions ascending and, within each, node ids descending. *)
 let enabled sys st =
-  let n = System.size sys in
   let steps = ref [] in
-  for i = n - 1 downto 0 do
+  for i = System.size sys - 1 downto 0 do
     let tx = System.txn sys i in
-    List.iter
-      (fun v ->
-        let nd = Transaction.node tx v in
-        let ok =
-          match nd.Node.op with
-          | Node.Unlock -> true
-          | Node.Lock -> (
-              match holder sys st nd.Node.entity with
-              | None -> true
-              | Some j -> j = i)
-        in
-        if ok then steps := Step.v i v :: !steps)
-      (Transaction.minimal_remaining tx st.(i))
+    for v = 0 to Transaction.node_count tx - 1 do
+      if Transaction.is_minimal_remaining tx st.(i) v && can_run sys st i v
+      then steps := Step.v i v :: !steps
+    done
   done;
   !steps
 
+(* Only the changed row is copied; the others are shared with [st], so
+   no code may mutate a state it did not build. *)
 let apply st (step : Step.t) =
-  let st' = copy st in
-  Bitset.set st'.(step.Step.txn) step.Step.node;
+  let st' = Array.copy st in
+  let row = Bitset.copy st.(step.Step.txn) in
+  Bitset.set row step.Step.node;
+  st'.(step.Step.txn) <- row;
   st'
 
+(* A Lock still minimal in [Tᵢ]'s prefix is not held by [Tᵢ], so a
+   minimal node is blocked exactly when it cannot run, and a state is a
+   deadlock exactly when nothing can run and some transaction is
+   unfinished (each unfinished one has a minimal remaining node).  The
+   scan stops at the first step that can run. *)
+let rec some_runs sys st i v =
+  i < System.size sys
+  &&
+  let tx = System.txn sys i in
+  if v >= Transaction.node_count tx then some_runs sys st (i + 1) 0
+  else
+    (Transaction.is_minimal_remaining tx st.(i) v && can_run sys st i v)
+    || some_runs sys st i (v + 1)
+
 let is_deadlock sys st =
-  let n = System.size sys in
-  let some_unfinished = ref false in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if not (finished sys st i) then begin
-      some_unfinished := true;
-      let tx = System.txn sys i in
-      List.iter
-        (fun v ->
-          let nd = Transaction.node tx v in
-          match nd.Node.op with
-          | Node.Unlock -> ok := false
-          | Node.Lock -> (
-              match holder sys st nd.Node.entity with
-              | Some j when j <> i -> ()
-              | _ -> ok := false))
-        (Transaction.minimal_remaining tx st.(i))
-    end
-  done;
-  !some_unfinished && !ok
+  (not (some_runs sys st 0 0)) && not (all_finished sys st)
 
 let size st = Array.fold_left (fun acc s -> acc + Bitset.cardinal s) 0 st
 

@@ -33,15 +33,20 @@ val all_finished : System.t -> t -> bool
 
 (** Steps executable next: node [v] of [Tᵢ] is enabled iff it is minimal
     among the remaining nodes of [Tᵢ] and, when [v] is a Lock on [x], no
-    other transaction currently holds [x]. *)
+    other transaction currently holds [x].  Ordered by transaction
+    ascending and, within one transaction, by node id descending. *)
 val enabled : System.t -> t -> Step.t list
 
-(** [apply st step] — fresh state with the step's node added. *)
+(** [apply st step] — a new state with the step's node added.  Only
+    the changed transaction's row is copied; the others are shared with
+    [st], so a state must not be mutated by code that did not build it
+    (use {!copy} first). *)
 val apply : t -> Step.t -> t
 
 (** A deadlock state (§3): some transaction is unfinished, and every
     unfinished transaction's minimal remaining nodes are all Lock
-    operations on entities held by other transactions. *)
+    operations on entities held by other transactions — equivalently,
+    [enabled] is empty and not [all_finished]. *)
 val is_deadlock : System.t -> t -> bool
 
 (** Number of executed nodes. *)

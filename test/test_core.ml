@@ -350,6 +350,46 @@ let minimize_core_minimal_prop =
                  || Sched.Explore.deadlock_free (System.create rest))
                (List.init (System.size r.Minimize.core) Fun.id)))
 
+(* ------------------------------------------------------------------ *)
+(* Golden analysis digest                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* MD5 of [Analysis.render_full]'s text and exit status over a seeded
+   pool, under the default flags, [~symmetry:true] and [~por:true],
+   plus one capped run that gives up.  Recorded before the search
+   kernel's allocation rewrite; if it fails, rendered analysis bytes
+   changed. *)
+let golden_analysis_digest = "4008efc00d4a54375657e521e11e2c27"
+
+let golden_analysis_pool () =
+  let module G = Workload.Gentx in
+  let fig6 n = System.copies (Workload.Figures.fig6_txn ()) n in
+  [ Workload.Figures.fig2 (); fig6 2; fig6 3 ]
+  @ List.map G.dining_philosophers [ 3; 4; 5 ]
+  @ List.init 40 (fun i ->
+        let rng = Fixtures.rng (500 + i) in
+        match i mod 4 with
+        | 0 -> G.zipf_system rng ~sites:2 ~entities:4 ~txns:3 ~theta:0.8
+        | 1 -> G.zipf_system rng ~sites:2 ~entities:6 ~txns:3 ~theta:0.8
+        | 2 -> G.small_random_system rng ~txns:3
+        | _ -> G.small_random_system rng ~txns:4)
+
+let analysis_digest () =
+  let b = Buffer.create (1 lsl 16) in
+  let add (text, status, _) = Printf.bprintf b "%s%d\n" text status in
+  let pool = golden_analysis_pool () in
+  List.iter (fun sys -> add (Analysis.render_full sys)) pool;
+  List.iter (fun sys -> add (Analysis.render_full ~symmetry:true sys)) pool;
+  List.iter (fun sys -> add (Analysis.render_full ~por:true sys)) pool;
+  add
+    (Analysis.render_full ~max_states:50
+       (Workload.Gentx.dining_philosophers 5));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_analysis_digest () =
+  check Alcotest.string "analysis digest" golden_analysis_digest
+    (analysis_digest ())
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -365,6 +405,8 @@ let suite =
     Alcotest.test_case "analysis philosophers" `Quick
       test_analysis_philosophers;
     Alcotest.test_case "analysis gave up" `Quick test_analysis_gave_up;
+    Alcotest.test_case "golden analysis digest" `Quick
+      test_golden_analysis_digest;
     Alcotest.test_case "analysis polynomial shortcut" `Quick
       test_analysis_polynomial_shortcut;
     Alcotest.test_case "dot outputs" `Quick test_dot_outputs;

@@ -507,6 +507,39 @@ let test_intern_growth () =
     t;
   check int_t "iter covers all" n !seen
 
+let test_intern_collisions () =
+  (* A constant hash sends every key down one probe chain, and 300 keys
+     force several resizes of the slot array: ids stay dense in
+     insertion order, [find] agrees with [intern], and only repeats
+     count as hits. *)
+  let t =
+    Intern.create ~capacity:2 ~equal:String.equal ~hash:(fun _ -> 42) ()
+  in
+  let key i = "k" ^ string_of_int i in
+  let n = 300 in
+  for i = 0 to n - 1 do
+    check bool_t "absent before insert" true (Intern.find t (key i) = None);
+    check bool_t "dense, new" true (Intern.intern t (key i) = (i, true));
+    if i mod 3 = 0 then
+      check bool_t "repeat is a hit" true
+        (Intern.intern t (key (i / 2)) = (i / 2, false))
+  done;
+  check int_t "count" n (Intern.count t);
+  check int_t "hits count only repeats" ((n + 2) / 3) (Intern.hits t);
+  for i = 0 to n - 1 do
+    check bool_t "find = intern" true
+      (Intern.find t (key i) = Some (fst (Intern.intern t (key i))));
+    check Alcotest.string "get" (key i) (Intern.get t i)
+  done;
+  check int_t "hits after re-interning all" (((n + 2) / 3) + n) (Intern.hits t);
+  check bool_t "miss" true (Intern.find t "absent" = None);
+  List.iter
+    (fun id ->
+      match Intern.get t id with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "get %d must raise" id)
+    [ -1; n; n + 1 ]
+
 let test_stealing_counts () =
   List.iter
     (fun sys ->
@@ -697,6 +730,7 @@ let stealing_suite =
   [
     Alcotest.test_case "intern basics" `Quick test_intern_basics;
     Alcotest.test_case "intern growth" `Quick test_intern_growth;
+    Alcotest.test_case "intern collisions" `Quick test_intern_collisions;
     Alcotest.test_case "counts match" `Quick test_stealing_counts;
     Alcotest.test_case "find_deadlock byte-identical" `Quick
       test_find_deadlock_identical;

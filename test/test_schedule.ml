@@ -352,9 +352,129 @@ T1 L a
   | Ok [ _ ] -> ()
   | _ -> Alcotest.fail "expected one step"
 
+(* ------------------------------------------------------------------ *)
+(* Search kernel against reference definitions                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The definitions the allocation-free kernel replaced, written
+   directly from §3: minimal nodes by filtering over the given arcs,
+   enabled steps through [State.holder], deadlock by checking every
+   minimal node of every unfinished transaction. *)
+let ref_minimal_remaining tx p =
+  List.filter
+    (fun u ->
+      (not (Bitset.mem p u))
+      && Array.for_all (Bitset.mem p)
+           (Digraph.pred (Transaction.given_arcs tx) u))
+    (List.init (Transaction.node_count tx) Fun.id)
+
+let ref_enabled sys st =
+  let steps = ref [] in
+  for i = System.size sys - 1 downto 0 do
+    let tx = System.txn sys i in
+    List.iter
+      (fun v ->
+        let nd = Transaction.node tx v in
+        let ok =
+          match nd.Node.op with
+          | Node.Unlock -> true
+          | Node.Lock -> (
+              match State.holder sys st nd.Node.entity with
+              | None -> true
+              | Some j -> j = i)
+        in
+        if ok then steps := Step.v i v :: !steps)
+      (ref_minimal_remaining tx st.(i))
+  done;
+  !steps
+
+let ref_is_deadlock sys st =
+  let unfinished =
+    List.filter
+      (fun i -> not (State.finished sys st i))
+      (List.init (System.size sys) Fun.id)
+  in
+  unfinished <> []
+  && List.for_all
+       (fun i ->
+         let tx = System.txn sys i in
+         List.for_all
+           (fun v ->
+             let nd = Transaction.node tx v in
+             nd.Node.op = Node.Lock
+             &&
+             match State.holder sys st nd.Node.entity with
+             | Some j -> j <> i
+             | None -> false)
+           (ref_minimal_remaining tx st.(i)))
+       unfinished
+
+(* A random system of 2–4 transactions and a state reached from the
+   initial one by a random walk of random length (it may end early in a
+   deadlock or at the final state). *)
+let random_reachable seed =
+  let rng = Fixtures.rng seed in
+  let sys =
+    Fixtures.small_random_system rng ~txns:(2 + Random.State.int rng 3)
+  in
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let rec walk st k =
+    match State.enabled sys st with
+    | [] -> st
+    | _ when k = 0 -> st
+    | en -> walk (State.apply st (pick en)) (k - 1)
+  in
+  let len = Random.State.int rng (System.total_nodes sys + 1) in
+  (sys, walk (State.initial sys) len)
+
+let kernel_prop name f =
+  QCheck.Test.make ~name ~count:300 QCheck.(int_bound 10_000_000) (fun seed ->
+      let sys, st = random_reachable seed in
+      f sys st)
+
+let deadlock_iff_stuck_prop =
+  kernel_prop "is_deadlock = nothing enabled ∧ unfinished" (fun sys st ->
+      let d = State.is_deadlock sys st in
+      d = (State.enabled sys st = [] && not (State.all_finished sys st))
+      && d = ref_is_deadlock sys st)
+
+let minimal_remaining_prop =
+  kernel_prop "minimal_remaining = reference filter" (fun sys st ->
+      Array.for_all2
+        (fun tx p ->
+          let m = Transaction.minimal_remaining tx p in
+          m = ref_minimal_remaining tx p
+          && List.for_all
+               (fun u -> Transaction.is_minimal_remaining tx p u = List.mem u m)
+               (List.init (Transaction.node_count tx) Fun.id))
+        (System.txns sys) st)
+
+let apply_pure_prop =
+  kernel_prop "apply leaves its input unchanged" (fun sys st ->
+      let before = State.copy st in
+      List.for_all
+        (fun (s : Step.t) ->
+          let st' = State.apply st s in
+          let expect = State.copy before in
+          Bitset.set expect.(s.txn) s.node;
+          State.equal st before && State.equal st' expect)
+        (State.enabled sys st))
+
+let enabled_order_prop =
+  kernel_prop "enabled = reference order" (fun sys st ->
+      State.enabled sys st = ref_enabled sys st)
+
 let qtests =
   List.map Fixtures.to_alcotest
-    [ lemma1_decomposition_prop; narrate_linewise_prop; sched_text_roundtrip_prop ]
+    [
+      lemma1_decomposition_prop;
+      narrate_linewise_prop;
+      sched_text_roundtrip_prop;
+      deadlock_iff_stuck_prop;
+      minimal_remaining_prop;
+      apply_pure_prop;
+      enabled_order_prop;
+    ]
 
 let suite =
   [
