@@ -35,9 +35,14 @@ let closure_graph g =
   done;
   Digraph.create n !es
 
-let reduction g =
-  if not (Topo.is_acyclic g) then invalid_arg "Closure.reduction: cyclic";
-  let c = closure g in
+let reduction ?closure:c g =
+  let c =
+    match c with
+    | Some c -> c
+    | None ->
+        if not (Topo.is_acyclic g) then invalid_arg "Closure.reduction: cyclic";
+        closure g
+  in
   (* Keep edge u->v iff no intermediate successor w of u reaches v. *)
   let keep (u, v) =
     not

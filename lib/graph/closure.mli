@@ -19,8 +19,10 @@ val closure_graph : Digraph.t -> Digraph.t
 
 (** [reduction g] is the transitive reduction (Hasse diagram) of a DAG:
     the unique minimal subgraph with the same reachability.  Raises
-    [Invalid_argument] on cyclic input. *)
-val reduction : Digraph.t -> Digraph.t
+    [Invalid_argument] on cyclic input.  A caller that already holds
+    [closure g] of a graph it knows to be acyclic passes it as
+    [~closure], and neither the closure nor acyclicity is recomputed. *)
+val reduction : ?closure:t -> Digraph.t -> Digraph.t
 
 (** [descendants c u] is the row of [u] (do not mutate). *)
 val descendants : t -> int -> Bitset.t

@@ -107,7 +107,7 @@ let make db node_labels arc_list =
               Array.init n (fun u ->
                   Bitset.of_list n (Array.to_list (Digraph.pred arcs u)));
             closure;
-            hasse = Closure.reduction arcs;
+            hasse = Closure.reduction ~closure arcs;
             lock_of;
             unlock_of;
             entity_set;

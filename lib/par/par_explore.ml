@@ -1,4 +1,3 @@
-open Ddlock_model
 open Ddlock_schedule
 
 (* Multicore state-space exploration: the relaxed work-stealing engine.
@@ -246,8 +245,8 @@ let search_core ~max_states ~jobs (ops : _ Explore.ops) init =
     Ws_deque.push deques.(0) (g0, init);
     let telemetry = Ddlock_obs.Control.is_on () in
     let process dq (pgid, pnode) =
-      List.iter
-        (fun (step, node') ->
+      ops.next pnode
+        (fun step node' ->
           if (not (Atomic.get r.stop)) && ops.restrict node' then begin
             let s = shard_of ~hash:ops.hash node' in
             let sh = r.shards.(s) in
@@ -265,7 +264,6 @@ let search_core ~max_states ~jobs (ops : _ Explore.ops) init =
               end
             end
           end)
-        (ops.next pnode)
     in
     run_workers ~max_states ~jobs r ~deques ~process
   end
@@ -276,23 +274,25 @@ let search_core ~max_states ~jobs (ops : _ Explore.ops) init =
    and every strict shrink re-expands the state), so no sequential
    replay is needed; the price is that the reduced space and the
    [por.*] counter totals depend on the race outcomes. *)
-let por_core ~max_states ~jobs ~canon ~restrict ~found sys =
+let por_core ~max_states ~jobs ~canon ~restrict ~found lay =
   span "par.por" ~jobs @@ fun () ->
-  let init = Explore.initial_node canon sys in
-  let r, g0 = start ~max_states ~hash:State.hash ~equal:State.equal init in
+  let sys = Packed.system lay in
+  let init = Explore.initial_node canon lay in
+  let r, g0 = start ~max_states ~hash:Packed.hash ~equal:Packed.equal init in
   if found init then Witness ([], init)
   else begin
     let deques = Array.init jobs (fun _ -> Ws_deque.create ()) in
     Ws_deque.push deques.(0) (g0, init, []);
     let process dq (pgid, pnode, sleep) =
-      let exp = Indep.expand ?canon sys pnode ~sleep in
+      let exp = Indep.expand ?canon sys (Packed.decode lay pnode) ~sleep in
       Obs.por_expand ~enabled:exp.Indep.enabled_count
         ~persistent:exp.Indep.persistent_count
         ~selected:(List.length exp.Indep.succs);
       List.iter
         (fun { Indep.step; succ; moved; sleep = z } ->
+          let succ = Packed.encode lay succ in
           if (not (Atomic.get r.stop)) && restrict succ then begin
-            let s = shard_of ~hash:State.hash succ in
+            let s = shard_of ~hash:Packed.hash succ in
             let sh = r.shards.(s) in
             Mutex.lock sh.lock;
             let lid, fresh = Intern.intern sh.nodes succ in
@@ -323,19 +323,19 @@ let por_core ~max_states ~jobs ~canon ~restrict ~found sys =
     run_workers ~max_states ~jobs r ~deques ~process
   end
 
-let core ~max_states ~jobs ~canon ~restrict ~found ~por sys =
-  if por then por_core ~max_states ~jobs ~canon ~restrict ~found sys
+let core ~max_states ~jobs ~canon ~restrict ~found ~por lay =
+  if por then por_core ~max_states ~jobs ~canon ~restrict ~found lay
   else
     search_core ~max_states ~jobs
-      (Explore.state_ops canon sys ~restrict ~found)
-      (Explore.initial_node canon sys)
+      (Explore.state_ops canon lay ~restrict ~found)
+      (Explore.initial_node canon lay)
 
 (* ------------------------- public interface ------------------------ *)
 
 type ws_space = {
-  sys : System.t;
+  lay : Packed.layout;
   canon : Canon.t option;
-  shards : State.t shard array;
+  shards : Packed.t shard array;
   total : int;
   jobs : int;
 }
@@ -348,14 +348,17 @@ let explore ?(max_states = Explore.default_cap) ?(symmetry = false)
   if jobs = 1 then Seq (Explore.explore ~max_states ~symmetry ~por sys)
   else
     let canon = Explore.active_canon ~symmetry sys in
+    let lay = Packed.layout sys in
     match
       core ~max_states ~jobs ~canon ~restrict:(fun _ -> true)
-        ~found:(fun _ -> false) ~por sys
+        ~found:(fun _ -> false) ~por lay
     with
-    | Space (shards, total) -> Ws { sys; canon; shards; total; jobs }
+    | Space (shards, total) -> Ws { lay; canon; shards; total; jobs }
     | Witness _ -> assert false
 
-let system = function Seq sp -> Explore.system sp | Ws w -> w.sys
+let system = function
+  | Seq sp -> Explore.system sp
+  | Ws w -> Packed.system w.lay
 let jobs = function Seq _ -> 1 | Ws w -> w.jobs
 
 let state_count = function
@@ -366,13 +369,19 @@ let states = function
   | Seq sp -> Explore.states sp
   | Ws w ->
       Seq.concat_map
-        (fun sh -> Seq.init (Intern.count sh.nodes) (Intern.get sh.nodes))
+        (fun sh ->
+          Seq.init (Intern.count sh.nodes) (fun lid ->
+              Packed.decode w.lay (Intern.get sh.nodes lid)))
         (Array.to_seq w.shards)
 
+(* A state of another system's shape is not held. *)
 let find_gid w st =
   let rep = match w.canon with None -> st | Some c -> fst (Canon.normalize c st) in
-  let s = shard_of ~hash:State.hash rep in
-  Option.map (fun lid -> gid ~shard:s lid) (Intern.find w.shards.(s).nodes rep)
+  match Packed.encode w.lay rep with
+  | exception Invalid_argument _ -> None
+  | p ->
+      let s = shard_of ~hash:Packed.hash p in
+      Option.map (fun lid -> gid ~shard:s lid) (Intern.find w.shards.(s).nodes p)
 
 let is_reachable sp st =
   match sp with
@@ -391,18 +400,33 @@ let schedule_to sp st =
           | Some c -> Canon.realize_to c steps st)
         (find_gid w st)
 
-let bfs ?(max_states = Explore.default_cap) ?(restrict = fun _ -> true)
-    ?(symmetry = false) ?(por = false) ~jobs sys ~found =
+(* The work-stealing search over packed predicates ([jobs > 1]). *)
+let ws_bfs ~max_states ~restrict ~symmetry ~por ~jobs lay ~found =
+  let canon = Explore.active_canon ~symmetry (Packed.system lay) in
+  match core ~max_states ~jobs ~canon ~restrict ~found ~por lay with
+  | Space _ -> None
+  | Witness (steps, p) -> (
+      match canon with
+      | None -> Some (steps, Packed.decode lay p)
+      | Some c -> Some (Canon.realize c steps))
+
+let bfs ?(max_states = Explore.default_cap) ?restrict ?(symmetry = false)
+    ?(por = false) ~jobs sys ~found =
   validate_jobs jobs;
-  if jobs = 1 then Explore.bfs ~max_states ~restrict ~symmetry ~por sys ~found
+  if jobs = 1 then Explore.bfs ~max_states ?restrict ~symmetry ~por sys ~found
   else
-    let canon = Explore.active_canon ~symmetry sys in
-    match core ~max_states ~jobs ~canon ~restrict ~found ~por sys with
-    | Space _ -> None
-    | Witness (steps, st) -> (
-        match canon with
-        | None -> Some (steps, st)
-        | Some c -> Some (Canon.realize c steps))
+    let lay = Packed.layout sys in
+    let decoded f p = f (Packed.decode lay p) in
+    ws_bfs ~max_states
+      ~restrict:(match restrict with None -> fun _ -> true | Some f -> decoded f)
+      ~symmetry ~por ~jobs lay ~found:(decoded found)
+
+(* The deadlock search tests [Packed.is_deadlock] on the packed nodes. *)
+let ws_deadlock ?(max_states = Explore.default_cap) ?(symmetry = false)
+    ?(por = false) ~jobs sys =
+  let lay = Packed.layout sys in
+  ws_bfs ~max_states ~restrict:(fun _ -> true) ~symmetry ~por ~jobs lay
+    ~found:(Packed.is_deadlock lay)
 
 (* The jobs-invariance contract: the work-stealing search decides, and
    a positive verdict's witness is recomputed by the sequential engine
@@ -422,9 +446,7 @@ let find_deadlock ?max_states ?symmetry ?por ~jobs sys =
   validate_jobs jobs;
   if jobs = 1 then Explore.find_deadlock ?max_states ?symmetry ?por sys
   else
-    match
-      bfs ?max_states ?symmetry ?por ~jobs sys ~found:(State.is_deadlock sys)
-    with
+    match ws_deadlock ?max_states ?symmetry ?por ~jobs sys with
     | None -> None
     | Some raw -> (
         (* The sequential re-search counts the witness it returns; only a
@@ -442,7 +464,7 @@ let find_deadlock ?max_states ?symmetry ?por ~jobs sys =
 let deadlock_free ?max_states ?symmetry ?por ~jobs sys =
   validate_jobs jobs;
   if jobs = 1 then Explore.deadlock_free ?max_states ?symmetry ?por sys
-  else bfs ?max_states ?symmetry ?por ~jobs sys ~found:(State.is_deadlock sys) = None
+  else ws_deadlock ?max_states ?symmetry ?por ~jobs sys = None
 
 (* --------------------- Lemma-1 extended space ---------------------- *)
 

@@ -8,9 +8,10 @@ open Ddlock_schedule
     {!Ddlock_schedule.Explore}.  With [jobs > 1] the search runs on the
     relaxed work-stealing engine: [jobs] domains with per-domain deques
     and batch stealing, a hash-sharded visited set of intern tables
-    ({!Ddlock_schedule.State.hash} + structural equality, dense int ids,
-    packed parent/via arenas), no barrier, and an early-exit broadcast
-    on the first witness.  It keeps:
+    over packed states ({!Ddlock_schedule.Packed}: word hash + word
+    equality, dense int ids, packed parent/via arenas; the domains share
+    one immutable layout), no barrier, and an early-exit broadcast on
+    the first witness.  It keeps:
     {ul
     {- {e verdicts} — the explored state {e set} equals the sequential
        one (same dedup relation), so emptiness answers

@@ -95,6 +95,18 @@ let normalize c (st : State.t) =
     c.classes;
   (rep, perm)
 
+(* A row of at most 62 nodes is one word of its bitset, so
+   [Bitset.compare] orders such rows as [Packed.sort_rows] orders their
+   integers. *)
+let normalize_packed c lay =
+  let classes =
+    List.filter (fun g -> Array.length g > 1) (Array.to_list c.classes)
+  in
+  let fits g = Transaction.node_count (System.txn c.sys g.(0)) <= 62 in
+  if List.for_all fits classes then
+    Packed.sort_rows lay (Array.of_list classes)
+  else fun p -> Packed.encode lay (fst (normalize c (Packed.decode lay p)))
+
 let apply_perm perm (st : State.t) : State.t =
   let n = Array.length st in
   let out = Array.make n st.(0) in

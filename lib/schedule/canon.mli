@@ -64,6 +64,14 @@ val orbit_size : t -> int
     (immutable-by-convention) bitsets of [st]. *)
 val normalize : t -> State.t -> State.t * int array
 
+(** [normalize_packed c lay] is {!normalize}'s representative on packed
+    states of [system c]: [normalize_packed c lay p = Packed.encode lay
+    (fst (normalize c (Packed.decode lay p)))].  It sorts rows on the
+    words ({!Packed.sort_rows}) when every interchangeable transaction
+    has at most 62 nodes, and goes through the decoded state
+    otherwise.  Apply it partially: the choice is made once. *)
+val normalize_packed : t -> Packed.layout -> Packed.t -> Packed.t
+
 (** [apply_perm π st] permutes the prefix vector: slot [π.(i)] of the
     result is [st.(i)]. *)
 val apply_perm : int array -> State.t -> State.t

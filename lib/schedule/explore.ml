@@ -72,7 +72,7 @@ let check_room count max_states =
 type 'n ops = {
   hash : 'n -> int;
   equal : 'n -> 'n -> bool;
-  next : 'n -> (Step.t * 'n) list;
+  next : 'n -> (Step.t -> 'n -> unit) -> unit;
   restrict : 'n -> bool;
   found : 'n -> bool;
   moved : parent:'n -> Step.t -> 'n -> bool;
@@ -80,34 +80,39 @@ type 'n ops = {
 
 let never ~parent:_ _ _ = false
 
-(* With a canonicalizer the successors are orbit representatives, so
-   interning them dedups whole orbits; [restrict]/[found] then see
-   representatives and must be invariant under the group (the deadlock
-   and reduction-cycle predicates are). *)
-let state_ops canon sys ~restrict ~found =
+(* Nodes are packed states ({!Packed}).  With a canonicalizer the
+   successors are orbit representatives, so interning them dedups whole
+   orbits; [restrict]/[found] then see representatives and must be
+   invariant under the group (the deadlock and reduction-cycle
+   predicates are). *)
+let state_ops canon lay ~restrict ~found =
   let norm, moved =
     match canon with
     | None -> (Fun.id, never)
     | Some c ->
-        ( (fun st -> fst (Canon.normalize c st)),
+        ( Canon.normalize_packed c lay,
           fun ~parent step rep ->
-            not (State.equal (State.apply parent step) rep) )
+            not (Packed.equal (Packed.apply lay parent step) rep) )
   in
   {
-    hash = State.hash;
-    equal = State.equal;
+    hash = Packed.hash;
+    equal = Packed.equal;
     next =
-      (fun st ->
-        List.map (fun s -> (s, norm (State.apply st s))) (State.enabled sys st));
+      (fun p f ->
+        Packed.iter_enabled lay p (fun s ->
+            f s (norm (Packed.apply lay p s))));
     restrict;
     found;
     moved;
   }
 
-let initial_node canon sys =
+let initial_node canon lay =
   match canon with
-  | None -> State.initial sys
-  | Some c -> fst (Canon.normalize c (State.initial sys))
+  | None -> Packed.initial lay
+  | Some c -> Canon.normalize_packed c lay (Packed.initial lay)
+
+(* A caller's predicate on {!State.t}, evaluated on the decoded node. *)
+let decoded lay f p = f (Packed.decode lay p)
 
 (* ------------------------- the search table ------------------------
 
@@ -175,15 +180,13 @@ let search ~name ~max_states ops init =
         let id = !cursor in
         incr cursor;
         let node = Intern.get t.nodes id in
-        List.iter
-          (fun (step, node') ->
+        ops.next node (fun step node' ->
             if ops.restrict node' then
               let id', fresh = add t ~max_states node' ~parent:id ~via:step in
               if fresh then begin
                 if telemetry then Obs.hit (ops.moved ~parent:node step node');
                 if ops.found node' then raise (Hit id')
               end)
-          (ops.next node)
       done;
       -1
     with Hit id -> id
@@ -193,18 +196,24 @@ let search ~name ~max_states ops init =
 (* ------------------------------ spaces ----------------------------- *)
 
 type space = {
-  sys : System.t;
+  lay : Packed.layout;
   canon : Canon.t option;  (* Some ⇒ the table holds orbit representatives *)
-  table : State.t table;
+  table : Packed.t table;
 }
 
-let system sp = sp.sys
+let system sp = Packed.system sp.lay
 let state_count sp = Intern.count sp.table.nodes
-let states sp = Seq.init (state_count sp) (Intern.get sp.table.nodes)
 
+let states sp =
+  Seq.map (Packed.decode sp.lay)
+    (Seq.init (state_count sp) (Intern.get sp.table.nodes))
+
+(* A state of another system's shape is not held. *)
 let find_rep sp st =
   let rep = match sp.canon with None -> st | Some c -> fst (Canon.normalize c st) in
-  Intern.find sp.table.nodes rep
+  match Packed.encode sp.lay rep with
+  | p -> Intern.find sp.table.nodes p
+  | exception Invalid_argument _ -> None
 
 let is_reachable sp st = find_rep sp st <> None
 
@@ -221,10 +230,10 @@ let schedule_to sp st =
 
 (* A witness found in the quotient space, translated back to the
    original system. *)
-let witness canon t id =
+let witness canon lay t id =
   let steps = path t id in
   match canon with
-  | None -> (steps, Intern.get t.nodes id)
+  | None -> (steps, Packed.decode lay (Intern.get t.nodes id))
   | Some c -> Canon.realize c steps
 
 (* Persistent/sleep-set selective search (partial-order reduction).
@@ -238,12 +247,14 @@ let witness canon t id =
    state alone, so the reduced search never holds more states than the
    plain engine.  [found] must be implied by deadlock (evaluated at
    first insertion only): the persistent-set construction preserves
-   reachability of deadlock states, not of arbitrary targets. *)
-let por_search ~max_states ~restrict ~symmetry sys ~found =
+   reachability of deadlock states, not of arbitrary targets.
+   [Indep.expand] works on the decoded node; its successors are
+   re-encoded. *)
+let por_search ~max_states ~restrict canon lay ~found =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span "explore.por" @@ fun () ->
-  let canon = active_canon ~symmetry sys in
-  let t = table_create ~hash:State.hash ~equal:State.equal in
+  let sys = Packed.system lay in
+  let t = table_create ~hash:Packed.hash ~equal:Packed.equal in
   let sleeps = ref [||] in
   let set_sleep id z =
     let cap = Array.length !sleeps in
@@ -255,7 +266,7 @@ let por_search ~max_states ~restrict ~symmetry sys ~found =
     !sleeps.(id) <- z
   in
   let q = Queue.create () in
-  let init = initial_node canon sys in
+  let init = initial_node canon lay in
   let hit =
     try
       ignore (add t ~max_states init ~parent:(-1) ~via:no_step);
@@ -264,12 +275,14 @@ let por_search ~max_states ~restrict ~symmetry sys ~found =
       Queue.push (0, []) q;
       while not (Queue.is_empty q) do
         let id, sleep = Queue.pop q in
-        let exp = Indep.expand ?canon sys (Intern.get t.nodes id) ~sleep in
+        let node = Packed.decode lay (Intern.get t.nodes id) in
+        let exp = Indep.expand ?canon sys node ~sleep in
         Obs.por_expand ~enabled:exp.Indep.enabled_count
           ~persistent:exp.Indep.persistent_count
           ~selected:(List.length exp.Indep.succs);
         List.iter
           (fun { Indep.step; succ; moved; sleep = child } ->
+            let succ = Packed.encode lay succ in
             if restrict succ then
               let id', fresh = add t ~max_states succ ~parent:id ~via:step in
               if fresh then begin
@@ -289,34 +302,43 @@ let por_search ~max_states ~restrict ~symmetry sys ~found =
       -1
     with Hit id -> id
   in
-  ( (if hit < 0 then None else Some (witness canon t hit)),
-    { sys; canon; table = t } )
+  (t, hit)
+
+let always _ = true
+let never_found _ = false
+
+(* Every search of a state space: the first node satisfying [found]
+   (translated back to the original system), and the space. *)
+let run ~name ~max_states ~restrict ~symmetry ~por lay ~found =
+  let canon = active_canon ~symmetry (Packed.system lay) in
+  let table, hit =
+    if por then por_search ~max_states ~restrict canon lay ~found
+    else
+      search ~name ~max_states
+        (state_ops canon lay ~restrict ~found)
+        (initial_node canon lay)
+  in
+  ( (if hit < 0 then None else Some (witness canon lay table hit)),
+    { lay; canon; table } )
 
 let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
-  if por then
-    snd
-      (por_search ~max_states ~restrict:(fun _ -> true) ~symmetry sys
-         ~found:(fun _ -> false))
-  else
-    let canon = active_canon ~symmetry sys in
-    let table, _ =
-      search ~name:"explore.explore" ~max_states
-        (state_ops canon sys ~restrict:(fun _ -> true) ~found:(fun _ -> false))
-        (initial_node canon sys)
-    in
-    { sys; canon; table }
+  snd
+    (run ~name:"explore.explore" ~max_states ~restrict:always ~symmetry ~por
+       (Packed.layout sys) ~found:never_found)
 
-let bfs ?(max_states = default_cap) ?(restrict = fun _ -> true)
-    ?(symmetry = false) ?(por = false) sys ~found =
-  if por then fst (por_search ~max_states ~restrict ~symmetry sys ~found)
-  else
-    let canon = active_canon ~symmetry sys in
-    let t, hit =
-      search ~name:"explore.bfs" ~max_states
-        (state_ops canon sys ~restrict ~found)
-        (initial_node canon sys)
-    in
-    if hit < 0 then None else Some (witness canon t hit)
+let bfs ?(max_states = default_cap) ?restrict ?(symmetry = false) ?(por = false)
+    sys ~found =
+  let lay = Packed.layout sys in
+  let restrict = match restrict with None -> always | Some f -> decoded lay f in
+  fst
+    (run ~name:"explore.bfs" ~max_states ~restrict ~symmetry ~por lay
+       ~found:(decoded lay found))
+
+(* The deadlock search tests [Packed.is_deadlock] on the packed nodes. *)
+let deadlock_search ?(max_states = default_cap) ?(symmetry = false) ~por lay =
+  fst
+    (run ~name:"explore.bfs" ~max_states ~restrict:always ~symmetry ~por lay
+       ~found:(Packed.is_deadlock lay))
 
 let count_witness r =
   if r <> None then begin
@@ -326,7 +348,7 @@ let count_witness r =
   r
 
 let find_deadlock ?max_states ?symmetry ?(por = false) sys =
-  let dead st = State.is_deadlock sys st in
+  let lay = Packed.layout sys in
   count_witness
     (if por then
        (* Verdict from the reduced search; witness from a plain
@@ -334,20 +356,18 @@ let find_deadlock ?max_states ?symmetry ?(por = false) sys =
           plain [analyze] under every flag combination.  When the plain
           re-search blows the budget the reduced witness — valid, just
           not BFS-minimal — is returned instead. *)
-       match bfs ?max_states ?symmetry ~por:true sys ~found:dead with
+       match deadlock_search ?max_states ?symmetry ~por:true lay with
        | None -> None
        | Some raw -> (
-           match bfs ?max_states sys ~found:dead with
+           match deadlock_search ?max_states ~por:false lay with
            | Some w -> Some w
            | None -> Some raw
            | exception Too_large _ -> Some raw)
-     else bfs ?max_states ?symmetry sys ~found:dead)
+     else deadlock_search ?max_states ?symmetry ~por:false lay)
 
 let deadlock_free ?max_states ?symmetry ?(por = false) sys =
   if por then
-    bfs ?max_states ?symmetry ~por:true sys
-      ~found:(fun st -> State.is_deadlock sys st)
-    = None
+    deadlock_search ?max_states ?symmetry ~por:true (Packed.layout sys) = None
   else find_deadlock ?max_states ?symmetry sys = None
 
 type counterexample = { steps : Step.t list; cycle : int list }
@@ -412,7 +432,8 @@ let lemma1_ops sys ~report =
   {
     hash = Lemma1.hash;
     equal = Lemma1.equal;
-    next = Lemma1.next sys;
+    next =
+      (fun n f -> List.iter (fun (s, n') -> f s n') (Lemma1.next sys n));
     restrict = (fun _ -> true);
     found =
       (fun n ->
@@ -447,12 +468,13 @@ let safe ?max_states sys =
   | Some cex -> Error cex
 
 let has_schedule sys target =
-  let sub st = Array.for_all2 (fun a b -> Bitset.subset a b) st target in
-  match
-    bfs sys ~restrict:sub ~found:(fun st -> State.equal st target)
-  with
-  | Some (steps, _) -> Some steps
-  | None -> None
+  let lay = Packed.layout sys in
+  let goal = Packed.encode lay target in
+  let sub p = Array.for_all2 (fun a b -> a land lnot b = 0) p goal in
+  Option.map fst
+    (fst
+       (run ~name:"explore.bfs" ~max_states:default_cap ~restrict:sub
+          ~symmetry:false ~por:false lay ~found:(Packed.equal goal)))
 
 let complete_schedules sys =
   let rec go st rev_steps () =

@@ -6,7 +6,14 @@ open Ddlock_model
     paper's polynomial algorithms are validated.  A state is a vector of
     transaction prefixes; transitions execute enabled steps
     ({!State.enabled}).  Every reachable state corresponds to at least one
-    partial schedule and vice versa. *)
+    partial schedule and vice versa.
+
+    The searches store and expand packed states ({!Packed}); the
+    {!State.t} values they take and return — witnesses, [states],
+    [schedule_to]/[is_reachable] arguments, and the states a caller's
+    [restrict]/[found] predicate sees — are decoded or encoded at this
+    edge.  The deadlock searches test {!Packed.is_deadlock} on the
+    packed nodes and decode only the witness. *)
 
 exception Too_large of int
 (** Raised when exploration would exceed the [max_states] cap.  The cap
@@ -75,15 +82,16 @@ val active_canon : symmetry:bool -> System.t -> Canon.t option
 (** {1 Search instances}
 
     Both engines search a graph given by an [ops] record: nodes are
-    deduplicated by [hash] + [equal] (no string keys), successors come
-    from [next] in the canonical ({!State.enabled}) order.  Exposed so
+    deduplicated by [hash] + [equal] (no string keys); [next n f]
+    applies [f] to each successor of [n] with the step that reaches it,
+    in the canonical ({!State.enabled}) order.  Exposed so
     the parallel engine ({!Ddlock_par.Par_explore}) explores exactly the
     graphs the sequential searches do. *)
 
 type 'n ops = {
   hash : 'n -> int;  (** compatible with [equal] *)
   equal : 'n -> 'n -> bool;
-  next : 'n -> (Step.t * 'n) list;
+  next : 'n -> (Step.t -> 'n -> unit) -> unit;
   restrict : 'n -> bool;  (** successors failing it are not stored *)
   found : 'n -> bool;  (** the goal *)
   moved : parent:'n -> Step.t -> 'n -> bool;
@@ -91,17 +99,19 @@ type 'n ops = {
           canonicalization); evaluated only while telemetry is on *)
 }
 
-(** The state graph: orbit representatives when a canonicalizer is
-    given (see {!active_canon}). *)
+(** The state graph over packed states ({!Packed}): orbit
+    representatives when a canonicalizer is given (see
+    {!active_canon}).  Every state table interns these words; {!State.t}
+    is only the view this module's functions take and return. *)
 val state_ops :
   Canon.t option ->
-  System.t ->
-  restrict:(State.t -> bool) ->
-  found:(State.t -> bool) ->
-  State.t ops
+  Packed.layout ->
+  restrict:(Packed.t -> bool) ->
+  found:(Packed.t -> bool) ->
+  Packed.t ops
 
 (** The initial state, normalized under the canonicalizer if any. *)
-val initial_node : Canon.t option -> System.t -> State.t
+val initial_node : Canon.t option -> Packed.layout -> Packed.t
 
 (** {1 Goal-directed search} *)
 

@@ -2,7 +2,15 @@ open Ddlock_graph
 open Ddlock_model
 
 (** Execution states: one prefix (downward-closed node set) per
-    transaction — the "prefix A′ of A" of §3. *)
+    transaction — the "prefix A′ of A" of §3.
+
+    [t] is the API view of a state: searches store and expand packed
+    words ({!Packed}) and build a [t] only at their edges (witnesses,
+    enumerated states, caller predicates).  The functions here are the
+    reference definitions that {!Packed} is tested against, and serve
+    the cold callers: narration, the partial-order reduction's
+    persistent sets, symmetry canonicalization, random runs and
+    schedule replay. *)
 
 type t = Bitset.t array
 
@@ -12,8 +20,8 @@ val copy : t -> t
 val equal : t -> t -> bool
 
 (** Structural hash, compatible with {!equal}: equal states hash
-    equally.  Both exploration engines deduplicate states with it
-    through {!Intern} tables. *)
+    equally.  The Lemma-1 search's extended states hash their prefix
+    vector with it. *)
 val hash : t -> int
 
 (** [is_valid sys st] iff every component is a prefix of its transaction. *)

@@ -390,6 +390,36 @@ let test_golden_analysis_digest () =
   check Alcotest.string "analysis digest" golden_analysis_digest
     (analysis_digest ())
 
+(* The same digest over systems of two and three words per packed
+   search state ({!Ddlock_schedule.Packed}): guard-ring copies,
+   philosophers 16 and 32, and zipf systems of 64–80 nodes, every search
+   capped at 3,000 states so that give-ups are covered too.  Recorded
+   before the searches moved to packed states. *)
+let golden_wide_digest = "48fd1065228af4b0967ebc845e85e26e"
+
+let golden_wide_pool () =
+  let module G = Workload.Gentx in
+  let ring k c = System.copies (G.guard_ring k) c in
+  [ ring 4 8; ring 5 7; G.dining_philosophers 16; G.dining_philosophers 32 ]
+  @ List.init 8 (fun i ->
+        let rng = Fixtures.rng (900 + i) in
+        G.zipf_system ~entities_per_txn:8 rng ~sites:4 ~entities:12
+          ~txns:(4 + (i mod 2)) ~theta:0.8)
+
+let test_golden_wide_digest () =
+  let b = Buffer.create (1 lsl 16) in
+  let add (text, status, _) = Printf.bprintf b "%s%d\n" text status in
+  let pool = golden_wide_pool () and max_states = 3_000 in
+  List.iter (fun sys -> add (Analysis.render_full ~max_states sys)) pool;
+  List.iter
+    (fun sys -> add (Analysis.render_full ~max_states ~symmetry:true sys))
+    pool;
+  List.iter
+    (fun sys -> add (Analysis.render_full ~max_states ~por:true sys))
+    pool;
+  check Alcotest.string "wide analysis digest" golden_wide_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -407,6 +437,8 @@ let suite =
     Alcotest.test_case "analysis gave up" `Quick test_analysis_gave_up;
     Alcotest.test_case "golden analysis digest" `Quick
       test_golden_analysis_digest;
+    Alcotest.test_case "golden wide analysis digest" `Quick
+      test_golden_wide_digest;
     Alcotest.test_case "analysis polynomial shortcut" `Quick
       test_analysis_polynomial_shortcut;
     Alcotest.test_case "dot outputs" `Quick test_dot_outputs;

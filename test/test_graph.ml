@@ -201,7 +201,11 @@ let reduction_preserves_closure_prop =
       let g = Digraph.create n es in
       let r = Closure.reduction g in
       let cg = Closure.closure g and cr = Closure.closure r in
-      let ok = ref (Digraph.edge_count r <= Digraph.edge_count g) in
+      let ok =
+        ref
+          (Digraph.edge_count r <= Digraph.edge_count g
+          && Digraph.edges (Closure.reduction ~closure:cg g) = Digraph.edges r)
+      in
       for i = 0 to n - 1 do
         for j = 0 to n - 1 do
           if Closure.reaches cg i j <> Closure.reaches cr i j then ok := false

@@ -464,6 +464,201 @@ let enabled_order_prop =
   kernel_prop "enabled = reference order" (fun sys st ->
       State.enabled sys st = ref_enabled sys st)
 
+(* ------------------------------------------------------------------ *)
+(* Packed kernel against the State reference                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Systems of one to three words per packed state: the small random
+   systems, eight copies of the 4-guard ring and 16 philosophers (64
+   nodes, two words each), and zipf systems of 64–80 nodes whose
+   transactions straddle word boundaries. *)
+let packed_system rng =
+  let module G = Ddlock_workload.Gentx in
+  match Random.State.int rng 5 with
+  | 0 -> System.copies (G.guard_ring 4) 8
+  | 1 -> G.dining_philosophers 16
+  | 2 ->
+      G.zipf_system ~entities_per_txn:8 rng ~sites:4 ~entities:12
+        ~txns:(4 + Random.State.int rng 2) ~theta:0.8
+  | 3 -> G.dining_philosophers 32
+  | _ -> Fixtures.small_random_system rng ~txns:(2 + Random.State.int rng 3)
+
+(* A random walk of random length from the initial state, through the
+   State reference. *)
+let walk rng sys =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let rec go st k =
+    match State.enabled sys st with
+    | [] -> st
+    | _ when k = 0 -> st
+    | en -> go (State.apply st (pick en)) (k - 1)
+  in
+  go (State.initial sys) (Random.State.int rng (System.total_nodes sys + 1))
+
+let packed_prop name f =
+  QCheck.Test.make ~name ~count:200 QCheck.(int_bound 10_000_000) (fun seed ->
+      let rng = Fixtures.rng seed in
+      let sys = packed_system rng in
+      let lay = Packed.layout sys in
+      f rng sys lay (walk rng sys))
+
+let packed_roundtrip_prop =
+  packed_prop "packed: decode (encode st) = st" (fun _ sys lay st ->
+      Packed.words lay = (System.total_nodes sys + 61) / 62
+      && State.equal (Packed.decode lay (Packed.encode lay st)) st
+      && Packed.equal
+           (Packed.encode lay (State.initial sys))
+           (Packed.initial lay))
+
+let packed_enabled_prop =
+  packed_prop "packed: enabled and is_deadlock = State's" (fun _ sys lay st ->
+      let p = Packed.encode lay st in
+      Packed.enabled lay p = State.enabled sys st
+      && Packed.is_deadlock lay p = State.is_deadlock sys st)
+
+let packed_apply_prop =
+  packed_prop "packed: decode (apply p s) = State.apply st s" (fun _ sys lay st ->
+      let p = Packed.encode lay st in
+      let before = Array.copy p in
+      List.for_all
+        (fun s ->
+          State.equal
+            (Packed.decode lay (Packed.apply lay p s))
+            (State.apply st s)
+          && Packed.equal p before)
+        (State.enabled sys st))
+
+let packed_equal_hash_prop =
+  packed_prop "packed: equal ⇔ State.equal, and equal ⇒ same hash"
+    (fun rng sys lay st ->
+      let st' = walk rng sys in
+      let p = Packed.encode lay st and q = Packed.encode lay st' in
+      let p' = Packed.encode lay (State.copy st) in
+      Packed.equal p p'
+      && Packed.hash p = Packed.hash p'
+      && Packed.equal p q = State.equal st st'
+      && ((not (Packed.equal p q)) || Packed.hash p = Packed.hash q))
+
+(* Systems with interchangeable transactions, up to 62 nodes per row
+   (sorted on the words) and beyond (through the decoded state). *)
+let packed_canon_prop =
+  QCheck.Test.make
+    ~name:"packed: normalize_packed = encode ∘ normalize ∘ decode"
+    ~count:200 QCheck.(int_bound 10_000_000) (fun seed ->
+      let module G = Ddlock_workload.Gentx in
+      let rng = Fixtures.rng seed in
+      let sys =
+        match Random.State.int rng 5 with
+        | 0 -> System.copies (G.guard_ring 4) 8
+        | 1 -> System.copies (G.guard_ring 31) 3
+        | 2 -> System.copies (G.guard_ring 32) 2
+        | 3 -> System.copies (G.guard_ring (2 + Random.State.int rng 12)) 5
+        | _ ->
+            G.random_copies_system rng
+              ~copies:(2 + Random.State.int rng 3)
+              ~extra:true
+      in
+      let lay = Packed.layout sys and c = Canon.detect sys in
+      let st = walk rng sys in
+      State.equal
+        (Packed.decode lay (Canon.normalize_packed c lay (Packed.encode lay st)))
+        (fst (Canon.normalize c st)))
+
+(* [Intern] takes its slot from the low bits of the hash, so states that
+   differ only in high bits must still spread over the buckets.  1,024
+   such states thrown uniformly at 1,024 buckets fill about 647. *)
+let test_packed_hash_spread () =
+  let buckets states =
+    let seen = Hashtbl.create 1024 in
+    List.iter (fun p -> Hashtbl.replace seen (Packed.hash p land 1023) ()) states;
+    Hashtbl.length seen
+  in
+  let family name f =
+    let n = buckets (List.init 1024 (fun k -> f (k + 1))) in
+    if n < 550 then Alcotest.failf "%s: only %d of 1024 buckets" name n
+  in
+  family "one word, bits 21+" (fun k -> [| k lsl 21 |]);
+  family "two words, bits 40+" (fun k -> [| k lsl 40; 0 |]);
+  family "two words, second word" (fun k -> [| 0; k |]);
+  family "three words, third word" (fun k -> [| 1 lsl 21; 0; k lsl 30 |])
+
+(* Recorded before the searches moved to packed states: for each system,
+   [explore.states_visited] after [explore] (plain, ~symmetry, ~por) and
+   [find_deadlock] (plain, ~symmetry, ~por), all capped at 4,000 states
+   (a search that exceeds the cap counts the 4,000 it held). *)
+let visited_pool () =
+  let module G = Ddlock_workload.Gentx in
+  let ring k c = System.copies (G.guard_ring k) c in
+  [ Fixtures.fig2 (); ring 3 2; ring 3 3; ring 4 8; ring 5 4 ]
+  @ List.map G.dining_philosophers [ 3; 4; 5; 8 ]
+  @ List.init 12 (fun i ->
+        let rng = Fixtures.rng (700 + i) in
+        if i mod 2 = 0 then G.small_random_system rng ~txns:4
+        else
+          G.zipf_system ~entities_per_txn:8 rng ~sites:4 ~entities:12 ~txns:4
+            ~theta:0.8)
+
+let visited_expected =
+  [
+    (826, 414, 108, 88, 41, 104); (158, 80, 66, 158, 80, 66);
+    (854, 161, 412, 46, 11, 63); (4000, 4000, 4000, 2596, 42, 3134);
+    (4000, 4000, 4000, 2645, 193, 2902); (75, 75, 58, 14, 14, 27);
+    (321, 321, 148, 40, 40, 70); (1363, 1363, 326, 121, 121, 186);
+    (4000, 4000, 2323, 4000, 4000, 4508); (468, 468, 155, 468, 468, 155);
+    (4000, 4000, 4000, 4000, 4000, 4922); (305, 305, 180, 305, 305, 180);
+    (4000, 4000, 4000, 3690, 3690, 3849); (400, 400, 47, 400, 400, 47);
+    (4000, 4000, 4000, 4000, 4000, 5149); (108, 108, 88, 10, 10, 20);
+    (4000, 4000, 2193, 906, 906, 945); (218, 218, 180, 218, 218, 180);
+    (4000, 4000, 2121, 461, 461, 550); (1024, 1024, 70, 1024, 1024, 70);
+    (4000, 4000, 4000, 1277, 1277, 1481);
+  ]
+
+let test_states_visited_unchanged () =
+  let visited f =
+    Ddlock_obs.Metrics.reset ();
+    (try ignore (f ()) with Explore.Too_large _ -> ());
+    Ddlock_obs.Metrics.counter_value "explore.states_visited"
+  in
+  let max_states = 4_000 in
+  Ddlock_obs.Control.on ();
+  let got =
+    Fun.protect ~finally:Ddlock_obs.Control.off @@ fun () ->
+    List.map
+      (fun sys ->
+        ( visited (fun () -> Explore.explore ~max_states sys),
+          visited (fun () -> Explore.explore ~max_states ~symmetry:true sys),
+          visited (fun () -> Explore.explore ~max_states ~por:true sys),
+          visited (fun () -> Explore.find_deadlock ~max_states sys),
+          visited (fun () ->
+              Explore.find_deadlock ~max_states ~symmetry:true sys),
+          visited (fun () -> Explore.find_deadlock ~max_states ~por:true sys) ))
+      (visited_pool ())
+  in
+  Ddlock_obs.Metrics.reset ();
+  List.iteri
+    (fun i (e, g) ->
+      if e <> g then Alcotest.failf "system %d: states_visited changed" i)
+    (List.combine visited_expected got)
+
+(* A give-up on a multi-word system raises [Too_large] with the budget,
+   under every flag. *)
+let test_too_large_multiword () =
+  let module G = Ddlock_workload.Gentx in
+  List.iter
+    (fun (sys, cap) ->
+      List.iter
+        (fun (symmetry, por) ->
+          match Explore.find_deadlock ~max_states:cap ~symmetry ~por sys with
+          | exception Explore.Too_large n -> check int_t "held at raise" cap n
+          | _ -> Alcotest.fail "expected Too_large")
+        [ (false, false); (true, false); (false, true) ])
+    [
+      (G.dining_philosophers 16, 2_500);
+      (G.dining_philosophers 32, 700);
+      (G.dining_philosophers 16, 1);
+      (G.dining_philosophers 16, 0);
+    ]
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -474,6 +669,11 @@ let qtests =
       minimal_remaining_prop;
       apply_pure_prop;
       enabled_order_prop;
+      packed_roundtrip_prop;
+      packed_enabled_prop;
+      packed_apply_prop;
+      packed_equal_hash_prop;
+      packed_canon_prop;
     ]
 
 let suite =
@@ -502,5 +702,10 @@ let suite =
     Alcotest.test_case "narrate deadlock" `Quick test_narrate;
     Alcotest.test_case "narrate complete" `Quick test_narrate_complete;
     Alcotest.test_case "sched text errors" `Quick test_sched_text_errors;
+    Alcotest.test_case "packed hash spread" `Quick test_packed_hash_spread;
+    Alcotest.test_case "states_visited unchanged" `Quick
+      test_states_visited_unchanged;
+    Alcotest.test_case "Too_large on multi-word systems" `Quick
+      test_too_large_multiword;
   ]
   @ qtests
