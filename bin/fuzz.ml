@@ -23,7 +23,10 @@
      Theorem-4-vs-exhaustive cross-check and the chaos invariants under
      wound-wait and the probabilistic scheme every round;
    - rw invariants: exclusive-abstraction deadlock-freedom implies rw
-     deadlock-freedom (2 transactions);
+     deadlock-freedom (2 transactions), and the all-Write version of
+     the rw system runs exactly like its exclusive abstraction (trace,
+     outcome, deadlock time and arcs, makespan; with and without a
+     random fault plan);
    - with [--jobs n], n > 1: the work-stealing engine
      (Par.Par_explore on 2..n domains) vs the sequential explorer —
      identical find_deadlock results (the witness of a positive verdict
@@ -390,6 +393,45 @@ let () =
       Sched.Explore.deadlock_free (Rw.Rw_system.to_exclusive rwsys)
       && not (Rw.Rw_system.deadlock_free rwsys)
     then report "rw abstraction soundness" round;
+    (* The all-Write version of [rwsys] runs exactly like its exclusive
+       abstraction, with and without faults: one event loop serves both,
+       with shared locks and without. *)
+    let all_write t =
+      Rw.Rw_txn.make_exn rwdb
+        (Array.init (Rw.Rw_txn.node_count t) (fun i ->
+             match Rw.Rw_txn.node t i with
+             | { Rw.Rw_txn.op = Rw.Rw_txn.Lock _; entity } ->
+                 { Rw.Rw_txn.entity; op = Rw.Rw_txn.Lock Rw.Rw_txn.Write }
+             | nd -> nd))
+        (Graph.Digraph.edges (Rw.Rw_txn.arcs t))
+    in
+    let wsys =
+      Rw.Rw_system.create
+        (List.map all_write (Array.to_list (Rw.Rw_system.txns rwsys)))
+    in
+    let faulty = Sim.Faults.random st rwdb ~intensity:0.8 ~horizon:40.0 in
+    List.iter
+      (fun faults ->
+        let a = Rw.Rw_runtime.run ~faults (Random.State.copy st) wsys
+        and x =
+          Sim.Runtime.run ~faults (Random.State.copy st)
+            (Rw.Rw_system.to_exclusive wsys)
+        in
+        let same_outcome =
+          match (a.Rw.Rw_runtime.outcome, x.Sim.Runtime.outcome) with
+          | ( Rw.Rw_runtime.Finished { makespan = m },
+              Sim.Runtime.Finished { makespan } ) ->
+              m = makespan
+          | ( Rw.Rw_runtime.Deadlock { time = t; waits_for = w },
+              Sim.Runtime.Deadlock { time; waits_for; _ } ) ->
+              t = time && w = waits_for
+          | _ -> false
+        in
+        if
+          a.Rw.Rw_runtime.trace <> Sim.Runtime.schedule_of_run x
+          || not same_outcome
+        then report "rw all-Write runtime = exclusive runtime" round)
+      [ Sim.Faults.none; faulty ];
     if round mod 100 = 0 then
       Format.printf "round %d/%d: %d disagreements [%s]@." round !rounds
         !failures (timer_summary ())

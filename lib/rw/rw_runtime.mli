@@ -6,19 +6,32 @@ open Ddlock_model
     Write request waits for every current reader to release.
 
     Requests are FIFO per entity with one refinement: a Read request is
-    granted immediately when the entity is in read mode {e and} no Write
-    request is already queued (avoiding writer starvation). *)
+    granted immediately when the entity is in read mode {e and} no
+    request is already queued (avoiding writer starvation); a release
+    grants a Write at the head of the queue, or the run of Reads there,
+    together.
+
+    This is the simulator's one event loop ({!Ddlock_sim.Recovery}) with
+    no scheme, run on the exclusive abstraction
+    ({!Rw_system.to_exclusive}) with the Read locks shared, exactly as
+    {!Ddlock_sim.Runtime.run} runs it with every lock exclusive: on an
+    all-Write system the two give the same runs. *)
 
 type outcome =
-  | Finished of { makespan : float }
-  | Deadlock of { time : float; waits_for : (int * Db.entity * int) list }
+  | Finished of { makespan : float }  (** the time of the last completion *)
+  | Deadlock of {
+      time : float;  (** the time of the last event processed *)
+      waits_for : (int * Db.entity * int) list;
+          (** (blocked txn, entity, holder) arcs, by entity and then queue
+              order; a waiter behind several readers has one arc to each *)
+    }
 
 type run = { outcome : outcome; trace : Rw_system.step list }
 
 (** [run ?config ?faults rng sys] — [faults] injects message loss with
     retransmission, duplicated lock requests (deduplicated at the
     manager), and crash/stall unavailability windows, exactly as in
-    {!Ddlock_sim.Runtime}: both send through {!Ddlock_sim.Net}. *)
+    {!Ddlock_sim.Runtime}: it is the same loop. *)
 val run :
   ?config:Ddlock_sim.Runtime.config ->
   ?faults:Ddlock_sim.Faults.plan ->
@@ -26,7 +39,7 @@ val run :
   Rw_system.t ->
   run
 
-type batch_stats = {
+type batch_stats = Ddlock_sim.Runtime.batch_stats = {
   runs : int;
   deadlocks : int;
   non_serializable : int;

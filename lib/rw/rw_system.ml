@@ -1,5 +1,6 @@
 open Ddlock_graph
 open Ddlock_model
+open Ddlock_schedule
 
 type t = { db : Db.t; txns : Rw_txn.t array }
 
@@ -22,21 +23,17 @@ let db t = t.db
 let to_exclusive t =
   System.create (List.map Rw_txn.to_exclusive (Array.to_list t.txns))
 
-type step = { txn : int; node : int }
+type step = Step.t = { txn : int; node : int }
 
 let step_to_string sys s =
   Printf.sprintf "%s^%d"
     (Rw_txn.node_to_string sys.db (Rw_txn.node sys.txns.(s.txn) s.node))
     (s.txn + 1)
 
-type state = Bitset.t array
+type state = State.t
 
 let initial sys = Array.map Rw_txn.empty_prefix sys.txns
-
-let apply st (s : step) =
-  let st' = Array.map Bitset.copy st in
-  Bitset.set st'.(s.txn) s.node;
-  st'
+let apply = State.apply
 
 let holders sys st e =
   let hs = ref [] and mode = ref None in
@@ -52,14 +49,11 @@ let holders sys st e =
     sys.txns;
   (List.rev !hs, !mode)
 
+(* [i] may lock [e] when no one else holds it, or when [i] and the
+   others all read it. *)
 let lock_compatible sys st i e =
-  let hs, mode = holders sys st e in
-  let others = List.filter (fun j -> j <> i) hs in
-  match (others, mode) with
-  | [], _ -> true
-  | _ :: _, Some Rw_txn.Read -> Rw_txn.mode_of sys.txns.(i) e = Rw_txn.Read
-  | _ :: _, Some Rw_txn.Write -> false
-  | _ :: _, None -> assert false
+  let reads j = Rw_txn.mode_of sys.txns.(j) e = Rw_txn.Read in
+  List.for_all (fun j -> j = i || (reads i && reads j)) (fst (holders sys st e))
 
 let enabled sys st =
   let steps = ref [] in
@@ -68,84 +62,38 @@ let enabled sys st =
     List.iter
       (fun v ->
         let nd = Rw_txn.node tx v in
-        let ok =
-          match nd.Rw_txn.op with
-          | Rw_txn.Unlock -> true
-          | Rw_txn.Lock _ -> lock_compatible sys st i nd.Rw_txn.entity
-        in
-        if ok then steps := { txn = i; node = v } :: !steps)
+        if
+          nd.Rw_txn.op = Rw_txn.Unlock
+          || lock_compatible sys st i nd.Rw_txn.entity
+        then steps := { txn = i; node = v } :: !steps)
       (Rw_txn.minimal_remaining tx st.(i))
   done;
   !steps
 
-let finished sys st i =
-  Bitset.cardinal st.(i) = Rw_txn.node_count sys.txns.(i)
-
 let all_finished sys st =
-  let rec go i = i >= size sys || (finished sys st i && go (i + 1)) in
-  go 0
+  Array.for_all2
+    (fun p tx -> Bitset.cardinal p = Rw_txn.node_count tx)
+    st sys.txns
 
-let is_deadlock sys st =
-  let some_unfinished = ref false and ok = ref true in
-  Array.iteri
-    (fun i tx ->
-      if not (finished sys st i) then begin
-        some_unfinished := true;
-        List.iter
-          (fun v ->
-            let nd = Rw_txn.node tx v in
-            match nd.Rw_txn.op with
-            | Rw_txn.Unlock -> ok := false
-            | Rw_txn.Lock _ ->
-                if lock_compatible sys st i nd.Rw_txn.entity then ok := false)
-          (Rw_txn.minimal_remaining tx st.(i))
-      end)
-    sys.txns;
-  !some_unfinished && !ok
+(* Finished transactions have no minimal remaining node, so a state is a
+   deadlock exactly when someone is unfinished and nothing can run. *)
+let is_deadlock sys st = (not (all_finished sys st)) && enabled sys st = []
 
-exception Too_large of int
+exception Too_large = Explore.Too_large
 
-(* Visited sets are keyed by the states themselves (prefix vectors, as
-   in the exclusive explorer): structural equality and a hash compatible
-   with it, no string keys. *)
-module State = Ddlock_schedule.State
-module Visited = Hashtbl.Make (State)
-
-let bfs ?(max_states = 2_000_000) sys ~found =
-  let table = Visited.create 1024 in
-  let q = Queue.create () in
-  let init = initial sys in
-  Visited.replace table init ();
-  Queue.push (init, []) q;
-  let result = ref None in
-  (try
-     if found init then begin
-       result := Some ([], init);
-       raise Exit
-     end;
-     while not (Queue.is_empty q) do
-       let st, rev = Queue.pop q in
-       List.iter
-         (fun s ->
-           let st' = apply st s in
-           if not (Visited.mem table st') then begin
-             if Visited.length table >= max_states then
-               raise (Too_large (Visited.length table));
-             Visited.replace table st' ();
-             let rev' = s :: rev in
-             if found st' then begin
-               result := Some (List.rev rev', st');
-               raise Exit
-             end;
-             Queue.push (st', rev') q
-           end)
-         (enabled sys st)
-     done
-   with Exit -> ());
-  !result
+(* The deciders are searches by the shared BFS; their [next] follows
+   [enabled] order. *)
+let search ?max_states ~name ~hash ~equal ~next ~found init =
+  let restrict _ = true and moved ~parent:_ _ _ = false in
+  Explore.search ?max_states ~name
+    { Explore.hash; equal; next; restrict; found; moved }
+    init
 
 let find_deadlock ?max_states sys =
-  bfs ?max_states sys ~found:(fun st -> is_deadlock sys st)
+  search ?max_states ~name:"rw.find_deadlock" ~hash:State.hash
+    ~equal:State.equal
+    ~next:(fun st f -> List.iter (fun s -> f s (apply st s)) (enabled sys st))
+    ~found:(is_deadlock sys) (initial sys)
 
 let deadlock_free ?max_states sys = find_deadlock ?max_states sys = None
 
@@ -193,70 +141,48 @@ module Edge_set = Set.Make (struct
   let compare = compare
 end)
 
+let conflict_arcs sys st es (s : step) =
+  let nd = Rw_txn.node sys.txns.(s.txn) s.node in
+  match nd.Rw_txn.op with
+  | Rw_txn.Unlock -> es
+  | Rw_txn.Lock _ ->
+      let e = nd.Rw_txn.entity in
+      let acc = ref es in
+      for k = 0 to size sys - 1 do
+        if
+          k <> s.txn
+          && Rw_txn.accesses sys.txns.(k) e
+          && conflicting sys s.txn k e
+          && not (Bitset.mem st.(k) (Rw_txn.lock_node_exn sys.txns.(k) e))
+        then acc := Edge_set.add (s.txn, k) !acc
+      done;
+      !acc
+
 (* The hash folds over the arcs in order: the balanced tree's shape
    depends on insertion order, so hashing the set itself would not be
    compatible with [Edge_set.equal]. *)
-module Visited_arcs = Hashtbl.Make (struct
-  type t = Bitset.t array * Edge_set.t
-
-  let equal (a, x) (b, y) = State.equal a b && Edge_set.equal x y
-
-  let hash (st, es) =
-    Edge_set.fold (fun (a, b) h -> (((h * 31) + a) * 31) + b) es (State.hash st)
-    land max_int
-end)
-
-let safe ?(max_states = 2_000_000) sys =
-  let table = Visited_arcs.create 1024 in
-  let q = Queue.create () in
-  let init = initial sys in
-  Visited_arcs.replace table (init, Edge_set.empty) ();
-  Queue.push (init, Edge_set.empty, []) q;
-  let result = ref (Ok ()) in
-  (try
-     while not (Queue.is_empty q) do
-       let st, es, rev = Queue.pop q in
-       List.iter
-         (fun (s : step) ->
-           let nd = Rw_txn.node sys.txns.(s.txn) s.node in
-           let es' =
-             match nd.Rw_txn.op with
-             | Rw_txn.Unlock -> es
-             | Rw_txn.Lock _ ->
-                 let e = nd.Rw_txn.entity in
-                 let acc = ref es in
-                 for k = 0 to size sys - 1 do
-                   if
-                     k <> s.txn
-                     && Rw_txn.accesses sys.txns.(k) e
-                     && conflicting sys s.txn k e
-                     && not
-                          (Bitset.mem st.(k) (Rw_txn.lock_node_exn sys.txns.(k) e))
-                   then acc := Edge_set.add (s.txn, k) !acc
-                 done;
-                 !acc
-           in
-           let st' = apply st s in
-           if not (Visited_arcs.mem table (st', es')) then begin
-             if Visited_arcs.length table >= max_states then
-               raise (Too_large (Visited_arcs.length table));
-             Visited_arcs.replace table (st', es') ();
-             let rev' = s :: rev in
-             if
-               all_finished sys st'
-               && not
-                    (Topo.is_acyclic
-                       (Digraph.create (size sys) (Edge_set.elements es')))
-             then begin
-               result := Error (List.rev rev');
-               raise Exit
-             end;
-             Queue.push (st', es', rev') q
-           end)
-         (enabled sys st)
-     done
-   with Exit -> ());
-  !result
+let safe ?max_states sys =
+  match
+    search ?max_states ~name:"rw.safe"
+      ~hash:(fun (st, es) ->
+        Edge_set.fold
+          (fun (a, b) h -> (((h * 31) + a) * 31) + b)
+          es (State.hash st)
+        land max_int)
+      ~equal:(fun (a, x) (b, y) -> State.equal a b && Edge_set.equal x y)
+      ~next:(fun (st, es) f ->
+        List.iter
+          (fun s -> f s (apply st s, conflict_arcs sys st es s))
+          (enabled sys st))
+      ~found:(fun (st, es) ->
+        all_finished sys st
+        && not
+             (Topo.is_acyclic
+                (Digraph.create (size sys) (Edge_set.elements es))))
+      (initial sys, Edge_set.empty)
+  with
+  | None -> Ok ()
+  | Some (steps, _) -> Error steps
 
 type run = Completed of step list | Deadlocked of step list
 

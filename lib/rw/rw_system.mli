@@ -2,7 +2,10 @@ open Ddlock_graph
 open Ddlock_model
 
 (** Systems of shared/exclusive transactions, their schedules and the
-    exhaustive deciders (states, deadlock, conflict-serializability). *)
+    exhaustive deciders (states, deadlock, conflict-serializability).
+
+    Steps and states are the exclusive model's ({!Ddlock_schedule.Step},
+    {!Ddlock_schedule.State}); only which steps are enabled differs. *)
 
 type t
 
@@ -17,13 +20,16 @@ val to_exclusive : t -> System.t
 
 (** {1 States and steps} *)
 
-type step = { txn : int; node : int }
+type step = Ddlock_schedule.Step.t = { txn : int; node : int }
 
 val step_to_string : t -> step -> string
 
-type state = Bitset.t array
+type state = Ddlock_schedule.State.t
 
 val initial : t -> state
+
+(** {!Ddlock_schedule.State.apply}: only the stepped transaction's row
+    is copied, the others are shared. *)
 val apply : state -> step -> state
 
 (** Transactions currently holding [e], with the holding mode (all
@@ -31,7 +37,9 @@ val apply : state -> step -> state
 val holders : t -> state -> Db.entity -> int list * Rw_txn.mode option
 
 (** Enabled steps: minimal remaining nodes whose Lock (if any) is
-    compatible — Read needs no Write holder, Write needs no holder. *)
+    compatible — Read needs no Write holder, Write needs no holder.  In
+    {!Ddlock_schedule.State.enabled}'s order: by transaction ascending,
+    then node id descending. *)
 val enabled : t -> state -> step list
 
 val all_finished : t -> state -> bool
@@ -40,11 +48,22 @@ val all_finished : t -> state -> bool
     minimal remaining nodes are all incompatible Locks. *)
 val is_deadlock : t -> state -> bool
 
-(** {1 Exhaustive analysis} *)
+(** {1 Exhaustive analysis}
 
+    Both deciders are breadth-first searches by
+    {!Ddlock_schedule.Explore.search}, so they share its exact
+    [max_states] cap (default {!Ddlock_schedule.Explore.default_cap},
+    the initial state included), its {!Ddlock_obs.Cancel} poll and its
+    ["explore.searches"] and ["explore.states_visited"] counters.
+    Successors are taken in {!enabled} order. *)
+
+(** {!Ddlock_schedule.Explore.Too_large}: the search would hold more
+    than [max_states] states. *)
 exception Too_large of int
 
-(** Reachable deadlock state with a witness step sequence. *)
+(** Reachable deadlock state with a witness step sequence: the first
+    deadlock state in BFS order, the steps of a shortest schedule to
+    it. *)
 val find_deadlock : ?max_states:int -> t -> (step list * state) option
 
 val deadlock_free : ?max_states:int -> t -> bool

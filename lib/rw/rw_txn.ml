@@ -1,4 +1,3 @@
-open Ddlock_graph
 open Ddlock_model
 
 type mode = Read | Write
@@ -28,75 +27,55 @@ let pp_error db ppf = function
   | Site_unordered (u, v) ->
       Format.fprintf ppf "same-site nodes %d and %d are incomparable" u v
 
+(* The exclusive transaction carries the partial order, its closure and
+   the lock/unlock lookups; the modes are all this module adds. *)
 type t = {
-  db : Db.t;
+  exclusive : Transaction.t;
   labels : node array;
-  arcs : Digraph.t;
-  closure : Closure.t;
-  lock_of : int array;
-  unlock_of : int array;
   mode_of : mode array; (* per entity; meaningful when accessed *)
-  entity_set : Bitset.t;
 }
 
+(* [Transaction.make]'s errors, in this module's terms: entity errors in
+   entity order, then the rest.  A duplicated or missing Lock or Unlock
+   is one [Bad_entity_ops]; [Transaction.make] reports it before the
+   entity's [Unlock_before_lock], which it then stands for. *)
+let of_errors ne es =
+  let entity_error = Array.make ne None in
+  let rest =
+    List.filter_map
+      (function
+        | Transaction.Cyclic _ -> Some Cyclic
+        | Duplicate_op (e, _) | Missing_lock e | Missing_unlock e ->
+            entity_error.(e) <- Some (Bad_entity_ops e);
+            None
+        | Unlock_before_lock e ->
+            if entity_error.(e) = None then
+              entity_error.(e) <- Some (Unlock_before_lock e);
+            None
+        | Site_unordered (u, v) -> Some (Site_unordered (u, v)))
+      es
+  in
+  List.filter_map Fun.id (Array.to_list entity_error) @ rest
+
 let make db labels arc_list =
-  let n = Array.length labels in
   let ne = Db.entity_count db in
-  let arcs = Digraph.create n arc_list in
-  if not (Topo.is_acyclic arcs) then Error [ Cyclic ]
-  else begin
-    let closure = Closure.closure arcs in
-    let errors = ref [] in
-    let lock_of = Array.make ne (-1)
-    and unlock_of = Array.make ne (-1)
-    and modes = Array.make ne Read
-    and lock_count = Array.make ne 0
-    and unlock_count = Array.make ne 0 in
-    Array.iteri
-      (fun i nd ->
+  let exclusive =
+    Array.map
+      (fun nd ->
         match nd.op with
-        | Lock m ->
-            lock_of.(nd.entity) <- i;
-            modes.(nd.entity) <- m;
-            lock_count.(nd.entity) <- lock_count.(nd.entity) + 1
-        | Unlock ->
-            unlock_of.(nd.entity) <- i;
-            unlock_count.(nd.entity) <- unlock_count.(nd.entity) + 1)
-      labels;
-    let entity_set = Bitset.create ne in
-    for e = 0 to ne - 1 do
-      match (lock_count.(e), unlock_count.(e)) with
-      | 0, 0 -> ()
-      | 1, 1 ->
-          Bitset.set entity_set e;
-          if not (Bitset.mem closure.(lock_of.(e)) unlock_of.(e)) then
-            errors := Unlock_before_lock e :: !errors
-      | _ -> errors := Bad_entity_ops e :: !errors
-    done;
-    for u = 0 to n - 1 do
-      for v = u + 1 to n - 1 do
-        if
-          Db.same_site db labels.(u).entity labels.(v).entity
-          && (not (Bitset.mem closure.(u) v))
-          && not (Bitset.mem closure.(v) u)
-        then errors := Site_unordered (u, v) :: !errors
-      done
-    done;
-    match !errors with
-    | [] ->
-        Ok
-          {
-            db;
-            labels;
-            arcs;
-            closure;
-            lock_of;
-            unlock_of;
-            mode_of = modes;
-            entity_set;
-          }
-    | es -> Error (List.rev es)
-  end
+        | Lock _ -> Node.lock nd.entity
+        | Unlock -> Node.unlock nd.entity)
+      labels
+  in
+  match Transaction.make db exclusive arc_list with
+  | Error es -> Error (of_errors ne es)
+  | Ok exclusive ->
+      let mode_of = Array.make ne Read in
+      Array.iter
+        (fun nd ->
+          match nd.op with Lock m -> mode_of.(nd.entity) <- m | Unlock -> ())
+        labels;
+      Ok { exclusive; labels; mode_of }
 
 let make_exn db labels arc_list =
   match make db labels arc_list with
@@ -112,54 +91,28 @@ let of_total_order db steps =
   make db labels
     (List.init (max 0 (Array.length labels - 1)) (fun i -> (i, i + 1)))
 
-let db t = t.db
+let to_exclusive t = t.exclusive
+let db t = Transaction.db t.exclusive
 let node_count t = Array.length t.labels
 let node t i = t.labels.(i)
-let precedes t u v = Bitset.mem t.closure.(u) v
-let arcs t = t.arcs
-let entity_set t = t.entity_set
-let entities t = Bitset.to_list t.entity_set
-let accesses t e = Bitset.mem t.entity_set e
+let precedes t = Transaction.precedes t.exclusive
+let arcs t = Transaction.given_arcs t.exclusive
+let entity_set t = Transaction.entity_set t.exclusive
+let entities t = Transaction.entities t.exclusive
+let accesses t = Transaction.accesses t.exclusive
 let mode_of t e = t.mode_of.(e)
-let lock_node_exn t e = if t.lock_of.(e) >= 0 then t.lock_of.(e) else raise Not_found
-let unlock_node_exn t e =
-  if t.unlock_of.(e) >= 0 then t.unlock_of.(e) else raise Not_found
-
-let minimal_remaining t p =
-  List.filter
-    (fun u ->
-      (not (Bitset.mem p u))
-      && Array.for_all (Bitset.mem p) (Digraph.pred t.arcs u))
-    (List.init (node_count t) Fun.id)
-
-let empty_prefix t = Bitset.create (node_count t)
-
-let to_exclusive t =
-  let labels =
-    Array.map
-      (fun nd ->
-        match nd.op with
-        | Lock _ -> Ddlock_model.Node.lock nd.entity
-        | Unlock -> Ddlock_model.Node.unlock nd.entity)
-      t.labels
-  in
-  Transaction.make_exn t.db labels (Digraph.edges t.arcs)
-
-let is_two_phase t =
-  not
-    (Bitset.exists
-       (fun x ->
-         Bitset.exists
-           (fun y -> precedes t t.unlock_of.(x) t.lock_of.(y))
-           t.entity_set)
-       t.entity_set)
+let lock_node_exn t = Transaction.lock_node_exn t.exclusive
+let unlock_node_exn t = Transaction.unlock_node_exn t.exclusive
+let minimal_remaining t = Transaction.minimal_remaining t.exclusive
+let empty_prefix t = Transaction.empty_prefix t.exclusive
+let is_two_phase t = Transaction.is_two_phase t.exclusive
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>rw-txn (%d nodes)" (node_count t);
   List.iter
     (fun (u, v) ->
       Format.fprintf ppf "@,%s < %s"
-        (node_to_string t.db t.labels.(u))
-        (node_to_string t.db t.labels.(v)))
-    (Digraph.edges (Closure.reduction t.arcs));
+        (node_to_string (db t) t.labels.(u))
+        (node_to_string (db t) t.labels.(v)))
+    (Ddlock_graph.Digraph.edges (Transaction.hasse t.exclusive));
   Format.fprintf ppf "@]"

@@ -8,7 +8,12 @@ open Ddlock_model
     mode, Read or Write), one Unlock, Lock ≺ Unlock; same-site nodes are
     totally ordered.  Two Read locks on the same entity may be held
     simultaneously by different transactions; a Write lock excludes
-    everyone. *)
+    everyone.
+
+    A transaction is its exclusive abstraction ({!to_exclusive}, a
+    {!Ddlock_model.Transaction.t} built once by {!make}) plus a mode per
+    entity: validation, the closure, prefixes and the lock/unlock
+    lookups are {!Ddlock_model.Transaction}'s. *)
 
 type mode = Read | Write
 
@@ -18,6 +23,10 @@ type node = { entity : Db.entity; op : op }
 
 val node_to_string : Db.t -> node -> string
 
+(** {!Ddlock_model.Transaction.error}s in this module's terms: a
+    duplicated or missing Lock or Unlock is [Bad_entity_ops] (at most
+    one per entity, standing also for its [Unlock_before_lock]).
+    Entity errors come in entity order, then the site errors. *)
 type error =
   | Cyclic
   | Bad_entity_ops of Db.entity  (** not exactly one Lock and one Unlock *)
@@ -56,7 +65,7 @@ val empty_prefix : t -> Bitset.t
 
 (** [to_exclusive t] — forget modes: the same partial order in the
     paper's exclusive model.  The conservative abstraction compared in
-    the E17 experiment. *)
+    the E17 experiment; built once, by {!make}. *)
 val to_exclusive : t -> Transaction.t
 
 (** [is_two_phase t] — no Lock after an Unlock. *)

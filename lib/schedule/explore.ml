@@ -166,7 +166,7 @@ exception Hit of int
    insertion order, so the BFS queue is exactly the id sequence and a
    cursor replaces it.  Returns the table and the id of the first node
    (in insertion order) satisfying [found], or -1. *)
-let search ~name ~max_states ops init =
+let search_table ~name ~max_states ops init =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span name @@ fun () ->
   let t = table_create ~hash:ops.hash ~equal:ops.equal in
@@ -192,6 +192,10 @@ let search ~name ~max_states ops init =
     with Hit id -> id
   in
   (t, hit)
+
+let search ?(max_states = default_cap) ~name ops init =
+  let t, hit = search_table ~name ~max_states ops init in
+  if hit < 0 then None else Some (path t hit, Intern.get t.nodes hit)
 
 (* ------------------------------ spaces ----------------------------- *)
 
@@ -314,7 +318,7 @@ let run ~name ~max_states ~restrict ~symmetry ~por lay ~found =
   let table, hit =
     if por then por_search ~max_states ~restrict canon lay ~found
     else
-      search ~name ~max_states
+      search_table ~name ~max_states
         (state_ops canon lay ~restrict ~found)
         (initial_node canon lay)
   in
@@ -444,28 +448,19 @@ let lemma1_ops sys ~report =
     moved = never;
   }
 
-let lemma1_search ?(max_states = default_cap) sys ~report =
-  let t, hit =
-    search ~name:"explore.lemma1_search" ~max_states (lemma1_ops sys ~report)
+let lemma1_search ?max_states sys ~report =
+  match
+    search ?max_states ~name:"explore.lemma1_search" (lemma1_ops sys ~report)
       (Lemma1.initial sys)
-  in
-  if hit < 0 then None
-  else
-    Some
-      {
-        steps = path t hit;
-        cycle = Option.get (Lemma1.cycle sys (Intern.get t.nodes hit));
-      }
+  with
+  | None -> Ok ()
+  | Some (steps, n) -> Error { steps; cycle = Option.get (Lemma1.cycle sys n) }
 
 let safe_and_deadlock_free ?max_states sys =
-  match lemma1_search ?max_states sys ~report:`All_cyclic with
-  | None -> Ok ()
-  | Some cex -> Error cex
+  lemma1_search ?max_states sys ~report:`All_cyclic
 
 let safe ?max_states sys =
-  match lemma1_search ?max_states sys ~report:`Complete_cyclic with
-  | None -> Ok ()
-  | Some cex -> Error cex
+  lemma1_search ?max_states sys ~report:`Complete_cyclic
 
 let has_schedule sys target =
   let lay = Packed.layout sys in

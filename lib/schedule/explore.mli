@@ -113,6 +113,17 @@ val state_ops :
 (** The initial state, normalized under the canonicalizer if any. *)
 val initial_node : Canon.t option -> Packed.layout -> Packed.t
 
+(** [search ?max_states ~name ops init] — the one breadth-first search,
+    behind this module's searches (all but the partial-order-reduced
+    one) and the shared/exclusive deciders of [Ddlock_rw]: the first
+    node in BFS insertion order satisfying [ops.found] ([init]
+    included), with the steps reaching it; [None] when there is none.
+    With the exact [max_states] cap (default {!default_cap}), the
+    {!Ddlock_obs.Cancel} poll, the ["explore.*"] counters and a trace
+    span called [name]. *)
+val search :
+  ?max_states:int -> name:string -> 'n ops -> 'n -> (Step.t list * 'n) option
+
 (** {1 Goal-directed search} *)
 
 (** [bfs ?max_states ?restrict ?symmetry sys ~found] — first state in

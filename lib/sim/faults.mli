@@ -28,9 +28,10 @@ open Ddlock_model
     - in {!Recovery} a crash additionally {e drops the site's lock
       tables}: transactions holding locks there are aborted (their
       in-flight grants die with the incarnation bump) and queued waiters
-      must retransmit their requests.  {!Runtime} and [Rw_runtime] have
-      no abort machinery, so for them a crash is pure unavailability
-      (fail-stop with stable lock tables).
+      must retransmit their requests.  {!Runtime} and [Rw_runtime] run
+      the same loop with no scheme, hence nothing aborts, so for them a
+      crash is pure unavailability (fail-stop with stable lock
+      tables).
 
     Probabilistic faults only strike before [horizon]; after it the
     network is perfect and no site crashes, so every finite plan lets the

@@ -1,7 +1,7 @@
 open Ddlock_model
 
-(** The send path shared by the discrete-event lock-manager simulators
-    ({!Recovery}, whose loop also runs {!Runtime}, and [Rw_runtime]):
+(** The send path of the discrete-event lock-manager simulator (the one
+    loop in {!Recovery}, which also runs {!Runtime} and [Rw_runtime]):
     the service-time model and the messages that pass through a
     {!Faults} injector.  Each call draws from the simulator's RNG in a
     fixed order, so a run replays byte for byte from its seed. *)

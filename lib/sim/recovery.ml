@@ -42,13 +42,24 @@ type event =
   | Crash of Db.site  (** site goes down and drops its lock tables *)
   | Deadline of Step.t * int  (** lock-wait timeout check *)
 
-(* Waiters carry (step, incarnation, enqueue time); the time feeds the
-   lock wait-time histogram and survives the re-queue that happens
-   when a grant replays the remaining waiters against a new holder. *)
+(* An entity is free ([holders = []]), held by one writer, or held in
+   [shared] mode by readers (newest first).  Waiters carry (step,
+   incarnation, enqueue time); the time feeds the lock wait-time
+   histogram and survives the re-queue that happens when a grant replays
+   the remaining waiters against the new holders. *)
 type lock_state = {
-  mutable holder : int option;
+  mutable holders : int list;
+  mutable shared : bool;
   waiters : (Step.t * int * float) Queue.t;
 }
+
+let holds l j = List.exists (fun h -> h = j) l.holders
+
+(* The common case, a sole holder, releases without allocating. *)
+let release l j =
+  match l.holders with
+  | [ h ] when h = j -> l.holders <- []
+  | hs -> l.holders <- List.filter (fun h -> h <> j) hs
 
 let obs_aborts = Ddlock_obs.Metrics.Counter.make "sim.aborts"
 let obs_retries = Ddlock_obs.Metrics.Counter.make "sim.retries"
@@ -68,14 +79,40 @@ let pp_wait db ppf (w, e, h) =
   Format.fprintf ppf "T%d waits for %s held by T%d" (w + 1)
     (Db.entity_name db e) (h + 1)
 
-let simulate scheme config faults rng sys =
+let simulate ?read scheme config faults rng sys =
   let n = System.size sys in
   let db = System.db sys in
   let ne = Db.entity_count db in
   let inj = Faults.injector faults in
   let net = Net.create config.base rng inj db ~txns:n in
   let locks =
-    Array.init ne (fun _ -> { holder = None; waiters = Queue.create () })
+    Array.init ne (fun _ ->
+        { holders = []; shared = false; waiters = Queue.create () })
+  in
+  (* Without [read] every lock is exclusive; [read] itself is tabulated
+     once per run. *)
+  let is_read =
+    match read with
+    | None -> fun _ -> false
+    | Some read ->
+        let r =
+          Array.init n (fun i ->
+              Array.init
+                (Transaction.node_count (System.txn sys i))
+                (fun v -> read (Step.v i v)))
+        in
+        fun (s : Step.t) -> r.(s.txn).(s.node)
+  in
+  (* A request is granted at once when the entity is free, or when it is
+     a Read, the entity is held shared and nobody queues before it. *)
+  let compatible l (step : Step.t) =
+    match l.holders with
+    | [] -> true
+    | _ :: _ -> l.shared && is_read step && Queue.is_empty l.waiters
+  in
+  let hold l (step : Step.t) =
+    l.holders <- step.txn :: l.holders;
+    l.shared <- is_read step
   in
   let executed =
     Array.init n (fun i -> Transaction.empty_prefix (System.txn sys i))
@@ -110,6 +147,12 @@ let simulate scheme config faults rng sys =
   let commits = ref 0 and aborts = ref 0 and makespan = ref 0.0 in
   (* (time, step, inc) completions, newest first *)
   let trace = ref [] in
+  let commit j =
+    committed.(j) <- true;
+    incr commits;
+    Ddlock_obs.Metrics.Counter.incr obs_commits;
+    makespan := !now
+  in
   let entity_of (step : Step.t) =
     (Transaction.node (System.txn sys step.txn) step.node).Node.entity
   in
@@ -146,48 +189,38 @@ let simulate scheme config faults rng sys =
         (fun v -> if not (Bitset.mem started.(i) v) then start (Step.v i v))
         (Transaction.minimal_remaining (System.txn sys i) executed.(i))
   in
-  (* Grant a free entity to the first still-valid waiter, then replay the
-     remaining waiters against the new holder: the scheme's rule must be
-     re-applied whenever the holder changes, otherwise forbidden wait
-     directions (e.g. younger-waits-on-older under wait-die) leak in via
-     the queue and can re-create deadlocks. *)
+  (* Empty [l]'s queue; its still-valid entries, in queue order. *)
+  let take_valid l =
+    let rec drain acc =
+      match Queue.take_opt l.waiters with
+      | None -> List.rev acc
+      | Some ((w, winc, _) as entry : Step.t * int * float) ->
+          if winc = incarnation.(w.Step.txn) && not committed.(w.Step.txn)
+          then drain (entry :: acc)
+          else drain acc
+    in
+    drain []
+  in
+  (* Called when holders leave [e]: take the still-valid waiters off the
+     queue and replay them in order.  Compatible ones are granted (a
+     writer, or a run of readers, at the head); the rest meet the
+     scheme's rule against the new holders, which must be re-applied
+     whenever the holders change, otherwise forbidden wait directions
+     (e.g. younger-waits-on-older under wait-die) leak in via the queue
+     and can re-create deadlocks. *)
   let rec grant e =
     let l = locks.(e) in
-    let rec pop_valid () =
-      match Queue.take_opt l.waiters with
-      | None -> None
-      | Some ((w, winc, since) : Step.t * int * float) ->
-          if winc = incarnation.(w.Step.txn) && not committed.(w.Step.txn)
-          then Some (w, winc, since)
-          else pop_valid ()
-    in
-    if l.holder = None then
-      match pop_valid () with
-      | None -> ()
-      | Some (w, winc, since) ->
-          obs_wait ~since ~now:!now;
-          l.holder <- Some w.Step.txn;
-          push_grant w winc e;
-          let rest = ref [] in
-          let rec drain () =
-            match pop_valid () with
-            | None -> ()
-            | Some entry ->
-                rest := entry :: !rest;
-                drain ()
-          in
-          drain ();
-          List.iter
-            (fun (w', winc', since') ->
-              if winc' = incarnation.(w'.Step.txn) then
-                match l.holder with
-                | Some h -> on_lock_conflict w' winc' ~since:since' h
-                | None ->
-                    (* the scheme aborted the holder meanwhile *)
-                    obs_wait ~since:since' ~now:!now;
-                    l.holder <- Some w'.Step.txn;
-                    push_grant w' winc' e)
-            (List.rev !rest)
+    List.iter
+      (fun (w, winc, since) ->
+        (* an earlier replay may have aborted [w] meanwhile *)
+        if winc = incarnation.(w.Step.txn) then
+          if compatible l w then begin
+            obs_wait ~since ~now:!now;
+            hold l w;
+            push_grant w winc e
+          end
+          else on_lock_conflict w winc ~since l.holders)
+      (take_valid l)
 
   and abort j =
     incr aborts;
@@ -206,8 +239,8 @@ let simulate scheme config faults rng sys =
     (* Release everything j holds; stale queue entries and in-flight
        events die via the incarnation check. *)
     for e = 0 to ne - 1 do
-      if locks.(e).holder = Some j then begin
-        locks.(e).holder <- None;
+      if holds locks.(e) j then begin
+        release locks.(e) j;
         grant e
       end
     done;
@@ -215,7 +248,7 @@ let simulate scheme config faults rng sys =
       (!now +. config.restart_delay +. restart_backoff j)
       (Restart (j, incarnation.(j)))
 
-  and on_lock_conflict (step : Step.t) inc ~since holder =
+  and on_lock_conflict (step : Step.t) inc ~since holders =
     let r = step.Step.txn in
     let wait () =
       Queue.push (step, inc, since) locks.(entity_of step).waiters
@@ -226,28 +259,30 @@ let simulate scheme config faults rng sys =
         wait ();
         let w = jittered (backoff_window base cap max_retries r) in
         Pqueue.push events (!now +. w) (Deadline (step, inc))
-    | Some Wait_die -> if beats r holder then wait () else abort r
-    | Some (Wound_wait | Probabilistic) ->
-        (* Preemption: a requester that beats the holder wounds it and
+    | Some Wait_die ->
+        if List.for_all (beats r) holders then wait () else abort r
+    | Some (Wound_wait | Probabilistic) -> (
+        (* Preemption: a requester that beats a holder wounds it and
            takes over; otherwise it waits.  Wait arcs then always ascend
            the priority order, so the wait-for graph stays acyclic.
            Probabilistic is wound-wait under random priorities [O&B,
            arXiv:1010.4411]. *)
-        if beats r holder then begin
-          abort holder;
-          let l = locks.(entity_of step) in
-          (* abort released the entity; it may have been re-granted to a
-             queued waiter that [r] also beats.  Re-apply the rule against
-             the new holder: queueing unconditionally would let [r] wait
-             behind a transaction it beats (a descending wait arc), and
-             one such arc is enough to close a wait-for cycle. *)
-          match l.holder with
-          | None ->
-              l.holder <- Some r;
+        match List.find_opt (beats r) holders with
+        | None -> wait ()
+        | Some h ->
+            abort h;
+            let l = locks.(entity_of step) in
+            (* abort released the entity; it may have been re-granted to
+               a queued waiter that [r] also beats.  Re-apply the rule
+               against the new holders: queueing unconditionally would
+               let [r] wait behind a transaction it beats (a descending
+               wait arc), and one such arc is enough to close a wait-for
+               cycle. *)
+            if compatible l step then begin
+              hold l step;
               push_grant step inc (entity_of step)
-          | Some h' -> on_lock_conflict step inc ~since h'
-        end
-        else wait ()
+            end
+            else on_lock_conflict step inc ~since l.holders)
   in
   (* A site crash drops its lock tables: holders of its entities abort
      (their in-flight grants die with the incarnation bump) and queued
@@ -258,24 +293,17 @@ let simulate scheme config faults rng sys =
     for e = 0 to ne - 1 do
       if Db.site_of db e = s then begin
         let l = locks.(e) in
-        let rec drop () =
-          match Queue.take_opt l.waiters with
-          | None -> ()
-          | Some ((w, winc, _) : Step.t * int * float) ->
-              if winc = incarnation.(w.Step.txn) && not committed.(w.Step.txn)
-              then begin
-                Bitset.clear arrived.(w.Step.txn) w.Step.node;
-                Pqueue.push events
-                  (Faults.deliver inj ~site:s ~now:!now
-                     ~transit:(Faults.plan inj).Faults.retransmit)
-                  (Arrive (w, winc))
-              end;
-              drop ()
-        in
-        drop ();
-        match l.holder with
-        | Some h when not committed.(h) -> abort h
-        | _ -> ()
+        List.iter
+          (fun ((w, winc, _) : Step.t * int * float) ->
+            Bitset.clear arrived.(w.Step.txn) w.Step.node;
+            Pqueue.push events
+              (Faults.deliver inj ~site:s ~now:!now
+                 ~transit:(Faults.plan inj).Faults.retransmit)
+              (Arrive (w, winc)))
+          (take_valid l);
+        List.iter
+          (fun h -> if holds l h && not committed.(h) then abort h)
+          l.holders
       end
     done
   in
@@ -285,19 +313,20 @@ let simulate scheme config faults rng sys =
     let arcs = ref [] in
     Array.iteri
       (fun e l ->
-        match l.holder with
-        | None -> ()
-        | Some h ->
-            Queue.iter
-              (fun ((w, winc, _) : Step.t * int * float) ->
-                if winc = incarnation.(w.Step.txn) then
-                  arcs := (w.Step.txn, e, h) :: !arcs)
-              l.waiters)
+        Queue.iter
+          (fun ((w, winc, _) : Step.t * int * float) ->
+            if winc = incarnation.(w.Step.txn) then
+              List.iter
+                (fun h -> arcs := (w.Step.txn, e, h) :: !arcs)
+                l.holders)
+          l.waiters)
       locks;
     List.rev !arcs
   in
+  (* A transaction with no steps commits at once. *)
   for i = 0 to n - 1 do
-    start_ready i
+    if Transaction.node_count (System.txn sys i) = 0 then commit i
+    else start_ready i
   done;
   (match scheme with
   | Some (Detect { period }) -> Pqueue.push events period (Tick period)
@@ -331,7 +360,7 @@ let simulate scheme config faults rng sys =
                 inc = incarnation.(j)
                 && (not committed.(j))
                 && (not (Bitset.mem executed.(j) step.Step.node))
-                && locks.(entity_of step).holder <> Some j
+                && not (holds locks.(entity_of step) j)
               then begin
                 attempts.(j) <- attempts.(j) + 1;
                 Ddlock_obs.Metrics.Counter.incr obs_lock_timeouts;
@@ -355,14 +384,15 @@ let simulate scheme config faults rng sys =
               then begin
                 Bitset.set arrived.(step.Step.txn) step.Step.node;
                 let l = locks.(entity_of step) in
-                match l.holder with
-                | None ->
-                    l.holder <- Some step.Step.txn;
-                    push_grant step inc (entity_of step)
-                | Some h ->
-                    on_lock_conflict step inc ~since:t h;
-                    Ddlock_obs.Metrics.Histogram.observe obs_queue_depth
-                      (Queue.length l.waiters)
+                if compatible l step then begin
+                  hold l step;
+                  push_grant step inc (entity_of step)
+                end
+                else begin
+                  on_lock_conflict step inc ~since:t l.holders;
+                  Ddlock_obs.Metrics.Histogram.observe obs_queue_depth
+                    (Queue.length l.waiters)
+                end
               end
           | Complete (step, inc) ->
               if inc = incarnation.(step.Step.txn) then begin
@@ -373,18 +403,13 @@ let simulate scheme config faults rng sys =
                 in
                 (match nd.Node.op with
                 | Node.Unlock ->
-                    locks.(nd.entity).holder <- None;
+                    release locks.(nd.entity) step.txn;
                     grant nd.entity
                 | Node.Lock -> ());
                 if
                   Bitset.cardinal executed.(step.txn)
                   = Transaction.node_count (System.txn sys step.txn)
-                then begin
-                  committed.(step.txn) <- true;
-                  incr commits;
-                  Ddlock_obs.Metrics.Counter.incr obs_commits;
-                  makespan := !now
-                end
+                then commit step.txn
                 else start_ready step.txn
               end);
           loop ()

@@ -6,8 +6,9 @@ open Ddlock_schedule
     detect-and-abort, and lock-wait timeout with exponential backoff —
     the {e dynamic} alternatives to the paper's static guarantees.
 
-    This module holds the simulator's one event loop for exclusive
-    locks; {!Runtime.run} is the same loop with no scheme.  Under a
+    This module holds the simulator's one event loop, for exclusive and
+    shared locks; {!Runtime.run} is the same loop with no scheme, and so
+    is [Ddlock_rw.Rw_runtime.run] with its Read locks shared.  Under a
     scheme, transactions can {e abort}: an aborted transaction releases
     all its locks, discards its progress, and restarts after a delay,
     keeping its {e original} timestamp (which is what makes wound-wait
@@ -141,13 +142,24 @@ val pp_batch : Format.formatter -> batch_stats -> unit
 
 (**/**)
 
-(** [simulate scheme config faults rng sys] is the one event loop behind
-    {!run} and {!Runtime.run}.  [None] is the abort-free runtime:
+(** [simulate ?read scheme config faults rng sys] is the one event loop
+    behind {!run}, {!Runtime.run} and the shared/exclusive runtime
+    ([Ddlock_rw.Rw_runtime]).  [None] is the abort-free runtime:
     conflicts queue, there is no tick, and crash windows are pure
     unavailability.  The cutoff is [config.max_time].  Also returns every
     completion as (time, step, incarnation), newest first, and the time
-    of the last event processed. *)
+    of the last event processed.
+
+    [read] says which Lock steps take a shared (read) lock; by default
+    none does.  A request is granted at once when the entity is free,
+    or when it is a Read, the entity is held shared and no request is
+    queued (so a queued writer is not starved); otherwise it meets the
+    scheme's rule against every holder (wait-die waits only if it beats
+    them all, wound-wait wounds those it beats).  A release replays the
+    queue in order, granting a writer at its head or the run of readers
+    there.  A wait-for arc runs from each waiter to each holder. *)
 val simulate :
+  ?read:(Step.t -> bool) ->
   scheme option ->
   config ->
   Faults.plan ->

@@ -337,12 +337,258 @@ let runtime_trace_serializable_prop =
       | Rw_runtime.Finished _ -> Rw_system.is_conflict_serializable sys r.Rw_runtime.trace
       | Rw_runtime.Deadlock _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Mixed-mode pool: goldens and the exclusive equivalence             *)
+(* ------------------------------------------------------------------ *)
+
+(* A random total-order transaction over [k] entities taken in random
+   order, with random modes (Write only when [write_only]); each Unlock
+   lands anywhere after its Lock, so transactions lock in opposite
+   orders and need not be two-phase. *)
+let random_order_txn st db ~k ~write_only =
+  let ents =
+    Array.of_list (Ddlock_workload.Gentx.random_entity_subset st db ~k)
+  in
+  for i = Array.length ents - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = ents.(i) in
+    ents.(i) <- ents.(j);
+    ents.(j) <- t
+  done;
+  let nodes = ref [] and held = ref [] and next = ref 0 in
+  let emit entity op = nodes := { Rw_txn.entity; op } :: !nodes in
+  while !next < k || !held <> [] do
+    let lockable = if !next < k then 1 else 0 in
+    let c = Random.State.int st (List.length !held + lockable) in
+    if c = List.length !held then begin
+      let e = ents.(!next) in
+      incr next;
+      let m =
+        if write_only || Random.State.bool st then Rw_txn.Write else Rw_txn.Read
+      in
+      emit e (Rw_txn.Lock m);
+      held := e :: !held
+    end
+    else begin
+      let e = List.nth !held c in
+      emit e Rw_txn.Unlock;
+      held := List.filter (fun x -> x <> e) !held
+    end
+  done;
+  match Rw_txn.of_total_order db (List.rev !nodes) with
+  | Ok t -> t
+  | Error _ -> assert false
+
+(* Two or three transactions of two or three accesses each, over three
+   entities on one to three sites. *)
+let random_rw_system st ~write_only =
+  let sites = 1 + Random.State.int st 3 in
+  let db = Ddlock_workload.Gentx.random_db ~sites ~entities:3 in
+  let mk () =
+    random_order_txn st db ~k:(2 + Random.State.int st 2) ~write_only
+  in
+  Rw_system.create (List.init (2 + Random.State.int st 2) (fun _ -> mk ()))
+
+let faulty_plan seed sys =
+  Ddlock_sim.Faults.random (Fixtures.rng seed) (Rw_system.db sys) ~intensity:0.8
+    ~horizon:40.0
+
+(* Recorded before the Rw deciders and runtime moved onto the shared
+   search and event loop: decider witnesses and verdicts, runtime traces,
+   deadlock times and wait-for arcs, and fault-free makespans (a faulty
+   run's makespan is left out: the old runtime counted late duplicate
+   deliveries into it). *)
+let rw_golden_digest = "8e87b134a78a8c1dc9e84a475d0e7325"
+
+let rw_digest () =
+  let b = Buffer.create (1 lsl 16) in
+  let step (s : Rw_system.step) =
+    Printf.bprintf b " %d.%d" s.Rw_system.txn s.Rw_system.node
+  in
+  let deadlocks = ref 0 in
+  for si = 0 to 79 do
+    let sys = random_rw_system (Fixtures.rng (7000 + si)) ~write_only:false in
+    (match Rw_system.find_deadlock sys with
+    | None -> Buffer.add_string b "df\n"
+    | Some (steps, state) ->
+        Buffer.add_string b "dl";
+        List.iter step steps;
+        Array.iter
+          (fun p ->
+            Buffer.add_string b " |";
+            List.iter (Printf.bprintf b " %d") (Ddlock_graph.Bitset.to_list p))
+          state;
+        Buffer.add_char b '\n');
+    (match Rw_system.safe sys with
+    | Ok () -> Buffer.add_string b "safe\n"
+    | Error steps ->
+        Buffer.add_string b "unsafe";
+        List.iter step steps;
+        Buffer.add_char b '\n');
+    for seed = 0 to 14 do
+      List.iter
+        (fun faulty ->
+          let faults =
+            if faulty then faulty_plan ((1000 * si) + seed) sys
+            else Ddlock_sim.Faults.none
+          in
+          let r = Rw_runtime.run ~faults (Fixtures.rng seed) sys in
+          List.iter step r.Rw_runtime.trace;
+          match r.Rw_runtime.outcome with
+          | Rw_runtime.Finished { makespan } ->
+              if faulty then Buffer.add_string b " F\n"
+              else Printf.bprintf b " F %h\n" makespan
+          | Rw_runtime.Deadlock { time; waits_for } ->
+              incr deadlocks;
+              Printf.bprintf b " D %h" time;
+              List.iter
+                (fun (w, e, h) -> Printf.bprintf b " %d>%d>%d" w e h)
+                waits_for;
+              Buffer.add_char b '\n')
+        [ false; true ]
+    done
+  done;
+  (Digest.to_hex (Digest.string (Buffer.contents b)), !deadlocks)
+
+let test_rw_golden_digest () =
+  let digest, deadlocks = rw_digest () in
+  check bool_t "deadlocks exercised" true (deadlocks > 100);
+  check Alcotest.string "rw digest" rw_golden_digest digest
+
+(* A faulty run of the pool in which a duplicated or retransmitted lock
+   request reaches its manager after the last completion.  The makespan
+   is that completion's time (about 21.87, measured as the last
+   completion before the runtime moved onto the shared loop), not the
+   time of the late delivery (about 26.52). *)
+let test_rw_makespan_is_last_completion () =
+  let si = 104 and seed = 2 in
+  let sys = random_rw_system (Fixtures.rng (7000 + si)) ~write_only:false in
+  let faults = faulty_plan ((1000 * si) + seed) sys in
+  match (Rw_runtime.run ~faults (Fixtures.rng seed) sys).Rw_runtime.outcome with
+  | Rw_runtime.Finished { makespan } ->
+      check (Alcotest.float 0.0) "makespan = last completion"
+        0x1.5de3cb7512a69p+4 makespan
+  | Rw_runtime.Deadlock _ -> Alcotest.fail "expected the run to finish"
+
+(* A transaction with no steps commits at once, in both runtimes. *)
+let test_empty_txn_commits () =
+  let db = db2 () in
+  let empty = rw db [] and t = rw db [ (`R, "a"); (`U, "a") ] in
+  let sys = Rw_system.create [ empty; t ] in
+  (match (Rw_runtime.run (Fixtures.rng 1) sys).Rw_runtime.outcome with
+  | Rw_runtime.Finished _ -> ()
+  | Rw_runtime.Deadlock _ -> Alcotest.fail "rw: expected the run to finish");
+  match
+    (Ddlock_sim.Runtime.run (Fixtures.rng 1) (Rw_system.to_exclusive sys))
+      .Ddlock_sim.Runtime.outcome
+  with
+  | Ddlock_sim.Runtime.Finished _ -> ()
+  | Ddlock_sim.Runtime.Deadlock _ ->
+      Alcotest.fail "exclusive: expected the run to finish"
+
+(* Shared locks under the recovery schemes (the loop's [?read] with a
+   scheme): every run of the mixed-mode pool, with and without faults
+   (crashes included), commits every transaction, and the committed
+   trace is a complete schedule. *)
+let test_schemes_with_shared_locks () =
+  let module R = Ddlock_sim.Recovery in
+  for si = 0 to 39 do
+    let sys = random_rw_system (Fixtures.rng (7000 + si)) ~write_only:false in
+    let read (s : Rw_system.step) =
+      (Rw_txn.node (Rw_system.txn sys s.txn) s.node).Rw_txn.op
+      = Rw_txn.Lock Rw_txn.Read
+    in
+    let total =
+      Array.fold_left (fun acc t -> acc + Rw_txn.node_count t) 0
+        (Rw_system.txns sys)
+    in
+    List.iter
+      (fun (name, scheme) ->
+        for seed = 0 to 4 do
+          List.iter
+            (fun faults ->
+              let r, _, _ =
+                R.simulate ~read (Some scheme) R.default_config faults
+                  (Fixtures.rng seed) (Rw_system.to_exclusive sys)
+              in
+              check bool_t (name ^ " commits") false r.R.stats.R.timed_out;
+              check int_t (name ^ " complete trace") total
+                (List.length r.R.committed_trace))
+            [ Ddlock_sim.Faults.none; faulty_plan ((1000 * si) + seed) sys ]
+        done)
+      Ddlock_sim.Chaos.default_schemes
+  done
+
+(* An all-Write system behaves exactly like its exclusive abstraction:
+   the same deadlock and safety verdicts, and the same runtime runs
+   (trace, outcome, deadlock time and arcs, makespan), with and without
+   faults. *)
+let all_write_is_exclusive_prop =
+  QCheck.Test.make ~name:"all-Write rw system = its exclusive abstraction"
+    ~count:300
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let module E = Ddlock_schedule.Explore in
+      let module R = Ddlock_sim.Runtime in
+      let sys = random_rw_system (Fixtures.rng seed) ~write_only:true in
+      let xsys = Rw_system.to_exclusive sys in
+      let same_run faults =
+        let a = Rw_runtime.run ~faults (Fixtures.rng seed) sys
+        and x = R.run ~faults (Fixtures.rng seed) xsys in
+        List.map
+          (fun (s : Rw_system.step) -> (s.Rw_system.txn, s.Rw_system.node))
+          a.Rw_runtime.trace
+        = List.map
+            (fun (e : R.trace_entry) -> (e.R.step.txn, e.R.step.node))
+            x.R.trace
+        &&
+        match (a.Rw_runtime.outcome, x.R.outcome) with
+        | Rw_runtime.Finished { makespan = m }, R.Finished { makespan } ->
+            m = makespan
+        | ( Rw_runtime.Deadlock { time = t; waits_for = w },
+            R.Deadlock { time; waits_for; _ } ) ->
+            t = time && w = waits_for
+        | _ -> false
+      in
+      Rw_system.deadlock_free sys = E.deadlock_free xsys
+      && Result.is_ok (Rw_system.safe sys) = Result.is_ok (E.safe xsys)
+      && same_run Ddlock_sim.Faults.none
+      && same_run (faulty_plan seed sys))
+
+(* The deciders run on the shared search: its exact cap (which covers
+   the initial state) and its cancellation poll. *)
+let test_rw_search_budget () =
+  let db = db2 () in
+  let t1 = rw db [ (`W, "a"); (`W, "b"); (`U, "a"); (`U, "b") ] in
+  let t2 = rw db [ (`W, "b"); (`W, "a"); (`U, "b"); (`U, "a") ] in
+  let sys = Rw_system.create [ t1; t2 ] in
+  let raises_too_large f =
+    match f () with
+    | _ -> false
+    | exception Rw_system.Too_large 0 -> true
+  in
+  check bool_t "find_deadlock cap 0" true
+    (raises_too_large (fun () ->
+         ignore (Rw_system.find_deadlock ~max_states:0 sys)));
+  check bool_t "safe cap 0" true
+    (raises_too_large (fun () -> ignore (Rw_system.safe ~max_states:0 sys)));
+  let cancelled f =
+    match Ddlock_obs.Cancel.with_poll (fun () -> true) f with
+    | _ -> false
+    | exception Ddlock_obs.Cancel.Cancelled -> true
+  in
+  check bool_t "find_deadlock cancelled" true
+    (cancelled (fun () -> ignore (Rw_system.find_deadlock sys)));
+  check bool_t "safe cancelled" true
+    (cancelled (fun () -> ignore (Rw_system.safe sys)))
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
       rw_2pl_safe_prop;
       exclusive_df_implies_rw_df_prop;
       runtime_trace_serializable_prop;
+      all_write_is_exclusive_prop;
     ]
 
 let suite =
@@ -362,5 +608,13 @@ let suite =
       test_runtime_readers_overlap;
     Alcotest.test_case "runtime write deadlock" `Quick
       test_runtime_write_deadlock_detected;
+    Alcotest.test_case "rw golden digest" `Quick test_rw_golden_digest;
+    Alcotest.test_case "rw search budget" `Quick test_rw_search_budget;
+    Alcotest.test_case "rw makespan is last completion" `Quick
+      test_rw_makespan_is_last_completion;
+    Alcotest.test_case "empty transaction commits" `Quick
+      test_empty_txn_commits;
+    Alcotest.test_case "schemes with shared locks" `Quick
+      test_schemes_with_shared_locks;
   ]
   @ qtests
