@@ -1133,13 +1133,12 @@ let replay_cmd =
               (Sched.Schedule.pp_violation sys) v;
             exit 1
         | Ok st ->
-            Format.printf "%a@." (Sched.Narrate.pp sys) steps;
-            if Sched.State.is_deadlock sys st then
-              List.iter
-                (fun line -> Format.printf "%s@." line)
-                (List.filteri
-                   (fun i _ -> i > List.length steps)
-                   (Sched.Narrate.explain_deadlock sys steps));
+            (* A deadlock's explanation begins with the narration. *)
+            List.iter
+              (fun line -> Format.printf "%s@." line)
+              (if Sched.State.is_deadlock sys st then
+                 Sched.Narrate.explain_deadlock sys steps
+               else Sched.Narrate.narrate sys steps);
             Format.printf "serialization digraph: %s@."
               (match Sched.Dgraph.find_cycle sys steps with
               | None -> "acyclic"

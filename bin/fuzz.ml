@@ -22,6 +22,9 @@
      systems (Workload.Gentx.tpcc_system / replicated_system) get the
      Theorem-4-vs-exhaustive cross-check and the chaos invariants under
      wound-wait and the probabilistic scheme every round;
+   - the textual format: [Parser.parse (Parser.to_source sys)] gives
+     back every transaction of the round's systems ([Transaction.equal]),
+     through [Builder]'s node numbering and the printed Hasse diagram;
    - rw invariants: exclusive-abstraction deadlock-freedom implies rw
      deadlock-freedom (2 transactions), and the all-Write version of
      the rw system runs exactly like its exclusive abstraction (trace,
@@ -236,6 +239,34 @@ let () =
             ("probabilistic", Sim.Recovery.Probabilistic);
           ])
       [ ("tpcc", tpcc_sys); ("replicated", rep_sys) ];
+    (* --- the textual format round-trips --- *)
+    List.iter
+      (fun (shape, ssys) ->
+        let named =
+          List.mapi
+            (fun i t -> (Printf.sprintf "T%d" (i + 1), t))
+            (Array.to_list (System.txns ssys))
+        in
+        match
+          Model.Parser.parse (Model.Parser.to_source (System.db ssys) named)
+        with
+        | Error _ -> report ("source round-trip (" ^ shape ^ ")") round
+        | Ok r ->
+            let named' = r.Model.Parser.named in
+            if
+              not
+                (List.compare_lengths named named' = 0
+                && List.for_all2
+                     (fun (_, t) (_, t') -> Model.Transaction.equal t t')
+                     named named')
+            then report ("source round-trip (" ^ shape ^ ")") round)
+      [
+        ("pair", pair_sys);
+        ("centralized", csys);
+        ("system", sys);
+        ("tpcc", tpcc_sys);
+        ("replicated", rep_sys);
+      ];
     (* --- work-stealing engine vs sequential ground truth --- *)
     if !jobs > 1 then begin
       timed "par" @@ fun () ->

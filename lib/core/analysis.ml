@@ -94,11 +94,12 @@ let report ?max_states ?(jobs = 1) ?symmetry ?por sys =
     interaction_cycles =
       (* Cycle enumeration can be exponential in dense graphs; polling
          per cycle lets a serve-side deadline bound the report. *)
-      Seq.fold_left
-        (fun acc _ ->
-          Ddlock_obs.Cancel.poll ();
-          acc + 1)
-        0 (Ungraph.cycles g);
+      (Ddlock_obs.Trace.span "analysis.cycles" @@ fun () ->
+       Seq.fold_left
+         (fun acc _ ->
+           Ddlock_obs.Cancel.poll ();
+           acc + 1)
+         0 (Ungraph.cycles g));
     safety;
     deadlock;
   }
@@ -181,19 +182,19 @@ let pp_report sys ppf r =
 let render_full ?max_states ?jobs ?symmetry ?por sys =
   let r = report ?max_states ?jobs ?symmetry ?por sys in
   let buf = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer buf in
-  Format.fprintf ppf "%a@." (pp_report sys) r;
-  (match r.deadlock with
-  | Deadlocks { schedule; _ } ->
-      Format.fprintf ppf "@.how the deadlock happens:@.%a@."
-        (Narrate.pp sys) schedule;
-      List.iter
-        (fun line -> Format.fprintf ppf "%s@." line)
-        (List.filteri
-           (fun i _ -> i >= List.length schedule + 1)
-           (Narrate.explain_deadlock sys schedule))
-  | _ -> ());
-  Format.pp_print_flush ppf ();
+  Ddlock_obs.Trace.span "analysis.render" (fun () ->
+      let ppf = Format.formatter_of_buffer buf in
+      Format.fprintf ppf "%a@." (pp_report sys) r;
+      (match r.deadlock with
+      | Deadlocks { schedule; _ } ->
+          (* The explanation begins with the narration and its status
+             line, so the schedule is walked once. *)
+          Format.fprintf ppf "@.how the deadlock happens:@.";
+          List.iter
+            (fun line -> Format.fprintf ppf "%s@." line)
+            (Narrate.explain_deadlock sys schedule)
+      | _ -> ());
+      Format.pp_print_flush ppf ());
   let status =
     match (r.safety, r.deadlock) with
     | Safe_and_deadlock_free, _ -> 0

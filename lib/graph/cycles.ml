@@ -39,15 +39,27 @@ let scc g =
   done;
   List.rev !comps
 
-(* Johnson's algorithm for enumerating elementary cycles.  We materialize
-   cycles into a queue per root to expose them as a Seq lazily enough for
-   our graph sizes. *)
+(* Johnson's algorithm for enumerating elementary cycles, materialized
+   into a list (our graphs are small) and exposed as a Seq.
+
+   Root [s] is the smallest node of the cycles it yields, so its search
+   is confined to the strongly connected component of [s] in the
+   subgraph of nodes >= s.  That component is read on [g] itself, as
+   the nodes >= s that [s] reaches and that reach [s] back, by two
+   stamped depth-first passes, so no subgraph is built per root.  The
+   circuit search walks [g]'s own successor arrays in order, which fixes
+   the order of the cycles (Theorem 4 tries its candidates in it). *)
 let simple_cycles g =
   let n = Digraph.node_count g in
   let results = ref [] in
   let blocked = Array.make n false in
   let b = Array.make n [] in
   let path = ref [] in
+  (* [fwd.(v) = s]: root [s] reaches [v]; [comp.(v) = s]: [v] is in the
+     component of [s].  Stamps, so neither is cleared between roots. *)
+  let fwd = Array.make n (-1) and comp = Array.make n (-1) in
+  let stack = Array.make n 0 in
+  let members = Array.make n 0 in
   let rec unblock u =
     if blocked.(u) then begin
       blocked.(u) <- false;
@@ -56,57 +68,74 @@ let simple_cycles g =
       List.iter unblock bs
     end
   in
-  (* For each root s (smallest node of its cycles), search within the
-     subgraph of nodes >= s restricted to the SCC of s. *)
   for s = 0 to n - 1 do
-    (* Subgraph on nodes >= s. *)
-    let allowed v = v >= s in
-    (* Find SCC containing s in that subgraph. *)
-    let sub, renum = Digraph.induced g allowed in
-    let comps = scc sub in
-    let inv = Array.make (Digraph.node_count sub) (-1) in
-    Array.iteri (fun old nw -> if nw >= 0 then inv.(nw) <- old) renum;
-    (match
-       List.find_opt (fun comp -> List.exists (fun v -> inv.(v) = s) comp) comps
-     with
-    | None -> ()
-    | Some comp ->
-        let comp_orig = List.map (fun v -> inv.(v)) comp in
-        let in_comp = Bitset.of_list n comp_orig in
-        let self_loop = Digraph.mem_edge g s s in
-        if self_loop then results := [ s ] :: !results;
-        if List.length comp_orig > 1 && Bitset.mem in_comp s then begin
-          List.iter
-            (fun v ->
-              blocked.(v) <- false;
-              b.(v) <- [])
-            comp_orig;
-          let rec circuit v =
-            let found = ref false in
-            blocked.(v) <- true;
-            path := v :: !path;
-            Array.iter
-              (fun w ->
-                if Bitset.mem in_comp w then
-                  if w = s then begin
-                    (* v = s means the s->s self loop, already counted. *)
-                    if v <> s then results := List.rev !path :: !results;
-                    found := true
-                  end
-                  else if not blocked.(w) then if circuit w then found := true)
-              (Digraph.succ g v);
-            if !found then unblock v
-            else
-              Array.iter
-                (fun w ->
-                  if Bitset.mem in_comp w && not (List.mem v b.(w)) then
-                    b.(w) <- v :: b.(w))
-                (Digraph.succ g v);
-            path := List.tl !path;
-            !found
-          in
-          ignore (circuit s)
-        end)
+    (* Forward pass: the nodes >= s that [s] reaches. *)
+    fwd.(s) <- s;
+    stack.(0) <- s;
+    let top = ref 1 in
+    while !top > 0 do
+      decr top;
+      Array.iter
+        (fun w ->
+          if w > s && fwd.(w) <> s then begin
+            fwd.(w) <- s;
+            stack.(!top) <- w;
+            incr top
+          end)
+        (Digraph.succ g stack.(!top))
+    done;
+    (* Backward pass, through reached nodes only: a node on a path back
+       to [s] from a reached node is itself reached. *)
+    comp.(s) <- s;
+    members.(0) <- s;
+    let size = ref 1 in
+    stack.(0) <- s;
+    top := 1;
+    while !top > 0 do
+      decr top;
+      Array.iter
+        (fun w ->
+          if fwd.(w) = s && comp.(w) <> s then begin
+            comp.(w) <- s;
+            members.(!size) <- w;
+            incr size;
+            stack.(!top) <- w;
+            incr top
+          end)
+        (Digraph.pred g stack.(!top))
+    done;
+    if Digraph.mem_edge g s s then results := [ s ] :: !results;
+    if !size > 1 then begin
+      for i = 0 to !size - 1 do
+        blocked.(members.(i)) <- false;
+        b.(members.(i)) <- []
+      done;
+      let rec circuit v =
+        let found = ref false in
+        blocked.(v) <- true;
+        path := v :: !path;
+        Array.iter
+          (fun w ->
+            if comp.(w) = s then
+              if w = s then begin
+                (* v = s means the s->s self loop, already counted. *)
+                if v <> s then results := List.rev !path :: !results;
+                found := true
+              end
+              else if not blocked.(w) then if circuit w then found := true)
+          (Digraph.succ g v);
+        if !found then unblock v
+        else
+          Array.iter
+            (fun w ->
+              if comp.(w) = s && not (List.mem v b.(w)) then
+                b.(w) <- v :: b.(w))
+            (Digraph.succ g v);
+        path := List.tl !path;
+        !found
+      in
+      ignore (circuit s)
+    end
   done;
   List.to_seq (List.rev !results)
 

@@ -2,7 +2,7 @@ type t = { n : int; succ : int array array; pred : int array array; m : int }
 
 let sort_dedup a =
   let a = Array.copy a in
-  Array.sort compare a;
+  Array.sort Int.compare a;
   let n = Array.length a in
   if n = 0 then a
   else begin

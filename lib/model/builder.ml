@@ -4,20 +4,25 @@ let node_of_step db = function
   | L name -> Node.lock (Db.find_entity_exn db name)
   | U name -> Node.unlock (Db.find_entity_exn db name)
 
+(* Node ids in order of first mention, keyed by [2·entity + op] (Lock
+   0, Unlock 1).  Every mentioned entity then gets its missing node and
+   the arc [Lx < Ux], in ascending entity order. *)
 let collect db ~chains ~arcs =
-  let tbl = Hashtbl.create 17 in
+  let id_by_key = Array.make (2 * Db.entity_count db) (-1) in
   let labels = ref [] in
   let count = ref 0 in
-  let id_of step =
-    let nd = node_of_step db step in
-    match Hashtbl.find_opt tbl nd with
-    | Some i -> i
-    | None ->
-        let i = !count in
-        incr count;
-        Hashtbl.add tbl nd i;
-        labels := nd :: !labels;
-        i
+  let id_of_key k =
+    if id_by_key.(k) < 0 then begin
+      id_by_key.(k) <- !count;
+      incr count;
+      let e = k / 2 in
+      labels := (if k land 1 = 0 then Node.lock e else Node.unlock e) :: !labels
+    end;
+    id_by_key.(k)
+  in
+  let id_of = function
+    | L name -> id_of_key (2 * Db.find_entity_exn db name)
+    | U name -> id_of_key ((2 * Db.find_entity_exn db name) + 1)
   in
   let arc_list = ref [] in
   List.iter
@@ -32,15 +37,13 @@ let collect db ~chains ~arcs =
       link ids)
     chains;
   List.iter (fun (a, b) -> arc_list := (id_of a, id_of b) :: !arc_list) arcs;
-  (* Materialize the matching op for every mentioned entity and the
-     implicit Lx < Ux arc. *)
-  let mentioned = Hashtbl.fold (fun (nd : Node.t) _ acc -> nd.entity :: acc) tbl [] in
-  List.iter
-    (fun e ->
-      let l = id_of (L (Db.entity_name db e)) in
-      let u = id_of (U (Db.entity_name db e)) in
-      arc_list := (l, u) :: !arc_list)
-    (List.sort_uniq compare mentioned);
+  for e = 0 to Db.entity_count db - 1 do
+    if id_by_key.(2 * e) >= 0 || id_by_key.((2 * e) + 1) >= 0 then begin
+      let l = id_of_key (2 * e) in
+      let u = id_of_key ((2 * e) + 1) in
+      arc_list := (l, u) :: !arc_list
+    end
+  done;
   (Array.of_list (List.rev !labels), !arc_list)
 
 let transaction db ?(chains = []) ?(arcs = []) () =

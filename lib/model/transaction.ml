@@ -41,7 +41,6 @@ type t = {
   arcs : Digraph.t;
   preds : Bitset.t array; (* node -> its immediate predecessors *)
   closure : Closure.t;
-  hasse : Digraph.t;
   lock_of : int array; (* entity -> node id or -1 *)
   unlock_of : int array;
   entity_set : Bitset.t;
@@ -52,7 +51,9 @@ let node_count t = Array.length t.node_labels
 let nodes t = t.node_labels
 let node t i = t.node_labels.(i)
 let given_arcs t = t.arcs
-let hasse t = t.hasse
+(* Only printers read the Hasse diagram, so it is derived per call
+   rather than stored in every transaction. *)
+let hasse t = Closure.reduction ~closure:t.closure t.arcs
 let precedes t u v = Bitset.mem t.closure.(u) v
 
 let make db node_labels arc_list =
@@ -107,7 +108,6 @@ let make db node_labels arc_list =
               Array.init n (fun u ->
                   Bitset.of_list n (Array.to_list (Digraph.pred arcs u)));
             closure;
-            hasse = Closure.reduction ~closure arcs;
             lock_of;
             unlock_of;
             entity_set;
@@ -271,7 +271,7 @@ let restrict_to_prefix t p =
   Digraph.create (node_count t)
     (List.filter
        (fun (u, v) -> Bitset.mem p u && Bitset.mem p v)
-       (Digraph.edges t.hasse))
+       (Digraph.edges (hasse t)))
 
 let is_two_phase t =
   not
@@ -316,7 +316,7 @@ let pp ppf t =
       Format.fprintf ppf "@,%s < %s"
         (Node.to_string t.db t.node_labels.(u))
         (Node.to_string t.db t.node_labels.(v)))
-    (Digraph.edges t.hasse);
+    (Digraph.edges (hasse t));
   Format.fprintf ppf "@]"
 
 let equal a b =

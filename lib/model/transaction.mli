@@ -49,7 +49,9 @@ val node : t -> int -> Node.t
 (** The precedence arcs as given (before closure). *)
 val given_arcs : t -> Digraph.t
 
-(** Hasse diagram (transitive reduction) of the partial order. *)
+(** Hasse diagram (transitive reduction) of the partial order.  Not
+    stored: each call derives it from the cached closure, so callers that
+    need it more than once (printers) should bind it. *)
 val hasse : t -> Digraph.t
 
 (** Strict precedence: [precedes t u v] iff node [u] < node [v]. O(1). *)

@@ -3,12 +3,22 @@ open Ddlock_model
 
 let entity_name sys e = Db.entity_name (System.db sys) e
 
-let narrate sys steps =
+(* One walk over [steps]: the narration lines, status last, and the
+   final state.  With [~strict], an illegal step raises
+   [Invalid_argument] before it is narrated. *)
+let walk ~strict sys steps =
   let st = ref (State.initial sys) in
   let lines = ref [] in
   let emit fmt = Format.kasprintf (fun s -> lines := s :: !lines) fmt in
   List.iter
     (fun (s : Step.t) ->
+      (if strict then
+         match Schedule.violation sys !st s with
+         | Some v ->
+             invalid_arg
+               (Format.asprintf "Narrate.explain_deadlock: illegal schedule: %a"
+                  (Schedule.pp_violation sys) v)
+         | None -> ());
       let tx = System.txn sys s.txn in
       let nd = Transaction.node tx s.node in
       let e = nd.Node.entity in
@@ -40,7 +50,9 @@ let narrate sys steps =
     else if State.is_deadlock sys !st then "DEADLOCK"
     else "(partial)"
   in
-  List.rev (status :: !lines)
+  (List.rev (status :: !lines), !st)
+
+let narrate sys steps = fst (walk ~strict:false sys steps)
 
 let pp sys ppf steps =
   Format.fprintf ppf "@[<v>%a@]"
@@ -48,7 +60,7 @@ let pp sys ppf steps =
     (narrate sys steps)
 
 let explain_deadlock sys steps =
-  let st = Schedule.to_state sys steps in
+  let lines, st = walk ~strict:true sys steps in
   let blocked =
     List.concat_map
       (fun i ->
@@ -74,4 +86,4 @@ let explain_deadlock sys steps =
             (Transaction.minimal_remaining (System.txn sys i) st.(i)))
       (List.init (System.size sys) Fun.id)
   in
-  narrate sys steps @ blocked
+  lines @ blocked

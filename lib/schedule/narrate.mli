@@ -13,6 +13,6 @@ val pp : System.t -> Format.formatter -> Step.t list -> unit
 
 (** [explain_deadlock sys steps] — narration for a partial schedule that
     ends in a deadlock state: the step lines followed by per-transaction
-    "blocked on" lines.  Raises [Invalid_argument] if the schedule is
-    illegal. *)
+    "blocked on" lines: {!narrate}'s lines, status included, are its
+    prefix.  Raises [Invalid_argument] if the schedule is illegal. *)
 val explain_deadlock : System.t -> Step.t list -> string list

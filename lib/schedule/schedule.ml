@@ -20,37 +20,35 @@ let pp_violation sys ppf = function
       Format.fprintf ppf "step references unknown transaction %d"
         (s.Step.txn + 1)
 
+let violation sys st (s : Step.t) =
+  if s.txn < 0 || s.txn >= System.size sys then Some (Bad_txn_index s)
+  else
+    let tx = System.txn sys s.txn in
+    if Bitset.mem st.(s.txn) s.node then Some (Node_repeated s)
+    else if
+      not
+        (Array.for_all
+           (Bitset.mem st.(s.txn))
+           (Digraph.pred (Transaction.given_arcs tx) s.node))
+    then Some (Not_minimal s)
+    else
+      let nd = Transaction.node tx s.node in
+      match nd.Node.op with
+      | Node.Unlock -> None
+      | Node.Lock -> (
+          match State.holder sys st nd.Node.entity with
+          | Some j when j <> s.txn -> Some (Lock_held (s, j))
+          | _ -> None)
+
 let check sys steps =
-  let n = System.size sys in
-  let st = State.initial sys in
   let rec go st = function
     | [] -> Ok st
-    | (s : Step.t) :: rest ->
-        if s.txn < 0 || s.txn >= n then Error (Bad_txn_index s)
-        else
-          let tx = System.txn sys s.txn in
-          if Bitset.mem st.(s.txn) s.node then Error (Node_repeated s)
-          else if
-            not
-              (Array.for_all
-                 (Bitset.mem st.(s.txn))
-                 (Digraph.pred (Transaction.given_arcs tx) s.node))
-          then Error (Not_minimal s)
-          else
-            let nd = Transaction.node tx s.node in
-            let blocked =
-              match nd.Node.op with
-              | Node.Unlock -> None
-              | Node.Lock -> (
-                  match State.holder sys st nd.Node.entity with
-                  | Some j when j <> s.txn -> Some j
-                  | _ -> None)
-            in
-            (match blocked with
-            | Some j -> Error (Lock_held (s, j))
-            | None -> go (State.apply st s) rest)
+    | s :: rest -> (
+        match violation sys st s with
+        | Some v -> Error v
+        | None -> go (State.apply st s) rest)
   in
-  go st steps
+  go (State.initial sys) steps
 
 let is_legal sys steps = Result.is_ok (check sys steps)
 

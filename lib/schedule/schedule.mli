@@ -15,6 +15,10 @@ type violation =
 
 val pp_violation : System.t -> Format.formatter -> violation -> unit
 
+(** [violation sys st s] is why step [s] cannot run in state [st], if
+    it cannot. *)
+val violation : System.t -> State.t -> Step.t -> violation option
+
 (** [check sys steps] replays the sequence; [Ok st] is the reached state. *)
 val check : System.t -> Step.t list -> (State.t, violation) result
 

@@ -275,6 +275,101 @@ let johnson_count_prop =
       let g = Digraph.create n es in
       Cycles.count_simple_cycles g = brute_cycle_count n (Digraph.edges g))
 
+(* Johnson's algorithm as it stood before [simple_cycles] read each
+   root's component on the graph itself: per root, the subgraph induced
+   on nodes >= s, Tarjan over it, and the component found by search.
+   Kept as the reference for the order of the enumerated cycles. *)
+let reference_simple_cycles g =
+  let n = Digraph.node_count g in
+  let results = ref [] in
+  let blocked = Array.make n false in
+  let b = Array.make n [] in
+  let path = ref [] in
+  let rec unblock u =
+    if blocked.(u) then begin
+      blocked.(u) <- false;
+      let bs = b.(u) in
+      b.(u) <- [];
+      List.iter unblock bs
+    end
+  in
+  for s = 0 to n - 1 do
+    let sub, renum = Digraph.induced g (fun v -> v >= s) in
+    let comps = Cycles.scc sub in
+    let inv = Array.make (Digraph.node_count sub) (-1) in
+    Array.iteri (fun old nw -> if nw >= 0 then inv.(nw) <- old) renum;
+    match
+      List.find_opt (fun comp -> List.exists (fun v -> inv.(v) = s) comp) comps
+    with
+    | None -> ()
+    | Some comp ->
+        let comp_orig = List.map (fun v -> inv.(v)) comp in
+        let in_comp = Bitset.of_list n comp_orig in
+        if Digraph.mem_edge g s s then results := [ s ] :: !results;
+        if List.length comp_orig > 1 then begin
+          List.iter
+            (fun v ->
+              blocked.(v) <- false;
+              b.(v) <- [])
+            comp_orig;
+          let rec circuit v =
+            let found = ref false in
+            blocked.(v) <- true;
+            path := v :: !path;
+            Array.iter
+              (fun w ->
+                if Bitset.mem in_comp w then
+                  if w = s then begin
+                    if v <> s then results := List.rev !path :: !results;
+                    found := true
+                  end
+                  else if not blocked.(w) then if circuit w then found := true)
+              (Digraph.succ g v);
+            if !found then unblock v
+            else
+              Array.iter
+                (fun w ->
+                  if Bitset.mem in_comp w && not (List.mem v b.(w)) then
+                    b.(w) <- v :: b.(w))
+                (Digraph.succ g v);
+            path := List.tl !path;
+            !found
+          in
+          ignore (circuit s)
+        end
+  done;
+  List.rev !results
+
+(* Digraphs of 0-9 nodes, self-loops allowed: random density, complete
+   (every ordered pair, loops included), or two random node classes
+   with no arc between them. *)
+let random_digraph seed =
+  let st = Fixtures.rng seed in
+  let n = Random.State.int st 10 in
+  let p = Random.State.float st 0.6 in
+  let part = Array.init n (fun _ -> Random.State.bool st) in
+  let keep =
+    match Random.State.int st 3 with
+    | 0 -> fun _ _ -> Random.State.float st 1.0 < p
+    | 1 -> fun _ _ -> true
+    | _ -> fun u v -> part.(u) = part.(v) && Random.State.float st 1.0 < p
+  in
+  let es = ref [] in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if keep u v then es := (u, v) :: !es
+    done
+  done;
+  Digraph.create n !es
+
+let johnson_reference_prop =
+  QCheck.Test.make ~name:"simple_cycles = per-root-subgraph reference"
+    ~count:300
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let g = random_digraph seed in
+      List.of_seq (Cycles.simple_cycles g) = reference_simple_cycles g)
+
 let test_ungraph_cycles () =
   (* K4 has 4 triangles and 3 quadrilaterals = 7 undirected cycles. *)
   let k4 =
@@ -371,6 +466,7 @@ let qtests =
       closure_matches_brute_prop;
       reduction_preserves_closure_prop;
       johnson_count_prop;
+      johnson_reference_prop;
       ungraph_cycles_brute_prop;
       closure_graph_prop;
     ]

@@ -296,6 +296,81 @@ let test_parser_roundtrip () =
       check bool_t ("equal " ^ n1) true (Transaction.equal t1 t2))
     r.Parser.named r2.Parser.named
 
+(* [Parser.to_source] over the systems [ddlock gen] writes and over
+   [Builder] transactions that leave Lock and Unlock nodes implicit,
+   then over the same text parsed back, plus [Transaction.pp] of every
+   parsed transaction.  Parsing numbers nodes as [Builder] does, and
+   every rendering prints a Hasse diagram in node order, so the digest
+   pins the numbering, implicit nodes included, and the arc order.
+   Recorded before the Hasse diagram was computed on demand and
+   [Builder] keyed its nodes by entity. *)
+let golden_source_digest = "1a8bf482ee8373e7dc33a7ad88fbde0d"
+
+let gen_sources () =
+  let module G = Ddlock_workload.Gentx in
+  let named sys =
+    List.mapi
+      (fun i t -> (Printf.sprintf "T%d" (i + 1), t))
+      (Array.to_list (System.txns sys))
+  in
+  let of_sys sys = (System.db sys, named sys) in
+  let rng seed = Random.State.make [| seed |] in
+  let ring n copies =
+    let t = G.guard_ring n in
+    ( Transaction.db t,
+      List.init copies (fun c -> (Printf.sprintf "T_%d" (c + 1), t)) )
+  in
+  let implicit =
+    let db = Db.one_site_per_entity [ "a"; "b"; "c"; "d" ] in
+    let txn ?arcs chains = Builder.transaction_exn db ~chains ?arcs () in
+    let open Builder in
+    ( db,
+      [
+        ("A", txn [ [ L "c"; L "a"; L "b" ] ]);
+        ("B", txn [ [ L "d"; U "b" ]; [ L "a"; L "b"; U "a" ] ]);
+        ("C", txn ~arcs:[ (L "b", U "c"); (L "d", U "a") ] [ [ L "a"; L "b" ] ]);
+        ("D", txn [ [ U "d"; L "c" ]; [ L "b"; U "d" ] ]);
+        ("E", txn [ [ U "a"; U "c"; U "b" ] ]);
+      ] )
+  in
+  implicit
+  :: List.map (fun n -> of_sys (G.dining_philosophers n)) [ 3; 5; 8 ]
+  @ [ ring 3 1; ring 4 2; ring 5 3 ]
+  @ List.concat_map
+      (fun seed ->
+        let n = 3 + (seed mod 4) and txns = 2 + (seed mod 3) in
+        let db = G.random_db ~sites:(max 1 (n / 2)) ~entities:n in
+        [
+          ( db,
+            named
+              (G.random_system (rng seed) db ~txns
+                 ~entities_per_txn:(max 1 (n / 2)) ~density:0.3) );
+          of_sys
+            (G.zipf_system (rng seed) ~sites:(max 1 (n / 2)) ~entities:n ~txns
+               ~theta:1.2);
+          of_sys (G.tpcc_system (rng seed) ~warehouses:2 ~txns ~theta:1.2);
+          of_sys
+            (G.replicated_system (rng seed)
+               (G.replicated_db ~sites:3 ~entities:n ~replication:2)
+               ~txns ~entities_per_txn:(min 2 n));
+        ])
+      (List.init 6 (fun i -> 40 + i))
+
+let test_source_digest () =
+  let b = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (db, named) ->
+      let src = Parser.to_source db named in
+      Buffer.add_string b src;
+      let r = Parser.parse_exn src in
+      Buffer.add_string b (Parser.to_source r.Parser.db r.Parser.named);
+      List.iter
+        (fun (_, t) -> Printf.bprintf b "%s\n" (Format.asprintf "%a" Transaction.pp t))
+        r.Parser.named)
+    (gen_sources ());
+  check Alcotest.string "source digest" golden_source_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_parser_errors () =
   let bad_cases =
     [
@@ -401,6 +476,7 @@ let suite =
     Alcotest.test_case "parser basic" `Quick test_parser_basic;
     Alcotest.test_case "parser roundtrip" `Quick test_parser_roundtrip;
     Alcotest.test_case "parser errors" `Quick test_parser_errors;
+    Alcotest.test_case "golden source digest" `Quick test_source_digest;
     Alcotest.test_case "system basic" `Quick test_system_basic;
   ]
   @ qtests

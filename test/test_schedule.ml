@@ -296,7 +296,13 @@ let test_narrate () =
   let full = Narrate.explain_deadlock sys steps in
   check bool_t "blocked lines" true
     (List.mem "T1 is blocked: needs b, held by T2" full
-    && List.mem "T2 is blocked: needs a, held by T1" full)
+    && List.mem "T2 is blocked: needs a, held by T1" full);
+  check bool_t "narration is the explanation's prefix" true
+    (List.filteri (fun i _ -> i < List.length lines) full = lines);
+  check bool_t "illegal schedule rejected" true
+    (match Narrate.explain_deadlock sys (steps @ [ List.hd steps ]) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_narrate_complete () =
   let sys = simple_pair () in
