@@ -12,7 +12,7 @@
    Run with:  dune exec bench/main.exe                 (everything)
               dune exec bench/main.exe -- SECTION...   (a subset)
    Sections: micro theorem4 exhaustive crossover sim recovery faults sm
-             rw par obs sym por serve matrix
+             rw obs sym por serve matrix
 *)
 
 open Bechamel
@@ -52,8 +52,9 @@ let summarize samples =
     mad = percentile 0.5 (List.map (fun x -> Float.abs (x -. median)) samples);
   }
 
-(* Monotonic wall clock: CPU time would sum over the parallel engine's
-   domains and make a run look slower the better it scales. *)
+(* Monotonic wall clock: CPU time would sum over the daemon's worker
+   domains in the serve sweep and make a run look slower the better it
+   scales. *)
 let time_ms f =
   let t0 = Obs.Clock.now_ns () in
   let r = f () in
@@ -558,77 +559,11 @@ let rw_modes () =
     [ 2; 4; 8; 16 ]
 
 (* ------------------------------------------------------------------ *)
-(* Parallel exploration: jobs sweep on the biggest state spaces        *)
-(* ------------------------------------------------------------------ *)
-
-let par () =
-  header "E20 parallel exploration: jobs sweep (work-stealing engine)";
-  (* Speedups are only meaningful relative to the physical parallelism
-     available; write_json records it as "cores". *)
-  Format.printf "  recommended domain count on this machine: %d@."
-    (Domain.recommended_domain_count ());
-  let jobs_list = [ 1; 2; 4; 8 ] in
-  let workloads =
-    [
-      ("philosophers k=5", Workload.Gentx.dining_philosophers 5);
-      ("philosophers k=6", Workload.Gentx.dining_philosophers 6);
-      ("2 copies of 6-ring", System.copies (Workload.Gentx.guard_ring 6) 2);
-    ]
-  in
-  Format.printf "  %-22s %-10s %-6s %-18s %-8s@." "workload" "states" "jobs"
-    "ms" "speedup";
-  let series =
-    List.map
-      (fun (name, sys) ->
-        let seq_states, seq = explore_timed sys in
-        Format.printf "  %-22s %-10d %-6s %-18s %-8s@." name seq_states "seq"
-          (pp_timing seq) "1.00x";
-        let runs =
-          List.map
-            (fun jobs ->
-              let space, t =
-                measure (fun () -> Par.Par_explore.explore ~jobs sys)
-              in
-              let states = Par.Par_explore.state_count space in
-              assert (states = seq_states);
-              let speedup = seq.median /. t.median in
-              Format.printf "  %-22s %-10d %-6d %-18s %-8s@." "" states jobs
-                (pp_timing t)
-                (Printf.sprintf "%.2fx" speedup);
-              Obj
-                ((("jobs", Int jobs) :: timed "ms" t)
-                @ [ ("speedup", Num speedup) ]))
-            jobs_list
-        in
-        Obj
-          ([ ("workload", Str name); ("states", Int seq_states) ]
-          @ timed "seq_ms" seq
-          @ [ ("runs", Arr runs) ]))
-      workloads
-  in
-  (* Theorem-1 prefix search with the predicate evaluated in parallel. *)
-  (match Analysis.repair_with_global_order (Workload.Gentx.dining_philosophers 6) with
-  | None -> ()
-  | Some repaired ->
-      Format.printf "@.  prefix search (repaired philosophers k=6, deadlock-free):@.";
-      List.iter
-        (fun jobs ->
-          let df, t =
-            measure (fun () ->
-                Deadlock.Prefix_search.deadlock_free ~jobs repaired)
-          in
-          assert df;
-          Format.printf "  %-22s %-10s %-6d %-18s@." "prefix-search" "-" jobs
-            (pp_timing t))
-        jobs_list);
-  write_json "par" [ ("series", Arr series) ]
-
-(* ------------------------------------------------------------------ *)
 (* Observability overhead: telemetry on vs off on the same search      *)
 (* ------------------------------------------------------------------ *)
 
 let obs () =
-  header "E21 observability overhead: telemetry on vs off (jobs=1)";
+  header "E21 observability overhead: telemetry on vs off";
   let workloads =
     [
       ("philosophers k=5", Workload.Gentx.dining_philosophers 5);
@@ -1083,7 +1018,6 @@ let () =
       ("faults", faults);
       ("sm", sm_fixed);
       ("rw", rw_modes);
-      ("par", par);
       ("obs", obs);
       ("sym", sym);
       ("por", por);

@@ -54,19 +54,6 @@ let max_states_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
 
-let jobs_arg =
-  Arg.(value & opt int 1 & info [ "jobs" ]
-       ~doc:"Worker domains for the exhaustive search: 1 runs the \
-             sequential engine, N >= 2 the work-stealing engine on N \
-             domains.  Output is identical for every value (witnesses \
-             of positive verdicts come from the sequential engine).")
-
-let check_jobs jobs =
-  if jobs < 1 then begin
-    Format.eprintf "ddlock: --jobs must be >= 1 (got %d)@." jobs;
-    exit 2
-  end
-
 let symmetry_arg =
   Arg.(value & flag & info [ "symmetry" ]
        ~doc:"Exploit identical-transaction symmetry in the exhaustive \
@@ -92,7 +79,7 @@ let por_arg =
              steps are explored in one order instead of all).  The \
              verdict — and for $(b,analyze), the reported witness \
              schedule — is identical to the plain search; composes \
-             with --symmetry and --jobs.  A warning is printed when no \
+             with --symmetry.  A warning is printed when no \
              two steps are independent (the flag is then a no-op).")
 
 (* Same contract as check_symmetry: a --por run on a system with no
@@ -171,15 +158,16 @@ let validate_cmd =
 (* ----------------------------- analyze ----------------------------- *)
 
 let analyze_cmd =
-  let run file max_states jobs symmetry por stats trace =
-    check_jobs jobs;
+  let run file max_states symmetry por stats trace =
     obs_start ~stats ~trace;
-    let r = load file in
-    let sys = Parser.system_of_result r in
+    let sys =
+      Obs.Trace.span "analysis.parse" (fun () ->
+          Parser.system_of_result (load file))
+    in
     check_symmetry ~symmetry sys;
     check_por ~por sys;
     let text, status, _report =
-      Analysis.render_full ~max_states ~jobs ~symmetry ~por sys
+      Analysis.render_full ~max_states ~symmetry ~por sys
     in
     print_string text;
     exit status
@@ -190,8 +178,8 @@ let analyze_cmd =
          "Full analysis: Theorem 3/4 safety∧deadlock-freedom plus bounded \
           exhaustive deadlock search.")
     Term.(
-      const run $ file_arg $ max_states_arg $ jobs_arg $ symmetry_arg
-      $ por_arg $ stats_arg $ trace_arg)
+      const run $ file_arg $ max_states_arg $ symmetry_arg $ por_arg
+      $ stats_arg $ trace_arg)
 
 (* ------------------------------- pair ------------------------------ *)
 
@@ -499,14 +487,13 @@ let repair_cmd =
 (* ----------------------------- minimize ---------------------------- *)
 
 let minimize_cmd =
-  let run file max_states jobs symmetry por stats trace =
-    check_jobs jobs;
+  let run file max_states symmetry por stats trace =
     obs_start ~stats ~trace;
     let r = load file in
     let sys = Parser.system_of_result r in
     check_symmetry ~symmetry sys;
     check_por ~por sys;
-    match Minimize.deadlock_core ~max_states ~jobs ~symmetry ~por sys with
+    match Minimize.deadlock_core ~max_states ~symmetry ~por sys with
     | None ->
         Format.printf
           "# no deadlock found (deadlock-free, or search budget exceeded)@.";
@@ -535,8 +522,8 @@ let minimize_cmd =
        ~doc:
          "Shrink a deadlocking system to a minimal core that still           deadlocks (drops transactions and entity accesses).")
     Term.(
-      const run $ file_arg $ max_states_arg $ jobs_arg $ symmetry_arg
-      $ por_arg $ stats_arg $ trace_arg)
+      const run $ file_arg $ max_states_arg $ symmetry_arg $ por_arg
+      $ stats_arg $ trace_arg)
 
 (* ------------------------------- dot ------------------------------- *)
 
@@ -656,7 +643,8 @@ let socket_arg =
 let serve_cmd =
   let workers_arg =
     Arg.(value & opt int 2 & info [ "workers" ]
-         ~doc:"Worker domains running analyses.")
+         ~doc:"Worker domains running analyses, one request each at a \
+               time: the daemon's parallelism.")
   in
   let queue_cap_arg =
     Arg.(value & opt int 16 & info [ "queue-cap" ]
@@ -695,9 +683,8 @@ let serve_cmd =
                retrieval." ~docv:"MS")
   in
   let run socket workers queue_cap cache_cap max_request_bytes
-      default_max_states default_deadline_ms jobs idle_timeout_ms flight_cap
+      default_max_states default_deadline_ms idle_timeout_ms flight_cap
       slow_ms stats trace =
-    check_jobs jobs;
     if workers < 1 then begin
       Format.eprintf "ddlock: --workers must be >= 1 (got %d)@." workers;
       exit 2
@@ -713,7 +700,6 @@ let serve_cmd =
         max_request_bytes;
         default_max_states;
         default_deadline_ms;
-        jobs;
         idle_timeout_ms;
         flight_cap;
         slow_ms;
@@ -748,7 +734,7 @@ let serve_cmd =
           recorder to stderr.")
     Term.(
       const run $ socket_arg $ workers_arg $ queue_cap_arg $ cache_cap_arg
-      $ max_request_arg $ serve_max_states_arg $ deadline_arg $ jobs_arg
+      $ max_request_arg $ serve_max_states_arg $ deadline_arg
       $ idle_timeout_arg $ flight_cap_arg $ slow_ms_arg $ stats_arg
       $ trace_arg)
 

@@ -30,26 +30,16 @@
      the rw system runs exactly like its exclusive abstraction (trace,
      outcome, deadlock time and arcs, makespan; with and without a
      random fault plan);
-   - with [--jobs n], n > 1: the work-stealing engine
-     (Par.Par_explore on 2..n domains) vs the sequential explorer —
-     identical find_deadlock results (the witness of a positive verdict
-     comes from the sequential engine), identical state counts and
-     explore.states_visited totals on full explorations, identical
-     Lemma-1 counterexamples, Theorem-1 prefix verdicts, and legality /
-     endpoint / deadlock of the raw bfs witness via Schedule replay;
    - with [--symmetry]: the orbit-canonicalized engines (Sched.Canon)
      vs the plain ones — identical deadlock verdicts on both generic
      and identical-copy systems, witness legality, canonical state
-     counts within [raw/orbit_size, raw], Theorem-1 prefix verdicts,
-     and (under --jobs) par-vs-seq symmetric find_deadlock and state
-     count equality;
+     counts within [raw/orbit_size, raw], and Theorem-1 prefix
+     verdicts;
    - with [--por]: the persistent/sleep-set reduced engines
      (Sched.Indep) vs the plain ones — byte-identical deadlock
      witnesses, reduced state counts never above plain, Theorem-1
-     prefix verdicts, composition with --symmetry on copies systems,
-     and (under --jobs) par-vs-plain witness equality and the
-     reduced-count bound.  Counters of reduced searches depend on the
-     engine and are not cross-checked.
+     prefix verdicts, and composition with --symmetry on copies
+     systems.
 
    The every-100-rounds summary line also reports cumulative per-engine
    wall-clock, so long soaks double as a coarse perf regression check.
@@ -59,7 +49,7 @@ open Ddlock
 module System = Model.System
 
 let () =
-  let rounds = ref 500 and seed = ref 1 and txns = ref 3 and jobs = ref 1 in
+  let rounds = ref 500 and seed = ref 1 and txns = ref 3 in
   let symmetry = ref false in
   let por = ref false in
   let args =
@@ -67,10 +57,6 @@ let () =
       ("--rounds", Arg.Set_int rounds, "number of rounds (default 500)");
       ("--seed", Arg.Set_int seed, "base seed (default 1)");
       ("--txns", Arg.Set_int txns, "transactions per system (default 3)");
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "also cross-check the work-stealing engine with 2..jobs domains \
-         (default 1 = off)" );
       ( "--symmetry",
         Arg.Set symmetry,
         "also cross-check the symmetry-reduced engines against the plain \
@@ -82,10 +68,6 @@ let () =
     ]
   in
   Arg.parse args (fun _ -> ()) "fuzz [options]";
-  if !jobs < 1 then begin
-    prerr_endline "fuzz: --jobs must be >= 1";
-    exit 2
-  end;
   (* Cumulative wall-clock per engine family, reported every 100 rounds. *)
   let timers = Hashtbl.create 8 in
   let timed name f =
@@ -267,58 +249,6 @@ let () =
         ("tpcc", tpcc_sys);
         ("replicated", rep_sys);
       ];
-    (* --- work-stealing engine vs sequential ground truth --- *)
-    if !jobs > 1 then begin
-      timed "par" @@ fun () ->
-      let j = 2 + (round mod (!jobs - 1)) in
-      let plain = Sched.Explore.find_deadlock sys in
-      if Par.Par_explore.find_deadlock ~jobs:j sys <> plain then
-        report "par find_deadlock" round;
-      if
-        Par.Par_explore.state_count (Par.Par_explore.explore ~jobs:j sys)
-        <> Sched.Explore.state_count (Sched.Explore.explore sys)
-      then report "par state count" round;
-      if
-        Par.Par_explore.safe_and_deadlock_free ~jobs:j pair_sys
-        <> Sched.Explore.safe_and_deadlock_free pair_sys
-      then report "par lemma1" round;
-      if
-        Deadlock.Prefix_search.find ~jobs:j sys = None
-        <> (Deadlock.Prefix_search.find sys = None)
-      then report "par prefix search" round;
-      (* The raw witness is whichever deadlock a worker reached first:
-         not deterministic, but always a legal schedule whose replay
-         ends in its deadlocked endpoint. *)
-      (match
-         Par.Par_explore.bfs ~jobs:j sys ~found:(Sched.State.is_deadlock sys)
-       with
-      | None -> if plain <> None then report "par bfs verdict" round
-      | Some (sched, stf) ->
-          if plain = None then report "par bfs verdict" round
-          else if not (Sched.Schedule.is_legal sys sched) then
-            report "par witness legality" round
-          else if
-            not (Sched.State.equal (Sched.Schedule.prefix_vector sys sched) stf)
-          then report "par witness endpoint" round
-          else if not (Sched.State.is_deadlock sys stf) then
-            report "par witness deadlock" round);
-      (* A full exploration without POR inserts exactly the reachable
-         set, so its explore.states_visited total is the same on both
-         engines; every other counter depends on the engine. *)
-      let states_visited f =
-        Obs.Control.on ();
-        Obs.Metrics.reset ();
-        ignore (f ());
-        let n = Obs.Metrics.counter_value "explore.states_visited" in
-        Obs.Control.off ();
-        Obs.Metrics.reset ();
-        n
-      in
-      if
-        states_visited (fun () -> Sched.Explore.explore sys)
-        <> states_visited (fun () -> Par.Par_explore.explore ~jobs:j sys)
-      then report "obs states_visited" round
-    end;
     (* --- symmetry-reduced engines vs plain ground truth --- *)
     if !symmetry then begin
       timed "sym" @@ fun () ->
@@ -354,18 +284,6 @@ let () =
         (Sched.Explore.find_deadlock ksys = None)
         <> (Sched.Explore.find_deadlock ~symmetry:true ksys = None)
       then report "sym copies verdict" round;
-      if !jobs > 1 then begin
-        let j = 2 + (round mod (!jobs - 1)) in
-        if
-          Par.Par_explore.find_deadlock ~symmetry:true ~jobs:j ksys
-          <> Sched.Explore.find_deadlock ~symmetry:true ksys
-        then report "sym par witness" round;
-        if
-          Par.Par_explore.state_count
-            (Par.Par_explore.explore ~symmetry:true ~jobs:j ksys)
-          <> reduced
-        then report "sym par state count" round
-      end
     end;
     (* --- partial-order-reduced engines vs plain ground truth --- *)
     if !por then begin
@@ -391,16 +309,6 @@ let () =
         Sched.Explore.find_deadlock ~por:true ~symmetry:true ksys
         <> Sched.Explore.find_deadlock ksys
       then report "por+sym verdict" round;
-      if !jobs > 1 then begin
-        let j = 2 + (round mod (!jobs - 1)) in
-        if Par.Par_explore.find_deadlock ~por:true ~jobs:j sys <> plain then
-          report "por par witness" round;
-        if
-          Par.Par_explore.state_count
-            (Par.Par_explore.explore ~por:true ~jobs:j sys)
-          > Sched.Explore.state_count (Sched.Explore.explore sys)
-        then report "por par state-count bound" round
-      end
     end;
     (* --- rw invariants --- *)
     let rwdb = Workload.Gentx.random_db ~sites:1 ~entities:3 in

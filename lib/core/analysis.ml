@@ -45,24 +45,18 @@ let pp_deadlock_verdict sys ppf = function
 (* The deadlock decision given the Theorem 4 verdict [safety]: a
    certified system is deadlock-free, anything else is searched. *)
 let decide_deadlock ?(max_states = 500_000) ?(symmetry = false) ?(por = false)
-    ~jobs sys safety =
+    sys safety =
   match safety with
   | Safe_and_deadlock_free -> Deadlock_free
   | _ -> (
-      Ddlock_obs.Trace.span "analysis.deadlock_search"
-        ~args:[ ("jobs", string_of_int jobs) ]
-      @@ fun () ->
-      match
-        Ddlock_par.Par_explore.find_deadlock ~max_states ~symmetry ~por ~jobs sys
-      with
+      Ddlock_obs.Trace.span "analysis.deadlock_search" @@ fun () ->
+      match Explore.find_deadlock ~max_states ~symmetry ~por sys with
       | Some (schedule, state) -> Deadlocks { schedule; state }
       | None -> Deadlock_free
       | exception Explore.Too_large n -> Gave_up { states_explored = n })
 
-let deadlock_free ?max_states ?(jobs = 1) ?symmetry ?por sys =
-  Ddlock_par.Par_explore.validate_jobs jobs;
-  decide_deadlock ?max_states ~jobs ?symmetry ?por sys
-    (safe_and_deadlock_free sys)
+let deadlock_free ?max_states ?symmetry ?por sys =
+  decide_deadlock ?max_states ?symmetry ?por sys (safe_and_deadlock_free sys)
 
 type report = {
   txn_count : int;
@@ -76,11 +70,10 @@ type report = {
   deadlock : deadlock_verdict;
 }
 
-let report ?max_states ?(jobs = 1) ?symmetry ?por sys =
+let report ?max_states ?symmetry ?por sys =
   Ddlock_obs.Trace.span "analysis.report" @@ fun () ->
-  Ddlock_par.Par_explore.validate_jobs jobs;
   let safety = safe_and_deadlock_free sys in
-  let deadlock = decide_deadlock ?max_states ~jobs ?symmetry ?por sys safety in
+  let deadlock = decide_deadlock ?max_states ?symmetry ?por sys safety in
   let db = System.db sys in
   let g = System.interaction_graph sys in
   {
@@ -179,8 +172,8 @@ let pp_report sys ppf r =
    analyze] prints on stdout, byte for byte — the CLI prints this
    string verbatim, and the serve daemon caches it, so served verdicts
    stay diffable against the CLI by construction. *)
-let render_full ?max_states ?jobs ?symmetry ?por sys =
-  let r = report ?max_states ?jobs ?symmetry ?por sys in
+let render_full ?max_states ?symmetry ?por sys =
+  let r = report ?max_states ?symmetry ?por sys in
   let buf = Buffer.create 1024 in
   Ddlock_obs.Trace.span "analysis.render" (fun () ->
       let ppf = Format.formatter_of_buffer buf in

@@ -35,27 +35,24 @@ type deadlock_verdict =
 
 val pp_deadlock_verdict : System.t -> Format.formatter -> deadlock_verdict -> unit
 
-(** [deadlock_free ?max_states ?jobs ?symmetry sys] — first tries the
+(** [deadlock_free ?max_states ?symmetry sys] — first tries the
     polynomial sufficient condition (safe ∧ DF ⇒ DF); otherwise runs the
-    bounded exhaustive Theorem-1 search, on [jobs] worker domains when
-    [jobs > 1] (the verdict and witness are identical for every [jobs];
-    see {!Ddlock_par.Par_explore}).  With [~symmetry:true] that search
-    stores one state per orbit of the identical-transaction automorphism
-    group ({!Ddlock_schedule.Canon}) — same verdict, witness valid for
-    the original system, and systems that exhaust the raw budget may fit
-    the reduced one.  Default budget: 500_000 states.  Raises
-    [Invalid_argument] when [jobs < 1].
+    bounded exhaustive Theorem-1 search ({!Ddlock_schedule.Explore}).
+    With [~symmetry:true] that search stores one state per orbit of the
+    identical-transaction automorphism group ({!Ddlock_schedule.Canon})
+    — same verdict, witness valid for the original system, and systems
+    that exhaust the raw budget may fit the reduced one.  Default
+    budget: 500_000 states.
 
     With [~por:true] the exhaustive search runs over the
     persistent/sleep-set reduced space ({!Ddlock_schedule.Indep});
     deadlock witnesses are canonicalized by a plain non-symmetric
     re-search (see {!Ddlock_schedule.Explore.find_deadlock}), so the
-    verdict {e and} witness are identical to the plain analysis under
-    every [jobs]/[symmetry] combination — only a [Gave_up] budget
-    count can differ (it then reports reduced-search states). *)
+    verdict {e and} witness are identical to the plain analysis with
+    or without [symmetry] — only a [Gave_up] budget count can differ
+    (it then reports reduced-search states). *)
 val deadlock_free :
   ?max_states:int ->
-  ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
   System.t ->
@@ -75,13 +72,12 @@ type report = {
   deadlock : deadlock_verdict;
 }
 
-(** Full analysis: structural statistics plus both verdicts.  [jobs]
-    parallelizes the exhaustive deadlock search, [symmetry] shrinks it
-    to orbit representatives and [por] to a persistent/sleep-set
-    reduced space (verdict unchanged any way). *)
+(** Full analysis: structural statistics plus both verdicts.
+    [symmetry] shrinks the exhaustive deadlock search to orbit
+    representatives and [por] to a persistent/sleep-set reduced space
+    (verdict unchanged either way). *)
 val report :
   ?max_states:int ->
-  ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
   System.t ->
@@ -89,7 +85,7 @@ val report :
 
 val pp_report : System.t -> Format.formatter -> report -> unit
 
-(** [render_full ?max_states ?jobs ?symmetry sys] is
+(** [render_full ?max_states ?symmetry sys] is
     [(text, status, report)]: the exact bytes [ddlock analyze] prints
     on stdout for [sys] (report plus, for a [Deadlocks] verdict, the
     narrated schedule and explanation), together with the process exit
@@ -98,7 +94,6 @@ val pp_report : System.t -> Format.formatter -> report -> unit
     verdicts byte-equivalent to local analysis. *)
 val render_full :
   ?max_states:int ->
-  ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
   System.t ->

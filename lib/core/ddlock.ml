@@ -4,7 +4,6 @@
     - {!Model} — schemas, transactions, systems, parser and builder DSL;
     - {!Sched} — schedules, serialization digraphs, exhaustive exploration;
     - {!Deadlock} — reduction graphs, deadlock prefixes, Tirri baseline;
-    - {!Par} — work-stealing multicore state-space exploration;
     - {!Safety} — Lemma 2, Theorem 3, minimal-prefix, copies, Theorem 4;
     - {!Conp} — 3SAT′, DPLL, CNF normalization, the Theorem 2 reduction;
     - {!Semantics} — action nodes and Herbrand-term schedule semantics;
@@ -20,7 +19,6 @@ module Graph = Ddlock_graph
 module Model = Ddlock_model
 module Sched = Ddlock_schedule
 module Deadlock = Ddlock_deadlock
-module Par = Ddlock_par
 module Safety = Ddlock_safety
 module Conp = Ddlock_conp
 module Sim = Ddlock_sim

@@ -14,19 +14,16 @@ let obs_shrunk = Ddlock_obs.Metrics.Counter.make "minimize.shrink_steps"
    the candidate move is rejected.  Probes are verdict-only, so with
    [?por] they take the single reduced search (no witness
    canonicalization cost; see {!Explore.deadlock_free}). *)
-let deadlocks ?max_states ~jobs ?symmetry ?por sys =
+let deadlocks ?max_states ?symmetry ?por sys =
   Ddlock_obs.Metrics.Counter.incr obs_candidates;
-  match
-    Ddlock_par.Par_explore.deadlock_free ?max_states ?symmetry ?por ~jobs sys
-  with
+  match Explore.deadlock_free ?max_states ?symmetry ?por sys with
   | false -> Some true
   | true -> Some false
   | exception Explore.Too_large _ -> None
 
-let deadlock_core ?max_states ?(jobs = 1) ?symmetry ?por sys =
-  Ddlock_par.Par_explore.validate_jobs jobs;
+let deadlock_core ?max_states ?symmetry ?por sys =
   Ddlock_obs.Trace.span "minimize.deadlock_core" @@ fun () ->
-  match deadlocks ?max_states ~jobs ?symmetry ?por sys with
+  match deadlocks ?max_states ?symmetry ?por sys with
   | None | Some false -> None
   | Some true ->
       (* State: list of (original index, transaction). *)
@@ -35,8 +32,7 @@ let deadlock_core ?max_states ?(jobs = 1) ?symmetry ?por sys =
       let mk txns = System.create (List.map snd txns) in
       let still_deadlocks txns =
         List.length txns >= 2
-        && deadlocks ?max_states ~jobs ?symmetry ?por (mk txns)
-           = Some true
+        && deadlocks ?max_states ?symmetry ?por (mk txns) = Some true
       in
       let changed = ref true in
       while !changed do

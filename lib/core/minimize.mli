@@ -19,22 +19,19 @@ type result = {
       (** (original txn index, entity) accesses removed *)
 }
 
-(** [deadlock_core ?max_states ?jobs ?symmetry sys] — requires the input
+(** [deadlock_core ?max_states ?symmetry sys] — requires the input
     to deadlock (returns [None] otherwise or when the search budget is
-    exceeded).  [jobs > 1] runs each deadlockability re-check on the
-    work-stealing engine, and [~symmetry:true] makes every re-check
+    exceeded).  [~symmetry:true] makes every deadlockability re-check
     store one state per identical-transaction orbit
     ({!Ddlock_schedule.Canon}); the re-checks are verdicts only, so the
-    minimized core is identical for every [jobs] and either [symmetry]
-    flag whenever no re-check exceeds the budget (the group is
-    re-detected per candidate, so shrunk systems keep whatever symmetry
-    they retain).  With [~por:true]
-    every re-check is a verdict-only persistent/sleep-set reduced
-    search ({!Ddlock_schedule.Indep}) — same core, fewer states per
-    probe.  Raises [Invalid_argument] when [jobs < 1]. *)
+    minimized core is identical for either [symmetry] flag whenever no
+    re-check exceeds the budget (the group is re-detected per
+    candidate, so shrunk systems keep whatever symmetry they retain).
+    With [~por:true] every re-check is a verdict-only
+    persistent/sleep-set reduced search ({!Ddlock_schedule.Indep}) —
+    same core, fewer states per probe. *)
 val deadlock_core :
   ?max_states:int ->
-  ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
   System.t ->

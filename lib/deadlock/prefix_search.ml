@@ -11,8 +11,6 @@ module Obs_t = Ddlock_obs.Trace
 let obs_prefix_witnesses =
   Ddlock_obs.Metrics.Counter.make "prefix_search.witnesses"
 
-module Par = Ddlock_par.Par_explore
-
 let cyclic sys st = Reduction.has_cycle (Reduction.make sys st)
 
 (* By Theorem 1 a cyclic reduction graph is reachable iff a deadlock
@@ -21,25 +19,24 @@ let cyclic sys st = Reduction.has_cycle (Reduction.make sys st)
    reduction preserves every reachable deadlock state.  The predicate is
    invariant under identical-transaction permutations (the graph is
    renamed node-for-node), so with [~symmetry:true] it may be evaluated
-   on orbit representatives; the engines hand back a schedule and prefix
+   on orbit representatives; the search hands back a schedule and prefix
    already translated to the original system, and the cycle is
    recomputed on that real prefix. *)
-let find ?max_states ?(jobs = 1) ?(symmetry = false) ?(por = false) sys =
-  Par.validate_jobs jobs;
+let find ?max_states ?symmetry ?por sys =
   Obs_t.span "prefix_search.find" @@ fun () ->
   let r =
     Option.map
       (fun (schedule, prefix) ->
         let cycle = Option.get (Reduction.find_cycle (Reduction.make sys prefix)) in
         { prefix; schedule; cycle })
-      (Par.find ?max_states ~symmetry ~por ~jobs sys ~found:(cyclic sys))
+      (Explore.bfs ?max_states ?symmetry ?por sys ~found:(cyclic sys))
   in
   if r <> None then Ddlock_obs.Metrics.Counter.incr obs_prefix_witnesses;
   r
 
-let deadlock_free ?max_states ?jobs ?symmetry ?por sys =
-  find ?max_states ?jobs ?symmetry ?por sys = None
+let deadlock_free ?max_states ?symmetry ?por sys =
+  find ?max_states ?symmetry ?por sys = None
 
-let all ?max_states ?(jobs = 1) ?(symmetry = false) ?(por = false) sys =
+let all ?max_states ?symmetry ?por sys =
   Seq.filter (cyclic sys)
-    (Par.states (Par.explore ?max_states ~symmetry ~por ~jobs sys))
+    (Explore.states (Explore.explore ?max_states ?symmetry ?por sys))

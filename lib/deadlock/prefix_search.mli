@@ -15,12 +15,8 @@ type witness = {
 }
 
 (** First deadlock prefix in BFS insertion order (hence of minimal
-    depth), found by a goal-directed search that stops there.  The
-    engine is picked by {!Ddlock_par.Par_explore}: sequential for
-    [jobs = 1] (the default), work-stealing on [jobs] domains otherwise,
-    with the witness taken from the sequential search so the result is
-    identical for every [jobs].  Raises [Invalid_argument] when
-    [jobs < 1].
+    depth), found by a goal-directed search ({!Ddlock_schedule.Explore.bfs})
+    that stops there.
 
     With [~symmetry:true] the search runs over orbit representatives of
     the identical-transaction automorphism group (sound because the
@@ -37,7 +33,6 @@ type witness = {
     different prefix than the plain search returns). *)
 val find :
   ?max_states:int ->
-  ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
   System.t ->
@@ -46,24 +41,21 @@ val find :
 (** [deadlock_free sys] iff no reachable state has a cyclic reduction
     graph — by Theorem 1 this is equivalent to
     {!Ddlock_schedule.Explore.deadlock_free}.  The verdict is identical
-    for every [jobs] and any combination of the [symmetry]/[por]
-    flags. *)
+    for any combination of the [symmetry]/[por] flags. *)
 val deadlock_free :
   ?max_states:int ->
-  ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
   System.t ->
   bool
 
 (** All deadlock prefixes (reachable states with cyclic R), in
-    {!Ddlock_par.Par_explore.states} order.  With [~symmetry:true] one
+    {!Ddlock_schedule.Explore.states} order.  With [~symmetry:true] one
     representative per deadlock-prefix orbit; with [~por:true] the
     cyclic states of a reduced space — a subset of the plain result
     that is nonempty iff the plain result is. *)
 val all :
   ?max_states:int ->
-  ?jobs:int ->
   ?symmetry:bool ->
   ?por:bool ->
   System.t ->

@@ -1,7 +1,7 @@
 (** Metrics registry: counters, gauges and log2-bucketed histograms.
 
     Counter and histogram cells are sharded by domain id, so concurrent
-    increments from {!Ddlock_par.Par_explore} worker domains land on
+    increments from the analysis daemon's worker domains land on
     different atomics and never contend on the common path; a snapshot
     merges the shards (addition — associative and commutative, so the
     merged totals are independent of domain scheduling).

@@ -3,15 +3,14 @@
     The analysis daemon ({!Ddlock_serve}) assigns each accepted request
     an id and installs it here for the duration of the work done on its
     behalf, so every {!Trace} event recorded along the way — cache
-    lookup, admission wait, the search phases inside the exploration
-    engines, cancellation — carries the id and the whole request can be
+    lookup, admission wait, the search phases inside the exploration,
+    cancellation — carries the id and the whole request can be
     reassembled into one span tree afterwards.
 
     The slot is {e domain}-local (one request at a time per serve worker
-    domain; {!Ddlock_par.Par_explore} re-installs the id in the child
-    domains it spawns).  Threads multiplexed on one domain — the
-    daemon's connection threads — must not use the ambient slot and
-    instead tag their spans explicitly via [Trace.span ?req]. *)
+    domain, which runs the whole analysis).  Threads multiplexed on one
+    domain — the daemon's connection threads — must not use the ambient
+    slot and instead tag their spans explicitly via [Trace.span ?req]. *)
 
 val none : int
 (** The null id ([0]): no request context. *)

@@ -1,9 +1,9 @@
 (** Monotonic-clock span tracing with Chrome trace-event output.
 
     A span is a named interval measured on the {!Clock} monotonic clock
-    and tagged with the recording domain's id, so spans from
-    {!Ddlock_par.Par_explore} worker domains land on separate tracks when
-    the JSON is loaded in Perfetto / [chrome://tracing].
+    and tagged with the recording domain's id, so spans from the
+    analysis daemon's worker domains land on separate tracks when the
+    JSON is loaded in Perfetto / [chrome://tracing].
 
     Every event also carries a {e request id} — the ambient
     {!Request.current} context unless overridden with [?req] — so the

@@ -3,13 +3,11 @@ open Ddlock_model
 
 exception Too_large of int
 
-(* Telemetry, shared by name with the parallel engine.  Every counter is
-   bumped at state-insertion (or work-item expansion) time.  A full
-   exploration without partial-order reduction inserts exactly the
-   reachable set, so its [explore.states_visited] total is the same on
-   either engine; every other total depends on which engine ran and, for
-   the work-stealing one, on how its races fell.  All recording is a
-   no-op unless Ddlock_obs.Control is switched on. *)
+(* Telemetry.  Every counter is bumped at state-insertion (or work-item
+   expansion) time, so a full exploration without partial-order
+   reduction counts exactly the reachable set in
+   [explore.states_visited].  All recording is a no-op unless
+   Ddlock_obs.Control is switched on. *)
 module Obs = struct
   module T = Ddlock_obs.Trace
 
@@ -404,7 +402,6 @@ module Lemma1 = struct
   type node = { st : State.t; es : Edge_set.t }
 
   let initial sys = { st = State.initial sys; es = Edge_set.empty }
-  let state n = n.st
   let equal a b = State.equal a.st b.st && Edge_set.equal a.es b.es
 
   (* Folds over the elements in order: the balanced tree's shape depends

@@ -74,19 +74,12 @@ val is_reachable : space -> State.t -> bool
     member may be asked for). *)
 val schedule_to : space -> State.t -> Step.t list option
 
-(** The canonicalizer a symmetric search uses: [None] when [symmetry] is
-    false or the automorphism group of [sys] is trivial.  Exposed for the
-    parallel engine. *)
-val active_canon : symmetry:bool -> System.t -> Canon.t option
-
 (** {1 Search instances}
 
-    Both engines search a graph given by an [ops] record: nodes are
+    Every search runs on a graph given by an [ops] record: nodes are
     deduplicated by [hash] + [equal] (no string keys); [next n f]
     applies [f] to each successor of [n] with the step that reaches it,
-    in the canonical ({!State.enabled}) order.  Exposed so
-    the parallel engine ({!Ddlock_par.Par_explore}) explores exactly the
-    graphs the sequential searches do. *)
+    in the canonical ({!State.enabled}) order. *)
 
 type 'n ops = {
   hash : 'n -> int;  (** compatible with [equal] *)
@@ -98,20 +91,6 @@ type 'n ops = {
       (** whether the stored successor differs from the raw one (symmetry
           canonicalization); evaluated only while telemetry is on *)
 }
-
-(** The state graph over packed states ({!Packed}): orbit
-    representatives when a canonicalizer is given (see
-    {!active_canon}).  Every state table interns these words; {!State.t}
-    is only the view this module's functions take and return. *)
-val state_ops :
-  Canon.t option ->
-  Packed.layout ->
-  restrict:(Packed.t -> bool) ->
-  found:(Packed.t -> bool) ->
-  Packed.t ops
-
-(** The initial state, normalized under the canonicalizer if any. *)
-val initial_node : Canon.t option -> Packed.layout -> Packed.t
 
 (** [search ?max_states ~name ops init] — the one breadth-first search,
     behind this module's searches (all but the partial-order-reduced
@@ -191,14 +170,12 @@ val safe_and_deadlock_free :
     serializable. *)
 val safe : ?max_states:int -> System.t -> (unit, counterexample) result
 
-(** The Lemma-1 extended state (prefix vector + accumulated D-arcs),
-    exposed so the parallel engine ({!Ddlock_par.Par_explore}) explores
-    exactly the graph of the sequential Lemma-1 searches. *)
+(** The Lemma-1 extended state (prefix vector + accumulated D-arcs)
+    that {!safe_and_deadlock_free} and {!safe} search. *)
 module Lemma1 : sig
   type node
 
   val initial : System.t -> node
-  val state : node -> State.t
   val equal : node -> node -> bool
 
   (** Compatible with {!equal}: folds over the D-arcs in order, so
@@ -208,18 +185,7 @@ module Lemma1 : sig
 
   (** Successors in the canonical ({!State.enabled}) order. *)
   val next : System.t -> node -> (Step.t * node) list
-
-  (** A cycle of the accumulated serialization digraph, if any. *)
-  val cycle : System.t -> node -> int list option
-
-  val complete : System.t -> node -> bool
 end
-
-(** The Lemma-1 search graph: [`All_cyclic] makes every node with a
-    cyclic D the goal ({!safe_and_deadlock_free}), [`Complete_cyclic]
-    only complete ones ({!safe}). *)
-val lemma1_ops :
-  System.t -> report:[ `All_cyclic | `Complete_cyclic ] -> Lemma1.node ops
 
 (** {1 Schedules} *)
 

@@ -54,7 +54,7 @@ val has_independent_pair : System.t -> bool
     reaches every deadlock state.  Deterministic. *)
 val persistent : System.t -> State.t -> Step.t list
 
-(** {1 Selective expansion (shared by both POR engines)} *)
+(** {1 Selective expansion (the POR search's successor generator)} *)
 
 (** One selected successor: the step taken, the (normalized) successor
     state, whether canonicalization moved it, and the sleep set the
@@ -77,8 +77,7 @@ type expansion = {
     one work item: persistent steps not in [sleep], each with its
     inherited sleep set (members of [sleep] and earlier-selected
     steps that are statically independent of the step taken).  A pure
-    function of its arguments; both engines call it so their work-item
-    streams are identical.  [st] must already be a representative when
+    function of its arguments.  [st] must already be a representative when
     [canon] is given. *)
 val expand : ?canon:Canon.t -> System.t -> State.t -> sleep:Step.t list -> expansion
 

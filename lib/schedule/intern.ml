@@ -8,8 +8,7 @@
    values and [hashes] each id's structural hash, both growable with
    amortized doubling; a probe compares stored hashes first and runs
    [equal] only on a match, and a resize re-slots ids from [hashes]
-   without re-hashing any value.  Not thread-safe by itself — the
-   parallel engine wraps one table per shard behind the shard mutex. *)
+   without re-hashing any value.  Not thread-safe. *)
 
 type 'a t = {
   equal : 'a -> 'a -> bool;

@@ -9,8 +9,7 @@
     values and an array of each id's hash (both grown by amortized
     doubling).  A probe runs [equal] only on a slot whose stored hash
     matches, and a resize re-slots ids from the stored hashes without
-    calling [hash] again.  Not thread-safe; the parallel engine shards
-    tables behind per-shard mutexes. *)
+    calling [hash] again.  Not thread-safe. *)
 
 type 'a t
 

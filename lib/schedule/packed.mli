@@ -10,8 +10,7 @@ open Ddlock_model
     precomputes each node's immediate-predecessor mask and, for each
     Lock node, the (Lock bit, Unlock bit) pairs of every other
     transaction that accesses the same entity, so enabledness is a few
-    word operations.  A layout is immutable: domains of the parallel
-    engine share one without locks.
+    word operations.  A layout is immutable.
 
     Every function agrees with its {!State} counterpart through
     {!encode}/{!decode}: [decode (apply l (encode l st) s) = State.apply

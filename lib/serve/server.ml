@@ -8,7 +8,6 @@ type config = {
   max_request_bytes : int;
   default_max_states : int option;
   default_deadline_ms : int option;
-  jobs : int;
   idle_timeout_ms : int;
   busy_retry_ms : int;
   flight_cap : int;
@@ -25,7 +24,6 @@ let default_config ~socket_path =
     max_request_bytes = Protocol.default_max_request;
     default_max_states = None;
     default_deadline_ms = None;
-    jobs = 1;
     idle_timeout_ms = 5_000;
     busy_retry_ms = 100;
     flight_cap = 256;
@@ -207,11 +205,11 @@ type job_result =
   | Timed_out
   | Crashed of string
 
-let run_analysis t ~max_states ~symmetry ~deadline_ns sys =
+let run_analysis ~max_states ~symmetry ~deadline_ns sys =
   try
     let run () =
       let text, status, _report =
-        Analysis.render_full ?max_states ~jobs:t.cfg.jobs ~symmetry sys
+        Analysis.render_full ?max_states ~symmetry sys
       in
       Done (status, text)
     in
@@ -308,13 +306,13 @@ let handle_analyze t fd ~req ~info ~max_states ~symmetry ~deadline_ms body =
           in
           let cell = Pool.Cell.create () in
           let job () =
-            (* The worker domain serves one request at a time, so the
-               ambient slot is trustworthy there — and it propagates
-               into the engines' child domains (see {!Obs.Request}). *)
+            (* The worker domain serves one request at a time and runs
+               the whole analysis, so the ambient slot is trustworthy
+               there (see {!Obs.Request}). *)
             Obs.Request.with_id req @@ fun () ->
             Pool.Cell.fill cell
               (Obs.Trace.span "serve.analysis" (fun () ->
-                   run_analysis t ~max_states ~symmetry ~deadline_ns sys))
+                   run_analysis ~max_states ~symmetry ~deadline_ns sys))
           in
           if not (Pool.submit t.pool job) then begin
             Atomic.incr t.c.busy;
@@ -530,7 +528,7 @@ let accept_loop t =
   go ()
 
 let start cfg =
-  let cfg = { cfg with workers = max 1 cfg.workers; jobs = max 1 cfg.jobs } in
+  let cfg = { cfg with workers = max 1 cfg.workers } in
   claim_socket cfg.socket_path;
   let listen_fd = Unix.socket ~cloexec:true PF_UNIX SOCK_STREAM 0 in
   (try

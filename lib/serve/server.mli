@@ -19,13 +19,10 @@
       in-flight requests finish and reply, queued jobs run, worker
       domains join, the socket file is unlinked.
 
-    Deadlines bound the analysis on either engine: the worker installs
-    the deadline poll in its own domain, where the sequential search
-    runs and where the work-stealing search ([jobs > 1]) runs its
-    coordinating worker, which broadcasts cancellation to the others.
-    Rendered bytes do not depend on [jobs] (see
-    {!Ddlock.Analysis.render_full}), so cached verdicts are valid
-    whichever engine computed them. *)
+    Deadlines bound the analysis: the worker installs the deadline poll
+    in its own domain, where the search runs.  Each analysis runs on one
+    worker domain; the daemon's parallelism is its [workers] domains
+    serving requests side by side. *)
 
 type config = {
   socket_path : string;
@@ -36,7 +33,6 @@ type config = {
   default_max_states : int option;
       (** when the request names none; [None] = analysis default *)
   default_deadline_ms : int option;  (** when the request names none *)
-  jobs : int;  (** worker domains {e per analysis} (see above) *)
   idle_timeout_ms : int;  (** per-read deadline (slowloris guard) *)
   busy_retry_ms : int;  (** retry hint sent with [busy] *)
   flight_cap : int;  (** flight-recorder ring: last N request summaries *)
@@ -48,8 +44,8 @@ type config = {
 
 val default_config : socket_path:string -> config
 (** 2 workers, queue 16, cache 128, 1 MiB bodies, no default deadline,
-    [jobs = 1], 5 s idle timeout, 100 ms retry
-    hint, flight ring 256, trace rings 64, slow threshold 250 ms. *)
+    5 s idle timeout, 100 ms retry hint, flight ring 256, trace rings
+    64, slow threshold 250 ms. *)
 
 type t
 

@@ -1,12 +1,11 @@
 (* Telemetry layer: histogram bucket arithmetic, shard merging under
    real domain parallelism, snapshot determinism, trace well-formedness,
-   and the engine counter totals that do not depend on jobs. *)
+   and the search counter totals. *)
 
 open Ddlock_schedule
 module Obs = Ddlock_obs
 module Metrics = Obs.Metrics
 module Trace = Obs.Trace
-module Par = Ddlock_par.Par_explore
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -309,13 +308,12 @@ let test_take_request () =
   | Error e -> Alcotest.failf "invalid chrome json: %s" e);
   check bool_t "req arg emitted" true (contains json {|"req":"5"|})
 
-let test_request_propagates_to_child_domains () =
+let test_request_reaches_search_spans () =
   with_obs @@ fun () ->
   let sys =
     Ddlock_model.System.copies (Ddlock_workload.Gentx.guard_ring 4) 2
   in
-  Obs.Request.with_id 11 (fun () ->
-      ignore (Par.find_deadlock ~jobs:3 sys));
+  Obs.Request.with_id 11 (fun () -> ignore (Explore.find_deadlock sys));
   let evs = Trace.events () in
   check bool_t "spans recorded" true (evs <> []);
   check bool_t "every span carries the request id" true
@@ -372,50 +370,42 @@ let test_json_validate () =
   bad ""
 
 (* ------------------------------------------------------------------ *)
-(* Engine counters: the jobs-invariant totals                          *)
+(* Search counters: totals that follow from the answer                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Two totals are the same on either engine: [explore.states_visited]
-   of a full exploration without partial-order reduction (both store
-   exactly the reachable set), and [explore.deadlock_witnesses] (one per
-   positive verdict).  Everything else depends on the engine: a jobs > 1
-   find_deadlock also runs the sequential witness re-search. *)
-let engine_counts ~explore ~find =
+(* Two totals are fixed by what the search returns: a full exploration
+   without partial-order reduction counts exactly the reachable set in
+   [explore.states_visited], and [explore.deadlock_witnesses] counts one
+   per positive verdict. *)
+let search_counts sys =
   let counter f name =
     Metrics.reset ();
-    ignore (f ());
-    Metrics.counter_value name
+    let r = f () in
+    (r, Metrics.counter_value name)
   in
-  ( counter explore "explore.states_visited",
-    counter find "explore.deadlock_witnesses" )
+  let space, visited =
+    counter (fun () -> Explore.explore sys) "explore.states_visited"
+  in
+  let witness, witnesses =
+    counter (fun () -> Explore.find_deadlock sys) "explore.deadlock_witnesses"
+  in
+  ( (visited, witnesses),
+    (Explore.state_count space, if witness = None then 0 else 1) )
 
-let seq_counts sys =
-  engine_counts
-    ~explore:(fun () -> Explore.explore sys)
-    ~find:(fun () -> Explore.find_deadlock sys)
-
-let par_counts ~jobs sys =
-  engine_counts
-    ~explore:(fun () -> Par.explore ~jobs sys)
-    ~find:(fun () -> Par.find_deadlock ~jobs sys)
-
-let test_counters_jobs_invariant_fig2 () =
+let test_search_counters_fig2 () =
   with_obs @@ fun () ->
   let sys =
     Ddlock_model.System.copies (Ddlock_workload.Gentx.guard_ring 4) 2
   in
-  let seq = seq_counts sys in
-  check bool_t "a witness was found" true (snd seq = 1);
-  List.iter
-    (fun jobs ->
-      check bool_t (Printf.sprintf "jobs=%d equals sequential" jobs) true
-        (par_counts ~jobs sys = seq))
-    [ 1; 2; 4 ]
+  let counted, expected = search_counts sys in
+  check bool_t "a witness was found" true (snd counted = 1);
+  check bool_t "totals match the space and the verdict" true
+    (counted = expected)
 
-let counters_invariant_prop =
-  QCheck.Test.make ~name:"counter totals invariant under jobs" ~count:25
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 3))
-    (fun (seed, jobs) ->
+let counters_match_prop =
+  QCheck.Test.make ~name:"counter totals match the answer" ~count:25
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
       let st = Fixtures.rng seed in
       let sys = Fixtures.small_random_system st ~txns:3 in
       Metrics.reset ();
@@ -426,9 +416,11 @@ let counters_invariant_prop =
           Obs.Control.off ();
           Metrics.reset ();
           Trace.clear ())
-        (fun () -> seq_counts sys = par_counts ~jobs sys))
+        (fun () ->
+          let counted, expected = search_counts sys in
+          counted = expected))
 
-let qtests = List.map Fixtures.to_alcotest [ counters_invariant_prop ]
+let qtests = List.map Fixtures.to_alcotest [ counters_match_prop ]
 
 let suite =
   [
@@ -450,12 +442,12 @@ let suite =
     Alcotest.test_case "ring concurrent pushes" `Quick test_ring_concurrent;
     Alcotest.test_case "request context" `Quick test_request_context;
     Alcotest.test_case "take_request" `Quick test_take_request;
-    Alcotest.test_case "request id reaches child domains" `Quick
-      test_request_propagates_to_child_domains;
+    Alcotest.test_case "request id reaches search spans" `Quick
+      test_request_reaches_search_spans;
     Alcotest.test_case "span records" `Quick test_span_records;
     Alcotest.test_case "chrome trace JSON valid" `Quick test_chrome_json_valid;
     Alcotest.test_case "json validator" `Quick test_json_validate;
-    Alcotest.test_case "engine counters jobs-invariant" `Quick
-      test_counters_jobs_invariant_fig2;
+    Alcotest.test_case "search counters on fig2" `Quick
+      test_search_counters_fig2;
   ]
   @ qtests

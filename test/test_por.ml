@@ -2,15 +2,13 @@
    static independence predicate of Sched.Indep must be sound w.r.t.
    the dynamic commutation oracle on every enabled pair of every
    reachable state, and every observable of the persistent/sleep-set
-   reduced engines (?por threaded through Explore / Par_explore /
-   Prefix_search / Analysis / Minimize) must agree with the plain
-   ground truth — verdicts, canonicalized witnesses, state-count upper
-   bounds, sound cap accounting — across jobs ∈ {1,4} and symmetry ∈
-   {on,off}. *)
+   reduced searches (?por threaded through Explore / Prefix_search /
+   Analysis / Minimize) must agree with the plain ground truth —
+   verdicts, canonicalized witnesses, state-count upper bounds, sound
+   cap accounting — with symmetry on and off. *)
 
 open Ddlock_model
 open Ddlock_schedule
-module Par = Ddlock_par.Par_explore
 module Prefix_search = Ddlock_deadlock.Prefix_search
 module Reduction = Ddlock_deadlock.Reduction
 module Gentx = Ddlock_workload.Gentx
@@ -156,9 +154,7 @@ let test_fixture_witnesses_canonical () =
       check bool_t "find_deadlock ~por byte-identical" true
         (Explore.find_deadlock ~por:true sys = plain);
       check bool_t "find_deadlock ~por ~symmetry byte-identical" true
-        (Explore.find_deadlock ~por:true ~symmetry:true sys = plain);
-      check bool_t "par find_deadlock ~por jobs=4 byte-identical" true
-        (Par.find_deadlock ~por:true ~jobs:4 sys = plain))
+        (Explore.find_deadlock ~por:true ~symmetry:true sys = plain))
     (fixtures ())
 
 (* ------------------------------------------------------------------ *)
@@ -191,7 +187,7 @@ let indep_sound_prop =
 
 let por_verdict_witness_prop =
   QCheck.Test.make
-    ~name:"por verdict+witness ≡ plain across jobs × symmetry" ~count:40
+    ~name:"por verdict+witness ≡ plain" ~count:40
     copies_arg
     (fun (seed, copies, extra) ->
       let st = Fixtures.rng seed in
@@ -200,11 +196,7 @@ let por_verdict_witness_prop =
       (match plain with None -> true | Some w -> witness_valid sys w)
       && Explore.find_deadlock ~por:true sys = plain
       && Explore.find_deadlock ~por:true ~symmetry:true sys = plain
-      && Par.find_deadlock ~por:true ~jobs:1 sys = plain
-      && Par.find_deadlock ~por:true ~jobs:4 sys = plain
-      && Par.find_deadlock ~por:true ~symmetry:true ~jobs:4 sys = plain
-      && Explore.deadlock_free ~por:true sys = (plain = None)
-      && Par.deadlock_free ~por:true ~jobs:4 sys = (plain = None))
+      && Explore.deadlock_free ~por:true sys = (plain = None))
 
 let por_state_bound_prop =
   QCheck.Test.make
@@ -223,106 +215,71 @@ let por_state_bound_prop =
       in
       reduced <= plain && reduced_sym <= plain_sym && reduced_sym <= reduced)
 
-let por_par_seq_prop =
-  (* jobs = 1 is the sequential reduced search itself (same states in
-     the same order).  The work-stealing engine's reduced set depends on
-     arrival order, but it is always a sound reduction: reachable
-     states only, no more than plain, every reachable deadlock kept. *)
+let por_sound_reduction_prop =
+  (* The reduced space is a sound reduction: reachable states only and
+     every reachable deadlock kept, over plain states and over orbit
+     representatives alike. *)
   QCheck.Test.make
-    ~name:"par por: exact at jobs=1, sound reduction keeping every deadlock at any jobs"
-    ~count:30
-    QCheck.(pair copies_arg (int_range 1 4))
-    (fun ((seed, copies, extra), jobs) ->
+    ~name:"por reduction keeps every deadlock"
+    ~count:30 copies_arg
+    (fun (seed, copies, extra) ->
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system ~extra st ~copies in
-      let keys sts = List.of_seq (Seq.map Fixtures.state_key sts) in
-      let agree symmetry =
+      let sound symmetry =
         let plain = Explore.explore ~symmetry sys in
-        let seq = Explore.explore ~symmetry ~por:true sys in
-        let par = Par.explore ~symmetry ~por:true ~jobs sys in
-        if jobs = 1 then keys (Par.states par) = keys (Explore.states seq)
-        else
-          Par.state_count par <= Explore.state_count plain
-          && Seq.for_all (Explore.is_reachable plain) (Par.states par)
-          && Seq.for_all
-               (fun st -> (not (State.is_deadlock sys st)) || Par.is_reachable par st)
-               (Explore.states plain)
+        let reduced = Explore.explore ~symmetry ~por:true sys in
+        Seq.for_all (Explore.is_reachable plain) (Explore.states reduced)
+        && Seq.for_all
+             (fun st ->
+               (not (State.is_deadlock sys st)) || Explore.is_reachable reduced st)
+             (Explore.states plain)
       in
-      agree false && agree true
-      && Par.find_deadlock ~por:true ~jobs sys
-         = Explore.find_deadlock ~por:true sys)
+      sound false && sound true)
 
 let por_cap_outcome_prop =
-  (* Under a small cap the engines may split between a witness and a
-     give-up (their reduced orders differ), but they never contradict
-     each other, a witness is always the canonical one or a valid raw
-     one, and a give-up always reports the budget. *)
+  (* Under a small cap the reduced search may give up where the
+     uncapped one decides, but it never contradicts the uncapped
+     verdict, a witness is always valid, and a give-up always reports
+     the budget. *)
   QCheck.Test.make
-    ~name:"por cap outcome sound across jobs (verdicts agree, Too_large = cap)"
+    ~name:"por cap outcome sound"
     ~count:40
-    QCheck.(triple (int_bound 1_000_000) (int_range 2 4) (int_range 1 40))
-    (fun (seed, jobs, max_states) ->
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 40))
+    (fun (seed, max_states) ->
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system st ~copies:2 in
-      let probe f =
-        match f () with
-        | Some w -> `Witness w
-        | None -> `Deadlock_free
-        | exception Explore.Too_large n -> `Too_large n
+      let deadlocks = Explore.find_deadlock sys <> None in
+      let sound symmetry =
+        match Explore.find_deadlock ~max_states ~symmetry ~por:true sys with
+        | Some w -> deadlocks && witness_valid sys w
+        | None -> not deadlocks
+        | exception Explore.Too_large n -> n = max_states
       in
-      let consistent symmetry =
-        let seq =
-          probe (fun () -> Explore.find_deadlock ~max_states ~symmetry ~por:true sys)
-        and par =
-          probe (fun () ->
-              Par.find_deadlock ~max_states ~symmetry ~por:true ~jobs sys)
-        in
-        let sound = function
-          | `Witness w -> witness_valid sys w
-          | `Deadlock_free -> true
-          | `Too_large n -> n = max_states
-        in
-        sound seq && sound par
-        &&
-        match (seq, par) with
-        | `Witness a, `Witness b -> a = b
-        | `Deadlock_free, `Witness _ | `Witness _, `Deadlock_free -> false
-        | _ -> true
-      in
-      consistent false && consistent true)
+      sound false && sound true)
 
 let por_obs_counters_prop =
-  (* The reduced searches' counters depend on the engine: jobs = 1 runs
-     the sequential search itself, so its totals are identical; at any
-     jobs a reduced exploration stores no more states than plain. *)
+  (* A reduced exploration counts no more states than plain, and its
+     [explore.states_visited] total is the reduced space's size. *)
   QCheck.Test.make
-    ~name:"por counters: jobs=1 ≡ sequential, states_visited ≤ plain at any jobs"
+    ~name:"por states_visited = reduced count"
     ~count:20
-    QCheck.(pair (int_bound 1_000_000) (int_range 1 4))
-    (fun (seed, jobs) ->
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system st ~copies:2 ~extra:true in
-      let counters_after f =
+      let visited f =
         Ddlock_obs.Metrics.reset ();
-        ignore (f ());
-        ( Ddlock_obs.Metrics.counter_value "explore.states_visited",
-          Ddlock_obs.Metrics.counter_value "por.pruned",
-          Ddlock_obs.Metrics.counter_value "por.persistent_size" )
+        let n = Explore.state_count (f ()) in
+        (Ddlock_obs.Metrics.counter_value "explore.states_visited", n)
       in
       Ddlock_obs.Control.on ();
-      let seq =
-        counters_after (fun () -> ignore (Explore.explore ~por:true sys))
+      let reduced, reduced_count =
+        visited (fun () -> Explore.explore ~por:true sys)
       in
-      let par =
-        counters_after (fun () -> ignore (Par.explore ~por:true ~jobs sys))
-      in
-      let plain, _, _ =
-        counters_after (fun () -> ignore (Explore.explore sys))
-      in
+      let plain, _ = visited (fun () -> Explore.explore sys) in
       Ddlock_obs.Control.off ();
       Ddlock_obs.Metrics.reset ();
-      let visited, _, _ = par in
-      (jobs > 1 || seq = par) && visited <= plain)
+      reduced = reduced_count && reduced <= plain)
 
 let por_prefix_search_prop =
   QCheck.Test.make
@@ -343,7 +300,6 @@ let por_prefix_search_prop =
                   (Schedule.prefix_vector sys w.Prefix_search.schedule)
                   w.Prefix_search.prefix
              && Reduction.has_cycle (Reduction.make sys w.Prefix_search.prefix))
-      && Prefix_search.find ~por:true ~jobs:4 sys = reduced
       && Prefix_search.deadlock_free ~por:true sys
          = Prefix_search.deadlock_free sys
       &&
@@ -364,8 +320,7 @@ let por_analysis_minimize_prop =
       let sys = Gentx.random_copies_system st ~copies:2 ~extra:true in
       let plain = Ddlock.Analysis.render_full sys in
       Ddlock.Analysis.render_full ~por:true sys = plain
-      && Ddlock.Analysis.render_full ~por:true ~symmetry:true ~jobs:4 sys
-         = plain
+      && Ddlock.Analysis.render_full ~por:true ~symmetry:true sys = plain
       &&
       match
         ( Ddlock.Minimize.deadlock_core sys,
@@ -384,7 +339,7 @@ let qtests =
       indep_sound_prop;
       por_verdict_witness_prop;
       por_state_bound_prop;
-      por_par_seq_prop;
+      por_sound_reduction_prop;
       por_cap_outcome_prop;
       por_obs_counters_prop;
       por_prefix_search_prop;

@@ -665,6 +665,273 @@ let test_too_large_multiword () =
       (G.dining_philosophers 16, 0);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The search substrate: intern tables, hash/equal, commutation        *)
+(* ------------------------------------------------------------------ *)
+
+let test_intern_basics () =
+  let t = Intern.create ~equal:String.equal ~hash:Hashtbl.hash () in
+  let a, new_a = Intern.intern t "a" in
+  check bool_t "first intern is new" true new_a;
+  let a', again = Intern.intern t "a" in
+  check int_t "idempotent id" a a';
+  check bool_t "re-intern not new" false again;
+  let b, new_b = Intern.intern t "b" in
+  check bool_t "distinct value is new" true new_b;
+  check bool_t "distinct ids" true (a <> b);
+  check int_t "count" 2 (Intern.count t);
+  check int_t "hits" 1 (Intern.hits t);
+  check bool_t "find hit" true (Intern.find t "a" = Some a);
+  check bool_t "find miss" true (Intern.find t "zzz" = None);
+  check bool_t "get roundtrip" true (String.equal (Intern.get t b) "b");
+  match Intern.get t 99 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "get out of range must raise"
+
+let test_intern_growth () =
+  (* Push the arena through several doublings; ids stay dense and
+     stable, every value reads back, re-interning is pure hit. *)
+  let t = Intern.create ~capacity:4 ~equal:Int.equal ~hash:Hashtbl.hash () in
+  let n = 1000 in
+  for i = 0 to n - 1 do
+    let id, was_new = Intern.intern t (i * 7) in
+    check int_t "dense id" i id;
+    check bool_t "new" true was_new
+  done;
+  check int_t "count after growth" n (Intern.count t);
+  for i = 0 to n - 1 do
+    check int_t "readback" (i * 7) (Intern.get t i);
+    let id, was_new = Intern.intern t (i * 7) in
+    check int_t "stable id" i id;
+    check bool_t "hit" false was_new
+  done;
+  check int_t "hits counted" n (Intern.hits t);
+  let seen = ref 0 in
+  Intern.iter
+    (fun v ->
+      check int_t "iter in id order" (!seen * 7) v;
+      incr seen)
+    t;
+  check int_t "iter covers all" n !seen
+
+let test_intern_collisions () =
+  (* A constant hash sends every key down one probe chain, and 300 keys
+     force several resizes of the slot array: ids stay dense in
+     insertion order, [find] agrees with [intern], and only repeats
+     count as hits. *)
+  let t =
+    Intern.create ~capacity:2 ~equal:String.equal ~hash:(fun _ -> 42) ()
+  in
+  let key i = "k" ^ string_of_int i in
+  let n = 300 in
+  for i = 0 to n - 1 do
+    check bool_t "absent before insert" true (Intern.find t (key i) = None);
+    check bool_t "dense, new" true (Intern.intern t (key i) = (i, true));
+    if i mod 3 = 0 then
+      check bool_t "repeat is a hit" true
+        (Intern.intern t (key (i / 2)) = (i / 2, false))
+  done;
+  check int_t "count" n (Intern.count t);
+  check int_t "hits count only repeats" ((n + 2) / 3) (Intern.hits t);
+  for i = 0 to n - 1 do
+    check bool_t "find = intern" true
+      (Intern.find t (key i) = Some (fst (Intern.intern t (key i))));
+    check Alcotest.string "get" (key i) (Intern.get t i)
+  done;
+  check int_t "hits after re-interning all" (((n + 2) / 3) + n) (Intern.hits t);
+  check bool_t "miss" true (Intern.find t "absent" = None);
+  List.iter
+    (fun id ->
+      match Intern.get t id with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "get %d must raise" id)
+    [ -1; n; n + 1 ]
+
+let intern_prop =
+  QCheck.Test.make ~name:"intern injective + idempotent on random keys"
+    ~count:50
+    QCheck.(small_list small_int)
+    (fun xs ->
+      let t = Intern.create ~capacity:2 ~equal:Int.equal ~hash:Hashtbl.hash () in
+      let ids = List.map (fun x -> fst (Intern.intern t x)) xs in
+      List.for_all2
+        (fun x id ->
+          (* idempotent: re-interning returns the same id, no growth *)
+          fst (Intern.intern t x) = id && Int.equal (Intern.get t id) x)
+        xs ids
+      && List.for_all2
+           (fun x id ->
+             List.for_all2
+               (fun y id' -> Int.equal x y = (id = id'))
+               xs ids)
+           xs ids
+      && Intern.count t = List.length (List.sort_uniq compare xs))
+
+let states_of_run st sys =
+  (* A bag of distinct reachable states sampled along one random run. *)
+  let steps =
+    match Explore.random_run st sys with
+    | Explore.Completed s | Explore.Deadlocked (s, _) -> s
+  in
+  let sts, _ =
+    List.fold_left
+      (fun (acc, cur) step ->
+        let nxt = State.apply cur step in
+        (nxt :: acc, nxt))
+      ([ State.initial sys ], State.initial sys)
+      steps
+  in
+  sts
+
+(* Lemma-1 nodes reached by every path of up to [depth] steps, each
+   node once per path: equal nodes built along different paths
+   accumulate their D-arcs in different orders. *)
+let lemma1_nodes sys ~depth =
+  let rec go d frontier acc =
+    if d = 0 then acc
+    else
+      let next =
+        List.concat_map
+          (fun n -> List.map snd (Explore.Lemma1.next sys n))
+          frontier
+      in
+      go (d - 1) next (next @ acc)
+  in
+  let init = Explore.Lemma1.initial sys in
+  go depth [ init ] [ init ]
+
+let hash_agrees ~equal ~hash xs =
+  List.for_all
+    (fun a -> List.for_all (fun b -> (not (equal a b)) || hash a = hash b) xs)
+    xs
+
+let hash_compatible_prop =
+  (* Dedup in the search table rests on [hash] being compatible with
+     [equal]: equal nodes must land in the same bucket. *)
+  QCheck.Test.make
+    ~name:"State.hash and Lemma1.hash agree with equal on reachable nodes"
+    ~count:50
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      let sys = Fixtures.small_random_system st ~txns:2 in
+      let pair = Fixtures.small_random_pair st in
+      hash_agrees ~equal:State.equal ~hash:State.hash (states_of_run st sys)
+      && hash_agrees ~equal:Explore.Lemma1.equal ~hash:Explore.Lemma1.hash
+           (lemma1_nodes pair ~depth:4))
+
+let commutation_prop =
+  (* Independent enabled steps commute: both orders survive and land in
+     the same state, or neither order survives.  The oracle lives in
+     Sched.Indep, shared with the partial-order reduction. *)
+  QCheck.Test.make ~name:"enabled/apply commute on independent steps"
+    ~count:50
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      let sys = Fixtures.small_random_system st ~txns:3 in
+      List.for_all
+        (fun cur ->
+          let en = State.enabled sys cur in
+          List.for_all
+            (fun s ->
+              List.for_all
+                (fun t -> Step.equal s t || Indep.commutes sys cur s t)
+                en)
+            en)
+        (states_of_run st sys))
+
+let test_lemma1_hash_orders () =
+  (* The property above is only meaningful if some equal nodes really
+     were built along different paths. *)
+  let nodes = lemma1_nodes (opposed_pair ()) ~depth:4 in
+  let dup =
+    List.exists
+      (fun a ->
+        List.length (List.filter (Explore.Lemma1.equal a) nodes) > 1)
+      nodes
+  in
+  check bool_t "some node reached along two paths" true dup
+
+(* ------------------------------------------------------------------ *)
+(* Spaces: insertion order, schedules, the cap on random systems       *)
+(* ------------------------------------------------------------------ *)
+
+let fig2ish () = System.copies (Ddlock_workload.Gentx.guard_ring 4) 2
+
+let test_states_in_rank_order () =
+  (* The space enumerates states in BFS insertion order: they must line
+     up position by position with a goal-directed search that records
+     the order in which it discovers states. *)
+  let sys = Ddlock_workload.Gentx.dining_philosophers 3 in
+  let order = ref [] in
+  (match
+     Explore.bfs sys ~found:(fun st ->
+         order := Fixtures.state_key st :: !order;
+         false)
+   with
+  | Some _ -> Alcotest.fail "predicate never holds"
+  | None -> ());
+  let bfs_keys = List.rev !order in
+  (* Explore.bfs applies [found] to every discovered state including the
+     initial one, in insertion order. *)
+  let space_keys =
+    List.of_seq
+      (Seq.map Fixtures.state_key (Explore.states (Explore.explore sys)))
+  in
+  check int_t "same length" (List.length bfs_keys) (List.length space_keys);
+  check bool_t "same order" true (bfs_keys = space_keys)
+
+let test_schedule_to_every_state () =
+  let sys = fig2ish () in
+  let sp = Explore.explore sys in
+  Seq.iter
+    (fun st ->
+      check bool_t "reachable" true (Explore.is_reachable sp st);
+      match Explore.schedule_to sp st with
+      | None -> Alcotest.fail "schedule_to must succeed"
+      | Some sched ->
+          check bool_t "legal" true (Schedule.is_legal sys sched);
+          check bool_t "reaches the state" true
+            (State.equal (Schedule.prefix_vector sys sched) st))
+    (Explore.states sp);
+  check bool_t "foreign state unreachable" false
+    (Explore.is_reachable sp (State.final (opposed_pair ())))
+
+let cap_arg = QCheck.(pair (int_bound 1_000_000) (int_range 1 40))
+
+let explore_cap_prop =
+  (* For any small cap a full exploration, plain or symmetric, fits with
+     its uncapped count or raises [Too_large] carrying the cap. *)
+  QCheck.Test.make ~name:"explore cap outcome exact"
+    ~count:40 cap_arg
+    (fun (seed, max_states) ->
+      let st = Fixtures.rng seed in
+      let sys = Fixtures.small_random_system st ~txns:2 in
+      List.for_all
+        (fun symmetry ->
+          let full = Explore.state_count (Explore.explore ~symmetry sys) in
+          match Explore.explore ~max_states ~symmetry sys with
+          | sp -> full <= max_states && Explore.state_count sp = full
+          | exception Explore.Too_large n -> full > max_states && n = max_states)
+        [ false; true ])
+
+let find_deadlock_cap_prop =
+  (* Under a small cap the search stops early or gives up, but never
+     contradicts the uncapped search: a witness is the uncapped one, a
+     deadlock-free verdict is the uncapped verdict, and a give-up
+     reports the cap. *)
+  QCheck.Test.make ~name:"find_deadlock under a cap is sound"
+    ~count:40 cap_arg
+    (fun (seed, max_states) ->
+      let st = Fixtures.rng seed in
+      let sys = Fixtures.small_random_system st ~txns:2 in
+      let uncapped = Explore.find_deadlock sys in
+      match Explore.find_deadlock ~max_states sys with
+      | Some _ as w -> w = uncapped
+      | None -> uncapped = None
+      | exception Explore.Too_large n -> n = max_states)
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -680,6 +947,8 @@ let qtests =
       packed_apply_prop;
       packed_equal_hash_prop;
       packed_canon_prop;
+      explore_cap_prop;
+      find_deadlock_cap_prop;
     ]
 
 let suite =
@@ -713,5 +982,25 @@ let suite =
       test_states_visited_unchanged;
     Alcotest.test_case "Too_large on multi-word systems" `Quick
       test_too_large_multiword;
+    Alcotest.test_case "states in rank order" `Quick test_states_in_rank_order;
+    Alcotest.test_case "schedule_to reaches every stored state" `Quick
+      test_schedule_to_every_state;
   ]
   @ qtests
+
+(* The intern tables under every search's state set. *)
+let intern_suite =
+  [
+    Alcotest.test_case "intern basics" `Quick test_intern_basics;
+    Alcotest.test_case "intern growth" `Quick test_intern_growth;
+    Alcotest.test_case "intern collisions" `Quick test_intern_collisions;
+    Fixtures.to_alcotest intern_prop;
+  ]
+
+(* The purity contracts dedup and the partial-order reduction rest on. *)
+let hash_suite =
+  [
+    Alcotest.test_case "lemma1 nodes reached along two paths" `Quick
+      test_lemma1_hash_orders;
+  ]
+  @ List.map Fixtures.to_alcotest [ hash_compatible_prop; commutation_prop ]

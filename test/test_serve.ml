@@ -302,14 +302,12 @@ let test_served_verdicts_equal_local () =
       check string_t "cached bytes" local_text body')
     systems
 
-let test_jobs_daemon_symmetric_bytes () =
-  (* A multi-domain daemon runs the work-stealing engine, which takes
-     its witness from the sequential engine with the same flags: a
-     symmetric request renders the same bytes with or without a
+let test_daemon_symmetric_bytes () =
+  (* A symmetric request renders the same bytes with or without a
      deadline, equal to local [render_full ~symmetry:true].  The cache
      is off so both requests are really analysed. *)
   with_server
-    ~tweak:(fun c -> { c with Server.jobs = 2; cache_cap = 0 })
+    ~tweak:(fun c -> { c with Server.cache_cap = 0 })
   @@ fun ~socket _t ->
   List.iter
     (fun sys ->
@@ -903,8 +901,8 @@ let suite =
     Alcotest.test_case "system key symmetry" `Quick test_system_key_symmetry;
     Alcotest.test_case "served = local verdicts" `Quick
       test_served_verdicts_equal_local;
-    Alcotest.test_case "jobs=2 daemon: symmetric bytes independent of deadline"
-      `Quick test_jobs_daemon_symmetric_bytes;
+    Alcotest.test_case "symmetric bytes ignore the deadline" `Quick
+      test_daemon_symmetric_bytes;
     Alcotest.test_case "cache collapses symmetric copies" `Quick
       test_cache_collapses_symmetric_copies;
     Alcotest.test_case "busy backpressure" `Quick test_busy_backpressure;

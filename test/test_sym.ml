@@ -1,14 +1,12 @@
 (* Differential conformance battery for symmetry reduction: every
-   observable of the orbit-canonicalized engines (Sched.Canon threaded
-   through Explore / Par_explore / Prefix_search / Analysis / Minimize)
-   must agree with the plain ground truth — verdicts, witness validity,
-   state-count bounds, cap accounting, the shared counter totals — for
-   seq and par alike, plus the permutation-soundness contracts of Canon
-   itself. *)
+   observable of the orbit-canonicalized searches (Sched.Canon threaded
+   through Explore / Prefix_search / Analysis / Minimize) must agree
+   with the plain ground truth — verdicts, witness validity, state-count
+   bounds, cap accounting, the counter totals — plus the
+   permutation-soundness contracts of Canon itself. *)
 
 open Ddlock_model
 open Ddlock_schedule
-module Par = Ddlock_par.Par_explore
 module Prefix_search = Ddlock_deadlock.Prefix_search
 module Reduction = Ddlock_deadlock.Reduction
 module Gentx = Ddlock_workload.Gentx
@@ -103,21 +101,9 @@ let test_sym_exact_cap () =
   | _ -> Alcotest.fail "expected Too_large");
   check int_t "sym fits at 5" 5
     (Explore.state_count (Explore.explore ~max_states:5 ~symmetry:true sys));
-  (match Explore.explore ~max_states:4 ~symmetry:true sys with
+  match Explore.explore ~max_states:4 ~symmetry:true sys with
   | exception Explore.Too_large n -> check int_t "sym held at raise" 4 n
-  | _ -> Alcotest.fail "expected Too_large");
-  (* Same exact boundary on the parallel engine, at any jobs. *)
-  List.iter
-    (fun jobs ->
-      check int_t
-        (Printf.sprintf "par sym fits at 5 (jobs=%d)" jobs)
-        5
-        (Par.state_count (Par.explore ~max_states:5 ~symmetry:true ~jobs sys));
-      match Par.explore ~max_states:4 ~symmetry:true ~jobs sys with
-      | exception Explore.Too_large n ->
-          check int_t "par sym held at raise" 4 n
-      | _ -> Alcotest.fail "expected Too_large")
-    [ 2; 3; 4 ]
+  | _ -> Alcotest.fail "expected Too_large"
 
 (* ------------------------------------------------------------------ *)
 (* Unit: schedule_to reaches arbitrary orbit members                   *)
@@ -261,21 +247,9 @@ let sym_state_bounds_prop =
       && raw <= reduced * Canon.orbit_size c
       && raw_orbits = sym_keys)
 
-let sym_par_seq_prop =
-  QCheck.Test.make
-    ~name:"par symmetric ≡ seq symmetric (count + exact witness)" ~count:40
-    QCheck.(pair copies_arg (int_range 1 4))
-    (fun ((seed, copies, extra), jobs) ->
-      let st = Fixtures.rng seed in
-      let sys = Gentx.random_copies_system ~extra st ~copies in
-      Par.state_count (Par.explore ~symmetry:true ~jobs sys)
-      = Explore.state_count (Explore.explore ~symmetry:true sys)
-      && Par.find_deadlock ~symmetry:true ~jobs sys
-         = Explore.find_deadlock ~symmetry:true sys)
-
 let sym_prefix_search_prop =
   QCheck.Test.make
-    ~name:"prefix search: sym verdict ≡ plain, witness valid, jobs-invariant"
+    ~name:"prefix search: sym verdict ≡ plain, witness valid"
     ~count:30
     QCheck.(int_bound 1_000_000)
     (fun seed ->
@@ -292,7 +266,6 @@ let sym_prefix_search_prop =
                   (Schedule.prefix_vector sys w.Prefix_search.schedule)
                   w.Prefix_search.prefix
              && Reduction.has_cycle (Reduction.make sys w.Prefix_search.prefix))
-      && Prefix_search.find ~symmetry:true ~jobs:4 sys = sym
       && Prefix_search.deadlock_free ~symmetry:true sys
          = Prefix_search.deadlock_free sys)
 
@@ -313,42 +286,33 @@ let sym_prefix_all_prop =
           (List.map Fixtures.state_key
              (List.of_seq (Prefix_search.all ~symmetry:true sys)))
       in
-      plain_orbits = sym_keys
-      && sym_keys
-         = List.sort compare
-             (List.map Fixtures.state_key
-                (List.of_seq (Prefix_search.all ~symmetry:true ~jobs:3 sys))))
+      plain_orbits = sym_keys)
 
 let sym_cap_outcome_prop =
-  (* A full exploration has an exact budget on either engine: the
-     quotient fits with its orbit count, or [Too_large] carries the
-     budget. *)
+  (* A full symmetric exploration has an exact budget: the quotient fits
+     with its orbit count, or [Too_large] carries the budget. *)
   QCheck.Test.make
-    ~name:"sym cap outcome ≡ across jobs (exact Too_large)" ~count:40
-    QCheck.(triple (int_bound 1_000_000) (int_range 2 4) (int_range 1 40))
-    (fun (seed, jobs, max_states) ->
+    ~name:"sym cap outcome exact" ~count:40
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 40))
+    (fun (seed, max_states) ->
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system st ~copies:2 in
-      let probe f =
-        match f () with
-        | n -> `Fits n
-        | exception Explore.Too_large n -> `Too_large n
+      let orbits =
+        Explore.state_count (Explore.explore ~symmetry:true sys)
       in
-      probe (fun () ->
-          Explore.state_count (Explore.explore ~max_states ~symmetry:true sys))
-      = probe (fun () ->
-            Par.state_count (Par.explore ~max_states ~symmetry:true ~jobs sys)))
+      match Explore.explore ~max_states ~symmetry:true sys with
+      | sp -> orbits <= max_states && Explore.state_count sp = orbits
+      | exception Explore.Too_large n -> orbits > max_states && n = max_states)
 
 let sym_obs_counters_prop =
-  (* The counter totals the engines share: a full symmetric exploration
-     stores the same representatives on either engine, and a deadlock is
-     reported once.  ([canon.hits] depends on which arrival stored a
-     representative first, so the work-stealing engine's total varies.) *)
+  (* The counter totals of a symmetric search: a full exploration counts
+     each stored representative once, and a deadlock is reported
+     once. *)
   QCheck.Test.make
-    ~name:"states_visited / deadlock_witnesses totals are jobs-invariant under symmetry"
+    ~name:"states_visited / deadlock_witnesses totals under symmetry"
     ~count:25
-    QCheck.(pair (int_bound 1_000_000) (int_range 2 4))
-    (fun (seed, jobs) ->
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system st ~copies:2 ~extra:true in
       let counter_after name f =
@@ -361,9 +325,9 @@ let sym_obs_counters_prop =
       Ddlock_obs.Control.on ();
       let ok =
         visited (fun () -> Explore.explore ~symmetry:true sys)
-        = visited (fun () -> Par.explore ~symmetry:true ~jobs sys)
+        = Explore.state_count (Explore.explore ~symmetry:true sys)
         && witnesses (fun () -> Explore.find_deadlock ~symmetry:true sys)
-           = witnesses (fun () -> Par.find_deadlock ~symmetry:true ~jobs sys)
+           = if Explore.find_deadlock sys = None then 0 else 1
       in
       Ddlock_obs.Control.off ();
       Ddlock_obs.Metrics.reset ();
@@ -405,7 +369,6 @@ let qtests =
       sym_verdict_copies_prop;
       sym_verdict_generic_prop;
       sym_state_bounds_prop;
-      sym_par_seq_prop;
       sym_prefix_search_prop;
       sym_prefix_all_prop;
       sym_cap_outcome_prop;
