@@ -19,13 +19,16 @@ let pp_safety_verdict sys ppf = function
         (Ddlock_safety.Many.pp_verdict sys)
         (Ddlock_safety.Many.Cycle_fails w)
 
-let safe_and_deadlock_free sys =
+(* Theorem 4 on the interaction graph [g] of [sys]. *)
+let safety_in sys g =
   Ddlock_obs.Trace.span "analysis.safety" @@ fun () ->
-  match Ddlock_safety.Many.check sys with
+  match Ddlock_safety.Many.check_graph sys g with
   | Ddlock_safety.Many.Safe_and_deadlock_free -> Safe_and_deadlock_free
   | Ddlock_safety.Many.Pair_fails { i; j; failure } ->
       Pair_violation { i; j; failure }
   | Ddlock_safety.Many.Cycle_fails w -> Cycle_violation w
+
+let safe_and_deadlock_free sys = safety_in sys (System.interaction_graph sys)
 
 type deadlock_verdict =
   | Deadlock_free
@@ -72,10 +75,10 @@ type report = {
 
 let report ?max_states ?symmetry ?por sys =
   Ddlock_obs.Trace.span "analysis.report" @@ fun () ->
-  let safety = safe_and_deadlock_free sys in
+  let g = System.interaction_graph sys in
+  let safety = safety_in sys g in
   let deadlock = decide_deadlock ?max_states ?symmetry ?por sys safety in
   let db = System.db sys in
-  let g = System.interaction_graph sys in
   {
     txn_count = System.size sys;
     entity_count = Db.entity_count db;

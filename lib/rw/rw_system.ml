@@ -84,10 +84,7 @@ exception Too_large = Explore.Too_large
 (* The deciders are searches by the shared BFS; their [next] follows
    [enabled] order. *)
 let search ?max_states ~name ~hash ~equal ~next ~found init =
-  let restrict _ = true and moved ~parent:_ _ _ = false in
-  Explore.search ?max_states ~name
-    { Explore.hash; equal; next; restrict; found; moved }
-    init
+  Explore.search ?max_states ~name { Explore.hash; equal; next; found } init
 
 let find_deadlock ?max_states sys =
   search ?max_states ~name:"rw.find_deadlock" ~hash:State.hash

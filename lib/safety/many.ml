@@ -114,11 +114,13 @@ let failing_pair sys =
   in
   go 0 1
 
-let check sys =
+(* [graph ()] is the interaction graph, asked for only when every pair
+   passes. *)
+let check_with sys graph =
   match failing_pair sys with
   | Some (i, j, failure) -> Pair_fails { i; j; failure }
   | None ->
-      let g = System.interaction_graph sys in
+      let g = graph () in
       let result = ref Safe_and_deadlock_free in
       (try
          Seq.iter
@@ -142,6 +144,8 @@ let check sys =
        with Exit -> ());
       !result
 
+let check sys = check_with sys (fun () -> System.interaction_graph sys)
+let check_graph sys g = check_with sys (fun () -> g)
 let safe_and_deadlock_free sys = check sys = Safe_and_deadlock_free
 
 let candidate_count sys =

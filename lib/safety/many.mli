@@ -37,6 +37,11 @@ val pp_verdict : System.t -> Format.formatter -> verdict -> unit
 
 val check : System.t -> verdict
 
+(** [check_graph sys g] is [check sys], given [g], the interaction
+    graph of [sys] ({!System.interaction_graph}), built once by a caller
+    that needs it too. *)
+val check_graph : System.t -> Ungraph.t -> verdict
+
 val safe_and_deadlock_free : System.t -> bool
 
 (** Number of (cycle, last-transaction) candidates the search would

@@ -65,156 +65,221 @@ let check_room count max_states =
   Ddlock_obs.Cancel.poll ();
   if count >= max_states then raise (Too_large count)
 
-(* ------------------------- search instances ------------------------ *)
+(* --------------------------- the search tree -----------------------
 
-type 'n ops = {
-  hash : 'n -> int;
-  equal : 'n -> 'n -> bool;
-  next : 'n -> (Step.t -> 'n -> unit) -> unit;
-  restrict : 'n -> bool;
-  found : 'n -> bool;
-  moved : parent:'n -> Step.t -> 'n -> bool;
-}
+   Ids are dense and assigned in insertion order; the BFS tree lives in
+   arrays indexed by id.  [via] holds the step reaching each node in the
+   store's own code: its global bit for packed states, the step itself
+   for interned nodes. *)
 
-let never ~parent:_ _ _ = false
-
-(* Nodes are packed states ({!Packed}).  With a canonicalizer the
-   successors are orbit representatives, so interning them dedups whole
-   orbits; [restrict]/[found] then see representatives and must be
-   invariant under the group (the deadlock and reduction-cycle
-   predicates are). *)
-let state_ops canon lay ~restrict ~found =
-  let norm, moved =
-    match canon with
-    | None -> (Fun.id, never)
-    | Some c ->
-        ( Canon.normalize_packed c lay,
-          fun ~parent step rep ->
-            not (Packed.equal (Packed.apply lay parent step) rep) )
-  in
-  {
-    hash = Packed.hash;
-    equal = Packed.equal;
-    next =
-      (fun p f ->
-        Packed.iter_enabled lay p (fun s ->
-            f s (norm (Packed.apply lay p s))));
-    restrict;
-    found;
-    moved;
-  }
-
-let initial_node canon lay =
-  match canon with
-  | None -> Packed.initial lay
-  | Some c -> Canon.normalize_packed c lay (Packed.initial lay)
-
-(* A caller's predicate on {!State.t}, evaluated on the decoded node. *)
-let decoded lay f p = f (Packed.decode lay p)
-
-(* ------------------------- the search table ------------------------
-
-   Nodes are interned ({!Intern}) with dense ids in insertion order; the
-   BFS tree lives in packed arrays indexed by id. *)
-
-type 'n table = {
-  nodes : 'n Intern.t;
+type 'v tree = {
   mutable parent : int array;  (* -1 at the root *)
-  mutable via : Step.t array;
+  mutable via : 'v array;
+  no_via : 'v;
 }
 
-let no_step = Step.v (-1) (-1)
+let tree_create no_via = { parent = [||]; via = [||]; no_via }
 
-let table_create ~hash ~equal =
-  { nodes = Intern.create ~equal ~hash (); parent = [||]; via = [||] }
-
-(* Intern [node] as a child of [parent].  Dedup comes before the cap
-   check, so a node already held (an orbit already stored, under
-   symmetry) never counts against [max_states]. *)
-let add t ~max_states node ~parent ~via =
-  let id, fresh = Intern.intern t.nodes node in
-  if fresh then begin
-    check_room id max_states;
-    let cap = Array.length t.parent in
-    if id >= cap then begin
-      let grow a fill =
-        let b = Array.make (max 64 (2 * cap)) fill in
-        Array.blit a 0 b 0 cap;
-        b
-      in
-      t.parent <- grow t.parent (-1);
-      t.via <- grow t.via no_step
-    end;
-    t.parent.(id) <- parent;
-    t.via.(id) <- via;
-    Obs.visit ()
+(* Record the fresh node [id], just stored, as a child of [parent].  The
+   store dedups before this cap check, so a node already held (an orbit
+   already stored, under symmetry) never counts against [max_states]. *)
+let record t ~max_states id ~parent ~via =
+  check_room id max_states;
+  let cap = Array.length t.parent in
+  if id >= cap then begin
+    let grow a fill =
+      let b = Array.make (max 64 (2 * cap)) fill in
+      Array.blit a 0 b 0 cap;
+      b
+    in
+    t.parent <- grow t.parent (-1);
+    t.via <- grow t.via t.no_via
   end;
-  (id, fresh)
+  t.parent.(id) <- parent;
+  t.via.(id) <- via;
+  Obs.visit ()
 
-let path t id =
+let path t step id =
   let rec go id acc =
     let p = t.parent.(id) in
-    if p < 0 then acc else go p (t.via.(id) :: acc)
+    if p < 0 then acc else go p (step t.via.(id) :: acc)
   in
   go id []
 
+(* ---------------------------- the BFS loop -------------------------
+
+   Where a search's nodes live: a packed arena or an intern table.  The
+   store holds one pending node: [root ()] makes the initial node
+   pending, and [expand id yield] makes each successor of node [id] that
+   the search keeps pending in turn, calling [yield via] with the step
+   reaching it.  [add ()] interns the pending node and returns its id —
+   [count ()] before the call when it was fresh; [moved ()] tells whether
+   it differs from the raw successor (symmetry canonicalization). *)
+
+type 'v store = {
+  count : unit -> int;
+  root : unit -> unit;
+  expand : int -> ('v -> unit) -> unit;
+  add : unit -> int;
+  found : int -> bool;
+  moved : unit -> bool;
+}
+
 exception Hit of int
 
-(* Breadth-first search over [ops].  Ids are dense and assigned in
-   insertion order, so the BFS queue is exactly the id sequence and a
-   cursor replaces it.  Returns the table and the id of the first node
-   (in insertion order) satisfying [found], or -1. *)
-let search_table ~name ~max_states ops init =
+(* Breadth-first search.  Ids are dense and assigned in insertion order,
+   so the BFS queue is exactly the id sequence and a cursor replaces it.
+   Returns the tree and the id of the first node (in insertion order)
+   satisfying [found], or -1. *)
+let bfs_loop ~name ~max_states ~no_via s =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span name @@ fun () ->
-  let t = table_create ~hash:ops.hash ~equal:ops.equal in
+  let t = tree_create no_via in
   let telemetry = Ddlock_obs.Control.is_on () in
+  (* The pending node's id when it is fresh, else -1. *)
+  let insert ~parent ~via =
+    let n = s.count () in
+    if s.add () <> n then -1
+    else begin
+      record t ~max_states n ~parent ~via;
+      n
+    end
+  in
   let hit =
     try
-      ignore (add t ~max_states init ~parent:(-1) ~via:no_step);
-      if ops.found init then raise (Hit 0);
+      s.root ();
+      ignore (insert ~parent:(-1) ~via:no_via);
+      if s.found 0 then raise (Hit 0);
       let cursor = ref 0 in
-      while !cursor < Intern.count t.nodes do
+      while !cursor < s.count () do
         let id = !cursor in
         incr cursor;
-        let node = Intern.get t.nodes id in
-        ops.next node (fun step node' ->
-            if ops.restrict node' then
-              let id', fresh = add t ~max_states node' ~parent:id ~via:step in
-              if fresh then begin
-                if telemetry then Obs.hit (ops.moved ~parent:node step node');
-                if ops.found node' then raise (Hit id')
-              end)
+        s.expand id (fun via ->
+            let id' = insert ~parent:id ~via in
+            if id' >= 0 then begin
+              if telemetry then Obs.hit (s.moved ());
+              if s.found id' then raise (Hit id')
+            end)
       done;
       -1
     with Hit id -> id
   in
   (t, hit)
 
+(* ------------------------- search instances ------------------------ *)
+
+type 'n ops = {
+  hash : 'n -> int;
+  equal : 'n -> 'n -> bool;
+  next : 'n -> (Step.t -> 'n -> unit) -> unit;
+  found : 'n -> bool;
+}
+
+let no_step = Step.v (-1) (-1)
+
+(* Any node type, interned ({!Intern}). *)
+let intern_store ops nodes init =
+  let pending = ref init in
+  {
+    count = (fun () -> Intern.count nodes);
+    root = (fun () -> pending := init);
+    expand =
+      (fun id yield ->
+        ops.next (Intern.get nodes id) (fun step n ->
+            pending := n;
+            yield step));
+    add = (fun () -> fst (Intern.intern nodes !pending));
+    found = (fun id -> ops.found (Intern.get nodes id));
+    moved = (fun () -> false);
+  }
+
 let search ?(max_states = default_cap) ~name ops init =
-  let t, hit = search_table ~name ~max_states ops init in
-  if hit < 0 then None else Some (path t hit, Intern.get t.nodes hit)
+  let nodes = Intern.create ~equal:ops.equal ~hash:ops.hash () in
+  let t, hit =
+    bfs_loop ~name ~max_states ~no_via:no_step (intern_store ops nodes init)
+  in
+  if hit < 0 then None else Some (path t Fun.id hit, Intern.get nodes hit)
+
+(* Packed states in an arena ({!Arena}).  Each successor is built in one
+   scratch buffer — with a canonicalizer, rewritten there to its orbit
+   representative, so interning dedups whole orbits — and copied into
+   the arena only when it is fresh.  [restrict]/[found] read a state in
+   place (array, offset); under symmetry they see representatives and
+   must be invariant under the group (the deadlock and reduction-cycle
+   predicates are).  [found ~live] is told when the state is known to
+   have an enabled step: one of its parent's steps is still enabled
+   ({!Packed.keeps_enabled}).  The empty initial state is its own
+   orbit's representative.
+
+   [expand] reads node [id] from the arena's row array as it stood when
+   the expansion began: an [add] may move the rows to a larger array,
+   but the old one still holds node [id] unchanged. *)
+let arena_store canon lay arena ~restrict ~found =
+  let w = Packed.words lay in
+  let scratch = Packed.initial lay in
+  let en = Array.make (Packed.nodes lay) 0 in
+  let moved = ref false and live = ref false in
+  let canonical =
+    match canon with
+    | None -> ignore
+    | Some c ->
+        let norm = Canon.normalize_packed c lay in
+        fun () ->
+          let rep = norm scratch in
+          moved := rep != scratch && not (Packed.equal rep scratch);
+          if rep != scratch then Array.blit rep 0 scratch 0 w
+  in
+  {
+    count = (fun () -> Arena.count arena);
+    root =
+      (fun () ->
+        Array.fill scratch 0 w 0;
+        live := false);
+    expand =
+      (fun id yield ->
+        let a = Arena.data arena and o = id * w in
+        let n = ref 0 in
+        Packed.iter_enabled lay a o (fun g ->
+            en.(!n) <- g;
+            incr n);
+        for i = 0 to !n - 1 do
+          let g = en.(i) in
+          Packed.apply_into lay a o g scratch;
+          canonical ();
+          if restrict scratch 0 then begin
+            live := Packed.keeps_enabled lay en !n i;
+            yield g
+          end
+        done);
+    add = (fun () -> Arena.add arena scratch);
+    found = (fun id -> found ~live:!live (Arena.data arena) (id * w));
+    moved = (fun () -> !moved);
+  }
 
 (* ------------------------------ spaces ----------------------------- *)
 
 type space = {
   lay : Packed.layout;
-  canon : Canon.t option;  (* Some ⇒ the table holds orbit representatives *)
-  table : Packed.t table;
+  canon : Canon.t option;  (* Some ⇒ the arena holds orbit representatives *)
+  arena : Arena.t;
+  tree : int tree;  (* via: global bits *)
 }
 
 let system sp = Packed.system sp.lay
-let state_count sp = Intern.count sp.table.nodes
+let state_count sp = Arena.count sp.arena
 
 let states sp =
-  Seq.map (Packed.decode sp.lay)
-    (Seq.init (state_count sp) (Intern.get sp.table.nodes))
+  let w = Packed.words sp.lay in
+  Seq.init (state_count sp) (fun id ->
+      Packed.decode_at sp.lay (Arena.data sp.arena) (id * w))
 
 (* A state of another system's shape is not held. *)
 let find_rep sp st =
   let rep = match sp.canon with None -> st | Some c -> fst (Canon.normalize c st) in
   match Packed.encode sp.lay rep with
-  | p -> Intern.find sp.table.nodes p
+  | p ->
+      let id = Arena.find sp.arena p in
+      if id < 0 then None else Some id
   | exception Invalid_argument _ -> None
 
 let is_reachable sp st = find_rep sp st <> None
@@ -222,7 +287,7 @@ let is_reachable sp st = find_rep sp st <> None
 let schedule_to sp st =
   Option.map
     (fun id ->
-      let steps = path sp.table id in
+      let steps = path sp.tree (Packed.step sp.lay) id in
       match sp.canon with
       | None -> steps
       (* The stored path reaches the representative of [st]'s orbit;
@@ -232,10 +297,12 @@ let schedule_to sp st =
 
 (* A witness found in the quotient space, translated back to the
    original system. *)
-let witness canon lay t id =
-  let steps = path t id in
-  match canon with
-  | None -> (steps, Packed.decode lay (Intern.get t.nodes id))
+let witness sp id =
+  let steps = path sp.tree (Packed.step sp.lay) id in
+  match sp.canon with
+  | None ->
+      let o = id * Packed.words sp.lay in
+      (steps, Packed.decode_at sp.lay (Arena.data sp.arena) o)
   | Some c -> Canon.realize c steps
 
 (* Persistent/sleep-set selective search (partial-order reduction).
@@ -245,18 +312,18 @@ let witness canon lay t id =
    non-covering sleep set shrinks the stored set to the intersection
    and re-expands the state (Godefroid's covering rule), so sleeping
    never suppresses the only path into a deadlock.  Stored sleep sets
-   only shrink, which bounds re-expansions; the table is keyed by
+   only shrink, which bounds re-expansions; the arena is keyed by
    state alone, so the reduced search never holds more states than the
    plain engine.  [found] must be implied by deadlock (evaluated at
    first insertion only): the persistent-set construction preserves
    reachability of deadlock states, not of arbitrary targets.
    [Indep.expand] works on the decoded node; its successors are
    re-encoded. *)
-let por_search ~max_states ~restrict canon lay ~found =
+let por_search ~max_states ~restrict canon lay arena ~found =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span "explore.por" @@ fun () ->
-  let sys = Packed.system lay in
-  let t = table_create ~hash:Packed.hash ~equal:Packed.equal in
+  let sys = Packed.system lay and w = Packed.words lay in
+  let t = tree_create (-1) in
   let sleeps = ref [||] in
   let set_sleep id z =
     let cap = Array.length !sleeps in
@@ -268,16 +335,17 @@ let por_search ~max_states ~restrict canon lay ~found =
     !sleeps.(id) <- z
   in
   let q = Queue.create () in
-  let init = initial_node canon lay in
+  let init = Packed.initial lay in
   let hit =
     try
-      ignore (add t ~max_states init ~parent:(-1) ~via:no_step);
+      ignore (Arena.add arena init);
+      record t ~max_states 0 ~parent:(-1) ~via:(-1);
       set_sleep 0 [];
-      if found init then raise (Hit 0);
+      if found ~live:false init 0 then raise (Hit 0);
       Queue.push (0, []) q;
       while not (Queue.is_empty q) do
         let id, sleep = Queue.pop q in
-        let node = Packed.decode lay (Intern.get t.nodes id) in
+        let node = Packed.decode_at lay (Arena.data arena) (id * w) in
         let exp = Indep.expand ?canon sys node ~sleep in
         Obs.por_expand ~enabled:exp.Indep.enabled_count
           ~persistent:exp.Indep.persistent_count
@@ -285,12 +353,14 @@ let por_search ~max_states ~restrict canon lay ~found =
         List.iter
           (fun { Indep.step; succ; moved; sleep = child } ->
             let succ = Packed.encode lay succ in
-            if restrict succ then
-              let id', fresh = add t ~max_states succ ~parent:id ~via:step in
-              if fresh then begin
+            if restrict succ 0 then
+              let n = Arena.count arena in
+              let id' = Arena.add arena succ in
+              if id' = n then begin
+                record t ~max_states n ~parent:id ~via:(Packed.bit lay step);
                 Obs.hit moved;
                 set_sleep id' child;
-                if found succ then raise (Hit id');
+                if found ~live:false succ 0 then raise (Hit id');
                 Queue.push (id', child) q
               end
               else
@@ -306,22 +376,25 @@ let por_search ~max_states ~restrict canon lay ~found =
   in
   (t, hit)
 
-let always _ = true
-let never_found _ = false
+(* A caller's predicate on {!State.t}, evaluated on the decoded state. *)
+let decoded lay f a o = f (Packed.decode_at lay a o)
+
+let always _ _ = true
+let never_found ~live:_ _ _ = false
 
 (* Every search of a state space: the first node satisfying [found]
    (translated back to the original system), and the space. *)
 let run ~name ~max_states ~restrict ~symmetry ~por lay ~found =
   let canon = active_canon ~symmetry (Packed.system lay) in
-  let table, hit =
-    if por then por_search ~max_states ~restrict canon lay ~found
+  let arena = Arena.create ~words:(Packed.words lay) in
+  let tree, hit =
+    if por then por_search ~max_states ~restrict canon lay arena ~found
     else
-      search_table ~name ~max_states
-        (state_ops canon lay ~restrict ~found)
-        (initial_node canon lay)
+      bfs_loop ~name ~max_states ~no_via:(-1)
+        (arena_store canon lay arena ~restrict ~found)
   in
-  ( (if hit < 0 then None else Some (witness canon lay table hit)),
-    { lay; canon; table } )
+  let sp = { lay; canon; arena; tree } in
+  ((if hit < 0 then None else Some (witness sp hit)), sp)
 
 let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
   snd
@@ -334,13 +407,14 @@ let bfs ?(max_states = default_cap) ?restrict ?(symmetry = false) ?(por = false)
   let restrict = match restrict with None -> always | Some f -> decoded lay f in
   fst
     (run ~name:"explore.bfs" ~max_states ~restrict ~symmetry ~por lay
-       ~found:(decoded lay found))
+       ~found:(fun ~live:_ a o -> decoded lay found a o))
 
-(* The deadlock search tests [Packed.is_deadlock] on the packed nodes. *)
+(* The deadlock search tests [Packed.is_deadlock_at] on the arena's
+   rows, unless the state is known to be live. *)
 let deadlock_search ?(max_states = default_cap) ?(symmetry = false) ~por lay =
   fst
     (run ~name:"explore.bfs" ~max_states ~restrict:always ~symmetry ~por lay
-       ~found:(Packed.is_deadlock lay))
+       ~found:(fun ~live a o -> (not live) && Packed.is_deadlock_at lay a o))
 
 let count_witness r =
   if r <> None then begin
@@ -435,14 +509,12 @@ let lemma1_ops sys ~report =
     equal = Lemma1.equal;
     next =
       (fun n f -> List.iter (fun (s, n') -> f s n') (Lemma1.next sys n));
-    restrict = (fun _ -> true);
     found =
       (fun n ->
         Lemma1.cycle sys n <> None
         && (match report with
            | `All_cyclic -> true
            | `Complete_cyclic -> Lemma1.complete sys n));
-    moved = never;
   }
 
 let lemma1_search ?max_states sys ~report =
@@ -462,11 +534,16 @@ let safe ?max_states sys =
 let has_schedule sys target =
   let lay = Packed.layout sys in
   let goal = Packed.encode lay target in
-  let sub p = Array.for_all2 (fun a b -> a land lnot b = 0) p goal in
+  let rec sub a o k =
+    k >= Array.length goal
+    || (a.(o + k) land lnot goal.(k) = 0 && sub a o (k + 1))
+  in
   Option.map fst
     (fst
-       (run ~name:"explore.bfs" ~max_states:default_cap ~restrict:sub
-          ~symmetry:false ~por:false lay ~found:(Packed.equal goal)))
+       (run ~name:"explore.bfs" ~max_states:default_cap
+          ~restrict:(fun a o -> sub a o 0)
+          ~symmetry:false ~por:false lay
+          ~found:(fun ~live:_ a o -> Packed.equal_at goal a o)))
 
 let complete_schedules sys =
   let rec go st rev_steps () =

@@ -8,12 +8,19 @@ open Ddlock_model
     ({!State.enabled}).  Every reachable state corresponds to at least one
     partial schedule and vice versa.
 
-    The searches store and expand packed states ({!Packed}); the
-    {!State.t} values they take and return — witnesses, [states],
-    [schedule_to]/[is_reachable] arguments, and the states a caller's
-    [restrict]/[found] predicate sees — are decoded or encoded at this
-    edge.  The deadlock searches test {!Packed.is_deadlock} on the
-    packed nodes and decode only the witness. *)
+    The searches keep packed states ({!Packed}) in one flat {!Arena}:
+    state [id] is the [Packed.words] ints at offset [id * words], and
+    the BFS tree is two int arrays by id (parent, and the global bit of
+    the step reaching the state).  Each successor is built in one
+    scratch buffer, looked up there, and copied into the arena only
+    when it is new; the kernel tests and expands states in place.  The
+    {!State.t} values the searches take and return — witnesses,
+    [states], [schedule_to]/[is_reachable] arguments, and the states a
+    caller's [restrict]/[found] predicate sees — are decoded or encoded
+    at this edge.  The deadlock searches test {!Packed.is_deadlock_at}
+    on the arena's rows — only for a state that keeps none of its
+    parent's enabled steps ({!Packed.keeps_enabled}) — and decode only
+    the witness. *)
 
 exception Too_large of int
 (** Raised when exploration would exceed the [max_states] cap.  The cap
@@ -76,30 +83,27 @@ val schedule_to : space -> State.t -> Step.t list option
 
 (** {1 Search instances}
 
-    Every search runs on a graph given by an [ops] record: nodes are
-    deduplicated by [hash] + [equal] (no string keys); [next n f]
-    applies [f] to each successor of [n] with the step that reaches it,
-    in the canonical ({!State.enabled}) order. *)
+    {!search} runs on a graph given by an [ops] record: nodes are
+    deduplicated by [hash] + [equal] in an {!Intern} table (no string
+    keys); [next n f] applies [f] to each successor of [n] with the
+    step that reaches it, in the canonical ({!State.enabled}) order. *)
 
 type 'n ops = {
   hash : 'n -> int;  (** compatible with [equal] *)
   equal : 'n -> 'n -> bool;
   next : 'n -> (Step.t -> 'n -> unit) -> unit;
-  restrict : 'n -> bool;  (** successors failing it are not stored *)
   found : 'n -> bool;  (** the goal *)
-  moved : parent:'n -> Step.t -> 'n -> bool;
-      (** whether the stored successor differs from the raw one (symmetry
-          canonicalization); evaluated only while telemetry is on *)
 }
 
-(** [search ?max_states ~name ops init] — the one breadth-first search,
-    behind this module's searches (all but the partial-order-reduced
-    one) and the shared/exclusive deciders of [Ddlock_rw]: the first
-    node in BFS insertion order satisfying [ops.found] ([init]
-    included), with the steps reaching it; [None] when there is none.
-    With the exact [max_states] cap (default {!default_cap}), the
-    {!Ddlock_obs.Cancel} poll, the ["explore.*"] counters and a trace
-    span called [name]. *)
+(** [search ?max_states ~name ops init] — the first node in BFS
+    insertion order satisfying [ops.found] ([init] included), with the
+    steps reaching it; [None] when there is none.  It runs the one
+    breadth-first loop behind this module's searches (all but the
+    partial-order-reduced one), over interned nodes instead of packed
+    states: the Lemma-1 searches and the shared/exclusive deciders of
+    [Ddlock_rw] use it.  With the exact [max_states] cap (default
+    {!default_cap}), the {!Ddlock_obs.Cancel} poll, the ["explore.*"]
+    counters and a trace span called [name]. *)
 val search :
   ?max_states:int -> name:string -> 'n ops -> 'n -> (Step.t list * 'n) option
 

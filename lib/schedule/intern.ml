@@ -17,7 +17,6 @@ type 'a t = {
   mutable hashes : int array;
   mutable arena : 'a array;
   mutable len : int;
-  mutable hits : int;
 }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
@@ -30,11 +29,9 @@ let create ?(capacity = 16) ~equal ~hash () =
     hashes = [||];
     arena = [||];
     len = 0;
-    hits = 0;
   }
 
 let count t = t.len
-let hits t = t.hits
 
 let get t id =
   if id < 0 || id >= t.len then invalid_arg "Intern.get: id out of range";
@@ -78,10 +75,7 @@ let intern t x =
   let h = t.hash x land max_int in
   let i = slot_of t x h in
   let id = t.slots.(i) in
-  if id >= 0 then begin
-    t.hits <- t.hits + 1;
-    (id, false)
-  end
+  if id >= 0 then (id, false)
   else begin
     let id = t.len in
     if id >= Array.length t.arena then grow_arena t x;

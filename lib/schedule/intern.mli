@@ -4,6 +4,13 @@
     values get equal ids, so equality downstream is integer equality
     and visited sets can store ints instead of keys.
 
+    Its users are the searches over nodes that are not packed states,
+    all run by {!Explore.search}: the Lemma-1 searches
+    ({!Explore.safe_and_deadlock_free}, {!Explore.safe}) over prefix
+    vectors with their D-arcs, and [Ddlock_rw.Rw_system.find_deadlock]
+    and [Ddlock_rw.Rw_system.safe] over shared/exclusive states (the
+    latter with conflict arcs).  Packed states live in an {!Arena}.
+
     Storage is open addressing with linear probing: a power-of-two
     array of ids, doubled when more than half full, beside an arena of
     values and an array of each id's hash (both grown by amortized
@@ -35,9 +42,6 @@ val get : 'a t -> int -> 'a
 
 (** Number of interned values (also the next fresh id). *)
 val count : 'a t -> int
-
-(** Number of [intern] calls that found an existing value (dedup hits). *)
-val hits : 'a t -> int
 
 (** Iterate values in id order. *)
 val iter : ('a -> unit) -> 'a t -> unit

@@ -10,8 +10,11 @@ type layout = {
   sys : System.t;
   words : int;
   base : int array;  (* txn -> global bit of its node 0; [base.(n)]: total *)
+  wi : int array;  (* global bit -> its word *)
+  wm : int array;  (* global bit -> its mask within that word *)
   preds : int array;
       (* [words] mask words per global bit: its immediate predecessors *)
+  lock_entity : int array;  (* global bit -> its entity if a Lock, else -1 *)
   conf_start : int array;  (* global bit -> start of its range in [conf] *)
   conf : int array;
       (* per Lock node, one (lock word, lock mask, unlock word, unlock mask)
@@ -23,8 +26,6 @@ type layout = {
 let word g = g / bits
 let mask g = 1 lsl (g mod bits)
 let set_at p o g = p.(o + word g) <- p.(o + word g) lor mask g
-let set p g = set_at p 0 g
-let mem p g = p.(word g) land mask g <> 0
 
 let layout sys =
   let n = System.size sys in
@@ -35,6 +36,7 @@ let layout sys =
   let total = base.(n) in
   let words = (total + bits - 1) / bits in
   let preds = Array.make (total * words) 0 in
+  let lock_entity = Array.make total (-1) in
   let conf_start = Array.make (total + 1) 0 in
   let conf = ref [] in
   let steps = Array.make total (Step.v 0 0) in
@@ -48,7 +50,8 @@ let layout sys =
         (Digraph.pred (Transaction.given_arcs tx) v);
       let nd = Transaction.node tx v in
       let quads = ref 0 in
-      if nd.Node.op = Node.Lock then
+      if nd.Node.op = Node.Lock then begin
+        lock_entity.(g) <- nd.Node.entity;
         for j = 0 to n - 1 do
           let txj = System.txn sys j in
           if j <> i && Transaction.accesses txj nd.Node.entity then begin
@@ -57,19 +60,23 @@ let layout sys =
             conf := mask u :: word u :: mask l :: word l :: !conf;
             incr quads
           end
-        done;
+        done
+      end;
       conf_start.(g + 1) <- conf_start.(g) + (4 * !quads)
     done
   done;
   let full = Array.make words 0 in
   for g = 0 to total - 1 do
-    set full g
+    set_at full 0 g
   done;
   {
     sys;
     words;
     base;
+    wi = Array.init total word;
+    wm = Array.init total mask;
     preds;
+    lock_entity;
     conf_start;
     conf = Array.of_list (List.rev !conf);
     full;
@@ -78,7 +85,14 @@ let layout sys =
 
 let system l = l.sys
 let words l = l.words
+let nodes l = Array.length l.steps
 let initial l = Array.make l.words 0
+let step l g = l.steps.(g)
+let bit l (s : Step.t) = l.base.(s.Step.txn) + s.Step.node
+
+(* Functions taking [a] and [o] read a state in place: the [words] ints
+   of [a] at offset [o]. *)
+let mem l a o g = a.(o + l.wi.(g)) land l.wm.(g) <> 0
 
 let encode l (st : State.t) =
   let n = System.size l.sys in
@@ -90,71 +104,105 @@ let encode l (st : State.t) =
       if Bitset.capacity row <> l.base.(i + 1) - l.base.(i) then
         invalid_arg "Packed.encode: wrong row size";
       for v = 0 to Bitset.capacity row - 1 do
-        if Bitset.mem row v then set p (l.base.(i) + v)
+        if Bitset.mem row v then set_at p 0 (l.base.(i) + v)
       done)
     st;
   p
 
-let decode l p =
+let decode_at l a o =
   Array.init (System.size l.sys) (fun i ->
       let row = Bitset.create (l.base.(i + 1) - l.base.(i)) in
       for v = 0 to Bitset.capacity row - 1 do
-        if mem p (l.base.(i) + v) then Bitset.set row v
+        if mem l a o (l.base.(i) + v) then Bitset.set row v
       done;
       row)
+
+let decode l p = decode_at l p 0
 
 (* The hot functions below use loops and top-level recursion only, so
    deciding enabledness allocates nothing. *)
 
-let rec preds_done l p o k =
+let rec preds_done l a o po k =
   k >= l.words
-  || (l.preds.(o + k) land lnot p.(k) = 0 && preds_done l p o (k + 1))
-
-(* Node [g] is not executed and all its predecessors are. *)
-let minimal l p g = (not (mem p g)) && preds_done l p (g * l.words) 0
+  || (l.preds.(po + k) land lnot a.(o + k) = 0 && preds_done l a o po (k + 1))
 
 (* Some quadruple in [k, stop) of [conf] is a holder: it has executed the
    Lock but not the Unlock. *)
-let rec held l p k stop =
+let rec held l a o k stop =
   k < stop
   && (let c = l.conf in
-      (p.(c.(k)) land c.(k + 1) <> 0 && p.(c.(k + 2)) land c.(k + 3) = 0)
-      || held l p (k + 4) stop)
+      (a.(o + c.(k)) land c.(k + 1) <> 0
+      && a.(o + c.(k + 2)) land c.(k + 3) = 0)
+      || held l a o (k + 4) stop)
 
-(* Node [g], minimal, can run: an Unlock always (its range is empty), a
-   Lock when no other transaction holds its entity. *)
-let runs l p g =
-  minimal l p g && not (held l p l.conf_start.(g) l.conf_start.(g + 1))
+(* Applies [f] to each bit from [g] down to [stop] that can run: it is
+   not executed, all its predecessors are, and — a Lock — no other
+   transaction holds its entity (an Unlock's [conf] range is empty).
+   Bit [g] is the mask [m] of word [k], whose value is [x]: stepping
+   down a bit shifts the mask, and only crossing into the word below
+   reads the state again. *)
+let rec walk l a o f g stop k m x =
+  if
+    x land m = 0
+    && preds_done l a o (g * l.words) 0
+    && not (held l a o l.conf_start.(g) l.conf_start.(g + 1))
+  then f g;
+  if g > stop then
+    if m = 1 then
+      walk l a o f (g - 1) stop (k - 1) (1 lsl (bits - 1)) a.(o + k - 1)
+    else walk l a o f (g - 1) stop k (m lsr 1) x
 
 (* Transactions ascending and, within each, node ids descending. *)
-let iter_enabled l p f =
+let iter_enabled l a o f =
   for i = 0 to Array.length l.base - 2 do
-    for g = l.base.(i + 1) - 1 downto l.base.(i) do
-      if runs l p g then f l.steps.(g)
-    done
+    let top = l.base.(i + 1) - 1 in
+    if top >= l.base.(i) then
+      let k = l.wi.(top) in
+      walk l a o f top l.base.(i) k l.wm.(top) a.(o + k)
   done
+
+(* Executing bit [g] disables another enabled step [s] only when both
+   are Locks of one entity (their transactions differ: a transaction
+   locks an entity once); [s] stays minimal either way. *)
+let rec keeps l e en n i j =
+  j < n
+  && ((j <> i && (e < 0 || l.lock_entity.(en.(j)) <> e))
+     || keeps l e en n i (j + 1))
+
+let keeps_enabled l en n i = keeps l l.lock_entity.(en.(i)) en n i 0
 
 let enabled l p =
   let steps = ref [] in
-  iter_enabled l p (fun s -> steps := s :: !steps);
+  iter_enabled l p 0 (fun g -> steps := l.steps.(g) :: !steps);
   List.rev !steps
 
-let apply l p (s : Step.t) =
-  let p' = Array.copy p in
-  set p' (l.base.(s.Step.txn) + s.Step.node);
+let apply_into l a o g dst =
+  for k = 0 to l.words - 1 do
+    dst.(k) <- a.(o + k)
+  done;
+  dst.(l.wi.(g)) <- dst.(l.wi.(g)) lor l.wm.(g)
+
+let apply l p s =
+  let p' = initial l in
+  apply_into l p 0 (bit l s) p';
   p'
 
-let rec equal_from (a : t) (b : t) k =
-  k >= Array.length a || (a.(k) = b.(k) && equal_from a b (k + 1))
+let rec equal_from (p : t) a o k =
+  k >= Array.length p || (p.(k) = a.(o + k) && equal_from p a o (k + 1))
 
-let equal (a : t) (b : t) = Array.length a = Array.length b && equal_from a b 0
+let equal_at p a o = equal_from p a o 0
+let equal (a : t) (b : t) = Array.length a = Array.length b && equal_at a b 0
 
-let rec some_runs l p g = g >= 0 && (runs l p g || some_runs l p (g - 1))
+exception Runs
 
 (* Nothing can run and some transaction is unfinished (see
    [State.is_deadlock]). *)
-let is_deadlock l p =
-  (not (some_runs l p (Array.length l.steps - 1))) && not (equal p l.full)
+let is_deadlock_at l a o =
+  match iter_enabled l a o (fun _ -> raise_notrace Runs) with
+  | () -> not (equal_at l.full a o)
+  | exception Runs -> false
+
+let is_deadlock l p = is_deadlock_at l p 0
 
 (* Transaction [i]'s row as an int (at most 62 nodes): its bits may
    straddle two words. *)
@@ -169,8 +217,8 @@ let write_row l p i v =
   let b = l.base.(i) in
   for k = 0 to l.base.(i + 1) - b - 1 do
     let g = b + k in
-    if v land (1 lsl k) <> 0 then set p g
-    else p.(word g) <- p.(word g) land lnot (mask g)
+    if v land (1 lsl k) <> 0 then p.(l.wi.(g)) <- p.(l.wi.(g)) lor l.wm.(g)
+    else p.(l.wi.(g)) <- p.(l.wi.(g)) land lnot l.wm.(g)
   done
 
 let rec ascending l p g k =
@@ -194,15 +242,4 @@ let sort_rows l classes p =
     p'
   end
 
-(* The splitmix64 finalizer with multipliers cut to 62 bits. *)
-let mix h =
-  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
-  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
-  h lxor (h lsr 31)
-
-let hash (p : t) =
-  let h = ref 0 in
-  for k = 0 to Array.length p - 1 do
-    h := mix (!h + p.(k))
-  done;
-  !h land max_int
+let hash (p : t) = Arena.hash p 0 (Array.length p)

@@ -1,16 +1,23 @@
 open Ddlock_model
 
 (** Packed search states: the prefix vector of {!State} as flat machine
-    words, the representation every search table interns.
+    words, the representation every state table holds.
 
     A {!layout}, computed once per search, gives each (transaction,
     node) pair one global bit — transaction [i]'s node [v] is bit
     [base i + v], bits numbered transaction by transaction — and packs
     62 bits per word, so a state is [⌈total nodes / 62⌉] ints.  It also
-    precomputes each node's immediate-predecessor mask and, for each
-    Lock node, the (Lock bit, Unlock bit) pairs of every other
-    transaction that accesses the same entity, so enabledness is a few
-    word operations.  A layout is immutable.
+    precomputes each bit's word index and mask, each node's
+    immediate-predecessor mask and, for each Lock node, the (Lock bit,
+    Unlock bit) pairs of every other transaction that accesses the same
+    entity, so enabledness is a few word operations with no division.
+    A layout is immutable.
+
+    The search kernel ({!iter_enabled}, {!is_deadlock_at},
+    {!apply_into}) reads a state in place, as the {!words} ints of an
+    array at an offset — a row of an {!Arena} or a scratch buffer at
+    offset 0 — so a search never allocates a state to test or expand
+    it.  The functions on {!t} are the same kernel at offset 0.
 
     Every function agrees with its {!State} counterpart through
     {!encode}/{!decode}: [decode (apply l (encode l st) s) = State.apply
@@ -20,8 +27,8 @@ open Ddlock_model
 
 type layout
 
-(** A packed state.  [apply] returns a fresh array; a state must not be
-    mutated once it is built. *)
+(** A packed state on its own (offset 0).  [apply] returns a fresh
+    array; a state must not be mutated once it is built. *)
 type t = int array
 
 val layout : System.t -> layout
@@ -30,6 +37,9 @@ val system : layout -> System.t
 (** Words per state. *)
 val words : layout -> int
 
+(** Nodes of the system: global bits are [0 .. nodes l - 1]. *)
+val nodes : layout -> int
+
 (** [encode l st] packs a state of [system l].  Raises
     [Invalid_argument] when [st] does not have the system's shape (one
     row per transaction, each of its transaction's node count). *)
@@ -37,16 +47,48 @@ val encode : layout -> State.t -> t
 
 val decode : layout -> t -> State.t
 
+(** [decode_at l a o] decodes the state held at offset [o] of [a]. *)
+val decode_at : layout -> int array -> int -> State.t
+
 (** The empty prefix vector. *)
 val initial : layout -> t
 
-(** {!State.enabled}: transactions ascending and, within one
-    transaction, node ids descending. *)
-val enabled : layout -> t -> Step.t list
+(** {1 Steps as global bits} *)
 
-(** [iter_enabled l p f] applies [f] to the steps of [enabled l p], in
-    order, without building the list. *)
-val iter_enabled : layout -> t -> (Step.t -> unit) -> unit
+(** [step l g] — the step of global bit [g]. *)
+val step : layout -> int -> Step.t
+
+(** [bit l s] — the global bit of step [s]; [step l (bit l s) = s]. *)
+val bit : layout -> Step.t -> int
+
+(** {1 The kernel, in place} *)
+
+(** [iter_enabled l a o f] applies [f] to the global bit of each step
+    enabled in the state at offset [o] of [a], in {!State.enabled}
+    order (transactions ascending and, within one transaction, node
+    ids descending), without building a list. *)
+val iter_enabled : layout -> int array -> int -> (int -> unit) -> unit
+
+(** [apply_into l a o g dst] writes into [dst] (at offset 0) the state
+    at offset [o] of [a] with bit [g] set.  [dst] must not be [a]. *)
+val apply_into : layout -> int array -> int -> int -> t -> unit
+
+(** {!State.is_deadlock} of the state at offset [o] of [a]. *)
+val is_deadlock_at : layout -> int array -> int -> bool
+
+(** [keeps_enabled l en n i] — given the bits [en.(0) .. en.(n - 1)]
+    of the steps enabled in one state ({!iter_enabled}), whether some
+    step other than [en.(i)] is still enabled after [en.(i)]: if so,
+    that successor is not a deadlock. *)
+val keeps_enabled : layout -> int array -> int -> int -> bool
+
+(** [equal_at p a o] — [p] equals the state at offset [o] of [a]. *)
+val equal_at : t -> int array -> int -> bool
+
+(** {1 Standalone states} *)
+
+(** {!State.enabled}. *)
+val enabled : layout -> t -> Step.t list
 
 (** {!State.apply}: a copy with the step's bit set. *)
 val apply : layout -> t -> Step.t -> t
@@ -65,7 +107,5 @@ val sort_rows : layout -> int array array -> t -> t
 (** Word-wise equality (states of one layout). *)
 val equal : t -> t -> bool
 
-(** Compatible with {!equal}.  Each word passes through a
-    splitmix-style finalizer, so high bits reach the low bits that
-    {!Intern} takes its slot from. *)
+(** Compatible with {!equal}: {!Arena.hash} of the state's words. *)
 val hash : t -> int

@@ -665,6 +665,108 @@ let test_too_large_multiword () =
       (G.dining_philosophers 16, 0);
     ]
 
+(* The arena's row array doubles from 64 rows: a budget at a power of
+   two, or one past it, stops the search right at a doubling (or just
+   after it), and the raise still reports exactly the budget. *)
+let test_too_large_at_doublings () =
+  let module G = Ddlock_workload.Gentx in
+  let phil = G.dining_philosophers 16 in
+  let ring = System.copies (G.guard_ring 4) 8 in
+  let raises name f cap =
+    match f cap with
+    | exception Explore.Too_large n ->
+        if n <> cap then Alcotest.failf "%s, budget %d: raised %d" name cap n
+    | _ -> Alcotest.failf "%s, budget %d: expected Too_large" name cap
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun cap ->
+          raises "explore"
+            (fun max_states -> Explore.explore ~max_states phil)
+            cap;
+          raises "explore ~symmetry"
+            (fun max_states -> Explore.explore ~max_states ~symmetry:true ring)
+            cap;
+          raises "explore ~por"
+            (fun max_states -> Explore.explore ~max_states ~por:true phil)
+            cap;
+          raises "find_deadlock"
+            (fun max_states -> Explore.find_deadlock ~max_states phil)
+            cap)
+        [ 1 lsl k; (1 lsl k) + 1 ])
+    (List.init 13 Fun.id)
+
+(* Plain BFS over {!State}, written from the definition: the first [cap]
+   states in discovery order (successors in [State.enabled] order), the
+   first deadlock among them with the schedule that discovered it, and
+   whether the reachable set has more than [cap] states. *)
+let reference_bfs sys ~cap =
+  let seen = Hashtbl.create 1024 and q = Queue.create () in
+  let order = ref [] and count = ref 0 in
+  let deadlock = ref None and overflow = ref false in
+  let visit st rev_steps =
+    let key = Fixtures.state_key st in
+    if not (Hashtbl.mem seen key) then
+      if !count >= cap then overflow := true
+      else begin
+        Hashtbl.add seen key ();
+        incr count;
+        order := st :: !order;
+        if !deadlock = None && State.is_deadlock sys st then
+          deadlock := Some (List.rev rev_steps, st);
+        Queue.push (st, rev_steps) q
+      end
+  in
+  visit (State.initial sys) [];
+  while (not !overflow) && not (Queue.is_empty q) do
+    let st, rev_steps = Queue.pop q in
+    List.iter
+      (fun s -> if not !overflow then visit (State.apply st s) (s :: rev_steps))
+      (State.enabled sys st)
+  done;
+  (List.rev !order, !deadlock, !overflow)
+
+let arena_reference_prop =
+  QCheck.Test.make ~name:"arena: explore order and witness = State BFS"
+    ~count:40 QCheck.(int_bound 10_000_000) (fun seed ->
+      let sys = packed_system (Fixtures.rng seed) in
+      let cap = 1_500 in
+      let order, deadlock, overflow = reference_bfs sys ~cap in
+      let same = List.for_all2 State.equal in
+      let explored =
+        if overflow then begin
+          (* The space does not fit: the explore gives up at the cap, and
+             the states it inserted are the reference's first [cap]. *)
+          let seen = ref [] in
+          (match
+             Explore.bfs ~max_states:cap sys ~found:(fun st ->
+                 seen := st :: !seen;
+                 false)
+           with
+          | exception Explore.Too_large n -> n = cap
+          | _ -> false)
+          && (match Explore.explore ~max_states:cap sys with
+             | exception Explore.Too_large n -> n = cap
+             | _ -> false)
+          && same (List.rev !seen) order
+        end
+        else
+          let sp = Explore.explore ~max_states:cap sys in
+          let got = List.of_seq (Explore.states sp) in
+          List.length got = List.length order && same got order
+      in
+      let witness =
+        match (Explore.find_deadlock ~max_states:cap sys, deadlock) with
+        | Some (steps, st), Some (steps', st') ->
+            steps = steps' && State.equal st st'
+        | None, None -> not overflow
+        | exception Explore.Too_large n ->
+            overflow && deadlock = None && n = cap
+        | _ -> false
+      in
+      explored && witness)
+
 (* ------------------------------------------------------------------ *)
 (* The search substrate: intern tables, hash/equal, commutation        *)
 (* ------------------------------------------------------------------ *)
@@ -680,7 +782,6 @@ let test_intern_basics () =
   check bool_t "distinct value is new" true new_b;
   check bool_t "distinct ids" true (a <> b);
   check int_t "count" 2 (Intern.count t);
-  check int_t "hits" 1 (Intern.hits t);
   check bool_t "find hit" true (Intern.find t "a" = Some a);
   check bool_t "find miss" true (Intern.find t "zzz" = None);
   check bool_t "get roundtrip" true (String.equal (Intern.get t b) "b");
@@ -690,7 +791,7 @@ let test_intern_basics () =
 
 let test_intern_growth () =
   (* Push the arena through several doublings; ids stay dense and
-     stable, every value reads back, re-interning is pure hit. *)
+     stable, every value reads back, re-interning finds every value. *)
   let t = Intern.create ~capacity:4 ~equal:Int.equal ~hash:Hashtbl.hash () in
   let n = 1000 in
   for i = 0 to n - 1 do
@@ -705,7 +806,6 @@ let test_intern_growth () =
     check int_t "stable id" i id;
     check bool_t "hit" false was_new
   done;
-  check int_t "hits counted" n (Intern.hits t);
   let seen = ref 0 in
   Intern.iter
     (fun v ->
@@ -717,8 +817,8 @@ let test_intern_growth () =
 let test_intern_collisions () =
   (* A constant hash sends every key down one probe chain, and 300 keys
      force several resizes of the slot array: ids stay dense in
-     insertion order, [find] agrees with [intern], and only repeats
-     count as hits. *)
+     insertion order, [find] agrees with [intern], and a repeat gets
+     its first id back. *)
   let t =
     Intern.create ~capacity:2 ~equal:String.equal ~hash:(fun _ -> 42) ()
   in
@@ -732,13 +832,11 @@ let test_intern_collisions () =
         (Intern.intern t (key (i / 2)) = (i / 2, false))
   done;
   check int_t "count" n (Intern.count t);
-  check int_t "hits count only repeats" ((n + 2) / 3) (Intern.hits t);
   for i = 0 to n - 1 do
     check bool_t "find = intern" true
       (Intern.find t (key i) = Some (fst (Intern.intern t (key i))));
     check Alcotest.string "get" (key i) (Intern.get t i)
   done;
-  check int_t "hits after re-interning all" (((n + 2) / 3) + n) (Intern.hits t);
   check bool_t "miss" true (Intern.find t "absent" = None);
   List.iter
     (fun id ->
@@ -947,6 +1045,7 @@ let qtests =
       packed_apply_prop;
       packed_equal_hash_prop;
       packed_canon_prop;
+      arena_reference_prop;
       explore_cap_prop;
       find_deadlock_cap_prop;
     ]
@@ -982,13 +1081,15 @@ let suite =
       test_states_visited_unchanged;
     Alcotest.test_case "Too_large on multi-word systems" `Quick
       test_too_large_multiword;
+    Alcotest.test_case "Too_large at arena doublings" `Quick
+      test_too_large_at_doublings;
     Alcotest.test_case "states in rank order" `Quick test_states_in_rank_order;
     Alcotest.test_case "schedule_to reaches every stored state" `Quick
       test_schedule_to_every_state;
   ]
   @ qtests
 
-(* The intern tables under every search's state set. *)
+(* The intern tables under the searches over unpacked nodes. *)
 let intern_suite =
   [
     Alcotest.test_case "intern basics" `Quick test_intern_basics;
