@@ -7,6 +7,10 @@
    Checks per round:
    - Theorem 3 and the O(n³) minimal-prefix decider vs the exhaustive
      Lemma-1 search (pairs);
+   - certificates: every Lemma-1 counterexample (pairs and k-transaction
+     systems) is a legal partial schedule whose D(S′) has the reported
+     cycle, and every unsafe schedule of a (non-two-phase) rw system is
+     complete and not conflict-serializable;
    - the [LP]/[SW] geometric deciders vs the exhaustive safety and
      deadlock searches (centralized pairs);
    - Theorem 4 vs exhaustive (k-transaction systems);
@@ -84,6 +88,34 @@ let () =
     |> List.map (fun (k, v) -> Printf.sprintf "%s %.2fs" k v)
     |> String.concat " "
   in
+  (* [cycle] is a cycle of [g]: each node has an arc to the next, the
+     last to the first. *)
+  let is_cycle g cycle =
+    let rec arcs = function
+      | x :: (y :: _ as rest) -> Graph.Digraph.mem_edge g x y && arcs rest
+      | _ -> true
+    in
+    match (cycle, List.rev cycle) with
+    | first :: _, last :: _ -> arcs cycle && Graph.Digraph.mem_edge g last first
+    | _ -> false
+  in
+  let lemma1_certified sys = function
+    | Ok () -> true
+    | Error { Sched.Explore.steps; cycle } ->
+        Sched.Schedule.is_legal sys steps
+        && is_cycle (Sched.Dgraph.graph sys steps) cycle
+  in
+  (* [steps] runs every transaction of the rw system to the end, each
+     step enabled with Read locks shared. *)
+  let rw_complete rsys steps =
+    let rec go st = function
+      | [] -> Rw.Rw_system.all_finished rsys st
+      | s :: rest ->
+          List.mem s (Rw.Rw_system.enabled rsys st)
+          && go (Rw.Rw_system.apply st s) rest
+    in
+    go (Rw.Rw_system.initial rsys) steps
+  in
   let failures = ref 0 in
   let report name round =
     incr failures;
@@ -94,10 +126,12 @@ let () =
     (* --- pairs --- *)
     let pair_sys = Workload.Gentx.small_random_pair st in
     let t1 = System.txn pair_sys 0 and t2 = System.txn pair_sys 1 in
-    let exh =
-      timed "seq" (fun () ->
-          Result.is_ok (Sched.Explore.safe_and_deadlock_free pair_sys))
+    let pair_cex =
+      timed "seq" (fun () -> Sched.Explore.safe_and_deadlock_free pair_sys)
     in
+    if not (lemma1_certified pair_sys pair_cex) then
+      report "Lemma-1 certificate (pairs)" round;
+    let exh = Result.is_ok pair_cex in
     if Safety.Pair.safe_and_deadlock_free t1 t2 <> exh then
       report "Theorem 3" round;
     if Safety.Minimal_prefix.safe_and_deadlock_free t1 t2 <> exh then
@@ -119,10 +153,12 @@ let () =
     then report "geometry safety" round;
     (* --- k transactions --- *)
     let sys = Workload.Gentx.small_random_system ~sites:2 ~entities:3 st ~txns:!txns in
-    let sys_safe_df =
-      timed "seq" (fun () ->
-          Result.is_ok (Sched.Explore.safe_and_deadlock_free sys))
+    let sys_cex =
+      timed "seq" (fun () -> Sched.Explore.safe_and_deadlock_free sys)
     in
+    if not (lemma1_certified sys sys_cex) then
+      report "Lemma-1 certificate (k transactions)" round;
+    let sys_safe_df = Result.is_ok sys_cex in
     if Safety.Many.safe_and_deadlock_free sys <> sys_safe_df then
       report "Theorem 4" round;
     (* --- recovery invariants --- *)
@@ -332,6 +368,42 @@ let () =
       Sched.Explore.deadlock_free (Rw.Rw_system.to_exclusive rwsys)
       && not (Rw.Rw_system.deadlock_free rwsys)
     then report "rw abstraction soundness" round;
+    (* Locks in the subset's order, each Unlock anywhere after its Lock
+       (last locked first): not two-phase in general, so the system may
+       be unsafe. *)
+    let rw_unordered () =
+      let ents =
+        Workload.Gentx.random_entity_subset st rwdb
+          ~k:(2 + Random.State.int st 2)
+      in
+      let rec go pending held acc =
+        match (pending, held) with
+        | e :: rest, _ when held = [] || Random.State.bool st ->
+            let m =
+              if Random.State.bool st then Rw.Rw_txn.Read else Rw.Rw_txn.Write
+            in
+            go rest (e :: held)
+              ({ Rw.Rw_txn.entity = e; op = Rw.Rw_txn.Lock m } :: acc)
+        | _, e :: hs ->
+            go pending hs
+              ({ Rw.Rw_txn.entity = e; op = Rw.Rw_txn.Unlock } :: acc)
+        | _ -> List.rev acc
+      in
+      match Rw.Rw_txn.of_total_order rwdb (go ents [] []) with
+      | Ok t -> t
+      | Error _ -> assert false
+    in
+    let usys =
+      Rw.Rw_system.create
+        (List.init (2 + Random.State.int st 2) (fun _ -> rw_unordered ()))
+    in
+    (match Rw.Rw_system.safe usys with
+    | Ok () -> ()
+    | Error steps ->
+        if
+          (not (rw_complete usys steps))
+          || Rw.Rw_system.is_conflict_serializable usys steps
+        then report "rw safety certificate" round);
     (* The all-Write version of [rwsys] runs exactly like its exclusive
        abstraction, with and without faults: one event loop serves both,
        with shared locks and without. *)

@@ -14,12 +14,9 @@ let run ?(config = Net.default_config) ?(faults = Faults.none) rng sys =
   let config =
     { Recovery.base = config; restart_delay = 0.0; max_time = Float.infinity }
   in
-  let read (s : Rw_system.step) =
-    (Rw_txn.node (Rw_system.txn sys s.txn) s.node).Rw_txn.op
-    = Rw_txn.Lock Rw_txn.Read
-  in
   let r, completions, last =
-    Recovery.simulate ~read None config faults rng (Rw_system.to_exclusive sys)
+    Recovery.simulate ~read:(Rw_system.read sys) None config faults rng
+      (Rw_system.to_exclusive sys)
   in
   let trace = List.rev_map (fun (_, step, _) -> step) completions in
   let outcome =

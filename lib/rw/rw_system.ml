@@ -81,16 +81,14 @@ let is_deadlock sys st = (not (all_finished sys st)) && enabled sys st = []
 
 exception Too_large = Explore.Too_large
 
-(* The deciders are searches by the shared BFS; their [next] follows
-   [enabled] order. *)
-let search ?max_states ~name ~hash ~equal ~next ~found init =
-  Explore.search ?max_states ~name { Explore.hash; equal; next; found } init
+let read sys (s : step) =
+  (Rw_txn.node sys.txns.(s.txn) s.node).Rw_txn.op = Rw_txn.Lock Rw_txn.Read
+
+(* The exclusive abstraction with the Read locks shared. *)
+let layout ?arcs sys = Packed.layout ~read:(read sys) ?arcs (to_exclusive sys)
 
 let find_deadlock ?max_states sys =
-  search ?max_states ~name:"rw.find_deadlock" ~hash:State.hash
-    ~equal:State.equal
-    ~next:(fun st f -> List.iter (fun s -> f s (apply st s)) (enabled sys st))
-    ~found:(is_deadlock sys) (initial sys)
+  Explore.deadlock_on ?max_states ~name:"rw.find_deadlock" (layout sys)
 
 let deadlock_free ?max_states sys = find_deadlock ?max_states sys = None
 
@@ -127,59 +125,17 @@ let conflict_graph sys steps =
 let is_conflict_serializable sys steps =
   Topo.is_acyclic (conflict_graph sys steps)
 
-(* Exhaustive safety: explore (state, accumulated conflict arcs); judge
-   acyclicity at complete states.  Arcs are added when a Lock executes:
-   one arc i -> k for every conflicting accessor k that has not locked
-   the entity yet (on complete schedules this is exactly the conflict
-   graph). *)
-module Edge_set = Set.Make (struct
-  type t = int * int
-
-  let compare = compare
-end)
-
-let conflict_arcs sys st es (s : step) =
-  let nd = Rw_txn.node sys.txns.(s.txn) s.node in
-  match nd.Rw_txn.op with
-  | Rw_txn.Unlock -> es
-  | Rw_txn.Lock _ ->
-      let e = nd.Rw_txn.entity in
-      let acc = ref es in
-      for k = 0 to size sys - 1 do
-        if
-          k <> s.txn
-          && Rw_txn.accesses sys.txns.(k) e
-          && conflicting sys s.txn k e
-          && not (Bitset.mem st.(k) (Rw_txn.lock_node_exn sys.txns.(k) e))
-        then acc := Edge_set.add (s.txn, k) !acc
-      done;
-      !acc
-
-(* The hash folds over the arcs in order: the balanced tree's shape
-   depends on insertion order, so hashing the set itself would not be
-   compatible with [Edge_set.equal]. *)
+(* Exhaustive safety: Lemma 1's search over states with their conflict
+   arcs — an arc i -> k when a Lock of [i] runs before the conflicting
+   Lock of [k], which on complete schedules is exactly the conflict
+   graph — judged at complete states. *)
 let safe ?max_states sys =
   match
-    search ?max_states ~name:"rw.safe"
-      ~hash:(fun (st, es) ->
-        Edge_set.fold
-          (fun (a, b) h -> (((h * 31) + a) * 31) + b)
-          es (State.hash st)
-        land max_int)
-      ~equal:(fun (a, x) (b, y) -> State.equal a b && Edge_set.equal x y)
-      ~next:(fun (st, es) f ->
-        List.iter
-          (fun s -> f s (apply st s, conflict_arcs sys st es s))
-          (enabled sys st))
-      ~found:(fun (st, es) ->
-        all_finished sys st
-        && not
-             (Topo.is_acyclic
-                (Digraph.create (size sys) (Edge_set.elements es))))
-      (initial sys, Edge_set.empty)
+    Explore.lemma1_on ?max_states ~name:"rw.safe" ~complete:true
+      (layout ~arcs:true sys)
   with
-  | None -> Ok ()
-  | Some (steps, _) -> Error steps
+  | Ok () -> Ok ()
+  | Error { Explore.steps; _ } -> Error steps
 
 type run = Completed of step list | Deadlocked of step list
 

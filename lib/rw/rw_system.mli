@@ -36,6 +36,11 @@ val apply : state -> step -> state
     holders of one entity share the mode). *)
 val holders : t -> state -> Db.entity -> int list * Rw_txn.mode option
 
+(** [read sys s] — step [s] is a Lock that takes a shared (Read) lock:
+    the [read] predicate of the deciders' layout and of the runtime's
+    event loop on {!to_exclusive}. *)
+val read : t -> step -> bool
+
 (** Enabled steps: minimal remaining nodes whose Lock (if any) is
     compatible — Read needs no Write holder, Write needs no holder.  In
     {!Ddlock_schedule.State.enabled}'s order: by transaction ascending,
@@ -50,12 +55,16 @@ val is_deadlock : t -> state -> bool
 
 (** {1 Exhaustive analysis}
 
-    Both deciders are breadth-first searches by
-    {!Ddlock_schedule.Explore.search}, so they share its exact
-    [max_states] cap (default {!Ddlock_schedule.Explore.default_cap},
-    the initial state included), its {!Ddlock_obs.Cancel} poll and its
-    ["explore.searches"] and ["explore.states_visited"] counters.
-    Successors are taken in {!enabled} order. *)
+    Both deciders are {!Ddlock_schedule.Explore}'s searches on the
+    packed layout of {!to_exclusive} with {!read}'s Locks shared
+    ([Ddlock_schedule.Packed.layout ~read]): {!find_deadlock} is its
+    deadlock search, {!safe} its Lemma-1 search with the conflict arcs
+    as D-arcs.  They share its exact [max_states] cap (default
+    {!Ddlock_schedule.Explore.default_cap}, the initial state
+    included), its {!Ddlock_obs.Cancel} poll and its
+    ["explore.searches"] and ["explore.states_visited"] counters, and
+    trace spans ["rw.find_deadlock"] and ["rw.safe"].  Successors are
+    taken in {!enabled} order. *)
 
 (** {!Ddlock_schedule.Explore.Too_large}: the search would hold more
     than [max_states] states. *)

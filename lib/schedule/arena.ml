@@ -67,10 +67,11 @@ let grow_data t =
   Array.blit t.data 0 data 0 (t.len * t.words);
   t.data <- data
 
-let add t row =
+let add t ~limit row =
   let i = slot_of t row in
   let id = t.slots.(i) in
   if id >= 0 then id
+  else if t.len >= limit then -1
   else begin
     let id = t.len and w = t.words in
     if (id + 1) * w > Array.length t.data then grow_data t;

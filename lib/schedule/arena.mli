@@ -21,11 +21,13 @@ val create : words:int -> t
 (** Number of rows held (also the next fresh id). *)
 val count : t -> int
 
-(** [add t row] is the id of the held row equal to [row]'s first
-    [words] ints, copying [row] in with the next dense id when absent:
-    it is fresh exactly when the result equals [count t] before the
-    call. *)
-val add : t -> int array -> int
+(** [add t ~limit row] is the id of the held row equal to [row]'s
+    first [words] ints, copying [row] in with the next dense id when
+    absent: it is fresh exactly when the result equals [count t] before
+    the call.  An absent row is refused when the table already holds
+    [limit] rows: the result is [-1] and the table is unchanged (no row
+    copied, no array grown).  One probe either way. *)
+val add : t -> limit:int -> int array -> int
 
 (** [find t row] — id of the held row equal to [row], or [-1]. *)
 val find : t -> int array -> int

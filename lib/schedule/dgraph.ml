@@ -55,12 +55,3 @@ let graph sys steps =
 
 let is_serializable sys steps = Topo.is_acyclic (graph sys steps)
 let find_cycle sys steps = Topo.find_cycle (graph sys steps)
-
-let arcs_added_by_lock sys ~locked_before i x =
-  let n = System.size sys in
-  let acc = ref [] in
-  for k = 0 to n - 1 do
-    if k <> i && Transaction.accesses (System.txn sys k) x && not (locked_before k)
-    then acc := (i, k) :: !acc
-  done;
-  !acc

@@ -23,11 +23,3 @@ val is_serializable : System.t -> Step.t list -> bool
 
 (** A cycle of D(S′) (transaction indices), if any. *)
 val find_cycle : System.t -> Step.t list -> int list option
-
-(** Incremental interface used by the exhaustive Lemma-1 search: the set
-    of D-arcs is a monotone function of the executed lock steps.
-    [arcs_added_by_lock sys ~locked_before i x] is the arcs contributed
-    when [Tᵢ] executes [Lx]: one arc [i → k] for every other accessor [k]
-    of [x] that has not locked [x] yet ([locked_before k] false). *)
-val arcs_added_by_lock :
-  System.t -> locked_before:(int -> bool) -> int -> Db.entity -> (int * int) list

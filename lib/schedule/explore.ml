@@ -55,188 +55,108 @@ let active_canon ~symmetry sys =
 
 let default_cap = 2_000_000
 
-(* Exact cap: a search may hold at most [max_states] states; discovering
-   one more raises [Too_large] with the number already held.  The check
-   covers the initial state too, so the table never exceeds the budget.
-   The cancellation poll rides the same path: an installed deadline
-   bounds the search in time exactly as [max_states] bounds it in
-   space (one domain-local read per insertion when no poll is set). *)
-let check_room count max_states =
-  Ddlock_obs.Cancel.poll ();
-  if count >= max_states then raise (Too_large count)
-
 (* --------------------------- the search tree -----------------------
 
    Ids are dense and assigned in insertion order; the BFS tree lives in
-   arrays indexed by id.  [via] holds the step reaching each node in the
-   store's own code: its global bit for packed states, the step itself
-   for interned nodes. *)
+   arrays indexed by id: the parent (-1 at the root), and the global
+   bit of the step reaching the node. *)
 
-type 'v tree = {
-  mutable parent : int array;  (* -1 at the root *)
-  mutable via : 'v array;
-  no_via : 'v;
-}
+type tree = { mutable parent : int array; mutable via : int array }
 
-let tree_create no_via = { parent = [||]; via = [||]; no_via }
+let tree_create () = { parent = [||]; via = [||] }
 
-(* Record the fresh node [id], just stored, as a child of [parent].  The
-   store dedups before this cap check, so a node already held (an orbit
-   already stored, under symmetry) never counts against [max_states]. *)
-let record t ~max_states id ~parent ~via =
-  check_room id max_states;
+(* Record the fresh node [id] as a child of [parent]. *)
+let record t id ~parent ~via =
   let cap = Array.length t.parent in
   if id >= cap then begin
-    let grow a fill =
-      let b = Array.make (max 64 (2 * cap)) fill in
+    let grow a =
+      let b = Array.make (max 64 (2 * cap)) (-1) in
       Array.blit a 0 b 0 cap;
       b
     in
-    t.parent <- grow t.parent (-1);
-    t.via <- grow t.via t.no_via
+    t.parent <- grow t.parent;
+    t.via <- grow t.via
   end;
   t.parent.(id) <- parent;
   t.via.(id) <- via;
   Obs.visit ()
 
-let path t step id =
+let path t lay id =
   let rec go id acc =
     let p = t.parent.(id) in
-    if p < 0 then acc else go p (step t.via.(id) :: acc)
+    if p < 0 then acc else go p (Packed.step lay t.via.(id) :: acc)
   in
   go id []
 
-(* ---------------------------- the BFS loop -------------------------
-
-   Where a search's nodes live: a packed arena or an intern table.  The
-   store holds one pending node: [root ()] makes the initial node
-   pending, and [expand id yield] makes each successor of node [id] that
-   the search keeps pending in turn, calling [yield via] with the step
-   reaching it.  [add ()] interns the pending node and returns its id —
-   [count ()] before the call when it was fresh; [moved ()] tells whether
-   it differs from the raw successor (symmetry canonicalization). *)
-
-type 'v store = {
-  count : unit -> int;
-  root : unit -> unit;
-  expand : int -> ('v -> unit) -> unit;
-  add : unit -> int;
-  found : int -> bool;
-  moved : unit -> bool;
-}
+(* Exact cap: a search may hold at most [max_states] states; discovering
+   one more raises [Too_large] with the number already held, before the
+   row is copied in, so the table never exceeds the budget (the initial
+   state included) nor grows just to give up.  A row already held (an
+   orbit already stored, under symmetry) never counts against it.  The
+   cancellation poll rides the same path: an installed deadline bounds
+   the search in time exactly as [max_states] bounds it in space (one
+   domain-local read per fresh row when no poll is set).  Returns the
+   row's id, fresh when it equals the count before the call. *)
+let add arena ~max_states row =
+  let n = Arena.count arena in
+  let id = Arena.add arena ~limit:max_states row in
+  if id < 0 || id = n then begin
+    Ddlock_obs.Cancel.poll ();
+    if id < 0 then raise (Too_large n)
+  end;
+  id
 
 exception Hit of int
 
-(* Breadth-first search.  Ids are dense and assigned in insertion order,
-   so the BFS queue is exactly the id sequence and a cursor replaces it.
-   Returns the tree and the id of the first node (in insertion order)
-   satisfying [found], or -1. *)
-let bfs_loop ~name ~max_states ~no_via s =
+(* Breadth-first search over packed states in an arena ({!Arena}).  Ids
+   are dense and assigned in insertion order, so the BFS queue is
+   exactly the id sequence and a cursor replaces it.  Each successor is
+   built in one scratch buffer — with a canonicalizer, rewritten there
+   to its orbit representative, so the arena dedups whole orbits — and
+   copied into the arena only when it is fresh.  [restrict]/[found] read
+   a state in place (array, offset); under symmetry they see
+   representatives and must be invariant under the group (the deadlock
+   and reduction-cycle predicates are).  [found ~live] is told when the
+   state is known to have an enabled step: one of its parent's steps is
+   still enabled ({!Packed.keeps_enabled}).  The empty initial state is
+   its own orbit's representative.
+
+   A node is expanded from the arena's row array as it stood when the
+   expansion began: an [add] may move the rows to a larger array, but
+   the old one still holds the node unchanged.  Returns the tree and the
+   id of the first node (in insertion order) satisfying [found], or
+   -1. *)
+let bfs_loop ~name ~max_states ~restrict canon lay arena ~found =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span name @@ fun () ->
-  let t = tree_create no_via in
-  let telemetry = Ddlock_obs.Control.is_on () in
-  (* The pending node's id when it is fresh, else -1. *)
-  let insert ~parent ~via =
-    let n = s.count () in
-    if s.add () <> n then -1
-    else begin
-      record t ~max_states n ~parent ~via;
-      n
-    end
-  in
-  let hit =
-    try
-      s.root ();
-      ignore (insert ~parent:(-1) ~via:no_via);
-      if s.found 0 then raise (Hit 0);
-      let cursor = ref 0 in
-      while !cursor < s.count () do
-        let id = !cursor in
-        incr cursor;
-        s.expand id (fun via ->
-            let id' = insert ~parent:id ~via in
-            if id' >= 0 then begin
-              if telemetry then Obs.hit (s.moved ());
-              if s.found id' then raise (Hit id')
-            end)
-      done;
-      -1
-    with Hit id -> id
-  in
-  (t, hit)
-
-(* ------------------------- search instances ------------------------ *)
-
-type 'n ops = {
-  hash : 'n -> int;
-  equal : 'n -> 'n -> bool;
-  next : 'n -> (Step.t -> 'n -> unit) -> unit;
-  found : 'n -> bool;
-}
-
-let no_step = Step.v (-1) (-1)
-
-(* Any node type, interned ({!Intern}). *)
-let intern_store ops nodes init =
-  let pending = ref init in
-  {
-    count = (fun () -> Intern.count nodes);
-    root = (fun () -> pending := init);
-    expand =
-      (fun id yield ->
-        ops.next (Intern.get nodes id) (fun step n ->
-            pending := n;
-            yield step));
-    add = (fun () -> fst (Intern.intern nodes !pending));
-    found = (fun id -> ops.found (Intern.get nodes id));
-    moved = (fun () -> false);
-  }
-
-let search ?(max_states = default_cap) ~name ops init =
-  let nodes = Intern.create ~equal:ops.equal ~hash:ops.hash () in
-  let t, hit =
-    bfs_loop ~name ~max_states ~no_via:no_step (intern_store ops nodes init)
-  in
-  if hit < 0 then None else Some (path t Fun.id hit, Intern.get nodes hit)
-
-(* Packed states in an arena ({!Arena}).  Each successor is built in one
-   scratch buffer — with a canonicalizer, rewritten there to its orbit
-   representative, so interning dedups whole orbits — and copied into
-   the arena only when it is fresh.  [restrict]/[found] read a state in
-   place (array, offset); under symmetry they see representatives and
-   must be invariant under the group (the deadlock and reduction-cycle
-   predicates are).  [found ~live] is told when the state is known to
-   have an enabled step: one of its parent's steps is still enabled
-   ({!Packed.keeps_enabled}).  The empty initial state is its own
-   orbit's representative.
-
-   [expand] reads node [id] from the arena's row array as it stood when
-   the expansion began: an [add] may move the rows to a larger array,
-   but the old one still holds node [id] unchanged. *)
-let arena_store canon lay arena ~restrict ~found =
   let w = Packed.words lay in
+  let t = tree_create () in
+  let telemetry = Ddlock_obs.Control.is_on () in
   let scratch = Packed.initial lay in
   let en = Array.make (Packed.nodes lay) 0 in
-  let moved = ref false and live = ref false in
+  (* Rewrites [scratch] to its representative; true when that moved it. *)
   let canonical =
     match canon with
-    | None -> ignore
+    | None -> fun () -> false
     | Some c ->
         let norm = Canon.normalize_packed c lay in
         fun () ->
           let rep = norm scratch in
-          moved := rep != scratch && not (Packed.equal rep scratch);
-          if rep != scratch then Array.blit rep 0 scratch 0 w
+          rep != scratch
+          &&
+          let moved = not (Packed.equal rep scratch) in
+          Array.blit rep 0 scratch 0 w;
+          moved
   in
-  {
-    count = (fun () -> Arena.count arena);
-    root =
-      (fun () ->
-        Array.fill scratch 0 w 0;
-        live := false);
-    expand =
-      (fun id yield ->
+  let hit =
+    try
+      ignore (add arena ~max_states scratch);
+      record t 0 ~parent:(-1) ~via:(-1);
+      if found ~live:false (Arena.data arena) 0 then raise (Hit 0);
+      let cursor = ref 0 in
+      while !cursor < Arena.count arena do
+        let id = !cursor in
+        incr cursor;
         let a = Arena.data arena and o = id * w in
         let n = ref 0 in
         Packed.iter_enabled lay a o (fun g ->
@@ -245,16 +165,23 @@ let arena_store canon lay arena ~restrict ~found =
         for i = 0 to !n - 1 do
           let g = en.(i) in
           Packed.apply_into lay a o g scratch;
-          canonical ();
+          let moved = canonical () in
           if restrict scratch 0 then begin
-            live := Packed.keeps_enabled lay en !n i;
-            yield g
+            let fresh = Arena.count arena in
+            if add arena ~max_states scratch = fresh then begin
+              record t fresh ~parent:id ~via:g;
+              if telemetry then Obs.hit moved;
+              let live = Packed.keeps_enabled lay en !n i in
+              if found ~live (Arena.data arena) (fresh * w) then
+                raise (Hit fresh)
+            end
           end
-        done);
-    add = (fun () -> Arena.add arena scratch);
-    found = (fun id -> found ~live:!live (Arena.data arena) (id * w));
-    moved = (fun () -> !moved);
-  }
+        done
+      done;
+      -1
+    with Hit id -> id
+  in
+  (t, hit)
 
 (* ------------------------------ spaces ----------------------------- *)
 
@@ -262,7 +189,7 @@ type space = {
   lay : Packed.layout;
   canon : Canon.t option;  (* Some ⇒ the arena holds orbit representatives *)
   arena : Arena.t;
-  tree : int tree;  (* via: global bits *)
+  tree : tree;
 }
 
 let system sp = Packed.system sp.lay
@@ -287,7 +214,7 @@ let is_reachable sp st = find_rep sp st <> None
 let schedule_to sp st =
   Option.map
     (fun id ->
-      let steps = path sp.tree (Packed.step sp.lay) id in
+      let steps = path sp.tree sp.lay id in
       match sp.canon with
       | None -> steps
       (* The stored path reaches the representative of [st]'s orbit;
@@ -298,7 +225,7 @@ let schedule_to sp st =
 (* A witness found in the quotient space, translated back to the
    original system. *)
 let witness sp id =
-  let steps = path sp.tree (Packed.step sp.lay) id in
+  let steps = path sp.tree sp.lay id in
   match sp.canon with
   | None ->
       let o = id * Packed.words sp.lay in
@@ -323,7 +250,7 @@ let por_search ~max_states ~restrict canon lay arena ~found =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span "explore.por" @@ fun () ->
   let sys = Packed.system lay and w = Packed.words lay in
-  let t = tree_create (-1) in
+  let t = tree_create () in
   let sleeps = ref [||] in
   let set_sleep id z =
     let cap = Array.length !sleeps in
@@ -338,8 +265,8 @@ let por_search ~max_states ~restrict canon lay arena ~found =
   let init = Packed.initial lay in
   let hit =
     try
-      ignore (Arena.add arena init);
-      record t ~max_states 0 ~parent:(-1) ~via:(-1);
+      ignore (add arena ~max_states init);
+      record t 0 ~parent:(-1) ~via:(-1);
       set_sleep 0 [];
       if found ~live:false init 0 then raise (Hit 0);
       Queue.push (0, []) q;
@@ -355,9 +282,9 @@ let por_search ~max_states ~restrict canon lay arena ~found =
             let succ = Packed.encode lay succ in
             if restrict succ 0 then
               let n = Arena.count arena in
-              let id' = Arena.add arena succ in
+              let id' = add arena ~max_states succ in
               if id' = n then begin
-                record t ~max_states n ~parent:id ~via:(Packed.bit lay step);
+                record t n ~parent:id ~via:(Packed.bit lay step);
                 Obs.hit moved;
                 set_sleep id' child;
                 if found ~live:false succ 0 then raise (Hit id');
@@ -382,19 +309,16 @@ let decoded lay f a o = f (Packed.decode_at lay a o)
 let always _ _ = true
 let never_found ~live:_ _ _ = false
 
-(* Every search of a state space: the first node satisfying [found]
-   (translated back to the original system), and the space. *)
+(* Every search of a state space: the id of the first node satisfying
+   [found], and the space. *)
 let run ~name ~max_states ~restrict ~symmetry ~por lay ~found =
   let canon = active_canon ~symmetry (Packed.system lay) in
   let arena = Arena.create ~words:(Packed.words lay) in
   let tree, hit =
     if por then por_search ~max_states ~restrict canon lay arena ~found
-    else
-      bfs_loop ~name ~max_states ~no_via:(-1)
-        (arena_store canon lay arena ~restrict ~found)
+    else bfs_loop ~name ~max_states ~restrict canon lay arena ~found
   in
-  let sp = { lay; canon; arena; tree } in
-  ((if hit < 0 then None else Some (witness sp hit)), sp)
+  ((if hit < 0 then None else Some hit), { lay; canon; arena; tree })
 
 let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
   snd
@@ -405,16 +329,21 @@ let bfs ?(max_states = default_cap) ?restrict ?(symmetry = false) ?(por = false)
     sys ~found =
   let lay = Packed.layout sys in
   let restrict = match restrict with None -> always | Some f -> decoded lay f in
-  fst
-    (run ~name:"explore.bfs" ~max_states ~restrict ~symmetry ~por lay
-       ~found:(fun ~live:_ a o -> decoded lay found a o))
+  let hit, sp =
+    run ~name:"explore.bfs" ~max_states ~restrict ~symmetry ~por lay
+      ~found:(fun ~live:_ a o -> decoded lay found a o)
+  in
+  Option.map (witness sp) hit
 
 (* The deadlock search tests [Packed.is_deadlock_at] on the arena's
    rows, unless the state is known to be live. *)
-let deadlock_search ?(max_states = default_cap) ?(symmetry = false) ~por lay =
-  fst
-    (run ~name:"explore.bfs" ~max_states ~restrict:always ~symmetry ~por lay
-       ~found:(fun ~live a o -> (not live) && Packed.is_deadlock_at lay a o))
+let deadlock_search ?(max_states = default_cap) ?(symmetry = false)
+    ?(name = "explore.bfs") ~por lay =
+  let hit, sp =
+    run ~name ~max_states ~restrict:always ~symmetry ~por lay
+      ~found:(fun ~live a o -> (not live) && Packed.is_deadlock_at lay a o)
+  in
+  Option.map (witness sp) hit
 
 let count_witness r =
   if r <> None then begin
@@ -446,90 +375,41 @@ let deadlock_free ?max_states ?symmetry ?(por = false) sys =
     deadlock_search ?max_states ?symmetry ~por:true (Packed.layout sys) = None
   else find_deadlock ?max_states ?symmetry sys = None
 
+let deadlock_on ?max_states ~name lay =
+  deadlock_search ?max_states ~name ~por:false lay
+
 type counterexample = { steps : Step.t list; cycle : int list }
 
-(* Extended state: prefix vector plus the accumulated D-arcs (a monotone
-   function of the executed lock steps and their order). *)
-module Edge_set = Set.Make (struct
-  type t = int * int
-
-  let compare = compare
-end)
-
-let d_arcs_of_step sys st (step : Step.t) =
-  let tx = System.txn sys step.txn in
-  let nd = Transaction.node tx step.node in
-  match nd.Node.op with
-  | Node.Unlock -> []
-  | Node.Lock ->
-      Dgraph.arcs_added_by_lock sys
-        ~locked_before:(fun k ->
-          let tk = System.txn sys k in
-          match Transaction.lock_node tk nd.entity with
-          | None -> false
-          | Some l -> Bitset.mem st.(k) l)
-        step.txn nd.entity
-
-let edge_graph n es = Digraph.create n (Edge_set.elements es)
-
-module Lemma1 = struct
-  type node = { st : State.t; es : Edge_set.t }
-
-  let initial sys = { st = State.initial sys; es = Edge_set.empty }
-  let equal a b = State.equal a.st b.st && Edge_set.equal a.es b.es
-
-  (* Folds over the elements in order: the balanced tree's shape depends
-     on insertion order, so [Hashtbl.hash] of [es] itself would not be
-     compatible with [Edge_set.equal]. *)
-  let hash n =
-    Edge_set.fold
-      (fun (a, b) h -> (((h * 31) + a) * 31) + b)
-      n.es (State.hash n.st)
-    land max_int
-
-  let next sys n =
-    List.map
-      (fun step ->
-        let new_arcs = d_arcs_of_step sys n.st step in
-        let es' =
-          List.fold_left (fun acc e -> Edge_set.add e acc) n.es new_arcs
-        in
-        (step, { st = State.apply n.st step; es = es' }))
-      (State.enabled sys n.st)
-
-  let cycle sys n = Topo.find_cycle (edge_graph (System.size sys) n.es)
-  let complete sys n = State.all_finished sys n.st
-end
-
-(* [`All_cyclic] stops on the first cyclic-D extended state,
-   [`Complete_cyclic] on cyclic D at a complete state. *)
-let lemma1_ops sys ~report =
-  {
-    hash = Lemma1.hash;
-    equal = Lemma1.equal;
-    next =
-      (fun n f -> List.iter (fun (s, n') -> f s n') (Lemma1.next sys n));
-    found =
-      (fun n ->
-        Lemma1.cycle sys n <> None
-        && (match report with
-           | `All_cyclic -> true
-           | `Complete_cyclic -> Lemma1.complete sys n));
-  }
-
-let lemma1_search ?max_states sys ~report =
+(* Lemma 1 on a layout with D-arc words: the first state whose arcs are
+   cyclic — at a complete state only, with [~complete].  The reported
+   cycle is {!Topo.find_cycle} over the hit's arcs in [(i, k)] order. *)
+let lemma1_on ?(max_states = default_cap) ~name ~complete lay =
+  let found ~live:_ a o =
+    ((not complete) || Packed.all_finished_at lay a o)
+    && Packed.cyclic_at lay a o
+  in
   match
-    search ?max_states ~name:"explore.lemma1_search" (lemma1_ops sys ~report)
-      (Lemma1.initial sys)
+    run ~name ~max_states ~restrict:always ~symmetry:false ~por:false lay
+      ~found
   with
-  | None -> Ok ()
-  | Some (steps, n) -> Error { steps; cycle = Option.get (Lemma1.cycle sys n) }
+  | None, _ -> Ok ()
+  | Some id, sp ->
+      let o = id * Packed.words lay in
+      let d =
+        Digraph.create
+          (System.size (Packed.system lay))
+          (Packed.arcs_at lay (Arena.data sp.arena) o)
+      in
+      Error
+        { steps = path sp.tree lay id; cycle = Option.get (Topo.find_cycle d) }
 
 let safe_and_deadlock_free ?max_states sys =
-  lemma1_search ?max_states sys ~report:`All_cyclic
+  lemma1_on ?max_states ~name:"explore.lemma1_search" ~complete:false
+    (Packed.layout ~arcs:true sys)
 
 let safe ?max_states sys =
-  lemma1_search ?max_states sys ~report:`Complete_cyclic
+  lemma1_on ?max_states ~name:"explore.lemma1_search" ~complete:true
+    (Packed.layout ~arcs:true sys)
 
 let has_schedule sys target =
   let lay = Packed.layout sys in
@@ -538,12 +418,13 @@ let has_schedule sys target =
     k >= Array.length goal
     || (a.(o + k) land lnot goal.(k) = 0 && sub a o (k + 1))
   in
-  Option.map fst
-    (fst
-       (run ~name:"explore.bfs" ~max_states:default_cap
-          ~restrict:(fun a o -> sub a o 0)
-          ~symmetry:false ~por:false lay
-          ~found:(fun ~live:_ a o -> Packed.equal_at goal a o)))
+  let hit, sp =
+    run ~name:"explore.bfs" ~max_states:default_cap
+      ~restrict:(fun a o -> sub a o 0)
+      ~symmetry:false ~por:false lay
+      ~found:(fun ~live:_ a o -> Packed.equal_at goal a o)
+  in
+  Option.map (path sp.tree lay) hit
 
 let complete_schedules sys =
   let rec go st rev_steps () =

@@ -8,13 +8,16 @@ open Ddlock_model
     ({!State.enabled}).  Every reachable state corresponds to at least one
     partial schedule and vice versa.
 
-    The searches keep packed states ({!Packed}) in one flat {!Arena}:
+    Every search keeps packed states ({!Packed}) in one flat {!Arena}:
     state [id] is the [Packed.words] ints at offset [id * words], and
     the BFS tree is two int arrays by id (parent, and the global bit of
-    the step reaching the state).  Each successor is built in one
+    the step reaching the state).  All but the partial-order-reduced
+    search run one breadth-first loop: each successor is built in one
     scratch buffer, looked up there, and copied into the arena only
     when it is new; the kernel tests and expands states in place.  The
-    {!State.t} values the searches take and return — witnesses,
+    Lemma-1 searches run it on a layout whose rows also hold the
+    D-arcs of the schedule that reached them ([Packed.layout ~arcs]).
+    The {!State.t} values the searches take and return — witnesses,
     [states], [schedule_to]/[is_reachable] arguments, and the states a
     caller's [restrict]/[found] predicate sees — are decoded or encoded
     at this edge.  The deadlock searches test {!Packed.is_deadlock_at}
@@ -81,32 +84,6 @@ val is_reachable : space -> State.t -> bool
     member may be asked for). *)
 val schedule_to : space -> State.t -> Step.t list option
 
-(** {1 Search instances}
-
-    {!search} runs on a graph given by an [ops] record: nodes are
-    deduplicated by [hash] + [equal] in an {!Intern} table (no string
-    keys); [next n f] applies [f] to each successor of [n] with the
-    step that reaches it, in the canonical ({!State.enabled}) order. *)
-
-type 'n ops = {
-  hash : 'n -> int;  (** compatible with [equal] *)
-  equal : 'n -> 'n -> bool;
-  next : 'n -> (Step.t -> 'n -> unit) -> unit;
-  found : 'n -> bool;  (** the goal *)
-}
-
-(** [search ?max_states ~name ops init] — the first node in BFS
-    insertion order satisfying [ops.found] ([init] included), with the
-    steps reaching it; [None] when there is none.  It runs the one
-    breadth-first loop behind this module's searches (all but the
-    partial-order-reduced one), over interned nodes instead of packed
-    states: the Lemma-1 searches and the shared/exclusive deciders of
-    [Ddlock_rw] use it.  With the exact [max_states] cap (default
-    {!default_cap}), the {!Ddlock_obs.Cancel} poll, the ["explore.*"]
-    counters and a trace span called [name]. *)
-val search :
-  ?max_states:int -> name:string -> 'n ops -> 'n -> (Step.t list * 'n) option
-
 (** {1 Goal-directed search} *)
 
 (** [bfs ?max_states ?restrict ?symmetry sys ~found] — first state in
@@ -165,8 +142,8 @@ type counterexample = {
 (** Lemma 1 decider: [Error cex] when some partial schedule has a cyclic
     serialization digraph (system is not safe ∧ deadlock-free).  The
     Lemma-1 searches run over the extended (prefix vector + D-arc)
-    space, which has no cheap orbit canonicalization, so they take no
-    [?symmetry] parameter. *)
+    space, one packed row each, which has no cheap orbit
+    canonicalization, so they take no [?symmetry] parameter. *)
 val safe_and_deadlock_free :
   ?max_states:int -> System.t -> (unit, counterexample) result
 
@@ -174,22 +151,32 @@ val safe_and_deadlock_free :
     serializable. *)
 val safe : ?max_states:int -> System.t -> (unit, counterexample) result
 
-(** The Lemma-1 extended state (prefix vector + accumulated D-arcs)
-    that {!safe_and_deadlock_free} and {!safe} search. *)
-module Lemma1 : sig
-  type node
+(** {1 Searches on a given layout}
 
-  val initial : System.t -> node
-  val equal : node -> node -> bool
+    The deadlock and Lemma-1 searches on a caller's {!Packed.layout},
+    under the trace span [name].  The shared/exclusive deciders of
+    [Ddlock_rw] are these on a layout with a [read] predicate. *)
 
-  (** Compatible with {!equal}: folds over the D-arcs in order, so
-      nodes holding equal arc sets built in different orders hash
-      equally. *)
-  val hash : node -> int
+(** {!find_deadlock} (plain, not counted in
+    ["explore.deadlock_witnesses"]) on [lay]'s enabledness. *)
+val deadlock_on :
+  ?max_states:int ->
+  name:string ->
+  Packed.layout ->
+  (Step.t list * State.t) option
 
-  (** Successors in the canonical ({!State.enabled}) order. *)
-  val next : System.t -> node -> (Step.t * node) list
-end
+(** [lemma1_on ~name ~complete lay] — on a layout with D-arc words
+    ([Packed.layout ~arcs:true]), the first state in BFS order whose
+    arcs are cyclic, at a complete state only when [complete].  Its
+    [cycle] is {!Ddlock_graph.Topo.find_cycle} of the arcs in [(i, k)]
+    order.  {!safe_and_deadlock_free} is it with [~complete:false],
+    {!safe} with [~complete:true]. *)
+val lemma1_on :
+  ?max_states:int ->
+  name:string ->
+  complete:bool ->
+  Packed.layout ->
+  (unit, counterexample) result
 
 (** {1 Schedules} *)
 

@@ -8,18 +8,24 @@ let bits = 62
 
 type layout = {
   sys : System.t;
-  words : int;
+  pwords : int;  (* words of the prefix vector *)
+  words : int;  (* row width: [pwords], then the D-arc words if any *)
   base : int array;  (* txn -> global bit of its node 0; [base.(n)]: total *)
   wi : int array;  (* global bit -> its word *)
   wm : int array;  (* global bit -> its mask within that word *)
   preds : int array;
-      (* [words] mask words per global bit: its immediate predecessors *)
+      (* [pwords] mask words per global bit: its immediate predecessors *)
   lock_entity : int array;  (* global bit -> its entity if a Lock, else -1 *)
   conf_start : int array;  (* global bit -> start of its range in [conf] *)
   conf : int array;
       (* per Lock node, one (lock word, lock mask, unlock word, unlock mask)
-         quadruple per other transaction accessing the same entity *)
-  full : t;
+         quadruple per other transaction whose Lock on the same entity
+         conflicts with it (not both shared) *)
+  darcs : int array;
+      (* with D-arc words, two ints per quadruple of [conf], at half its
+         index: the word and mask of arc (i, k), [i] the Lock's
+         transaction and [k] the quadruple's; empty without them *)
+  full : t;  (* every prefix bit *)
   steps : Step.t array;  (* global bit -> its step, shared by [enabled] lists *)
 }
 
@@ -27,18 +33,19 @@ let word g = g / bits
 let mask g = 1 lsl (g mod bits)
 let set_at p o g = p.(o + word g) <- p.(o + word g) lor mask g
 
-let layout sys =
+let layout ?(read = fun _ -> false) ?(arcs = false) sys =
   let n = System.size sys in
   let base = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     base.(i + 1) <- base.(i) + Transaction.node_count (System.txn sys i)
   done;
   let total = base.(n) in
-  let words = (total + bits - 1) / bits in
-  let preds = Array.make (total * words) 0 in
+  let pwords = (total + bits - 1) / bits in
+  let words = if arcs then pwords + (((n * n) + bits - 1) / bits) else pwords in
+  let preds = Array.make (total * pwords) 0 in
   let lock_entity = Array.make total (-1) in
   let conf_start = Array.make (total + 1) 0 in
-  let conf = ref [] in
+  let conf = ref [] and darcs = ref [] in
   let steps = Array.make total (Step.v 0 0) in
   for i = 0 to n - 1 do
     let tx = System.txn sys i in
@@ -46,31 +53,39 @@ let layout sys =
       let g = base.(i) + v in
       steps.(g) <- Step.v i v;
       Array.iter
-        (fun u -> set_at preds (g * words) (base.(i) + u))
+        (fun u -> set_at preds (g * pwords) (base.(i) + u))
         (Digraph.pred (Transaction.given_arcs tx) v);
       let nd = Transaction.node tx v in
       let quads = ref 0 in
       if nd.Node.op = Node.Lock then begin
         lock_entity.(g) <- nd.Node.entity;
+        let shared = read steps.(g) in
         for j = 0 to n - 1 do
           let txj = System.txn sys j in
           if j <> i && Transaction.accesses txj nd.Node.entity then begin
-            let l = base.(j) + Transaction.lock_node_exn txj nd.Node.entity in
-            let u = base.(j) + Transaction.unlock_node_exn txj nd.Node.entity in
-            conf := mask u :: word u :: mask l :: word l :: !conf;
-            incr quads
+            let x = nd.Node.entity in
+            let lj = Transaction.lock_node_exn txj x in
+            if not (shared && read (Step.v j lj)) then begin
+              let l = base.(j) + lj in
+              let u = base.(j) + Transaction.unlock_node_exn txj x in
+              conf := mask u :: word u :: mask l :: word l :: !conf;
+              let d = (pwords * bits) + (i * n) + j in
+              if arcs then darcs := mask d :: word d :: !darcs;
+              incr quads
+            end
           end
         done
       end;
       conf_start.(g + 1) <- conf_start.(g) + (4 * !quads)
     done
   done;
-  let full = Array.make words 0 in
+  let full = Array.make pwords 0 in
   for g = 0 to total - 1 do
     set_at full 0 g
   done;
   {
     sys;
+    pwords;
     words;
     base;
     wi = Array.init total word;
@@ -79,6 +94,7 @@ let layout sys =
     lock_entity;
     conf_start;
     conf = Array.of_list (List.rev !conf);
+    darcs = Array.of_list (List.rev !darcs);
     full;
     steps;
   }
@@ -123,7 +139,7 @@ let decode l p = decode_at l p 0
    deciding enabledness allocates nothing. *)
 
 let rec preds_done l a o po k =
-  k >= l.words
+  k >= l.pwords
   || (l.preds.(po + k) land lnot a.(o + k) = 0 && preds_done l a o po (k + 1))
 
 (* Some quadruple in [k, stop) of [conf] is a holder: it has executed the
@@ -144,7 +160,7 @@ let rec held l a o k stop =
 let rec walk l a o f g stop k m x =
   if
     x land m = 0
-    && preds_done l a o (g * l.words) 0
+    && preds_done l a o (g * l.pwords) 0
     && not (held l a o l.conf_start.(g) l.conf_start.(g + 1))
   then f g;
   if g > stop then
@@ -176,11 +192,24 @@ let enabled l p =
   iter_enabled l p 0 (fun g -> steps := l.steps.(g) :: !steps);
   List.rev !steps
 
+(* Sets arc (i, k) for each conflicting Lock of [conf] in [q, stop)
+   (transaction [k]'s) that the state at offset [o] of [a] has not
+   executed. *)
+let rec add_arcs l a o dst q stop =
+  if q < stop then begin
+    let c = l.conf and d = q / 2 in
+    if a.(o + c.(q)) land c.(q + 1) = 0 then
+      dst.(l.darcs.(d)) <- dst.(l.darcs.(d)) lor l.darcs.(d + 1);
+    add_arcs l a o dst (q + 4) stop
+  end
+
 let apply_into l a o g dst =
   for k = 0 to l.words - 1 do
     dst.(k) <- a.(o + k)
   done;
-  dst.(l.wi.(g)) <- dst.(l.wi.(g)) lor l.wm.(g)
+  dst.(l.wi.(g)) <- dst.(l.wi.(g)) lor l.wm.(g);
+  if l.words > l.pwords then
+    add_arcs l a o dst l.conf_start.(g) l.conf_start.(g + 1)
 
 let apply l p s =
   let p' = initial l in
@@ -193,16 +222,63 @@ let rec equal_from (p : t) a o k =
 let equal_at p a o = equal_from p a o 0
 let equal (a : t) (b : t) = Array.length a = Array.length b && equal_at a b 0
 
+let all_finished_at l a o = equal_at l.full a o
+
 exception Runs
 
 (* Nothing can run and some transaction is unfinished (see
    [State.is_deadlock]). *)
 let is_deadlock_at l a o =
   match iter_enabled l a o (fun _ -> raise_notrace Runs) with
-  | () -> not (equal_at l.full a o)
+  | () -> not (all_finished_at l a o)
   | exception Runs -> false
 
 let is_deadlock l p = is_deadlock_at l p 0
+
+(* D-arcs.  Arc (i, k) is bit [i * n + k] after the prefix words. *)
+
+let txns l = Array.length l.base - 1
+
+let arc_at l a o i k =
+  let d = (l.pwords * bits) + (i * txns l) + k in
+  a.(o + word d) land mask d <> 0
+
+let arcs_at l a o =
+  let n = txns l and arcs = ref [] in
+  if l.words > l.pwords then
+    for i = n - 1 downto 0 do
+      for k = n - 1 downto 0 do
+        if arc_at l a o i k then arcs := (i, k) :: !arcs
+      done
+    done;
+  !arcs
+
+(* Depth-first search from [i]: [colour] is 0 unseen, 1 on the stack,
+   2 done.  An arc into the stack closes a cycle. *)
+let rec visit l a o colour i =
+  colour.(i) <- 1;
+  let cyclic = scan l a o colour i 0 in
+  colour.(i) <- 2;
+  cyclic
+
+and scan l a o colour i k =
+  k < Array.length colour
+  && ((arc_at l a o i k
+      && (colour.(k) = 1 || (colour.(k) = 0 && visit l a o colour k)))
+     || scan l a o colour i (k + 1))
+
+let rec any_arc l a o k =
+  k < l.words && (a.(o + k) <> 0 || any_arc l a o (k + 1))
+
+let cyclic_at l a o =
+  any_arc l a o l.pwords
+  &&
+  let colour = Array.make (txns l) 0 in
+  let rec from i =
+    i < Array.length colour
+    && ((colour.(i) = 0 && visit l a o colour i) || from (i + 1))
+  in
+  from 0
 
 (* Transaction [i]'s row as an int (at most 62 nodes): its bits may
    straddle two words. *)

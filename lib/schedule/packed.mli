@@ -6,12 +6,27 @@ open Ddlock_model
     A {!layout}, computed once per search, gives each (transaction,
     node) pair one global bit — transaction [i]'s node [v] is bit
     [base i + v], bits numbered transaction by transaction — and packs
-    62 bits per word, so a state is [⌈total nodes / 62⌉] ints.  It also
-    precomputes each bit's word index and mask, each node's
+    62 bits per word, so a prefix vector is [⌈total nodes / 62⌉] ints.
+    It also precomputes each bit's word index and mask, each node's
     immediate-predecessor mask and, for each Lock node, the (Lock bit,
-    Unlock bit) pairs of every other transaction that accesses the same
-    entity, so enabledness is a few word operations with no division.
-    A layout is immutable.
+    Unlock bit) pairs of every other transaction whose Lock on the same
+    entity conflicts with it, so enabledness is a few word operations
+    with no division.  A layout is immutable.
+
+    Two Locks conflict unless both are shared: the layout's [read]
+    predicate (by default none) names the Lock steps that take a shared
+    lock, as for [Ddlock_sim.Recovery.simulate ~read].  A shared Lock is
+    then enabled while only shared Locks hold its entity, so the kernel
+    decides the shared/exclusive model of [Ddlock_rw] on the exclusive
+    abstraction of its system.
+
+    A layout built with [~arcs:true] appends [⌈n² / 62⌉] words to each
+    state for the serialization digraph D(S′) of Lemma 1 ({!Dgraph}),
+    [n] transactions: arc [(i, k)] is bit [i * n + k] after the prefix
+    words.  Applying transaction [i]'s Lock sets arc [(i, k)] for each
+    conflicting Lock of another transaction [k] that has not run yet,
+    so a state is a prefix vector with the arcs of the schedule that
+    reached it.  Without [~arcs] a state is its prefix vector alone.
 
     The search kernel ({!iter_enabled}, {!is_deadlock_at},
     {!apply_into}) reads a state in place, as the {!words} ints of an
@@ -31,16 +46,19 @@ type layout
     array; a state must not be mutated once it is built. *)
 type t = int array
 
-val layout : System.t -> layout
+(** [layout ?read ?arcs sys] — [read s] tells whether Lock step [s]
+    takes a shared lock; [~arcs:true] adds the D-arc words. *)
+val layout : ?read:(Step.t -> bool) -> ?arcs:bool -> System.t -> layout
+
 val system : layout -> System.t
 
-(** Words per state. *)
+(** Words per state (the prefix words, then any D-arc words). *)
 val words : layout -> int
 
 (** Nodes of the system: global bits are [0 .. nodes l - 1]. *)
 val nodes : layout -> int
 
-(** [encode l st] packs a state of [system l].  Raises
+(** [encode l st] packs a state of [system l], with no D-arcs.  Raises
     [Invalid_argument] when [st] does not have the system's shape (one
     row per transaction, each of its transaction's node count). *)
 val encode : layout -> State.t -> t
@@ -70,7 +88,8 @@ val bit : layout -> Step.t -> int
 val iter_enabled : layout -> int array -> int -> (int -> unit) -> unit
 
 (** [apply_into l a o g dst] writes into [dst] (at offset 0) the state
-    at offset [o] of [a] with bit [g] set.  [dst] must not be [a]. *)
+    at offset [o] of [a] with bit [g] set and, with D-arc words, the
+    arcs its Lock adds.  [dst] must not be [a]. *)
 val apply_into : layout -> int array -> int -> int -> t -> unit
 
 (** {!State.is_deadlock} of the state at offset [o] of [a]. *)
@@ -82,8 +101,21 @@ val is_deadlock_at : layout -> int array -> int -> bool
     that successor is not a deadlock. *)
 val keeps_enabled : layout -> int array -> int -> int -> bool
 
+(** {!State.all_finished} of the state at offset [o] of [a]. *)
+val all_finished_at : layout -> int array -> int -> bool
+
 (** [equal_at p a o] — [p] equals the state at offset [o] of [a]. *)
 val equal_at : t -> int array -> int -> bool
+
+(** {1 D-arcs} *)
+
+(** The D-arcs of the state at offset [o] of [a], in [(i, k)] order;
+    none without [~arcs]. *)
+val arcs_at : layout -> int array -> int -> (int * int) list
+
+(** [cyclic_at l a o] — the D-arcs of the state at offset [o] of [a]
+    contain a cycle. *)
+val cyclic_at : layout -> int array -> int -> bool
 
 (** {1 Standalone states} *)
 

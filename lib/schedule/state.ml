@@ -14,12 +14,6 @@ let final sys =
 let copy st = Array.map Bitset.copy st
 let equal a b = Array.length a = Array.length b && Array.for_all2 Bitset.equal a b
 
-let rec hash_from st h i =
-  if i >= Array.length st then h land max_int
-  else hash_from st ((h * 486187739) + Bitset.hash st.(i)) (i + 1)
-
-let hash st = hash_from st (Array.length st) 0
-
 let is_valid sys st =
   Array.length st = System.size sys
   && Array.for_all2

@@ -19,11 +19,6 @@ val final : System.t -> t
 val copy : t -> t
 val equal : t -> t -> bool
 
-(** Structural hash, compatible with {!equal}: equal states hash
-    equally.  The Lemma-1 search's extended states hash their prefix
-    vector with it. *)
-val hash : t -> int
-
 (** [is_valid sys st] iff every component is a prefix of its transaction. *)
 val is_valid : System.t -> t -> bool
 

@@ -36,3 +36,55 @@ let small_random_system st ~txns = Ddlock_workload.Gentx.small_random_system st 
    sorting and comparing state sets. *)
 let state_key (st : Ddlock_schedule.State.t) =
   Array.map Ddlock_graph.Bitset.to_list st
+
+module Rw_txn = Ddlock_rw.Rw_txn
+
+(* A random total-order transaction over [k] entities taken in random
+   order, with random modes (Write only when [write_only]); each Unlock
+   lands anywhere after its Lock, so transactions lock in opposite
+   orders and need not be two-phase. *)
+let random_order_txn st db ~k ~write_only =
+  let ents =
+    Array.of_list (Ddlock_workload.Gentx.random_entity_subset st db ~k)
+  in
+  for i = Array.length ents - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = ents.(i) in
+    ents.(i) <- ents.(j);
+    ents.(j) <- t
+  done;
+  let nodes = ref [] and held = ref [] and next = ref 0 in
+  let emit entity op = nodes := { Rw_txn.entity; op } :: !nodes in
+  while !next < k || !held <> [] do
+    let lockable = if !next < k then 1 else 0 in
+    let c = Random.State.int st (List.length !held + lockable) in
+    if c = List.length !held then begin
+      let e = ents.(!next) in
+      incr next;
+      let m =
+        if write_only || Random.State.bool st then Rw_txn.Write
+        else Rw_txn.Read
+      in
+      emit e (Rw_txn.Lock m);
+      held := e :: !held
+    end
+    else begin
+      let e = List.nth !held c in
+      emit e Rw_txn.Unlock;
+      held := List.filter (fun x -> x <> e) !held
+    end
+  done;
+  match Rw_txn.of_total_order db (List.rev !nodes) with
+  | Ok t -> t
+  | Error _ -> assert false
+
+(* Two or three transactions of two or three accesses each, over three
+   entities on one to three sites: the Rw test pool. *)
+let random_rw_system st ~write_only =
+  let sites = 1 + Random.State.int st 3 in
+  let db = Ddlock_workload.Gentx.random_db ~sites ~entities:3 in
+  let mk () =
+    random_order_txn st db ~k:(2 + Random.State.int st 2) ~write_only
+  in
+  Ddlock_rw.Rw_system.create
+    (List.init (2 + Random.State.int st 2) (fun _ -> mk ()))

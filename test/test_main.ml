@@ -8,7 +8,7 @@ let () =
       (* These two suite names are the ids the tests have always run
          under; the tests themselves live in test_schedule.ml. *)
       ("par", Test_schedule.hash_suite);
-      ("fast", Test_schedule.intern_suite);
+      ("fast", Test_schedule.arena_suite);
       ("sym", Test_sym.suite);
       ("por", Test_por.suite);
       ("safety", Test_safety.suite);

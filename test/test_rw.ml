@@ -341,54 +341,6 @@ let runtime_trace_serializable_prop =
 (* Mixed-mode pool: goldens and the exclusive equivalence             *)
 (* ------------------------------------------------------------------ *)
 
-(* A random total-order transaction over [k] entities taken in random
-   order, with random modes (Write only when [write_only]); each Unlock
-   lands anywhere after its Lock, so transactions lock in opposite
-   orders and need not be two-phase. *)
-let random_order_txn st db ~k ~write_only =
-  let ents =
-    Array.of_list (Ddlock_workload.Gentx.random_entity_subset st db ~k)
-  in
-  for i = Array.length ents - 1 downto 1 do
-    let j = Random.State.int st (i + 1) in
-    let t = ents.(i) in
-    ents.(i) <- ents.(j);
-    ents.(j) <- t
-  done;
-  let nodes = ref [] and held = ref [] and next = ref 0 in
-  let emit entity op = nodes := { Rw_txn.entity; op } :: !nodes in
-  while !next < k || !held <> [] do
-    let lockable = if !next < k then 1 else 0 in
-    let c = Random.State.int st (List.length !held + lockable) in
-    if c = List.length !held then begin
-      let e = ents.(!next) in
-      incr next;
-      let m =
-        if write_only || Random.State.bool st then Rw_txn.Write else Rw_txn.Read
-      in
-      emit e (Rw_txn.Lock m);
-      held := e :: !held
-    end
-    else begin
-      let e = List.nth !held c in
-      emit e Rw_txn.Unlock;
-      held := List.filter (fun x -> x <> e) !held
-    end
-  done;
-  match Rw_txn.of_total_order db (List.rev !nodes) with
-  | Ok t -> t
-  | Error _ -> assert false
-
-(* Two or three transactions of two or three accesses each, over three
-   entities on one to three sites. *)
-let random_rw_system st ~write_only =
-  let sites = 1 + Random.State.int st 3 in
-  let db = Ddlock_workload.Gentx.random_db ~sites ~entities:3 in
-  let mk () =
-    random_order_txn st db ~k:(2 + Random.State.int st 2) ~write_only
-  in
-  Rw_system.create (List.init (2 + Random.State.int st 2) (fun _ -> mk ()))
-
 let faulty_plan seed sys =
   Ddlock_sim.Faults.random (Fixtures.rng seed) (Rw_system.db sys) ~intensity:0.8
     ~horizon:40.0
@@ -407,7 +359,9 @@ let rw_digest () =
   in
   let deadlocks = ref 0 in
   for si = 0 to 79 do
-    let sys = random_rw_system (Fixtures.rng (7000 + si)) ~write_only:false in
+    let sys =
+      Fixtures.random_rw_system (Fixtures.rng (7000 + si)) ~write_only:false
+    in
     (match Rw_system.find_deadlock sys with
     | None -> Buffer.add_string b "df\n"
     | Some (steps, state) ->
@@ -462,7 +416,9 @@ let test_rw_golden_digest () =
    time of the late delivery (about 26.52). *)
 let test_rw_makespan_is_last_completion () =
   let si = 104 and seed = 2 in
-  let sys = random_rw_system (Fixtures.rng (7000 + si)) ~write_only:false in
+  let sys =
+    Fixtures.random_rw_system (Fixtures.rng (7000 + si)) ~write_only:false
+  in
   let faults = faulty_plan ((1000 * si) + seed) sys in
   match (Rw_runtime.run ~faults (Fixtures.rng seed) sys).Rw_runtime.outcome with
   | Rw_runtime.Finished { makespan } ->
@@ -493,7 +449,9 @@ let test_empty_txn_commits () =
 let test_schemes_with_shared_locks () =
   let module R = Ddlock_sim.Recovery in
   for si = 0 to 39 do
-    let sys = random_rw_system (Fixtures.rng (7000 + si)) ~write_only:false in
+    let sys =
+      Fixtures.random_rw_system (Fixtures.rng (7000 + si)) ~write_only:false
+    in
     let read (s : Rw_system.step) =
       (Rw_txn.node (Rw_system.txn sys s.txn) s.node).Rw_txn.op
       = Rw_txn.Lock Rw_txn.Read
@@ -520,9 +478,10 @@ let test_schemes_with_shared_locks () =
   done
 
 (* An all-Write system behaves exactly like its exclusive abstraction:
-   the same deadlock and safety verdicts, and the same runtime runs
-   (trace, outcome, deadlock time and arcs, makespan), with and without
-   faults. *)
+   the same deadlock witness (steps and state), the same unsafe
+   schedule (the Lemma-1 counterexample's steps), and the same runtime
+   runs (trace, outcome, deadlock time and arcs, makespan), with and
+   without faults. *)
 let all_write_is_exclusive_prop =
   QCheck.Test.make ~name:"all-Write rw system = its exclusive abstraction"
     ~count:300
@@ -530,7 +489,9 @@ let all_write_is_exclusive_prop =
     (fun seed ->
       let module E = Ddlock_schedule.Explore in
       let module R = Ddlock_sim.Runtime in
-      let sys = random_rw_system (Fixtures.rng seed) ~write_only:true in
+      let sys =
+        Fixtures.random_rw_system (Fixtures.rng seed) ~write_only:true
+      in
       let xsys = Rw_system.to_exclusive sys in
       let same_run faults =
         let a = Rw_runtime.run ~faults (Fixtures.rng seed) sys
@@ -550,8 +511,15 @@ let all_write_is_exclusive_prop =
             t = time && w = waits_for
         | _ -> false
       in
-      Rw_system.deadlock_free sys = E.deadlock_free xsys
-      && Result.is_ok (Rw_system.safe sys) = Result.is_ok (E.safe xsys)
+      (match (Rw_system.find_deadlock sys, E.find_deadlock xsys) with
+      | None, None -> true
+      | Some (steps, st), Some (steps', st') ->
+          steps = steps' && Ddlock_schedule.State.equal st st'
+      | _ -> false)
+      && (match (Rw_system.safe sys, E.safe xsys) with
+         | Ok (), Ok () -> true
+         | Error steps, Error cex -> steps = cex.E.steps
+         | _ -> false)
       && same_run Ddlock_sim.Faults.none
       && same_run (faulty_plan seed sys))
 
@@ -582,9 +550,40 @@ let test_rw_search_budget () =
   check bool_t "safe cancelled" true
     (cancelled (fun () -> ignore (Rw_system.safe sys)))
 
+(* The deciders' kernel: on the exclusive abstraction's layout with the
+   Read locks shared, the packed enabled steps and deadlock test are
+   [Rw_system.enabled] and [is_deadlock], along random runs. *)
+let packed_read_layout_prop =
+  QCheck.Test.make ~name:"packed read layout = Rw_system.enabled"
+    ~count:200
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let module P = Ddlock_schedule.Packed in
+      let st = Fixtures.rng seed in
+      let sys = Fixtures.random_rw_system st ~write_only:false in
+      let lay =
+        P.layout ~read:(Rw_system.read sys) (Rw_system.to_exclusive sys)
+      in
+      let agrees s =
+        let p = P.encode lay s in
+        P.enabled lay p = Rw_system.enabled sys s
+        && P.is_deadlock lay p = Rw_system.is_deadlock sys s
+      in
+      let rec walk s =
+        agrees s
+        &&
+        match Rw_system.enabled sys s with
+        | [] -> true
+        | steps ->
+            let n = List.length steps in
+            walk (Rw_system.apply s (List.nth steps (Random.State.int st n)))
+      in
+      walk (Rw_system.initial sys))
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
+      packed_read_layout_prop;
       rw_2pl_safe_prop;
       exclusive_df_implies_rw_df_prop;
       runtime_trace_serializable_prop;

@@ -570,7 +570,7 @@ let packed_canon_prop =
         (Packed.decode lay (Canon.normalize_packed c lay (Packed.encode lay st)))
         (fst (Canon.normalize c st)))
 
-(* [Intern] takes its slot from the low bits of the hash, so states that
+(* [Arena] takes its slot from the low bits of the hash, so states that
    differ only in high bits must still spread over the buckets.  1,024
    such states thrown uniformly at 1,024 buckets fill about 647. *)
 let test_packed_hash_spread () =
@@ -619,16 +619,25 @@ let visited_expected =
     (4000, 4000, 4000, 1277, 1277, 1481);
   ]
 
-let test_states_visited_unchanged () =
-  let visited f =
-    Ddlock_obs.Metrics.reset ();
-    (try ignore (f ()) with Explore.Too_large _ -> ());
-    Ddlock_obs.Metrics.counter_value "explore.states_visited"
-  in
-  let max_states = 4_000 in
+(* [explore.states_visited] after [f ()]; a search that gives up counts
+   the states it held. *)
+let visited f =
+  Ddlock_obs.Metrics.reset ();
+  (try ignore (f ()) with Explore.Too_large _ -> ());
+  Ddlock_obs.Metrics.counter_value "explore.states_visited"
+
+let with_counters f =
   Ddlock_obs.Control.on ();
+  Fun.protect
+    ~finally:(fun () ->
+      Ddlock_obs.Control.off ();
+      Ddlock_obs.Metrics.reset ())
+    f
+
+let test_states_visited_unchanged () =
+  let max_states = 4_000 in
   let got =
-    Fun.protect ~finally:Ddlock_obs.Control.off @@ fun () ->
+    with_counters @@ fun () ->
     List.map
       (fun sys ->
         ( visited (fun () -> Explore.explore ~max_states sys),
@@ -640,11 +649,109 @@ let test_states_visited_unchanged () =
           visited (fun () -> Explore.find_deadlock ~max_states ~por:true sys) ))
       (visited_pool ())
   in
-  Ddlock_obs.Metrics.reset ();
   List.iteri
     (fun i (e, g) ->
       if e <> g then Alcotest.failf "system %d: states_visited changed" i)
     (List.combine visited_expected got)
+
+(* Recorded before the Lemma-1 and shared/exclusive deciders moved onto
+   packed arena rows, with the same 4,000-state cap:
+   [explore.states_visited] after [Explore.safe_and_deadlock_free] and
+   [Explore.safe] on [visited_pool], and after [Rw_system.find_deadlock]
+   and [Rw_system.safe] on the 80 systems of the Rw golden pool. *)
+let lemma1_visited_expected =
+  [
+    (13, 943); (10, 183); (13, 1461); (37, 4000); (26, 4000);
+    (14, 98); (40, 490); (121, 2372); (4000, 4000); (21, 1081);
+    (12, 4000); (22, 866); (26, 4000); (67, 814); (17, 4000);
+    (10, 209); (13, 4000); (7, 793); (10, 4000); (19, 2638);
+    (11, 4000);
+  ]
+
+let rw_visited_expected =
+  [
+    (167, 369); (31, 39); (159, 245); (127, 297); (46, 59); (149, 325);
+    (117, 232); (35, 35); (144, 260); (24, 30); (150, 301); (34, 35);
+    (29, 37); (22, 264); (23, 24); (31, 35); (168, 318); (35, 482);
+    (40, 47); (34, 35); (110, 140); (31, 39); (270, 666); (24, 27);
+    (23, 27); (192, 366); (22, 25); (50, 532); (33, 36); (35, 35);
+    (41, 51); (21, 25); (43, 51); (116, 129); (121, 202); (33, 47);
+    (154, 246); (5, 26); (25, 25); (47, 60); (163, 353); (43, 49);
+    (31, 37); (45, 65); (85, 128); (215, 632); (43, 55); (123, 192);
+    (45, 56); (28, 30); (31, 32); (104, 180); (34, 35); (108, 159);
+    (46, 273); (23, 28); (33, 40); (242, 594); (129, 216); (47, 54);
+    (22, 25); (31, 37); (107, 191); (120, 222); (21, 22); (99, 154);
+    (51, 129); (21, 25); (180, 339); (18, 264); (240, 300); (85, 120);
+    (33, 38); (32, 38); (24, 25); (48, 53); (106, 131); (31, 39);
+    (33, 47); (121, 180);
+  ]
+
+let rw_pool () =
+  List.init 80 (fun si ->
+      Fixtures.random_rw_system (Fixtures.rng (7000 + si)) ~write_only:false)
+
+let test_decider_states_visited_unchanged () =
+  let module Rw = Ddlock_rw.Rw_system in
+  let max_states = 4_000 in
+  let lemma1, rw =
+    with_counters @@ fun () ->
+    ( List.map
+        (fun sys ->
+          ( visited (fun () -> Explore.safe_and_deadlock_free ~max_states sys),
+            visited (fun () -> Explore.safe ~max_states sys) ))
+        (visited_pool ()),
+      List.map
+        (fun sys ->
+          ( visited (fun () -> Rw.find_deadlock ~max_states sys),
+            visited (fun () -> Rw.safe ~max_states sys) ))
+        (rw_pool ()) )
+  in
+  let same what expected got =
+    List.iteri
+      (fun i (e, g) ->
+        if e <> g then
+          Alcotest.failf "%s, system %d: states_visited changed" what i)
+      (List.combine expected got)
+  in
+  same "Lemma 1" lemma1_visited_expected lemma1;
+  same "Rw" rw_visited_expected rw
+
+(* Recorded before the Lemma-1 searches moved onto packed arena rows: the
+   verdict of [Explore.safe_and_deadlock_free] and [Explore.safe] on
+   [visited_pool] (capped at 4,000 states) and on 300 small random
+   systems, with each counterexample's steps and cycle. *)
+let lemma1_golden_digest = "924f27d3744b4896528ea0fcc9a995e1"
+
+let test_lemma1_golden_digest () =
+  let b = Buffer.create (1 lsl 16) and unsafe = ref 0 in
+  let record decide =
+    match decide () with
+    | Ok () -> Buffer.add_string b "ok\n"
+    | Error { Explore.steps; cycle } ->
+        incr unsafe;
+        List.iter
+          (fun (s : Step.t) -> Printf.bprintf b " %d.%d" s.txn s.node)
+          steps;
+        Buffer.add_string b " |";
+        List.iter (Printf.bprintf b " %d") cycle;
+        Buffer.add_char b '\n'
+    | exception Explore.Too_large n -> Printf.bprintf b "too large %d\n" n
+  in
+  let pool =
+    visited_pool ()
+    @ List.init 300 (fun i ->
+          let rng = Fixtures.rng (9100 + i) in
+          if i mod 3 = 0 then Fixtures.small_random_pair rng
+          else Fixtures.small_random_system rng ~txns:(2 + (i mod 3)))
+  in
+  List.iter
+    (fun sys ->
+      record (fun () -> Explore.safe_and_deadlock_free ~max_states:4_000 sys);
+      record (fun () -> Explore.safe ~max_states:4_000 sys))
+    pool;
+  let digest = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  check bool_t "counterexamples exercised" true (!unsafe > 100);
+  check Alcotest.string "Lemma-1 digest" lemma1_golden_digest digest
 
 (* A give-up on a multi-word system raises [Too_large] with the budget,
    under every flag. *)
@@ -768,102 +875,77 @@ let arena_reference_prop =
       explored && witness)
 
 (* ------------------------------------------------------------------ *)
-(* The search substrate: intern tables, hash/equal, commutation        *)
+(* The search substrate: the arena, Lemma-1 rows, commutation          *)
 (* ------------------------------------------------------------------ *)
 
-let test_intern_basics () =
-  let t = Intern.create ~equal:String.equal ~hash:Hashtbl.hash () in
-  let a, new_a = Intern.intern t "a" in
-  check bool_t "first intern is new" true new_a;
-  let a', again = Intern.intern t "a" in
-  check int_t "idempotent id" a a';
-  check bool_t "re-intern not new" false again;
-  let b, new_b = Intern.intern t "b" in
-  check bool_t "distinct value is new" true new_b;
-  check bool_t "distinct ids" true (a <> b);
-  check int_t "count" 2 (Intern.count t);
-  check bool_t "find hit" true (Intern.find t "a" = Some a);
-  check bool_t "find miss" true (Intern.find t "zzz" = None);
-  check bool_t "get roundtrip" true (String.equal (Intern.get t b) "b");
-  match Intern.get t 99 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "get out of range must raise"
+let add t row = Arena.add t ~limit:max_int row
 
-let test_intern_growth () =
-  (* Push the arena through several doublings; ids stay dense and
-     stable, every value reads back, re-interning finds every value. *)
-  let t = Intern.create ~capacity:4 ~equal:Int.equal ~hash:Hashtbl.hash () in
+let test_arena_basics () =
+  let t = Arena.create ~words:2 in
+  check int_t "first add is fresh" 0 (add t [| 1; 2 |]);
+  check int_t "idempotent id" 0 (add t [| 1; 2 |]);
+  check int_t "distinct row is fresh" 1 (add t [| 2; 1 |]);
+  check int_t "count" 2 (Arena.count t);
+  check int_t "find hit" 1 (Arena.find t [| 2; 1 |]);
+  check int_t "find miss" (-1) (Arena.find t [| 0; 0 |]);
+  check int_t "only the first words count" 0 (add t [| 1; 2; 99 |]);
+  check bool_t "row at id * words" true
+    (Array.sub (Arena.data t) 2 2 = [| 2; 1 |])
+
+let test_arena_growth () =
+  (* Push the rows and the slots through several doublings: ids stay
+     dense and stable, every row reads back, re-adding finds it. *)
+  let t = Arena.create ~words:3 in
+  let row i = [| i; i * 7; -i |] in
   let n = 1000 in
   for i = 0 to n - 1 do
-    let id, was_new = Intern.intern t (i * 7) in
-    check int_t "dense id" i id;
-    check bool_t "new" true was_new
+    check int_t "dense id" i (add t (row i))
   done;
-  check int_t "count after growth" n (Intern.count t);
+  check int_t "count after growth" n (Arena.count t);
   for i = 0 to n - 1 do
-    check int_t "readback" (i * 7) (Intern.get t i);
-    let id, was_new = Intern.intern t (i * 7) in
-    check int_t "stable id" i id;
-    check bool_t "hit" false was_new
-  done;
-  let seen = ref 0 in
-  Intern.iter
-    (fun v ->
-      check int_t "iter in id order" (!seen * 7) v;
-      incr seen)
-    t;
-  check int_t "iter covers all" n !seen
+    check bool_t "readback" true (Array.sub (Arena.data t) (i * 3) 3 = row i);
+    check int_t "stable id" i (add t (row i));
+    check int_t "find" i (Arena.find t (row i))
+  done
 
-let test_intern_collisions () =
-  (* A constant hash sends every key down one probe chain, and 300 keys
-     force several resizes of the slot array: ids stay dense in
-     insertion order, [find] agrees with [intern], and a repeat gets
-     its first id back. *)
-  let t =
-    Intern.create ~capacity:2 ~equal:String.equal ~hash:(fun _ -> 42) ()
-  in
-  let key i = "k" ^ string_of_int i in
-  let n = 300 in
-  for i = 0 to n - 1 do
-    check bool_t "absent before insert" true (Intern.find t (key i) = None);
-    check bool_t "dense, new" true (Intern.intern t (key i) = (i, true));
-    if i mod 3 = 0 then
-      check bool_t "repeat is a hit" true
-        (Intern.intern t (key (i / 2)) = (i / 2, false))
-  done;
-  check int_t "count" n (Intern.count t);
-  for i = 0 to n - 1 do
-    check bool_t "find = intern" true
-      (Intern.find t (key i) = Some (fst (Intern.intern t (key i))));
-    check Alcotest.string "get" (key i) (Intern.get t i)
-  done;
-  check bool_t "miss" true (Intern.find t "absent" = None);
+let test_arena_limit () =
+  (* A fresh row is refused at the limit, also when taking it would
+     double the row array (64 rows): count and rows stay as they were,
+     and a held row is still found. *)
   List.iter
-    (fun id ->
-      match Intern.get t id with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "get %d must raise" id)
-    [ -1; n; n + 1 ]
+    (fun limit ->
+      let t = Arena.create ~words:1 in
+      for i = 0 to limit - 1 do
+        ignore (Arena.add t ~limit [| i |])
+      done;
+      let rows = Array.length (Arena.data t) in
+      check int_t "refused" (-1) (Arena.add t ~limit [| limit |]);
+      check int_t "count unchanged" limit (Arena.count t);
+      check int_t "rows not grown" rows (Array.length (Arena.data t));
+      check int_t "not held" (-1) (Arena.find t [| limit |]);
+      if limit > 0 then
+        check int_t "held row found" 0 (Arena.add t ~limit [| 0 |]))
+    [ 0; 1; 63; 64; 65; 128; 1024 ]
 
-let intern_prop =
-  QCheck.Test.make ~name:"intern injective + idempotent on random keys"
+let arena_prop =
+  QCheck.Test.make ~name:"arena add injective + idempotent on random rows"
     ~count:50
-    QCheck.(small_list small_int)
+    QCheck.(small_list (pair small_int small_int))
     (fun xs ->
-      let t = Intern.create ~capacity:2 ~equal:Int.equal ~hash:Hashtbl.hash () in
-      let ids = List.map (fun x -> fst (Intern.intern t x)) xs in
+      let t = Arena.create ~words:2 in
+      let row (a, b) = [| a; b |] in
+      let ids = List.map (fun x -> add t (row x)) xs in
       List.for_all2
         (fun x id ->
-          (* idempotent: re-interning returns the same id, no growth *)
-          fst (Intern.intern t x) = id && Int.equal (Intern.get t id) x)
+          add t (row x) = id
+          && Arena.find t (row x) = id
+          && Array.sub (Arena.data t) (2 * id) 2 = row x)
         xs ids
       && List.for_all2
            (fun x id ->
-             List.for_all2
-               (fun y id' -> Int.equal x y = (id = id'))
-               xs ids)
+             List.for_all2 (fun y id' -> (x = y) = (id = id')) xs ids)
            xs ids
-      && Intern.count t = List.length (List.sort_uniq compare xs))
+      && Arena.count t = List.length (List.sort_uniq compare xs))
 
 let states_of_run st sys =
   (* A bag of distinct reachable states sampled along one random run. *)
@@ -881,44 +963,46 @@ let states_of_run st sys =
   in
   sts
 
-(* Lemma-1 nodes reached by every path of up to [depth] steps, each
-   node once per path: equal nodes built along different paths
-   accumulate their D-arcs in different orders. *)
-let lemma1_nodes sys ~depth =
-  let rec go d frontier acc =
-    if d = 0 then acc
-    else
-      let next =
-        List.concat_map
-          (fun n -> List.map snd (Explore.Lemma1.next sys n))
-          frontier
-      in
-      go (d - 1) next (next @ acc)
-  in
-  let init = Explore.Lemma1.initial sys in
-  go depth [ init ] [ init ]
+(* The arcs of D(S′), as Lemma-1 rows hold them. *)
+let d_arcs sys steps =
+  List.sort_uniq compare
+    (List.map (fun a -> (a.Dgraph.src, a.Dgraph.dst)) (Dgraph.arcs sys steps))
 
-let hash_agrees ~equal ~hash xs =
-  List.for_all
-    (fun a -> List.for_all (fun b -> (not (equal a b)) || hash a = hash b) xs)
-    xs
-
-let hash_compatible_prop =
-  (* Dedup in the search table rests on [hash] being compatible with
-     [equal]: equal nodes must land in the same bucket. *)
-  QCheck.Test.make
-    ~name:"State.hash and Lemma1.hash agree with equal on reachable nodes"
+let lemma1_rows_prop =
+  (* A Lemma-1 row is the prefix vector and D(S′) of the schedule that
+     reached it: checked after every step of a random run. *)
+  QCheck.Test.make ~name:"Lemma-1 rows = prefix vector + Dgraph arcs"
     ~count:50
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let st = Fixtures.rng seed in
-      let sys = Fixtures.small_random_system st ~txns:2 in
-      let pair = Fixtures.small_random_pair st in
-      hash_agrees ~equal:State.equal ~hash:State.hash (states_of_run st sys)
-      && hash_agrees ~equal:Explore.Lemma1.equal ~hash:Explore.Lemma1.hash
-           (lemma1_nodes pair ~depth:4))
+      List.for_all
+        (fun sys ->
+          let lay = Packed.layout ~arcs:true sys in
+          let steps =
+            match Explore.random_run st sys with
+            | Explore.Completed s | Explore.Deadlocked (s, _) -> s
+          in
+          let rec go p rev = function
+            | [] -> true
+            | s :: rest ->
+                let p = Packed.apply lay p s and rev = s :: rev in
+                let sched = List.rev rev in
+                State.equal (Packed.decode lay p)
+                  (Schedule.prefix_vector sys sched)
+                && Packed.arcs_at lay p 0 = d_arcs sys sched
+                && Packed.cyclic_at lay p 0
+                   = not (Dgraph.is_serializable sys sched)
+                && go p rev rest
+          in
+          go (Packed.initial lay) [] steps)
+        [
+          Fixtures.small_random_pair st;
+          Fixtures.small_random_system st ~txns:3;
+        ])
 
 let commutation_prop =
+
   (* Independent enabled steps commute: both orders survive and land in
      the same state, or neither order survives.  The oracle lives in
      Sched.Indep, shared with the partial-order reduction. *)
@@ -939,17 +1023,34 @@ let commutation_prop =
             en)
         (states_of_run st sys))
 
-let test_lemma1_hash_orders () =
-  (* The property above is only meaningful if some equal nodes really
-     were built along different paths. *)
-  let nodes = lemma1_nodes (opposed_pair ()) ~depth:4 in
-  let dup =
-    List.exists
-      (fun a ->
-        List.length (List.filter (Explore.Lemma1.equal a) nodes) > 1)
-      nodes
+let test_lemma1_rows_two_paths () =
+  (* D-arcs accumulated in different orders make one row: some row
+     with arcs is reached along two schedules of up to four steps, and
+     every row holds D(S′) of its schedule. *)
+  let sys = opposed_pair () in
+  let lay = Packed.layout ~arcs:true sys in
+  let rec paths d (p, rev) =
+    (p, rev)
+    ::
+    (if d = 0 then []
+     else
+       List.concat_map
+         (fun s -> paths (d - 1) (Packed.apply lay p s, s :: rev))
+         (Packed.enabled lay p))
   in
-  check bool_t "some node reached along two paths" true dup
+  let rows = paths 4 (Packed.initial lay, []) in
+  check bool_t "rows hold D(S')" true
+    (List.for_all
+       (fun (p, rev) -> Packed.arcs_at lay p 0 = d_arcs sys (List.rev rev))
+       rows);
+  check bool_t "some node reached along two paths" true
+    (List.exists
+       (fun (p, rev) ->
+         Packed.arcs_at lay p 0 <> []
+         && List.exists
+              (fun (q, rev') -> rev <> rev' && Packed.equal p q)
+              rows)
+       rows)
 
 (* ------------------------------------------------------------------ *)
 (* Spaces: insertion order, schedules, the cap on random systems       *)
@@ -1077,6 +1178,9 @@ let suite =
     Alcotest.test_case "narrate complete" `Quick test_narrate_complete;
     Alcotest.test_case "sched text errors" `Quick test_sched_text_errors;
     Alcotest.test_case "packed hash spread" `Quick test_packed_hash_spread;
+    Alcotest.test_case "Lemma-1 and Rw states_visited unchanged" `Quick
+      test_decider_states_visited_unchanged;
+    Alcotest.test_case "Lemma-1 golden digest" `Quick test_lemma1_golden_digest;
     Alcotest.test_case "states_visited unchanged" `Quick
       test_states_visited_unchanged;
     Alcotest.test_case "Too_large on multi-word systems" `Quick
@@ -1090,18 +1194,18 @@ let suite =
   @ qtests
 
 (* The intern tables under the searches over unpacked nodes. *)
-let intern_suite =
+let arena_suite =
   [
-    Alcotest.test_case "intern basics" `Quick test_intern_basics;
-    Alcotest.test_case "intern growth" `Quick test_intern_growth;
-    Alcotest.test_case "intern collisions" `Quick test_intern_collisions;
-    Fixtures.to_alcotest intern_prop;
+    Alcotest.test_case "arena basics" `Quick test_arena_basics;
+    Alcotest.test_case "arena growth" `Quick test_arena_growth;
+    Alcotest.test_case "arena refuses at the limit" `Quick test_arena_limit;
+    Fixtures.to_alcotest arena_prop;
   ]
 
 (* The purity contracts dedup and the partial-order reduction rest on. *)
 let hash_suite =
   [
     Alcotest.test_case "lemma1 nodes reached along two paths" `Quick
-      test_lemma1_hash_orders;
+      test_lemma1_rows_two_paths;
   ]
-  @ List.map Fixtures.to_alcotest [ hash_compatible_prop; commutation_prop ]
+  @ List.map Fixtures.to_alcotest [ lemma1_rows_prop; commutation_prop ]
