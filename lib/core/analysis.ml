@@ -19,16 +19,16 @@ let pp_safety_verdict sys ppf = function
         (Ddlock_safety.Many.pp_verdict sys)
         (Ddlock_safety.Many.Cycle_fails w)
 
-(* Theorem 4 on the interaction graph [g] of [sys]. *)
-let safety_in sys g =
-  Ddlock_obs.Trace.span "analysis.safety" @@ fun () ->
-  match Ddlock_safety.Many.check_graph sys g with
+let of_many = function
   | Ddlock_safety.Many.Safe_and_deadlock_free -> Safe_and_deadlock_free
   | Ddlock_safety.Many.Pair_fails { i; j; failure } ->
       Pair_violation { i; j; failure }
   | Ddlock_safety.Many.Cycle_fails w -> Cycle_violation w
 
-let safe_and_deadlock_free sys = safety_in sys (System.interaction_graph sys)
+let safe_and_deadlock_free sys =
+  let g = System.interaction_graph sys in
+  Ddlock_obs.Trace.span "analysis.safety" @@ fun () ->
+  of_many (Ddlock_safety.Many.check_graph sys g)
 
 type deadlock_verdict =
   | Deadlock_free
@@ -76,7 +76,13 @@ type report = {
 let report ?max_states ?symmetry ?por sys =
   Ddlock_obs.Trace.span "analysis.report" @@ fun () ->
   let g = System.interaction_graph sys in
-  let safety = safety_in sys g in
+  (* Theorem 4 counts the interaction cycles it walks; the report's
+     count finishes the walk. *)
+  let safety, count_cycles =
+    Ddlock_obs.Trace.span "analysis.safety" @@ fun () ->
+    let verdict, count = Ddlock_safety.Many.check_counting sys g in
+    (of_many verdict, count)
+  in
   let deadlock = decide_deadlock ?max_states ?symmetry ?por sys safety in
   let db = System.db sys in
   {
@@ -88,14 +94,9 @@ let report ?max_states ?symmetry ?por sys =
       Array.for_all Transaction.is_two_phase (System.txns sys);
     interaction_edges = Ungraph.edge_count g;
     interaction_cycles =
-      (* Cycle enumeration can be exponential in dense graphs; polling
-         per cycle lets a serve-side deadline bound the report. *)
-      (Ddlock_obs.Trace.span "analysis.cycles" @@ fun () ->
-       Seq.fold_left
-         (fun acc _ ->
-           Ddlock_obs.Cancel.poll ();
-           acc + 1)
-         0 (Ungraph.cycles g));
+      (* Cycle enumeration can be exponential in dense graphs; the count
+         polls per cycle, so a serve-side deadline bounds the report. *)
+      Ddlock_obs.Trace.span "analysis.cycles" count_cycles;
     safety;
     deadlock;
   }

@@ -34,17 +34,16 @@ let directed_cycles t =
      Length-2 cycles (u, v, u) are artifacts of symmetrization. *)
   Seq.filter (fun c -> List.length c >= 3) (Cycles.simple_cycles t.g)
 
-let cycles t =
-  (* Keep the direction in which the node after the root is smaller than
-     the node before the root. *)
-  Seq.filter
-    (fun c ->
-      match c with
-      | _root :: second :: _ ->
-          let last = List.nth c (List.length c - 1) in
-          second < last
-      | _ -> true)
-    (directed_cycles t)
+(* Keep the direction in which the node after the root is smaller than
+   the node before the root. *)
+let canonical_direction c =
+  match c with
+  | _root :: second :: _ ->
+      let last = List.nth c (List.length c - 1) in
+      second < last
+  | _ -> true
+
+let cycles t = Seq.filter canonical_direction (directed_cycles t)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>graph(%d nodes, %d edges)" (node_count t)

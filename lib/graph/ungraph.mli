@@ -31,4 +31,8 @@ val directed_cycles : t -> int list Seq.t
     direction per cycle. *)
 val cycles : t -> int list Seq.t
 
+(** Whether {!cycles} keeps this cycle of {!directed_cycles}: its second
+    node is smaller than its last. *)
+val canonical_direction : int list -> bool
+
 val pp : Format.formatter -> t -> unit

@@ -114,38 +114,62 @@ let failing_pair sys =
   in
   go 0 1
 
+(* The first rotation of [cycle] (as a choice of last transaction)
+   that admits a witness. *)
+let failing_rotation sys cycle =
+  let k = List.length cycle in
+  let rec go r =
+    if r >= k then None
+    else
+      match try_cycle sys (rotate cycle r) with
+      | Some _ as w -> w
+      | None -> go (r + 1)
+  in
+  go 0
+
+(* Theorem 4's walk over the directed cycles [cycles]: the verdict, the
+   number [n] plus the cycles walked that {!Ungraph.cycles} keeps, and
+   the rest of the sequence where the walk stopped.  Candidate
+   enumeration can be exponential in the cycle count; the poll lets a
+   deadline bound it like the exhaustive searches. *)
+let rec walk sys n cycles =
+  match cycles () with
+  | Seq.Nil -> (Safe_and_deadlock_free, n, Seq.empty)
+  | Seq.Cons (cycle, rest) -> (
+      Ddlock_obs.Cancel.poll ();
+      let n = if Ungraph.canonical_direction cycle then n + 1 else n in
+      match failing_rotation sys cycle with
+      | Some w -> (Cycle_fails w, n, rest)
+      | None -> walk sys n rest)
+
+let count_from n cycles =
+  Seq.fold_left
+    (fun n cycle ->
+      Ddlock_obs.Cancel.poll ();
+      if Ungraph.canonical_direction cycle then n + 1 else n)
+    n cycles
+
 (* [graph ()] is the interaction graph, asked for only when every pair
    passes. *)
 let check_with sys graph =
   match failing_pair sys with
   | Some (i, j, failure) -> Pair_fails { i; j; failure }
   | None ->
-      let g = graph () in
-      let result = ref Safe_and_deadlock_free in
-      (try
-         Seq.iter
-           (fun cycle ->
-             (* Candidate enumeration can be exponential in the cycle
-                count; the poll lets a deadline bound it like the
-                exhaustive searches. *)
-             Ddlock_obs.Cancel.poll ();
-             let k = List.length cycle in
-             for r = 0 to k - 1 do
-               match !result with
-               | Safe_and_deadlock_free -> (
-                   match try_cycle sys (rotate cycle r) with
-                   | Some w ->
-                       result := Cycle_fails w;
-                       raise Exit
-                   | None -> ())
-               | _ -> ()
-             done)
-           (Ungraph.directed_cycles g)
-       with Exit -> ());
-      !result
+      let verdict, _, _ = walk sys 0 (Ungraph.directed_cycles (graph ())) in
+      verdict
 
 let check sys = check_with sys (fun () -> System.interaction_graph sys)
 let check_graph sys g = check_with sys (fun () -> g)
+
+let check_counting sys g =
+  match failing_pair sys with
+  | Some (i, j, failure) ->
+      ( Pair_fails { i; j; failure },
+        fun () -> count_from 0 (Ungraph.directed_cycles g) )
+  | None ->
+      let verdict, n, rest = walk sys 0 (Ungraph.directed_cycles g) in
+      (verdict, fun () -> count_from n rest)
+
 let safe_and_deadlock_free sys = check sys = Safe_and_deadlock_free
 
 let candidate_count sys =

@@ -42,6 +42,16 @@ val check : System.t -> verdict
     that needs it too. *)
 val check_graph : System.t -> Ungraph.t -> verdict
 
+(** [check_counting sys g] is [check_graph sys g] and a function that
+    returns the number of undirected cycles of [g] (the length of
+    {!Ungraph.cycles}[ g]) from the same walk of
+    {!Ungraph.directed_cycles}: the verdict counts the cycles it walks,
+    and the function finishes the count from where Theorem 4 stopped,
+    polling {!Ddlock_obs.Cancel} on each cycle.  When a pair fails,
+    Theorem 4 walks no cycle and the function counts them all.  Call
+    the function at most once. *)
+val check_counting : System.t -> Ungraph.t -> verdict * (unit -> int)
+
 val safe_and_deadlock_free : System.t -> bool
 
 (** Number of (cycle, last-transaction) candidates the search would

@@ -4,7 +4,7 @@
    and doubles when full.  Not thread-safe. *)
 
 type t = {
-  words : int;
+  mutable words : int;
   mutable data : int array;
   mutable slots : int array;
   mutable len : int;
@@ -63,7 +63,9 @@ let grow_slots t =
   t.slots <- slots
 
 let grow_data t =
-  let data = Array.make (2 * Array.length t.data) 0 in
+  let data =
+    Array.make (max (2 * Array.length t.data) (initial_rows * t.words)) 0
+  in
   Array.blit t.data 0 data 0 (t.len * t.words);
   t.data <- data
 
@@ -84,3 +86,23 @@ let add t ~limit row =
     else t.slots.(i) <- id;
     id
   end
+
+(* Row [id]'s slot: the first on its probe path that holds [id].  Ids
+   are never removed, so every slot before it on the path holds a
+   lower id; an empty slot means the id was never slotted. *)
+let rec unslot t id i =
+  let s = t.slots.(i) in
+  if s = id then t.slots.(i) <- -1
+  else if s >= 0 then unslot t id ((i + 1) land (Array.length t.slots - 1))
+
+let reset t ~words =
+  let n = Array.length t.slots in
+  if 4 * t.len >= n then Array.fill t.slots 0 n (-1)
+  else
+    (* Highest id first: the lower ids on each probe path are still
+       there when it is cleared. *)
+    for id = t.len - 1 downto 0 do
+      unslot t id (hash t.data (id * t.words) t.words land (n - 1))
+    done;
+  t.words <- words;
+  t.len <- 0

@@ -11,7 +11,13 @@
     array of ids, doubled when more than half full, beside the flat row
     array, doubled when full (it holds 64 rows before its first
     doubling).  A probe compares rows word by word; a resize re-slots
-    ids by rehashing the stored rows.  Not thread-safe. *)
+    ids by rehashing the stored rows.  Not thread-safe.
+
+    A table is reused, not rebuilt: {!Explore} keeps one per domain in
+    its search workspace and {!reset}s it before each search that
+    borrows it, at any row width; a workspace whose table grew past
+    65,536 rows is dropped instead of kept.  A row array taken with
+    {!data} before a reset must not be read after it. *)
 
 type t
 
@@ -20,6 +26,13 @@ val create : words:int -> t
 
 (** Number of rows held (also the next fresh id). *)
 val count : t -> int
+
+(** [reset t ~words] empties [t] for rows of [words] ints, keeping its
+    arrays: it clears only the slots of the rows held (all of them when
+    the table is at least a quarter full), so it costs O(rows held),
+    not O(capacity).  A search that reuses a table this way sees the
+    same ids as in a fresh one. *)
+val reset : t -> words:int -> unit
 
 (** [add t ~limit row] is the id of the held row equal to [row]'s
     first [words] ints, copying [row] in with the next dense id when

@@ -55,36 +55,87 @@ let active_canon ~symmetry sys =
 
 let default_cap = 2_000_000
 
-(* --------------------------- the search tree -----------------------
+(* ---------------------------- workspaces ---------------------------
 
-   Ids are dense and assigned in insertion order; the BFS tree lives in
-   arrays indexed by id: the parent (-1 at the root), and the global
-   bit of the step reaching the node. *)
+   Everything a search writes by state id: the arena of rows, the BFS
+   tree — the parent (-1 at the root) and the global bit of the step
+   reaching the node — and each state's enabled set
+   ({!Packed.enabled_words} ints at [id * enabled_words]), plus the
+   successor buffer [scratch] and the expansion buffer [en].  Ids are
+   dense and assigned in insertion order. *)
 
-type tree = { mutable parent : int array; mutable via : int array }
+type work = {
+  arena : Arena.t;
+  mutable parent : int array;
+  mutable via : int array;
+  mutable enabled : int array;
+  mutable scratch : Packed.t;
+  mutable en : int array;
+}
 
-let tree_create () = { parent = [||]; via = [||] }
+let fresh_work lay =
+  {
+    arena = Arena.create ~words:(Packed.words lay);
+    parent = [||];
+    via = [||];
+    enabled = [||];
+    scratch = Packed.initial lay;
+    en = Array.make (Packed.nodes lay) 0;
+  }
+
+(* Makes a used workspace ready for a search on [lay], in O(rows it
+   held): a fresh one needs nothing. *)
+let prepare w lay =
+  let words = Packed.words lay in
+  Arena.reset w.arena ~words;
+  if Array.length w.scratch = words then Array.fill w.scratch 0 words 0
+  else w.scratch <- Packed.initial lay;
+  if Array.length w.en < Packed.nodes lay then
+    w.en <- Array.make (Packed.nodes lay) 0
+
+(* One workspace per domain, lent to one search at a time: a search
+   takes it by swapping in [None] and gives it back when it ends,
+   however it ends.  A search that finds it taken — one nested in a
+   [found] callback, or on another systhread of the domain — uses a
+   fresh one.  A workspace that grew past [kept_rows] states is dropped,
+   which bounds what an idle domain retains. *)
+let lent = Domain.DLS.new_key (fun () -> Atomic.make None)
+let kept_rows = 65_536
+
+let borrow lay f =
+  let cell = Domain.DLS.get lent in
+  let w =
+    match Atomic.exchange cell None with
+    | Some w ->
+        prepare w lay;
+        w
+    | None -> fresh_work lay
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      if Array.length w.parent <= kept_rows then Atomic.set cell (Some w))
+    (fun () -> f w)
+
+let grow a cap n =
+  let b = Array.make (max n (2 * cap)) (-1) in
+  Array.blit a 0 b 0 cap;
+  b
 
 (* Record the fresh node [id] as a child of [parent]. *)
-let record t id ~parent ~via =
-  let cap = Array.length t.parent in
+let record w id ~parent ~via =
+  let cap = Array.length w.parent in
   if id >= cap then begin
-    let grow a =
-      let b = Array.make (max 64 (2 * cap)) (-1) in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    t.parent <- grow t.parent;
-    t.via <- grow t.via
+    w.parent <- grow w.parent cap 64;
+    w.via <- grow w.via cap 64
   end;
-  t.parent.(id) <- parent;
-  t.via.(id) <- via;
+  w.parent.(id) <- parent;
+  w.via.(id) <- via;
   Obs.visit ()
 
-let path t lay id =
+let path w lay id =
   let rec go id acc =
-    let p = t.parent.(id) in
-    if p < 0 then acc else go p (Packed.step lay t.via.(id) :: acc)
+    let p = w.parent.(id) in
+    if p < 0 then acc else go p (Packed.step lay w.via.(id) :: acc)
   in
   go id []
 
@@ -108,6 +159,9 @@ let add arena ~max_states row =
 
 exception Hit of int
 
+(* Some of the [n] words of [e] at offset [o] is nonzero. *)
+let rec any_set e o n = n > 0 && (e.(o + n - 1) <> 0 || any_set e o (n - 1))
+
 (* Breadth-first search over packed states in an arena ({!Arena}).  Ids
    are dense and assigned in insertion order, so the BFS queue is
    exactly the id sequence and a cursor replaces it.  Each successor is
@@ -116,24 +170,29 @@ exception Hit of int
    copied into the arena only when it is fresh.  [restrict]/[found] read
    a state in place (array, offset); under symmetry they see
    representatives and must be invariant under the group (the deadlock
-   and reduction-cycle predicates are).  [found ~live] is told when the
-   state is known to have an enabled step: one of its parent's steps is
-   still enabled ({!Packed.keeps_enabled}).  The empty initial state is
-   its own orbit's representative.
+   and reduction-cycle predicates are).  The empty initial state is its
+   own orbit's representative.
+
+   A fresh state's enabled set is carried from its parent's
+   ({!Packed.carry_enabled}), or computed afresh when symmetry moved
+   the successor, and stored by id: expanding a state reads it, and
+   [found ~live] is told whether it is non-empty.
 
    A node is expanded from the arena's row array as it stood when the
    expansion began: an [add] may move the rows to a larger array, but
-   the old one still holds the node unchanged.  Returns the tree and the
-   id of the first node (in insertion order) satisfying [found], or
-   -1. *)
-let bfs_loop ~name ~max_states ~restrict canon lay arena ~found =
+   the old one still holds the node unchanged.  Returns the id of the
+   first node (in insertion order) satisfying [found], or -1. *)
+let bfs_loop ~name ~max_states ~restrict canon lay w ~found =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span name @@ fun () ->
-  let w = Packed.words lay in
-  let t = tree_create () in
+  let words = Packed.words lay and ew = Packed.enabled_words lay in
+  let arena = w.arena and scratch = w.scratch and en = w.en in
   let telemetry = Ddlock_obs.Control.is_on () in
-  let scratch = Packed.initial lay in
-  let en = Array.make (Packed.nodes lay) 0 in
+  (* Room for [id]'s enabled set. *)
+  let reserve id =
+    let cap = Array.length w.enabled in
+    if (id + 1) * ew > cap then w.enabled <- grow w.enabled cap (64 * ew)
+  in
   (* Rewrites [scratch] to its representative; true when that moved it. *)
   let canonical =
     match canon with
@@ -145,67 +204,66 @@ let bfs_loop ~name ~max_states ~restrict canon lay arena ~found =
           rep != scratch
           &&
           let moved = not (Packed.equal rep scratch) in
-          Array.blit rep 0 scratch 0 w;
+          Array.blit rep 0 scratch 0 words;
           moved
   in
-  let hit =
-    try
-      ignore (add arena ~max_states scratch);
-      record t 0 ~parent:(-1) ~via:(-1);
-      if found ~live:false (Arena.data arena) 0 then raise (Hit 0);
-      let cursor = ref 0 in
-      while !cursor < Arena.count arena do
-        let id = !cursor in
-        incr cursor;
-        let a = Arena.data arena and o = id * w in
-        let n = ref 0 in
-        Packed.iter_enabled lay a o (fun g ->
-            en.(!n) <- g;
-            incr n);
-        for i = 0 to !n - 1 do
-          let g = en.(i) in
-          Packed.apply_into lay a o g scratch;
-          let moved = canonical () in
-          if restrict scratch 0 then begin
-            let fresh = Arena.count arena in
-            if add arena ~max_states scratch = fresh then begin
-              record t fresh ~parent:id ~via:g;
-              if telemetry then Obs.hit moved;
-              let live = Packed.keeps_enabled lay en !n i in
-              if found ~live (Arena.data arena) (fresh * w) then
-                raise (Hit fresh)
-            end
+  try
+    ignore (add arena ~max_states scratch);
+    record w 0 ~parent:(-1) ~via:(-1);
+    reserve 0;
+    Packed.enabled_into lay scratch 0 w.enabled 0;
+    if found ~live:(any_set w.enabled 0 ew) (Arena.data arena) 0 then
+      raise (Hit 0);
+    let cursor = ref 0 in
+    while !cursor < Arena.count arena do
+      let id = !cursor in
+      incr cursor;
+      let a = Arena.data arena and o = id * words in
+      let n = Packed.enabled_bits lay w.enabled (id * ew) en in
+      for i = 0 to n - 1 do
+        let g = en.(i) in
+        Packed.apply_into lay a o g scratch;
+        let moved = canonical () in
+        if restrict scratch 0 then begin
+          let fresh = Arena.count arena in
+          if add arena ~max_states scratch = fresh then begin
+            record w fresh ~parent:id ~via:g;
+            reserve fresh;
+            let e = w.enabled and eo = fresh * ew in
+            if moved then Packed.enabled_into lay scratch 0 e eo
+            else Packed.carry_enabled lay scratch 0 g e (id * ew) eo;
+            if telemetry then Obs.hit moved;
+            if found ~live:(any_set e eo ew) (Arena.data arena) (fresh * words)
+            then raise (Hit fresh)
           end
-        done
-      done;
-      -1
-    with Hit id -> id
-  in
-  (t, hit)
+        end
+      done
+    done;
+    -1
+  with Hit id -> id
 
 (* ------------------------------ spaces ----------------------------- *)
 
 type space = {
   lay : Packed.layout;
   canon : Canon.t option;  (* Some ⇒ the arena holds orbit representatives *)
-  arena : Arena.t;
-  tree : tree;
+  work : work;
 }
 
 let system sp = Packed.system sp.lay
-let state_count sp = Arena.count sp.arena
+let state_count sp = Arena.count sp.work.arena
 
 let states sp =
   let w = Packed.words sp.lay in
   Seq.init (state_count sp) (fun id ->
-      Packed.decode_at sp.lay (Arena.data sp.arena) (id * w))
+      Packed.decode_at sp.lay (Arena.data sp.work.arena) (id * w))
 
 (* A state of another system's shape is not held. *)
 let find_rep sp st =
   let rep = match sp.canon with None -> st | Some c -> fst (Canon.normalize c st) in
   match Packed.encode sp.lay rep with
   | p ->
-      let id = Arena.find sp.arena p in
+      let id = Arena.find sp.work.arena p in
       if id < 0 then None else Some id
   | exception Invalid_argument _ -> None
 
@@ -214,7 +272,7 @@ let is_reachable sp st = find_rep sp st <> None
 let schedule_to sp st =
   Option.map
     (fun id ->
-      let steps = path sp.tree sp.lay id in
+      let steps = path sp.work sp.lay id in
       match sp.canon with
       | None -> steps
       (* The stored path reaches the representative of [st]'s orbit;
@@ -225,11 +283,11 @@ let schedule_to sp st =
 (* A witness found in the quotient space, translated back to the
    original system. *)
 let witness sp id =
-  let steps = path sp.tree sp.lay id in
+  let steps = path sp.work sp.lay id in
   match sp.canon with
   | None ->
       let o = id * Packed.words sp.lay in
-      (steps, Packed.decode_at sp.lay (Arena.data sp.arena) o)
+      (steps, Packed.decode_at sp.lay (Arena.data sp.work.arena) o)
   | Some c -> Canon.realize c steps
 
 (* Persistent/sleep-set selective search (partial-order reduction).
@@ -245,12 +303,13 @@ let witness sp id =
    first insertion only): the persistent-set construction preserves
    reachability of deadlock states, not of arbitrary targets.
    [Indep.expand] works on the decoded node; its successors are
-   re-encoded. *)
-let por_search ~max_states ~restrict canon lay arena ~found =
+   re-encoded, and [found ~live] is told whether one has an enabled
+   step ({!Packed.live_at}). *)
+let por_search ~max_states ~restrict canon lay work ~found =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span "explore.por" @@ fun () ->
   let sys = Packed.system lay and w = Packed.words lay in
-  let t = tree_create () in
+  let arena = work.arena in
   let sleeps = ref [||] in
   let set_sleep id z =
     let cap = Array.length !sleeps in
@@ -263,45 +322,43 @@ let por_search ~max_states ~restrict canon lay arena ~found =
   in
   let q = Queue.create () in
   let init = Packed.initial lay in
-  let hit =
-    try
-      ignore (add arena ~max_states init);
-      record t 0 ~parent:(-1) ~via:(-1);
-      set_sleep 0 [];
-      if found ~live:false init 0 then raise (Hit 0);
-      Queue.push (0, []) q;
-      while not (Queue.is_empty q) do
-        let id, sleep = Queue.pop q in
-        let node = Packed.decode_at lay (Arena.data arena) (id * w) in
-        let exp = Indep.expand ?canon sys node ~sleep in
-        Obs.por_expand ~enabled:exp.Indep.enabled_count
-          ~persistent:exp.Indep.persistent_count
-          ~selected:(List.length exp.Indep.succs);
-        List.iter
-          (fun { Indep.step; succ; moved; sleep = child } ->
-            let succ = Packed.encode lay succ in
-            if restrict succ 0 then
-              let n = Arena.count arena in
-              let id' = add arena ~max_states succ in
-              if id' = n then begin
-                record t n ~parent:id ~via:(Packed.bit lay step);
-                Obs.hit moved;
-                set_sleep id' child;
-                if found ~live:false succ 0 then raise (Hit id');
-                Queue.push (id', child) q
-              end
-              else
-                match Indep.sleep_covered ~stored:!sleeps.(id') ~incoming:child with
-                | `Covered -> ()
-                | `Shrink z ->
-                    set_sleep id' z;
-                    Queue.push (id', z) q)
-          exp.Indep.succs
-      done;
-      -1
-    with Hit id -> id
-  in
-  (t, hit)
+  try
+    ignore (add arena ~max_states init);
+    record work 0 ~parent:(-1) ~via:(-1);
+    set_sleep 0 [];
+    if found ~live:(Packed.live_at lay init 0) init 0 then raise (Hit 0);
+    Queue.push (0, []) q;
+    while not (Queue.is_empty q) do
+      let id, sleep = Queue.pop q in
+      let node = Packed.decode_at lay (Arena.data arena) (id * w) in
+      let exp = Indep.expand ?canon sys node ~sleep in
+      Obs.por_expand ~enabled:exp.Indep.enabled_count
+        ~persistent:exp.Indep.persistent_count
+        ~selected:(List.length exp.Indep.succs);
+      List.iter
+        (fun { Indep.step; succ; moved; sleep = child } ->
+          let succ = Packed.encode lay succ in
+          if restrict succ 0 then
+            let n = Arena.count arena in
+            let id' = add arena ~max_states succ in
+            if id' = n then begin
+              record work n ~parent:id ~via:(Packed.bit lay step);
+              Obs.hit moved;
+              set_sleep id' child;
+              if found ~live:(Packed.live_at lay succ 0) succ 0 then
+                raise (Hit id');
+              Queue.push (id', child) q
+            end
+            else
+              match Indep.sleep_covered ~stored:!sleeps.(id') ~incoming:child with
+              | `Covered -> ()
+              | `Shrink z ->
+                  set_sleep id' z;
+                  Queue.push (id', z) q)
+        exp.Indep.succs
+    done;
+    -1
+  with Hit id -> id
 
 (* A caller's predicate on {!State.t}, evaluated on the decoded state. *)
 let decoded lay f a o = f (Packed.decode_at lay a o)
@@ -309,39 +366,44 @@ let decoded lay f a o = f (Packed.decode_at lay a o)
 let always _ _ = true
 let never_found ~live:_ _ _ = false
 
-(* Every search of a state space: the id of the first node satisfying
-   [found], and the space. *)
-let run ~name ~max_states ~restrict ~symmetry ~por lay ~found =
+(* Every search of a state space, on the workspace [w]: the id of the
+   first node satisfying [found], and the space. *)
+let run ~name ~max_states ~restrict ~symmetry ~por lay ~found w =
   let canon = active_canon ~symmetry (Packed.system lay) in
-  let arena = Arena.create ~words:(Packed.words lay) in
-  let tree, hit =
-    if por then por_search ~max_states ~restrict canon lay arena ~found
-    else bfs_loop ~name ~max_states ~restrict canon lay arena ~found
+  let hit =
+    if por then por_search ~max_states ~restrict canon lay w ~found
+    else bfs_loop ~name ~max_states ~restrict canon lay w ~found
   in
-  ((if hit < 0 then None else Some hit), { lay; canon; arena; tree })
+  ((if hit < 0 then None else Some hit), { lay; canon; work = w })
 
+(* The space escapes, so it gets a workspace of its own. *)
 let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
+  let lay = Packed.layout sys in
   snd
     (run ~name:"explore.explore" ~max_states ~restrict:always ~symmetry ~por
-       (Packed.layout sys) ~found:never_found)
+       lay ~found:never_found (fresh_work lay))
 
 let bfs ?(max_states = default_cap) ?restrict ?(symmetry = false) ?(por = false)
     sys ~found =
   let lay = Packed.layout sys in
   let restrict = match restrict with None -> always | Some f -> decoded lay f in
+  borrow lay @@ fun w ->
   let hit, sp =
     run ~name:"explore.bfs" ~max_states ~restrict ~symmetry ~por lay
       ~found:(fun ~live:_ a o -> decoded lay found a o)
+      w
   in
   Option.map (witness sp) hit
 
-(* The deadlock search tests [Packed.is_deadlock_at] on the arena's
-   rows, unless the state is known to be live. *)
+(* A deadlock is a state with nothing enabled that is not finished. *)
 let deadlock_search ?(max_states = default_cap) ?(symmetry = false)
     ?(name = "explore.bfs") ~por lay =
+  borrow lay @@ fun w ->
   let hit, sp =
     run ~name ~max_states ~restrict:always ~symmetry ~por lay
-      ~found:(fun ~live a o -> (not live) && Packed.is_deadlock_at lay a o)
+      ~found:(fun ~live a o ->
+        (not live) && not (Packed.all_finished_at lay a o))
+      w
   in
   Option.map (witness sp) hit
 
@@ -388,20 +450,20 @@ let lemma1_on ?(max_states = default_cap) ~name ~complete lay =
     ((not complete) || Packed.all_finished_at lay a o)
     && Packed.cyclic_at lay a o
   in
+  borrow lay @@ fun w ->
   match
     run ~name ~max_states ~restrict:always ~symmetry:false ~por:false lay
-      ~found
+      ~found w
   with
   | None, _ -> Ok ()
-  | Some id, sp ->
+  | Some id, _ ->
       let o = id * Packed.words lay in
       let d =
         Digraph.create
           (System.size (Packed.system lay))
-          (Packed.arcs_at lay (Arena.data sp.arena) o)
+          (Packed.arcs_at lay (Arena.data w.arena) o)
       in
-      Error
-        { steps = path sp.tree lay id; cycle = Option.get (Topo.find_cycle d) }
+      Error { steps = path w lay id; cycle = Option.get (Topo.find_cycle d) }
 
 let safe_and_deadlock_free ?max_states sys =
   lemma1_on ?max_states ~name:"explore.lemma1_search" ~complete:false
@@ -418,13 +480,15 @@ let has_schedule sys target =
     k >= Array.length goal
     || (a.(o + k) land lnot goal.(k) = 0 && sub a o (k + 1))
   in
-  let hit, sp =
+  borrow lay @@ fun w ->
+  let hit, _ =
     run ~name:"explore.bfs" ~max_states:default_cap
       ~restrict:(fun a o -> sub a o 0)
       ~symmetry:false ~por:false lay
       ~found:(fun ~live:_ a o -> Packed.equal_at goal a o)
+      w
   in
-  Option.map (path sp.tree lay) hit
+  Option.map (path w lay) hit
 
 let complete_schedules sys =
   let rec go st rev_steps () =

@@ -20,10 +20,32 @@ open Ddlock_model
     The {!State.t} values the searches take and return — witnesses,
     [states], [schedule_to]/[is_reachable] arguments, and the states a
     caller's [restrict]/[found] predicate sees — are decoded or encoded
-    at this edge.  The deadlock searches test {!Packed.is_deadlock_at}
-    on the arena's rows — only for a state that keeps none of its
-    parent's enabled steps ({!Packed.keeps_enabled}) — and decode only
-    the witness. *)
+    at this edge.  Beside each stored state the loop keeps its enabled
+    set, carried from the parent's when the state is new
+    ({!Packed.carry_enabled}, or recomputed when symmetry moved the
+    successor to another orbit member); expansion reads it, and the
+    deadlock searches test it for emptiness (with some transaction
+    unfinished) and decode only the witness.
+
+    {2 Workspaces}
+
+    The arena, the tree, the enabled sets and the successor and
+    expansion buffers form one workspace, kept per domain in
+    [Domain.DLS] and lent to one search at a time.  Every search whose
+    space does not escape borrows it — {!bfs}, {!find_deadlock},
+    {!deadlock_free}, {!deadlock_on}, {!lemma1_on} and the deciders
+    built on them, and {!has_schedule} — so a run of searches on one
+    domain allocates its tables once; {!explore} returns its space and
+    allocates its own.  A search takes the workspace by swapping in
+    [None] and gives it back when it ends, by a result, {!Too_large} or
+    [Ddlock_obs.Cancel.Cancelled]; one that finds it taken (a search
+    nested in a [found] callback, or on another systhread of the same
+    domain) allocates a fresh one.  Before a search the workspace is
+    reset in time proportional to the states it last held
+    ({!Arena.reset}), for any row width.  A workspace that grew past
+    65,536 states is dropped rather than given back, which bounds what
+    an idle domain (a daemon worker) retains.  Results, ids and
+    [states_visited] are the same as with fresh tables. *)
 
 exception Too_large of int
 (** Raised when exploration would exceed the [max_states] cap.  The cap

@@ -13,9 +13,9 @@ type layout = {
   base : int array;  (* txn -> global bit of its node 0; [base.(n)]: total *)
   wi : int array;  (* global bit -> its word *)
   wm : int array;  (* global bit -> its mask within that word *)
+  txn : int array;  (* global bit -> its transaction *)
   preds : int array;
       (* [pwords] mask words per global bit: its immediate predecessors *)
-  lock_entity : int array;  (* global bit -> its entity if a Lock, else -1 *)
   conf_start : int array;  (* global bit -> start of its range in [conf] *)
   conf : int array;
       (* per Lock node, one (lock word, lock mask, unlock word, unlock mask)
@@ -25,6 +25,15 @@ type layout = {
       (* with D-arc words, two ints per quadruple of [conf], at half its
          index: the word and mask of arc (i, k), [i] the Lock's
          transaction and [k] the quadruple's; empty without them *)
+  blocks : int array;
+      (* [pwords] mask words per global bit [g]: the other transactions'
+         Locks that [g]'s Lock disables (those with a quadruple whose
+         lock bit is [g]); zero unless [g] is a conflicting Lock *)
+  wake_start : int array;  (* global bit -> start of its range in [wake] *)
+  wake : int array;
+      (* per global bit [g], the bits that executing [g] may enable: its
+         immediate successors and, for an Unlock, the Locks with a
+         quadruple whose unlock bit is [g] *)
   full : t;  (* every prefix bit *)
   steps : Step.t array;  (* global bit -> its step, shared by [enabled] lists *)
 }
@@ -42,8 +51,10 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
   let total = base.(n) in
   let pwords = (total + bits - 1) / bits in
   let words = if arcs then pwords + (((n * n) + bits - 1) / bits) else pwords in
+  let txn = Array.make total 0 in
   let preds = Array.make (total * pwords) 0 in
-  let lock_entity = Array.make total (-1) in
+  let blocks = Array.make (total * pwords) 0 in
+  let wakes = Array.make total [] in
   let conf_start = Array.make (total + 1) 0 in
   let conf = ref [] and darcs = ref [] in
   let steps = Array.make total (Step.v 0 0) in
@@ -51,14 +62,17 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
     let tx = System.txn sys i in
     for v = 0 to Transaction.node_count tx - 1 do
       let g = base.(i) + v in
+      txn.(g) <- i;
       steps.(g) <- Step.v i v;
       Array.iter
         (fun u -> set_at preds (g * pwords) (base.(i) + u))
         (Digraph.pred (Transaction.given_arcs tx) v);
+      Array.iter
+        (fun w -> wakes.(g) <- (base.(i) + w) :: wakes.(g))
+        (Digraph.succ (Transaction.given_arcs tx) v);
       let nd = Transaction.node tx v in
       let quads = ref 0 in
       if nd.Node.op = Node.Lock then begin
-        lock_entity.(g) <- nd.Node.entity;
         let shared = read steps.(g) in
         for j = 0 to n - 1 do
           let txj = System.txn sys j in
@@ -69,6 +83,8 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
               let l = base.(j) + lj in
               let u = base.(j) + Transaction.unlock_node_exn txj x in
               conf := mask u :: word u :: mask l :: word l :: !conf;
+              set_at blocks (l * pwords) g;
+              wakes.(u) <- g :: wakes.(u);
               let d = (pwords * bits) + (i * n) + j in
               if arcs then darcs := mask d :: word d :: !darcs;
               incr quads
@@ -78,6 +94,10 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
       end;
       conf_start.(g + 1) <- conf_start.(g) + (4 * !quads)
     done
+  done;
+  let wake_start = Array.make (total + 1) 0 in
+  for g = 0 to total - 1 do
+    wake_start.(g + 1) <- wake_start.(g) + List.length wakes.(g)
   done;
   let full = Array.make pwords 0 in
   for g = 0 to total - 1 do
@@ -90,11 +110,14 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
     base;
     wi = Array.init total word;
     wm = Array.init total mask;
+    txn;
     preds;
-    lock_entity;
     conf_start;
     conf = Array.of_list (List.rev !conf);
     darcs = Array.of_list (List.rev !darcs);
+    blocks;
+    wake_start;
+    wake = Array.concat (Array.to_list (Array.map Array.of_list wakes));
     full;
     steps;
   }
@@ -151,18 +174,20 @@ let rec held l a o k stop =
       && a.(o + c.(k + 2)) land c.(k + 3) = 0)
       || held l a o (k + 4) stop)
 
-(* Applies [f] to each bit from [g] down to [stop] that can run: it is
-   not executed, all its predecessors are, and — a Lock — no other
-   transaction holds its entity (an Unlock's [conf] range is empty).
+(* An unexecuted bit [g] can run: all its predecessors are executed
+   and — a Lock — no other transaction holds its entity (an Unlock's
+   [conf] range is empty). *)
+let can_run l a o g =
+  preds_done l a o (g * l.pwords) 0
+  && not (held l a o l.conf_start.(g) l.conf_start.(g + 1))
+
+(* Applies [f] to each bit from [g] down to [stop] that can run and is
+   not executed.
    Bit [g] is the mask [m] of word [k], whose value is [x]: stepping
    down a bit shifts the mask, and only crossing into the word below
    reads the state again. *)
 let rec walk l a o f g stop k m x =
-  if
-    x land m = 0
-    && preds_done l a o (g * l.pwords) 0
-    && not (held l a o l.conf_start.(g) l.conf_start.(g + 1))
-  then f g;
+  if x land m = 0 && can_run l a o g then f g;
   if g > stop then
     if m = 1 then
       walk l a o f (g - 1) stop (k - 1) (1 lsl (bits - 1)) a.(o + k - 1)
@@ -177,15 +202,81 @@ let iter_enabled l a o f =
       walk l a o f top l.base.(i) k l.wm.(top) a.(o + k)
   done
 
-(* Executing bit [g] disables another enabled step [s] only when both
-   are Locks of one entity (their transactions differ: a transaction
-   locks an entity once); [s] stays minimal either way. *)
-let rec keeps l e en n i j =
-  j < n
-  && ((j <> i && (e < 0 || l.lock_entity.(en.(j)) <> e))
-     || keeps l e en n i (j + 1))
+(* Enabled sets: [pwords] words, bit [g] set when step [g] can run. *)
 
-let keeps_enabled l en n i = keeps l l.lock_entity.(en.(i)) en n i 0
+let enabled_words l = l.pwords
+
+let enabled_into l a o e eo =
+  Array.fill e eo l.pwords 0;
+  iter_enabled l a o (fun g ->
+      e.(eo + l.wi.(g)) <- e.(eo + l.wi.(g)) lor l.wm.(g))
+
+(* Executing [g] clears [g] and, a Lock, the Locks it blocks; only the
+   bits of [wake g] can turn on.  A bit of the parent's set other than
+   these stays as it was: its predecessors stay executed and no holder
+   of its entity appears or leaves. *)
+let carry_enabled l a o g e po eo =
+  for k = 0 to l.pwords - 1 do
+    e.(eo + k) <- e.(po + k)
+  done;
+  e.(eo + l.wi.(g)) <- e.(eo + l.wi.(g)) land lnot l.wm.(g);
+  if l.conf_start.(g) < l.conf_start.(g + 1) then begin
+    let bo = g * l.pwords in
+    for k = 0 to l.pwords - 1 do
+      e.(eo + k) <- e.(eo + k) land lnot l.blocks.(bo + k)
+    done
+  end;
+  for j = l.wake_start.(g) to l.wake_start.(g + 1) - 1 do
+    let h = l.wake.(j) in
+    if (not (mem l a o h)) && can_run l a o h then
+      e.(eo + l.wi.(h)) <- e.(eo + l.wi.(h)) lor l.wm.(h)
+  done
+
+(* [log2.(p mod 67)] is the exponent of the power of two [p] < 2^62: 2
+   generates the units modulo the prime 67, so the residues of 2^0 ..
+   2^65 are distinct. *)
+let log2 =
+  let t = Array.make 67 0 in
+  for b = 0 to bits - 1 do
+    t.((1 lsl b) mod 67) <- b
+  done;
+  t
+
+let rec reverse en i j =
+  if i < j then begin
+    let x = en.(i) in
+    en.(i) <- en.(j);
+    en.(j) <- x;
+    reverse en (i + 1) (j - 1)
+  end
+
+(* Reverses each run of [en.(i) .. en.(n - 1)] that one transaction owns. *)
+let rec by_txn l en i n =
+  if i < n then begin
+    let t = l.txn.(en.(i)) in
+    let j = ref i in
+    while !j + 1 < n && l.txn.(en.(!j + 1)) = t do
+      incr j
+    done;
+    reverse en i !j;
+    by_txn l en (!j + 1) n
+  end
+
+(* The set bits in ascending order (lowest bit first), then each
+   transaction's run reversed: {!iter_enabled}'s order. *)
+let enabled_bits l e eo en =
+  let n = ref 0 in
+  for k = 0 to l.pwords - 1 do
+    let x = ref e.(eo + k) in
+    while !x <> 0 do
+      let b = !x land (- !x) in
+      en.(!n) <- (k * bits) + log2.(b mod 67);
+      incr n;
+      x := !x lxor b
+    done
+  done;
+  by_txn l en 0 !n;
+  !n
 
 let enabled l p =
   let steps = ref [] in
@@ -226,14 +317,14 @@ let all_finished_at l a o = equal_at l.full a o
 
 exception Runs
 
+let live_at l a o =
+  match iter_enabled l a o (fun _ -> raise_notrace Runs) with
+  | () -> false
+  | exception Runs -> true
+
 (* Nothing can run and some transaction is unfinished (see
    [State.is_deadlock]). *)
-let is_deadlock_at l a o =
-  match iter_enabled l a o (fun _ -> raise_notrace Runs) with
-  | () -> not (all_finished_at l a o)
-  | exception Runs -> false
-
-let is_deadlock l p = is_deadlock_at l p 0
+let is_deadlock l p = (not (live_at l p 0)) && not (all_finished_at l p 0)
 
 (* D-arcs.  Arc (i, k) is bit [i * n + k] after the prefix words. *)
 

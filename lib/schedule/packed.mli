@@ -11,7 +11,10 @@ open Ddlock_model
     immediate-predecessor mask and, for each Lock node, the (Lock bit,
     Unlock bit) pairs of every other transaction whose Lock on the same
     entity conflicts with it, so enabledness is a few word operations
-    with no division.  A layout is immutable.
+    with no division.  For carrying enabled sets it holds two more
+    tables per bit [g]: [blocks g], the mask words of the Locks [g]'s
+    Lock disables, and [wake g], the bits executing [g] may enable (see
+    {!carry_enabled}).  A layout is immutable.
 
     Two Locks conflict unless both are shared: the layout's [read]
     predicate (by default none) names the Lock steps that take a shared
@@ -28,11 +31,15 @@ open Ddlock_model
     so a state is a prefix vector with the arcs of the schedule that
     reached it.  Without [~arcs] a state is its prefix vector alone.
 
-    The search kernel ({!iter_enabled}, {!is_deadlock_at},
+    The search kernel ({!iter_enabled}, {!carry_enabled},
     {!apply_into}) reads a state in place, as the {!words} ints of an
     array at an offset — a row of an {!Arena} or a scratch buffer at
     offset 0 — so a search never allocates a state to test or expand
-    it.  The functions on {!t} are the same kernel at offset 0.
+    it.  A search keeps each stored state's enabled set beside it: it
+    computes it once, from the parent's, when the state is new, and
+    expansion and the deadlock test (an empty set, some transaction
+    unfinished) read it instead of walking the nodes again.  The
+    functions on {!t} are the same kernel at offset 0.
 
     Every function agrees with its {!State} counterpart through
     {!encode}/{!decode}: [decode (apply l (encode l st) s) = State.apply
@@ -92,14 +99,43 @@ val iter_enabled : layout -> int array -> int -> (int -> unit) -> unit
     arcs its Lock adds.  [dst] must not be [a]. *)
 val apply_into : layout -> int array -> int -> int -> t -> unit
 
-(** {!State.is_deadlock} of the state at offset [o] of [a]. *)
-val is_deadlock_at : layout -> int array -> int -> bool
+(** [live_at l a o] — some step is enabled in the state at offset [o]
+    of [a]. *)
+val live_at : layout -> int array -> int -> bool
 
-(** [keeps_enabled l en n i] — given the bits [en.(0) .. en.(n - 1)]
-    of the steps enabled in one state ({!iter_enabled}), whether some
-    step other than [en.(i)] is still enabled after [en.(i)]: if so,
-    that successor is not a deadlock. *)
-val keeps_enabled : layout -> int array -> int -> int -> bool
+(** {1 Enabled sets}
+
+    The set of steps enabled in a state, as {!enabled_words} ints with
+    global bit [g] set when step [g] can run.  A search stores one per
+    state and carries it from parent to child: executing [g] can only
+    disable [g] itself and, when [g] is a Lock, the other transactions'
+    conflicting Locks on its entity (the layout's [blocks g] mask
+    words), and can only enable the steps of [wake g] — [g]'s immediate
+    successors and, when [g] is an Unlock, the conflicting Locks of its
+    entity — each re-tested on the child.  The prefix words alone
+    decide enabledness, so a layout with D-arc words has the same
+    enabled sets as one without. *)
+
+(** Words of an enabled set (the prefix words). *)
+val enabled_words : layout -> int
+
+(** [enabled_into l a o e eo] writes the enabled set of the state at
+    offset [o] of [a] into [e] at offset [eo], by {!iter_enabled}. *)
+val enabled_into : layout -> int array -> int -> int array -> int -> unit
+
+(** [carry_enabled l a o g e po eo] writes into [e] at offset [eo] the
+    enabled set of the state at offset [o] of [a], given that it is the
+    state whose enabled set is at offset [po] of [e] with step [g]
+    (enabled there) executed: [(E ∖ {g} ∖ blocks g) ∪ {h ∈ wake g | h
+    can run}].  [eo] may equal [po]; the ranges must not otherwise
+    overlap. *)
+val carry_enabled :
+  layout -> int array -> int -> int -> int array -> int -> int -> unit
+
+(** [enabled_bits l e eo en] writes the bits of the enabled set at
+    offset [eo] of [e] into [en] (at least {!nodes} long) in
+    {!iter_enabled} order, and returns how many there are. *)
+val enabled_bits : layout -> int array -> int -> int array -> int
 
 (** {!State.all_finished} of the state at offset [o] of [a]. *)
 val all_finished_at : layout -> int array -> int -> bool

@@ -545,6 +545,54 @@ let packed_equal_hash_prop =
       && Packed.equal p q = State.equal st st'
       && ((not (Packed.equal p q)) || Packed.hash p = Packed.hash q))
 
+(* The enabled set a search carries from parent to child
+   ([Packed.carry_enabled]) equals the one [iter_enabled] recomputes,
+   and [enabled_bits] lists it in [iter_enabled] order: checked at
+   every step of a random run, on plain layouts, layouts with random
+   shared Locks and layouts with D-arc words, of one to three words. *)
+let carried_enabled_prop =
+  QCheck.Test.make ~name:"packed: carried enabled set = iter_enabled"
+    ~count:200 QCheck.(int_bound 10_000_000) (fun seed ->
+      let rng = Fixtures.rng seed in
+      let sys = packed_system rng in
+      let lay =
+        match Random.State.int rng 3 with
+        | 0 -> Packed.layout sys
+        | 1 ->
+            let salt = Random.State.bits rng in
+            Packed.layout
+              ~read:(fun s -> Hashtbl.hash (salt, s.Step.txn, s.Step.node) land 1 = 0)
+              sys
+        | _ -> Packed.layout ~arcs:true sys
+      in
+      let ew = Packed.enabled_words lay in
+      let e = Array.make (2 * ew) 0 and fresh = Array.make ew 0 in
+      let en = Array.make (Packed.nodes lay) 0 in
+      let listed p =
+        let l = ref [] in
+        Packed.iter_enabled lay p 0 (fun g -> l := g :: !l);
+        List.rev !l
+      in
+      (* [e] holds the set carried to [p] at offset 0. *)
+      let rec go p =
+        Packed.enabled_into lay p 0 fresh 0;
+        let n = Packed.enabled_bits lay e 0 en in
+        Array.sub e 0 ew = fresh
+        && Array.to_list (Array.sub en 0 n) = listed p
+        && Packed.live_at lay p 0 = (n > 0)
+        && (n = 0
+           ||
+           let g = en.(Random.State.int rng n) in
+           let p' = Packed.initial lay in
+           Packed.apply_into lay p 0 g p';
+           Packed.carry_enabled lay p' 0 g e 0 ew;
+           Array.blit e ew e 0 ew;
+           go p')
+      in
+      let p0 = Packed.initial lay in
+      Packed.enabled_into lay p0 0 e 0;
+      go p0)
+
 (* Systems with interchangeable transactions, up to 62 nodes per row
    (sorted on the words) and beyond (through the decoded state). *)
 let packed_canon_prop =
@@ -803,6 +851,133 @@ let test_too_large_at_doublings () =
             cap)
         [ 1 lsl k; (1 lsl k) + 1 ])
     (List.init 13 Fun.id)
+
+(* Searches on one domain share its workspace.  A mix of searches on
+   systems of one to three words — plain and symmetric deadlock
+   searches, Lemma 1, the Rw decider, [has_schedule], a give-up, a
+   cancelled search and a [bfs] whose [found] runs another search —
+   gives, run back to back in both orders on one domain, the result
+   and [states_visited] each gives when it runs first on a fresh
+   domain. *)
+let test_workspace_reuse () =
+  let module G = Ddlock_workload.Gentx in
+  let module Rw = Ddlock_rw.Rw_system in
+  let steps l =
+    String.concat " "
+      (List.map (fun (s : Step.t) -> Printf.sprintf "%d.%d" s.txn s.node) l)
+  in
+  let state st =
+    String.concat "|"
+      (Array.to_list
+         (Array.map
+            (fun r -> String.concat "," (List.map string_of_int r))
+            (Fixtures.state_key st)))
+  in
+  let witness = function
+    | None -> "none"
+    | Some (l, st) -> steps l ^ " @ " ^ state st
+  in
+  let lemma1 = function
+    | Ok () -> "ok"
+    | Error { Explore.steps = l; cycle } ->
+        steps l ^ " | " ^ String.concat " " (List.map string_of_int cycle)
+  in
+  let phil5 = G.dining_philosophers 5
+  and phil16 = G.dining_philosophers 16
+  and phil32 = G.dining_philosophers 32
+  and ring = System.copies (G.guard_ring 4) 8
+  and small = Fixtures.small_random_system (Fixtures.rng 4242) ~txns:3
+  and rw = List.init 3 (fun i -> Fixtures.random_rw_system (Fixtures.rng (7100 + i)) ~write_only:false) in
+  (* A prefix vector of [phil16] twelve random steps in. *)
+  let target =
+    let rng = Fixtures.rng 99 in
+    let rec go st k =
+      match State.enabled phil16 st with
+      | [] -> st
+      | _ when k = 0 -> st
+      | en ->
+          go (State.apply st (List.nth en (Random.State.int rng (List.length en)))) (k - 1)
+    in
+    go (State.initial phil16) 12
+  in
+  let jobs =
+    [
+      ("find_deadlock fig2", fun () -> witness (Explore.find_deadlock (Fixtures.fig2 ())));
+      ("find_deadlock ring", fun () -> witness (Explore.find_deadlock ~max_states:4_000 ring));
+      ( "find_deadlock ~symmetry ring",
+        fun () -> witness (Explore.find_deadlock ~symmetry:true ring) );
+      ( "find_deadlock philosophers 32 (gives up)",
+        fun () -> witness (Explore.find_deadlock ~max_states:700 phil32) );
+      ("safe small", fun () -> lemma1 (Explore.safe small));
+      ("safe philosophers 5", fun () -> lemma1 (Explore.safe phil5));
+      ( "Rw find_deadlock",
+        fun () ->
+          String.concat "; "
+            (List.map
+               (fun sys ->
+                 match Rw.find_deadlock sys with
+                 | None -> "none"
+                 | Some (l, _) -> string_of_int (List.length l))
+               rw) );
+      ( "has_schedule philosophers 16",
+        fun () ->
+          match Explore.has_schedule phil16 target with
+          | None -> "none"
+          | Some l -> steps l );
+      ( "cancelled find_deadlock ring",
+        fun () ->
+          let polls = ref 0 in
+          Ddlock_obs.Cancel.with_poll
+            (fun () ->
+              incr polls;
+              !polls > 300)
+            (fun () -> witness (Explore.find_deadlock ring)) );
+      ( "bfs with nested find_deadlock",
+        fun () ->
+          let seen = ref 0 and inner = Buffer.create 256 in
+          let found _ =
+            incr seen;
+            if !seen mod 40 = 0 then
+              Buffer.add_string inner
+                (witness (Explore.find_deadlock ~symmetry:(!seen mod 80 = 0) ring));
+            !seen = 400
+          in
+          let outer = witness (Explore.bfs phil16 ~found) in
+          outer ^ " / " ^ Buffer.contents inner );
+    ]
+  in
+  let outcome f =
+    let visited () = Ddlock_obs.Metrics.counter_value "explore.states_visited" in
+    let before = visited () in
+    let r =
+      try f () with
+      | Explore.Too_large n -> Printf.sprintf "too large %d" n
+      | Ddlock_obs.Cancel.Cancelled -> "cancelled"
+    in
+    Printf.sprintf "%s, %d visited" r (visited () - before)
+  in
+  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  with_counters @@ fun () ->
+  let alone =
+    List.map (fun (name, f) -> (name, on_fresh_domain (fun () -> outcome f))) jobs
+  in
+  let mixed =
+    on_fresh_domain (fun () ->
+        let run l = List.map (fun (name, f) -> (name, outcome f)) l in
+        let forward = run jobs in
+        let backward = List.rev (run (List.rev jobs)) in
+        (forward, backward))
+  in
+  List.iter
+    (fun got ->
+      List.iter2
+        (fun (name, e) (_, g) -> check Alcotest.string name e g)
+        alone got)
+    [ fst mixed; snd mixed ];
+  check bool_t "one search gave up" true
+    (List.exists (fun (_, r) -> String.starts_with ~prefix:"too large" r) alone);
+  check bool_t "one search was cancelled" true
+    (List.exists (fun (_, r) -> String.starts_with ~prefix:"cancelled" r) alone)
 
 (* Plain BFS over {!State}, written from the definition: the first [cap]
    states in discovery order (successors in [State.enabled] order), the
@@ -1146,6 +1321,7 @@ let qtests =
       packed_apply_prop;
       packed_equal_hash_prop;
       packed_canon_prop;
+      carried_enabled_prop;
       arena_reference_prop;
       explore_cap_prop;
       find_deadlock_cap_prop;
@@ -1187,6 +1363,8 @@ let suite =
       test_too_large_multiword;
     Alcotest.test_case "Too_large at arena doublings" `Quick
       test_too_large_at_doublings;
+    Alcotest.test_case "searches on one domain share its workspace" `Quick
+      test_workspace_reuse;
     Alcotest.test_case "states in rank order" `Quick test_states_in_rank_order;
     Alcotest.test_case "schedule_to reaches every stored state" `Quick
       test_schedule_to_every_state;
