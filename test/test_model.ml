@@ -371,22 +371,65 @@ let test_source_digest () =
   check Alcotest.string "source digest" golden_source_digest
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* One source per error branch of [Parser.parse], with the exact text
+   it reports; recorded before the parser read its source with a
+   cursor.  A lexical error anywhere wins over every other error, and a
+   transaction is validated when its block closes, before later text is
+   read.  The parser always adds both nodes of a mentioned entity and
+   the arc [Lx < Ux], so [U x < L x] is a cycle, not [Missing_lock]. *)
+let parser_error_table =
+  [
+    ("site s { x }\ntxn T { L x @ U x; }", "line 2: unexpected character '@'");
+    ("", "line 0: no site declarations");
+    ("# just a comment\n  # another\n", "line 0: no site declarations");
+    ("txn T { L x < U x; }", "line 1: no site declarations");
+    ( "site s { x }\nsite s { y }\ntxn T { L x < U x; }",
+      "line 0: Db.create: duplicate site \"s\"" );
+    ( "site a { x }\nsite b { x }\ntxn T { L x < U x; }",
+      "line 0: Db.create: duplicate entity \"x\"" );
+    ("site s x }\ntxn T { L x < U x; }", "line 1: expected '{'");
+    ( "site s { x }\ntxn T {\n  L x <\n  L q < U x; }",
+      "line 4: unknown entity \"q\"" );
+    ("site s { x }\ntxn T { W x; }", "line 2: expected L or U, got \"W\"");
+    ("site s { x }\ntxn T { L x < U x", "line 0: unexpected end of input");
+    ( "site s { x }\ntxn T { L x < U x;",
+      "line 0: unexpected end of input in txn block" );
+    ("site s { x }\nfoo", "line 2: expected 'txn'");
+    ( "site s { x y }\ntxn T { L x < L y; L y < U x; U x < L x; }",
+      "line 0: invalid transaction T: precedence arcs contain a cycle \
+       through nodes 0, 1, 2" );
+    ( "site s { x }\nsite t { y }\ntxn T { U x < L x; }",
+      "line 0: invalid transaction T: precedence arcs contain a cycle \
+       through nodes 0, 1" );
+    ( "site s { x y }\ntxn T { L x < U x; L y < U y; }",
+      "line 0: invalid transaction T: nodes 0 and 2 act on entities of the \
+       same site but are incomparable; nodes 0 and 3 act on entities of the \
+       same site but are incomparable; nodes 1 and 2 act on entities of the \
+       same site but are incomparable; nodes 1 and 3 act on entities of the \
+       same site but are incomparable" );
+    ("site { x }", "line 1: expected site name");
+    ("site s { x ; }", "line 1: expected entity name or '}'");
+    ("site s { txn }", "line 1: expected entity name or '}'");
+    ("site s { x }\ntxn { L x; }", "line 2: expected transaction name");
+    ("site s { x }", "line 0: no transactions declared");
+    ("site s { x }\ntxn T { < }", "line 2: expected step (L or U)");
+    ("site s { x }\ntxn T { L ; }", "line 2: expected entity name");
+    ("site s { x }\ntxn T { L x U x; }", "line 2: expected ';'");
+    ("site { x }\n@", "line 2: unexpected character '@'");
+    ( "site s { x }\ntxn T { L x; }\ntxn U { L x < U x; }\nsite t { y }",
+      "line 4: expected 'txn'" );
+    ( "site s { x y }\ntxn T { L x < U x; L y < U y; }\ntxn U { @ }",
+      "line 3: unexpected character '@'" );
+  ]
+
 let test_parser_errors () =
-  let bad_cases =
-    [
-      ("no sites", "txn T { L x < U x; }");
-      ("unknown entity", "site s { x }\ntxn T { L q < U q; }");
-      ("bad step", "site s { x }\ntxn T { W x; }");
-      ("unterminated", "site s { x }\ntxn T { L x < U x");
-      ("cyclic txn", "site s { x y }\ntxn T { L x < L y; L y < U x; U x < L x; }");
-    ]
-  in
   List.iter
-    (fun (name, src) ->
+    (fun (src, want) ->
       match Parser.parse src with
-      | Ok _ -> Alcotest.fail (name ^ ": expected parse error")
-      | Error _ -> ())
-    bad_cases
+      | Ok _ -> Alcotest.failf "%S: expected a parse error" src
+      | Error e ->
+          check Alcotest.string src want (Format.asprintf "%a" Parser.pp_error e))
+    parser_error_table
 
 let test_system_basic () =
   let sys = Fixtures.fig1 () in
