@@ -1,28 +1,28 @@
 type t = Bitset.t array
 
-let closure g =
+(* In reverse topological order, row u = the successors of u and their
+   rows. *)
+let of_order g order =
   let n = Digraph.node_count g in
   let rows = Array.init n (fun _ -> Bitset.create n) in
-  match Topo.sort g with
-  | Some order ->
-      (* DAG: in reverse topological order, row u = union of successor rows
-         plus the successors themselves. *)
-      List.iter
-        (fun u ->
-          Array.iter
-            (fun v ->
-              Bitset.set rows.(u) v;
-              Bitset.union_into ~into:rows.(u) rows.(v))
-            (Digraph.succ g u))
-        (List.rev order);
-      rows
+  for k = Array.length order - 1 downto 0 do
+    let u = order.(k) in
+    let s = Digraph.succ g u in
+    for j = 0 to Array.length s - 1 do
+      Bitset.set rows.(u) s.(j);
+      Bitset.union_into ~into:rows.(u) rows.(s.(j))
+    done
+  done;
+  rows
+
+let closure g =
+  match Topo.order g with
+  | Some order -> of_order g order
   | None ->
       (* General digraph: BFS from each node. *)
-      for u = 0 to n - 1 do
-        let r = Digraph.reachable_from_set g (Array.to_list (Digraph.succ g u)) in
-        Bitset.union_into ~into:rows.(u) r
-      done;
-      rows
+      let n = Digraph.node_count g in
+      Array.init n (fun u ->
+          Digraph.reachable_from_set g (Array.to_list (Digraph.succ g u)))
 
 let reaches c u v = Bitset.mem c.(u) v
 

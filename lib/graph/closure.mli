@@ -10,6 +10,10 @@ type t = Bitset.t array
     unions on DAGs (reverse topological order) and plain BFS otherwise. *)
 val closure : Digraph.t -> t
 
+(** [of_order g order] is [closure g] of a DAG, given a topological
+    order of it (such as {!Topo.order}'s). *)
+val of_order : Digraph.t -> int array -> t
+
 (** [reaches c u v] iff there is a path of length >= 1 from [u] to [v]. *)
 val reaches : t -> int -> int -> bool
 

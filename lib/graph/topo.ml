@@ -3,30 +3,57 @@ module IntSet = Set.Make (Int)
 let in_degrees g =
   Array.init (Digraph.node_count g) (fun u -> Digraph.in_degree g u)
 
-(* Kahn's algorithm with a ready-set ordered by node id, so the result is
-   deterministic. *)
-let sort g =
+(* Kahn's algorithm.  The ready nodes wait in a binary min-heap, so
+   the smallest ready id goes first and the order is deterministic. *)
+let order g =
   let n = Digraph.node_count g in
   let deg = in_degrees g in
-  let ready = ref IntSet.empty in
-  for u = 0 to n - 1 do
-    if deg.(u) = 0 then ready := IntSet.add u !ready
-  done;
-  let rec go acc k =
-    match IntSet.min_elt_opt !ready with
-    | None -> if k = n then Some (List.rev acc) else None
-    | Some u ->
-        ready := IntSet.remove u !ready;
-        Array.iter
-          (fun v ->
-            deg.(v) <- deg.(v) - 1;
-            if deg.(v) = 0 then ready := IntSet.add v !ready)
-          (Digraph.succ g u);
-        go (u :: acc) (k + 1)
+  let heap = Array.make n 0 and size = ref 0 in
+  let push u =
+    let i = ref !size in
+    incr size;
+    while !i > 0 && heap.((!i - 1) / 2) > u do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- u
   in
-  go [] 0
+  let pop () =
+    let top = heap.(0) in
+    decr size;
+    let x = heap.(!size) and i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
+      if c < !size && heap.(c) < x then begin
+        heap.(!i) <- heap.(c);
+        i := c
+      end
+      else sifting := false
+    done;
+    heap.(!i) <- x;
+    top
+  in
+  for u = 0 to n - 1 do
+    if deg.(u) = 0 then push u
+  done;
+  let out = Array.make n 0 and k = ref 0 in
+  while !size > 0 do
+    let u = pop () in
+    out.(!k) <- u;
+    incr k;
+    let s = Digraph.succ g u in
+    for j = 0 to Array.length s - 1 do
+      let v = s.(j) in
+      deg.(v) <- deg.(v) - 1;
+      if deg.(v) = 0 then push v
+    done
+  done;
+  if !k = n then Some out else None
 
-let is_acyclic g = sort g <> None
+let sort g = Option.map Array.to_list (order g)
+
+let is_acyclic g = order g <> None
 
 (* Colored DFS; on finding a back edge, reconstruct the cycle from the
    gray stack. *)

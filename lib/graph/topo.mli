@@ -5,6 +5,9 @@
     has a cycle. *)
 val sort : Digraph.t -> int list option
 
+(** [order g] is {!sort} as an array. *)
+val order : Digraph.t -> int array option
+
 (** [is_acyclic g] iff [g] has no directed cycle. *)
 val is_acyclic : Digraph.t -> bool
 

@@ -4,47 +4,56 @@ let node_of_step db = function
   | L name -> Node.lock (Db.find_entity_exn db name)
   | U name -> Node.unlock (Db.find_entity_exn db name)
 
-(* Node ids in order of first mention, keyed by [2·entity + op] (Lock
-   0, Unlock 1).  Every mentioned entity then gets its missing node and
-   the arc [Lx < Ux], in ascending entity order. *)
-let collect db ~chains ~arcs =
-  let id_by_key = Array.make (2 * Db.entity_count db) (-1) in
-  let labels = ref [] in
-  let count = ref 0 in
-  let id_of_key k =
-    if id_by_key.(k) < 0 then begin
-      id_by_key.(k) <- !count;
-      incr count;
-      let e = k / 2 in
-      labels := (if k land 1 = 0 then Node.lock e else Node.unlock e) :: !labels
-    end;
-    id_by_key.(k)
-  in
-  let id_of = function
-    | L name -> id_of_key (2 * Db.find_entity_exn db name)
-    | U name -> id_of_key ((2 * Db.find_entity_exn db name) + 1)
-  in
-  let arc_list = ref [] in
-  List.iter
-    (fun chain ->
-      let ids = List.map id_of chain in
-      let rec link = function
-        | a :: (b :: _ as rest) ->
-            arc_list := (a, b) :: !arc_list;
-            link rest
-        | _ -> ()
-      in
-      link ids)
-    chains;
-  List.iter (fun (a, b) -> arc_list := (id_of a, id_of b) :: !arc_list) arcs;
-  for e = 0 to Db.entity_count db - 1 do
-    if id_by_key.(2 * e) >= 0 || id_by_key.((2 * e) + 1) >= 0 then begin
-      let l = id_of_key (2 * e) in
-      let u = id_of_key ((2 * e) + 1) in
-      arc_list := (l, u) :: !arc_list
+let key db = function
+  | L name -> 2 * Db.find_entity_exn db name
+  | U name -> (2 * Db.find_entity_exn db name) + 1
+
+let number db keys len =
+  let ne = Db.entity_count db in
+  let id = Array.make (2 * ne) (-1) and count = ref 0 in
+  for p = 0 to len - 1 do
+    let k = keys.(p) in
+    if k >= 0 && id.(k) < 0 then begin
+      id.(k) <- !count;
+      incr count
     end
   done;
-  (Array.of_list (List.rev !labels), !arc_list)
+  (* Key [k lxor 1] is the other node of [k]'s entity. *)
+  for k = 0 to (2 * ne) - 1 do
+    if id.(k) < 0 && id.(k lxor 1) >= 0 then begin
+      id.(k) <- !count;
+      incr count
+    end
+  done;
+  let labels = Array.make !count (Node.lock 0) and arcs = ref [] in
+  for e = 0 to ne - 1 do
+    if id.(2 * e) >= 0 then begin
+      labels.(id.(2 * e)) <- Node.lock e;
+      labels.(id.((2 * e) + 1)) <- Node.unlock e;
+      arcs := (id.(2 * e), id.((2 * e) + 1)) :: !arcs
+    end
+  done;
+  for p = len - 2 downto 0 do
+    if keys.(p) >= 0 && keys.(p + 1) >= 0 then
+      arcs := (id.(keys.(p)), id.(keys.(p + 1))) :: !arcs
+  done;
+  (labels, !arcs)
+
+(* Each chain's keys, then each arc as a chain of two, every chain
+   ended by -1.  An arc's head is mentioned alone before the arc, so it
+   is numbered before its tail: node ids of [~arcs] transactions such
+   as [Gentx.guard_ring] are pinned by the tests' search digests. *)
+let collect db ~chains ~arcs =
+  let keys =
+    Array.of_list
+      (List.concat_map (fun c -> List.map (key db) c @ [ -1 ]) chains
+      @ List.concat_map
+          (fun (a, b) ->
+            let a = key db a and b = key db b in
+            [ b; -1; a; b; -1 ])
+          arcs)
+  in
+  number db keys (Array.length keys)
 
 let transaction db ?(chains = []) ?(arcs = []) () =
   let labels, arc_list = collect db ~chains ~arcs in

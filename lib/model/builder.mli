@@ -8,6 +8,15 @@
 
 type step = L of string | U of string
 
+(** [number db keys len] numbers one transaction's nodes from the node
+    keys [keys.(0 .. len-1)]: [2·entity] for a Lock, [2·entity + 1] for
+    an Unlock, each chain of steps ended by a negative key.  Node ids
+    follow first mention; then every mentioned entity gets its missing
+    node and the arc [Lx < Ux], in ascending entity order.  The result
+    is the labels and arcs {!Transaction.make} takes.  {!transaction}
+    and {!Parser} both number nodes this way. *)
+val number : Db.t -> int array -> int -> Node.t array * (int * int) list
+
 (** [transaction db ~chains ~arcs ()] — [chains] contribute arcs between
     consecutive steps; [arcs] are extra individual arcs.  Validation as in
     {!Transaction.make}.  Raises [Not_found] for unknown entity names. *)

@@ -32,7 +32,12 @@ let interaction_graph t =
   let es = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if not (Bitset.is_empty (common_entities t i j)) then
+      if
+        not
+          (Bitset.disjoint
+             (Transaction.entity_set t.txns.(i))
+             (Transaction.entity_set t.txns.(j)))
+      then
         es := (i, j) :: !es
     done
   done;

@@ -42,8 +42,25 @@ let word g = g / bits
 let mask g = 1 lsl (g mod bits)
 let set_at p o g = p.(o + word g) <- p.(o + word g) lor mask g
 
+(* Turns counts [c.(0 .. k-1)] into the ends of consecutive ranges and
+   sets [c.(k)] to the total; filling a range counts its end down, so
+   once all are filled [c.(x)] is the start of range [x]. *)
+let ends c k =
+  for x = 1 to k - 1 do
+    c.(x) <- c.(x) + c.(x - 1)
+  done;
+  if k > 0 then c.(k) <- c.(k - 1)
+
+let put c a x v =
+  c.(x) <- c.(x) - 1;
+  a.(c.(x)) <- v
+
+(* Counted passes over the nodes.  The first counts each entity's Locks
+   and each bit's successors; the second lists each entity's Locks with
+   their Unlocks; the third counts each Lock's quadruples and each bit's
+   wake entries; the last fills the flat arrays those counts size. *)
 let layout ?(read = fun _ -> false) ?(arcs = false) sys =
-  let n = System.size sys in
+  let n = System.size sys and ne = Db.entity_count (System.db sys) in
   let base = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     base.(i + 1) <- base.(i) + Transaction.node_count (System.txn sys i)
@@ -52,52 +69,92 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
   let pwords = (total + bits - 1) / bits in
   let words = if arcs then pwords + (((n * n) + bits - 1) / bits) else pwords in
   let txn = Array.make total 0 in
-  let preds = Array.make (total * pwords) 0 in
-  let blocks = Array.make (total * pwords) 0 in
-  let wakes = Array.make total [] in
-  let conf_start = Array.make (total + 1) 0 in
-  let conf = ref [] and darcs = ref [] in
+  let entity = Array.make total (-1) (* a Lock's entity, else -1 *) in
+  let wi = Array.make total 0 and wm = Array.make total 0 in
   let steps = Array.make total (Step.v 0 0) in
+  let lockers = Array.make (ne + 1) 0 in
+  let wake_start = Array.make (total + 1) 0 in
   for i = 0 to n - 1 do
     let tx = System.txn sys i in
-    for v = 0 to Transaction.node_count tx - 1 do
-      let g = base.(i) + v in
+    for v = 0 to base.(i + 1) - base.(i) - 1 do
+      let g = base.(i) + v and nd = Transaction.node tx v in
       txn.(g) <- i;
+      wi.(g) <- word g;
+      wm.(g) <- mask g;
       steps.(g) <- Step.v i v;
-      Array.iter
-        (fun u -> set_at preds (g * pwords) (base.(i) + u))
-        (Digraph.pred (Transaction.given_arcs tx) v);
-      Array.iter
-        (fun w -> wakes.(g) <- (base.(i) + w) :: wakes.(g))
-        (Digraph.succ (Transaction.given_arcs tx) v);
-      let nd = Transaction.node tx v in
-      let quads = ref 0 in
+      wake_start.(g) <- Digraph.out_degree (Transaction.given_arcs tx) v;
       if nd.Node.op = Node.Lock then begin
-        let shared = read steps.(g) in
-        for j = 0 to n - 1 do
-          let txj = System.txn sys j in
-          if j <> i && Transaction.accesses txj nd.Node.entity then begin
-            let x = nd.Node.entity in
-            let lj = Transaction.lock_node_exn txj x in
-            if not (shared && read (Step.v j lj)) then begin
-              let l = base.(j) + lj in
-              let u = base.(j) + Transaction.unlock_node_exn txj x in
-              conf := mask u :: word u :: mask l :: word l :: !conf;
-              set_at blocks (l * pwords) g;
-              wakes.(u) <- g :: wakes.(u);
-              let d = (pwords * bits) + (i * n) + j in
-              if arcs then darcs := mask d :: word d :: !darcs;
-              incr quads
-            end
-          end
-        done
-      end;
-      conf_start.(g + 1) <- conf_start.(g) + (4 * !quads)
+        entity.(g) <- nd.Node.entity;
+        lockers.(nd.Node.entity) <- lockers.(nd.Node.entity) + 1
+      end
     done
   done;
-  let wake_start = Array.make (total + 1) 0 in
+  (* Entity [x]'s Locks, ascending, at [lockers.(x) .. lockers.(x+1)-1]
+     of [lk], and their Unlocks at the same places of [ul]. *)
+  ends lockers ne;
+  let lk = Array.make lockers.(ne) 0 and ul = Array.make lockers.(ne) 0 in
+  for g = total - 1 downto 0 do
+    let x = entity.(g) in
+    if x >= 0 then begin
+      let i = txn.(g) in
+      put lockers lk x g;
+      ul.(lockers.(x)) <-
+        base.(i) + Transaction.unlock_node_exn (System.txn sys i) x
+    end
+  done;
+  (* A quadruple for each other transaction's Lock on the same entity,
+     unless both Locks are shared. *)
+  let quad g k =
+    txn.(lk.(k)) <> txn.(g) && not (read steps.(g) && read steps.(lk.(k)))
+  in
+  let conf_start = Array.make (total + 1) 0 in
   for g = 0 to total - 1 do
-    wake_start.(g + 1) <- wake_start.(g) + List.length wakes.(g)
+    let quads = ref 0 and x = entity.(g) in
+    if x >= 0 then
+      for k = lockers.(x) to lockers.(x + 1) - 1 do
+        if quad g k then begin
+          wake_start.(ul.(k)) <- wake_start.(ul.(k)) + 1;
+          incr quads
+        end
+      done;
+    conf_start.(g + 1) <- conf_start.(g) + (4 * !quads)
+  done;
+  ends wake_start total;
+  let preds = Array.make (total * pwords) 0 in
+  let blocks = Array.make (total * pwords) 0 in
+  let conf = Array.make conf_start.(total) 0 in
+  let darcs = Array.make (if arcs then conf_start.(total) / 2 else 0) 0 in
+  let wake = Array.make wake_start.(total) 0 in
+  for g = 0 to total - 1 do
+    let i = txn.(g) in
+    let arcs_i = Transaction.given_arcs (System.txn sys i) in
+    let p = Digraph.pred arcs_i (g - base.(i)) in
+    for k = 0 to Array.length p - 1 do
+      set_at preds (g * pwords) (base.(i) + p.(k))
+    done;
+    let s = Digraph.succ arcs_i (g - base.(i)) in
+    for k = 0 to Array.length s - 1 do
+      put wake_start wake g (base.(i) + s.(k))
+    done;
+    let q = ref conf_start.(g) and x = entity.(g) in
+    if x >= 0 then
+      for k = lockers.(x) to lockers.(x + 1) - 1 do
+        if quad g k then begin
+          let l = lk.(k) and u = ul.(k) in
+          conf.(!q) <- word l;
+          conf.(!q + 1) <- mask l;
+          conf.(!q + 2) <- word u;
+          conf.(!q + 3) <- mask u;
+          set_at blocks (l * pwords) g;
+          put wake_start wake u g;
+          if arcs then begin
+            let d = (pwords * bits) + (i * n) + txn.(l) in
+            darcs.(!q / 2) <- word d;
+            darcs.((!q / 2) + 1) <- mask d
+          end;
+          q := !q + 4
+        end
+      done
   done;
   let full = Array.make pwords 0 in
   for g = 0 to total - 1 do
@@ -108,16 +165,16 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
     pwords;
     words;
     base;
-    wi = Array.init total word;
-    wm = Array.init total mask;
+    wi;
+    wm;
     txn;
     preds;
     conf_start;
-    conf = Array.of_list (List.rev !conf);
-    darcs = Array.of_list (List.rev !darcs);
+    conf;
+    darcs;
     blocks;
     wake_start;
-    wake = Array.concat (Array.to_list (Array.map Array.of_list wakes));
+    wake;
     full;
     steps;
   }
