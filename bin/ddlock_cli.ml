@@ -194,7 +194,7 @@ let pair_cmd =
         Format.printf "{%s, %s}: safe and deadlock-free (Theorem 3)@." n1 n2
     | Error f ->
         Format.printf "{%s, %s}: NOT safe∧deadlock-free: %a@." n1 n2
-          (Safety.Pair.pp_failure r.Parser.db)
+          (Safety.Pair.pp_failure r.Parser.db (n1, n2))
           f;
         exit 1
   in

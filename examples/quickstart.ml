@@ -25,7 +25,9 @@ let () =
   (match Safety.Pair.check t1 t2 with
   | Ok () -> Format.printf "Theorem 3: safe and deadlock-free@."
   | Error f ->
-      Format.printf "Theorem 3 fails: %a@." (Safety.Pair.pp_failure db) f);
+      Format.printf "Theorem 3 fails: %a@."
+        (Safety.Pair.pp_failure db ("T1", "T2"))
+        f);
 
   (* Cross-check with the exponential ground truth (Lemma 1 search). *)
   let sys = System.create [ t1; t2 ] in
@@ -40,7 +42,7 @@ let () =
   | Ok () -> assert false
   | Error f ->
       Format.printf "opposed variant fails as expected: %a@."
-        (Safety.Pair.pp_failure db) f);
+        (Safety.Pair.pp_failure db ("T1", "T2")) f);
 
   (* The one-call API produces a full report. *)
   let sys' = System.create [ t1; t2' ] in

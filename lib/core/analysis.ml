@@ -10,9 +10,10 @@ type safety_verdict =
 let pp_safety_verdict sys ppf = function
   | Safe_and_deadlock_free -> Format.fprintf ppf "safe and deadlock-free"
   | Pair_violation { i; j; failure } ->
-      Format.fprintf ppf "pair (T%d, T%d) violates Theorem 3: %a" (i + 1)
-        (j + 1)
-        (Ddlock_safety.Pair.pp_failure (System.db sys))
+      let ti = Printf.sprintf "T%d" (i + 1)
+      and tj = Printf.sprintf "T%d" (j + 1) in
+      Format.fprintf ppf "pair (%s, %s) violates Theorem 3: %a" ti tj
+        (Ddlock_safety.Pair.pp_failure (System.db sys) (ti, tj))
         failure
   | Cycle_violation w ->
       Format.fprintf ppf "%a"

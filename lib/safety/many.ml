@@ -17,8 +17,10 @@ let pp_verdict sys ppf = function
   | Safe_and_deadlock_free ->
       Format.fprintf ppf "safe and deadlock-free"
   | Pair_fails { i; j; failure } ->
-      Format.fprintf ppf "pair (T%d, T%d) fails: %a" (i + 1) (j + 1)
-        (Pair.pp_failure (System.db sys))
+      let ti = Printf.sprintf "T%d" (i + 1)
+      and tj = Printf.sprintf "T%d" (j + 1) in
+      Format.fprintf ppf "pair (%s, %s) fails: %a" ti tj
+        (Pair.pp_failure (System.db sys) (ti, tj))
         failure
   | Cycle_fails { cycle; schedule; _ } ->
       Format.fprintf ppf

@@ -5,16 +5,16 @@ type failure =
   | No_common_first of { first1 : Db.entity; first2 : Db.entity }
   | Unguarded of { y : Db.entity; in_txn : int }
 
-let pp_failure db ppf = function
+let pp_failure db (name1, name2) ppf = function
   | No_common_first { first1; first2 } ->
       Format.fprintf ppf
-        "no common first lock: T1 can lock %s first while T2 locks %s first"
-        (Db.entity_name db first1) (Db.entity_name db first2)
+        "no common first lock: %s can lock %s first while %s locks %s first"
+        name1 (Db.entity_name db first1) name2 (Db.entity_name db first2)
   | Unguarded { y; in_txn } ->
-      Format.fprintf ppf
-        "entity %s is unguarded: L_T%d(L%s) ∩ R_T%d(L%s) = ∅"
-        (Db.entity_name db y) (in_txn + 1) (Db.entity_name db y)
-        (2 - in_txn) (Db.entity_name db y)
+      let this, other = if in_txn = 0 then (name1, name2) else (name2, name1) in
+      Format.fprintf ppf "entity %s is unguarded: L_%s(L%s) ∩ R_%s(L%s) = ∅"
+        (Db.entity_name db y) this (Db.entity_name db y) other
+        (Db.entity_name db y)
 
 let common t1 t2 = Bitset.inter (Transaction.entity_set t1) (Transaction.entity_set t2)
 let has_common t1 t2 = not (Bitset.is_empty (common t1 t2))

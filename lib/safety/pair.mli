@@ -18,7 +18,9 @@ type failure =
       (** condition 2 fails at [y]: [L_Tᵢ(Ly) ∩ R_Tⱼ(Ly) = ∅] where
           [i = in_txn] (0 or 1) and [j] is the other *)
 
-val pp_failure : Db.t -> Format.formatter -> failure -> unit
+(** [pp_failure db (name1, name2)] prints a failure of the pair whose
+    first and second transactions are called [name1] and [name2]. *)
+val pp_failure : Db.t -> string * string -> Format.formatter -> failure -> unit
 
 (** [common_first t1 t2] is the entity [x] of condition 1 if it exists
     (unique when it does).  [None] when there is no common entity, or no

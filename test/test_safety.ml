@@ -38,6 +38,18 @@ let test_pair_unguarded () =
   check bool_t "exhaustive agrees" false
     (Result.is_ok (Explore.safe_and_deadlock_free (System.create [ t1; t2 ])))
 
+(* A failure names the pair's own transactions, in the pair's order. *)
+let test_pair_failure_names () =
+  let db = Db.one_site_per_entity [ "a"; "b" ] in
+  let show f = Format.asprintf "%a" (Pair.pp_failure db ("T3", "T5")) f in
+  let a = Db.find_entity_exn db "a" and b = Db.find_entity_exn db "b" in
+  check Alcotest.string "no common first"
+    "no common first lock: T3 can lock a first while T5 locks b first"
+    (show (Pair.No_common_first { first1 = a; first2 = b }));
+  check Alcotest.string "unguarded in the second"
+    "entity b is unguarded: L_T5(Lb) ∩ R_T3(Lb) = ∅"
+    (show (Pair.Unguarded { y = b; in_txn = 1 }))
+
 let test_pair_disjoint () =
   let db = Db.one_site_per_entity [ "a"; "b" ] in
   let t1 = Builder.two_phase_chain db [ "a" ] in
@@ -419,3 +431,4 @@ let suite =
       test_geometry_deadlock_point;
   ]
   @ qtests
+  @ [ Alcotest.test_case "pair: failure names" `Quick test_pair_failure_names ]
