@@ -193,10 +193,5 @@ let render_full ?max_states ?symmetry ?por sys =
             (Narrate.explain_deadlock sys schedule)
       | _ -> ());
       Format.pp_print_flush ppf ());
-  let status =
-    match (r.safety, r.deadlock) with
-    | Safe_and_deadlock_free, _ -> 0
-    | _, Deadlocks _ -> 1
-    | _ -> 1
-  in
+  let status = match r.safety with Safe_and_deadlock_free -> 0 | _ -> 1 in
   (Buffer.contents buf, status, r)

@@ -17,9 +17,9 @@ let centralized_witness sys steps =
         (* The projection is already consistent; append a linear extension
            of the remaining induced subgraph. *)
         let remaining_order =
-          match Topo.sort (Transaction.given_arcs tx) with
-          | Some o -> List.filter (fun v -> not (Bitset.mem prefix v)) o
-          | None -> assert false
+          List.filter
+            (fun v -> not (Bitset.mem prefix v))
+            (Array.to_list (Transaction.order tx))
         in
         let order = executed @ remaining_order in
         let nodes = List.map (Transaction.node tx) order in

@@ -26,15 +26,6 @@ let closure g =
 
 let reaches c u v = Bitset.mem c.(u) v
 
-let closure_graph g =
-  let c = closure g in
-  let n = Digraph.node_count g in
-  let es = ref [] in
-  for u = 0 to n - 1 do
-    Bitset.iter (fun v -> es := (u, v) :: !es) c.(u)
-  done;
-  Digraph.create n !es
-
 let reduction ?closure:c g =
   let c =
     match c with

@@ -17,10 +17,6 @@ val of_order : Digraph.t -> int array -> t
 (** [reaches c u v] iff there is a path of length >= 1 from [u] to [v]. *)
 val reaches : t -> int -> int -> bool
 
-(** [closure_graph g] is the digraph with an edge [u -> v] for every
-    nonempty path [u -> ... -> v]. *)
-val closure_graph : Digraph.t -> Digraph.t
-
 (** [reduction g] is the transitive reduction (Hasse diagram) of a DAG:
     the unique minimal subgraph with the same reachability.  Raises
     [Invalid_argument] on cyclic input.  A caller that already holds

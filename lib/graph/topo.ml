@@ -51,8 +51,6 @@ let order g =
   done;
   if !k = n then Some out else None
 
-let sort g = Option.map Array.to_list (order g)
-
 let is_acyclic g = order g <> None
 
 (* Colored DFS; on finding a back edge, reconstruct the cycle from the

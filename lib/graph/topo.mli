@@ -1,11 +1,8 @@
 (** Topological orders and linear extensions of directed acyclic graphs. *)
 
-(** [sort g] is a topological order of [g] (nodes with smaller ids first
-    among ready nodes, so the output is deterministic), or [None] if [g]
-    has a cycle. *)
-val sort : Digraph.t -> int list option
-
-(** [order g] is {!sort} as an array. *)
+(** [order g] is a topological order of [g] (nodes with smaller ids
+    first among ready nodes, so the output is deterministic), or [None]
+    if [g] has a cycle. *)
 val order : Digraph.t -> int array option
 
 (** [is_acyclic g] iff [g] has no directed cycle. *)

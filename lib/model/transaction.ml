@@ -39,7 +39,7 @@ type t = {
   db : Db.t;
   node_labels : Node.t array;
   arcs : Digraph.t;
-  preds : Bitset.t array; (* node -> its immediate predecessors *)
+  order : int array; (* [Topo.order arcs] *)
   closure : Closure.t;
   lock_of : int array; (* entity -> node id or -1 *)
   unlock_of : int array;
@@ -51,10 +51,19 @@ let node_count t = Array.length t.node_labels
 let nodes t = t.node_labels
 let node t i = t.node_labels.(i)
 let given_arcs t = t.arcs
+let order t = t.order
 (* Only printers read the Hasse diagram, so it is derived per call
    rather than stored in every transaction. *)
 let hasse t = Closure.reduction ~closure:t.closure t.arcs
 let precedes t u v = Bitset.mem t.closure.(u) v
+
+let closure_arcs t =
+  let acc = ref [] in
+  for u = node_count t - 1 downto 0 do
+    acc :=
+      List.rev_append (Bitset.fold (fun v l -> (u, v) :: l) t.closure.(u) []) !acc
+  done;
+  !acc
 
 (* One topological sort gives the order for the closure or shows a
    cycle; only a cyclic input pays for [Topo.find_cycle]'s report. *)
@@ -101,20 +110,12 @@ let make db node_labels arc_list =
       done;
       match !errors with
       | [] ->
-          let preds =
-            Array.init n (fun u ->
-                let row = Bitset.create n and p = Digraph.pred arcs u in
-                for k = 0 to Array.length p - 1 do
-                  Bitset.set row p.(k)
-                done;
-                row)
-          in
           Ok
             {
               db;
               node_labels;
               arcs;
-              preds;
+              order;
               closure;
               lock_of;
               unlock_of;
@@ -190,8 +191,16 @@ let down_closure t ns =
   List.iter add ns;
   p
 
-let is_minimal_remaining t p u =
-  (not (Bitset.mem p u)) && Bitset.subset t.preds.(u) p
+(* Whether every immediate predecessor of [u] is in [p]. *)
+let preds_in t p u =
+  let ps = Digraph.pred t.arcs u in
+  let k = ref 0 in
+  while !k < Array.length ps && Bitset.mem p ps.(!k) do
+    incr k
+  done;
+  !k = Array.length ps
+
+let is_minimal_remaining t p u = (not (Bitset.mem p u)) && preds_in t p u
 
 let minimal_remaining t p =
   let r = ref [] in
@@ -203,26 +212,24 @@ let minimal_remaining t p =
 let prefixes t =
   (* Enumerate order ideals by deciding nodes in topological order: a node
      may join the ideal only if all its predecessors did. *)
-  let order =
-    match Topo.sort t.arcs with Some o -> o | None -> assert false
-  in
   let n = node_count t in
-  let rec go acc = function
-    | [] -> Seq.return (Bitset.copy acc)
-    | u :: rest ->
-        fun () ->
-          let without = go acc rest in
-          let with_ =
-            if Bitset.subset t.preds.(u) acc then begin
-              let acc' = Bitset.copy acc in
-              Bitset.set acc' u;
-              go acc' rest
-            end
-            else Seq.empty
-          in
-          Seq.append without with_ ()
+  let rec go acc k =
+    if k = n then Seq.return (Bitset.copy acc)
+    else
+      let u = t.order.(k) in
+      fun () ->
+        let without = go acc (k + 1) in
+        let with_ =
+          if preds_in t acc u then begin
+            let acc' = Bitset.copy acc in
+            Bitset.set acc' u;
+            go acc' (k + 1)
+          end
+          else Seq.empty
+        in
+        Seq.append without with_ ()
   in
-  go (Bitset.create n) order
+  go (Bitset.create n) 0
 
 let locked_in_prefix t p =
   let r = Bitset.create (Db.entity_count t.db) in
@@ -293,7 +300,6 @@ let drop_entity t x =
   if not (accesses t x) then t
   else begin
     let keep v = t.node_labels.(v).Node.entity <> x in
-    let closure_arcs = Digraph.edges (Closure.closure_graph t.arcs) in
     let renum = Array.make (node_count t) (-1) in
     let k = ref 0 in
     Array.iteri
@@ -311,7 +317,7 @@ let drop_entity t x =
       List.filter_map
         (fun (u, v) ->
           if keep u && keep v then Some (renum.(u), renum.(v)) else None)
-        closure_arcs
+        (closure_arcs t)
     in
     make_exn t.db labels arcs
   end
@@ -335,6 +341,6 @@ let equal a b =
     List.sort compare
       (List.map
          (fun (u, v) -> (t.node_labels.(u), t.node_labels.(v)))
-         (Digraph.edges (Closure.closure_graph t.arcs)))
+         (closure_arcs t))
   in
   labels a = labels b && arcs a = arcs b

@@ -8,10 +8,11 @@ open Ddlock_graph
       node, with Lock preceding Unlock;
     - nodes whose entities reside at the same site are totally ordered.
 
-    Construction validates both conditions plus acyclicity, and caches the
-    strict transitive closure of the precedence relation so that
-    [precedes] is O(1) — the "transitively closed form" assumed by the
-    paper's O(n²) bounds.
+    Construction validates both conditions plus acyclicity, and keeps the
+    topological order it sorted the arcs in ({!order}) and the strict
+    transitive closure of the precedence relation, so that [precedes] is
+    O(1) — the "transitively closed form" assumed by the paper's O(n²)
+    bounds.
 
     A {e prefix} of a transaction is a downward-closed set of its nodes,
     represented as a {!Ddlock_graph.Bitset.t} over node ids. *)
@@ -49,6 +50,10 @@ val node : t -> int -> Node.t
 (** The precedence arcs as given (before closure). *)
 val given_arcs : t -> Digraph.t
 
+(** The topological order {!make} sorts the given arcs in (the smallest
+    ready id first, as {!Ddlock_graph.Topo.order}).  Do not mutate. *)
+val order : t -> int array
+
 (** Hasse diagram (transitive reduction) of the partial order.  Not
     stored: each call derives it from the cached closure, so callers that
     need it more than once (printers) should bind it. *)
@@ -56,6 +61,10 @@ val hasse : t -> Digraph.t
 
 (** Strict precedence: [precedes t u v] iff node [u] < node [v]. O(1). *)
 val precedes : t -> int -> int -> bool
+
+(** The strict precedence as arcs: every [(u, v)] with [precedes t u v],
+    ascending, read from the stored closure. *)
+val closure_arcs : t -> (int * int) list
 
 (** [lock_node t x] is the id of node [Lx], if [x] is accessed. *)
 val lock_node : t -> Db.entity -> int option

@@ -8,9 +8,10 @@ type event = {
   args : (string * string) list;
 }
 
-(* Spans are per-phase and per-level, not per-state, so one global lock
-   is fine; per-domain buffers would need collision handling anyway
-   (domain ids grow without bound across the level-spawned workers). *)
+(* Spans are per analysis phase or per daemon request stage, never
+   per state, so one global lock is cold.  One shared buffer also lets
+   [take_request] collect a request whose spans were recorded on
+   different domains (the connection handler and a pool worker). *)
 let buf : event list ref = ref []
 let lock = Mutex.create ()
 let epoch = Clock.now_ns ()

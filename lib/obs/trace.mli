@@ -12,7 +12,8 @@
 
     Recording is a no-op while {!Control.is_on} is false ([span] then
     just runs its body).  Span completion grabs one global lock; spans
-    are per-phase / per-level, never per-state, so the lock is cold. *)
+    are per analysis phase or per daemon request stage, never per
+    state, so the lock is cold. *)
 
 type event = {
   name : string;

@@ -3,9 +3,7 @@ open Ddlock_model
 let sequence t =
   if not (Lemma2.is_total t) then
     invalid_arg "Early_unlock: transactions must be total orders";
-  match Ddlock_graph.Topo.sort (Transaction.given_arcs t) with
-  | Some o -> Array.of_list o
-  | None -> assert false
+  Transaction.order t
 
 let position seq v =
   let rec go i = if seq.(i) = v then i else go (i + 1) in

@@ -4,9 +4,7 @@ open Ddlock_model
 let sequence t =
   if not (Lemma2.is_total t) then
     invalid_arg "Geometry: transactions must be total orders";
-  match Topo.sort (Transaction.given_arcs t) with
-  | Some o -> Array.of_list o
-  | None -> assert false
+  Transaction.order t
 
 (* 1-based step position of a node in the total order. *)
 let positions t =

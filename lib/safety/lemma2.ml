@@ -1,16 +1,15 @@
 open Ddlock_graph
 open Ddlock_model
 
+(* The partial order is total iff each element of its topological
+   order precedes the next. *)
 let is_total t =
-  let n = Transaction.node_count t in
-  let ok = ref true in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if (not (Transaction.precedes t u v)) && not (Transaction.precedes t v u)
-      then ok := false
-    done
-  done;
-  !ok
+  let o = Transaction.order t in
+  let rec go k =
+    k + 1 >= Array.length o
+    || (Transaction.precedes t o.(k) o.(k + 1) && go (k + 1))
+  in
+  go 0
 
 type failure =
   | Different_first of { first1 : Db.entity; first2 : Db.entity }
@@ -25,10 +24,7 @@ let pp_failure db ppf = function
         (Db.entity_name db y)
 
 (* The node sequence of a total order. *)
-let sequence t =
-  match Ddlock_graph.Topo.sort (Transaction.given_arcs t) with
-  | Some o -> o
-  | None -> assert false
+let sequence t = Array.to_list (Transaction.order t)
 
 let first_common t r =
   List.find_map

@@ -43,9 +43,7 @@ let rotate l r =
    prefix (any topological order restricted to a downward-closed set is a
    linear extension of that set). *)
 let extension_of_prefix tx prefix =
-  match Topo.sort (Transaction.given_arcs tx) with
-  | Some o -> List.filter (Bitset.mem prefix) o
-  | None -> assert false
+  List.filter (Bitset.mem prefix) (Array.to_list (Transaction.order tx))
 
 let try_cycle sys order =
   let txs = Array.of_list order in

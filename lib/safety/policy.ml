@@ -22,12 +22,9 @@ let is_two_phase = Transaction.is_two_phase
 let make_two_phase t =
   if not (Lemma2.is_total t) then
     invalid_arg "Policy.make_two_phase: total order required";
-  let order =
-    match Topo.sort (Transaction.given_arcs t) with
-    | Some o -> o
-    | None -> assert false
+  let nodes =
+    List.map (Transaction.node t) (Array.to_list (Transaction.order t))
   in
-  let nodes = List.map (Transaction.node t) order in
   let locks = List.filter (fun (n : Node.t) -> n.op = Node.Lock) nodes in
   let unlocks = List.filter (fun (n : Node.t) -> n.op = Node.Unlock) nodes in
   match Transaction.of_total_order (Transaction.db t) (locks @ unlocks) with
@@ -79,15 +76,10 @@ module Tree = struct
   let obeys tree t =
     if not (Lemma2.is_total t) then Error Not_total_order
     else begin
-      let order =
-        match Topo.sort (Transaction.given_arcs t) with
-        | Some o -> o
-        | None -> assert false
-      in
       let held = Hashtbl.create 7 in
       let first = ref true in
       let result = ref (Ok ()) in
-      List.iter
+      Array.iter
         (fun v ->
           if !result = Ok () then
             let nd = Transaction.node t v in
@@ -101,7 +93,7 @@ module Tree = struct
                   | _ -> result := Error (Parent_not_held { child = nd.entity })
                 end;
                 Hashtbl.replace held nd.entity ())
-        order;
+        (Transaction.order t);
       !result
     end
 

@@ -16,9 +16,7 @@ type t = {
    [Transaction.equal] does) is what lets [apply_perm] swap prefix
    bitsets verbatim. *)
 let structural_key tx =
-  ( Array.to_list (Transaction.nodes tx),
-    List.sort compare
-      (Digraph.edges (Closure.closure_graph (Transaction.given_arcs tx))) )
+  (Array.to_list (Transaction.nodes tx), Transaction.closure_arcs tx)
 
 (* Semantic cache key: schema (with names — verdict texts print them)
    plus the in-order transaction structural keys.  Interchangeable

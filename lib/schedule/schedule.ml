@@ -72,10 +72,8 @@ let serial sys order =
     invalid_arg "Schedule.serial: not a permutation";
   List.concat_map
     (fun i ->
-      let tx = System.txn sys i in
-      match Ddlock_graph.Topo.sort (Transaction.given_arcs tx) with
-      | Some ext -> List.map (Step.v i) ext
-      | None -> assert false)
+      List.map (Step.v i)
+        (Array.to_list (Transaction.order (System.txn sys i))))
     order
 
 let of_extensions _sys exts order =

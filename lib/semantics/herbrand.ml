@@ -37,16 +37,13 @@ let with_actions rng t ~per_entity =
   let action_entity = Array.make n_actions (-1) in
   (* Per-site sequences of skeleton nodes, in skeleton order. *)
   let site_seq = Hashtbl.create 7 in
-  (match Topo.sort (Transaction.given_arcs t) with
-  | Some order ->
-      List.iter
-        (fun v ->
-          let s = Db.site_of db (Transaction.node t v).Node.entity in
-          Hashtbl.replace site_seq s
-            (v :: (try Hashtbl.find site_seq s with Not_found -> [])))
-        order;
-      Hashtbl.iter (fun s l -> Hashtbl.replace site_seq s (List.rev l)) (Hashtbl.copy site_seq)
-  | None -> assert false);
+  Array.iter
+    (fun v ->
+      let s = Db.site_of db (Transaction.node t v).Node.entity in
+      Hashtbl.replace site_seq s
+        (v :: (try Hashtbl.find site_seq s with Not_found -> [])))
+    (Transaction.order t);
+  Hashtbl.iter (fun s l -> Hashtbl.replace site_seq s (List.rev l)) (Hashtbl.copy site_seq);
   (* Insert actions: for each entity, [per_entity] action ids woven into
      its site's sequence at random positions between Lx and Ux. *)
   let next_id = ref n in
@@ -106,8 +103,12 @@ let with_actions rng t ~per_entity =
     site_seq;
   let total = n + n_actions in
   let g = Digraph.create total !arcs in
-  (match Topo.sort g with Some _ -> () | None -> assert false);
-  { skeleton = t; n_skeleton = n; action_entity; closure = Closure.closure g }
+  let closure =
+    match Topo.order g with
+    | Some order -> Closure.of_order g order
+    | None -> assert false
+  in
+  { skeleton = t; n_skeleton = n; action_entity; closure }
 
 type asystem = atxn array
 

@@ -111,9 +111,9 @@ let topo_sort_prop =
   QCheck.Test.make ~name:"topo sort is a linear extension" ~count:200
     random_dag_arb (fun (n, es) ->
       let g = Digraph.create n es in
-      match Topo.sort g with
+      match Topo.order g with
       | None -> false
-      | Some o -> Topo.is_linear_extension g o)
+      | Some o -> Topo.is_linear_extension g (Array.to_list o))
 
 let count_extensions_prop =
   QCheck.Test.make ~name:"count_linear_extensions = |enumeration|" ~count:50
@@ -441,20 +441,6 @@ let ungraph_cycles_brute_prop =
       Seq.length (Ungraph.cycles g) = brute
       && Seq.length (Ungraph.directed_cycles g) = 2 * brute)
 
-let closure_graph_prop =
-  QCheck.Test.make ~name:"closure_graph edges = reachability pairs" ~count:100
-    random_dag_arb (fun (n, es) ->
-      let g = Digraph.create n es in
-      let cg = Closure.closure_graph g in
-      let c = Closure.closure g in
-      let ok = ref true in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if Digraph.mem_edge cg u v <> Closure.reaches c u v then ok := false
-        done
-      done;
-      !ok)
-
 (* ------------------------------------------------------------------ *)
 (* Substrate properties on raw edge lists                              *)
 (* ------------------------------------------------------------------ *)
@@ -525,11 +511,10 @@ let reference_topo g =
   go [] 0
 
 let topo_reference_prop =
-  QCheck.Test.make ~name:"Topo.sort = Set-based Kahn reference" ~count:300
+  QCheck.Test.make ~name:"Topo.order = Set-based Kahn reference" ~count:300
     edge_list_arb (fun (n, es) ->
       let g = Digraph.create n es in
-      Topo.sort g = reference_topo g
-      && Option.map Array.to_list (Topo.order g) = Topo.sort g)
+      Option.map Array.to_list (Topo.order g) = reference_topo g)
 
 let bfs_reaches n es u =
   let seen = Array.make n false in
@@ -602,7 +587,6 @@ let qtests =
       johnson_count_prop;
       johnson_reference_prop;
       ungraph_cycles_brute_prop;
-      closure_graph_prop;
       digraph_rows_prop;
       topo_reference_prop;
       closure_bfs_prop;

@@ -371,6 +371,40 @@ let test_source_digest () =
   check Alcotest.string "source digest" golden_source_digest
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* Node ids, which the source digest does not see (it prints names):
+   per transaction its node labels, its given arcs and its topological
+   order, over the [gen_sources] transactions as built and as parsed
+   back, plus [~arcs]-built rings and the paper's figures.  Recorded
+   before a transaction stored its order. *)
+let golden_node_id_digest = "72856aa08050388d326ed03b562439d2"
+
+let test_node_id_digest () =
+  let b = Buffer.create (1 lsl 16) in
+  let add t =
+    Array.iter
+      (fun (nd : Node.t) ->
+        Printf.bprintf b "%c%d "
+          (match nd.op with Node.Lock -> 'L' | Node.Unlock -> 'U')
+          nd.entity)
+      (Transaction.nodes t);
+    List.iter
+      (fun (u, v) -> Printf.bprintf b "%d<%d " u v)
+      (Digraph.edges (Transaction.given_arcs t));
+    Array.iter (Printf.bprintf b "%d ") (Transaction.order t);
+    Buffer.add_char b '\n'
+  in
+  List.iter
+    (fun (db, named) ->
+      List.iter (fun (_, t) -> add t) named;
+      let r = Parser.parse_exn (Parser.to_source db named) in
+      List.iter (fun (_, t) -> add t) r.Parser.named)
+    (gen_sources ());
+  List.iter add
+    (List.map Ddlock_workload.Gentx.guard_ring [ 2; 3; 4; 6 ]
+    @ Ddlock_workload.Figures.[ fig2_txn (); fig3_txn (); fig6_txn () ]);
+  check Alcotest.string "node-id digest" golden_node_id_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* One source per error branch of [Parser.parse], with the exact text
    it reports; recorded before the parser read its source with a
    cursor.  A lexical error anywhere wins over every other error, and a
@@ -487,6 +521,39 @@ let random_extension_valid_prop =
       let ext = Transaction.random_linear_extension st t in
       Ddlock_graph.Topo.is_linear_extension (Transaction.given_arcs t) ext)
 
+(* Random transactions over one to three sites, sparse to dense. *)
+let random_txn seed =
+  let st = Fixtures.rng seed in
+  let db = Ddlock_workload.Gentx.random_db ~sites:(1 + (seed mod 3)) ~entities:5 in
+  Ddlock_workload.Gentx.random_transaction st db
+    ~entities:
+      (Ddlock_workload.Gentx.random_entity_subset st db
+         ~k:(1 + Random.State.int st 5))
+    ~density:(Random.State.float st 1.0)
+
+let order_prop =
+  QCheck.Test.make ~name:"order = Topo.order of the given arcs" ~count:200
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let t = random_txn seed in
+      let o = Transaction.order t in
+      Topo.order (Transaction.given_arcs t) = Some o
+      && Topo.is_linear_extension (Transaction.given_arcs t) (Array.to_list o))
+
+let closure_arcs_prop =
+  QCheck.Test.make ~name:"closure_arcs = precedes pairs" ~count:200
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let t = random_txn seed in
+      let n = Transaction.node_count t in
+      let pairs = ref [] in
+      for u = n - 1 downto 0 do
+        for v = n - 1 downto 0 do
+          if Transaction.precedes t u v then pairs := (u, v) :: !pairs
+        done
+      done;
+      Transaction.closure_arcs t = !pairs)
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -494,6 +561,8 @@ let qtests =
       random_txn_valid_prop;
       parser_roundtrip_prop;
       random_extension_valid_prop;
+      order_prop;
+      closure_arcs_prop;
     ]
 
 let suite =
@@ -520,6 +589,7 @@ let suite =
     Alcotest.test_case "parser roundtrip" `Quick test_parser_roundtrip;
     Alcotest.test_case "parser errors" `Quick test_parser_errors;
     Alcotest.test_case "golden source digest" `Quick test_source_digest;
+    Alcotest.test_case "golden node-id digest" `Quick test_node_id_digest;
     Alcotest.test_case "system basic" `Quick test_system_basic;
   ]
   @ qtests

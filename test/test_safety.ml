@@ -128,6 +128,36 @@ let lemma2_vs_theorem3_prop =
       let _, t1, t2 = centralized_pair st in
       Lemma2.safe_and_deadlock_free t1 t2 = Pair.safe_and_deadlock_free t1 t2)
 
+(* The pairwise definition of a total order, which [Lemma2.is_total]
+   replaced by one pass over the stored topological order. *)
+let ref_is_total t =
+  let n = Transaction.node_count t in
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    for v = u + 1 to n - 1 do
+      if (not (Transaction.precedes t u v)) && not (Transaction.precedes t v u)
+      then ok := false
+    done
+  done;
+  !ok
+
+let is_total_prop =
+  QCheck.Test.make ~name:"Lemma2.is_total = pairwise reference" ~count:300
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      let db =
+        Ddlock_workload.Gentx.random_db ~sites:(1 + (seed mod 3)) ~entities:4
+      in
+      let t =
+        Ddlock_workload.Gentx.random_transaction st db
+          ~entities:
+            (Ddlock_workload.Gentx.random_entity_subset st db
+               ~k:(1 + Random.State.int st 4))
+          ~density:(Random.State.float st 1.0)
+      in
+      Lemma2.is_total t = ref_is_total t)
+
 let test_lemma2_requires_total () =
   let _, t = Fixtures.fig3_txn () in
   check bool_t "fig3 txn is partial" false (Lemma2.is_total t);
@@ -431,4 +461,7 @@ let suite =
       test_geometry_deadlock_point;
   ]
   @ qtests
-  @ [ Alcotest.test_case "pair: failure names" `Quick test_pair_failure_names ]
+  @ [
+      Alcotest.test_case "pair: failure names" `Quick test_pair_failure_names;
+      Fixtures.to_alcotest is_total_prop;
+    ]
