@@ -156,10 +156,21 @@ let rec render indent v =
   | Arr vs -> block "[" "]" (List.map (fun v -> ("", v)) vs)
   | Obj kvs -> block "{" "}" (List.map (fun (k, v) -> (quote k ^ ": ", v)) kvs)
 
-(* Writes BENCH_<name>.json, stamped with the section and the host's
-   core count (numbers are only comparable between equal hosts), after
-   checking it with [Obs.Json.validate]: a malformed file exits 1 and
-   is never written. *)
+(* The short git revision of the working directory's checkout, or
+   "unknown" outside one. *)
+let source_rev () =
+  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = try input_line ic with End_of_file -> "" in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, rev when rev <> "" -> rev
+      | _ -> "unknown")
+
+(* Writes BENCH_<name>.json, stamped with the section, the host's core
+   count, the source revision and the OCaml version (numbers are only
+   comparable between equal hosts and builds), after checking it with
+   [Obs.Json.validate]: a malformed file exits 1 and is never written. *)
 let write_json ?(detail = "") name fields =
   let file = Printf.sprintf "BENCH_%s.json" name in
   let doc =
@@ -167,6 +178,8 @@ let write_json ?(detail = "") name fields =
       (Obj
          (("bench", Str name)
          :: ("cores", Int (Domain.recommended_domain_count ()))
+         :: ("rev", Str (source_rev ()))
+         :: ("ocaml", Str Sys.ocaml_version)
          :: fields))
     ^ "\n"
   in

@@ -64,9 +64,12 @@ let pp db ppf p =
     "loss=%.2f dup=%.2f retransmit=%.1f horizon=%.0f crashes=[%a] stalls=[%a]"
     p.loss p.dup p.retransmit p.horizon pp_list p.crashes pp_list p.stalls
 
-type t = { plan : plan; rng : Random.State.t }
+(* The private stream is seeded on its first draw: a plan without loss
+   or duplication never draws, and never pays for the seeding. *)
+type t = { plan : plan; rng : Random.State.t Lazy.t }
 
-let injector plan = { plan; rng = Random.State.make [| plan.seed; 0xfa17 |] }
+let injector plan =
+  { plan; rng = lazy (Random.State.make [| plan.seed; 0xfa17 |]) }
 let plan t = t.plan
 
 (* Fault-event telemetry: one counter per injection kind, incremented at
@@ -76,14 +79,18 @@ let obs_dup = Ddlock_obs.Metrics.Counter.make "sim.faults.duplicated_requests"
 let obs_crash_delay = Ddlock_obs.Metrics.Counter.make "sim.faults.crash_delays"
 let obs_stall_delay = Ddlock_obs.Metrics.Counter.make "sim.faults.stall_delays"
 
+(* The first window of [site] in [ws] that holds [now]. *)
+let rec covering ws ~site ~now =
+  match ws with
+  | [] -> None
+  | w :: rest ->
+      if w.site = site && w.from_t <= now && now < w.until_t then Some w
+      else covering rest ~site ~now
+
 (* Earliest time >= now outside every [ws] window of [site]; windows may
    overlap, so iterate to a fixpoint. *)
 let rec past_windows ws ~site ~now =
-  match
-    List.find_opt
-      (fun w -> w.site = site && w.from_t <= now && now < w.until_t)
-      ws
-  with
+  match covering ws ~site ~now with
   | Some w -> past_windows ws ~site ~now:w.until_t
   | None -> now
 
@@ -93,26 +100,31 @@ let deliver t ~site ~now ~transit =
   let p = t.plan in
   (* Each send attempt before the horizon may be lost; a loss is noticed
      and retransmitted after [p.retransmit]. *)
-  let rec settle at =
-    if p.loss > 0.0 && at < p.horizon && Random.State.float t.rng 1.0 < p.loss
-    then begin
+  let sent = ref now in
+  if p.loss > 0.0 then
+    while
+      !sent < p.horizon && Random.State.float (Lazy.force t.rng) 1.0 < p.loss
+    do
       Ddlock_obs.Metrics.Counter.incr obs_lost;
-      settle (at +. p.retransmit)
-    end
-    else at
-  in
-  let arrival = settle now +. transit in
-  let crash_free = past_windows p.crashes ~site ~now:arrival in
-  if crash_free > arrival then Ddlock_obs.Metrics.Counter.incr obs_crash_delay;
-  let stall_free = past_windows p.stalls ~site ~now:crash_free in
-  if stall_free > crash_free then
-    Ddlock_obs.Metrics.Counter.incr obs_stall_delay;
-  stall_free
+      sent := !sent +. p.retransmit
+    done;
+  let arrival = !sent +. transit in
+  match (p.crashes, p.stalls) with
+  | [], [] -> arrival
+  | _ ->
+      let crash_free = past_windows p.crashes ~site ~now:arrival in
+      if crash_free > arrival then
+        Ddlock_obs.Metrics.Counter.incr obs_crash_delay;
+      let stall_free = past_windows p.stalls ~site ~now:crash_free in
+      if stall_free > crash_free then
+        Ddlock_obs.Metrics.Counter.incr obs_stall_delay;
+      stall_free
 
 let duplicated t ~now =
   let p = t.plan in
   let dup =
-    p.dup > 0.0 && now < p.horizon && Random.State.float t.rng 1.0 < p.dup
+    p.dup > 0.0 && now < p.horizon
+    && Random.State.float (Lazy.force t.rng) 1.0 < p.dup
   in
   if dup then Ddlock_obs.Metrics.Counter.incr obs_dup;
   dup

@@ -21,11 +21,16 @@ type t = {
 let create config rng inj db ~txns =
   { config; rng; inj; db; last_site = Array.make txns (-1) }
 
+(* [max 1e-9 x] on floats, without the polymorphic comparison's C call
+   (a NaN [x] is kept, as [max] keeps it). *)
+let at_least_tiny x = if 1e-9 >= x then 1e-9 else x
+
 let execute t q ~now i e ev =
   let c = t.config in
   let d =
     c.min_duration
-    +. Random.State.float t.rng (max 1e-9 (c.max_duration -. c.min_duration))
+    +. Random.State.float t.rng
+         (at_least_tiny (c.max_duration -. c.min_duration))
   in
   let site = Db.site_of t.db e in
   let extra =
@@ -37,7 +42,9 @@ let execute t q ~now i e ev =
 
 let request t q ~now e ev =
   let site = Db.site_of t.db e in
-  let transit = Random.State.float t.rng (max 1e-9 t.config.request_jitter) in
+  let transit =
+    Random.State.float t.rng (at_least_tiny t.config.request_jitter)
+  in
   Pqueue.push q (Faults.deliver t.inj ~site ~now ~transit) ev;
   if Faults.duplicated t.inj ~now then
     Pqueue.push q (Faults.deliver t.inj ~site ~now ~transit) ev

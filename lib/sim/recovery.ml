@@ -53,7 +53,7 @@ type lock_state = {
   waiters : (Step.t * int * float) Queue.t;
 }
 
-let holds l j = List.exists (fun h -> h = j) l.holders
+let holds l j = List.memq j l.holders
 
 (* The common case, a sole holder, releases without allocating. *)
 let release l j =
@@ -78,6 +78,73 @@ let obs_wait ~since ~now =
 let pp_wait db ppf (w, e, h) =
   Format.fprintf ppf "T%d waits for %s held by T%d" (w + 1)
     (Db.entity_name db e) (h + 1)
+
+let iter_ready_after tx ~executed ~started v f =
+  let succ = Digraph.succ (Transaction.given_arcs tx) v in
+  for k = 0 to Array.length succ - 1 do
+    let u = succ.(k) in
+    if
+      (not (Bitset.mem started u))
+      && Transaction.is_minimal_remaining tx executed u
+    then f u
+  done
+
+module Wait_for = struct
+  (* [arcs] is the n x n matrix, row [w] at [w * n].  The search marks
+     nodes in [color] as [Topo.find_cycle] does (0 unvisited, 1 on the
+     current path, 2 done) and keeps the current path in [path]. *)
+  type t = { n : int; arcs : Bytes.t; color : int array; path : int array }
+
+  let create n =
+    {
+      n;
+      arcs = Bytes.make (n * n) '\000';
+      color = Array.make n 0;
+      path = Array.make n 0;
+    }
+
+  let clear t = Bytes.fill t.arcs 0 (t.n * t.n) '\000'
+  let add t w h = Bytes.set t.arcs ((w * t.n) + h) '\001'
+  let mem t w h = Bytes.get t.arcs ((w * t.n) + h) <> '\000'
+
+  (* The largest node on the path from position [k] back to [v]: the
+     cycle that an arc to [v] closes. *)
+  let rec cycle_max t v k acc =
+    let w = t.path.(k) in
+    if w = v then Int.max acc w else cycle_max t v (k - 1) (Int.max acc w)
+
+  (* [visit t u depth] puts [u] on the path at [depth] and returns the
+     victim of the first cycle found below it, or -1; [scan] tries [u]'s
+     successors from [v] up. *)
+  let rec visit t u depth =
+    t.color.(u) <- 1;
+    t.path.(depth) <- u;
+    let found = scan t u depth 0 in
+    if found < 0 then t.color.(u) <- 2;
+    found
+
+  and scan t u depth v =
+    if v = t.n then -1
+    else if not (mem t u v) then scan t u depth (v + 1)
+    else
+      match t.color.(v) with
+      | 0 ->
+          let found = visit t v (depth + 1) in
+          if found >= 0 then found else scan t u depth (v + 1)
+      | 1 -> cycle_max t v depth (-1)
+      | _ -> scan t u depth (v + 1)
+
+  let victim t =
+    Array.fill t.color 0 t.n 0;
+    let rec from u =
+      if u = t.n then None
+      else if t.color.(u) <> 0 then from (u + 1)
+      else
+        let found = visit t u 0 in
+        if found >= 0 then Some found else from (u + 1)
+    in
+    from 0
+end
 
 let simulate ?read scheme config faults rng sys =
   let n = System.size sys in
@@ -117,6 +184,8 @@ let simulate ?read scheme config faults rng sys =
   let executed =
     Array.init n (fun i -> Transaction.empty_prefix (System.txn sys i))
   in
+  (* [executed_count.(i)] = [Bitset.cardinal executed.(i)] *)
+  let executed_count = Array.make n 0 in
   let started =
     Array.init n (fun i -> Transaction.empty_prefix (System.txn sys i))
   in
@@ -142,6 +211,14 @@ let simulate ?read scheme config faults rng sys =
         Array.make n 0.0
   in
   let beats r h = prio.(r) > prio.(h) || (prio.(r) = prio.(h) && r < h) in
+  let rec beats_all r = function
+    | [] -> true
+    | h :: hs -> beats r h && beats_all r hs
+  in
+  let rec first_beaten r = function
+    | [] -> None
+    | h :: hs -> if beats r h then Some h else first_beaten r hs
+  in
   let events : event Pqueue.t = Pqueue.create () in
   let now = ref 0.0 in
   let commits = ref 0 and aborts = ref 0 and makespan = ref 0.0 in
@@ -159,7 +236,7 @@ let simulate ?read scheme config faults rng sys =
   (* Exponential backoff with jitter: full window after [attempts]
      timeouts, growth capped at [max_retries] doublings and [cap]. *)
   let backoff_window base cap max_retries j =
-    let k = min attempts.(j) max_retries in
+    let k = Int.min attempts.(j) max_retries in
     Float.min cap (base *. (2.0 ** float_of_int k))
   in
   let jittered w = w *. (0.5 +. Random.State.float rng 1.0) in
@@ -184,11 +261,17 @@ let simulate ?read scheme config faults rng sys =
     | Node.Lock ->
         Net.request net events ~now:!now nd.entity (Arrive (step, inc))
   and start_ready i =
-    if not committed.(i) then
-      List.iter
-        (fun v -> if not (Bitset.mem started.(i) v) then start (Step.v i v))
-        (Transaction.minimal_remaining (System.txn sys i) executed.(i))
+    if not committed.(i) then begin
+      let tx = System.txn sys i in
+      for v = 0 to Transaction.node_count tx - 1 do
+        if
+          (not (Bitset.mem started.(i) v))
+          && Transaction.is_minimal_remaining tx executed.(i) v
+        then start (Step.v i v)
+      done
+    end
   in
+  let start_node = Array.init n (fun i v -> start (Step.v i v)) in
   (* Empty [l]'s queue; its still-valid entries, in queue order. *)
   let take_valid l =
     let rec drain acc =
@@ -234,6 +317,7 @@ let simulate ?read scheme config faults rng sys =
         prio.(j) <- Random.State.float rng 1.0
     | None | Some (Wait_die | Wound_wait | Detect _ | Timeout _) -> ());
     executed.(j) <- Transaction.empty_prefix (System.txn sys j);
+    executed_count.(j) <- 0;
     started.(j) <- Transaction.empty_prefix (System.txn sys j);
     arrived.(j) <- Transaction.empty_prefix (System.txn sys j);
     (* Release everything j holds; stale queue entries and in-flight
@@ -250,25 +334,22 @@ let simulate ?read scheme config faults rng sys =
 
   and on_lock_conflict (step : Step.t) inc ~since holders =
     let r = step.Step.txn in
-    let wait () =
-      Queue.push (step, inc, since) locks.(entity_of step).waiters
-    in
     match scheme with
-    | None | Some (Detect _) -> wait ()
+    | None | Some (Detect _) -> wait step inc ~since
     | Some (Timeout { base; cap; max_retries }) ->
-        wait ();
+        wait step inc ~since;
         let w = jittered (backoff_window base cap max_retries r) in
         Pqueue.push events (!now +. w) (Deadline (step, inc))
     | Some Wait_die ->
-        if List.for_all (beats r) holders then wait () else abort r
+        if beats_all r holders then wait step inc ~since else abort r
     | Some (Wound_wait | Probabilistic) -> (
         (* Preemption: a requester that beats a holder wounds it and
            takes over; otherwise it waits.  Wait arcs then always ascend
            the priority order, so the wait-for graph stays acyclic.
            Probabilistic is wound-wait under random priorities [O&B,
            arXiv:1010.4411]. *)
-        match List.find_opt (beats r) holders with
-        | None -> wait ()
+        match first_beaten r holders with
+        | None -> wait step inc ~since
         | Some h ->
             abort h;
             let l = locks.(entity_of step) in
@@ -283,6 +364,8 @@ let simulate ?read scheme config faults rng sys =
               push_grant step inc (entity_of step)
             end
             else on_lock_conflict step inc ~since l.holders)
+  and wait (step : Step.t) inc ~since =
+    Queue.push (step, inc, since) locks.(entity_of step).waiters
   in
   (* A site crash drops its lock tables: holders of its entities abort
      (their in-flight grants die with the incarnation bump) and queued
@@ -338,81 +421,97 @@ let simulate ?read scheme config faults rng sys =
       (fun (w : Faults.window) ->
         Pqueue.push events w.Faults.from_t (Crash w.Faults.site))
       faults.Faults.crashes;
+  let waits =
+    match scheme with
+    | Some (Detect _) -> Wait_for.create n
+    | None | Some (Wait_die | Wound_wait | Timeout _ | Probabilistic) ->
+        Wait_for.create 0
+  in
   let rec loop () =
-    if !commits < n then
-      match Pqueue.pop events with
-      | None -> ()
-      | Some (t, _) when t > config.max_time -> ()
-      | Some (t, ev) ->
-          now := t;
-          (match ev with
-          | Restart (j, inc) ->
-              if inc = incarnation.(j) && not committed.(j) then begin
-                Ddlock_obs.Metrics.Counter.incr obs_retries;
-                start_ready j
+    if !commits < n && not (Pqueue.is_empty events) then
+      let t = Pqueue.min_key events in
+      if t > config.max_time then ()
+      else begin
+        let ev = Pqueue.take events in
+        now := t;
+        (match ev with
+        | Restart (j, inc) ->
+            if inc = incarnation.(j) && not committed.(j) then begin
+              Ddlock_obs.Metrics.Counter.incr obs_retries;
+              start_ready j
+            end
+        | Crash s -> on_crash s
+        | Deadline (step, inc) ->
+            (* Still waiting (not granted, not executed) in the same
+               incarnation: time out, abort, restart with backoff. *)
+            let j = step.Step.txn in
+            if
+              inc = incarnation.(j)
+              && (not committed.(j))
+              && (not (Bitset.mem executed.(j) step.Step.node))
+              && not (holds locks.(entity_of step) j)
+            then begin
+              attempts.(j) <- attempts.(j) + 1;
+              Ddlock_obs.Metrics.Counter.incr obs_lock_timeouts;
+              abort j
+            end
+        | Tick period ->
+            Wait_for.clear waits;
+            Array.iter
+              (fun l ->
+                match l.holders with
+                | [] -> ()
+                | holders ->
+                    Queue.iter
+                      (fun ((w, winc, _) : Step.t * int * float) ->
+                        if winc = incarnation.(w.Step.txn) then
+                          List.iter (Wait_for.add waits w.Step.txn) holders)
+                      l.waiters)
+              locks;
+            (* Abort the youngest (largest timestamp) on the cycle. *)
+            Option.iter abort (Wait_for.victim waits);
+            if !commits < n then
+              Pqueue.push events (t +. period) (Tick period)
+        | Arrive (step, inc) ->
+            if
+              inc = incarnation.(step.Step.txn)
+              && not (Bitset.mem arrived.(step.Step.txn) step.Step.node)
+            then begin
+              Bitset.set arrived.(step.Step.txn) step.Step.node;
+              let l = locks.(entity_of step) in
+              if compatible l step then begin
+                hold l step;
+                push_grant step inc (entity_of step)
               end
-          | Crash s -> on_crash s
-          | Deadline (step, inc) ->
-              (* Still waiting (not granted, not executed) in the same
-                 incarnation: time out, abort, restart with backoff. *)
-              let j = step.Step.txn in
-              if
-                inc = incarnation.(j)
-                && (not committed.(j))
-                && (not (Bitset.mem executed.(j) step.Step.node))
-                && not (holds locks.(entity_of step) j)
-              then begin
-                attempts.(j) <- attempts.(j) + 1;
-                Ddlock_obs.Metrics.Counter.incr obs_lock_timeouts;
-                abort j
+              else begin
+                on_lock_conflict step inc ~since:t l.holders;
+                Ddlock_obs.Metrics.Histogram.observe obs_queue_depth
+                  (Queue.length l.waiters)
               end
-          | Tick period ->
-              let arcs =
-                List.rev_map (fun (w, _, h) -> (w, h)) (wait_for_arcs ())
-              in
-              (match Topo.find_cycle (Digraph.create n arcs) with
-              | Some cycle ->
-                  (* Abort the youngest (largest timestamp). *)
-                  abort (List.fold_left max (List.hd cycle) cycle)
-              | None -> ());
-              if !commits < n then
-                Pqueue.push events (t +. period) (Tick period)
-          | Arrive (step, inc) ->
-              if
-                inc = incarnation.(step.Step.txn)
-                && not (Bitset.mem arrived.(step.Step.txn) step.Step.node)
-              then begin
-                Bitset.set arrived.(step.Step.txn) step.Step.node;
-                let l = locks.(entity_of step) in
-                if compatible l step then begin
-                  hold l step;
-                  push_grant step inc (entity_of step)
-                end
-                else begin
-                  on_lock_conflict step inc ~since:t l.holders;
-                  Ddlock_obs.Metrics.Histogram.observe obs_queue_depth
-                    (Queue.length l.waiters)
-                end
-              end
-          | Complete (step, inc) ->
-              if inc = incarnation.(step.Step.txn) then begin
-                trace := (t, step, inc) :: !trace;
-                Bitset.set executed.(step.txn) step.node;
-                let nd =
-                  Transaction.node (System.txn sys step.txn) step.node
-                in
-                (match nd.Node.op with
-                | Node.Unlock ->
-                    release locks.(nd.entity) step.txn;
-                    grant nd.entity
-                | Node.Lock -> ());
-                if
-                  Bitset.cardinal executed.(step.txn)
-                  = Transaction.node_count (System.txn sys step.txn)
-                then commit step.txn
-                else start_ready step.txn
-              end);
-          loop ()
+            end
+        | Complete (step, inc) ->
+            let j = step.Step.txn in
+            if inc = incarnation.(j) then begin
+              trace := (t, step, inc) :: !trace;
+              Bitset.set executed.(j) step.node;
+              executed_count.(j) <- executed_count.(j) + 1;
+              let tx = System.txn sys j in
+              let nd = Transaction.node tx step.node in
+              (match nd.Node.op with
+              | Node.Unlock ->
+                  release locks.(nd.entity) j;
+                  grant nd.entity
+              | Node.Lock -> ());
+              if executed_count.(j) = Transaction.node_count tx then commit j
+              else
+                (* Every node that was minimal-remaining before [step]
+                   has started, so the new ones are among its
+                   successors. *)
+                iter_ready_after tx ~executed:executed.(j)
+                  ~started:started.(j) step.node start_node.(j)
+            end);
+        loop ()
+      end
   in
   loop ();
   let committed_trace =

@@ -1,3 +1,4 @@
+open Ddlock_graph
 open Ddlock_model
 open Ddlock_schedule
 
@@ -25,7 +26,9 @@ open Ddlock_schedule
     - {b Wound-wait} (preemptive): an older requester wounds the holder
       (the younger holder aborts); a younger requester waits.
     - {b Detect} : requests always wait; every [period] the wait-for
-      graph is checked and the youngest transaction on a cycle aborts.
+      graph is checked and the youngest transaction on a cycle aborts
+      (the largest on the cycle that {!Ddlock_graph.Topo.find_cycle}
+      finds; see {!Wait_for}).
     - {b Timeout} : requests wait at most a deadline; a request still
       ungranted when its deadline fires aborts the transaction, which
       restarts after an exponential-backoff delay with jitter.  The wait
@@ -166,3 +169,49 @@ val simulate :
   Random.State.t ->
   System.t ->
   run * (float * Step.t * int) list * float
+
+(** [iter_ready_after tx ~executed ~started v f] calls [f] on each
+    successor [u] of [v] in [tx]'s given arcs, ascending, that is not in
+    [started] and is minimal-remaining after [executed].  The loop calls
+    it when [v] completes (with [v] already in [executed]): every node
+    that was minimal-remaining before [v] has started, so these are
+    exactly [minimal_remaining tx executed] minus [started], in the same
+    order. *)
+val iter_ready_after :
+  Transaction.t ->
+  executed:Bitset.t ->
+  started:Bitset.t ->
+  int ->
+  (int -> unit) ->
+  unit
+
+(** The wait-for relation that detect-and-abort checks every [period]:
+    a flat [n * n] matrix over transactions [0 .. n-1], refilled from
+    the lock tables at each tick without building a graph.
+
+    {!victim} runs the colored depth-first search of
+    {!Ddlock_graph.Topo.find_cycle}: roots in ascending order, each
+    node's successors in ascending order (a matrix row read left to
+    right), stopping at the first arc back to a node on the current
+    path.  [Digraph.create] gives [find_cycle] sorted, deduplicated
+    rows, and a matrix cell holds a repeated arc once, so both searches
+    take the same steps and stop at the same back arc: the same cycle,
+    hence the same victim.  The path is an array of [n] slots, so there
+    is no limit on [n]. *)
+module Wait_for : sig
+  type t
+
+  (** [create n]: no arcs, over [n] transactions. *)
+  val create : int -> t
+
+  (** Removes every arc. *)
+  val clear : t -> unit
+
+  (** [add t w h]: [w] waits for [h].  Adding an arc twice is adding it
+      once. *)
+  val add : t -> int -> int -> unit
+
+  (** The largest transaction on the cycle that [find_cycle] returns on
+      the same arcs, or [None] when they are acyclic. *)
+  val victim : t -> int option
+end

@@ -10,19 +10,26 @@ let int_t = Alcotest.int
 (* Event queue                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Pops the least entry as [pop] did: its key, then its value. *)
+let pqueue_pop q =
+  if Pqueue.is_empty q then None
+  else
+    let k = Pqueue.min_key q in
+    Some (k, Pqueue.take q)
+
 let test_pqueue_order () =
   let q = Pqueue.create () in
   List.iter (fun (k, v) -> Pqueue.push q k v) [ (3.0, "c"); (1.0, "a"); (2.0, "b") ];
   check int_t "size" 3 (Pqueue.size q);
-  check (Alcotest.option Alcotest.(float 0.0)) "peek" (Some 1.0) (Pqueue.peek_key q);
-  let order = List.init 3 (fun _ -> snd (Option.get (Pqueue.pop q))) in
+  check (Alcotest.float 0.0) "peek" 1.0 (Pqueue.min_key q);
+  let order = List.init 3 (fun _ -> snd (Option.get (pqueue_pop q))) in
   check (Alcotest.list Alcotest.string) "sorted" [ "a"; "b"; "c" ] order;
   check bool_t "empty" true (Pqueue.is_empty q)
 
 let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
   List.iter (fun v -> Pqueue.push q 1.0 v) [ "first"; "second"; "third" ];
-  let order = List.init 3 (fun _ -> snd (Option.get (Pqueue.pop q))) in
+  let order = List.init 3 (fun _ -> snd (Option.get (pqueue_pop q))) in
   check (Alcotest.list Alcotest.string) "fifo" [ "first"; "second"; "third" ] order
 
 let pqueue_sorted_prop =
@@ -32,12 +39,138 @@ let pqueue_sorted_prop =
       let q = Pqueue.create () in
       List.iter (fun (k, v) -> Pqueue.push q k v) items;
       let rec drain acc =
-        match Pqueue.pop q with
+        match pqueue_pop q with
         | None -> List.rev acc
         | Some (k, _) -> drain (k :: acc)
       in
       let keys = drain [] in
       keys = List.sort compare keys)
+
+(* Interleaved pushes and takes, keys from a small domain so that ties
+   are common: every take must return the entry a stable sort of the
+   current contents puts first (least key, earliest push among equal
+   keys), which is the FIFO tie rule the golden digests rely on.  [None]
+   is a take, [Some k] a push of key [k]. *)
+let pqueue_stable_prop =
+  QCheck.Test.make ~name:"pqueue = stable sort under interleaved push and take"
+    ~count:300
+    QCheck.(list_of_size Gen.(0 -- 120) (option (int_bound 4)))
+    (fun ops ->
+      let q = Pqueue.create () in
+      (* The queue's contents as (key, push number), in push order. *)
+      let contents = ref [] and pushed = ref 0 in
+      let take_matches () =
+        match List.stable_sort (fun (a, _) (b, _) -> compare a b) !contents with
+        | [] -> Pqueue.is_empty q
+        | (k, v) :: _ ->
+            contents := List.filter (fun (_, v') -> v' <> v) !contents;
+            let k' = Pqueue.min_key q in
+            k' = float_of_int k && Pqueue.take q = v
+      in
+      let rec drain () = !contents = [] || (take_matches () && drain ()) in
+      List.for_all
+        (function
+          | Some k ->
+              Pqueue.push q (float_of_int k) !pushed;
+              contents := !contents @ [ (k, !pushed) ];
+              incr pushed;
+              Pqueue.size q = List.length !contents
+          | None -> take_matches ())
+        ops
+      && drain ()
+      && Pqueue.is_empty q)
+
+(* ------------------------------------------------------------------ *)
+(* The event loop's shortcuts against the scans they replace           *)
+(* ------------------------------------------------------------------ *)
+
+module Bitset = Ddlock_graph.Bitset
+
+(* Random walks of one random transaction as the loop drives it: start
+   the minimal nodes, complete a random started node, and now and then
+   abort (forget everything) and restart.  After each completion the
+   nodes [iter_ready_after] starts must be the reference scan's
+   [minimal_remaining ∖ started], in the same order. *)
+let readiness_prop =
+  QCheck.Test.make
+    ~name:"iter_ready_after = minimal_remaining ∖ started after each completion"
+    ~count:300
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      let db = Ddlock_workload.Gentx.random_db ~sites:3 ~entities:6 in
+      let k = 1 + Random.State.int st 6 in
+      let tx =
+        Ddlock_workload.Gentx.random_transaction st db
+          ~entities:(Ddlock_workload.Gentx.random_entity_subset st db ~k)
+          ~density:(Random.State.float st 1.0)
+      in
+      let nodes = Transaction.node_count tx in
+      let executed = ref (Transaction.empty_prefix tx)
+      and started = ref (Transaction.empty_prefix tx) in
+      let restart () =
+        executed := Transaction.empty_prefix tx;
+        started := Transaction.empty_prefix tx;
+        List.iter (Bitset.set !started)
+          (Transaction.minimal_remaining tx !executed)
+      in
+      restart ();
+      let ok = ref true in
+      for _ = 1 to 80 do
+        let in_flight =
+          List.filter
+            (fun v -> not (Bitset.mem !executed v))
+            (Bitset.to_list !started)
+        in
+        if in_flight = [] || Random.State.int st 10 = 0 then restart ()
+        else begin
+          let v =
+            List.nth in_flight (Random.State.int st (List.length in_flight))
+          in
+          Bitset.set !executed v;
+          let expected =
+            List.filter
+              (fun u -> not (Bitset.mem !started u))
+              (Transaction.minimal_remaining tx !executed)
+          in
+          let got = ref [] in
+          Recovery.iter_ready_after tx ~executed:!executed ~started:!started v
+            (fun u ->
+              got := u :: !got;
+              Bitset.set !started u);
+          if List.rev !got <> expected then ok := false;
+          if Bitset.cardinal !executed = nodes then restart ()
+        end
+      done;
+      !ok)
+
+(* Detect's victim on random wait-for relations (repeated arcs and self
+   loops included), against the construction it replaced: the largest
+   node on [Topo.find_cycle] of the relation's [Digraph].  [n] runs past
+   62, one machine word of transactions.  Each matrix is filled twice,
+   with a [clear] between, as successive ticks do. *)
+let detect_victim_prop =
+  QCheck.Test.make ~name:"Detect victim = max of Topo.find_cycle" ~count:400
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      let n = 1 + Random.State.int st 70 in
+      let waits = Recovery.Wait_for.create n in
+      let relation () =
+        let m = Random.State.int st (2 * n) in
+        List.init m (fun _ -> (Random.State.int st n, Random.State.int st n))
+      in
+      let reference arcs =
+        match Ddlock_graph.Topo.find_cycle (Ddlock_graph.Digraph.create n arcs) with
+        | None -> None
+        | Some cycle -> Some (List.fold_left max (List.hd cycle) cycle)
+      in
+      List.for_all
+        (fun arcs ->
+          Recovery.Wait_for.clear waits;
+          List.iter (fun (w, h) -> Recovery.Wait_for.add waits w h) arcs;
+          Recovery.Wait_for.victim waits = reference arcs)
+        [ relation (); relation () ])
 
 (* ------------------------------------------------------------------ *)
 (* Runtime                                                             *)
@@ -519,6 +652,9 @@ let qtests =
   List.map Fixtures.to_alcotest
     [
       pqueue_sorted_prop;
+      pqueue_stable_prop;
+      readiness_prop;
+      detect_victim_prop;
       certified_systems_clean_prop;
       trace_legal_prop;
       recovery_always_commits_prop;
