@@ -644,13 +644,12 @@ let sym () =
   write_json "sym" [ ("series", Arr series) ]
 
 (* ------------------------------------------------------------------ *)
-(* Partial-order reduction: persistent/sleep-set state counts          *)
+(* Partial-order reduction: persistent-set state counts               *)
 (* ------------------------------------------------------------------ *)
 
 let por () =
   header
-    "E24 partial-order reduction: states visited, plain vs persistent/sleep \
-     sets";
+    "E24 partial-order reduction: states visited, plain vs persistent sets";
   (* Asymmetric workloads are where POR earns its keep: philosophers are
      pairwise distinct (trivial automorphism group, so --symmetry is a
      no-op, factor 1.0 in BENCH_sym.json) yet almost all interleavings

@@ -75,7 +75,7 @@ let check_symmetry ~symmetry sys =
 let por_arg =
   Arg.(value & flag & info [ "por" ]
        ~doc:"Partial-order reduction: run the exhaustive search over a \
-             persistent/sleep-set reduced state space (independent \
+             persistent-set reduced state space (independent \
              steps are explored in one order instead of all).  The \
              verdict — and for $(b,analyze), the reported witness \
              schedule — is identical to the plain search; composes \

@@ -43,11 +43,10 @@
      and identical-copy systems, witness legality, canonical state
      counts within [raw/orbit_size, raw], and Theorem-1 prefix
      verdicts;
-   - with [--por]: the persistent/sleep-set reduced engines
-     (Sched.Indep) vs the plain ones — byte-identical deadlock
-     witnesses, reduced state counts never above plain, Theorem-1
-     prefix verdicts, and composition with --symmetry on copies
-     systems.
+   - with [--por]: the persistent-set reduced engines vs the plain
+     ones — byte-identical deadlock witnesses, reduced state counts
+     never above plain, Theorem-1 prefix verdicts, and composition
+     with --symmetry on copies systems.
 
    The every-100-rounds summary line also reports cumulative per-engine
    wall-clock, so long soaks double as a coarse perf regression check.
@@ -71,7 +70,7 @@ let () =
          ones every round" );
       ( "--por",
         Arg.Set por,
-        "also cross-check the persistent/sleep-set reduced engines against \
+        "also cross-check the persistent-set reduced engines against \
          the plain ones every round" );
     ]
   in

@@ -45,7 +45,7 @@ val pp_deadlock_verdict : System.t -> Format.formatter -> deadlock_verdict -> un
     budget: 500_000 states.
 
     With [~por:true] the exhaustive search runs over the
-    persistent/sleep-set reduced space ({!Ddlock_schedule.Indep});
+    persistent-set reduced space ({!Ddlock_schedule.Packed.persistent});
     deadlock witnesses are canonicalized by a plain non-symmetric
     re-search (see {!Ddlock_schedule.Explore.find_deadlock}), so the
     verdict {e and} witness are identical to the plain analysis with
@@ -74,7 +74,7 @@ type report = {
 
 (** Full analysis: structural statistics plus both verdicts.
     [symmetry] shrinks the exhaustive deadlock search to orbit
-    representatives and [por] to a persistent/sleep-set reduced space
+    representatives and [por] to a persistent-set reduced space
     (verdict unchanged either way). *)
 val report :
   ?max_states:int ->

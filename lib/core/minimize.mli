@@ -27,9 +27,8 @@ type result = {
     minimized core is identical for either [symmetry] flag whenever no
     re-check exceeds the budget (the group is re-detected per
     candidate, so shrunk systems keep whatever symmetry they retain).
-    With [~por:true] every re-check is a verdict-only
-    persistent/sleep-set reduced search ({!Ddlock_schedule.Indep}) —
-    same core, fewer states per probe. *)
+    With [~por:true] every re-check is a verdict-only persistent-set
+    reduced search ({!Ddlock_schedule.Packed.persistent}) — same core, fewer states per probe. *)
 val deadlock_core :
   ?max_states:int ->
   ?symmetry:bool ->

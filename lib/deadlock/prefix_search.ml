@@ -15,7 +15,7 @@ let cyclic sys st = Reduction.has_cycle (Reduction.make sys st)
 
 (* By Theorem 1 a cyclic reduction graph is reachable iff a deadlock
    state is, so the goal-directed search may stop at the first cyclic
-   prefix; that also makes [~por:true] sound, since the persistent/sleep
+   prefix; that also makes [~por:true] sound, since the persistent-set
    reduction preserves every reachable deadlock state.  The predicate is
    invariant under identical-transaction permutations (the graph is
    renamed node-for-node), so with [~symmetry:true] it may be evaluated

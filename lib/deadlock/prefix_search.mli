@@ -24,8 +24,8 @@ type witness = {
     the returned schedule and prefix are translated back to the original
     system.
 
-    With [~por:true] the search runs over the persistent/sleep-set
-    reduced space ({!Ddlock_schedule.Indep}) — sound here because a
+    With [~por:true] the search runs over the persistent-set reduced
+    space ({!Ddlock_schedule.Packed.persistent}) — sound here because a
     cyclic reduction graph is reachable iff a deadlock is (Theorem 1)
     and the reduction preserves every reachable deadlock state.  The
     verdict is identical to plain; the witness is the first cyclic

@@ -76,15 +76,6 @@ val normalize_packed : t -> Packed.layout -> Packed.t -> Packed.t
     result is [st.(i)]. *)
 val apply_perm : int array -> State.t -> State.t
 
-(** [rename_schedule π steps] renames the transaction index of each step
-    through [π]. *)
-val rename_schedule : int array -> Step.t list -> Step.t list
-
-val invert : int array -> int array
-
-(** [compose d t] is the permutation [i ↦ d.(t.(i))] ([d ∘ t]). *)
-val compose : int array -> int array -> int array
-
 (** A uniformly random element of the automorphism group (independent
     Fisher–Yates shuffle within each class). *)
 val random_group_perm : Random.State.t -> t -> int array

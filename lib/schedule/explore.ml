@@ -27,16 +27,16 @@ module Obs = struct
   let orbit_gauge = Ddlock_obs.Metrics.Gauge.make "canon.orbit_size"
   let hit moved = if moved then Ddlock_obs.Metrics.Counter.incr canon_hits
 
-  (* Partial-order-reduction telemetry, bumped once per work-item
-     expansion.  [por_pruned] sums the enabled transitions not expanded;
+  (* Partial-order-reduction telemetry, bumped once per expanded state.
+     [por_pruned] sums the enabled transitions not expanded;
      [por_persistent_size] sums the persistent-set sizes. *)
   let por_pruned = Ddlock_obs.Metrics.Counter.make "por.pruned"
 
   let por_persistent_size =
     Ddlock_obs.Metrics.Counter.make "por.persistent_size"
 
-  let por_expand ~enabled ~persistent ~selected =
-    Ddlock_obs.Metrics.Counter.add por_pruned (enabled - selected);
+  let por_expand ~enabled ~persistent =
+    Ddlock_obs.Metrics.Counter.add por_pruned (enabled - persistent);
     Ddlock_obs.Metrics.Counter.add por_persistent_size persistent
 end
 
@@ -59,29 +59,55 @@ let default_cap = 2_000_000
 
    Everything a search writes by state id: the arena of rows, the BFS
    tree — the parent (-1 at the root) and the global bit of the step
-   reaching the node — and each state's enabled set
-   ({!Packed.enabled_words} ints at [id * enabled_words]), plus the
-   successor buffer [scratch] and the expansion buffer [en].  Ids are
-   dense and assigned in insertion order. *)
+   reaching the node — and the enabled sets of the states not yet
+   expanded ({!Packed.enabled_words} ints each), plus the successor
+   buffer [scratch] and the expansion buffer [en].  Ids are dense and
+   assigned in insertion order.
+
+   The enabled sets are kept [per] ids to a chunk: id [id]'s set is at
+   [(id land (per - 1)) * ew] of chunk [id lsr shift] of [sets].  Once
+   every id of a chunk is expanded the chunk goes to [spare], and the
+   next chunk needed is taken from there, so a search holds the sets
+   of about the ids from the one being expanded up to the count. *)
 
 type work = {
   arena : Arena.t;
   mutable parent : int array;
   mutable via : int array;
-  mutable enabled : int array;
+  mutable sets : int array array;
+  mutable spare : int array list;
   mutable scratch : Packed.t;
   mutable en : int array;
 }
+
+let shift = 8
+let per = 1 lsl shift
 
 let fresh_work lay =
   {
     arena = Arena.create ~words:(Packed.words lay);
     parent = [||];
     via = [||];
-    enabled = [||];
+    sets = [||];
+    spare = [];
     scratch = Packed.initial lay;
     en = Array.make (Packed.nodes lay) 0;
   }
+
+(* Chunk [c] of [size] ints: the one held, a spare, or a new one.
+   Spares of another size, left by a search on another layout, go. *)
+let chunk w c size =
+  if c >= Array.length w.sets then
+    w.sets <- Array.append w.sets (Array.make (c + 1) [||]);
+  if Array.length w.sets.(c) <> size then begin
+    w.spare <- List.filter (fun k -> Array.length k = size) w.spare;
+    match w.spare with
+    | k :: rest ->
+        w.spare <- rest;
+        w.sets.(c) <- k
+    | [] -> w.sets.(c) <- Array.make size 0
+  end;
+  w.sets.(c)
 
 (* Makes a used workspace ready for a search on [lay], in O(rows it
    held): a fresh one needs nothing. *)
@@ -164,35 +190,35 @@ let rec any_set e o n = n > 0 && (e.(o + n - 1) <> 0 || any_set e o (n - 1))
 
 (* Breadth-first search over packed states in an arena ({!Arena}).  Ids
    are dense and assigned in insertion order, so the BFS queue is
-   exactly the id sequence and a cursor replaces it.  Each successor is
-   built in one scratch buffer — with a canonicalizer, rewritten there
-   to its orbit representative, so the arena dedups whole orbits — and
-   copied into the arena only when it is fresh.  [restrict]/[found] read
-   a state in place (array, offset); under symmetry they see
-   representatives and must be invariant under the group (the deadlock
-   and reduction-cycle predicates are).  The empty initial state is its
-   own orbit's representative.
+   exactly the id sequence and a cursor replaces it.  With [por] each
+   expanded state's enabled bits are cut to its persistent set
+   ({!Packed.persistent}).  Each successor is built in one scratch
+   buffer — with a canonicalizer, rewritten there to its orbit
+   representative, so the arena dedups whole orbits — and copied into
+   the arena only when it is fresh.  [restrict]/[found] read a state in
+   place (array, offset); under symmetry they see representatives and
+   must be invariant under the group (the deadlock and reduction-cycle
+   predicates are).  The empty initial state is its own orbit's
+   representative.
 
    A fresh state's enabled set is carried from its parent's
    ({!Packed.carry_enabled}), or computed afresh when symmetry moved
-   the successor, and stored by id: expanding a state reads it, and
-   [found ~live] is told whether it is non-empty.
+   the successor: expanding a state reads it, and [found ~live] is told
+   whether it is non-empty.  Entering a chunk of ids gives back the
+   chunk of sets before it.
 
    A node is expanded from the arena's row array as it stood when the
    expansion began: an [add] may move the rows to a larger array, but
    the old one still holds the node unchanged.  Returns the id of the
    first node (in insertion order) satisfying [found], or -1. *)
-let bfs_loop ~name ~max_states ~restrict canon lay w ~found =
+let bfs_loop ~name ~max_states ~restrict ~por canon lay w ~found =
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span name @@ fun () ->
   let words = Packed.words lay and ew = Packed.enabled_words lay in
   let arena = w.arena and scratch = w.scratch and en = w.en in
   let telemetry = Ddlock_obs.Control.is_on () in
-  (* Room for [id]'s enabled set. *)
-  let reserve id =
-    let cap = Array.length w.enabled in
-    if (id + 1) * ew > cap then w.enabled <- grow w.enabled cap (64 * ew)
-  in
+  let reduce = if por then Some (Packed.por lay) else None in
+  let size = ew lsl shift and off id = (id land (per - 1)) * ew in
   (* Rewrites [scratch] to its representative; true when that moved it. *)
   let canonical =
     match canon with
@@ -210,16 +236,29 @@ let bfs_loop ~name ~max_states ~restrict canon lay w ~found =
   try
     ignore (add arena ~max_states scratch);
     record w 0 ~parent:(-1) ~via:(-1);
-    reserve 0;
-    Packed.enabled_into lay scratch 0 w.enabled 0;
-    if found ~live:(any_set w.enabled 0 ew) (Arena.data arena) 0 then
-      raise (Hit 0);
+    let e0 = chunk w 0 size in
+    Packed.enabled_into lay scratch 0 e0 0;
+    if found ~live:(any_set e0 0 ew) (Arena.data arena) 0 then raise (Hit 0);
     let cursor = ref 0 in
     while !cursor < Arena.count arena do
       let id = !cursor in
       incr cursor;
+      if id > 0 && off id = 0 then begin
+        let c = (id lsr shift) - 1 in
+        w.spare <- w.sets.(c) :: w.spare;
+        w.sets.(c) <- [||]
+      end;
       let a = Arena.data arena and o = id * words in
-      let n = Packed.enabled_bits lay w.enabled (id * ew) en in
+      let pe = w.sets.(id lsr shift) and po = off id in
+      let n = Packed.enabled_bits lay pe po en in
+      let n =
+        match reduce with
+        | None -> n
+        | Some r ->
+            let p = Packed.persistent r a o en n in
+            if telemetry then Obs.por_expand ~enabled:n ~persistent:p;
+            p
+      in
       for i = 0 to n - 1 do
         let g = en.(i) in
         Packed.apply_into lay a o g scratch;
@@ -228,10 +267,9 @@ let bfs_loop ~name ~max_states ~restrict canon lay w ~found =
           let fresh = Arena.count arena in
           if add arena ~max_states scratch = fresh then begin
             record w fresh ~parent:id ~via:g;
-            reserve fresh;
-            let e = w.enabled and eo = fresh * ew in
+            let e = chunk w (fresh lsr shift) size and eo = off fresh in
             if moved then Packed.enabled_into lay scratch 0 e eo
-            else Packed.carry_enabled lay scratch 0 g e (id * ew) eo;
+            else Packed.carry_enabled lay scratch 0 g pe po e eo;
             if telemetry then Obs.hit moved;
             if found ~live:(any_set e eo ew) (Arena.data arena) (fresh * words)
             then raise (Hit fresh)
@@ -290,76 +328,6 @@ let witness sp id =
       (steps, Packed.decode_at sp.lay (Arena.data sp.work.arena) o)
   | Some c -> Canon.realize c steps
 
-(* Persistent/sleep-set selective search (partial-order reduction).
-   Work items are (state id, sleep set); [Indep.expand] selects the
-   persistent steps not in the sleep set and computes each successor's
-   inherited sleep set.  Re-arriving at a stored state with a
-   non-covering sleep set shrinks the stored set to the intersection
-   and re-expands the state (Godefroid's covering rule), so sleeping
-   never suppresses the only path into a deadlock.  Stored sleep sets
-   only shrink, which bounds re-expansions; the arena is keyed by
-   state alone, so the reduced search never holds more states than the
-   plain engine.  [found] must be implied by deadlock (evaluated at
-   first insertion only): the persistent-set construction preserves
-   reachability of deadlock states, not of arbitrary targets.
-   [Indep.expand] works on the decoded node; its successors are
-   re-encoded, and [found ~live] is told whether one has an enabled
-   step ({!Packed.live_at}). *)
-let por_search ~max_states ~restrict canon lay work ~found =
-  Ddlock_obs.Metrics.Counter.incr Obs.searches;
-  Obs.T.span "explore.por" @@ fun () ->
-  let sys = Packed.system lay and w = Packed.words lay in
-  let arena = work.arena in
-  let sleeps = ref [||] in
-  let set_sleep id z =
-    let cap = Array.length !sleeps in
-    if id >= cap then begin
-      let b = Array.make (max 64 (2 * cap)) [] in
-      Array.blit !sleeps 0 b 0 cap;
-      sleeps := b
-    end;
-    !sleeps.(id) <- z
-  in
-  let q = Queue.create () in
-  let init = Packed.initial lay in
-  try
-    ignore (add arena ~max_states init);
-    record work 0 ~parent:(-1) ~via:(-1);
-    set_sleep 0 [];
-    if found ~live:(Packed.live_at lay init 0) init 0 then raise (Hit 0);
-    Queue.push (0, []) q;
-    while not (Queue.is_empty q) do
-      let id, sleep = Queue.pop q in
-      let node = Packed.decode_at lay (Arena.data arena) (id * w) in
-      let exp = Indep.expand ?canon sys node ~sleep in
-      Obs.por_expand ~enabled:exp.Indep.enabled_count
-        ~persistent:exp.Indep.persistent_count
-        ~selected:(List.length exp.Indep.succs);
-      List.iter
-        (fun { Indep.step; succ; moved; sleep = child } ->
-          let succ = Packed.encode lay succ in
-          if restrict succ 0 then
-            let n = Arena.count arena in
-            let id' = add arena ~max_states succ in
-            if id' = n then begin
-              record work n ~parent:id ~via:(Packed.bit lay step);
-              Obs.hit moved;
-              set_sleep id' child;
-              if found ~live:(Packed.live_at lay succ 0) succ 0 then
-                raise (Hit id');
-              Queue.push (id', child) q
-            end
-            else
-              match Indep.sleep_covered ~stored:!sleeps.(id') ~incoming:child with
-              | `Covered -> ()
-              | `Shrink z ->
-                  set_sleep id' z;
-                  Queue.push (id', z) q)
-        exp.Indep.succs
-    done;
-    -1
-  with Hit id -> id
-
 (* A caller's predicate on {!State.t}, evaluated on the decoded state. *)
 let decoded lay f a o = f (Packed.decode_at lay a o)
 
@@ -370,10 +338,8 @@ let never_found ~live:_ _ _ = false
    first node satisfying [found], and the space. *)
 let run ~name ~max_states ~restrict ~symmetry ~por lay ~found w =
   let canon = active_canon ~symmetry (Packed.system lay) in
-  let hit =
-    if por then por_search ~max_states ~restrict canon lay w ~found
-    else bfs_loop ~name ~max_states ~restrict canon lay w ~found
-  in
+  let name = if por then "explore.por" else name in
+  let hit = bfs_loop ~name ~max_states ~restrict ~por canon lay w ~found in
   ((if hit < 0 then None else Some hit), { lay; canon; work = w })
 
 (* The space escapes, so it gets a workspace of its own. *)
@@ -418,18 +384,13 @@ let find_deadlock ?max_states ?symmetry ?(por = false) sys =
   let lay = Packed.layout sys in
   count_witness
     (if por then
-       (* Verdict from the reduced search; witness from a plain
-          non-symmetric re-search so [--por] output is byte-identical to
-          plain [analyze] under every flag combination.  When the plain
-          re-search blows the budget the reduced witness — valid, just
-          not BFS-minimal — is returned instead. *)
+       (* Verdict from the reduced search; witness, or [Too_large], from
+          a plain non-symmetric re-search, so [--por] output is
+          byte-identical to plain [analyze] under every flag
+          combination. *)
        match deadlock_search ?max_states ?symmetry ~por:true lay with
        | None -> None
-       | Some raw -> (
-           match deadlock_search ?max_states ~por:false lay with
-           | Some w -> Some w
-           | None -> Some raw
-           | exception Too_large _ -> Some raw)
+       | Some _ -> deadlock_search ?max_states ~por:false lay
      else deadlock_search ?max_states ?symmetry ~por:false lay)
 
 let deadlock_free ?max_states ?symmetry ?(por = false) sys =

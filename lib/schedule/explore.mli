@@ -11,16 +11,18 @@ open Ddlock_model
     Every search keeps packed states ({!Packed}) in one flat {!Arena}:
     state [id] is the [Packed.words] ints at offset [id * words], and
     the BFS tree is two int arrays by id (parent, and the global bit of
-    the step reaching the state).  All but the partial-order-reduced
-    search run one breadth-first loop: each successor is built in one
-    scratch buffer, looked up there, and copied into the arena only
-    when it is new; the kernel tests and expands states in place.  The
+    the step reaching the state).  Every search runs one breadth-first
+    loop: each successor is built in one scratch buffer, looked up
+    there, and copied into the arena only when it is new; the kernel
+    tests and expands states in place, and partial-order reduction cuts
+    a state's enabled steps to a persistent set before it is expanded
+    ({!Packed.persistent}).  The
     Lemma-1 searches run it on a layout whose rows also hold the
     D-arcs of the schedule that reached them ([Packed.layout ~arcs]).
     The {!State.t} values the searches take and return — witnesses,
     [states], [schedule_to]/[is_reachable] arguments, and the states a
     caller's [restrict]/[found] predicate sees — are decoded or encoded
-    at this edge.  Beside each stored state the loop keeps its enabled
+    at this edge.  Until a state is expanded the loop keeps its enabled
     set, carried from the parent's when the state is new
     ({!Packed.carry_enabled}, or recomputed when symmetry moved the
     successor to another orbit member); expansion reads it, and the
@@ -79,12 +81,10 @@ type space
     the plain exploration.
 
     With [~por:true] the space is the {e reduced} space of the
-    persistent/sleep-set selective search ({!Indep}): a subset of the
-    reachable states (never more than the plain search holds) that
-    still contains every reachable deadlock state.  Stored states have
-    parent pointers, so [schedule_to] works for them; [is_reachable]
-    answers membership in the {e reduced} space only.  Composes with
-    [~symmetry:true] (reduction over orbit representatives). *)
+    persistent-set selective search: a subset of the reachable states
+    that still contains every reachable deadlock state.  [schedule_to]
+    works for its states; [is_reachable] answers membership in the
+    {e reduced} space only.  Composes with [~symmetry:true]. *)
 val explore :
   ?max_states:int -> ?symmetry:bool -> ?por:bool -> System.t -> space
 
@@ -116,8 +116,8 @@ val schedule_to : space -> State.t -> Step.t list option
     returned schedule/state are translated back to the original system
     (the schedule is legal for [sys] and reaches the returned state).
 
-    With [~por:true] the search runs over the persistent/sleep-set
-    reduced space.  Sound only for predicates implied by deadlock
+    With [~por:true] the search runs over the persistent-set reduced
+    space.  Sound only for predicates implied by deadlock
     (e.g. {!State.is_deadlock} itself, or a cyclic reduction graph):
     the reduction preserves reachability of deadlock states, not of
     arbitrary targets.  The returned witness is the first hit in the
@@ -137,11 +137,9 @@ val bfs :
 (** First deadlock state found, with a partial schedule reaching it.
 
     With [~por:true] the verdict comes from the reduced search; on a
-    positive verdict the witness is canonicalized by re-running the
-    plain non-symmetric engine, so the result is byte-identical to the
-    plain [find_deadlock] under every flag combination (falling back
-    to the valid reduced witness only if the re-search exceeds
-    [max_states]). *)
+    positive verdict the witness, or {!Too_large}, comes from the plain
+    non-symmetric engine, so the result is the plain [find_deadlock]'s
+    under every flag combination. *)
 val find_deadlock :
   ?max_states:int ->
   ?symmetry:bool ->

@@ -179,6 +179,7 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
     steps;
   }
 
+let txns l = Array.length l.base - 1
 let system l = l.sys
 let words l = l.words
 let nodes l = Array.length l.steps
@@ -272,9 +273,9 @@ let enabled_into l a o e eo =
    bits of [wake g] can turn on.  A bit of the parent's set other than
    these stays as it was: its predecessors stay executed and no holder
    of its entity appears or leaves. *)
-let carry_enabled l a o g e po eo =
+let carry_enabled l a o g pe po e eo =
   for k = 0 to l.pwords - 1 do
-    e.(eo + k) <- e.(po + k)
+    e.(eo + k) <- pe.(po + k)
   done;
   e.(eo + l.wi.(g)) <- e.(eo + l.wi.(g)) land lnot l.wm.(g);
   if l.conf_start.(g) < l.conf_start.(g + 1) then begin
@@ -335,6 +336,263 @@ let enabled_bits l e eo en =
   by_txn l en 0 !n;
   !n
 
+(* Persistent sets.  A stubborn closure over unexecuted bits, seeded
+   with one enabled bit, grows by three rules: a bit with an unexecuted
+   predecessor pulls in one unexecuted ancestor (none when one is
+   already in), a Lock held by another transaction pulls in that
+   holder's Unlock, and any other bit pulls in the other transactions'
+   unexecuted nodes on its entity ([touch]: the Locks that its own Lock
+   blocks and, for a Lock, their Unlocks).  Its members are pulled in
+   first in, first out, each rule's in ascending bit order.  The rest
+   is scratch: the closure [cl] with its queue, its length [tail] and
+   enabled members [hits], the enabled set [ens], the smallest closure
+   so far [best], and each transaction's [adj_of] in this state. *)
+type por = {
+  lay : layout;
+  anc : int array;  (* [pwords] mask words per bit: its ancestors *)
+  desc : int array;  (* its descendants *)
+  touch : int array;
+  own : int array;  (* [pwords] mask words per transaction: its bits *)
+  adj : int array;
+  seen : int array;  (* [adj.(i)] holds in this state when [seen.(i) = now] *)
+  mutable now : int;
+  cl : int array;
+  queue : int array;
+  mutable tail : int;
+  mutable hits : int;
+  ens : int array;
+  best : int array;
+}
+
+let por l =
+  let pw = l.pwords and total = nodes l and n = txns l in
+  let anc = Array.make (total * pw) 0 and desc = Array.make (total * pw) 0 in
+  let touch = Array.make (total * pw) 0 and own = Array.make (n * pw) 0 in
+  (* Row [g] of [rows] gets each neighbour [b + h] and its row. *)
+  let close rows g b nbrs =
+    Array.iter
+      (fun h ->
+        let go = g * pw and ho = (b + h) * pw in
+        for k = 0 to pw - 1 do
+          rows.(go + k) <- rows.(go + k) lor rows.(ho + k)
+        done;
+        set_at rows go (b + h))
+      nbrs
+  in
+  for i = 0 to n - 1 do
+    let tx = System.txn l.sys i and b = l.base.(i) in
+    let order = Transaction.order tx and arcs = Transaction.given_arcs tx in
+    let m = Array.length order in
+    for k = 0 to m - 1 do
+      let u = order.(k) and v = order.(m - 1 - k) in
+      close anc (b + u) b (Digraph.pred arcs u);
+      close desc (b + v) b (Digraph.succ arcs v);
+      set_at own (i * pw) (b + k)
+    done
+  done;
+  for g = 0 to total - 1 do
+    let i = l.txn.(g) in
+    let tx = System.txn l.sys i in
+    let nd = Transaction.node tx (g - l.base.(i)) in
+    let lock = l.base.(i) + Transaction.lock_node_exn tx nd.Node.entity in
+    Array.blit l.blocks (lock * pw) touch (g * pw) pw;
+    if lock = g then
+      for q = l.conf_start.(g) / 4 to (l.conf_start.(g + 1) / 4) - 1 do
+        let k = (g * pw) + l.conf.((4 * q) + 2) in
+        touch.(k) <- touch.(k) lor l.conf.((4 * q) + 3)
+      done
+  done;
+  {
+    lay = l;
+    anc;
+    desc;
+    touch;
+    own;
+    adj = Array.make n 0;
+    seen = Array.make n 0;
+    now = 0;
+    cl = Array.make pw 0;
+    queue = Array.make total 0;
+    tail = 0;
+    hits = 0;
+    ens = Array.make pw 0;
+    best = Array.make pw 0;
+  }
+
+let push r h =
+  let k = r.lay.wi.(h) and m = r.lay.wm.(h) in
+  r.cl.(k) <- r.cl.(k) lor m;
+  r.queue.(r.tail) <- h;
+  r.tail <- r.tail + 1;
+  if r.ens.(k) land m <> 0 then r.hits <- r.hits + 1
+
+(* Pushes, ascending, the bits of [touch] at [go] that the state has
+   not executed and the closure does not hold. *)
+let push_new r a o go =
+  for k = 0 to r.lay.pwords - 1 do
+    let x = ref (r.touch.(go + k) land lnot a.(o + k) land lnot r.cl.(k)) in
+    while !x <> 0 do
+      let b = !x land - !x in
+      push r ((k * bits) + log2.(b mod 67));
+      x := !x lxor b
+    done
+  done
+
+(* Some unexecuted ancestor (at [ao] of [anc]) is in the closure. *)
+let rec anc_in r a o ao k =
+  k < r.lay.pwords
+  && (r.anc.(ao + k) land lnot a.(o + k) land r.cl.(k) <> 0
+     || anc_in r a o ao (k + 1))
+
+let rec lowest_anc r a o ao k =
+  let x = r.anc.(ao + k) land lnot a.(o + k) in
+  if x <> 0 then (k * bits) + log2.((x land -x) mod 67)
+  else lowest_anc r a o ao (k + 1)
+
+(* The Unlock bit of a quadruple in [k, stop) of [conf] whose Lock is
+   held, or -1. *)
+let rec holder_unlock l a o k stop =
+  if k >= stop then -1
+  else
+    let c = l.conf in
+    if a.(o + c.(k)) land c.(k + 1) <> 0 && a.(o + c.(k + 2)) land c.(k + 3) = 0
+    then (c.(k + 2) * bits) + log2.(c.(k + 3) mod 67)
+    else holder_unlock l a o (k + 4) stop
+
+(* The closure of [seed] in [r.cl]; stops early once it holds [limit]
+   enabled bits.  Returns how many it holds. *)
+let closure r a o seed limit =
+  let l = r.lay and pw = r.lay.pwords in
+  Array.fill r.cl 0 pw 0;
+  r.tail <- 0;
+  r.hits <- 0;
+  push r seed;
+  let head = ref 0 in
+  while !head < r.tail && r.hits < limit do
+    let g = r.queue.(!head) in
+    incr head;
+    let go = g * pw in
+    if not (preds_done l a o go 0) then begin
+      if not (anc_in r a o go 0) then push r (lowest_anc r a o go 0)
+    end
+    else
+      let u = holder_unlock l a o l.conf_start.(g) l.conf_start.(g + 1) in
+      if u < 0 then push_new r a o go
+      else if r.cl.(l.wi.(u)) land l.wm.(u) = 0 then push r u
+  done;
+  r.hits
+
+(* Seeds in enabled order; a closure replaces the best only when it
+   holds strictly fewer enabled bits, and one bit ends the search.
+   Leaves the best in [r.best]. *)
+let by_nodes r a o en n =
+  let pw = r.lay.pwords in
+  Array.fill r.ens 0 pw 0;
+  for i = 0 to n - 1 do
+    set_at r.ens 0 en.(i)
+  done;
+  let best = ref max_int and i = ref 0 in
+  while !i < n && !best > 1 do
+    let h = closure r a o en.(!i) !best in
+    if h < !best then begin
+      best := h;
+      Array.blit r.cl 0 r.best 0 pw
+    end;
+    incr i
+  done
+
+exception Tangled
+
+(* When every unexecuted node of a transaction lies above its lowest
+   unexecuted one [m], the ancestor rule pulls in [m] or finds an
+   ancestor that does, and [m] is its only minimal node.  A closure
+   that pulls in a node of such a transaction then holds its [m], and
+   [m]'s rule leads on to the transactions of the nodes it pulls in:
+   [adj_of r a o i], a mask of transactions, which raises [Tangled]
+   when transaction [i] breaks the premise. *)
+let adj_of r a o i =
+  if r.seen.(i) = r.now then r.adj.(i)
+  else begin
+    let l = r.lay and pw = r.lay.pwords and io = i * r.lay.pwords in
+    (* The words that hold transaction [i]'s bits. *)
+    let lo = l.wi.(l.base.(i)) and hi = l.wi.(l.base.(i + 1) - 1) in
+    let m = ref (-1) and k = ref lo and adj = ref 0 in
+    while !m < 0 && !k <= hi do
+      let x = r.own.(io + !k) land lnot a.(o + !k) in
+      if x <> 0 then m := (!k * bits) + log2.((x land -x) mod 67);
+      incr k
+    done;
+    let m = !m and mo = !m * pw in
+    for k = lo to hi do
+      let above = r.desc.(mo + k) lor if k = l.wi.(m) then l.wm.(m) else 0 in
+      if r.own.(io + k) land lnot a.(o + k) land lnot above <> 0 then
+        raise_notrace Tangled
+    done;
+    let u = holder_unlock l a o l.conf_start.(m) l.conf_start.(m + 1) in
+    if u >= 0 then adj := 1 lsl l.txn.(u)
+    else
+      for k = 0 to pw - 1 do
+        let x = ref (r.touch.(mo + k) land lnot a.(o + k)) in
+        while !x <> 0 do
+          let b = !x land - !x in
+          adj := !adj lor (1 lsl l.txn.((k * bits) + log2.(b mod 67)));
+          x := !x lxor b
+        done
+      done;
+    r.seen.(i) <- r.now;
+    r.adj.(i) <- !adj;
+    !adj
+  end
+
+(* [by_nodes] over transactions: a seed's closure is the transactions
+   it reaches over [adj_of], and its enabled members are theirs in
+   [en].  A transaction counts once [adj_of] has vouched for it, so a
+   closure given up at [best] holds that many under [by_nodes] too. *)
+let by_txns r a o en n =
+  let l = r.lay and on = ref 0 in
+  r.now <- r.now + 1;
+  for s = 0 to n - 1 do
+    on := !on lor (1 lsl l.txn.(en.(s)))
+  done;
+  let best = ref max_int and kept = ref 0 and s = ref 0 in
+  while !s < n && !best > 1 do
+    let i = l.txn.(en.(!s)) in
+    let reach = ref (1 lsl i) and todo = ref (1 lsl i) and hits = ref 0 in
+    while !todo <> 0 && !hits < !best do
+      let b = !todo land - !todo in
+      let fresh = adj_of r a o log2.(b mod 67) land lnot !reach in
+      if !on land b <> 0 then incr hits;
+      todo := !todo lxor b lor fresh;
+      reach := !reach lor fresh
+    done;
+    if !hits < !best then begin
+      best := !hits;
+      kept := !reach
+    end;
+    incr s
+  done;
+  Array.fill r.best 0 l.pwords 0;
+  for s = 0 to n - 1 do
+    if !kept land (1 lsl l.txn.(en.(s))) <> 0 then set_at r.best 0 en.(s)
+  done
+
+(* Transactions are counted in one word's bits. *)
+let persistent r a o en n =
+  if n <= 1 then n
+  else begin
+    if Array.length r.adj > bits then by_nodes r a o en n
+    else (try by_txns r a o en n with Tangled -> by_nodes r a o en n);
+    let l = r.lay and k = ref 0 in
+    for i = 0 to n - 1 do
+      let g = en.(i) in
+      if r.best.(l.wi.(g)) land l.wm.(g) <> 0 then begin
+        en.(!k) <- g;
+        incr k
+      end
+    done;
+    !k
+  end
+
 let enabled l p =
   let steps = ref [] in
   iter_enabled l p 0 (fun g -> steps := l.steps.(g) :: !steps);
@@ -384,8 +642,6 @@ let live_at l a o =
 let is_deadlock l p = (not (live_at l p 0)) && not (all_finished_at l p 0)
 
 (* D-arcs.  Arc (i, k) is bit [i * n + k] after the prefix words. *)
-
-let txns l = Array.length l.base - 1
 
 let arc_at l a o i k =
   let d = (l.pwords * bits) + (i * txns l) + k in

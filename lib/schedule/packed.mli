@@ -83,9 +83,6 @@ val initial : layout -> t
 (** [step l g] — the step of global bit [g]. *)
 val step : layout -> int -> Step.t
 
-(** [bit l s] — the global bit of step [s]; [step l (bit l s) = s]. *)
-val bit : layout -> Step.t -> int
-
 (** {1 The kernel, in place} *)
 
 (** [iter_enabled l a o f] applies [f] to the global bit of each step
@@ -123,19 +120,46 @@ val enabled_words : layout -> int
     offset [o] of [a] into [e] at offset [eo], by {!iter_enabled}. *)
 val enabled_into : layout -> int array -> int -> int array -> int -> unit
 
-(** [carry_enabled l a o g e po eo] writes into [e] at offset [eo] the
-    enabled set of the state at offset [o] of [a], given that it is the
-    state whose enabled set is at offset [po] of [e] with step [g]
+(** [carry_enabled l a o g pe po e eo] writes into [e] at offset [eo]
+    the enabled set of the state at offset [o] of [a], given that it is
+    the state whose enabled set is at offset [po] of [pe] with step [g]
     (enabled there) executed: [(E ∖ {g} ∖ blocks g) ∪ {h ∈ wake g | h
-    can run}].  [eo] may equal [po]; the ranges must not otherwise
+    can run}].  The two ranges may be the same; they must not otherwise
     overlap. *)
 val carry_enabled :
-  layout -> int array -> int -> int -> int array -> int -> int -> unit
+  layout -> int array -> int -> int -> int array -> int -> int array -> int ->
+  unit
 
 (** [enabled_bits l e eo en] writes the bits of the enabled set at
     offset [eo] of [e] into [en] (at least {!nodes} long) in
     {!iter_enabled} order, and returns how many there are. *)
 val enabled_bits : layout -> int array -> int -> int array -> int
+
+(** {1 Persistent sets (partial-order reduction)}
+
+    A persistent set of a state is a subset of its enabled steps,
+    nonempty when they are, that no steps outside it can disable or
+    depend on, so a search that expands only persistent sets still
+    reaches every deadlock.  It is the stubborn closure over unexecuted
+    nodes, grown first in, first out from each enabled step in turn,
+    with the fewest enabled steps (the first such): a node with an
+    unexecuted predecessor pulls in one unexecuted ancestor (none when
+    one is in, else the lowest); a Lock whose entity another
+    transaction holds, that holder's Unlock; any other node, every
+    unexecuted node of the other transactions on its entity but an
+    Unlock's Unlocks. *)
+
+(** The tables and buffers of one search's persistent sets, on a
+    layout without [read] Locks. *)
+type por
+
+val por : layout -> por
+
+(** [persistent r a o en n] cuts [en.(0 .. n-1)], the enabled set of the
+    state at offset [o] of [a] in {!enabled_bits} order, to its
+    persistent set in place and in order, and returns its size.
+    Allocates nothing. *)
+val persistent : por -> int array -> int -> int array -> int -> int
 
 (** {!State.all_finished} of the state at offset [o] of [a]. *)
 val all_finished_at : layout -> int array -> int -> bool

@@ -34,8 +34,6 @@ let holder sys st x =
   in
   go 0
 
-let held sys st i = Transaction.held_in_prefix (System.txn sys i) st.(i)
-
 let finished sys st i =
   Bitset.cardinal st.(i) = Transaction.node_count (System.txn sys i)
 
@@ -95,20 +93,3 @@ let rec some_runs sys st i v =
 
 let is_deadlock sys st =
   (not (some_runs sys st 0 0)) && not (all_finished sys st)
-
-let size st = Array.fold_left (fun acc s -> acc + Bitset.cardinal s) 0 st
-
-let pp sys ppf st =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun i p ->
-      let tx = System.txn sys i in
-      Format.fprintf ppf "T%d: {" (i + 1);
-      Bitset.iter
-        (fun v ->
-          Format.fprintf ppf " %s"
-            (Node.to_string (System.db sys) (Transaction.node tx v)))
-        p;
-      Format.fprintf ppf " }@,")
-    st;
-  Format.fprintf ppf "@]"

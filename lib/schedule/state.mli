@@ -8,9 +8,8 @@ open Ddlock_model
     words ({!Packed}) and build a [t] only at their edges (witnesses,
     enumerated states, caller predicates).  The functions here are the
     reference definitions that {!Packed} is tested against, and serve
-    the cold callers: narration, the partial-order reduction's
-    persistent sets, symmetry canonicalization, random runs and
-    schedule replay. *)
+    the cold callers: narration, symmetry canonicalization, random runs
+    and schedule replay. *)
 
 type t = Bitset.t array
 
@@ -25,9 +24,6 @@ val is_valid : System.t -> t -> bool
 (** [holder sys st x] is [Some i] when transaction [i] has locked but not
     unlocked entity [x] in [st].  Legal states have at most one holder. *)
 val holder : System.t -> t -> Db.entity -> int option
-
-(** Entities held per transaction. *)
-val held : System.t -> t -> int -> Bitset.t
 
 (** [finished sys st i] iff transaction [i] has executed all its nodes. *)
 val finished : System.t -> t -> int -> bool
@@ -51,8 +47,3 @@ val apply : t -> Step.t -> t
     operations on entities held by other transactions — equivalently,
     [enabled] is empty and not [all_finished]. *)
 val is_deadlock : System.t -> t -> bool
-
-(** Number of executed nodes. *)
-val size : t -> int
-
-val pp : System.t -> Format.formatter -> t -> unit

@@ -1,9 +1,10 @@
 (* Differential conformance battery for partial-order reduction: the
    static independence predicate of Sched.Indep must be sound w.r.t.
    the dynamic commutation oracle on every enabled pair of every
-   reachable state, and every observable of the persistent/sleep-set
-   reduced searches (?por threaded through Explore / Prefix_search /
-   Analysis / Minimize) must agree with the plain ground truth —
+   reachable state, so must the packed persistent sets, and every
+   observable of the persistent-set reduced searches (?por threaded
+   through Explore / Prefix_search / Analysis / Minimize) must agree
+   with the plain ground truth —
    verdicts, canonicalized witnesses, state-count upper bounds, sound
    cap accounting — with symmetry on and off. *)
 
@@ -56,20 +57,95 @@ let states_of_run st sys =
   in
   sts
 
+(* The persistent set {!Packed.persistent} cuts a state's enabled
+   steps to, as steps in enabled order. *)
+let persistent sys =
+  let lay = Packed.layout sys in
+  let r = Packed.por lay and en = Array.make (Packed.nodes lay) 0 in
+  fun st ->
+    let p = Packed.encode lay st and n = ref 0 in
+    Packed.iter_enabled lay p 0 (fun g ->
+        en.(!n) <- g;
+        incr n);
+    List.init (Packed.persistent r p 0 en !n) (fun i -> Packed.step lay en.(i))
+
+(* The persistent sets of the decoded search the packed filter
+   replaced: a stubborn closure over (txn, node) pairs in a hash table,
+   seeded with each enabled step in turn, the first smallest kept. *)
+let reference_persistent sys st =
+  let closure_from (seed : Step.t) =
+    let w = Hashtbl.create 16 and q = Queue.create () in
+    let add i u =
+      if not (Hashtbl.mem w (i, u)) then begin
+        Hashtbl.replace w (i, u) ();
+        Queue.push (i, u) q
+      end
+    in
+    add seed.Step.txn seed.Step.node;
+    while not (Queue.is_empty q) do
+      let i, u = Queue.pop q in
+      let tx = System.txn sys i in
+      let nd = Transaction.node tx u in
+      if not (Transaction.is_minimal_remaining tx st.(i) u) then begin
+        let preds =
+          List.filter
+            (fun v ->
+              Transaction.precedes tx v u
+              && not (Ddlock_graph.Bitset.mem st.(i) v))
+            (List.init (Transaction.node_count tx) Fun.id)
+        in
+        if not (List.exists (fun v -> Hashtbl.mem w (i, v)) preds) then
+          add i (List.hd preds)
+      end
+      else
+        match (nd.Node.op, State.holder sys st nd.Node.entity) with
+        | Node.Lock, Some k when k <> i ->
+            add k (Transaction.unlock_node_exn (System.txn sys k) nd.Node.entity)
+        | _ ->
+            for j = 0 to System.size sys - 1 do
+              let txj = System.txn sys j in
+              for v = 0 to Transaction.node_count txj - 1 do
+                let ndj = Transaction.node txj v in
+                if
+                  j <> i
+                  && (not (Ddlock_graph.Bitset.mem st.(j) v))
+                  && ndj.Node.entity = nd.Node.entity
+                  && not (nd.Node.op = Node.Unlock && ndj.Node.op = Node.Unlock)
+                then add j v
+              done
+            done
+    done;
+    List.filter
+      (fun (s : Step.t) -> Hashtbl.mem w (s.Step.txn, s.Step.node))
+      (State.enabled sys st)
+  in
+  match State.enabled sys st with
+  | ([] | [ _ ]) as en -> en
+  | en ->
+      List.fold_left
+        (fun best seed ->
+          let p = closure_from seed in
+          if List.length p < List.length best then p else best)
+        (closure_from (List.hd en))
+        (List.tl en)
+
 (* ------------------------------------------------------------------ *)
-(* Unit: Indep static predicate, exhaustively on the fixtures          *)
+(* Unit: Indep static predicate and packed persistent sets,            *)
+(* exhaustively on the fixtures                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Satellite contract: over EVERY reachable state and EVERY enabled
-   pair, the static predicate must never claim "independent" for a
-   pair the dynamic oracle rejects (no false positives), and must be
-   irreflexive and symmetric. *)
+(* Over EVERY reachable state and EVERY enabled pair, the static
+   predicate must never claim "independent" for a pair the dynamic
+   oracle rejects (no false positives), and must be irreflexive and
+   symmetric; and every enabled step outside the state's persistent
+   set must commute with every member. *)
 let test_indep_sound_exhaustive () =
   List.iter
     (fun sys ->
+      let persistent = persistent sys in
       Seq.iter
         (fun st ->
-          let en = State.enabled sys st in
+          let en = State.enabled sys st and p = persistent st in
           List.iter
             (fun s ->
               List.iter
@@ -78,9 +154,14 @@ let test_indep_sound_exhaustive () =
                     (Indep.independent sys t s);
                   if Step.equal s t then
                     check bool_t "irreflexive" false (Indep.independent sys s t)
-                  else if Indep.independent sys s t then
-                    check bool_t "static independent ⇒ dynamic commutes" true
-                      (Indep.commutes sys st s t))
+                  else begin
+                    if Indep.independent sys s t then
+                      check bool_t "static independent ⇒ dynamic commutes"
+                        true (Indep.commutes sys st s t);
+                    if List.mem s p && not (List.mem t p) then
+                      check bool_t "outside the persistent set ⇒ commutes"
+                        true (Indep.commutes sys st s t)
+                  end)
                 en)
             en)
         (Explore.states (Explore.explore sys)))
@@ -89,12 +170,12 @@ let test_indep_sound_exhaustive () =
 let test_persistent_props () =
   List.iter
     (fun sys ->
+      let persistent = persistent sys in
       Seq.iter
         (fun st ->
-          let en = State.enabled sys st in
-          let p = Indep.persistent sys st in
-          check bool_t "persistent ⊆ enabled" true
-            (List.for_all (fun s -> List.mem s en) p);
+          let en = State.enabled sys st and p = persistent st in
+          check bool_t "persistent keeps enabled order" true
+            (List.filter (fun s -> List.mem s p) en = p);
           check bool_t "persistent nonempty iff enabled nonempty"
             (en <> []) (p <> []);
           check bool_t "persistent has no duplicates" true
@@ -111,24 +192,6 @@ let test_has_independent_pair () =
      one entity, every same-transaction pair is order-comparable. *)
   check bool_t "single-entity copies have none" false
     (Indep.has_independent_pair (eight_state_sys ()))
-
-let test_sleep_covered () =
-  let sys = phil3 () in
-  let en =
-    List.sort Step.compare (State.enabled sys (State.initial sys))
-  in
-  let s0, s1 =
-    match en with a :: b :: _ -> (a, b) | _ -> assert false
-  in
-  check bool_t "empty stored is covered" true
-    (Indep.sleep_covered ~stored:[] ~incoming:[ s0 ] = `Covered);
-  check bool_t "subset stored is covered" true
-    (Indep.sleep_covered ~stored:[ s0 ] ~incoming:[ s0; s1 ] = `Covered);
-  check bool_t "non-subset shrinks to the intersection" true
-    (Indep.sleep_covered ~stored:[ s0; s1 ] ~incoming:[ s1 ]
-    = `Shrink [ s1 ]);
-  check bool_t "disjoint shrinks to empty" true
-    (Indep.sleep_covered ~stored:[ s0 ] ~incoming:[ s1 ] = `Shrink [])
 
 (* Reduced counts on the fixtures: never more states than plain, same
    deadlock verdict, and a genuine cut where independence exists. *)
@@ -183,6 +246,26 @@ let indep_sound_prop =
                      || Indep.commutes sys cur s t))
                 en)
             en)
+        (states_of_run st sys))
+
+let persistent_reference_prop =
+  QCheck.Test.make ~name:"packed persistent set = decoded reference"
+    ~count:60
+    QCheck.(pair (int_bound 1_000_000) (int_range 0 3))
+    (fun (seed, kind) ->
+      let st = Fixtures.rng seed in
+      let sys =
+        match kind with
+        | 0 -> Gentx.random_copies_system ~extra:true st ~copies:2
+        | 1 -> Gentx.dining_philosophers (3 + (seed mod 4))
+        | 2 ->
+            Gentx.zipf_system ~entities_per_txn:4 st ~sites:2 ~entities:6
+              ~txns:4 ~theta:0.8
+        | _ -> Fixtures.small_random_system st ~txns:3
+      in
+      let persistent = persistent sys in
+      List.for_all
+        (fun cur -> persistent cur = reference_persistent sys cur)
         (states_of_run st sys))
 
 let por_verdict_witness_prop =
@@ -337,6 +420,7 @@ let qtests =
   List.map Fixtures.to_alcotest
     [
       indep_sound_prop;
+      persistent_reference_prop;
       por_verdict_witness_prop;
       por_state_bound_prop;
       por_sound_reduction_prop;
@@ -354,7 +438,6 @@ let suite =
       test_persistent_props;
     Alcotest.test_case "independent-pair detector" `Quick
       test_has_independent_pair;
-    Alcotest.test_case "sleep-set covering rule" `Quick test_sleep_covered;
     Alcotest.test_case "reduced counts on fixtures" `Quick test_fixture_counts;
     Alcotest.test_case "canonicalized witnesses on fixtures" `Quick
       test_fixture_witnesses_canonical;
