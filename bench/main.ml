@@ -156,10 +156,12 @@ let rec render indent v =
   | Arr vs -> block "[" "]" (List.map (fun v -> ("", v)) vs)
   | Obj kvs -> block "{" "}" (List.map (fun (k, v) -> (quote k ^ ": ", v)) kvs)
 
-(* The short git revision of the working directory's checkout, or
+(* The short git revision of the working directory's checkout, with a
+   "-dirty" suffix when the tree has uncommitted changes (a file
+   regenerated before its commit then does not name the parent), or
    "unknown" outside one. *)
 let source_rev () =
-  match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
   | exception Unix.Unix_error _ -> "unknown"
   | ic -> (
       let line = try input_line ic with End_of_file -> "" in

@@ -7,18 +7,22 @@ type safety_verdict =
   | Pair_violation of { i : int; j : int; failure : Ddlock_safety.Pair.failure }
   | Cycle_violation of Ddlock_safety.Many.cycle_witness
 
-let pp_safety_verdict sys ppf = function
-  | Safe_and_deadlock_free -> Format.fprintf ppf "safe and deadlock-free"
+let add_safety_verdict buf ~indent sys = function
+  | Safe_and_deadlock_free ->
+      Ddlock_safety.Many.(add_verdict buf ~indent sys Safe_and_deadlock_free)
   | Pair_violation { i; j; failure } ->
-      let ti = Printf.sprintf "T%d" (i + 1)
-      and tj = Printf.sprintf "T%d" (j + 1) in
-      Format.fprintf ppf "pair (%s, %s) violates Theorem 3: %a" ti tj
-        (Ddlock_safety.Pair.pp_failure (System.db sys) (ti, tj))
-        failure
+      let ti = "T" ^ string_of_int (i + 1)
+      and tj = "T" ^ string_of_int (j + 1) in
+      List.iter (Buffer.add_string buf)
+        [ "pair ("; ti; ", "; tj; ") violates Theorem 3: " ];
+      Ddlock_safety.Pair.add_failure buf (System.db sys) (ti, tj) failure
   | Cycle_violation w ->
-      Format.fprintf ppf "%a"
-        (Ddlock_safety.Many.pp_verdict sys)
-        (Ddlock_safety.Many.Cycle_fails w)
+      Ddlock_safety.Many.(add_verdict buf ~indent sys (Cycle_fails w))
+
+let pp_safety_verdict sys ppf v =
+  let buf = Buffer.create 128 in
+  add_safety_verdict buf ~indent:0 sys v;
+  Step.pp_lines ppf (Buffer.contents buf)
 
 let of_many = function
   | Ddlock_safety.Many.Safe_and_deadlock_free -> Safe_and_deadlock_free
@@ -36,15 +40,19 @@ type deadlock_verdict =
   | Deadlocks of { schedule : Step.t list; state : State.t }
   | Gave_up of { states_explored : int }
 
-let pp_deadlock_verdict sys ppf = function
-  | Deadlock_free -> Format.fprintf ppf "deadlock-free"
+let add_deadlock_verdict buf ~indent sys = function
+  | Deadlock_free -> Buffer.add_string buf "deadlock-free"
   | Deadlocks { schedule; _ } ->
-      Format.fprintf ppf "@[<v>deadlocks after:@,%a@]"
-        (Step.pp_schedule sys) schedule
+      Buffer.add_string buf "deadlocks after:\n";
+      Buffer.add_string buf (String.make indent ' ');
+      Step.add_schedule buf sys schedule
   | Gave_up { states_explored } ->
-      Format.fprintf ppf
-        "unknown (search budget exhausted after %d states; the problem is coNP-hard)"
-        states_explored
+      List.iter (Buffer.add_string buf)
+        [
+          "unknown (search budget exhausted after ";
+          string_of_int states_explored;
+          " states; the problem is coNP-hard)";
+        ]
 
 (* The deadlock decision given the Theorem 4 verdict [safety]: a
    certified system is deadlock-free, anything else is searched. *)
@@ -161,17 +169,34 @@ let repair_with_global_order sys =
     assert (Ddlock_safety.Many.safe_and_deadlock_free sys');
     Some sys'
 
+(* The report's lines, the last one without its newline.  A verdict's
+   continuation line is indented to the column its first line starts
+   at, the byte length of its label ([∧] is three bytes): where a
+   vertical box opened after the label puts it. *)
+let add_report buf sys r =
+  let line label n =
+    Buffer.add_string buf label;
+    Buffer.add_string buf n;
+    Buffer.add_char buf '\n'
+  in
+  line "transactions:        " (string_of_int r.txn_count);
+  line "entities:            " (string_of_int r.entity_count);
+  line "sites:               " (string_of_int r.site_count);
+  line "lock/unlock nodes:   " (string_of_int r.total_nodes);
+  line "all two-phase:       " (string_of_bool r.all_two_phase);
+  line "interaction edges:   " (string_of_int r.interaction_edges);
+  line "interaction cycles:  " (string_of_int r.interaction_cycles);
+  let safety = "safety ∧ DF:         " and deadlock = "deadlock-freedom:    " in
+  Buffer.add_string buf safety;
+  add_safety_verdict buf ~indent:(String.length safety) sys r.safety;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf deadlock;
+  add_deadlock_verdict buf ~indent:(String.length deadlock) sys r.deadlock
+
 let pp_report sys ppf r =
-  Format.fprintf ppf
-    "@[<v>transactions:        %d@,entities:            %d@,\
-     sites:               %d@,lock/unlock nodes:   %d@,\
-     all two-phase:       %b@,interaction edges:   %d@,\
-     interaction cycles:  %d@,safety ∧ DF:         %a@,\
-     deadlock-freedom:    %a@]"
-    r.txn_count r.entity_count r.site_count r.total_nodes r.all_two_phase
-    r.interaction_edges r.interaction_cycles
-    (pp_safety_verdict sys) r.safety
-    (pp_deadlock_verdict sys) r.deadlock
+  let buf = Buffer.create 512 in
+  add_report buf sys r;
+  Step.pp_lines ppf (Buffer.contents buf)
 
 (* The canonical rendering of a full analysis: exactly what [ddlock
    analyze] prints on stdout, byte for byte — the CLI prints this
@@ -181,17 +206,14 @@ let render_full ?max_states ?symmetry ?por sys =
   let r = report ?max_states ?symmetry ?por sys in
   let buf = Buffer.create 1024 in
   Ddlock_obs.Trace.span "analysis.render" (fun () ->
-      let ppf = Format.formatter_of_buffer buf in
-      Format.fprintf ppf "%a@." (pp_report sys) r;
-      (match r.deadlock with
+      add_report buf sys r;
+      Buffer.add_char buf '\n';
+      match r.deadlock with
       | Deadlocks { schedule; _ } ->
           (* The explanation begins with the narration and its status
              line, so the schedule is walked once. *)
-          Format.fprintf ppf "@.how the deadlock happens:@.";
-          List.iter
-            (fun line -> Format.fprintf ppf "%s@." line)
-            (Narrate.explain_deadlock sys schedule)
+          Buffer.add_string buf "\nhow the deadlock happens:\n";
+          Narrate.add_explanation buf sys schedule
       | _ -> ());
-      Format.pp_print_flush ppf ());
   let status = match r.safety with Safe_and_deadlock_free -> 0 | _ -> 1 in
   (Buffer.contents buf, status, r)

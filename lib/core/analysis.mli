@@ -16,6 +16,8 @@ type safety_verdict =
     }
   | Cycle_violation of Ddlock_safety.Many.cycle_witness
 
+(** The verdict's line as {!render_full} prints it; a cycle's witness
+    S* on a second line, as a vertical box. *)
 val pp_safety_verdict : System.t -> Format.formatter -> safety_verdict -> unit
 
 (** Decide safety ∧ deadlock-freedom with Theorem 4 (which degenerates to
@@ -32,8 +34,6 @@ type deadlock_verdict =
     }
   | Gave_up of { states_explored : int }
       (** the bounded exhaustive search exceeded its budget *)
-
-val pp_deadlock_verdict : System.t -> Format.formatter -> deadlock_verdict -> unit
 
 (** [deadlock_free ?max_states ?symmetry sys] — first tries the
     polynomial sufficient condition (safe ∧ DF ⇒ DF); otherwise runs the
@@ -83,6 +83,8 @@ val report :
   System.t ->
   report
 
+(** The report's lines as {!render_full} prints them, as a vertical
+    box. *)
 val pp_report : System.t -> Format.formatter -> report -> unit
 
 (** [render_full ?max_states ?symmetry sys] is

@@ -287,14 +287,13 @@ let restrict_to_prefix t p =
        (fun (u, v) -> Bitset.mem p u && Bitset.mem p v)
        (Digraph.edges (hasse t)))
 
+(* Two-phase iff no Unlock node's closure row holds a Lock node. *)
 let is_two_phase t =
+  let is_lock v = t.node_labels.(v).Node.op = Node.Lock in
   not
-    (Bitset.exists
-       (fun x ->
-         Bitset.exists
-           (fun y -> precedes t t.unlock_of.(x) t.lock_of.(y))
-           t.entity_set)
-       t.entity_set)
+    (Array.exists
+       (fun u -> u >= 0 && Bitset.exists is_lock t.closure.(u))
+       t.unlock_of)
 
 let drop_entity t x =
   if not (accesses t x) then t

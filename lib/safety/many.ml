@@ -13,23 +13,31 @@ and cycle_witness = {
   schedule : Step.t list;
 }
 
-let pp_verdict sys ppf = function
-  | Safe_and_deadlock_free ->
-      Format.fprintf ppf "safe and deadlock-free"
+let add_verdict buf ~indent sys v =
+  let add = Buffer.add_string buf in
+  match v with
+  | Safe_and_deadlock_free -> add "safe and deadlock-free"
   | Pair_fails { i; j; failure } ->
-      let ti = Printf.sprintf "T%d" (i + 1)
-      and tj = Printf.sprintf "T%d" (j + 1) in
-      Format.fprintf ppf "pair (%s, %s) fails: %a" ti tj
-        (Pair.pp_failure (System.db sys) (ti, tj))
-        failure
+      let ti = "T" ^ string_of_int (i + 1)
+      and tj = "T" ^ string_of_int (j + 1) in
+      List.iter add [ "pair ("; ti; ", "; tj; ") fails: " ];
+      Pair.add_failure buf (System.db sys) (ti, tj) failure
   | Cycle_fails { cycle; schedule; _ } ->
-      Format.fprintf ppf
-        "@[<v>cycle %a admits a partial schedule with cyclic D:@,%a@]"
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
-           (fun ppf i -> Format.fprintf ppf "T%d" (i + 1)))
-        cycle
-        (Step.pp_schedule sys) schedule
+      add "cycle ";
+      List.iteri
+        (fun k i ->
+          if k > 0 then add " -> ";
+          add "T";
+          add (string_of_int (i + 1)))
+        cycle;
+      add " admits a partial schedule with cyclic D:\n";
+      add (String.make indent ' ');
+      Step.add_schedule buf sys schedule
+
+let pp_verdict sys ppf v =
+  let buf = Buffer.create 128 in
+  add_verdict buf ~indent:0 sys v;
+  Step.pp_lines ppf (Buffer.contents buf)
 
 let rotate l r =
   let rec split i acc = function

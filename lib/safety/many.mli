@@ -33,6 +33,12 @@ and cycle_witness = {
   schedule : Step.t list;  (** the witness partial schedule S* *)
 }
 
+(** [add_verdict buf ~indent sys v] writes the text of [v] into [buf]:
+    one line, or for [Cycle_fails] the cycle and then S* on a second
+    line indented by [indent] spaces. *)
+val add_verdict : Buffer.t -> indent:int -> System.t -> verdict -> unit
+
+(** The text of {!add_verdict}, a second line as a vertical box. *)
 val pp_verdict : System.t -> Format.formatter -> verdict -> unit
 
 val check : System.t -> verdict

@@ -5,16 +5,25 @@ type failure =
   | No_common_first of { first1 : Db.entity; first2 : Db.entity }
   | Unguarded of { y : Db.entity; in_txn : int }
 
-let pp_failure db (name1, name2) ppf = function
-  | No_common_first { first1; first2 } ->
-      Format.fprintf ppf
-        "no common first lock: %s can lock %s first while %s locks %s first"
-        name1 (Db.entity_name db first1) name2 (Db.entity_name db first2)
-  | Unguarded { y; in_txn } ->
-      let this, other = if in_txn = 0 then (name1, name2) else (name2, name1) in
-      Format.fprintf ppf "entity %s is unguarded: L_%s(L%s) ∩ R_%s(L%s) = ∅"
-        (Db.entity_name db y) this (Db.entity_name db y) other
-        (Db.entity_name db y)
+let add_failure buf db (name1, name2) failure =
+  let name = Db.entity_name db in
+  List.iter (Buffer.add_string buf)
+    (match failure with
+    | No_common_first { first1; first2 } ->
+        [ "no common first lock: "; name1; " can lock "; name first1;
+          " first while "; name2; " locks "; name first2; " first" ]
+    | Unguarded { y; in_txn } ->
+        let this, other =
+          if in_txn = 0 then (name1, name2) else (name2, name1)
+        in
+        let y = name y in
+        [ "entity "; y; " is unguarded: L_"; this; "(L"; y; ") ∩ R_"; other;
+          "(L"; y; ") = ∅" ])
+
+let pp_failure db names ppf failure =
+  let buf = Buffer.create 64 in
+  add_failure buf db names failure;
+  Format.pp_print_string ppf (Buffer.contents buf)
 
 let common t1 t2 = Bitset.inter (Transaction.entity_set t1) (Transaction.entity_set t2)
 let has_common t1 t2 = not (Bitset.is_empty (common t1 t2))

@@ -18,8 +18,13 @@ type failure =
       (** condition 2 fails at [y]: [L_Tᵢ(Ly) ∩ R_Tⱼ(Ly) = ∅] where
           [i = in_txn] (0 or 1) and [j] is the other *)
 
-(** [pp_failure db (name1, name2)] prints a failure of the pair whose
-    first and second transactions are called [name1] and [name2]. *)
+(** [add_failure buf db (name1, name2) f] writes the one-line text of a
+    failure of the pair whose first and second transactions are called
+    [name1] and [name2]. *)
+val add_failure :
+  Buffer.t -> Db.t -> string * string -> failure -> unit
+
+(** The text of {!add_failure}. *)
 val pp_failure : Db.t -> string * string -> Format.formatter -> failure -> unit
 
 (** [common_first t1 t2] is the entity [x] of condition 1 if it exists

@@ -1,89 +1,110 @@
 open Ddlock_graph
 open Ddlock_model
 
-let entity_name sys e = Db.entity_name (System.db sys) e
+let add_txn buf i =
+  Buffer.add_char buf 'T';
+  Buffer.add_string buf (string_of_int (i + 1))
 
-(* One walk over [steps]: the narration lines, status last, and the
-   final state.  With [~strict], an illegal step raises
-   [Invalid_argument] before it is narrated. *)
-let walk ~strict sys steps =
-  let st = ref (State.initial sys) in
-  let lines = ref [] in
-  let emit fmt = Format.kasprintf (fun s -> lines := s :: !lines) fmt in
+(* One walk over [steps]: writes the narration lines into [buf], each
+   ended by a newline and the status last, and returns the final state.
+   With [~strict], an illegal step raises [Invalid_argument] before it
+   is narrated.  The walk owns its state and sets each step's bit in
+   place. *)
+let walk ~strict buf sys steps =
+  let add = Buffer.add_string buf in
+  let st = State.initial sys in
   List.iter
     (fun (s : Step.t) ->
       (if strict then
-         match Schedule.violation sys !st s with
+         match Schedule.violation sys st s with
          | Some v ->
              invalid_arg
                (Format.asprintf "Narrate.explain_deadlock: illegal schedule: %a"
                   (Schedule.pp_violation sys) v)
          | None -> ());
-      let tx = System.txn sys s.txn in
-      let nd = Transaction.node tx s.node in
+      let nd = Transaction.node (System.txn sys s.txn) s.node in
       let e = nd.Node.entity in
+      let name = Db.entity_name (System.db sys) e in
+      add_txn buf s.txn;
       (match nd.Node.op with
       | Node.Lock ->
+          add " locks ";
+          add name;
           (* Serialization arcs this lock creates. *)
-          let accessors =
-            List.filter
-              (fun k ->
-                k <> s.txn
-                && Transaction.accesses (System.txn sys k) e
-                && not
-                     (Bitset.mem !st.(k)
-                        (Transaction.lock_node_exn (System.txn sys k) e)))
-              (List.init (System.size sys) Fun.id)
-          in
-          emit "T%d locks %s%s" (s.txn + 1) (entity_name sys e)
-            (if accessors = [] then ""
-             else
-               Printf.sprintf "  (orders T%d before %s on %s)" (s.txn + 1)
-                 (String.concat ", "
-                    (List.map (fun k -> "T" ^ string_of_int (k + 1)) accessors))
-                 (entity_name sys e))
-      | Node.Unlock -> emit "T%d unlocks %s" (s.txn + 1) (entity_name sys e));
-      st := State.apply !st s)
+          let ordered = ref false in
+          for k = 0 to System.size sys - 1 do
+            let tk = System.txn sys k in
+            if
+              k <> s.txn
+              && Transaction.accesses tk e
+              && not (Bitset.mem st.(k) (Transaction.lock_node_exn tk e))
+            then begin
+              if !ordered then add ", "
+              else begin
+                add "  (orders ";
+                add_txn buf s.txn;
+                add " before ";
+                ordered := true
+              end;
+              add_txn buf k
+            end
+          done;
+          if !ordered then begin
+            add " on ";
+            add name;
+            Buffer.add_char buf ')'
+          end
+      | Node.Unlock ->
+          add " unlocks ";
+          add name);
+      Buffer.add_char buf '\n';
+      Bitset.set st.(s.txn) s.node)
     steps;
-  let status =
-    if State.all_finished sys !st then "all transactions finished"
-    else if State.is_deadlock sys !st then "DEADLOCK"
-    else "(partial)"
-  in
-  (List.rev (status :: !lines), !st)
+  add
+    (if State.all_finished sys st then "all transactions finished"
+     else if State.is_deadlock sys st then "DEADLOCK"
+     else "(partial)");
+  Buffer.add_char buf '\n';
+  st
 
-let narrate sys steps = fst (walk ~strict:false sys steps)
+let lines buf =
+  String.split_on_char '\n' (Buffer.sub buf 0 (Buffer.length buf - 1))
+
+let narrate sys steps =
+  let buf = Buffer.create 256 in
+  ignore (walk ~strict:false buf sys steps);
+  lines buf
 
 let pp sys ppf steps =
   Format.fprintf ppf "@[<v>%a@]"
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut Format.pp_print_string)
     (narrate sys steps)
 
+let add_explanation buf sys steps =
+  let st = walk ~strict:true buf sys steps in
+  for i = 0 to System.size sys - 1 do
+    let tx = System.txn sys i in
+    if Bitset.cardinal st.(i) <> Transaction.node_count tx then
+      List.iter
+        (fun v ->
+          let nd = Transaction.node tx v in
+          match nd.Node.op with
+          | Node.Lock -> (
+              match State.holder sys st nd.Node.entity with
+              | Some j when j <> i ->
+                  add_txn buf i;
+                  Buffer.add_string buf " is blocked: needs ";
+                  Buffer.add_string buf
+                    (Db.entity_name (System.db sys) nd.Node.entity);
+                  Buffer.add_string buf ", held by ";
+                  add_txn buf j;
+                  Buffer.add_char buf '\n'
+              | _ -> ())
+          | Node.Unlock -> ())
+        (Transaction.minimal_remaining tx st.(i))
+  done
+
 let explain_deadlock sys steps =
-  let lines, st = walk ~strict:true sys steps in
-  let blocked =
-    List.concat_map
-      (fun i ->
-        if
-          Bitset.cardinal st.(i)
-          = Transaction.node_count (System.txn sys i)
-        then []
-        else
-          List.filter_map
-            (fun v ->
-              let nd = Transaction.node (System.txn sys i) v in
-              match nd.Node.op with
-              | Node.Lock -> (
-                  match State.holder sys st nd.Node.entity with
-                  | Some j when j <> i ->
-                      Some
-                        (Printf.sprintf "T%d is blocked: needs %s, held by T%d"
-                           (i + 1)
-                           (entity_name sys nd.Node.entity)
-                           (j + 1))
-                  | _ -> None)
-              | Node.Unlock -> None)
-            (Transaction.minimal_remaining (System.txn sys i) st.(i)))
-      (List.init (System.size sys) Fun.id)
-  in
-  lines @ blocked
+  let buf = Buffer.create 256 in
+  add_explanation buf sys steps;
+  lines buf

@@ -16,3 +16,8 @@ val pp : System.t -> Format.formatter -> Step.t list -> unit
     "blocked on" lines: {!narrate}'s lines, status included, are its
     prefix.  Raises [Invalid_argument] if the schedule is illegal. *)
 val explain_deadlock : System.t -> Step.t list -> string list
+
+(** [add_explanation buf sys steps] writes the lines of
+    {!explain_deadlock}[ sys steps] into [buf], each ended by a
+    newline. *)
+val add_explanation : Buffer.t -> System.t -> Step.t list -> unit

@@ -424,6 +424,250 @@ let test_golden_wide_digest () =
   check Alcotest.string "wide analysis digest" golden_wide_digest
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
+(* ------------------------------------------------------------------ *)
+(* Buffer rendering = the Format renderer it replaced                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The report's printers as they were when they rendered through a
+   Format formatter, kasprintf and per-step sprintf, kept verbatim (up
+   to module paths) as the reference for the buffer writers. *)
+module Format_reference = struct
+  open Model
+  module Step = Sched.Step
+  module State = Sched.State
+  module Bitset = Graph.Bitset
+
+  let step_to_string sys (s : Step.t) =
+    let tx = System.txn sys s.txn in
+    let nd = Transaction.node tx s.node in
+    let op = match nd.Node.op with Node.Lock -> "L" | Node.Unlock -> "U" in
+    Printf.sprintf "%s%d.%s" op (s.txn + 1)
+      (Db.entity_name (System.db sys) nd.Node.entity)
+
+  let pp_schedule sys ppf steps =
+    Format.fprintf ppf "@[<hov>%a@]"
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " ")
+         (fun ppf s -> Format.pp_print_string ppf (step_to_string sys s)))
+      steps
+
+  let pp_failure db (name1, name2) ppf = function
+    | Safety.Pair.No_common_first { first1; first2 } ->
+        Format.fprintf ppf
+          "no common first lock: %s can lock %s first while %s locks %s first"
+          name1 (Db.entity_name db first1) name2 (Db.entity_name db first2)
+    | Safety.Pair.Unguarded { y; in_txn } ->
+        let this, other =
+          if in_txn = 0 then (name1, name2) else (name2, name1)
+        in
+        Format.fprintf ppf "entity %s is unguarded: L_%s(L%s) ∩ R_%s(L%s) = ∅"
+          (Db.entity_name db y) this (Db.entity_name db y) other
+          (Db.entity_name db y)
+
+  let pp_many_verdict sys ppf = function
+    | Safety.Many.Safe_and_deadlock_free ->
+        Format.fprintf ppf "safe and deadlock-free"
+    | Safety.Many.Pair_fails { i; j; failure } ->
+        let ti = Printf.sprintf "T%d" (i + 1)
+        and tj = Printf.sprintf "T%d" (j + 1) in
+        Format.fprintf ppf "pair (%s, %s) fails: %a" ti tj
+          (pp_failure (System.db sys) (ti, tj))
+          failure
+    | Safety.Many.Cycle_fails { cycle; schedule; _ } ->
+        Format.fprintf ppf
+          "@[<v>cycle %a admits a partial schedule with cyclic D:@,%a@]"
+          (Format.pp_print_list
+             ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " -> ")
+             (fun ppf i -> Format.fprintf ppf "T%d" (i + 1)))
+          cycle (pp_schedule sys) schedule
+
+  let pp_safety_verdict sys ppf = function
+    | Analysis.Safe_and_deadlock_free ->
+        Format.fprintf ppf "safe and deadlock-free"
+    | Analysis.Pair_violation { i; j; failure } ->
+        let ti = Printf.sprintf "T%d" (i + 1)
+        and tj = Printf.sprintf "T%d" (j + 1) in
+        Format.fprintf ppf "pair (%s, %s) violates Theorem 3: %a" ti tj
+          (pp_failure (System.db sys) (ti, tj))
+          failure
+    | Analysis.Cycle_violation w ->
+        Format.fprintf ppf "%a" (pp_many_verdict sys)
+          (Safety.Many.Cycle_fails w)
+
+  let pp_deadlock_verdict sys ppf = function
+    | Analysis.Deadlock_free -> Format.fprintf ppf "deadlock-free"
+    | Analysis.Deadlocks { schedule; _ } ->
+        Format.fprintf ppf "@[<v>deadlocks after:@,%a@]" (pp_schedule sys)
+          schedule
+    | Analysis.Gave_up { states_explored } ->
+        Format.fprintf ppf
+          "unknown (search budget exhausted after %d states; the problem is \
+           coNP-hard)"
+          states_explored
+
+  let pp_report sys ppf (r : Analysis.report) =
+    Format.fprintf ppf
+      "@[<v>transactions:        %d@,entities:            %d@,\
+       sites:               %d@,lock/unlock nodes:   %d@,\
+       all two-phase:       %b@,interaction edges:   %d@,\
+       interaction cycles:  %d@,safety ∧ DF:         %a@,\
+       deadlock-freedom:    %a@]"
+      r.txn_count r.entity_count r.site_count r.total_nodes r.all_two_phase
+      r.interaction_edges r.interaction_cycles (pp_safety_verdict sys)
+      r.safety (pp_deadlock_verdict sys) r.deadlock
+
+  let entity_name sys e = Db.entity_name (System.db sys) e
+
+  let walk sys steps =
+    let st = ref (State.initial sys) in
+    let lines = ref [] in
+    let emit fmt = Format.kasprintf (fun s -> lines := s :: !lines) fmt in
+    List.iter
+      (fun (s : Step.t) ->
+        let tx = System.txn sys s.txn in
+        let nd = Transaction.node tx s.node in
+        let e = nd.Node.entity in
+        (match nd.Node.op with
+        | Node.Lock ->
+            let accessors =
+              List.filter
+                (fun k ->
+                  k <> s.txn
+                  && Transaction.accesses (System.txn sys k) e
+                  && not
+                       (Bitset.mem !st.(k)
+                          (Transaction.lock_node_exn (System.txn sys k) e)))
+                (List.init (System.size sys) Fun.id)
+            in
+            emit "T%d locks %s%s" (s.txn + 1) (entity_name sys e)
+              (if accessors = [] then ""
+               else
+                 Printf.sprintf "  (orders T%d before %s on %s)" (s.txn + 1)
+                   (String.concat ", "
+                      (List.map
+                         (fun k -> "T" ^ string_of_int (k + 1))
+                         accessors))
+                   (entity_name sys e))
+        | Node.Unlock -> emit "T%d unlocks %s" (s.txn + 1) (entity_name sys e));
+        st := State.apply !st s)
+      steps;
+    let status =
+      if State.all_finished sys !st then "all transactions finished"
+      else if State.is_deadlock sys !st then "DEADLOCK"
+      else "(partial)"
+    in
+    (List.rev (status :: !lines), !st)
+
+  let explain_deadlock sys steps =
+    let lines, st = walk sys steps in
+    let blocked =
+      List.concat_map
+        (fun i ->
+          if
+            Bitset.cardinal st.(i) = Transaction.node_count (System.txn sys i)
+          then []
+          else
+            List.filter_map
+              (fun v ->
+                let nd = Transaction.node (System.txn sys i) v in
+                match nd.Node.op with
+                | Node.Lock -> (
+                    match State.holder sys st nd.Node.entity with
+                    | Some j when j <> i ->
+                        Some
+                          (Printf.sprintf
+                             "T%d is blocked: needs %s, held by T%d" (i + 1)
+                             (entity_name sys nd.Node.entity)
+                             (j + 1))
+                    | _ -> None)
+                | Node.Unlock -> None)
+              (Transaction.minimal_remaining (System.txn sys i) st.(i)))
+        (List.init (System.size sys) Fun.id)
+    in
+    lines @ blocked
+
+  let render sys (r : Analysis.report) =
+    let buf = Buffer.create 1024 in
+    let ppf = Format.formatter_of_buffer buf in
+    Format.fprintf ppf "%a@." (pp_report sys) r;
+    (match r.deadlock with
+    | Deadlocks { schedule; _ } ->
+        Format.fprintf ppf "@.how the deadlock happens:@.";
+        List.iter
+          (fun line -> Format.fprintf ppf "%s@." line)
+          (explain_deadlock sys schedule)
+    | _ -> ());
+    Format.pp_print_flush ppf ();
+    Buffer.contents buf
+end
+
+(* [render_full]'s text equals the reference's, and each Format
+   wrapper prints what the reference printer printed, under a prefix
+   that moves the box off column 0. *)
+let rendering_matches ?max_states ?symmetry ?por sys =
+  let module R = Format_reference in
+  let text, _, r = Analysis.render_full ?max_states ?symmetry ?por sys in
+  let show pp x = Format.asprintf "# %a@." pp x in
+  text = R.render sys r
+  && show (Analysis.pp_report sys) r = show (R.pp_report sys) r
+  && show (Analysis.pp_safety_verdict sys) r.safety
+     = show (R.pp_safety_verdict sys) r.safety
+  && (match r.deadlock with
+     | Deadlocks { schedule; _ } ->
+         show (Sched.Step.pp_schedule sys) schedule
+         = show (R.pp_schedule sys) schedule
+         && Sched.Narrate.narrate sys schedule = fst (R.walk sys schedule)
+     | _ -> true)
+  &&
+  let v = Safety.Many.check sys in
+  show (Safety.Many.pp_verdict sys) v = show (R.pp_many_verdict sys) v
+
+(* Systems like the benchmark's [analyze-search] pool (zipf hotspots
+   and small random systems), systems that repair certifies, and the
+   paper's fixtures; each rendered plain, with [~symmetry], with
+   [~por], and with a budget small enough to give up. *)
+let render_differential_prop =
+  QCheck.Test.make ~name:"render_full = Format renderer reference" ~count:120
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let module G = Workload.Gentx in
+      let rng = Fixtures.rng seed in
+      let sys =
+        match seed mod 6 with
+        | 0 -> G.zipf_system rng ~sites:2 ~entities:4 ~txns:3 ~theta:0.8
+        | 1 -> G.zipf_system rng ~sites:2 ~entities:6 ~txns:3 ~theta:0.8
+        | 2 -> G.small_random_system rng ~txns:3
+        | 3 -> G.small_random_system rng ~txns:4
+        | 4 -> (
+            let sys = G.small_random_system rng ~txns:4 in
+            match Analysis.repair_with_global_order sys with
+            | Some s -> s
+            | None -> sys)
+        | _ -> (
+            let fig6 n = System.copies (Workload.Figures.fig6_txn ()) n in
+            match seed / 6 mod 4 with
+            | 0 -> Workload.Figures.fig2 ()
+            | 1 -> fig6 3
+            | 2 -> G.dining_philosophers 4
+            | _ -> System.copies (G.guard_ring 3) 2)
+      in
+      rendering_matches sys
+      && rendering_matches ~symmetry:true sys
+      && rendering_matches ~por:true sys
+      && rendering_matches ~max_states:20 sys)
+
+(* Systems of two and three words per packed state, whose schedule
+   lines run past Format's margin, searches capped so that some give
+   up. *)
+let test_render_differential_wide () =
+  List.iter
+    (fun sys ->
+      check bool_t "wide rendering" true
+        (rendering_matches ~max_states:3_000 sys
+        && rendering_matches ~max_states:3_000 ~symmetry:true sys
+        && rendering_matches ~max_states:3_000 ~por:true sys))
+    (golden_wide_pool ())
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -431,6 +675,7 @@ let qtests =
       repair_always_certifies_prop;
       minimize_core_minimal_prop;
       pair_counterexample_prop;
+      render_differential_prop;
     ]
 
 let suite =
@@ -443,6 +688,8 @@ let suite =
       test_golden_analysis_digest;
     Alcotest.test_case "golden wide analysis digest" `Quick
       test_golden_wide_digest;
+    Alcotest.test_case "render_full = Format renderer on wide systems"
+      `Quick test_render_differential_wide;
     Alcotest.test_case "analysis polynomial shortcut" `Quick
       test_analysis_polynomial_shortcut;
     Alcotest.test_case "dot outputs" `Quick test_dot_outputs;

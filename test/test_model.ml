@@ -554,6 +554,40 @@ let closure_arcs_prop =
       done;
       Transaction.closure_arcs t = !pairs)
 
+(* [Transaction.is_two_phase] as it was before it scanned closure rows:
+   no entity's Unlock precedes any entity's Lock, over all pairs. *)
+let reference_is_two_phase t =
+  let es = Transaction.entity_set t in
+  not
+    (Bitset.exists
+       (fun x ->
+         Bitset.exists
+           (fun y ->
+             Transaction.precedes t
+               (Transaction.unlock_node_exn t x)
+               (Transaction.lock_node_exn t y))
+           es)
+       es)
+
+(* Random partial orders, and total orders that unlock anywhere after
+   the lock, so both answers occur. *)
+let is_two_phase_prop =
+  QCheck.Test.make ~name:"is_two_phase = pairwise Ux < Ly reference"
+    ~count:300
+    QCheck.(int_bound 100000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      let db = Ddlock_workload.Gentx.random_db ~sites:2 ~entities:5 in
+      let total =
+        Ddlock_rw.Rw_txn.to_exclusive
+          (Fixtures.random_order_txn st db
+             ~k:(1 + Random.State.int st 5)
+             ~write_only:true)
+      in
+      List.for_all
+        (fun t -> Transaction.is_two_phase t = reference_is_two_phase t)
+        [ random_txn seed; total ])
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -563,6 +597,7 @@ let qtests =
       random_extension_valid_prop;
       order_prop;
       closure_arcs_prop;
+      is_two_phase_prop;
     ]
 
 let suite =
