@@ -58,9 +58,9 @@ let symmetry_arg =
   Arg.(value & flag & info [ "symmetry" ]
        ~doc:"Exploit identical-transaction symmetry in the exhaustive \
              search: states are canonicalized to one representative per \
-             orbit of the automorphism group (verdict unchanged; \
-             reported schedules are mapped back to the original \
-             transaction indices).  A warning is printed when no two \
+             orbit of the automorphism group.  The verdict — and for \
+             $(b,analyze), the reported witness schedule — is identical \
+             to the plain search.  A warning is printed when no two \
              transactions are identical (the flag is then a no-op).")
 
 (* --symmetry on a system with a trivial automorphism group is

@@ -39,10 +39,9 @@
      outcome, deadlock time and arcs, makespan; with and without a
      random fault plan);
    - with [--symmetry]: the orbit-canonicalized engines (Sched.Canon)
-     vs the plain ones — identical deadlock verdicts on both generic
-     and identical-copy systems, witness legality, canonical state
-     counts within [raw/orbit_size, raw], and Theorem-1 prefix
-     verdicts;
+     vs the plain ones — identical deadlock verdicts and witnesses on
+     both generic and identical-copy systems, canonical state counts
+     within [raw/orbit_size, raw], and Theorem-1 prefix verdicts;
    - with [--por]: the persistent-set reduced engines vs the plain
      ones — byte-identical deadlock witnesses, reduced state counts
      never above plain, Theorem-1 prefix verdicts, and composition
@@ -338,25 +337,17 @@ let () =
     (* --- symmetry-reduced engines vs plain ground truth --- *)
     if !symmetry then begin
       timed "sym" @@ fun () ->
-      (* Generic k-transaction system: same verdict, legal witness. *)
-      (match
-         ( Sched.Explore.find_deadlock sys,
-           Sched.Explore.find_deadlock ~symmetry:true sys )
-       with
-      | None, None -> ()
-      | None, Some _ | Some _, None -> report "sym verdict" round
-      | Some _, Some (sched, stf) ->
-          if not (Sched.Schedule.is_legal sys sched) then
-            report "sym witness legality" round
-          else if not (Sched.State.equal (Sched.Schedule.prefix_vector sys sched) stf)
-          then report "sym witness endpoint" round
-          else if not (Sched.State.is_deadlock sys stf) then
-            report "sym witness deadlock" round);
+      (* Verdict AND witness are the plain ones: the orbit quotient
+         decides, the plain search supplies the witness. *)
+      if
+        Sched.Explore.find_deadlock ~symmetry:true sys
+        <> Sched.Explore.find_deadlock sys
+      then report "sym find_deadlock" round;
       if
         Deadlock.Prefix_search.deadlock_free ~symmetry:true sys
         <> Deadlock.Prefix_search.deadlock_free sys
       then report "sym prefix verdict" round;
-      (* Identical copies: counts bounded by the orbit size, same verdict. *)
+      (* Identical copies: counts bounded by the orbit size, same result. *)
       let copies = 2 + (round mod 2) in
       let ksys = Workload.Gentx.random_copies_system st ~copies in
       let canon = Sched.Canon.detect ksys in
@@ -367,15 +358,15 @@ let () =
       if reduced > raw || raw > reduced * Sched.Canon.orbit_size canon then
         report "sym state-count bound" round;
       if
-        (Sched.Explore.find_deadlock ksys = None)
-        <> (Sched.Explore.find_deadlock ~symmetry:true ksys = None)
-      then report "sym copies verdict" round;
+        Sched.Explore.find_deadlock ~symmetry:true ksys
+        <> Sched.Explore.find_deadlock ksys
+      then report "sym copies find_deadlock" round;
     end;
     (* --- partial-order-reduced engines vs plain ground truth --- *)
     if !por then begin
       timed "por" @@ fun () ->
-      (* Verdict AND witness are byte-identical: the reduced search
-         decides, a plain re-search canonicalizes the witness. *)
+      (* Verdict AND witness are the plain ones: the reduced search
+         decides, the plain search supplies the witness. *)
       let plain = Sched.Explore.find_deadlock sys in
       if Sched.Explore.find_deadlock ~por:true sys <> plain then
         report "por find_deadlock" round;
@@ -388,7 +379,7 @@ let () =
         <> Deadlock.Prefix_search.deadlock_free sys
       then report "por prefix verdict" round;
       (* Composition with the orbit quotient on an identical-copies
-         system: the canonicalized witness is still the plain one. *)
+         system: the witness is still the plain one. *)
       let copies = 2 + (round mod 2) in
       let ksys = Workload.Gentx.random_copies_system st ~copies in
       if

@@ -35,22 +35,21 @@ type deadlock_verdict =
   | Gave_up of { states_explored : int }
       (** the bounded exhaustive search exceeded its budget *)
 
-(** [deadlock_free ?max_states ?symmetry sys] — first tries the
+(** [deadlock_free ?max_states ?symmetry ?por sys] — first tries the
     polynomial sufficient condition (safe ∧ DF ⇒ DF); otherwise runs the
-    bounded exhaustive Theorem-1 search ({!Ddlock_schedule.Explore}).
-    With [~symmetry:true] that search stores one state per orbit of the
-    identical-transaction automorphism group ({!Ddlock_schedule.Canon})
-    — same verdict, witness valid for the original system, and systems
-    that exhaust the raw budget may fit the reduced one.  Default
-    budget: 500_000 states.
+    bounded exhaustive Theorem-1 search
+    ({!Ddlock_schedule.Explore.find_deadlock}).  Default budget: 500_000
+    states.
 
-    With [~por:true] the exhaustive search runs over the
-    persistent-set reduced space ({!Ddlock_schedule.Packed.persistent});
-    deadlock witnesses are canonicalized by a plain non-symmetric
-    re-search (see {!Ddlock_schedule.Explore.find_deadlock}), so the
-    verdict {e and} witness are identical to the plain analysis with
-    or without [symmetry] — only a [Gave_up] budget count can differ
-    (it then reports reduced-search states). *)
+    [~symmetry:true] decides over one state per orbit of the
+    identical-transaction automorphism group ({!Ddlock_schedule.Canon}),
+    and [~por:true] over the persistent-set reduced space
+    ({!Ddlock_schedule.Packed.persistent}); on a deadlock the plain
+    search supplies the witness, or gives up.  So the verdict {e and}
+    witness are the plain analysis's under every flag set, except that
+    a system whose plain search exhausts the budget may be proved
+    deadlock-free by a reduced one, and a reduced search that gives up
+    reports its own state count in [Gave_up]. *)
 val deadlock_free :
   ?max_states:int ->
   ?symmetry:bool ->
@@ -75,7 +74,7 @@ type report = {
 (** Full analysis: structural statistics plus both verdicts.
     [symmetry] shrinks the exhaustive deadlock search to orbit
     representatives and [por] to a persistent-set reduced space
-    (verdict unchanged either way). *)
+    (verdict and witness unchanged either way; see {!deadlock_free}). *)
 val report :
   ?max_states:int ->
   ?symmetry:bool ->

@@ -11,9 +11,9 @@ let obs_candidates = Ddlock_obs.Metrics.Counter.make "minimize.candidates"
 let obs_shrunk = Ddlock_obs.Metrics.Counter.make "minimize.shrink_steps"
 
 (* Conservative deadlockability: [None] means "unknown" (budget hit) and
-   the candidate move is rejected.  Probes are verdict-only, so with
-   [?por] they take the single reduced search (no witness
-   canonicalization cost; see {!Explore.deadlock_free}). *)
+   the candidate move is rejected.  Probes are verdict-only, so under
+   [?symmetry] or [?por] they take the single reduced search, with no
+   plain re-search for a witness (see {!Explore.deadlock_free}). *)
 let deadlocks ?max_states ?symmetry ?por sys =
   Ddlock_obs.Metrics.Counter.incr obs_candidates;
   match Explore.deadlock_free ?max_states ?symmetry ?por sys with

@@ -19,9 +19,8 @@ let cyclic sys st = Reduction.has_cycle (Reduction.make sys st)
    reduction preserves every reachable deadlock state.  The predicate is
    invariant under identical-transaction permutations (the graph is
    renamed node-for-node), so with [~symmetry:true] it may be evaluated
-   on orbit representatives; the search hands back a schedule and prefix
-   already translated to the original system, and the cycle is
-   recomputed on that real prefix. *)
+   on orbit representatives.  Under either reduction the witness comes
+   from the plain search ({!Explore.bfs}). *)
 let find ?max_states ?symmetry ?por sys =
   Obs_t.span "prefix_search.find" @@ fun () ->
   let r =

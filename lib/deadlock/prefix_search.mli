@@ -18,19 +18,15 @@ type witness = {
     depth), found by a goal-directed search ({!Ddlock_schedule.Explore.bfs})
     that stops there.
 
-    With [~symmetry:true] the search runs over orbit representatives of
-    the identical-transaction automorphism group (sound because the
-    reduction-graph predicate is invariant under those permutations);
-    the returned schedule and prefix are translated back to the original
-    system.
-
-    With [~por:true] the search runs over the persistent-set reduced
-    space ({!Ddlock_schedule.Packed.persistent}) — sound here because a
-    cyclic reduction graph is reachable iff a deadlock is (Theorem 1)
-    and the reduction preserves every reachable deadlock state.  The
-    verdict is identical to plain; the witness is the first cyclic
-    prefix in the {e reduced} BFS order (valid, but possibly a
-    different prefix than the plain search returns). *)
+    [~symmetry:true] decides over orbit representatives of the
+    identical-transaction automorphism group (sound because the
+    reduction-graph predicate is invariant under those permutations),
+    and [~por:true] over the persistent-set reduced space
+    ({!Ddlock_schedule.Packed.persistent}), sound here because a cyclic
+    reduction graph is reachable iff a deadlock is (Theorem 1) and the
+    reduction preserves every reachable deadlock state.  On a hit the
+    plain search supplies the witness, so the result is the plain
+    [find]'s under every flag set. *)
 val find :
   ?max_states:int ->
   ?symmetry:bool ->

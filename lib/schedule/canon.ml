@@ -69,41 +69,23 @@ let system c = c.sys
 let nontrivial c = c.nontrivial
 let groups c = Array.to_list (Array.map Array.to_list c.classes)
 let orbit_size c = c.orbit
-let identity n = Array.init n Fun.id
 
 let normalize c (st : State.t) =
-  let n = Array.length st in
   let rep = Array.copy st in
-  let perm = identity n in
   Array.iter
     (fun g ->
-      let k = Array.length g in
-      if k > 1 then begin
-        let order = Array.map (fun i -> (st.(i), i)) g in
-        Array.sort
-          (fun (a, i) (b, j) ->
-            match Bitset.compare a b with 0 -> Int.compare i j | cmp -> cmp)
-          order;
-        Array.iteri
-          (fun slot (p, orig) ->
-            rep.(g.(slot)) <- p;
-            perm.(orig) <- g.(slot))
-          order
+      if Array.length g > 1 then begin
+        let rows = Array.map (fun i -> st.(i)) g in
+        Array.sort Bitset.compare rows;
+        Array.iteri (fun slot p -> rep.(g.(slot)) <- p) rows
       end)
     c.classes;
-  (rep, perm)
+  rep
 
-(* A row of at most 62 nodes is one word of its bitset, so
-   [Bitset.compare] orders such rows as [Packed.sort_rows] orders their
-   integers. *)
 let normalize_packed c lay =
-  let classes =
-    List.filter (fun g -> Array.length g > 1) (Array.to_list c.classes)
-  in
-  let fits g = Transaction.node_count (System.txn c.sys g.(0)) <= 62 in
-  if List.for_all fits classes then
-    Packed.sort_rows lay (Array.of_list classes)
-  else fun p -> Packed.encode lay (fst (normalize c (Packed.decode lay p)))
+  Packed.sort_rows lay
+    (Array.of_list
+       (List.filter (fun g -> Array.length g > 1) (Array.to_list c.classes)))
 
 let apply_perm perm (st : State.t) : State.t =
   let n = Array.length st in
@@ -111,18 +93,8 @@ let apply_perm perm (st : State.t) : State.t =
   Array.iteri (fun i p -> out.(perm.(i)) <- p) st;
   out
 
-let rename_schedule perm steps =
-  List.map (fun (s : Step.t) -> Step.v perm.(s.Step.txn) s.Step.node) steps
-
-let invert perm =
-  let inv = Array.make (Array.length perm) 0 in
-  Array.iteri (fun i j -> inv.(j) <- i) perm;
-  inv
-
-let compose d t = Array.init (Array.length t) (fun i -> d.(t.(i)))
-
 let random_group_perm rng c =
-  let perm = identity (System.size c.sys) in
+  let perm = Array.init (System.size c.sys) Fun.id in
   Array.iter
     (fun g ->
       let k = Array.length g in
@@ -138,35 +110,3 @@ let random_group_perm rng c =
       end)
     c.classes;
   perm
-
-(* Replay the quotient-space path while tracking the renaming τ that maps
-   the current representative onto the actual state of the original
-   system: actual = apply_perm τ rep.  A quotient edge (rep, s) leads to
-   rep' with rep' = σ·(apply rep s); the matching real step is s renamed
-   by τ, and the new tracking permutation is τ ∘ σ⁻¹. *)
-let realize_perm c steps =
-  let n = System.size c.sys in
-  let tau = ref (identity n) in
-  let rep = ref (fst (normalize c (State.initial c.sys))) in
-  let real =
-    List.map
-      (fun (s : Step.t) ->
-        let real_step = Step.v !tau.(s.Step.txn) s.Step.node in
-        let rep', sigma = normalize c (State.apply !rep s) in
-        tau := compose !tau (invert sigma);
-        rep := rep';
-        real_step)
-      steps
-  in
-  (real, apply_perm !tau !rep, !tau)
-
-let realize c steps =
-  let real, final, _ = realize_perm c steps in
-  (real, final)
-
-let realize_to c steps target =
-  let real, _, tau = realize_perm c steps in
-  let _, pi = normalize c target in
-  (* real reaches τ·rep; renaming it by δ = π⁻¹ ∘ τ⁻¹ yields a schedule
-     reaching δ·τ·rep = π⁻¹·rep = target. *)
-  rename_schedule (compose (invert pi) (invert tau)) real

@@ -16,12 +16,13 @@ open Ddlock_model
     member prefixes are sorted by a fixed total order on bitsets — so a
     search that stores only representatives visits at most one state per
     orbit.  The map is exact: [canon (σ·s) = canon s] for every group
-    element [σ].  {!realize} and {!realize_to} translate a schedule found
-    in the quotient space back into a schedule of the original system.
+    element [σ].  A search over representatives decides a verdict that
+    is invariant under the group; it yields no schedule of the original
+    system ({!Explore} takes its witnesses from the plain search).
 
     Permutation convention: a permutation [π : int array] sends
     transaction [i] to slot [π.(i)], i.e. [(apply_perm π st).(π.(i)) =
-    st.(i)], and [compose d t] is [d ∘ t] ([i ↦ d.(t.(i))]). *)
+    st.(i)]. *)
 
 type t
 
@@ -57,19 +58,15 @@ val groups : t -> int list list
     [orbit_size] times the canonical state count. *)
 val orbit_size : t -> int
 
-(** [normalize c st] is [(rep, π)] where [rep = apply_perm π st] is the
-    orbit representative of [st]: within each class, prefixes sorted by
-    {!Ddlock_graph.Bitset.compare} (ties broken by original index, so
-    [normalize] of a representative is the identity).  [rep] shares the
-    (immutable-by-convention) bitsets of [st]. *)
-val normalize : t -> State.t -> State.t * int array
+(** [normalize c st] is the orbit representative of [st]: within each
+    class, the members' prefixes sorted by {!Ddlock_graph.Bitset.compare}.
+    It shares the (immutable-by-convention) bitsets of [st]. *)
+val normalize : t -> State.t -> State.t
 
-(** [normalize_packed c lay] is {!normalize}'s representative on packed
-    states of [system c]: [normalize_packed c lay p = Packed.encode lay
-    (fst (normalize c (Packed.decode lay p)))].  It sorts rows on the
-    words ({!Packed.sort_rows}) when every interchangeable transaction
-    has at most 62 nodes, and goes through the decoded state
-    otherwise.  Apply it partially: the choice is made once. *)
+(** [normalize_packed c lay] is {!normalize} on packed states of
+    [system c]: [normalize_packed c lay p = Packed.encode lay (normalize
+    c (Packed.decode lay p))], by {!Packed.sort_rows} on the words, for
+    rows of any width. *)
 val normalize_packed : t -> Packed.layout -> Packed.t -> Packed.t
 
 (** [apply_perm π st] permutes the prefix vector: slot [π.(i)] of the
@@ -79,16 +76,3 @@ val apply_perm : int array -> State.t -> State.t
 (** A uniformly random element of the automorphism group (independent
     Fisher–Yates shuffle within each class). *)
 val random_group_perm : Random.State.t -> t -> int array
-
-(** [realize c steps] replays a schedule [steps] of the {e quotient}
-    space — each step taken from a representative, with the successor
-    re-normalized, exactly as the symmetric engines search — and returns
-    the corresponding schedule of the original system together with the
-    state it reaches (an arbitrary member of the final orbit). *)
-val realize : t -> Step.t list -> Step.t list * State.t
-
-(** [realize_to c steps target] is {!realize} composed with a final
-    renaming so that the returned schedule reaches exactly [target],
-    which must lie in the orbit of the final representative of
-    [steps]. *)
-val realize_to : t -> Step.t list -> State.t -> Step.t list

@@ -212,6 +212,7 @@ let rec any_set e o n = n > 0 && (e.(o + n - 1) <> 0 || any_set e o (n - 1))
    the old one still holds the node unchanged.  Returns the id of the
    first node (in insertion order) satisfying [found], or -1. *)
 let bfs_loop ~name ~max_states ~restrict ~por canon lay w ~found =
+  let name = if por then "explore.por" else name in
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span name @@ fun () ->
   let words = Packed.words lay and ew = Packed.enabled_words lay in
@@ -297,36 +298,16 @@ let states sp =
       Packed.decode_at sp.lay (Arena.data sp.work.arena) (id * w))
 
 (* A state of another system's shape is not held. *)
-let find_rep sp st =
-  let rep = match sp.canon with None -> st | Some c -> fst (Canon.normalize c st) in
-  match Packed.encode sp.lay rep with
+let is_reachable sp st =
+  match Packed.encode sp.lay st with
   | p ->
-      let id = Arena.find sp.work.arena p in
-      if id < 0 then None else Some id
-  | exception Invalid_argument _ -> None
-
-let is_reachable sp st = find_rep sp st <> None
-
-let schedule_to sp st =
-  Option.map
-    (fun id ->
-      let steps = path sp.work sp.lay id in
-      match sp.canon with
-      | None -> steps
-      (* The stored path reaches the representative of [st]'s orbit;
-         replay it through the permutations to reach [st] itself. *)
-      | Some c -> Canon.realize_to c steps st)
-    (find_rep sp st)
-
-(* A witness found in the quotient space, translated back to the
-   original system. *)
-let witness sp id =
-  let steps = path sp.work sp.lay id in
-  match sp.canon with
-  | None ->
-      let o = id * Packed.words sp.lay in
-      (steps, Packed.decode_at sp.lay (Arena.data sp.work.arena) o)
-  | Some c -> Canon.realize c steps
+      let p =
+        match sp.canon with
+        | None -> p
+        | Some c -> Canon.normalize_packed c sp.lay p
+      in
+      Arena.find sp.work.arena p >= 0
+  | exception Invalid_argument _ -> false
 
 (* A caller's predicate on {!State.t}, evaluated on the decoded state. *)
 let decoded lay f a o = f (Packed.decode_at lay a o)
@@ -334,44 +315,45 @@ let decoded lay f a o = f (Packed.decode_at lay a o)
 let always _ _ = true
 let never_found ~live:_ _ _ = false
 
-(* Every search of a state space, on the workspace [w]: the id of the
-   first node satisfying [found], and the space. *)
-let run ~name ~max_states ~restrict ~symmetry ~por lay ~found w =
-  let canon = active_canon ~symmetry (Packed.system lay) in
-  let name = if por then "explore.por" else name in
-  let hit = bfs_loop ~name ~max_states ~restrict ~por canon lay w ~found in
-  ((if hit < 0 then None else Some hit), { lay; canon; work = w })
+(* A deadlock is a state with nothing enabled that is not finished. *)
+let deadlock lay ~live a o = (not live) && not (Packed.all_finished_at lay a o)
 
 (* The space escapes, so it gets a workspace of its own. *)
 let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
   let lay = Packed.layout sys in
-  snd
-    (run ~name:"explore.explore" ~max_states ~restrict:always ~symmetry ~por
-       lay ~found:never_found (fresh_work lay))
+  let canon = active_canon ~symmetry sys and work = fresh_work lay in
+  ignore
+    (bfs_loop ~name:"explore.explore" ~max_states ~restrict:always ~por canon
+       lay work ~found:never_found);
+  { lay; canon; work }
+
+(* The witness rule of every goal-directed search.  With no reduction
+   active (symmetry off or its group trivial, and no partial-order
+   reduction) the plain search runs once.  With one active, the reduced
+   search decides, and on a hit the plain search of the same [restrict]
+   and [found] supplies the witness, or [Too_large]; so every flag set
+   returns the plain search's schedule and state. *)
+let witness_search ~name ~max_states ~restrict ~symmetry ~por lay ~found =
+  let search canon ~por w =
+    bfs_loop ~name ~max_states ~restrict ~por canon lay w ~found
+  in
+  let canon = active_canon ~symmetry (Packed.system lay) in
+  if (canon <> None || por) && borrow lay (search canon ~por) < 0 then None
+  else
+    borrow lay @@ fun w ->
+    let id = search None ~por:false w in
+    if id < 0 then None
+    else
+      Some
+        ( path w lay id,
+          Packed.decode_at lay (Arena.data w.arena) (id * Packed.words lay) )
 
 let bfs ?(max_states = default_cap) ?restrict ?(symmetry = false) ?(por = false)
     sys ~found =
   let lay = Packed.layout sys in
   let restrict = match restrict with None -> always | Some f -> decoded lay f in
-  borrow lay @@ fun w ->
-  let hit, sp =
-    run ~name:"explore.bfs" ~max_states ~restrict ~symmetry ~por lay
-      ~found:(fun ~live:_ a o -> decoded lay found a o)
-      w
-  in
-  Option.map (witness sp) hit
-
-(* A deadlock is a state with nothing enabled that is not finished. *)
-let deadlock_search ?(max_states = default_cap) ?(symmetry = false)
-    ?(name = "explore.bfs") ~por lay =
-  borrow lay @@ fun w ->
-  let hit, sp =
-    run ~name ~max_states ~restrict:always ~symmetry ~por lay
-      ~found:(fun ~live a o ->
-        (not live) && not (Packed.all_finished_at lay a o))
-      w
-  in
-  Option.map (witness sp) hit
+  witness_search ~name:"explore.bfs" ~max_states ~restrict ~symmetry ~por lay
+    ~found:(fun ~live:_ -> decoded lay found)
 
 let count_witness r =
   if r <> None then begin
@@ -380,26 +362,26 @@ let count_witness r =
   end;
   r
 
-let find_deadlock ?max_states ?symmetry ?(por = false) sys =
+let find_deadlock ?(max_states = default_cap) ?(symmetry = false) ?(por = false)
+    sys =
   let lay = Packed.layout sys in
   count_witness
-    (if por then
-       (* Verdict from the reduced search; witness, or [Too_large], from
-          a plain non-symmetric re-search, so [--por] output is
-          byte-identical to plain [analyze] under every flag
-          combination. *)
-       match deadlock_search ?max_states ?symmetry ~por:true lay with
-       | None -> None
-       | Some _ -> deadlock_search ?max_states ~por:false lay
-     else deadlock_search ?max_states ?symmetry ~por:false lay)
+    (witness_search ~name:"explore.bfs" ~max_states ~restrict:always ~symmetry
+       ~por lay ~found:(deadlock lay))
 
-let deadlock_free ?max_states ?symmetry ?(por = false) sys =
-  if por then
-    deadlock_search ?max_states ?symmetry ~por:true (Packed.layout sys) = None
-  else find_deadlock ?max_states ?symmetry sys = None
+(* A verdict needs no witness: the reduced search alone decides it. *)
+let deadlock_free ?(max_states = default_cap) ?(symmetry = false) ?(por = false)
+    sys =
+  let lay = Packed.layout sys in
+  let canon = active_canon ~symmetry sys in
+  borrow lay
+    (bfs_loop ~name:"explore.bfs" ~max_states ~restrict:always ~por canon lay
+       ~found:(deadlock lay))
+  < 0
 
-let deadlock_on ?max_states ~name lay =
-  deadlock_search ?max_states ~name ~por:false lay
+let deadlock_on ?(max_states = default_cap) ~name lay =
+  witness_search ~name ~max_states ~restrict:always ~symmetry:false ~por:false
+    lay ~found:(deadlock lay)
 
 type counterexample = { steps : Step.t list; cycle : int list }
 
@@ -413,11 +395,10 @@ let lemma1_on ?(max_states = default_cap) ~name ~complete lay =
   in
   borrow lay @@ fun w ->
   match
-    run ~name ~max_states ~restrict:always ~symmetry:false ~por:false lay
-      ~found w
+    bfs_loop ~name ~max_states ~restrict:always ~por:false None lay w ~found
   with
-  | None, _ -> Ok ()
-  | Some id, _ ->
+  | -1 -> Ok ()
+  | id ->
       let o = id * Packed.words lay in
       let d =
         Digraph.create
@@ -442,14 +423,14 @@ let has_schedule sys target =
     || (a.(o + k) land lnot goal.(k) = 0 && sub a o (k + 1))
   in
   borrow lay @@ fun w ->
-  let hit, _ =
-    run ~name:"explore.bfs" ~max_states:default_cap
+  match
+    bfs_loop ~name:"explore.bfs" ~max_states:default_cap
       ~restrict:(fun a o -> sub a o 0)
-      ~symmetry:false ~por:false lay
+      ~por:false None lay w
       ~found:(fun ~live:_ a o -> Packed.equal_at goal a o)
-      w
-  in
-  Option.map (path w lay) hit
+  with
+  | -1 -> None
+  | id -> Some (path w lay id)
 
 let complete_schedules sys =
   let rec go st rev_steps () =

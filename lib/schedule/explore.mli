@@ -20,7 +20,7 @@ open Ddlock_model
     Lemma-1 searches run it on a layout whose rows also hold the
     D-arcs of the schedule that reached them ([Packed.layout ~arcs]).
     The {!State.t} values the searches take and return — witnesses,
-    [states], [schedule_to]/[is_reachable] arguments, and the states a
+    [states], [is_reachable] arguments, and the states a
     caller's [restrict]/[found] predicate sees — are decoded or encoded
     at this edge.  Until a state is expanded the loop keeps its enabled
     set, carried from the parent's when the state is new
@@ -28,6 +28,17 @@ open Ddlock_model
     successor to another orbit member); expansion reads it, and the
     deadlock searches test it for emptiness (with some transaction
     unfinished) and decode only the witness.
+
+    {2 Witnesses}
+
+    Every goal-directed search ({!bfs}, {!find_deadlock}) returns the
+    plain search's witness under every flag set.  With neither
+    reduction active — [symmetry] off or its group trivial, and [por]
+    off — the plain search runs once.  With one active, the reduced
+    search decides; on a hit the plain search with the same [restrict]
+    and [found] supplies the witness, or raises {!Too_large}.  A
+    reduced search that finds nothing is the answer, so a reduction
+    reaches deadlock-free verdicts that the plain budget cannot.
 
     {2 Workspaces}
 
@@ -69,8 +80,8 @@ val default_cap : int
 
 type space
 
-(** [explore ?max_states ?symmetry sys] computes the reachable state
-    space with parent pointers.  Default cap: {!default_cap} states.
+(** [explore ?max_states ?symmetry ?por sys] computes the reachable
+    state space.  Default cap: {!default_cap} states.
 
     With [~symmetry:true] the space is the {e quotient} under the
     automorphism group of identical-transaction permutations
@@ -82,9 +93,9 @@ type space
 
     With [~por:true] the space is the {e reduced} space of the
     persistent-set selective search: a subset of the reachable states
-    that still contains every reachable deadlock state.  [schedule_to]
-    works for its states; [is_reachable] answers membership in the
-    {e reduced} space only.  Composes with [~symmetry:true]. *)
+    that still contains every reachable deadlock state.
+    [is_reachable] answers membership in the {e reduced} space only.
+    Composes with [~symmetry:true]. *)
 val explore :
   ?max_states:int -> ?symmetry:bool -> ?por:bool -> System.t -> space
 
@@ -100,29 +111,20 @@ val states : space -> State.t Seq.t
 (** Membership (of the state's orbit, for a symmetric space). *)
 val is_reachable : space -> State.t -> bool
 
-(** A (shortest) partial schedule realizing a reachable state.  For a
-    symmetric space the stored canonical path is replayed through the
-    orbit permutations, so the schedule reaches exactly [st] (any orbit
-    member may be asked for). *)
-val schedule_to : space -> State.t -> Step.t list option
-
 (** {1 Goal-directed search} *)
 
-(** [bfs ?max_states ?restrict ?symmetry sys ~found] — first state in
-    BFS insertion order satisfying [found] (among states satisfying
-    [restrict]), with the schedule reaching it.  With [~symmetry:true]
-    the search runs over orbit representatives — [found] and [restrict]
-    must be invariant under identical-transaction permutations — and the
-    returned schedule/state are translated back to the original system
-    (the schedule is legal for [sys] and reaches the returned state).
+(** [bfs ?max_states ?restrict ?symmetry ?por sys ~found] — first state
+    in BFS insertion order satisfying [found] (among states satisfying
+    [restrict]), with the shortest schedule reaching it: the plain
+    search's answer under every flag set (see Witnesses above).
 
-    With [~por:true] the search runs over the persistent-set reduced
-    space.  Sound only for predicates implied by deadlock
+    [~symmetry:true] decides over orbit representatives, so [found] and
+    [restrict] must be invariant under identical-transaction
+    permutations.  [~por:true] decides over the persistent-set reduced
+    space, so it is sound only for predicates implied by deadlock
     (e.g. {!State.is_deadlock} itself, or a cyclic reduction graph):
     the reduction preserves reachability of deadlock states, not of
-    arbitrary targets.  The returned witness is the first hit in the
-    {e reduced} insertion order — valid but not necessarily the plain
-    BFS-minimal one. *)
+    arbitrary targets. *)
 val bfs :
   ?max_states:int ->
   ?restrict:(State.t -> bool) ->
@@ -134,12 +136,11 @@ val bfs :
 
 (** {1 Deadlock (Theorem 1 ground truth)} *)
 
-(** First deadlock state found, with a partial schedule reaching it.
-
-    With [~por:true] the verdict comes from the reduced search; on a
-    positive verdict the witness, or {!Too_large}, comes from the plain
-    non-symmetric engine, so the result is the plain [find_deadlock]'s
-    under every flag combination. *)
+(** First deadlock state in BFS order, with the shortest partial
+    schedule reaching it: the plain search's answer under every flag
+    set.  [~symmetry] and [~por] decide the verdict with a reduced
+    search, and on a hit the plain search supplies the witness, or
+    {!Too_large} (see Witnesses above). *)
 val find_deadlock :
   ?max_states:int ->
   ?symmetry:bool ->
@@ -147,8 +148,8 @@ val find_deadlock :
   System.t ->
   (Step.t list * State.t) option
 
-(** [deadlock_free ?por] — verdict only; with [~por:true] a single
-    reduced search (no witness canonicalization cost). *)
+(** Verdict only: a single search, reduced by [symmetry] and [por]
+    when they are on, with no plain re-search. *)
 val deadlock_free :
   ?max_states:int -> ?symmetry:bool -> ?por:bool -> System.t -> bool
 

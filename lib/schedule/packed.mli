@@ -189,11 +189,11 @@ val apply : layout -> t -> Step.t -> t
 val is_deadlock : layout -> t -> bool
 
 (** [sort_rows l classes p] — within each class (an array of
-    transaction indices), the members' rows, read as integers, sorted
-    ascending over the members in index order; [p] itself when every
-    class is already sorted.  The members of a class must have equal
-    node counts of at most 62.  This is {!Canon.normalize} on packed
-    states (see {!Canon.normalize_packed}). *)
+    transaction indices, all of one node count), the members' rows
+    sorted ascending over the members in index order, in
+    {!Ddlock_graph.Bitset.compare}'s order on the rows as bitsets;
+    [p] itself when every class is already sorted.  This is
+    {!Canon.normalize} on packed states (see {!Canon.normalize_packed}). *)
 val sort_rows : layout -> int array array -> t -> t
 
 (** Word-wise equality (states of one layout). *)

@@ -359,9 +359,10 @@ let minimize_core_minimal_prop =
    plus one capped run that gives up.  Recorded before the search
    kernel's allocation rewrite, and again when a Theorem-3 failure
    began to name the pair's own transactions instead of T1 and T2
-   (only those lines moved); if it fails, rendered analysis bytes
-   changed. *)
-let golden_analysis_digest = "80c39b4032babd7f52bc1f5b31767ade"
+   (only those lines moved), and again when [~symmetry] began to print
+   the plain witness (its third now equals the plain third); if it
+   fails, rendered analysis bytes changed. *)
+let golden_analysis_digest = "e84fbab1ae33f4a05764c3f8269b494f"
 
 let golden_analysis_pool () =
   let module G = Workload.Gentx in
@@ -398,8 +399,9 @@ let test_golden_analysis_digest () =
    capped at 3,000 states so that give-ups are covered too.  Recorded
    before the searches moved to packed states, and again when
    [find_deadlock ~por] stopped printing a reduced witness whose plain
-   re-search gives up: the [~por] third now equals the plain third. *)
-let golden_wide_digest = "6a52ee497e180c8f76d7f7dc1820d62c"
+   re-search gives up, and again when [~symmetry] began to print the
+   plain witness: every third now equals the plain third. *)
+let golden_wide_digest = "c65bef974fe5a96c029092c48b68c5b4"
 
 let golden_wide_pool () =
   let module G = Workload.Gentx in
@@ -423,6 +425,21 @@ let test_golden_wide_digest () =
     pool;
   check Alcotest.string "wide analysis digest" golden_wide_digest
     (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* One witness rule: both golden pools render the same bytes and exit
+   status under every flag set. *)
+let test_flags_render_alike () =
+  let same pool ?max_states i sys =
+    let plain = Analysis.render_full ?max_states sys in
+    List.iter
+      (fun (symmetry, por) ->
+        if Analysis.render_full ?max_states ~symmetry ~por sys <> plain then
+          Alcotest.failf "%s pool, system %d: symmetry=%b por=%b differs" pool
+            i symmetry por)
+      [ (true, false); (false, true); (true, true) ]
+  in
+  List.iteri (same "analysis") (golden_analysis_pool ());
+  List.iteri (same "wide" ~max_states:3_000) (golden_wide_pool ())
 
 (* ------------------------------------------------------------------ *)
 (* Buffer rendering = the Format renderer it replaced                  *)
@@ -688,6 +705,8 @@ let suite =
       test_golden_analysis_digest;
     Alcotest.test_case "golden wide analysis digest" `Quick
       test_golden_wide_digest;
+    Alcotest.test_case "every flag set renders the plain bytes" `Quick
+      test_flags_render_alike;
     Alcotest.test_case "render_full = Format renderer on wide systems"
       `Quick test_render_differential_wide;
     Alcotest.test_case "analysis polynomial shortcut" `Quick

@@ -1,7 +1,7 @@
 (* Differential conformance battery for symmetry reduction: every
    observable of the orbit-canonicalized searches (Sched.Canon threaded
    through Explore / Prefix_search / Analysis / Minimize) must agree
-   with the plain ground truth — verdicts, witness validity, state-count
+   with the plain ground truth — verdicts and witnesses, state-count
    bounds, cap accounting, the counter totals — plus the
    permutation-soundness contracts of Canon itself. *)
 
@@ -23,11 +23,11 @@ let eight_state_sys () =
   let t = Builder.two_phase_chain db [ "a" ] in
   System.create [ t; Builder.two_phase_chain db [ "a" ] ]
 
-(* A witness of the symmetric search must be a genuine schedule of the
-   ORIGINAL system deadlocking at exactly the returned state. *)
 (* Orbit identity as plain data: equal iff the states share an orbit. *)
-let canon_key c s = Fixtures.state_key (fst (Canon.normalize c s))
+let canon_key c s = Fixtures.state_key (Canon.normalize c s)
 
+(* A witness must be a genuine schedule of the system deadlocking at
+   exactly the returned state. *)
 let witness_valid sys (sched, stf) =
   Schedule.is_legal sys sched
   && State.equal (Schedule.prefix_vector sys sched) stf
@@ -106,26 +106,6 @@ let test_sym_exact_cap () =
   | _ -> Alcotest.fail "expected Too_large"
 
 (* ------------------------------------------------------------------ *)
-(* Unit: schedule_to reaches arbitrary orbit members                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_sym_schedule_to () =
-  (* The symmetric space stores only representatives, but schedule_to
-     must reach EVERY raw reachable state, via realize_to. *)
-  let sys = fig2ish () in
-  let sym = Explore.explore ~symmetry:true sys in
-  Seq.iter
-    (fun st ->
-      check bool_t "reachable in quotient" true (Explore.is_reachable sym st);
-      match Explore.schedule_to sym st with
-      | None -> Alcotest.fail "schedule_to must succeed"
-      | Some steps ->
-          check bool_t "legal" true (Schedule.is_legal sys steps);
-          check bool_t "reaches the exact state" true
-            (State.equal (Schedule.prefix_vector sys steps) st))
-    (Explore.states (Explore.explore sys))
-
-(* ------------------------------------------------------------------ *)
 (* Unit: guard-ring edge cases (generator satellite)                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -167,27 +147,10 @@ let canon_perm_soundness_prop =
       List.for_all
         (fun s ->
           let sigma = Canon.random_group_perm st c in
-          canon_key c (Canon.apply_perm sigma s) = canon_key c s)
-        (states_of_run st sys))
-
-let normalize_soundness_prop =
-  QCheck.Test.make
-    ~name:"normalize: rep = π·s, idempotent, key-consistent" ~count:60
-    copies_arg
-    (fun (seed, copies, extra) ->
-      let st = Fixtures.rng seed in
-      let sys = Gentx.random_copies_system ~extra st ~copies in
-      let c = Canon.detect sys in
-      let identity = Array.init (System.size sys) Fun.id in
-      List.for_all
-        (fun s ->
-          let rep, pi = Canon.normalize c s in
-          State.equal rep (Canon.apply_perm pi s)
-          && canon_key c s = Fixtures.state_key rep
-          (* A representative is its own representative, via the
-             identity (the tiebreak makes normalize stable). *)
-          && snd (Canon.normalize c rep) = identity
-          && State.equal (fst (Canon.normalize c rep)) rep)
+          let rep = Canon.normalize c s in
+          canon_key c (Canon.apply_perm sigma s) = Fixtures.state_key rep
+          (* A representative is its own representative. *)
+          && State.equal (Canon.normalize c rep) rep)
         (states_of_run st sys))
 
 (* ------------------------------------------------------------------ *)
@@ -196,16 +159,12 @@ let normalize_soundness_prop =
 
 let sym_verdict_copies_prop =
   QCheck.Test.make
-    ~name:"sym verdict ≡ plain on identical-copy systems (+ witness valid)"
+    ~name:"sym verdict ≡ plain on identical-copy systems (+ same witness)"
     ~count:50 copies_arg
     (fun (seed, copies, extra) ->
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system ~extra st ~copies in
-      match (Explore.find_deadlock sys, Explore.find_deadlock ~symmetry:true sys)
-      with
-      | None, None -> true
-      | Some _, Some w -> witness_valid sys w
-      | _ -> false)
+      Explore.find_deadlock ~symmetry:true sys = Explore.find_deadlock sys)
 
 let sym_verdict_generic_prop =
   QCheck.Test.make
@@ -214,11 +173,7 @@ let sym_verdict_generic_prop =
     (fun seed ->
       let st = Fixtures.rng seed in
       let sys = Fixtures.small_random_system st ~txns:3 in
-      match (Explore.find_deadlock sys, Explore.find_deadlock ~symmetry:true sys)
-      with
-      | None, None -> true
-      | Some _, Some w -> witness_valid sys w
-      | _ -> false)
+      Explore.find_deadlock ~symmetry:true sys = Explore.find_deadlock sys)
 
 let sym_state_bounds_prop =
   QCheck.Test.make
@@ -245,7 +200,9 @@ let sym_state_bounds_prop =
       in
       reduced <= raw
       && raw <= reduced * Canon.orbit_size c
-      && raw_orbits = sym_keys)
+      && raw_orbits = sym_keys
+      (* Every raw state is held through its orbit. *)
+      && Seq.for_all (Explore.is_reachable sym_space) (Explore.states raw_space))
 
 let sym_prefix_search_prop =
   QCheck.Test.make
@@ -256,9 +213,8 @@ let sym_prefix_search_prop =
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system st ~copies:2 ~extra:true in
       let plain = Prefix_search.find sys in
-      let sym = Prefix_search.find ~symmetry:true sys in
-      Option.is_none plain = Option.is_none sym
-      && (match sym with
+      Prefix_search.find ~symmetry:true sys = plain
+      && (match plain with
          | None -> true
          | Some w ->
              Schedule.is_legal sys w.Prefix_search.schedule
@@ -349,7 +305,7 @@ let sym_analysis_minimize_prop =
       shape (Ddlock.Analysis.deadlock_free ~symmetry:true sys)
       = shape (Ddlock.Analysis.deadlock_free sys)
       && (* The greedy shrink consults only verdicts, so the core is
-            symmetry-invariant even though witnesses may differ. *)
+            symmetry-invariant. *)
       match
         (Ddlock.Minimize.deadlock_core sys,
          Ddlock.Minimize.deadlock_core ~symmetry:true sys)
@@ -365,7 +321,6 @@ let qtests =
   List.map Fixtures.to_alcotest
     [
       canon_perm_soundness_prop;
-      normalize_soundness_prop;
       sym_verdict_copies_prop;
       sym_verdict_generic_prop;
       sym_state_bounds_prop;
@@ -381,8 +336,6 @@ let suite =
     Alcotest.test_case "group detection" `Quick test_detect;
     Alcotest.test_case "trivial-symmetry fallback" `Quick test_trivial_fallback;
     Alcotest.test_case "exact cap under symmetry" `Quick test_sym_exact_cap;
-    Alcotest.test_case "schedule_to any orbit member" `Quick
-      test_sym_schedule_to;
     Alcotest.test_case "guard ring edge cases" `Quick test_guard_ring_edges;
   ]
   @ qtests
