@@ -14,6 +14,9 @@
    - the [LP]/[SW] geometric deciders vs the exhaustive safety and
      deadlock searches (centralized pairs);
    - Theorem 4 vs exhaustive (k-transaction systems);
+   - the may-deadlock filter: [find_deadlock], which drops the states
+     that can no longer deadlock, gives the witness of a [bfs] for a
+     deadlock that keeps every state (k-transaction systems);
    - Theorem 1: deadlock-schedule search vs deadlock-prefix search;
    - Corollary 3 vs the pair test on two copies;
    - recovery-scheme invariants: wound-wait always commits with a legal
@@ -39,11 +42,12 @@
      outcome, deadlock time and arcs, makespan; with and without a
      random fault plan);
    - with [--symmetry]: the orbit-canonicalized engines (Sched.Canon)
-     vs the plain ones — identical deadlock verdicts and witnesses on
-     both generic and identical-copy systems, canonical state counts
+     vs the plain ones — deadlock verdicts and witnesses identical to
+     the unfiltered [bfs]'s on both generic and identical-copy systems, canonical state counts
      within [raw/orbit_size, raw], and Theorem-1 prefix verdicts;
    - with [--por]: the persistent-set reduced engines vs the plain
-     ones — byte-identical deadlock witnesses, reduced state counts
+     ones — deadlock witnesses identical to the unfiltered [bfs]'s,
+     reduced state counts
      never above plain, Theorem-1 prefix verdicts, and composition
      with --symmetry on copies systems.
 
@@ -163,6 +167,11 @@ let () =
     let sys_safe_df = Result.is_ok sys_cex in
     if Safety.Many.safe_and_deadlock_free sys <> sys_safe_df then
       report "Theorem 4" round;
+    (* --- the may-deadlock filter vs a search that keeps every state --- *)
+    let unfiltered s = Sched.Explore.bfs s ~found:(Sched.State.is_deadlock s) in
+    let reference = timed "seq" (fun () -> unfiltered sys) in
+    if Sched.Explore.find_deadlock sys <> reference then
+      report "filter find_deadlock" round;
     (* --- recovery invariants --- *)
     let r =
       timed "sim" (fun () ->
@@ -337,12 +346,10 @@ let () =
     (* --- symmetry-reduced engines vs plain ground truth --- *)
     if !symmetry then begin
       timed "sym" @@ fun () ->
-      (* Verdict AND witness are the plain ones: the orbit quotient
-         decides, the plain search supplies the witness. *)
-      if
-        Sched.Explore.find_deadlock ~symmetry:true sys
-        <> Sched.Explore.find_deadlock sys
-      then report "sym find_deadlock" round;
+      (* Verdict AND witness are the unfiltered ones: the orbit
+         quotient decides, the plain search supplies the witness. *)
+      if Sched.Explore.find_deadlock ~symmetry:true sys <> reference then
+        report "sym find_deadlock" round;
       if
         Deadlock.Prefix_search.deadlock_free ~symmetry:true sys
         <> Deadlock.Prefix_search.deadlock_free sys
@@ -357,18 +364,15 @@ let () =
       in
       if reduced > raw || raw > reduced * Sched.Canon.orbit_size canon then
         report "sym state-count bound" round;
-      if
-        Sched.Explore.find_deadlock ~symmetry:true ksys
-        <> Sched.Explore.find_deadlock ksys
+      if Sched.Explore.find_deadlock ~symmetry:true ksys <> unfiltered ksys
       then report "sym copies find_deadlock" round;
     end;
     (* --- partial-order-reduced engines vs plain ground truth --- *)
     if !por then begin
       timed "por" @@ fun () ->
-      (* Verdict AND witness are the plain ones: the reduced search
-         decides, the plain search supplies the witness. *)
-      let plain = Sched.Explore.find_deadlock sys in
-      if Sched.Explore.find_deadlock ~por:true sys <> plain then
+      (* Verdict AND witness are the unfiltered ones: the reduced
+         search decides, the plain search supplies the witness. *)
+      if Sched.Explore.find_deadlock ~por:true sys <> reference then
         report "por find_deadlock" round;
       if
         Sched.Explore.state_count (Sched.Explore.explore ~por:true sys)
@@ -384,7 +388,7 @@ let () =
       let ksys = Workload.Gentx.random_copies_system st ~copies in
       if
         Sched.Explore.find_deadlock ~por:true ~symmetry:true ksys
-        <> Sched.Explore.find_deadlock ksys
+        <> unfiltered ksys
       then report "por+sym verdict" round;
     end;
     (* --- rw invariants --- *)

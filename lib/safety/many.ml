@@ -66,28 +66,40 @@ let try_cycle sys order =
         | None -> assert false (* cycle edges share entities; pairs passed *))
   in
   let prefixes = Array.make k (Bitset.create 0) in
-  let others i =
-    (* ⋃ R(Tj) over cycle positions j that must be avoided wholesale.
-       The successor (i+1) is exempt (the cycle arc i -> i+1 runs through
-       x_i, which both access).  The predecessor (i-1) is exempt for
-       i >= 1 because it is constrained through Y(T*_{i-1}) instead — T_i
-       may relock what the predecessor's prefix already unlocked.  For
-       i = 0 there is no earlier prefix: the predecessor T_{k-1} (the
-       "last" transaction) must be avoided entirely, otherwise T_1 would
-       create a reverse arc T_1 -> T_k. *)
+  (* [avoid] starts as ⋃ R(Tj) over the cycle positions j that must be
+     avoided wholesale.  The successor (i+1) is exempt (the cycle arc
+     i -> i+1 runs through x_i, which both access).  The predecessor
+     (i-1) is exempt for i >= 1 because it is constrained through
+     Y(T*_{i-1}) instead — T_i may relock what the predecessor's prefix
+     already unlocked.  For i = 0 there is no earlier prefix: the
+     predecessor T_{k-1} (the "last" transaction) must be avoided
+     entirely, otherwise T_1 would create a reverse arc T_1 -> T_k.  So
+     the positions run from i+2 round to i-2 (to i-1 for i = 0).  For
+     0 < i < k-1 they are the prefix [run] of positions up to i-2,
+     grown by one union per position, and the suffix [suf.(i+2)] of
+     positions from i+2, built once position 1 is reached: O(k) unions
+     in all, where building each set afresh took O(k²). *)
+  let range lo hi =
     let acc = Bitset.create ne in
-    for j = 0 to k - 1 do
-      let exempt =
-        j = i || j = (i + 1) mod k || (i > 0 && j = i - 1)
-      in
-      if not exempt then Bitset.union_into ~into:acc (ents j)
+    for j = lo to hi do
+      Bitset.union_into ~into:acc (ents j)
     done;
     acc
   in
+  let suf = Array.make (k + 1) (Bitset.create ne) and run = Bitset.create ne in
   let ok = ref true in
   for i = 0 to k - 1 do
     if !ok then begin
-      let avoid = others i in
+      if i = 1 then
+        for m = k - 1 downto 3 do
+          suf.(m) <- Bitset.union suf.(m + 1) (ents m)
+        done;
+      if i >= 2 then Bitset.union_into ~into:run (ents (i - 2));
+      let avoid =
+        if i = 0 then range 2 (k - 1)
+        else if i = k - 1 then range 1 (k - 3)
+        else Bitset.union run suf.(i + 2)
+      in
       if i > 0 then
         Bitset.union_into ~into:avoid
           (Transaction.y_set (tx (i - 1)) prefixes.(i - 1));

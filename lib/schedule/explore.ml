@@ -38,6 +38,10 @@ module Obs = struct
   let por_expand ~enabled ~persistent =
     Ddlock_obs.Metrics.Counter.add por_pruned (enabled - persistent);
     Ddlock_obs.Metrics.Counter.add por_persistent_size persistent
+
+  (* The successors the may-deadlock filter drops. *)
+  let pruned = Ddlock_obs.Metrics.Counter.make "explore.pruned"
+  let prune () = Ddlock_obs.Metrics.Counter.incr pruned
 end
 
 (* The canonicalizer a symmetric search should use: [None] when symmetry
@@ -192,7 +196,13 @@ let rec any_set e o n = n > 0 && (e.(o + n - 1) <> 0 || any_set e o (n - 1))
    are dense and assigned in insertion order, so the BFS queue is
    exactly the id sequence and a cursor replaces it.  With [por] each
    expanded state's enabled bits are cut to its persistent set
-   ({!Packed.persistent}).  Each successor is built in one scratch
+   ({!Packed.persistent}).  With [prune] a successor that cannot reach a
+   deadlock ({!Packed.may_deadlock}) is dropped before it is built: the
+   expanded state's {!Packed.contenders}, counted once, decide each of
+   its edges in O(1) ({!Packed.keeps}).  A dropped state's successors
+   would all be dropped too, so each kept state is first discovered
+   from the same kept parent as without the filter: the kept states
+   keep their order and their BFS tree.  Each successor is built in one scratch
    buffer — with a canonicalizer, rewritten there to its orbit
    representative, so the arena dedups whole orbits — and copied into
    the arena only when it is fresh.  [restrict]/[found] read a state in
@@ -211,7 +221,7 @@ let rec any_set e o n = n > 0 && (e.(o + n - 1) <> 0 || any_set e o (n - 1))
    expansion began: an [add] may move the rows to a larger array, but
    the old one still holds the node unchanged.  Returns the id of the
    first node (in insertion order) satisfying [found], or -1. *)
-let bfs_loop ~name ~max_states ~restrict ~por canon lay w ~found =
+let bfs_loop ~name ~max_states ~restrict ~prune ~por canon lay w ~found =
   let name = if por then "explore.por" else name in
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span name @@ fun () ->
@@ -220,6 +230,7 @@ let bfs_loop ~name ~max_states ~restrict ~por canon lay w ~found =
   let telemetry = Ddlock_obs.Control.is_on () in
   let reduce = if por then Some (Packed.por lay) else None in
   let size = ew lsl shift and off id = (id land (per - 1)) * ew in
+  let last = [| -1; -1 |] in
   (* Rewrites [scratch] to its representative; true when that moved it. *)
   let canonical =
     match canon with
@@ -260,20 +271,29 @@ let bfs_loop ~name ~max_states ~restrict ~por canon lay w ~found =
             if telemetry then Obs.por_expand ~enabled:n ~persistent:p;
             p
       in
+      let c = if prune then Packed.contenders lay a o last else 3 in
       for i = 0 to n - 1 do
         let g = en.(i) in
-        Packed.apply_into lay a o g scratch;
-        let moved = canonical () in
-        if restrict scratch 0 then begin
-          let fresh = Arena.count arena in
-          if add arena ~max_states scratch = fresh then begin
-            record w fresh ~parent:id ~via:g;
-            let e = chunk w (fresh lsr shift) size and eo = off fresh in
-            if moved then Packed.enabled_into lay scratch 0 e eo
-            else Packed.carry_enabled lay scratch 0 g pe po e eo;
-            if telemetry then Obs.hit moved;
-            if found ~live:(any_set e eo ew) (Arena.data arena) (fresh * words)
-            then raise (Hit fresh)
+        (* [c >= 3] keeps every edge, with no call. *)
+        if c < 3 && not (Packed.keeps c last g) then begin
+          if telemetry then Obs.prune ()
+        end
+        else begin
+          Packed.apply_into lay a o g scratch;
+          let moved = canonical () in
+          if restrict scratch 0 then begin
+            let fresh = Arena.count arena in
+            if add arena ~max_states scratch = fresh then begin
+              record w fresh ~parent:id ~via:g;
+              let e = chunk w (fresh lsr shift) size and eo = off fresh in
+              if moved then Packed.enabled_into lay scratch 0 e eo
+              else Packed.carry_enabled lay scratch 0 g pe po e eo;
+              if telemetry then Obs.hit moved;
+              if
+                found ~live:(any_set e eo ew) (Arena.data arena)
+                  (fresh * words)
+              then raise (Hit fresh)
+            end
           end
         end
       done
@@ -323,8 +343,8 @@ let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
   let lay = Packed.layout sys in
   let canon = active_canon ~symmetry sys and work = fresh_work lay in
   ignore
-    (bfs_loop ~name:"explore.explore" ~max_states ~restrict:always ~por canon
-       lay work ~found:never_found);
+    (bfs_loop ~name:"explore.explore" ~max_states ~restrict:always
+       ~prune:false ~por canon lay work ~found:never_found);
   { lay; canon; work }
 
 (* The witness rule of every goal-directed search.  With no reduction
@@ -332,10 +352,12 @@ let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
    reduction) the plain search runs once.  With one active, the reduced
    search decides, and on a hit the plain search of the same [restrict]
    and [found] supplies the witness, or [Too_large]; so every flag set
-   returns the plain search's schedule and state. *)
-let witness_search ~name ~max_states ~restrict ~symmetry ~por lay ~found =
+   returns the plain search's schedule and state.  [prune] applies the
+   may-deadlock filter to both searches. *)
+let witness_search ~name ~max_states ~restrict ~prune ~symmetry ~por lay
+    ~found =
   let search canon ~por w =
-    bfs_loop ~name ~max_states ~restrict ~por canon lay w ~found
+    bfs_loop ~name ~max_states ~restrict ~prune ~por canon lay w ~found
   in
   let canon = active_canon ~symmetry (Packed.system lay) in
   if (canon <> None || por) && borrow lay (search canon ~por) < 0 then None
@@ -352,8 +374,8 @@ let bfs ?(max_states = default_cap) ?restrict ?(symmetry = false) ?(por = false)
     sys ~found =
   let lay = Packed.layout sys in
   let restrict = match restrict with None -> always | Some f -> decoded lay f in
-  witness_search ~name:"explore.bfs" ~max_states ~restrict ~symmetry ~por lay
-    ~found:(fun ~live:_ -> decoded lay found)
+  witness_search ~name:"explore.bfs" ~max_states ~restrict ~prune:false
+    ~symmetry ~por lay ~found:(fun ~live:_ -> decoded lay found)
 
 let count_witness r =
   if r <> None then begin
@@ -366,8 +388,8 @@ let find_deadlock ?(max_states = default_cap) ?(symmetry = false) ?(por = false)
     sys =
   let lay = Packed.layout sys in
   count_witness
-    (witness_search ~name:"explore.bfs" ~max_states ~restrict:always ~symmetry
-       ~por lay ~found:(deadlock lay))
+    (witness_search ~name:"explore.bfs" ~max_states ~restrict:always
+       ~prune:true ~symmetry ~por lay ~found:(deadlock lay))
 
 (* A verdict needs no witness: the reduced search alone decides it. *)
 let deadlock_free ?(max_states = default_cap) ?(symmetry = false) ?(por = false)
@@ -375,13 +397,13 @@ let deadlock_free ?(max_states = default_cap) ?(symmetry = false) ?(por = false)
   let lay = Packed.layout sys in
   let canon = active_canon ~symmetry sys in
   borrow lay
-    (bfs_loop ~name:"explore.bfs" ~max_states ~restrict:always ~por canon lay
-       ~found:(deadlock lay))
+    (bfs_loop ~name:"explore.bfs" ~max_states ~restrict:always ~prune:true
+       ~por canon lay ~found:(deadlock lay))
   < 0
 
 let deadlock_on ?(max_states = default_cap) ~name lay =
-  witness_search ~name ~max_states ~restrict:always ~symmetry:false ~por:false
-    lay ~found:(deadlock lay)
+  witness_search ~name ~max_states ~restrict:always ~prune:true
+    ~symmetry:false ~por:false lay ~found:(deadlock lay)
 
 type counterexample = { steps : Step.t list; cycle : int list }
 
@@ -395,7 +417,8 @@ let lemma1_on ?(max_states = default_cap) ~name ~complete lay =
   in
   borrow lay @@ fun w ->
   match
-    bfs_loop ~name ~max_states ~restrict:always ~por:false None lay w ~found
+    bfs_loop ~name ~max_states ~restrict:always ~prune:false ~por:false None
+      lay w ~found
   with
   | -1 -> Ok ()
   | id ->
@@ -426,7 +449,7 @@ let has_schedule sys target =
   match
     bfs_loop ~name:"explore.bfs" ~max_states:default_cap
       ~restrict:(fun a o -> sub a o 0)
-      ~por:false None lay w
+      ~prune:false ~por:false None lay w
       ~found:(fun ~live:_ a o -> Packed.equal_at goal a o)
   with
   | -1 -> None

@@ -29,6 +29,26 @@ open Ddlock_model
     deadlock searches test it for emptiness (with some transaction
     unfinished) and decode only the witness.
 
+    {2 States that can no longer deadlock}
+
+    The deadlock searches — {!find_deadlock}, {!deadlock_free} and
+    {!deadlock_on} — store only states from which a deadlock can still
+    follow.  A deadlock needs two transactions each with an unexecuted
+    contended Lock (one that another transaction's Lock on its entity
+    conflicts with), and executing a step never adds an unexecuted
+    Lock, so a successor with fewer such transactions is dropped
+    before it is built ({!Packed.may_deadlock}).  Its own successors
+    would all be dropped too, so every state on a path to a deadlock
+    is kept, and every kept state is first discovered from a kept
+    parent: the kept states keep their BFS order and tree, and the
+    witness is the one a search keeping every state returns.  The
+    filter holds under [symmetry] (the count is the same on every
+    member of an orbit) and under [por] (every state on a reduced path
+    to a deadlock passes it).  It changes [states_visited] and where
+    [max_states] bites, not the answers within the cap.  {!explore},
+    {!bfs}, {!has_schedule} and the Lemma-1 searches keep every state.
+    ["explore.pruned"] counts the dropped successors (telemetry on).
+
     {2 Witnesses}
 
     Every goal-directed search ({!bfs}, {!find_deadlock}) returns the
@@ -138,7 +158,8 @@ val bfs :
 
 (** First deadlock state in BFS order, with the shortest partial
     schedule reaching it: the plain search's answer under every flag
-    set.  [~symmetry] and [~por] decide the verdict with a reduced
+    set, and the answer of a [bfs] for {!State.is_deadlock}, which keeps
+    the states this search drops (see above).  [~symmetry] and [~por] decide the verdict with a reduced
     search, and on a hit the plain search supplies the witness, or
     {!Too_large} (see Witnesses above). *)
 val find_deadlock :
@@ -149,7 +170,8 @@ val find_deadlock :
   (Step.t list * State.t) option
 
 (** Verdict only: a single search, reduced by [symmetry] and [por]
-    when they are on, with no plain re-search. *)
+    when they are on, with no plain re-search.  Like {!find_deadlock}
+    it stores only the states that can still deadlock. *)
 val deadlock_free :
   ?max_states:int -> ?symmetry:bool -> ?por:bool -> System.t -> bool
 
@@ -179,7 +201,9 @@ val safe : ?max_states:int -> System.t -> (unit, counterexample) result
     [Ddlock_rw] are these on a layout with a [read] predicate. *)
 
 (** {!find_deadlock} (plain, not counted in
-    ["explore.deadlock_witnesses"]) on [lay]'s enabledness. *)
+    ["explore.deadlock_witnesses"]) on [lay]'s enabledness, dropping
+    the states in which fewer than two transactions have an unexecuted
+    Lock that conflicts under [lay]'s [read]. *)
 val deadlock_on :
   ?max_states:int ->
   name:string ->

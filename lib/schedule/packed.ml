@@ -34,6 +34,9 @@ type layout = {
       (* per global bit [g], the bits that executing [g] may enable: its
          immediate successors and, for an Unlock, the Locks with a
          quadruple whose unlock bit is [g] *)
+  contended : int array;
+      (* [pwords] mask words: the contended Locks, those with a
+         non-empty [conf] range *)
   full : t;  (* every prefix bit *)
   steps : Step.t array;  (* global bit -> its step, shared by [enabled] lists *)
 }
@@ -156,9 +159,10 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
         end
       done
   done;
-  let full = Array.make pwords 0 in
+  let full = Array.make pwords 0 and contended = Array.make pwords 0 in
   for g = 0 to total - 1 do
-    set_at full 0 g
+    set_at full 0 g;
+    if conf_start.(g) < conf_start.(g + 1) then set_at contended 0 g
   done;
   {
     sys;
@@ -175,6 +179,7 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
     blocks;
     wake_start;
     wake;
+    contended;
     full;
     steps;
   }
@@ -592,6 +597,33 @@ let persistent r a o en n =
     done;
     !k
   end
+
+(* The may-deadlock filter.  The unexecuted contended Locks, ascending,
+   come transaction by transaction, so counting the changes of
+   transaction counts the transactions; the walk stops at the third. *)
+let contenders l a o last =
+  last.(0) <- -1;
+  last.(1) <- -1;
+  let count = ref 0 and cur = ref (-1) and k = ref 0 in
+  while !count < 3 && !k < l.pwords do
+    let x = ref (l.contended.(!k) land lnot a.(o + !k)) in
+    while !x <> 0 && !count < 3 do
+      let b = !x land - !x in
+      let g = (!k * bits) + log2.(b mod 67) in
+      if l.txn.(g) <> !cur then begin
+        cur := l.txn.(g);
+        incr count;
+        if !count < 3 then last.(!count - 1) <- g
+      end
+      else last.(!count - 1) <- -1;
+      x := !x lxor b
+    done;
+    incr k
+  done;
+  !count
+
+let keeps c last g = c >= 3 || (c = 2 && g <> last.(0) && g <> last.(1))
+let may_deadlock l p = contenders l p 0 [| -1; -1 |] >= 2
 
 let enabled l p =
   let steps = ref [] in

@@ -161,6 +161,38 @@ val por : layout -> por
     Allocates nothing. *)
 val persistent : por -> int array -> int -> int array -> int -> int
 
+(** {1 The may-deadlock filter}
+
+    A Lock is {e contended} when its [conf] range is non-empty: some
+    other transaction has a Lock on its entity and the two are not both
+    shared.  A deadlock state (§3) has at least two transactions with an
+    unexecuted contended Lock: an unfinished transaction's minimal
+    unexecuted node has its predecessors executed, so when it cannot run
+    it is a Lock whose entity another transaction holds, a contended
+    Lock; and the holder, not having unlocked, is unfinished and
+    blocked too.  Executing a step never adds an unexecuted Lock, so
+    from a state with fewer than two such transactions only states with
+    fewer follow, and no deadlock is reachable.  The deadlock searches
+    of {!Explore} drop those successors. *)
+
+(** [contenders l a o last] — how many transactions of the state at
+    offset [o] of [a] have an unexecuted contended Lock, counted up to 3.
+    When it returns 2, [last.(j)] (two slots) is, for the [j]-th of
+    them in index order, its only unexecuted contended Lock, or -1 when
+    it has several.  Walks the unexecuted contended Locks of the first
+    three such transactions; allocates nothing. *)
+val contenders : layout -> int array -> int -> int array -> int
+
+(** [keeps c last g] — the successor by step [g] of a state whose
+    {!contenders} are [c] (and [last]) still has two transactions with an
+    unexecuted contended Lock: [c ≥ 3], or [c = 2] and [g] is neither
+    one's last.  It agrees with {!may_deadlock} of that successor. *)
+val keeps : int -> int array -> int -> bool
+
+(** [may_deadlock l p] — at least two transactions of [p] have an
+    unexecuted contended Lock.  Every deadlock state satisfies it. *)
+val may_deadlock : layout -> t -> bool
+
 (** {!State.all_finished} of the state at offset [o] of [a]. *)
 val all_finished_at : layout -> int array -> int -> bool
 

@@ -580,6 +580,41 @@ let packed_read_layout_prop =
       in
       walk (Rw_system.initial sys))
 
+(* Breadth-first search over decoded states with {!Rw_system.enabled}:
+   the first deadlock discovered, with the schedule that discovered it.
+   It stores every reachable state. *)
+let reference_deadlock sys =
+  let seen = Hashtbl.create 256 and q = Queue.create () in
+  let hit = ref None in
+  let visit st rev_steps =
+    let key = Fixtures.state_key st in
+    if !hit = None && not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      if Rw_system.is_deadlock sys st then hit := Some (List.rev rev_steps, st)
+      else Queue.push (st, rev_steps) q
+    end
+  in
+  visit (Rw_system.initial sys) [];
+  while !hit = None && not (Queue.is_empty q) do
+    let st, rev_steps = Queue.pop q in
+    List.iter
+      (fun s -> visit (Rw_system.apply st s) (s :: rev_steps))
+      (Rw_system.enabled sys st)
+  done;
+  !hit
+
+(* The packed decider drops the successors that cannot deadlock, yet
+   finds the reference's deadlock and schedule. *)
+let rw_find_deadlock_reference_prop =
+  QCheck.Test.make ~name:"Rw find_deadlock = decoded shared/exclusive BFS"
+    ~count:300 QCheck.(int_bound 10_000_000) (fun seed ->
+      let sys = Fixtures.random_rw_system (Fixtures.rng seed) ~write_only:false in
+      match (Rw_system.find_deadlock sys, reference_deadlock sys) with
+      | Some (steps, st), Some (steps', st') ->
+          steps = steps' && Ddlock_schedule.State.equal st st'
+      | None, None -> true
+      | _ -> false)
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -588,6 +623,7 @@ let qtests =
       exclusive_df_implies_rw_df_prop;
       runtime_trace_serializable_prop;
       all_write_is_exclusive_prop;
+      rw_find_deadlock_reference_prop;
     ]
 
 let suite =

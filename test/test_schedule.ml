@@ -137,15 +137,17 @@ let test_explore_exact_cap () =
   | _ -> Alcotest.fail "expected Too_large 0")
 
 let test_find_deadlock_exact_cap () =
-  (* opposed_pair BFS ranks: init=0, {T1:La}=1, {T2:Lb}=2, {T1:La Lb}=3,
-     deadlock {T1:La | T2:Lb}=4 — so 5 states suffice, 4 do not. *)
+  (* opposed_pair BFS ranks: init=0, {T1:La}=1, {T2:Lb}=2, deadlock
+     {T1:La | T2:Lb}=3 — {T1:La Lb} is not stored, since T1 has run its
+     last contended Lock and no deadlock can follow — so 4 states
+     suffice, 3 do not. *)
   let sys = opposed_pair () in
-  (match Explore.find_deadlock ~max_states:5 sys with
+  (match Explore.find_deadlock ~max_states:4 sys with
   | Some (_, st) -> check bool_t "deadlock at the cap" true
         (State.is_deadlock sys st)
-  | None -> Alcotest.fail "expected a deadlock within 5 states");
-  match Explore.find_deadlock ~max_states:4 sys with
-  | exception Explore.Too_large n -> check int_t "held at raise" 4 n
+  | None -> Alcotest.fail "expected a deadlock within 4 states");
+  match Explore.find_deadlock ~max_states:3 sys with
+  | exception Explore.Too_large n -> check int_t "held at raise" 3 n
   | _ -> Alcotest.fail "expected Too_large"
 
 let test_explore_bfs_target () =
@@ -648,7 +650,10 @@ let test_packed_hash_spread () =
    sets: they are what the same persistent sets give alone.  The
    [find_deadlock ~symmetry] column was recorded again when it began to
    take its witness from the plain search: on a deadlocking copies
-   system it counts the reduced search and the plain one. *)
+   system it counts the reduced search and the plain one.  The three
+   [find_deadlock] columns were recorded again when the deadlock
+   searches began to drop the successors that cannot reach a deadlock
+   ({!Packed.may_deadlock}). *)
 let visited_pool () =
   let module G = Ddlock_workload.Gentx in
   let ring k c = System.copies (G.guard_ring k) c in
@@ -663,16 +668,16 @@ let visited_pool () =
 
 let visited_expected =
   [
-    (826, 414, 108, 88, 129, 104); (158, 80, 66, 158, 80, 66);
+    (826, 414, 108, 87, 128, 103); (158, 80, 66, 55, 28, 31);
     (854, 161, 412, 46, 57, 63); (4000, 4000, 4000, 2596, 2638, 3134);
     (4000, 4000, 4000, 2645, 2838, 2902); (75, 75, 63, 14, 14, 28);
     (321, 321, 198, 40, 40, 76); (1363, 1363, 521, 121, 121, 206);
-    (4000, 4000, 4000, 4000, 4000, 4923); (468, 468, 155, 468, 468, 155);
-    (4000, 4000, 4000, 4000, 4000, 5504); (305, 305, 180, 305, 305, 180);
-    (4000, 4000, 4000, 3690, 3690, 3862); (400, 400, 47, 400, 400, 47);
+    (4000, 4000, 4000, 4000, 4000, 4923); (468, 468, 155, 350, 350, 112);
+    (4000, 4000, 4000, 4000, 4000, 5504); (305, 305, 180, 225, 225, 141);
+    (4000, 4000, 4000, 3690, 3690, 3862); (400, 400, 47, 273, 273, 28);
     (4000, 4000, 4000, 4000, 4000, 6150); (108, 108, 88, 10, 10, 20);
-    (4000, 4000, 2388, 906, 906, 945); (218, 218, 180, 218, 218, 180);
-    (4000, 4000, 2281, 461, 461, 555); (1024, 1024, 70, 1024, 1024, 70);
+    (4000, 4000, 2388, 906, 906, 945); (218, 218, 180, 160, 160, 140);
+    (4000, 4000, 2281, 461, 461, 555); (1024, 1024, 70, 815, 815, 57);
     (4000, 4000, 4000, 1277, 1277, 1617);
   ]
 
@@ -715,7 +720,9 @@ let test_states_visited_unchanged () =
    packed arena rows, with the same 4,000-state cap:
    [explore.states_visited] after [Explore.safe_and_deadlock_free] and
    [Explore.safe] on [visited_pool], and after [Rw_system.find_deadlock]
-   and [Rw_system.safe] on the 80 systems of the Rw golden pool. *)
+   and [Rw_system.safe] on the 80 systems of the Rw golden pool.  The
+   [Rw_system.find_deadlock] column was recorded again when the deadlock
+   searches began to drop the successors that cannot reach a deadlock. *)
 let lemma1_visited_expected =
   [
     (13, 943); (10, 183); (13, 1461); (37, 4000); (26, 4000);
@@ -727,20 +734,18 @@ let lemma1_visited_expected =
 
 let rw_visited_expected =
   [
-    (167, 369); (31, 39); (159, 245); (127, 297); (46, 59); (149, 325);
-    (117, 232); (35, 35); (144, 260); (24, 30); (150, 301); (34, 35);
-    (29, 37); (22, 264); (23, 24); (31, 35); (168, 318); (35, 482);
-    (40, 47); (34, 35); (110, 140); (31, 39); (270, 666); (24, 27);
-    (23, 27); (192, 366); (22, 25); (50, 532); (33, 36); (35, 35);
-    (41, 51); (21, 25); (43, 51); (116, 129); (121, 202); (33, 47);
-    (154, 246); (5, 26); (25, 25); (47, 60); (163, 353); (43, 49);
-    (31, 37); (45, 65); (85, 128); (215, 632); (43, 55); (123, 192);
-    (45, 56); (28, 30); (31, 32); (104, 180); (34, 35); (108, 159);
-    (46, 273); (23, 28); (33, 40); (242, 594); (129, 216); (47, 54);
-    (22, 25); (31, 37); (107, 191); (120, 222); (21, 22); (99, 154);
-    (51, 129); (21, 25); (180, 339); (18, 264); (240, 300); (85, 120);
-    (33, 38); (32, 38); (24, 25); (48, 53); (106, 131); (31, 39);
-    (33, 47); (121, 180);
+    (114, 369); (5, 39); (106, 245); (72, 297); (19, 59); (112, 325);
+    (52, 232); (1, 35); (57, 260); (2, 30); (25, 301); (10, 35); (6, 37);
+    (22, 264); (2, 24); (3, 35); (102, 318); (35, 482); (12, 47); (15, 35);
+    (66, 140); (10, 39); (202, 666); (3, 27); (2, 27); (118, 366); (1, 25);
+    (50, 532); (4, 36); (1, 35); (18, 51); (6, 25); (13, 51); (61, 129);
+    (58, 202); (14, 47); (110, 246); (4, 26); (1, 25); (15, 60); (106, 353);
+    (9, 49); (8, 37); (10, 65); (46, 128); (152, 632); (7, 55); (62, 192);
+    (22, 56); (5, 30); (10, 32); (32, 180); (15, 35); (21, 159); (46, 273);
+    (9, 28); (15, 40); (157, 594); (77, 216); (25, 54); (1, 25); (10, 37);
+    (72, 191); (57, 222); (3, 22); (61, 154); (48, 129); (5, 25); (131, 339);
+    (18, 264); (30, 300); (46, 120); (2, 38); (2, 38); (9, 25); (5, 53);
+    (54, 131); (7, 39); (14, 47); (74, 180);
   ]
 
 let rw_pool () =
@@ -1316,6 +1321,94 @@ let find_deadlock_cap_prop =
       | None -> uncapped = None
       | exception Explore.Too_large n -> n = max_states)
 
+(* ------------------------------------------------------------------ *)
+(* The may-deadlock filter                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Random generic, copies and zipf systems, small enough to search in
+   full. *)
+let filter_system rng =
+  let module G = Ddlock_workload.Gentx in
+  let int n = Random.State.int rng n in
+  match int 3 with
+  | 0 -> Fixtures.small_random_system rng ~txns:(2 + int 3)
+  | 1 ->
+      G.random_copies_system ~extra:(Random.State.bool rng) rng
+        ~copies:(2 + int 2)
+  | _ ->
+      G.zipf_system rng ~sites:2 ~entities:(4 + int 3) ~txns:(3 + int 2)
+        ~theta:0.8
+
+(* The deadlock searches drop the successors that cannot deadlock; a
+   [bfs] for [State.is_deadlock] keeps every state.  Under every flag
+   set both give the same schedule and state. *)
+let filter_witness_prop =
+  QCheck.Test.make ~name:"find_deadlock = unfiltered bfs, every flag set"
+    ~count:150 QCheck.(int_bound 10_000_000) (fun seed ->
+      let sys = filter_system (Fixtures.rng seed) in
+      let max_states = 20_000 in
+      match Explore.bfs ~max_states sys ~found:(State.is_deadlock sys) with
+      | exception Explore.Too_large _ -> QCheck.assume_fail ()
+      | reference ->
+          List.for_all
+            (fun (symmetry, por) ->
+              match
+                (Explore.find_deadlock ~max_states ~symmetry ~por sys, reference)
+              with
+              | Some (steps, st), Some (steps', st') ->
+                  steps = steps' && State.equal st st'
+              | None, None -> true
+              | _ -> false)
+            [ (false, false); (true, false); (false, true); (true, true) ])
+
+(* Every state reachable on [lay], up to [cap], by the packed kernel. *)
+let reachable lay ~cap =
+  let seen = Hashtbl.create 1024 and q = Queue.create () in
+  let visit p =
+    if Hashtbl.length seen < cap && not (Hashtbl.mem seen p) then begin
+      Hashtbl.add seen p ();
+      Queue.push p q
+    end
+  in
+  visit (Packed.initial lay);
+  while not (Queue.is_empty q) do
+    let p = Queue.pop q in
+    Packed.iter_enabled lay p 0 (fun g ->
+        let p' = Packed.initial lay in
+        Packed.apply_into lay p 0 g p';
+        visit p')
+  done;
+  Hashtbl.to_seq_keys seen
+
+(* On every reachable state, exclusive and with shared Read locks: a
+   deadlock passes the filter, the O(1) edge test [keeps] is the
+   filter on the successor, and a state that fails it has only
+   successors that fail it. *)
+let filter_sound_prop =
+  QCheck.Test.make ~name:"may-deadlock filter: sound and closed under steps"
+    ~count:150 QCheck.(int_bound 10_000_000) (fun seed ->
+      let module Rw = Ddlock_rw.Rw_system in
+      let rng = Fixtures.rng seed in
+      let lay =
+        if Random.State.bool rng then Packed.layout (filter_system rng)
+        else
+          let sys = Fixtures.random_rw_system rng ~write_only:false in
+          Packed.layout ~read:(Rw.read sys) (Rw.to_exclusive sys)
+      in
+      let last = [| -1; -1 |] in
+      Seq.for_all
+        (fun p ->
+          let may = Packed.may_deadlock lay p in
+          let c = Packed.contenders lay p 0 last in
+          let ok = ref ((not (Packed.is_deadlock lay p)) || may) in
+          Packed.iter_enabled lay p 0 (fun g ->
+              let p' = Packed.initial lay in
+              Packed.apply_into lay p 0 g p';
+              let may' = Packed.may_deadlock lay p' in
+              ok := !ok && Packed.keeps c last g = may' && (may || not may'));
+          !ok)
+        (reachable lay ~cap:5_000))
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -1335,6 +1428,8 @@ let qtests =
       arena_reference_prop;
       explore_cap_prop;
       find_deadlock_cap_prop;
+      filter_witness_prop;
+      filter_sound_prop;
     ]
 
 let suite =
