@@ -15,9 +15,10 @@
      deadlock searches (centralized pairs);
    - Theorem 4 vs exhaustive (k-transaction systems);
    - the may-deadlock filter: [find_deadlock], which drops the states
-     that can no longer deadlock, gives the witness of a [bfs] for a
-     deadlock that keeps every state (k-transaction systems);
-   - Theorem 1: deadlock-schedule search vs deadlock-prefix search;
+     that can no longer deadlock, gives the first deadlock of the whole
+     explored space, with its BFS-tree schedule (k-transaction systems);
+   - Theorem 1: deadlock-schedule search vs deadlock-prefix search
+     (pairs and k-transaction systems);
    - Corollary 3 vs the pair test on two copies;
    - recovery-scheme invariants: wound-wait always commits with a legal
      committed trace, which is serializable whenever the system is safe
@@ -43,10 +44,10 @@
      random fault plan);
    - with [--symmetry]: the orbit-canonicalized engines (Sched.Canon)
      vs the plain ones — deadlock verdicts and witnesses identical to
-     the unfiltered [bfs]'s on both generic and identical-copy systems, canonical state counts
+     the unfiltered search's on both generic and identical-copy systems, canonical state counts
      within [raw/orbit_size, raw], and Theorem-1 prefix verdicts;
    - with [--por]: the persistent-set reduced engines vs the plain
-     ones — deadlock witnesses identical to the unfiltered [bfs]'s,
+     ones — deadlock witnesses identical to the unfiltered search's,
      reduced state counts
      never above plain, Theorem-1 prefix verdicts, and composition
      with --symmetry on copies systems.
@@ -167,8 +168,20 @@ let () =
     let sys_safe_df = Result.is_ok sys_cex in
     if Safety.Many.safe_and_deadlock_free sys <> sys_safe_df then
       report "Theorem 4" round;
-    (* --- the may-deadlock filter vs a search that keeps every state --- *)
-    let unfiltered s = Sched.Explore.bfs s ~found:(Sched.State.is_deadlock s) in
+    let df1, df2 = timed "seq" (fun () -> Deadlock.Theorem1.verdicts sys) in
+    if df1 <> df2 then report "Theorem 1 (k transactions)" round;
+    (* --- the may-deadlock filter vs a search that keeps every state:
+       the first deadlock of the whole space in BFS order, with the
+       schedule [has_schedule] finds for it.  Every predecessor of a
+       sub-state of the target is itself a sub-state, so that search,
+       which keeps only sub-states, discovers each from its parent in
+       the whole space's BFS tree: the schedule is that tree's path --- *)
+    let unfiltered s =
+      Seq.find (Sched.State.is_deadlock s)
+        (Sched.Explore.states (Sched.Explore.explore s))
+      |> Option.map (fun st ->
+             (Option.get (Sched.Explore.has_schedule s st), st))
+    in
     let reference = timed "seq" (fun () -> unfiltered sys) in
     if Sched.Explore.find_deadlock sys <> reference then
       report "filter find_deadlock" round;

@@ -6,36 +6,21 @@ type witness = {
   cycle : Step.t list;
 }
 
-module Obs_t = Ddlock_obs.Trace
-
 let obs_prefix_witnesses =
   Ddlock_obs.Metrics.Counter.make "prefix_search.witnesses"
 
-let cyclic sys st = Reduction.has_cycle (Reduction.make sys st)
-
-(* By Theorem 1 a cyclic reduction graph is reachable iff a deadlock
-   state is, so the goal-directed search may stop at the first cyclic
-   prefix; that also makes [~por:true] sound, since the persistent-set
-   reduction preserves every reachable deadlock state.  The predicate is
-   invariant under identical-transaction permutations (the graph is
-   renamed node-for-node), so with [~symmetry:true] it may be evaluated
-   on orbit representatives.  Under either reduction the witness comes
-   from the plain search ({!Explore.bfs}). *)
 let find ?max_states ?symmetry ?por sys =
-  Obs_t.span "prefix_search.find" @@ fun () ->
-  let r =
-    Option.map
-      (fun (schedule, prefix) ->
-        let cycle = Option.get (Reduction.find_cycle (Reduction.make sys prefix)) in
-        { prefix; schedule; cycle })
-      (Explore.bfs ?max_states ?symmetry ?por sys ~found:(cyclic sys))
-  in
-  if r <> None then Ddlock_obs.Metrics.Counter.incr obs_prefix_witnesses;
-  r
+  Ddlock_obs.Trace.span "prefix_search.find" @@ fun () ->
+  Explore.find_deadlock ?max_states ?symmetry ?por ~goal:Deadlock_prefix sys
+  |> Option.map (fun (schedule, prefix) ->
+         Ddlock_obs.Metrics.Counter.incr obs_prefix_witnesses;
+         let cycle = Reduction.find_cycle (Reduction.make sys prefix) in
+         { prefix; schedule; cycle = Option.get cycle })
 
 let deadlock_free ?max_states ?symmetry ?por sys =
-  find ?max_states ?symmetry ?por sys = None
+  Explore.deadlock_free ?max_states ?symmetry ?por ~goal:Deadlock_prefix sys
 
 let all ?max_states ?symmetry ?por sys =
-  Seq.filter (cyclic sys)
+  Seq.filter
+    (fun st -> Reduction.has_cycle (Reduction.make sys st))
     (Explore.states (Explore.explore ?max_states ?symmetry ?por sys))

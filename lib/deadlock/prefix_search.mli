@@ -14,19 +14,10 @@ type witness = {
   cycle : Step.t list;  (** a cycle of R(A′) *)
 }
 
-(** First deadlock prefix in BFS insertion order (hence of minimal
-    depth), found by a goal-directed search ({!Ddlock_schedule.Explore.bfs})
-    that stops there.
-
-    [~symmetry:true] decides over orbit representatives of the
-    identical-transaction automorphism group (sound because the
-    reduction-graph predicate is invariant under those permutations),
-    and [~por:true] over the persistent-set reduced space
-    ({!Ddlock_schedule.Packed.persistent}), sound here because a cyclic
-    reduction graph is reachable iff a deadlock is (Theorem 1) and the
-    reduction preserves every reachable deadlock state.  On a hit the
-    plain search supplies the witness, so the result is the plain
-    [find]'s under every flag set. *)
+(** First deadlock prefix in BFS insertion order (hence of minimal depth):
+    {!Ddlock_schedule.Explore.find_deadlock} for a [Deadlock_prefix], which
+    decides R(A′) on each packed state; only the witness is decoded, for
+    its cycle.  The result is the plain [find]'s under every flag set. *)
 val find :
   ?max_states:int ->
   ?symmetry:bool ->
@@ -36,8 +27,9 @@ val find :
 
 (** [deadlock_free sys] iff no reachable state has a cyclic reduction
     graph — by Theorem 1 this is equivalent to
-    {!Ddlock_schedule.Explore.deadlock_free}.  The verdict is identical
-    for any combination of the [symmetry]/[por] flags. *)
+    {!Ddlock_schedule.Explore.deadlock_free}, and it is that search for
+    a [Deadlock_prefix].  The verdict is identical for any combination
+    of the [symmetry]/[por] flags. *)
 val deadlock_free :
   ?max_states:int ->
   ?symmetry:bool ->

@@ -6,10 +6,7 @@ type t = {
   sys : System.t;
   offsets : int array; (* txn -> first global id *)
   graph : Digraph.t;
-  remaining : Bitset.t array; (* txn -> remaining node set *)
 }
-
-let global t (step : Step.t) = t.offsets.(step.txn) + step.node
 
 let make sys prefix =
   let n = System.size sys in
@@ -52,7 +49,7 @@ let make sys prefix =
         done)
       (Transaction.held_in_prefix tx prefix.(i))
   done;
-  { sys; offsets; graph = Digraph.create !total !es; remaining }
+  { sys; offsets; graph = Digraph.create !total !es }
 
 let graph t = t.graph
 
@@ -64,25 +61,18 @@ let step_of_id t id =
   in
   find 0
 
-let id_of_step t (step : Step.t) =
-  if Bitset.mem t.remaining.(step.txn) step.node then Some (global t step)
-  else None
-
 let has_cycle t = not (Topo.is_acyclic t.graph)
 
 let find_cycle t =
   Option.map (List.map (step_of_id t)) (Topo.find_cycle t.graph)
 
-let is_deadlock_prefix sys prefix =
-  has_cycle (make sys prefix) && Explore.has_schedule sys prefix <> None
-
 let deadlock_prefix_witness sys prefix =
   match find_cycle (make sys prefix) with
   | None -> None
-  | Some cycle -> (
-      match Explore.has_schedule sys prefix with
-      | None -> None
-      | Some sched -> Some (sched, cycle))
+  | Some cycle ->
+      Option.map (fun sched -> (sched, cycle)) (Explore.has_schedule sys prefix)
+
+let is_deadlock_prefix sys prefix = deadlock_prefix_witness sys prefix <> None
 
 let pp sys ppf t =
   Format.fprintf ppf "@[<v>reduction graph:";

@@ -22,9 +22,6 @@ val graph : t -> Digraph.t
 (** Translate a global node id back to a schedule step. *)
 val step_of_id : t -> int -> Step.t
 
-(** Global id of a (remaining) step; [None] if the node is in the prefix. *)
-val id_of_step : t -> Step.t -> int option
-
 val has_cycle : t -> bool
 
 (** A cycle as steps, if any. *)

@@ -126,7 +126,7 @@ let prepare w lay =
 (* One workspace per domain, lent to one search at a time: a search
    takes it by swapping in [None] and gives it back when it ends,
    however it ends.  A search that finds it taken — one nested in a
-   [found] callback, or on another systhread of the domain — uses a
+   cancellation poll, or on another systhread of the domain — uses a
    fresh one.  A workspace that grew past [kept_rows] states is dropped,
    which bounds what an idle domain retains. *)
 let lent = Domain.DLS.new_key (fun () -> Atomic.make None)
@@ -309,7 +309,6 @@ type space = {
   work : work;
 }
 
-let system sp = Packed.system sp.lay
 let state_count sp = Arena.count sp.work.arena
 
 let states sp =
@@ -329,14 +328,19 @@ let is_reachable sp st =
       Arena.find sp.work.arena p >= 0
   | exception Invalid_argument _ -> false
 
-(* A caller's predicate on {!State.t}, evaluated on the decoded state. *)
-let decoded lay f a o = f (Packed.decode_at lay a o)
-
 let always _ _ = true
-let never_found ~live:_ _ _ = false
 
-(* A deadlock is a state with nothing enabled that is not finished. *)
-let deadlock lay ~live a o = (not live) && not (Packed.all_finished_at lay a o)
+type goal = Deadlock | Deadlock_prefix
+
+(* A goal as a [found] predicate.  A deadlock is a state with nothing
+   enabled that is not finished; a deadlock prefix (Theorem 1), one
+   whose reduction graph is cyclic. *)
+let found lay = function
+  | Deadlock ->
+      fun ~live a o -> (not live) && not (Packed.all_finished_at lay a o)
+  | Deadlock_prefix ->
+      let cyclic = Packed.cyclic_reduction lay in
+      fun ~live:_ a o -> cyclic a o
 
 (* The space escapes, so it gets a workspace of its own. *)
 let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
@@ -344,21 +348,23 @@ let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
   let canon = active_canon ~symmetry sys and work = fresh_work lay in
   ignore
     (bfs_loop ~name:"explore.explore" ~max_states ~restrict:always
-       ~prune:false ~por canon lay work ~found:never_found);
+       ~prune:false ~por canon lay work ~found:(fun ~live:_ _ _ -> false));
   { lay; canon; work }
 
 (* The witness rule of every goal-directed search.  With no reduction
    active (symmetry off or its group trivial, and no partial-order
    reduction) the plain search runs once.  With one active, the reduced
-   search decides, and on a hit the plain search of the same [restrict]
-   and [found] supplies the witness, or [Too_large]; so every flag set
-   returns the plain search's schedule and state.  [prune] applies the
-   may-deadlock filter to both searches. *)
-let witness_search ~name ~max_states ~restrict ~prune ~symmetry ~por lay
-    ~found =
-  let search canon ~por w =
-    bfs_loop ~name ~max_states ~restrict ~prune ~por canon lay w ~found
-  in
+   search decides, and on a hit the plain search for the same goal
+   supplies the witness, or [Too_large]; so every flag set returns the
+   plain search's schedule and state.  Both searches drop the states
+   that can no longer deadlock. *)
+let deadlock_search ?(max_states = default_cap) ~name ~goal lay canon ~por =
+  bfs_loop ~name ~max_states ~restrict:always ~prune:true ~por canon lay
+    ~found:(found lay goal)
+
+let witness_search ?max_states ?(symmetry = false) ?(por = false)
+    ?(goal = Deadlock) ~name lay =
+  let search = deadlock_search ?max_states ~name ~goal lay in
   let canon = active_canon ~symmetry (Packed.system lay) in
   if (canon <> None || por) && borrow lay (search canon ~por) < 0 then None
   else
@@ -370,40 +376,27 @@ let witness_search ~name ~max_states ~restrict ~prune ~symmetry ~por lay
         ( path w lay id,
           Packed.decode_at lay (Arena.data w.arena) (id * Packed.words lay) )
 
-let bfs ?(max_states = default_cap) ?restrict ?(symmetry = false) ?(por = false)
-    sys ~found =
-  let lay = Packed.layout sys in
-  let restrict = match restrict with None -> always | Some f -> decoded lay f in
-  witness_search ~name:"explore.bfs" ~max_states ~restrict ~prune:false
-    ~symmetry ~por lay ~found:(fun ~live:_ -> decoded lay found)
-
-let count_witness r =
+let find_deadlock ?max_states ?symmetry ?por ?goal sys =
+  let r =
+    witness_search ?max_states ?symmetry ?por ?goal ~name:"explore.bfs"
+      (Packed.layout sys)
+  in
   if r <> None then begin
     Ddlock_obs.Metrics.Counter.incr Obs.deadlock_witnesses;
     Obs.T.instant "explore.deadlock_witness"
   end;
   r
 
-let find_deadlock ?(max_states = default_cap) ?(symmetry = false) ?(por = false)
-    sys =
-  let lay = Packed.layout sys in
-  count_witness
-    (witness_search ~name:"explore.bfs" ~max_states ~restrict:always
-       ~prune:true ~symmetry ~por lay ~found:(deadlock lay))
-
 (* A verdict needs no witness: the reduced search alone decides it. *)
-let deadlock_free ?(max_states = default_cap) ?(symmetry = false) ?(por = false)
-    sys =
+let deadlock_free ?max_states ?(symmetry = false) ?(por = false)
+    ?(goal = Deadlock) sys =
   let lay = Packed.layout sys in
   let canon = active_canon ~symmetry sys in
   borrow lay
-    (bfs_loop ~name:"explore.bfs" ~max_states ~restrict:always ~prune:true
-       ~por canon lay ~found:(deadlock lay))
+    (deadlock_search ?max_states ~name:"explore.bfs" ~goal lay canon ~por)
   < 0
 
-let deadlock_on ?(max_states = default_cap) ~name lay =
-  witness_search ~name ~max_states ~restrict:always ~prune:true
-    ~symmetry:false ~por:false lay ~found:(deadlock lay)
+let deadlock_on ?max_states ~name lay = witness_search ?max_states ~name lay
 
 type counterexample = { steps : Step.t list; cycle : int list }
 

@@ -20,14 +20,14 @@ open Ddlock_model
     Lemma-1 searches run it on a layout whose rows also hold the
     D-arcs of the schedule that reached them ([Packed.layout ~arcs]).
     The {!State.t} values the searches take and return — witnesses,
-    [states], [is_reachable] arguments, and the states a
-    caller's [restrict]/[found] predicate sees — are decoded or encoded
-    at this edge.  Until a state is expanded the loop keeps its enabled
-    set, carried from the parent's when the state is new
-    ({!Packed.carry_enabled}, or recomputed when symmetry moved the
-    successor to another orbit member); expansion reads it, and the
-    deadlock searches test it for emptiness (with some transaction
-    unfinished) and decode only the witness.
+    [states] and [is_reachable] arguments — are decoded or encoded at
+    this edge; every goal is decided on the packed row.  Until a state
+    is expanded the loop keeps its enabled set, carried from the
+    parent's when the state is new ({!Packed.carry_enabled}, or
+    recomputed when symmetry moved the successor to another orbit
+    member); expansion reads it, and the deadlock searches test it for
+    emptiness (with some transaction unfinished) and decode only the
+    witness.
 
     {2 States that can no longer deadlock}
 
@@ -44,35 +44,37 @@ open Ddlock_model
     witness is the one a search keeping every state returns.  The
     filter holds under [symmetry] (the count is the same on every
     member of an orbit) and under [por] (every state on a reduced path
-    to a deadlock passes it).  It changes [states_visited] and where
-    [max_states] bites, not the answers within the cap.  {!explore},
-    {!bfs}, {!has_schedule} and the Lemma-1 searches keep every state.
+    to a deadlock passes it).  A deadlock prefix ({!goal}) holds blocked
+    Locks of two transactions, so it passes the filter too.  It changes
+    [states_visited] and where [max_states] bites, not the answers
+    within the cap.  {!explore}, {!has_schedule} and the Lemma-1
+    searches keep every state.
     ["explore.pruned"] counts the dropped successors (telemetry on).
 
     {2 Witnesses}
 
-    Every goal-directed search ({!bfs}, {!find_deadlock}) returns the
-    plain search's witness under every flag set.  With neither
-    reduction active — [symmetry] off or its group trivial, and [por]
-    off — the plain search runs once.  With one active, the reduced
-    search decides; on a hit the plain search with the same [restrict]
-    and [found] supplies the witness, or raises {!Too_large}.  A
-    reduced search that finds nothing is the answer, so a reduction
-    reaches deadlock-free verdicts that the plain budget cannot.
+    {!find_deadlock} returns the plain search's witness under every
+    flag set.  With neither reduction active — [symmetry] off or its
+    group trivial, and [por] off — the plain search runs once.
+    With one active, the reduced search decides; on a hit the plain
+    search for the same goal supplies the witness, or raises
+    {!Too_large}.  A reduced search that finds nothing is the answer,
+    so a reduction reaches deadlock-free verdicts that the plain budget
+    cannot.
 
     {2 Workspaces}
 
     The arena, the tree, the enabled sets and the successor and
     expansion buffers form one workspace, kept per domain in
     [Domain.DLS] and lent to one search at a time.  Every search whose
-    space does not escape borrows it — {!bfs}, {!find_deadlock},
+    space does not escape borrows it — {!find_deadlock},
     {!deadlock_free}, {!deadlock_on}, {!lemma1_on} and the deciders
     built on them, and {!has_schedule} — so a run of searches on one
     domain allocates its tables once; {!explore} returns its space and
     allocates its own.  A search takes the workspace by swapping in
     [None] and gives it back when it ends, by a result, {!Too_large} or
     [Ddlock_obs.Cancel.Cancelled]; one that finds it taken (a search
-    nested in a [found] callback, or on another systhread of the same
+    nested in a cancellation poll, or on another systhread of the same
     domain) allocates a fresh one.  Before a search the workspace is
     reset in time proportional to the states it last held
     ({!Arena.reset}), for any row width.  A workspace that grew past
@@ -119,53 +121,35 @@ type space
 val explore :
   ?max_states:int -> ?symmetry:bool -> ?por:bool -> System.t -> space
 
-val system : space -> System.t
 val state_count : space -> int
 
 (** Stored states: all reachable states, or one representative per
     reachable orbit for a [~symmetry:true] space.  Yielded in insertion
-    order, which for a plain or symmetric space is BFS order: the first
-    state satisfying a predicate is the one {!bfs} stops at. *)
+    order, which for a plain or symmetric space is BFS order. *)
 val states : space -> State.t Seq.t
 
 (** Membership (of the state's orbit, for a symmetric space). *)
 val is_reachable : space -> State.t -> bool
 
-(** {1 Goal-directed search} *)
-
-(** [bfs ?max_states ?restrict ?symmetry ?por sys ~found] — first state
-    in BFS insertion order satisfying [found] (among states satisfying
-    [restrict]), with the shortest schedule reaching it: the plain
-    search's answer under every flag set (see Witnesses above).
-
-    [~symmetry:true] decides over orbit representatives, so [found] and
-    [restrict] must be invariant under identical-transaction
-    permutations.  [~por:true] decides over the persistent-set reduced
-    space, so it is sound only for predicates implied by deadlock
-    (e.g. {!State.is_deadlock} itself, or a cyclic reduction graph):
-    the reduction preserves reachability of deadlock states, not of
-    arbitrary targets. *)
-val bfs :
-  ?max_states:int ->
-  ?restrict:(State.t -> bool) ->
-  ?symmetry:bool ->
-  ?por:bool ->
-  System.t ->
-  found:(State.t -> bool) ->
-  (Step.t list * State.t) option
-
 (** {1 Deadlock (Theorem 1 ground truth)} *)
 
-(** First deadlock state in BFS order, with the shortest partial
-    schedule reaching it: the plain search's answer under every flag
-    set, and the answer of a [bfs] for {!State.is_deadlock}, which keeps
-    the states this search drops (see above).  [~symmetry] and [~por] decide the verdict with a reduced
-    search, and on a hit the plain search supplies the witness, or
-    {!Too_large} (see Witnesses above). *)
+(** A deadlock search's goal: a deadlock state, or a deadlock prefix, whose
+    reduction graph R(A′) (§3) is cyclic; one is reachable iff the other is
+    (Theorem 1).  Both are invariant under identical-transaction
+    permutations, so [~symmetry] and [~por] are sound for each. *)
+type goal = Deadlock | Deadlock_prefix
+
+(** First [goal] state (default [Deadlock]) in BFS order, with the
+    shortest partial schedule reaching it: the plain search's answer
+    under every flag set, and that of a search keeping the states this
+    one drops (see above).  [~symmetry] and [~por] decide the verdict
+    with a reduced search, and on a hit the plain search supplies the
+    witness, or {!Too_large} (see Witnesses above). *)
 val find_deadlock :
   ?max_states:int ->
   ?symmetry:bool ->
   ?por:bool ->
+  ?goal:goal ->
   System.t ->
   (Step.t list * State.t) option
 
@@ -173,7 +157,12 @@ val find_deadlock :
     when they are on, with no plain re-search.  Like {!find_deadlock}
     it stores only the states that can still deadlock. *)
 val deadlock_free :
-  ?max_states:int -> ?symmetry:bool -> ?por:bool -> System.t -> bool
+  ?max_states:int ->
+  ?symmetry:bool ->
+  ?por:bool ->
+  ?goal:goal ->
+  System.t ->
+  bool
 
 (** {1 Safety and Lemma 1} *)
 

@@ -37,6 +37,7 @@ type layout = {
   contended : int array;
       (* [pwords] mask words: the contended Locks, those with a
          non-empty [conf] range *)
+  unlock : int array;  (* a Lock's global bit -> its Unlock's *)
   full : t;  (* every prefix bit *)
   steps : Step.t array;  (* global bit -> its step, shared by [enabled] lists *)
 }
@@ -93,16 +94,15 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
     done
   done;
   (* Entity [x]'s Locks, ascending, at [lockers.(x) .. lockers.(x+1)-1]
-     of [lk], and their Unlocks at the same places of [ul]. *)
+     of [lk], and each Lock's Unlock in [unlock]. *)
   ends lockers ne;
-  let lk = Array.make lockers.(ne) 0 and ul = Array.make lockers.(ne) 0 in
+  let lk = Array.make lockers.(ne) 0 and unlock = Array.make total (-1) in
   for g = total - 1 downto 0 do
     let x = entity.(g) in
     if x >= 0 then begin
       let i = txn.(g) in
       put lockers lk x g;
-      ul.(lockers.(x)) <-
-        base.(i) + Transaction.unlock_node_exn (System.txn sys i) x
+      unlock.(g) <- base.(i) + Transaction.unlock_node_exn (System.txn sys i) x
     end
   done;
   (* A quadruple for each other transaction's Lock on the same entity,
@@ -116,7 +116,7 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
     if x >= 0 then
       for k = lockers.(x) to lockers.(x + 1) - 1 do
         if quad g k then begin
-          wake_start.(ul.(k)) <- wake_start.(ul.(k)) + 1;
+          wake_start.(unlock.(lk.(k))) <- wake_start.(unlock.(lk.(k))) + 1;
           incr quads
         end
       done;
@@ -143,7 +143,7 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
     if x >= 0 then
       for k = lockers.(x) to lockers.(x + 1) - 1 do
         if quad g k then begin
-          let l = lk.(k) and u = ul.(k) in
+          let l = lk.(k) and u = unlock.(lk.(k)) in
           conf.(!q) <- word l;
           conf.(!q + 1) <- mask l;
           conf.(!q + 2) <- word u;
@@ -180,6 +180,7 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
     wake_start;
     wake;
     contended;
+    unlock;
     full;
     steps;
   }
@@ -625,6 +626,66 @@ let contenders l a o last =
 let keeps c last g = c >= 3 || (c = 2 && g <> last.(0) && g <> last.(1))
 let may_deadlock l p = contenders l p 0 [| -1; -1 |] >= 2
 
+(* Depth-first search over nodes [0 .. m - 1] from a root [-1] with an
+   arc to each: [next i k] is the first successor of [i] from [k] on,
+   or [m], and [col] at [c] holds the colours, 0 unseen, 1 on the
+   stack, 2 done.  An arc into the stack closes a cycle. *)
+let rec visit next m col c i =
+  col.(c + i) <- 1;
+  let cyclic = scan next m col c i (next i 0) in
+  col.(c + i) <- 2;
+  cyclic
+
+and scan next m col c i k =
+  k < m
+  && (col.(c + k) = 1
+     || (col.(c + k) = 0 && visit next m col c k)
+     || scan next m col c i (next i (k + 1)))
+
+(* Node [g] precedes node [u] in [g]'s transaction. *)
+let precedes l g u =
+  let i = l.txn.(g) in
+  l.txn.(u) = i
+  && Transaction.precedes (System.txn l.sys i) (g - l.base.(i)) (u - l.base.(i))
+
+(* The blocked Locks, at [0 ..] of [b]: the unexecuted ones in the
+   [conf] range of a held Lock, whose Unlock is at [n ..]; colours at
+   [2n ..].  Lock [k] has an arc to Lock [j] when it precedes [j]'s
+   blocking Unlock.  A cycle passes two transactions that are blocked
+   and block ([bt], [ht]: a bit each, up to 62 transactions). *)
+let cyclic_reduction l =
+  let n = nodes l and nb = ref 0 in
+  let b = Array.make (3 * n) 0 in
+  let rec next k j =
+    if k < 0 || j >= !nb || precedes l b.(k) b.(n + j) then j
+    else next k (j + 1)
+  in
+  fun a o ->
+    nb := 0;
+    let bt = ref 0 and ht = ref 0 in
+    for w = 0 to l.pwords - 1 do
+      let x = ref (l.contended.(w) land a.(o + w)) in
+      while !x <> 0 do
+        let m = !x land - !x in
+        let h = (w * bits) + log2.(m mod 67) in
+        if not (mem l a o l.unlock.(h)) then
+          for q = l.conf_start.(h) / 4 to (l.conf_start.(h + 1) / 4) - 1 do
+            let c = l.conf and q = 4 * q in
+            if a.(o + c.(q)) land c.(q + 1) = 0 then begin
+              b.(!nb) <- (c.(q) * bits) + log2.(c.(q + 1) mod 67);
+              bt := !bt lor (1 lsl l.txn.(b.(!nb)));
+              ht := !ht lor (1 lsl l.txn.(h));
+              b.(n + !nb) <- l.unlock.(h);
+              b.((2 * n) + !nb) <- 0;
+              incr nb
+            end
+          done;
+        x := !x lxor m
+      done
+    done;
+    let both = !bt land !ht in
+    (txns l > 62 || both land (both - 1) <> 0) && scan next !nb b (2 * n) (-1) 0
+
 let enabled l p =
   let steps = ref [] in
   iter_enabled l p 0 (fun g -> steps := l.steps.(g) :: !steps);
@@ -689,32 +750,17 @@ let arcs_at l a o =
     done;
   !arcs
 
-(* Depth-first search from [i]: [colour] is 0 unseen, 1 on the stack,
-   2 done.  An arc into the stack closes a cycle. *)
-let rec visit l a o colour i =
-  colour.(i) <- 1;
-  let cyclic = scan l a o colour i 0 in
-  colour.(i) <- 2;
-  cyclic
-
-and scan l a o colour i k =
-  k < Array.length colour
-  && ((arc_at l a o i k
-      && (colour.(k) = 1 || (colour.(k) = 0 && visit l a o colour k)))
-     || scan l a o colour i (k + 1))
-
 let rec any_arc l a o k =
   k < l.words && (a.(o + k) <> 0 || any_arc l a o (k + 1))
 
 let cyclic_at l a o =
   any_arc l a o l.pwords
   &&
-  let colour = Array.make (txns l) 0 in
-  let rec from i =
-    i < Array.length colour
-    && ((colour.(i) = 0 && visit l a o colour i) || from (i + 1))
+  let n = txns l in
+  let rec next i k =
+    if i < 0 || k >= n || arc_at l a o i k then k else next i (k + 1)
   in
-  from 0
+  scan next n (Array.make n 0) 0 (-1) 0
 
 (* Bits [63c, 63c + 63) of transaction [i]'s row as one int, as a
    [Bitset] word holds them, so row node [63c + 62] is the sign bit.

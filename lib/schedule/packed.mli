@@ -193,6 +193,14 @@ val keeps : int -> int array -> int -> bool
     unexecuted contended Lock.  Every deadlock state satisfies it. *)
 val may_deadlock : layout -> t -> bool
 
+(** [cyclic_reduction l a o] — the reduction graph R(A′) (§3) of the
+    reachable state at offset [o] of [a] (no [read] Locks) is cyclic:
+    iff its blocked Locks are, with [g → g′] when [g] precedes the
+    Unlock that blocks [g′].  Such a cycle spans two transactions, so
+    {!may_deadlock} holds.  Applying [cyclic_reduction l] allocates
+    nothing. *)
+val cyclic_reduction : layout -> int array -> int -> bool
+
 (** {!State.all_finished} of the state at offset [o] of [a]. *)
 val all_finished_at : layout -> int array -> int -> bool
 

@@ -1,6 +1,7 @@
 open Ddlock_graph
 open Ddlock_model
 open Ddlock_schedule
+module Reduction = Ddlock_deadlock.Reduction
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -153,12 +154,13 @@ let test_find_deadlock_exact_cap () =
 let test_explore_bfs_target () =
   let sys = simple_pair () in
   let target = State.final sys in
-  (match Explore.bfs sys ~found:(State.equal target) with
+  (match Explore.has_schedule sys target with
   | None -> Alcotest.fail "final state unreachable"
-  | Some (steps, st) ->
+  | Some steps ->
       check bool_t "legal" true (Schedule.is_legal sys steps);
       check bool_t "complete" true (Schedule.is_complete sys steps);
-      check bool_t "reaches the target" true (State.equal st target));
+      check bool_t "reaches the target" true
+        (State.equal (Schedule.prefix_vector sys steps) target));
   check bool_t "reachable" true
     (Explore.is_reachable (Explore.explore sys) target)
 
@@ -946,17 +948,36 @@ let test_workspace_reuse () =
               incr polls;
               !polls > 300)
             (fun () -> witness (Explore.find_deadlock ring)) );
-      ( "bfs with nested find_deadlock",
+      ( "find_deadlock with nested find_deadlock",
         fun () ->
-          let seen = ref 0 and inner = Buffer.create 256 in
-          let found _ =
-            incr seen;
-            if !seen mod 40 = 0 then
-              Buffer.add_string inner
-                (witness (Explore.find_deadlock ~symmetry:(!seen mod 80 = 0) ring));
-            !seen = 400
+          (* The inner searches run in the outer one's poll, and poll
+             themselves: only the outer search's polls nest one. *)
+          let polls = ref 0 and inside = ref false in
+          let inner = Buffer.create 256 in
+          let poll () =
+            if not !inside then begin
+              incr polls;
+              if !polls mod 40 = 0 then begin
+                inside := true;
+                Fun.protect
+                  ~finally:(fun () -> inside := false)
+                  (fun () ->
+                    Buffer.add_string inner
+                      (witness
+                         (Explore.find_deadlock ~symmetry:(!polls mod 80 = 0)
+                            ring)))
+              end
+            end;
+            false
           in
-          let outer = witness (Explore.bfs phil16 ~found) in
+          let outer =
+            match
+              Ddlock_obs.Cancel.with_poll poll (fun () ->
+                  Explore.find_deadlock ~max_states:400 phil16)
+            with
+            | r -> witness r
+            | exception Explore.Too_large n -> Printf.sprintf "too large %d" n
+          in
           outer ^ " / " ^ Buffer.contents inner );
     ]
   in
@@ -995,9 +1016,10 @@ let test_workspace_reuse () =
 
 (* Plain BFS over {!State}, written from the definition: the first [cap]
    states in discovery order (successors in [State.enabled] order), the
-   first deadlock among them with the schedule that discovered it, and
-   whether the reachable set has more than [cap] states. *)
-let reference_bfs sys ~cap =
+   first state among them satisfying [goal] with the schedule that
+   discovered it, and whether the reachable set has more than [cap]
+   states. *)
+let reference_bfs sys ~cap ~goal =
   let seen = Hashtbl.create 1024 and q = Queue.create () in
   let order = ref [] and count = ref 0 in
   let deadlock = ref None and overflow = ref false in
@@ -1009,7 +1031,7 @@ let reference_bfs sys ~cap =
         Hashtbl.add seen key ();
         incr count;
         order := st :: !order;
-        if !deadlock = None && State.is_deadlock sys st then
+        if !deadlock = None && goal st then
           deadlock := Some (List.rev rev_steps, st);
         Queue.push (st, rev_steps) q
       end
@@ -1028,37 +1050,37 @@ let arena_reference_prop =
     ~count:40 QCheck.(int_bound 10_000_000) (fun seed ->
       let sys = packed_system (Fixtures.rng seed) in
       let cap = 1_500 in
-      let order, deadlock, overflow = reference_bfs sys ~cap in
+      let order, deadlock, overflow =
+        reference_bfs sys ~cap ~goal:(State.is_deadlock sys)
+      in
       let same = List.for_all2 State.equal in
       let explored =
-        if overflow then begin
-          (* The space does not fit: the explore gives up at the cap, and
-             the states it inserted are the reference's first [cap]. *)
-          let seen = ref [] in
-          (match
-             Explore.bfs ~max_states:cap sys ~found:(fun st ->
-                 seen := st :: !seen;
-                 false)
-           with
-          | exception Explore.Too_large n -> n = cap
-          | _ -> false)
-          && (match Explore.explore ~max_states:cap sys with
-             | exception Explore.Too_large n -> n = cap
-             | _ -> false)
-          && same (List.rev !seen) order
-        end
-        else
-          let sp = Explore.explore ~max_states:cap sys in
-          let got = List.of_seq (Explore.states sp) in
-          List.length got = List.length order && same got order
+        match Explore.explore ~max_states:cap sys with
+        | sp ->
+            let got = List.of_seq (Explore.states sp) in
+            (not overflow) && List.length got = List.length order
+            && same got order
+        | exception Explore.Too_large n -> overflow && n = cap
       in
+      (* A deadlock among the reference's first [cap] states is found
+         within the cap, since the filter only drops states.  With none
+         there and the space too large, the filter may also fit: a
+         deadlock beyond those states, or none at all, which the
+         Theorem-1 search under the same cap must agree with. *)
       let witness =
         match (Explore.find_deadlock ~max_states:cap sys, deadlock) with
         | Some (steps, st), Some (steps', st') ->
             steps = steps' && State.equal st st'
-        | None, None -> not overflow
-        | exception Explore.Too_large n ->
-            overflow && deadlock = None && n = cap
+        | None, None when overflow ->
+            Ddlock_deadlock.Prefix_search.deadlock_free ~max_states:cap sys
+        | None, None -> true
+        | Some (steps, st), None ->
+            overflow
+            && Schedule.is_legal sys steps
+            && State.equal (Schedule.prefix_vector sys steps) st
+            && State.is_deadlock sys st
+            && not (List.exists (State.equal st) order)
+        | exception Explore.Too_large n -> overflow && deadlock = None && n = cap
         | _ -> false
       in
       explored && witness)
@@ -1249,20 +1271,11 @@ let fig2ish () = System.copies (Ddlock_workload.Gentx.guard_ring 4) 2
 
 let test_states_in_rank_order () =
   (* The space enumerates states in BFS insertion order: they must line
-     up position by position with a goal-directed search that records
-     the order in which it discovers states. *)
+     up position by position with the discovery order of a BFS over
+     {!State}. *)
   let sys = Ddlock_workload.Gentx.dining_philosophers 3 in
-  let order = ref [] in
-  (match
-     Explore.bfs sys ~found:(fun st ->
-         order := Fixtures.state_key st :: !order;
-         false)
-   with
-  | Some _ -> Alcotest.fail "predicate never holds"
-  | None -> ());
-  let bfs_keys = List.rev !order in
-  (* Explore.bfs applies [found] to every discovered state including the
-     initial one, in insertion order. *)
+  let order, _, _ = reference_bfs sys ~cap:max_int ~goal:(fun _ -> false) in
+  let bfs_keys = List.map Fixtures.state_key order in
   let space_keys =
     List.of_seq
       (Seq.map Fixtures.state_key (Explore.states (Explore.explore sys)))
@@ -1276,11 +1289,10 @@ let test_bfs_every_state () =
   Seq.iter
     (fun st ->
       check bool_t "reachable" true (Explore.is_reachable sp st);
-      match Explore.bfs sys ~found:(State.equal st) with
+      match Explore.has_schedule sys st with
       | None -> Alcotest.fail "bfs must reach every stored state"
-      | Some (sched, hit) ->
+      | Some sched ->
           check bool_t "legal" true (Schedule.is_legal sys sched);
-          check bool_t "stops at the state" true (State.equal hit st);
           check bool_t "reaches the state" true
             (State.equal (Schedule.prefix_vector sys sched) st))
     (Explore.states sp);
@@ -1339,27 +1351,43 @@ let filter_system rng =
       G.zipf_system rng ~sites:2 ~entities:(4 + int 3) ~txns:(3 + int 2)
         ~theta:0.8
 
-(* The deadlock searches drop the successors that cannot deadlock; a
-   [bfs] for [State.is_deadlock] keeps every state.  Under every flag
-   set both give the same schedule and state. *)
-let filter_witness_prop =
-  QCheck.Test.make ~name:"find_deadlock = unfiltered bfs, every flag set"
-    ~count:150 QCheck.(int_bound 10_000_000) (fun seed ->
+(* [search ~max_states ~symmetry ~por sys] gives, under every flag
+   set, the schedule and state of the first [goal] state of the decoded
+   BFS, which keeps every state. *)
+let same_as_reference ~name ~goal search =
+  QCheck.Test.make ~name ~count:150 QCheck.(int_bound 10_000_000)
+    (fun seed ->
       let sys = filter_system (Fixtures.rng seed) in
       let max_states = 20_000 in
-      match Explore.bfs ~max_states sys ~found:(State.is_deadlock sys) with
-      | exception Explore.Too_large _ -> QCheck.assume_fail ()
-      | reference ->
+      match reference_bfs sys ~cap:max_states ~goal:(goal sys) with
+      | _, _, true -> QCheck.assume_fail ()
+      | _, reference, false ->
           List.for_all
             (fun (symmetry, por) ->
-              match
-                (Explore.find_deadlock ~max_states ~symmetry ~por sys, reference)
-              with
+              match (search ~max_states ~symmetry ~por sys, reference) with
               | Some (steps, st), Some (steps', st') ->
                   steps = steps' && State.equal st st'
               | None, None -> true
               | _ -> false)
             [ (false, false); (true, false); (false, true); (true, true) ])
+
+(* The deadlock searches drop the successors that cannot deadlock. *)
+let filter_witness_prop =
+  same_as_reference ~name:"find_deadlock = unfiltered bfs, every flag set"
+    ~goal:State.is_deadlock (fun ~max_states ~symmetry ~por sys ->
+      Explore.find_deadlock ~max_states ~symmetry ~por sys)
+
+(* The Theorem-1 search decides R(A′) on packed rows, with the same
+   filter. *)
+let prefix_witness_prop =
+  let module P = Ddlock_deadlock.Prefix_search in
+  same_as_reference
+    ~name:"Prefix_search.find = decoded cyclic-R BFS, every flag set"
+    ~goal:(fun sys st -> Reduction.has_cycle (Reduction.make sys st))
+    (fun ~max_states ~symmetry ~por sys ->
+      Option.map
+        (fun w -> (w.P.schedule, w.P.prefix))
+        (P.find ~max_states ~symmetry ~por sys))
 
 (* Every state reachable on [lay], up to [cap], by the packed kernel. *)
 let reachable lay ~cap =
@@ -1409,6 +1437,50 @@ let filter_sound_prop =
           !ok)
         (reachable lay ~cap:5_000))
 
+(* On each of [states], [Packed.cyclic_reduction] against R(A′) built
+   from the decoded state: how many disagree, and how many are
+   cyclic. *)
+let reduction_agrees sys states =
+  let lay = Packed.layout sys in
+  let packed = Packed.cyclic_reduction lay in
+  Seq.fold_left
+    (fun (wrong, cyclic) p ->
+      let r = Reduction.has_cycle (Reduction.make sys (Packed.decode lay p)) in
+      ( (if packed p 0 <> r then wrong + 1 else wrong),
+        if r then cyclic + 1 else cyclic ))
+    (0, 0) states
+
+let packed_reduction_prop =
+  QCheck.Test.make ~name:"packed reduction cycle = Reduction.has_cycle"
+    ~count:150 QCheck.(int_bound 10_000_000) (fun seed ->
+      let sys = filter_system (Fixtures.rng seed) in
+      fst (reduction_agrees sys (reachable (Packed.layout sys) ~cap:5_000))
+      = 0)
+
+(* Rows of three words: the states along random runs, each ending in a
+   deadlock or done, of two copies of [guard_ring 32] (deadlock-free)
+   and of sixteen of [guard_ring 4] (128 nodes each). *)
+let test_packed_reduction_wide () =
+  let module G = Ddlock_workload.Gentx in
+  let sys = System.copies (G.guard_ring 32) 2
+  and sys' = System.copies (G.guard_ring 4) 16 in
+  let runs sys =
+    let lay = Packed.layout sys and rng = Fixtures.rng 32 in
+    Seq.concat_map
+      (fun _ ->
+        let steps =
+          match Explore.random_run rng sys with
+          | Explore.Completed l | Explore.Deadlocked (l, _) -> l
+        in
+        Seq.scan (Packed.apply lay) (Packed.initial lay) (List.to_seq steps))
+      (Seq.init 40 Fun.id)
+  in
+  let wrong, cyclic = reduction_agrees sys (runs sys) in
+  let wrong', cyclic' = reduction_agrees sys' (runs sys') in
+  check int_t "agree" 0 (wrong + wrong');
+  check int_t "guard_ring 32 x2: none cyclic" 0 cyclic;
+  check bool_t "guard_ring 4 x16: some cyclic" true (cyclic' > 0)
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -1429,7 +1501,9 @@ let qtests =
       explore_cap_prop;
       find_deadlock_cap_prop;
       filter_witness_prop;
+      prefix_witness_prop;
       filter_sound_prop;
+      packed_reduction_prop;
     ]
 
 let suite =
@@ -1473,6 +1547,8 @@ let suite =
     Alcotest.test_case "states in rank order" `Quick test_states_in_rank_order;
     Alcotest.test_case "bfs reaches every stored state" `Quick
       test_bfs_every_state;
+    Alcotest.test_case "packed reduction cycle = Reduction.has_cycle, 128 nodes"
+      `Quick test_packed_reduction_wide;
   ]
   @ qtests
 
