@@ -14,6 +14,8 @@
    - the [LP]/[SW] geometric deciders vs the exhaustive safety and
      deadlock searches (centralized pairs);
    - Theorem 4 vs exhaustive (k-transaction systems);
+   - the hold-and-wait certificate: a system it certifies is
+     deadlock-free (pairs and k-transaction systems);
    - the may-deadlock filter: [find_deadlock], which drops the states
      that can no longer deadlock, gives the first deadlock of the whole
      explored space, with its BFS-tree schedule (k-transaction systems);
@@ -145,6 +147,8 @@ let () =
       report "minimal-prefix" round;
     let df1, df2 = Deadlock.Theorem1.verdicts pair_sys in
     if df1 <> df2 then report "Theorem 1" round;
+    if Deadlock.Hold_wait.certifies pair_sys && not df1 then
+      report "hold-and-wait certificate" round;
     if
       Safety.Copies.safe_and_deadlock_free t1
       <> Safety.Pair.safe_and_deadlock_free t1 t1
@@ -170,6 +174,8 @@ let () =
       report "Theorem 4" round;
     let df1, df2 = timed "seq" (fun () -> Deadlock.Theorem1.verdicts sys) in
     if df1 <> df2 then report "Theorem 1 (k transactions)" round;
+    if Deadlock.Hold_wait.certifies sys && not df1 then
+      report "hold-and-wait certificate (k transactions)" round;
     (* --- the may-deadlock filter vs a search that keeps every state:
        the first deadlock of the whole space in BFS order, with the
        schedule [has_schedule] finds for it.  Every predecessor of a

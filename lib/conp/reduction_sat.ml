@@ -150,7 +150,3 @@ let deadlock_witness t a =
       match Reduction.find_cycle (Reduction.make t.sys prefix) with
       | None -> None
       | Some cycle -> Some (steps, cycle))
-
-let satisfiable_via_deadlock_search ?max_states formula =
-  let t = build formula in
-  Prefix_search.find ?max_states t.sys <> None

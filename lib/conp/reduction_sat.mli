@@ -58,9 +58,3 @@ val assignment_of_cycle : t -> Step.t list -> Formula.assignment
     cycle. *)
 val deadlock_witness :
   t -> Formula.assignment -> (Step.t list * Step.t list) option
-
-(** Decide satisfiability by exhaustive deadlock-prefix search on the
-    built system (exponential — tiny formulas only; the point of
-    Theorem 2 is that this direction cannot be polynomial unless
-    P = NP). *)
-val satisfiable_via_deadlock_search : ?max_states:int -> Formula.t -> bool

@@ -54,12 +54,24 @@ let add_deadlock_verdict buf ~indent sys = function
           " states; the problem is coNP-hard)";
         ]
 
-(* The deadlock decision given the Theorem 4 verdict [safety]: a
-   certified system is deadlock-free, anything else is searched. *)
+let obs_certified = Ddlock_obs.Metrics.Counter.make "analysis.deadlock_certified"
+
+let certified sys =
+  let ok =
+    Ddlock_obs.Trace.span "analysis.deadlock_certificate" @@ fun () ->
+    Ddlock_deadlock.Hold_wait.certifies sys
+  in
+  if ok then Ddlock_obs.Metrics.Counter.incr obs_certified;
+  ok
+
+(* The deadlock decision given the Theorem 4 verdict [safety]: a system
+   that Theorem 4 or the hold-and-wait certificate passes is
+   deadlock-free, anything else is searched. *)
 let decide_deadlock ?(max_states = 500_000) ?(symmetry = false) ?(por = false)
     sys safety =
   match safety with
   | Safe_and_deadlock_free -> Deadlock_free
+  | _ when certified sys -> Deadlock_free
   | _ -> (
       Ddlock_obs.Trace.span "analysis.deadlock_search" @@ fun () ->
       match Explore.find_deadlock ~max_states ~symmetry ~por sys with

@@ -36,10 +36,13 @@ type deadlock_verdict =
       (** the bounded exhaustive search exceeded its budget *)
 
 (** [deadlock_free ?max_states ?symmetry ?por sys] — first tries the
-    polynomial sufficient condition (safe ∧ DF ⇒ DF); otherwise runs the
-    bounded exhaustive Theorem-1 search
-    ({!Ddlock_schedule.Explore.find_deadlock}).  Default budget: 500_000
-    states.
+    polynomial sufficient condition of Theorem 4 (safe ∧ DF ⇒ DF), then
+    the polynomial hold-and-wait certificate
+    ({!Ddlock_deadlock.Hold_wait.certifies}, counted by the
+    [analysis.deadlock_certified] counter); a system that passes either
+    is deadlock-free.  Otherwise it runs the bounded exhaustive
+    Theorem-1 search ({!Ddlock_schedule.Explore.find_deadlock}).
+    Default budget: 500_000 states.
 
     [~symmetry:true] decides over one state per orbit of the
     identical-transaction automorphism group ({!Ddlock_schedule.Canon}),

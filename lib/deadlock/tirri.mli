@@ -8,7 +8,11 @@ open Ddlock_model
     that [L¹y ≺ U¹x], [L²x ≺ U²y], [¬(L¹y ≺ L¹x)] and [¬(L²x ≺ L²y)].
     The paper's Fig. 2 shows a deadlock arising from a cycle through four
     entities with no such pair, so "no pair found" does {e not} imply
-    deadlock-freedom. *)
+    deadlock-freedom.
+
+    {!Hold_wait} is the sound counterpart: the same wait as an arc of a
+    graph over (transaction, entity) pairs, where only the absence of a
+    cycle of any length certifies deadlock-freedom. *)
 
 (** [find_pair t1 t2] is a pair [(x, y)] satisfying Tirri's premise, if
     any. *)

@@ -201,6 +201,65 @@ let test_guard_ring_parity () =
         (Explore.deadlock_free (System.copies t 3)))
     [ 3; 4 ]
 
+(* ------------------------------------------------------------------ *)
+(* The hold-and-wait certificate                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Two copies of La < Ua < Lb < Ub: not two-phase, so Theorem 4 fails,
+   but neither copy holds one entity while it waits for the other. *)
+let same_order_pair () =
+  let open Builder in
+  let db = Db.create [ ("s0", [ "a" ]); ("s1", [ "b" ]) ] in
+  System.copies
+    (transaction_exn db ~chains:[ [ L "a"; U "a"; L "b"; U "b" ] ] ())
+    2
+
+let test_hold_wait_fixtures () =
+  let certified name expect sys =
+    check bool_t name expect (Hold_wait.certifies sys)
+  in
+  let fig6 n = System.copies (Fixtures.fig6_txn ()) n in
+  certified "fig2 deadlocks" false (Fixtures.fig2 ());
+  certified "fig6 x3 deadlocks" false (fig6 3);
+  List.iter
+    (fun k ->
+      certified
+        (Printf.sprintf "philosophers %d deadlock" k)
+        false
+        (Ddlock_workload.Gentx.dining_philosophers k))
+    [ 3; 4; 5 ];
+  (* Deadlock-free, but its waits close a cycle through all six
+     (copy, entity) nodes: the certificate cannot decide it. *)
+  certified "fig6 x2 is beyond the certificate" false (fig6 2);
+  let pair = same_order_pair () in
+  check bool_t "same-order pair fails Theorem 4" false
+    (Ddlock_safety.Many.safe_and_deadlock_free pair);
+  certified "same-order pair certified" true pair
+
+(* The certificate is sound: whatever it certifies has no deadlock. *)
+let hold_wait_sound_prop =
+  QCheck.Test.make ~name:"Hold_wait.certifies ⇒ Explore.deadlock_free"
+    ~count:400
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      let module G = Ddlock_workload.Gentx in
+      let bit = seed / 5 mod 2 in
+      let sys =
+        match seed mod 5 with
+        | 0 -> Fixtures.small_random_pair st
+        | 1 -> Fixtures.small_random_system st ~txns:(3 + bit)
+        | 2 -> G.random_copies_system ~extra:true st ~copies:(2 + bit)
+        | 3 ->
+            G.zipf_system st ~sites:2 ~entities:(4 + (2 * bit)) ~txns:3
+              ~theta:0.8
+        | _ ->
+            System.copies
+              (G.guard_ring (2 + (seed / 5 mod 4)))
+              (2 + (seed / 20 mod 2))
+      in
+      (not (Hold_wait.certifies sys)) || Explore.deadlock_free sys)
+
 (* §3 / [KP2]: safety (unlike DF) DOES reduce to extension pairs. *)
 let kp2_safety_reduction_prop =
   QCheck.Test.make
@@ -243,3 +302,8 @@ let suite =
     Alcotest.test_case "guard ring parity" `Quick test_guard_ring_parity;
   ]
   @ qtests
+  @ [
+      Alcotest.test_case "hold-and-wait certificate on the figures" `Quick
+        test_hold_wait_fixtures;
+      Fixtures.to_alcotest hold_wait_sound_prop;
+    ]
