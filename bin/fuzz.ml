@@ -16,6 +16,11 @@
    - Theorem 4 vs exhaustive (k-transaction systems);
    - the hold-and-wait certificate: a system it certifies is
      deadlock-free (pairs and k-transaction systems);
+   - entity rows of three words: the pair and the k-transaction system,
+     parsed back with a site of 130 unused entities declared first
+     (Workload.Gentx.widen), get the same Theorem-3 and Theorem-4
+     verdict text and the same certificate answer as parsed back
+     without it;
    - the may-deadlock filter: [find_deadlock], which drops the states
      that can no longer deadlock, gives the first deadlock of the whole
      explored space, with its BFS-tree schedule (k-transaction systems);
@@ -176,6 +181,31 @@ let () =
     if df1 <> df2 then report "Theorem 1 (k transactions)" round;
     if Deadlock.Hold_wait.certifies sys && not df1 then
       report "hold-and-wait certificate (k transactions)" round;
+    (* --- the row deciders on a schema whose real entities start at
+       id 130 --- *)
+    let decided s =
+      let pair =
+        if System.size s <> 2 then ""
+        else
+          match Safety.Pair.check (System.txn s 0) (System.txn s 1) with
+          | Ok () -> "ok"
+          | Error f ->
+              Format.asprintf "%a"
+                (Safety.Pair.pp_failure (System.db s) ("T1", "T2"))
+                f
+      in
+      ( pair,
+        Format.asprintf "%a" (Safety.Many.pp_verdict s) (Safety.Many.check s),
+        Deadlock.Hold_wait.certifies s )
+    in
+    List.iter
+      (fun (shape, s) ->
+        if
+          timed "wide" (fun () ->
+              decided (Workload.Gentx.widen ~pad:130 s)
+              <> decided (Workload.Gentx.widen ~pad:0 s))
+        then report ("wide schema (" ^ shape ^ ")") round)
+      [ ("pair", pair_sys); ("k transactions", sys) ];
     (* --- the may-deadlock filter vs a search that keeps every state:
        the first deadlock of the whole space in BFS order, with the
        schedule [has_schedule] finds for it.  Every predecessor of a

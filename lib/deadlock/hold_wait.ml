@@ -1,15 +1,15 @@
 open Ddlock_graph
 open Ddlock_model
 
-(* Entities accessed by two or more transactions. *)
-let shared_entities txns e =
-  let seen = Bitset.create e and shared = Bitset.create e in
+(* Entities accessed by two or more transactions: a row of [w] words. *)
+let shared_entities txns w =
+  let seen = Array.make w 0 and shared = Array.make w 0 in
   Array.iter
     (fun t ->
-      let r = Transaction.entity_set t in
-      for y = 0 to e - 1 do
-        if Bitset.mem r y then
-          if Bitset.mem seen y then Bitset.set shared y else Bitset.set seen y
+      let a = Transaction.rows t and o = Transaction.entity_row t in
+      for k = 0 to w - 1 do
+        shared.(k) <- shared.(k) lor (seen.(k) land a.(o + k));
+        seen.(k) <- seen.(k) lor a.(o + k)
       done)
     txns;
   shared
@@ -21,31 +21,38 @@ let shared_entities txns e =
 type graph = {
   txns : Transaction.t array;
   e : int;
-  shared : Bitset.t;
+  w : int;
+  shared : int array;
   col : Bytes.t;
 }
 
-(* Lᵢy ≺ Uᵢx and ¬(Lᵢy ≺ Lᵢx): Tᵢ can hold x while it waits at Lᵢy,
-   which it must pass before it unlocks x. *)
-let waits t x y =
-  y <> x
-  && Transaction.accesses t y
-  &&
-  let ly = Transaction.lock_node_exn t y in
-  Transaction.precedes t ly (Transaction.unlock_node_exn t x)
-  && not (Transaction.precedes t ly (Transaction.lock_node_exn t x))
-
 let rec visit g i x =
   Bytes.set g.col ((i * g.e) + x) '\001';
-  let cyclic = wait_from g i x 0 in
+  let t = g.txns.(i) in
+  let a = Transaction.rows t in
+  let lbu = Transaction.locks_before_unlock t x
+  and lb = Transaction.locks_before t x in
+  let xk = x / Rows.bits and xb = 1 lsl (x mod Rows.bits) in
+  let cyclic = ref false and k = ref 0 in
+  while (not !cyclic) && !k < g.w do
+    (* Lᵢy ≺ Uᵢx and ¬(Lᵢy ≺ Lᵢx), y ≠ x shared: Tᵢ can hold x while
+       it waits at Lᵢy, which it must pass before it unlocks x. *)
+    let m =
+      ref
+        (a.(lbu + !k)
+        land lnot a.(lb + !k)
+        land g.shared.(!k)
+        land lnot (if !k = xk then xb else 0))
+    in
+    while (not !cyclic) && !m <> 0 do
+      let b = !m land - !m in
+      cyclic := held_by g i ((!k * Rows.bits) + Rows.lowest b) 0;
+      m := !m lxor b
+    done;
+    incr k
+  done;
   Bytes.set g.col ((i * g.e) + x) '\002';
-  cyclic
-
-(* Some y ≥ [y] that Tᵢ can wait for while holding x leads to a cycle. *)
-and wait_from g i x y =
-  y < g.e
-  && ((Bitset.mem g.shared y && waits g.txns.(i) x y && held_by g i y 0)
-     || wait_from g i x (y + 1))
+  !cyclic
 
 (* Some Tⱼ, j ≥ [j], j ≠ i, that can hold y leads to a cycle. *)
 and held_by g i y j =
@@ -63,20 +70,30 @@ and enter g j y =
 
 let certifies sys =
   let txns = System.txns sys and e = Db.entity_count (System.db sys) in
-  let n = Array.length txns in
+  let n = Array.length txns and w = Rows.words e in
   let g =
-    { txns; e; shared = shared_entities txns e; col = Bytes.make (n * e) '\000' }
+    {
+      txns;
+      e;
+      w;
+      shared = shared_entities txns w;
+      col = Bytes.make (n * e) '\000';
+    }
   in
   (* Only a shared entity has arcs in, so only its nodes can lie on a
      cycle. *)
-  let rec acyclic_from k =
-    k >= n * e
-    || (let i = k / e and x = k mod e in
-        not
-          (Bitset.mem g.shared x
-          && Transaction.accesses txns.(i) x
-          && Bytes.get g.col k = '\000'
-          && visit g i x))
-       && acyclic_from (k + 1)
-  in
-  acyclic_from 0
+  let cyclic = ref false and i = ref 0 in
+  while (not !cyclic) && !i < n do
+    let a = Transaction.rows txns.(!i) and o = Transaction.entity_row txns.(!i) in
+    for k = 0 to w - 1 do
+      let m = ref (g.shared.(k) land a.(o + k)) in
+      while (not !cyclic) && !m <> 0 do
+        let b = !m land - !m in
+        let x = (k * Rows.bits) + Rows.lowest b in
+        cyclic := Bytes.get g.col ((!i * e) + x) = '\000' && visit g !i x;
+        m := !m lxor b
+      done
+    done;
+    incr i
+  done;
+  not !cyclic

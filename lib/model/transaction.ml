@@ -44,6 +44,8 @@ type t = {
   lock_of : int array; (* entity -> node id or -1 *)
   unlock_of : int array;
   entity_set : Bitset.t;
+  words : int; (* [Rows.words] of the entity count *)
+  rows : int array; (* [entity_rows] *)
 }
 
 let db t = t.db
@@ -64,6 +66,38 @@ let closure_arcs t =
       List.rev_append (Bitset.fold (fun v l -> (u, v) :: l) t.closure.(u) []) !acc
   done;
   !acc
+
+(* The entity rows in one array of [w·(1 + 2n)] ints for [n] nodes,
+   [w] = [Rows.words ne]: R(T) first, then two rows per node, locks
+   after and unlocks after [Lx] at node [Lx], locks before [Lx] and
+   locks before [Ux] at node [Ux].  One pass over the closure rows of
+   the Lock nodes fills them: [Ly ≺ Lx] puts [x] in locks after [Ly]
+   and [y] in locks before [Lx], and [Ly ≺ Ux] puts [x] in unlocks
+   after [Ly] and [y] in locks before [Ux]. *)
+let entity_rows node_labels closure unlock_of w =
+  let n = Array.length node_labels in
+  let rows = Array.make (w * (1 + (2 * n))) 0 in
+  let at v = w * (1 + (2 * v)) in
+  for ly = 0 to n - 1 do
+    let { Node.entity = y; op } = node_labels.(ly) in
+    if op = Node.Lock then begin
+      Rows.set rows 0 y;
+      for v = 0 to n - 1 do
+        if Bitset.mem closure.(ly) v then begin
+          let { Node.entity = x; op } = node_labels.(v) in
+          let ux = at unlock_of.(x) in
+          match op with
+          | Node.Lock ->
+              Rows.set rows (at ly) x;
+              Rows.set rows ux y
+          | Node.Unlock ->
+              Rows.set rows (at ly + w) x;
+              Rows.set rows (ux + w) y
+        end
+      done
+    end
+  done;
+  rows
 
 (* One topological sort gives the order for the closure or shows a
    cycle; only a cyclic input pays for [Topo.find_cycle]'s report. *)
@@ -110,6 +144,7 @@ let make db node_labels arc_list =
       done;
       match !errors with
       | [] ->
+          let words = Rows.words ne in
           Ok
             {
               db;
@@ -120,6 +155,8 @@ let make db node_labels arc_list =
               lock_of;
               unlock_of;
               entity_set;
+              words;
+              rows = entity_rows node_labels closure unlock_of words;
             }
       | es -> Error (List.rev es)
 
@@ -143,6 +180,14 @@ let unlock_node_exn t e =
 let accesses t e = Bitset.mem t.entity_set e
 let entity_set t = t.entity_set
 let entities t = Bitset.to_list t.entity_set
+
+let row_words t = t.words
+let rows t = t.rows
+let entity_row _ = 0
+let locks_after t x = t.words * (1 + (2 * t.lock_of.(x)))
+let unlocks_after t x = locks_after t x + t.words
+let locks_before t x = t.words * (1 + (2 * t.unlock_of.(x)))
+let locks_before_unlock t x = locks_before t x + t.words
 
 let r_set t s =
   let r = Bitset.create (Db.entity_count t.db) in

@@ -80,6 +80,52 @@ val entity_set : t -> Bitset.t
 (** Accessed entities, ascending. *)
 val entities : t -> Db.entity list
 
+(** {1 Entity rows}
+
+    {!make} compiles the closure into rows over entity ids, which the
+    polynomial deciders (Theorem 3, Theorem 4's prefix step, the
+    hold-and-wait certificate) combine a word at a time instead of
+    asking {!precedes} node by node.  A row is a set of entities in
+    {!Ddlock_graph.Rows}'s layout, {!row_words} words long (⌈ne/63⌉ for
+    ne entities in the schema), and it lies in {!rows} at the offset
+    the functions below return.  For each accessed entity [x], bit [y]
+    of a row is set iff the transaction accesses [y] and
+
+    - {!locks_after}[ t x]: [Lx ≺ Ly];
+    - {!unlocks_after}[ t x]: [Lx ≺ Uy] (it holds [x] itself);
+    - {!locks_before}[ t x]: [Ly ≺ Lx];
+    - {!locks_before_unlock}[ t x]: [Ly ≺ Ux] (it holds [x] itself).
+
+    The relation is strict, so only the rows that say so hold [x].
+    {!entity_row} is R(T).  All of them share one array of
+    [w·(1 + 2n)] ints, [w] = {!row_words}, for the n = 2·|R(T)| nodes:
+    R(T), then two rows per node, the rows after [Lx] at node [Lx] and
+    the rows before [Lx] and [Ux] at node [Ux].  That is
+    O(|R(T)|·⌈ne/63⌉) words, never O(ne²), found through {!lock_node}
+    and {!unlock_node} with no index of its own.  Do not mutate the
+    array.  The four row functions require [x] accessed. *)
+
+(** Words per row: ⌈entity count / 63⌉. *)
+val row_words : t -> int
+
+(** The array that holds every row of the transaction. *)
+val rows : t -> int array
+
+(** Offset of R(T), the accessed entities (0). *)
+val entity_row : t -> int
+
+(** Offset of the entities [y] with [Lx ≺ Ly]. *)
+val locks_after : t -> Db.entity -> int
+
+(** Offset of the entities [y] with [Lx ≺ Uy]. *)
+val unlocks_after : t -> Db.entity -> int
+
+(** Offset of the entities [y] with [Ly ≺ Lx]. *)
+val locks_before : t -> Db.entity -> int
+
+(** Offset of the entities [y] with [Ly ≺ Ux]. *)
+val locks_before_unlock : t -> Db.entity -> int
+
 (** {1 The paper's R/L sets (§5)} *)
 
 (** [r_set t s] — entities [z] whose Lock strictly precedes node [s]. *)

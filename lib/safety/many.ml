@@ -53,64 +53,138 @@ let rotate l r =
 let extension_of_prefix tx prefix =
   List.filter (Bitset.mem prefix) (Array.to_list (Transaction.order tx))
 
-let try_cycle sys order =
+(* Theorem 4's prefix step on entity rows.  [Transaction.max_prefix_avoiding
+   t avoid] drops, for each y ∈ avoid ∩ R(T), the node Ly and every
+   successor of it.  So Lx survives iff no such y is x or has Ly ≺ Lx:
+
+     Lx ∈ T*  iff  avoid ∩ ({x} ∪ locks_before(x)) = ∅,
+
+   and Ux survives iff no such y has Ly ≺ Ux (x itself among them):
+
+     Ux ∈ T*  iff  avoid ∩ locks_before_unlock(x) = ∅.
+
+   Y, the set [Transaction.y_set t T*], holds the accessed z whose Uz
+   was dropped, that is Ly ≺ Uz for some y ∈ avoid ∩ R(T):
+
+     Y = ⋃ { unlocks_after(y) : y ∈ avoid ∩ R(T) }.
+
+   So a position needs a few word operations, and node prefixes are
+   built only for the rotation that fails. *)
+
+(* The rows below are [w] words wide: [union_into s d a o w] ors the
+   row at [o] of [a] into the row at [d] of [s]. *)
+let union_into s d a o w =
+  for j = 0 to w - 1 do
+    s.(d + j) <- s.(d + j) lor a.(o + j)
+  done
+
+let union_entities s d t w =
+  union_into s d (Transaction.rows t) (Transaction.entity_row t) w
+
+let disjoint s d a o w =
+  let j = ref 0 in
+  while !j < w && s.(d + !j) land a.(o + !j) = 0 do
+    incr j
+  done;
+  !j = w
+
+(* T*ᵢ as a node set, given the row at [av] of [s] that it avoids. *)
+let prefix_of t s av w =
+  let a = Transaction.rows t in
+  let p = Bitset.create (Transaction.node_count t) in
+  Array.iteri
+    (fun v { Node.entity = z; op } ->
+      let keep =
+        match op with
+        | Node.Lock ->
+            (not (Rows.mem s av z))
+            && disjoint s av a (Transaction.locks_before t z) w
+        | Node.Unlock -> disjoint s av a (Transaction.locks_before_unlock t z) w
+      in
+      if keep then Bitset.set p v)
+    (Transaction.nodes t);
+  p
+
+(* [try_cycle sys s order] decides one choice of last transaction,
+   [s] a scratch array of 2k + 3 rows for a cycle of k.  Row i < k is
+   the set T*ᵢ avoids; row k + m is ⋃_{j ≥ m} R(Tⱼ), for 3 ≤ m ≤ k;
+   then [run] and [ys], Y(T*ᵢ₋₁).
+
+   [avoid] is ⋃ R(Tj) over the cycle positions j that must be avoided
+   wholesale.  The successor (i+1) is exempt (the cycle arc i -> i+1
+   runs through x_i, which both access).  The predecessor (i-1) is
+   exempt for i >= 1 because it is constrained through Y(T*_{i-1})
+   instead — T_i may relock what the predecessor's prefix already
+   unlocked.  For i = 0 there is no earlier prefix: the predecessor
+   T_{k-1} (the "last" transaction) must be avoided entirely, otherwise
+   T_1 would create a reverse arc T_1 -> T_k.  So the positions run from
+   i+2 round to i-2 (to i-1 for i = 0).  For 0 < i < k-1 they are the
+   prefix [run] of positions up to i-2, grown by one union per
+   position, and the suffix of positions from i+2, built once position
+   1 is reached: O(k) unions in all, where building each set afresh
+   took O(k²). *)
+let try_cycle sys s order =
   let txs = Array.of_list order in
   let k = Array.length txs in
-  let tx i = System.txn sys txs.(i) in
-  let ents i = Transaction.entity_set (tx i) in
-  let ne = Db.entity_count (System.db sys) in
-  let x =
-    Array.init k (fun i ->
-        match Pair.common_first (tx i) (tx ((i + 1) mod k)) with
-        | Some e -> e
-        | None -> assert false (* cycle edges share entities; pairs passed *))
-  in
-  let prefixes = Array.make k (Bitset.create 0) in
-  (* [avoid] starts as ⋃ R(Tj) over the cycle positions j that must be
-     avoided wholesale.  The successor (i+1) is exempt (the cycle arc
-     i -> i+1 runs through x_i, which both access).  The predecessor
-     (i-1) is exempt for i >= 1 because it is constrained through
-     Y(T*_{i-1}) instead — T_i may relock what the predecessor's prefix
-     already unlocked.  For i = 0 there is no earlier prefix: the
-     predecessor T_{k-1} (the "last" transaction) must be avoided
-     entirely, otherwise T_1 would create a reverse arc T_1 -> T_k.  So
-     the positions run from i+2 round to i-2 (to i-1 for i = 0).  For
-     0 < i < k-1 they are the prefix [run] of positions up to i-2,
-     grown by one union per position, and the suffix [suf.(i+2)] of
-     positions from i+2, built once position 1 is reached: O(k) unions
-     in all, where building each set afresh took O(k²). *)
-  let range lo hi =
-    let acc = Bitset.create ne in
-    for j = lo to hi do
-      Bitset.union_into ~into:acc (ents j)
-    done;
-    acc
-  in
-  let suf = Array.make (k + 1) (Bitset.create ne) and run = Bitset.create ne in
-  let ok = ref true in
-  for i = 0 to k - 1 do
-    if !ok then begin
-      if i = 1 then
-        for m = k - 1 downto 3 do
-          suf.(m) <- Bitset.union suf.(m + 1) (ents m)
-        done;
-      if i >= 2 then Bitset.union_into ~into:run (ents (i - 2));
-      let avoid =
-        if i = 0 then range 2 (k - 1)
-        else if i = k - 1 then range 1 (k - 3)
-        else Bitset.union run suf.(i + 2)
-      in
-      if i > 0 then
-        Bitset.union_into ~into:avoid
-          (Transaction.y_set (tx (i - 1)) prefixes.(i - 1));
-      let p = Transaction.max_prefix_avoiding (tx i) avoid in
-      prefixes.(i) <- p;
-      if not (Bitset.mem p (Transaction.lock_node_exn (tx i) x.(i))) then
-        ok := false
+  let w = Rows.words (Db.entity_count (System.db sys)) in
+  let run = ((2 * k) + 1) * w in
+  let ys = run + w in
+  Array.fill s run w 0;
+  let i = ref 0 in
+  while !i < k do
+    let i' = !i and av = !i * w in
+    let t = System.txn sys txs.(i') in
+    Array.fill s av w 0;
+    if i' = 1 then begin
+      Array.fill s ((2 * k) * w) w 0;
+      for m = k - 1 downto 3 do
+        Array.blit s ((k + m + 1) * w) s ((k + m) * w) w;
+        union_entities s ((k + m) * w) (System.txn sys txs.(m)) w
+      done
+    end;
+    if i' >= 2 then union_entities s run (System.txn sys txs.(i' - 2)) w;
+    if i' = 0 then
+      for j = 2 to k - 1 do
+        union_entities s av (System.txn sys txs.(j)) w
+      done
+    else if i' = k - 1 then
+      for j = 1 to k - 3 do
+        union_entities s av (System.txn sys txs.(j)) w
+      done
+    else begin
+      union_into s av s run w;
+      union_into s av s ((k + i' + 2) * w) w
+    end;
+    if i' > 0 then union_into s av s ys w;
+    let a = Transaction.rows t in
+    let x =
+      match Pair.common_first t (System.txn sys txs.((i' + 1) mod k)) with
+      | Some e -> e
+      | None -> assert false (* cycle edges share entities; pairs passed *)
+    in
+    if Rows.mem s av x || not (disjoint s av a (Transaction.locks_before t x) w)
+    then i := k + 1
+    else begin
+      if i' < k - 1 then begin
+        let e = Transaction.entity_row t in
+        Array.fill s ys w 0;
+        for j = 0 to w - 1 do
+          let m = ref (s.(av + j) land a.(e + j)) in
+          while !m <> 0 do
+            let b = !m land - !m in
+            let y = (j * Rows.bits) + Rows.lowest b in
+            union_into s ys a (Transaction.unlocks_after t y) w;
+            m := !m lxor b
+          done
+        done
+      end;
+      incr i
     end
   done;
-  if not !ok then None
+  if !i > k then None
   else
+    let tx i = System.txn sys txs.(i) in
+    let prefixes = Array.init k (fun i -> prefix_of (tx i) s (i * w) w) in
     let schedule =
       List.concat
         (List.init k (fun i ->
@@ -138,10 +212,13 @@ let failing_pair sys =
    that admits a witness. *)
 let failing_rotation sys cycle =
   let k = List.length cycle in
+  let s =
+    Array.make (((2 * k) + 3) * Rows.words (Db.entity_count (System.db sys))) 0
+  in
   let rec go r =
     if r >= k then None
     else
-      match try_cycle sys (rotate cycle r) with
+      match try_cycle sys s (rotate cycle r) with
       | Some _ as w -> w
       | None -> go (r + 1)
   in

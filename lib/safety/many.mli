@@ -20,7 +20,15 @@ open Ddlock_schedule
       is the common-first entity of the pair (Tᵢ, Tᵢ₊₁).
 
     A violation yields the witness partial schedule S* that runs linear
-    extensions of T*₁ … T*ₖ serially: S* is legal and its serialization digraph D is cyclic. *)
+    extensions of T*₁ … T*ₖ serially: S* is legal and its serialization digraph D is cyclic.
+
+    Each step is decided on the transactions' entity rows
+    ({!Transaction.locks_before} and the rest): the sets avoided and
+    Y(T*ᵢ) are rows of ⌈|E|/63⌉ words, [Lxᵢ ∈ T*ᵢ] iff
+    [avoidᵢ ∩ ({xᵢ} ∪ locks_beforeᵢ(xᵢ)) = ∅], and
+    [Y(T*ᵢ) = ⋃ unlocks_afterᵢ(y)] over [y ∈ avoidᵢ ∩ R(Tᵢ)] (the
+    derivation is in [many.ml]).  Node prefixes and S* are built only
+    for the rotation that fails. *)
 
 type verdict =
   | Safe_and_deadlock_free

@@ -1,4 +1,3 @@
-open Ddlock_graph
 open Ddlock_model
 
 (** Theorem 3: the O(n²) safety ∧ deadlock-freedom test for a pair of
@@ -8,7 +7,25 @@ open Ddlock_model
     + there is a common entity [x] such that [Lx] precedes [Ly] in both
       transactions for every other common entity [y], and
     + for every other common entity [y],
-      [L_T₁(Ly) ∩ R_T₂(Ly) ≠ ∅] and [L_T₂(Ly) ∩ R_T₁(Ly) ≠ ∅]. *)
+      [L_T₁(Ly) ∩ R_T₂(Ly) ≠ ∅] and [L_T₂(Ly) ∩ R_T₁(Ly) ≠ ∅].
+
+    {b On words.}  Corollary 2 makes the test O(n²) given the
+    transitive closure; here the closure is compiled once per
+    transaction into entity rows ({!Transaction.locks_after} and the
+    rest), and each condition is a few word operations per entity.
+    With R = R(T₁) ∩ R(T₂):
+
+    - [x] is the common first entity iff
+      [R ∖ {x} ⊆ locks_after₁(x) ∩ locks_after₂(x)];
+    - [y] is minimal in Tᵢ (lockable first among R) iff
+      [locks_beforeᵢ(y) ∩ R = ∅];
+    - [y] is guarded in Tᵢ against Tⱼ iff
+      [(unlocks_afterᵢ(y) ∖ locks_afterᵢ(y) ∖ {y}) ∩ locks_beforeⱼ(y) ≠ ∅]:
+      the first set is [L_Tᵢ(Ly)], the entities Tᵢ still holds when it
+      reaches [Ly], and the second is [R_Tⱼ(Ly)].
+
+    Condition 2 is tried at each [y] in ascending order, in T₁ before
+    T₂, and the first failure is reported. *)
 
 type failure =
   | No_common_first of { first1 : Db.entity; first2 : Db.entity }
@@ -38,8 +55,3 @@ val has_common : Transaction.t -> Transaction.t -> bool
 val check : Transaction.t -> Transaction.t -> (unit, failure) result
 
 val safe_and_deadlock_free : Transaction.t -> Transaction.t -> bool
-
-(** Condition-2 building blocks, exposed for the benches and the
-    minimal-prefix variant: [guard t other y] is
-    [L_t(Ly) ∩ R_other(Ly)]. *)
-val guard : Transaction.t -> Transaction.t -> Db.entity -> Bitset.t

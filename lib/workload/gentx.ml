@@ -186,6 +186,22 @@ let random_copies_system ?(extra = false) rng ~copies =
   let txns = List.init copies (fun _ -> base) in
   System.create (if extra then txns @ [ mk () ] else txns)
 
+let widen ~pad sys =
+  let named =
+    List.mapi
+      (fun i t -> (Printf.sprintf "T%d" (i + 1), t))
+      (Array.to_list (System.txns sys))
+  in
+  let site =
+    if pad = 0 then ""
+    else
+      "site _pad {"
+      ^ String.concat "" (List.init pad (Printf.sprintf " _pad%d"))
+      ^ " }\n"
+  in
+  Parser.system_of_result
+    (Parser.parse_exn (site ^ Parser.to_source (System.db sys) named))
+
 let two_phase_pair db names =
   (Builder.two_phase_chain db names, Builder.two_phase_chain db names)
 

@@ -88,6 +88,15 @@ val small_random_system :
 val random_copies_system :
   ?extra:bool -> Random.State.t -> copies:int -> System.t
 
+(** [widen ~pad sys] is [sys] printed with {!Parser.to_source} and
+    parsed back with a site of [pad] unused entities, [_pad0] …,
+    declared first: the same transactions, each entity's id [pad]
+    higher, so entity rows span more words
+    ({!Transaction.row_words}).  [widen ~pad:0] only prints and parses
+    back.  Deciders that read entity rows must give the same answer,
+    and the same text, on [widen ~pad sys] as on [widen ~pad:0 sys]. *)
+val widen : pad:int -> System.t -> System.t
+
 (** [two_phase_pair db names] — both transactions lock [names] in the
     given order, 2PL-style; safe ∧ deadlock-free by Theorem 3. *)
 val two_phase_pair : Db.t -> string list -> Transaction.t * Transaction.t

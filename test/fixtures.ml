@@ -32,6 +32,25 @@ let to_alcotest test =
 let small_random_pair st = Ddlock_workload.Gentx.small_random_pair st
 let small_random_system st ~txns = Ddlock_workload.Gentx.small_random_system st ~txns
 
+(* The shapes the polynomial deciders are checked on, by [seed]: pairs,
+   3-4-transaction systems, copies with an extra transaction, zipf
+   systems and guard-ring copies; every other shape is re-parsed over
+   130 more entities, so that its entity rows span three words. *)
+let decider_system seed =
+  let st = rng seed in
+  let module G = Ddlock_workload.Gentx in
+  let bit = seed / 5 mod 2 in
+  let sys =
+    match seed mod 5 with
+    | 0 -> small_random_pair st
+    | 1 -> small_random_system st ~txns:(3 + bit)
+    | 2 -> G.random_copies_system ~extra:true st ~copies:(2 + bit)
+    | 3 -> G.zipf_system st ~sites:2 ~entities:(4 + (2 * bit)) ~txns:3 ~theta:0.8
+    | _ ->
+        System.copies (G.guard_ring (2 + (seed / 5 mod 4))) (2 + (seed / 20 mod 2))
+  in
+  if seed / 10 mod 2 = 0 then sys else G.widen ~pad:130 sys
+
 (* A state as plain data (the executed nodes of each transaction), for
    sorting and comparing state sets. *)
 let state_key (st : Ddlock_schedule.State.t) =

@@ -242,23 +242,79 @@ let hold_wait_sound_prop =
     ~count:400
     QCheck.(int_bound 1_000_000)
     (fun seed ->
-      let st = Fixtures.rng seed in
-      let module G = Ddlock_workload.Gentx in
-      let bit = seed / 5 mod 2 in
-      let sys =
-        match seed mod 5 with
-        | 0 -> Fixtures.small_random_pair st
-        | 1 -> Fixtures.small_random_system st ~txns:(3 + bit)
-        | 2 -> G.random_copies_system ~extra:true st ~copies:(2 + bit)
-        | 3 ->
-            G.zipf_system st ~sites:2 ~entities:(4 + (2 * bit)) ~txns:3
-              ~theta:0.8
-        | _ ->
-            System.copies
-              (G.guard_ring (2 + (seed / 5 mod 4)))
-              (2 + (seed / 20 mod 2))
-      in
+      let sys = Fixtures.decider_system seed in
       (not (Hold_wait.certifies sys)) || Explore.deadlock_free sys)
+
+(* The certificate as first written, each arc asked of the stored
+   closure node by node: the reference for [Hold_wait.certifies] on
+   entity rows. *)
+module Ref_hold_wait = struct
+  open Ddlock_graph
+
+  let shared_entities txns e =
+    let seen = Bitset.create e and shared = Bitset.create e in
+    Array.iter
+      (fun t ->
+        Bitset.iter
+          (fun y ->
+            if Bitset.mem seen y then Bitset.set shared y
+            else Bitset.set seen y)
+          (Transaction.entity_set t))
+      txns;
+    shared
+
+  (* Lᵢy ≺ Uᵢx and ¬(Lᵢy ≺ Lᵢx). *)
+  let waits t x y =
+    y <> x
+    && Transaction.accesses t y
+    &&
+    let ly = Transaction.lock_node_exn t y in
+    Transaction.precedes t ly (Transaction.unlock_node_exn t x)
+    && not (Transaction.precedes t ly (Transaction.lock_node_exn t x))
+
+  (* A colour DFS over the nodes (i, x): 1 on the stack, 2 done. *)
+  let certifies sys =
+    let txns = System.txns sys and e = Db.entity_count (System.db sys) in
+    let n = Array.length txns in
+    let shared = shared_entities txns e in
+    let col = Array.make (n * e) 0 in
+    let rec visit i x =
+      col.((i * e) + x) <- 1;
+      let cyclic =
+        List.exists
+          (fun y ->
+            Bitset.mem shared y
+            && waits txns.(i) x y
+            && List.exists
+                 (fun j ->
+                   j <> i
+                   && Transaction.accesses txns.(j) y
+                   && (col.((j * e) + y) = 1
+                      || (col.((j * e) + y) = 0 && visit j y)))
+                 (List.init n Fun.id))
+          (List.init e Fun.id)
+      in
+      col.((i * e) + x) <- 2;
+      cyclic
+    in
+    not
+      (List.exists
+         (fun k ->
+           let i = k / e and x = k mod e in
+           Bitset.mem shared x
+           && Transaction.accesses txns.(i) x
+           && col.(k) = 0 && visit i x)
+         (List.init (n * e) Fun.id))
+end
+
+let hold_wait_rows_prop =
+  QCheck.Test.make
+    ~name:"Hold_wait.certifies on entity rows = node-by-node reference"
+    ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let sys = Fixtures.decider_system seed in
+      Hold_wait.certifies sys = Ref_hold_wait.certifies sys)
 
 (* §3 / [KP2]: safety (unlike DF) DOES reduce to extension pairs. *)
 let kp2_safety_reduction_prop =
@@ -306,4 +362,5 @@ let suite =
       Alcotest.test_case "hold-and-wait certificate on the figures" `Quick
         test_hold_wait_fixtures;
       Fixtures.to_alcotest hold_wait_sound_prop;
+      Fixtures.to_alcotest hold_wait_rows_prop;
     ]

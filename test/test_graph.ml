@@ -574,6 +574,31 @@ let make_cycle_prop =
                   es)
       | Ok _ -> cycle = None)
 
+(* Rows of words at an offset: membership, ascending iteration and
+   [find] agree with the list of elements set, every bit of a word
+   (the top one, [min_int], too) included. *)
+let rows_prop =
+  QCheck.Test.make ~name:"Rows mem/iter/find = element list" ~count:300
+    QCheck.(pair (small_list (int_bound 199)) (int_bound 3))
+    (fun (elts, o) ->
+      let w = Rows.words 200 in
+      let a = Array.make (o + w) 0 in
+      List.iter (Rows.set a o) elts;
+      let sorted = List.sort_uniq compare elts in
+      let seen = ref [] in
+      Rows.iter w (fun k -> a.(o + k)) (fun i -> seen := i :: !seen);
+      List.for_all (fun i -> Rows.mem a o i = List.mem i elts) (List.init 200 Fun.id)
+      && List.rev !seen = sorted
+      && List.for_all
+           (fun t ->
+             Rows.find w (fun k -> a.(o + k)) (fun i ->
+                 if i >= t then Some i else None)
+             = List.find_opt (fun i -> i >= t) sorted)
+           [ 0; 62; 63; 126; 199 ]
+      && List.for_all
+           (fun b -> Rows.lowest ((1 lsl b) lor (1 lsl 62)) = b)
+           (List.init Rows.bits Fun.id))
+
 let qtests =
   List.map Fixtures.to_alcotest
     [
@@ -613,3 +638,4 @@ let suite =
     Alcotest.test_case "minimal/maximal" `Quick test_minimal_maximal;
   ]
   @ qtests
+  @ [ Fixtures.to_alcotest rows_prop ]

@@ -66,6 +66,263 @@ let test_common_first () =
   let o1, o2 = Ddlock_workload.Gentx.opposed_chain_pair 3 in
   check bool_t "opposed: none" true (Pair.common_first o1 o2 = None)
 
+(* ------------------------------------------------------------------ *)
+(* Theorem 3 and Theorem 4's prefix step on entity rows vs node sets   *)
+(* ------------------------------------------------------------------ *)
+
+(* Theorem 3 as first written, node by node on the stored closure with
+   [Transaction.l_set] and [r_set]: the reference for [Pair.check] on
+   entity rows. *)
+module Ref_pair = struct
+  open Ddlock_graph
+
+  let common t1 t2 =
+    Bitset.inter (Transaction.entity_set t1) (Transaction.entity_set t2)
+
+  let has_common t1 t2 = not (Bitset.is_empty (common t1 t2))
+
+  let minimal_common t r =
+    Bitset.fold
+      (fun y acc ->
+        let ly = Transaction.lock_node_exn t y in
+        let dominated =
+          Bitset.exists
+            (fun z ->
+              z <> y
+              && Transaction.precedes t (Transaction.lock_node_exn t z) ly)
+            r
+        in
+        if dominated then acc else y :: acc)
+      r []
+
+  let common_first t1 t2 =
+    let r = common t1 t2 in
+    if Bitset.is_empty r then None
+    else
+      let is_first t x =
+        let lx = Transaction.lock_node_exn t x in
+        Bitset.for_all
+          (fun y ->
+            y = x || Transaction.precedes t lx (Transaction.lock_node_exn t y))
+          r
+      in
+      Bitset.fold
+        (fun x acc ->
+          match acc with
+          | Some _ -> acc
+          | None -> if is_first t1 x && is_first t2 x then Some x else None)
+        r None
+
+  let guard t other y =
+    let ly_t = Transaction.lock_node_exn t y in
+    let ly_o = Transaction.lock_node_exn other y in
+    Bitset.inter (Transaction.l_set t ly_t) (Transaction.r_set other ly_o)
+
+  let check t1 t2 =
+    let r = common t1 t2 in
+    if Bitset.is_empty r then Ok ()
+    else
+      match common_first t1 t2 with
+      | None ->
+          let m1 = minimal_common t1 r and m2 = minimal_common t2 r in
+          let first1, first2 =
+            match (m1, m2) with
+            | y :: _, z :: _ when y <> z -> (y, z)
+            | y :: rest1, z :: rest2 -> (
+                match (rest1, rest2) with
+                | w :: _, _ -> (w, z)
+                | _, w :: _ -> (y, w)
+                | [], [] -> (y, z))
+            | _ -> assert false
+          in
+          Error (Pair.No_common_first { first1; first2 })
+      | Some x -> (
+          let bad =
+            Bitset.fold
+              (fun y acc ->
+                match acc with
+                | Some _ -> acc
+                | None ->
+                    if y = x then None
+                    else if Bitset.is_empty (guard t1 t2 y) then
+                      Some (Pair.Unguarded { y; in_txn = 0 })
+                    else if Bitset.is_empty (guard t2 t1 y) then
+                      Some (Pair.Unguarded { y; in_txn = 1 })
+                    else None)
+              r None
+          in
+          match bad with None -> Ok () | Some f -> Error f)
+end
+
+(* Theorem 4 as first written: every pair by [Ref_pair.check], then for
+   each rotation of each directed cycle the prefixes T*ᵢ built as node
+   sets with [Transaction.max_prefix_avoiding] and [y_set], every avoid
+   set afresh.  The reference for [Many.check] on entity rows. *)
+module Ref_many = struct
+  open Ddlock_graph
+
+  let rotate l r =
+    let rec split i acc = function
+      | rest when i = 0 -> rest @ List.rev acc
+      | [] -> List.rev acc
+      | x :: rest -> split (i - 1) (x :: acc) rest
+    in
+    split r [] l
+
+  let try_cycle sys order =
+    let txs = Array.of_list order in
+    let k = Array.length txs in
+    let tx i = System.txn sys txs.(i) in
+    let ne = Db.entity_count (System.db sys) in
+    let x i = Option.get (Ref_pair.common_first (tx i) (tx ((i + 1) mod k))) in
+    (* Positions i+2 round to i-2, to i-1 for i = 0. *)
+    let avoided i j =
+      j <> i
+      && j <> (i + 1) mod k
+      && (i = 0 || j <> i - 1)
+      && not (i = k - 1 && j = 0)
+    in
+    let prefixes = Array.make k (Bitset.create 0) in
+    let rec from i =
+      i >= k
+      ||
+      let avoid = Bitset.create ne in
+      for j = 0 to k - 1 do
+        if avoided i j then
+          Bitset.union_into ~into:avoid (Transaction.entity_set (tx j))
+      done;
+      if i > 0 then
+        Bitset.union_into ~into:avoid
+          (Transaction.y_set (tx (i - 1)) prefixes.(i - 1));
+      let p = Transaction.max_prefix_avoiding (tx i) avoid in
+      prefixes.(i) <- p;
+      Bitset.mem p (Transaction.lock_node_exn (tx i) (x i)) && from (i + 1)
+    in
+    if not (from 0) then None
+    else
+      let extension i =
+        List.filter (Bitset.mem prefixes.(i))
+          (Array.to_list (Transaction.order (tx i)))
+      in
+      let schedule =
+        List.concat
+          (List.init k (fun i -> List.map (Step.v txs.(i)) (extension i)))
+      in
+      Some { Many.cycle = order; prefixes; schedule }
+
+  let check sys =
+    let n = System.size sys in
+    let pairs =
+      List.concat
+        (List.init n (fun i -> List.init (n - i - 1) (fun d -> (i, i + 1 + d))))
+    in
+    let failing =
+      List.find_map
+        (fun (i, j) ->
+          let ti = System.txn sys i and tj = System.txn sys j in
+          if not (Ref_pair.has_common ti tj) then None
+          else
+            match Ref_pair.check ti tj with
+            | Ok () -> None
+            | Error failure -> Some (Many.Pair_fails { i; j; failure }))
+        pairs
+    in
+    match failing with
+    | Some v -> v
+    | None -> (
+        let rotations cycle =
+          List.init (List.length cycle) (rotate cycle)
+          |> List.find_map (try_cycle sys)
+        in
+        match
+          Seq.find_map rotations
+            (Ddlock_graph.Ungraph.directed_cycles
+               (System.interaction_graph sys))
+        with
+        | Some w -> Many.Cycle_fails w
+        | None -> Many.Safe_and_deadlock_free)
+end
+
+(* Each entity row holds exactly the entities its definition names,
+   read off the stored closure. *)
+let entity_rows_prop =
+  QCheck.Test.make ~name:"entity rows = closure definitions" ~count:300
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let sys = Fixtures.decider_system seed in
+      let ne = Db.entity_count (System.db sys) in
+      Array.for_all
+        (fun t ->
+          let a = Transaction.rows t and acc = Transaction.accesses t in
+          let l = Transaction.lock_node_exn t and u = Transaction.unlock_node_exn t in
+          let prec = Transaction.precedes t in
+          let row o y = Ddlock_graph.Rows.mem a o y in
+          List.for_all
+            (fun y ->
+              row (Transaction.entity_row t) y = acc y
+              && List.for_all
+                   (fun x ->
+                     (not (acc x))
+                     || row (Transaction.locks_after t x) y = (acc y && prec (l x) (l y))
+                        && row (Transaction.unlocks_after t x) y
+                           = (acc y && prec (l x) (u y))
+                        && row (Transaction.locks_before t x) y
+                           = (acc y && prec (l y) (l x))
+                        && row (Transaction.locks_before_unlock t x) y
+                           = (acc y && prec (l y) (u x)))
+                   (List.init ne Fun.id))
+            (List.init ne Fun.id))
+        (System.txns sys))
+
+let pair_rows_prop =
+  QCheck.Test.make
+    ~name:"Theorem 3 on entity rows = node-set reference, failures included"
+    ~count:500
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let sys = Fixtures.decider_system seed in
+      let n = System.size sys in
+      let ok = ref true in
+      for i = 0 to n - 1 do
+        for j = 0 to n - 1 do
+          let ti = System.txn sys i and tj = System.txn sys j in
+          if
+            Pair.check ti tj <> Ref_pair.check ti tj
+            || Pair.common_first ti tj <> Ref_pair.common_first ti tj
+            || Pair.has_common ti tj <> Ref_pair.has_common ti tj
+          then ok := false
+        done
+      done;
+      !ok)
+
+let many_rows_prop =
+  QCheck.Test.make
+    ~name:"Theorem 4 on entity rows = node-set reference, witnesses included"
+    ~count:500
+    QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let sys = Fixtures.decider_system seed in
+      Many.check sys = Ref_many.check sys)
+
+(* Rows of three words: the same verdict text as without the padding. *)
+let test_wide_rows () =
+  let module G = Ddlock_workload.Gentx in
+  let text sys = Format.asprintf "%a" (Many.pp_verdict sys) (Many.check sys) in
+  List.iter
+    (fun (name, sys) ->
+      let narrow = G.widen ~pad:0 sys and wide = G.widen ~pad:130 sys in
+      check int_t (name ^ ": three words") 3
+        (Transaction.row_words (System.txn wide 0));
+      check Alcotest.string (name ^ ": verdict") (text narrow) (text wide);
+      check bool_t (name ^ ": reference") true
+        (Many.check wide = Ref_many.check wide))
+    [
+      ("philosophers", G.dining_philosophers 5);
+      ("fig6 x3", System.copies (Fixtures.fig6_txn ()) 3);
+      ("opposed", System.create (let a, b = G.opposed_chain_pair 3 in [ a; b ]));
+      ("chains", System.create (let a, b = G.chain_pair 4 in [ a; b ]));
+    ]
+
 (* The headline agreement property: Theorem 3 ≡ exhaustive Lemma-1 search
    on random distributed pairs. *)
 let theorem3_agreement_prop =
@@ -464,4 +721,8 @@ let suite =
   @ [
       Alcotest.test_case "pair: failure names" `Quick test_pair_failure_names;
       Fixtures.to_alcotest is_total_prop;
+      Fixtures.to_alcotest entity_rows_prop;
+      Fixtures.to_alcotest pair_rows_prop;
+      Fixtures.to_alcotest many_rows_prop;
+      Alcotest.test_case "entity rows of three words" `Quick test_wide_rows;
     ]
