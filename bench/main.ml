@@ -616,7 +616,7 @@ let sym () =
         (fun c -> (Printf.sprintf "%d copies of 2-ring" c, System.copies (Workload.Gentx.guard_ring 2) c, c))
         [ 2; 3; 4; 5; 6 ]
     (* Philosophers have pairwise-distinct transactions: the group is
-       trivial and --symmetry must degrade to a no-op (factor 1.0). *)
+       trivial and the quotient is the plain space (factor 1.0). *)
     @ [ ("philosophers k=4 (no-op)", Workload.Gentx.dining_philosophers 4, 1) ]
   in
   Format.printf "  %-26s %-8s %-10s %-10s %-8s %-18s %-18s@." "workload"
@@ -653,8 +653,8 @@ let por () =
   header
     "E24 partial-order reduction: states visited, plain vs persistent sets";
   (* Asymmetric workloads are where POR earns its keep: philosophers are
-     pairwise distinct (trivial automorphism group, so --symmetry is a
-     no-op, factor 1.0 in BENCH_sym.json) yet almost all interleavings
+     pairwise distinct (trivial automorphism group, so the quotient is
+     the plain space, factor 1.0 in BENCH_sym.json) yet almost all interleavings
      of far-apart philosophers commute.  Single guard-ring transactions
      have wide diamonds and no copies at all.  The copies workload shows
      the reduction composing with a nontrivial group. *)
@@ -682,7 +682,7 @@ let por () =
         in
         assert (reduced <= plain);
         assert (
-          Sched.Explore.deadlock_free ~por:true sys
+          Sched.Explore.reduced_deadlock_free sys
           = Sched.Explore.deadlock_free sys);
         let factor = float_of_int plain /. float_of_int reduced in
         let sym_factor = float_of_int plain /. float_of_int sym_states in

@@ -49,47 +49,14 @@ let file_arg =
 
 let max_states_arg =
   Arg.(value & opt int 500_000 & info [ "max-states" ]
-       ~doc:"State budget for the exhaustive deadlock search.")
+       ~doc:"State budget for the exhaustive deadlock search, for each of \
+             its two stages: the plain search decides and gives the \
+             witness, and when it runs out of budget a search reduced by \
+             identical-transaction symmetry and partial-order reduction \
+             may still prove the system deadlock-free.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
-
-let symmetry_arg =
-  Arg.(value & flag & info [ "symmetry" ]
-       ~doc:"Exploit identical-transaction symmetry in the exhaustive \
-             search: states are canonicalized to one representative per \
-             orbit of the automorphism group.  The verdict — and for \
-             $(b,analyze), the reported witness schedule — is identical \
-             to the plain search.  A warning is printed when no two \
-             transactions are identical (the flag is then a no-op).")
-
-(* --symmetry on a system with a trivial automorphism group is
-   legitimate (the engines silently fall back to the plain search), but
-   the user probably expected a reduction — warn, don't fail. *)
-let check_symmetry ~symmetry sys =
-  if symmetry && not (Sched.Canon.nontrivial (Sched.Canon.detect sys)) then
-    Format.eprintf
-      "ddlock: --symmetry: no two transactions are structurally identical; \
-       symmetry reduction is a no-op@."
-
-let por_arg =
-  Arg.(value & flag & info [ "por" ]
-       ~doc:"Partial-order reduction: run the exhaustive search over a \
-             persistent-set reduced state space (independent \
-             steps are explored in one order instead of all).  The \
-             verdict — and for $(b,analyze), the reported witness \
-             schedule — is identical to the plain search; composes \
-             with --symmetry.  A warning is printed when no \
-             two steps are independent (the flag is then a no-op).")
-
-(* Same contract as check_symmetry: a --por run on a system with no
-   independent step pair (and no same-transaction diamond) explores
-   exactly the plain space — warn, don't fail. *)
-let check_por ~por sys =
-  if por && not (Sched.Indep.has_independent_pair sys) then
-    Format.eprintf
-      "ddlock: --por: no two steps are independent; partial-order \
-       reduction is a no-op@."
 
 (* --------------------------- observability ------------------------- *)
 
@@ -158,17 +125,13 @@ let validate_cmd =
 (* ----------------------------- analyze ----------------------------- *)
 
 let analyze_cmd =
-  let run file max_states symmetry por stats trace =
+  let run file max_states stats trace =
     obs_start ~stats ~trace;
     let sys =
       Obs.Trace.span "analysis.parse" (fun () ->
           Parser.system_of_result (load file))
     in
-    check_symmetry ~symmetry sys;
-    check_por ~por sys;
-    let text, status, _report =
-      Analysis.render_full ~max_states ~symmetry ~por sys
-    in
+    let text, status, _report = Analysis.render_full ~max_states sys in
     print_string text;
     exit status
   in
@@ -177,9 +140,7 @@ let analyze_cmd =
        ~doc:
          "Full analysis: Theorem 3/4 safety∧deadlock-freedom plus bounded \
           exhaustive deadlock search.")
-    Term.(
-      const run $ file_arg $ max_states_arg $ symmetry_arg $ por_arg
-      $ stats_arg $ trace_arg)
+    Term.(const run $ file_arg $ max_states_arg $ stats_arg $ trace_arg)
 
 (* ------------------------------- pair ------------------------------ *)
 
@@ -487,13 +448,11 @@ let repair_cmd =
 (* ----------------------------- minimize ---------------------------- *)
 
 let minimize_cmd =
-  let run file max_states symmetry por stats trace =
+  let run file max_states stats trace =
     obs_start ~stats ~trace;
     let r = load file in
     let sys = Parser.system_of_result r in
-    check_symmetry ~symmetry sys;
-    check_por ~por sys;
-    match Minimize.deadlock_core ~max_states ~symmetry ~por sys with
+    match Minimize.deadlock_core ~max_states sys with
     | None ->
         Format.printf
           "# no deadlock found (deadlock-free, or search budget exceeded)@.";
@@ -521,9 +480,7 @@ let minimize_cmd =
     (Cmd.info "minimize"
        ~doc:
          "Shrink a deadlocking system to a minimal core that still           deadlocks (drops transactions and entity accesses).")
-    Term.(
-      const run $ file_arg $ max_states_arg $ symmetry_arg $ por_arg
-      $ stats_arg $ trace_arg)
+    Term.(const run $ file_arg $ max_states_arg $ stats_arg $ trace_arg)
 
 (* ------------------------------- dot ------------------------------- *)
 
@@ -747,7 +704,8 @@ let request_cmd =
   in
   let req_max_states_arg =
     Arg.(value & opt (some int) None & info [ "max-states" ]
-         ~doc:"State budget for this request.")
+         ~doc:"State budget for this request's deadlock search (each \
+               of its two stages; see analyze --max-states).")
   in
   let deadline_arg =
     Arg.(value & opt (some int) None & info [ "deadline-ms" ]
@@ -782,7 +740,7 @@ let request_cmd =
     Arg.(value & flag & info [ "flight" ]
          ~doc:"Print the daemon's flight-recorder JSON.")
   in
-  let run socket file max_states symmetry deadline_ms ping stats raw
+  let run socket file max_states deadline_ms ping stats raw
       trace_out metrics flight =
     Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let fail err =
@@ -832,8 +790,8 @@ let request_cmd =
         let source = read_file file in
         let t0 = Obs.Clock.now_ns () in
         match
-          Ddlock_serve.Client.analyze_ex ~socket ?max_states ~symmetry
-            ?deadline_ms source
+          Ddlock_serve.Client.analyze_ex ~socket ?max_states ?deadline_ms
+            source
         with
         | Error err -> fail err
         | Ok (reply, meta) ->
@@ -888,7 +846,7 @@ let request_cmd =
           4 deadline exceeded).")
     Term.(
       const run $ socket_arg $ file_opt_arg $ req_max_states_arg
-      $ symmetry_arg $ deadline_arg $ ping_arg $ req_stats_arg $ raw_arg
+      $ deadline_arg $ ping_arg $ req_stats_arg $ raw_arg
       $ req_trace_arg $ metrics_flag $ flight_flag)
 
 (* -------------------------------- top ------------------------------ *)

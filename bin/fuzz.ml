@@ -49,15 +49,13 @@
      the rw system runs exactly like its exclusive abstraction (trace,
      outcome, deadlock time and arcs, makespan; with and without a
      random fault plan);
-   - with [--symmetry]: the orbit-canonicalized engines (Sched.Canon)
-     vs the plain ones — deadlock verdicts and witnesses identical to
-     the unfiltered search's on both generic and identical-copy systems, canonical state counts
-     within [raw/orbit_size, raw], and Theorem-1 prefix verdicts;
-   - with [--por]: the persistent-set reduced engines vs the plain
-     ones — deadlock witnesses identical to the unfiltered search's,
-     reduced state counts
-     never above plain, Theorem-1 prefix verdicts, and composition
-     with --symmetry on copies systems.
+   - the reduced search (orbit quotient and persistent sets, which
+     decides when the plain search runs out of budget) vs the plain
+     ground truth: deadlock and Theorem-1 prefix verdicts on generic
+     and identical-copy systems, persistent-set state counts never
+     above plain, orbit counts within [raw/orbit_size, raw], and
+     [find_deadlock] under a budget of a few states gives the plain
+     witness, a verdict that agrees, or [Too_large].
 
    The every-100-rounds summary line also reports cumulative per-engine
    wall-clock, so long soaks double as a coarse perf regression check.
@@ -68,21 +66,11 @@ module System = Model.System
 
 let () =
   let rounds = ref 500 and seed = ref 1 and txns = ref 3 in
-  let symmetry = ref false in
-  let por = ref false in
   let args =
     [
       ("--rounds", Arg.Set_int rounds, "number of rounds (default 500)");
       ("--seed", Arg.Set_int seed, "base seed (default 1)");
       ("--txns", Arg.Set_int txns, "transactions per system (default 3)");
-      ( "--symmetry",
-        Arg.Set symmetry,
-        "also cross-check the symmetry-reduced engines against the plain \
-         ones every round" );
-      ( "--por",
-        Arg.Set por,
-        "also cross-check the persistent-set reduced engines against \
-         the plain ones every round" );
     ]
   in
   Arg.parse args (fun _ -> ()) "fuzz [options]";
@@ -392,54 +380,45 @@ let () =
               Format.printf "  mutant %S does not round-trip@." mutant;
               report "parser mutant round-trip" round)
     done;
-    (* --- symmetry-reduced engines vs plain ground truth --- *)
-    if !symmetry then begin
-      timed "sym" @@ fun () ->
-      (* Verdict AND witness are the unfiltered ones: the orbit
-         quotient decides, the plain search supplies the witness. *)
-      if Sched.Explore.find_deadlock ~symmetry:true sys <> reference then
-        report "sym find_deadlock" round;
-      if
-        Deadlock.Prefix_search.deadlock_free ~symmetry:true sys
-        <> Deadlock.Prefix_search.deadlock_free sys
-      then report "sym prefix verdict" round;
-      (* Identical copies: counts bounded by the orbit size, same result. *)
-      let copies = 2 + (round mod 2) in
-      let ksys = Workload.Gentx.random_copies_system st ~copies in
-      let canon = Sched.Canon.detect ksys in
-      let raw = Sched.Explore.state_count (Sched.Explore.explore ksys) in
-      let reduced =
-        Sched.Explore.state_count (Sched.Explore.explore ~symmetry:true ksys)
-      in
-      if reduced > raw || raw > reduced * Sched.Canon.orbit_size canon then
-        report "sym state-count bound" round;
-      if Sched.Explore.find_deadlock ~symmetry:true ksys <> unfiltered ksys
-      then report "sym copies find_deadlock" round;
-    end;
-    (* --- partial-order-reduced engines vs plain ground truth --- *)
-    if !por then begin
-      timed "por" @@ fun () ->
-      (* Verdict AND witness are the unfiltered ones: the reduced
-         search decides, the plain search supplies the witness. *)
-      if Sched.Explore.find_deadlock ~por:true sys <> reference then
-        report "por find_deadlock" round;
-      if
-        Sched.Explore.state_count (Sched.Explore.explore ~por:true sys)
-        > Sched.Explore.state_count (Sched.Explore.explore sys)
-      then report "por state-count bound" round;
-      if
-        Deadlock.Prefix_search.deadlock_free ~por:true sys
-        <> Deadlock.Prefix_search.deadlock_free sys
-      then report "por prefix verdict" round;
-      (* Composition with the orbit quotient on an identical-copies
-         system: the witness is still the plain one. *)
-      let copies = 2 + (round mod 2) in
-      let ksys = Workload.Gentx.random_copies_system st ~copies in
-      if
-        Sched.Explore.find_deadlock ~por:true ~symmetry:true ksys
-        <> unfiltered ksys
-      then report "por+sym verdict" round;
-    end;
+    (* --- the reduced search vs the plain ground truth: the verdicts
+       of the orbit-quotient, persistent-set search that takes over
+       when the plain budget runs out, its state counts, and the one
+       search rule under a budget the plain search may not fit --- *)
+    timed "reduced" (fun () ->
+        if Sched.Explore.reduced_deadlock_free sys <> (reference = None) then
+          report "reduced verdict" round;
+        if
+          Sched.Explore.reduced_deadlock_free ~goal:Deadlock_prefix sys
+          <> Deadlock.Prefix_search.deadlock_free sys
+        then report "reduced prefix verdict" round;
+        if
+          Sched.Explore.state_count (Sched.Explore.explore ~por:true sys)
+          > Sched.Explore.state_count (Sched.Explore.explore sys)
+        then report "por state-count bound" round;
+        (* A budget of a few states: the plain witness, a deadlock-free
+           verdict the reduced search proves, or [Too_large]. *)
+        (match
+           Sched.Explore.find_deadlock
+             ~max_states:(2 + Random.State.int st 30)
+             sys
+         with
+        | r -> if r <> reference then report "capped find_deadlock" round
+        | exception Sched.Explore.Too_large _ -> ());
+        (* Identical copies: orbit counts bounded by the group order. *)
+        let copies = 2 + (round mod 2) in
+        let ksys = Workload.Gentx.random_copies_system st ~copies in
+        let canon = Sched.Canon.detect ksys in
+        let raw = Sched.Explore.state_count (Sched.Explore.explore ksys) in
+        let reduced =
+          Sched.Explore.state_count (Sched.Explore.explore ~symmetry:true ksys)
+        in
+        if reduced > raw || raw > reduced * Sched.Canon.orbit_size canon then
+          report "sym state-count bound" round;
+        let kref = unfiltered ksys in
+        if Sched.Explore.find_deadlock ksys <> kref then
+          report "copies find_deadlock" round;
+        if Sched.Explore.reduced_deadlock_free ksys <> (kref = None) then
+          report "reduced copies verdict" round);
     (* --- rw invariants --- *)
     let rwdb = Workload.Gentx.random_db ~sites:1 ~entities:3 in
     let rwmk () =

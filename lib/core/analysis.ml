@@ -67,20 +67,19 @@ let certified sys =
 (* The deadlock decision given the Theorem 4 verdict [safety]: a system
    that Theorem 4 or the hold-and-wait certificate passes is
    deadlock-free, anything else is searched. *)
-let decide_deadlock ?(max_states = 500_000) ?(symmetry = false) ?(por = false)
-    sys safety =
+let decide_deadlock ?(max_states = 500_000) sys safety =
   match safety with
   | Safe_and_deadlock_free -> Deadlock_free
   | _ when certified sys -> Deadlock_free
   | _ -> (
       Ddlock_obs.Trace.span "analysis.deadlock_search" @@ fun () ->
-      match Explore.find_deadlock ~max_states ~symmetry ~por sys with
+      match Explore.find_deadlock ~max_states sys with
       | Some (schedule, state) -> Deadlocks { schedule; state }
       | None -> Deadlock_free
       | exception Explore.Too_large n -> Gave_up { states_explored = n })
 
-let deadlock_free ?max_states ?symmetry ?por sys =
-  decide_deadlock ?max_states ?symmetry ?por sys (safe_and_deadlock_free sys)
+let deadlock_free ?max_states sys =
+  decide_deadlock ?max_states sys (safe_and_deadlock_free sys)
 
 type report = {
   txn_count : int;
@@ -94,7 +93,7 @@ type report = {
   deadlock : deadlock_verdict;
 }
 
-let report ?max_states ?symmetry ?por sys =
+let report ?max_states sys =
   Ddlock_obs.Trace.span "analysis.report" @@ fun () ->
   let g = System.interaction_graph sys in
   (* Theorem 4 counts the interaction cycles it walks; the report's
@@ -104,7 +103,7 @@ let report ?max_states ?symmetry ?por sys =
     let verdict, count = Ddlock_safety.Many.check_counting sys g in
     (of_many verdict, count)
   in
-  let deadlock = decide_deadlock ?max_states ?symmetry ?por sys safety in
+  let deadlock = decide_deadlock ?max_states sys safety in
   let db = System.db sys in
   {
     txn_count = System.size sys;
@@ -214,8 +213,8 @@ let pp_report sys ppf r =
    analyze] prints on stdout, byte for byte — the CLI prints this
    string verbatim, and the serve daemon caches it, so served verdicts
    stay diffable against the CLI by construction. *)
-let render_full ?max_states ?symmetry ?por sys =
-  let r = report ?max_states ?symmetry ?por sys in
+let render_full ?max_states sys =
+  let r = report ?max_states sys in
   let buf = Buffer.create 1024 in
   Ddlock_obs.Trace.span "analysis.render" (fun () ->
       add_report buf sys r;

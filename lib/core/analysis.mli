@@ -35,30 +35,19 @@ type deadlock_verdict =
   | Gave_up of { states_explored : int }
       (** the bounded exhaustive search exceeded its budget *)
 
-(** [deadlock_free ?max_states ?symmetry ?por sys] — first tries the
+(** [deadlock_free ?max_states sys] — first tries the
     polynomial sufficient condition of Theorem 4 (safe ∧ DF ⇒ DF), then
     the polynomial hold-and-wait certificate
     ({!Ddlock_deadlock.Hold_wait.certifies}, counted by the
     [analysis.deadlock_certified] counter); a system that passes either
     is deadlock-free.  Otherwise it runs the bounded exhaustive
     Theorem-1 search ({!Ddlock_schedule.Explore.find_deadlock}).
-    Default budget: 500_000 states.
-
-    [~symmetry:true] decides over one state per orbit of the
-    identical-transaction automorphism group ({!Ddlock_schedule.Canon}),
-    and [~por:true] over the persistent-set reduced space
-    ({!Ddlock_schedule.Packed.persistent}); on a deadlock the plain
-    search supplies the witness, or gives up.  So the verdict {e and}
-    witness are the plain analysis's under every flag set, except that
-    a system whose plain search exhausts the budget may be proved
-    deadlock-free by a reduced one, and a reduced search that gives up
-    reports its own state count in [Gave_up]. *)
-val deadlock_free :
-  ?max_states:int ->
-  ?symmetry:bool ->
-  ?por:bool ->
-  System.t ->
-  deadlock_verdict
+    Default budget: 500_000 states, for each of its two stages: the
+    plain search decides and supplies the witness, and when it gives
+    up a reduced search (orbit quotient, persistent sets) may still
+    prove the system deadlock-free.  [Gave_up] carries the plain
+    search's state count. *)
+val deadlock_free : ?max_states:int -> System.t -> deadlock_verdict
 
 (** {1 Reports} *)
 
@@ -74,34 +63,22 @@ type report = {
   deadlock : deadlock_verdict;
 }
 
-(** Full analysis: structural statistics plus both verdicts.
-    [symmetry] shrinks the exhaustive deadlock search to orbit
-    representatives and [por] to a persistent-set reduced space
-    (verdict and witness unchanged either way; see {!deadlock_free}). *)
-val report :
-  ?max_states:int ->
-  ?symmetry:bool ->
-  ?por:bool ->
-  System.t ->
-  report
+(** Full analysis: structural statistics plus both verdicts (the
+    deadlock verdict as {!deadlock_free} decides it). *)
+val report : ?max_states:int -> System.t -> report
 
 (** The report's lines as {!render_full} prints them, as a vertical
     box. *)
 val pp_report : System.t -> Format.formatter -> report -> unit
 
-(** [render_full ?max_states ?symmetry sys] is
+(** [render_full ?max_states sys] is
     [(text, status, report)]: the exact bytes [ddlock analyze] prints
     on stdout for [sys] (report plus, for a [Deadlocks] verdict, the
     narrated schedule and explanation), together with the process exit
     status the CLI uses ([0] iff safe ∧ deadlock-free, else [1]).  The
     CLI and the serve daemon both call this, which is what makes served
     verdicts byte-equivalent to local analysis. *)
-val render_full :
-  ?max_states:int ->
-  ?symmetry:bool ->
-  ?por:bool ->
-  System.t ->
-  string * int * report
+val render_full : ?max_states:int -> System.t -> string * int * report
 
 (** {1 Pair counterexamples}
 

@@ -11,19 +11,18 @@ let obs_candidates = Ddlock_obs.Metrics.Counter.make "minimize.candidates"
 let obs_shrunk = Ddlock_obs.Metrics.Counter.make "minimize.shrink_steps"
 
 (* Conservative deadlockability: [None] means "unknown" (budget hit) and
-   the candidate move is rejected.  Probes are verdict-only, so under
-   [?symmetry] or [?por] they take the single reduced search, with no
-   plain re-search for a witness (see {!Explore.deadlock_free}). *)
-let deadlocks ?max_states ?symmetry ?por sys =
+   the candidate move is rejected.  Probes are verdict-only
+   ({!Explore.deadlock_free}). *)
+let deadlocks ?max_states sys =
   Ddlock_obs.Metrics.Counter.incr obs_candidates;
-  match Explore.deadlock_free ?max_states ?symmetry ?por sys with
+  match Explore.deadlock_free ?max_states sys with
   | false -> Some true
   | true -> Some false
   | exception Explore.Too_large _ -> None
 
-let deadlock_core ?max_states ?symmetry ?por sys =
+let deadlock_core ?max_states sys =
   Ddlock_obs.Trace.span "minimize.deadlock_core" @@ fun () ->
-  match deadlocks ?max_states ?symmetry ?por sys with
+  match deadlocks ?max_states sys with
   | None | Some false -> None
   | Some true ->
       (* State: list of (original index, transaction). *)
@@ -32,7 +31,7 @@ let deadlock_core ?max_states ?symmetry ?por sys =
       let mk txns = System.create (List.map snd txns) in
       let still_deadlocks txns =
         List.length txns >= 2
-        && deadlocks ?max_states ?symmetry ?por (mk txns) = Some true
+        && deadlocks ?max_states (mk txns) = Some true
       in
       let changed = ref true in
       while !changed do

@@ -19,19 +19,9 @@ type result = {
       (** (original txn index, entity) accesses removed *)
 }
 
-(** [deadlock_core ?max_states ?symmetry sys] — requires the input
-    to deadlock (returns [None] otherwise or when the search budget is
-    exceeded).  [~symmetry:true] makes every deadlockability re-check
-    store one state per identical-transaction orbit
-    ({!Ddlock_schedule.Canon}); the re-checks are verdicts only, so the
-    minimized core is identical for either [symmetry] flag whenever no
-    re-check exceeds the budget (the group is re-detected per
-    candidate, so shrunk systems keep whatever symmetry they retain).
-    With [~por:true] every re-check is a verdict-only persistent-set
-    reduced search ({!Ddlock_schedule.Packed.persistent}) — same core, fewer states per probe. *)
-val deadlock_core :
-  ?max_states:int ->
-  ?symmetry:bool ->
-  ?por:bool ->
-  System.t ->
-  result option
+(** [deadlock_core ?max_states sys] — requires the input to deadlock
+    (returns [None] otherwise or when the search budget is exceeded).
+    Every deadlockability re-check is a verdict-only
+    {!Ddlock_schedule.Explore.deadlock_free}; a candidate whose
+    re-check gives up is rejected. *)
+val deadlock_core : ?max_states:int -> System.t -> result option

@@ -9,16 +9,16 @@ type witness = {
 let obs_prefix_witnesses =
   Ddlock_obs.Metrics.Counter.make "prefix_search.witnesses"
 
-let find ?max_states ?symmetry ?por sys =
+let find ?max_states sys =
   Ddlock_obs.Trace.span "prefix_search.find" @@ fun () ->
-  Explore.find_deadlock ?max_states ?symmetry ?por ~goal:Deadlock_prefix sys
+  Explore.find_deadlock ?max_states ~goal:Deadlock_prefix sys
   |> Option.map (fun (schedule, prefix) ->
          Ddlock_obs.Metrics.Counter.incr obs_prefix_witnesses;
          let cycle = Reduction.find_cycle (Reduction.make sys prefix) in
          { prefix; schedule; cycle = Option.get cycle })
 
-let deadlock_free ?max_states ?symmetry ?por sys =
-  Explore.deadlock_free ?max_states ?symmetry ?por ~goal:Deadlock_prefix sys
+let deadlock_free ?max_states sys =
+  Explore.deadlock_free ?max_states ~goal:Deadlock_prefix sys
 
 let all ?max_states ?symmetry ?por sys =
   Seq.filter

@@ -17,25 +17,14 @@ type witness = {
 (** First deadlock prefix in BFS insertion order (hence of minimal depth):
     {!Ddlock_schedule.Explore.find_deadlock} for a [Deadlock_prefix], which
     decides R(A′) on each packed state; only the witness is decoded, for
-    its cycle.  The result is the plain [find]'s under every flag set. *)
-val find :
-  ?max_states:int ->
-  ?symmetry:bool ->
-  ?por:bool ->
-  System.t ->
-  witness option
+    its cycle, and the search rule is {!Ddlock_schedule.Explore}'s. *)
+val find : ?max_states:int -> System.t -> witness option
 
 (** [deadlock_free sys] iff no reachable state has a cyclic reduction
     graph — by Theorem 1 this is equivalent to
     {!Ddlock_schedule.Explore.deadlock_free}, and it is that search for
-    a [Deadlock_prefix].  The verdict is identical for any combination
-    of the [symmetry]/[por] flags. *)
-val deadlock_free :
-  ?max_states:int ->
-  ?symmetry:bool ->
-  ?por:bool ->
-  System.t ->
-  bool
+    a [Deadlock_prefix]. *)
+val deadlock_free : ?max_states:int -> System.t -> bool
 
 (** All deadlock prefixes (reachable states with cyclic R), in
     {!Ddlock_schedule.Explore.states} order.  With [~symmetry:true] one

@@ -105,10 +105,12 @@ let prefix_of t s av w =
     (Transaction.nodes t);
   p
 
-(* [try_cycle sys s order] decides one choice of last transaction,
-   [s] a scratch array of 2k + 3 rows for a cycle of k.  Row i < k is
-   the set T*ᵢ avoids; row k + m is ⋃_{j ≥ m} R(Tⱼ), for 3 ≤ m ≤ k;
-   then [run] and [ys], Y(T*ᵢ₋₁).
+(* [try_cycle sys s firsts r order] decides one choice of last
+   transaction, [order] the cycle rotated left by [r] and [firsts.(j)]
+   the common first entity of the cycle's arc from its position j, [s]
+   a scratch array of 2k + 3 rows for a cycle of k.  Row i < k is the set
+   T*ᵢ avoids; row k + m is ⋃_{j ≥ m} R(Tⱼ), for 3 ≤ m ≤ k; then [run]
+   and [ys], Y(T*ᵢ₋₁).
 
    [avoid] is ⋃ R(Tj) over the cycle positions j that must be avoided
    wholesale.  The successor (i+1) is exempt (the cycle arc i -> i+1
@@ -123,7 +125,7 @@ let prefix_of t s av w =
    position, and the suffix of positions from i+2, built once position
    1 is reached: O(k) unions in all, where building each set afresh
    took O(k²). *)
-let try_cycle sys s order =
+let try_cycle sys s firsts r order =
   let txs = Array.of_list order in
   let k = Array.length txs in
   let w = Rows.words (Db.entity_count (System.db sys)) in
@@ -157,11 +159,7 @@ let try_cycle sys s order =
     end;
     if i' > 0 then union_into s av s ys w;
     let a = Transaction.rows t in
-    let x =
-      match Pair.common_first t (System.txn sys txs.((i' + 1) mod k)) with
-      | Some e -> e
-      | None -> assert false (* cycle edges share entities; pairs passed *)
-    in
+    let x = firsts.((i' + r) mod k) in
     if Rows.mem s av x || not (disjoint s av a (Transaction.locks_before t x) w)
     then i := k + 1
     else begin
@@ -209,16 +207,28 @@ let failing_pair sys =
   go 0 1
 
 (* The first rotation of [cycle] (as a choice of last transaction)
-   that admits a witness. *)
+   that admits a witness.  The rotations read the common first entity
+   of each of the cycle's k arcs — every failing one reads its first
+   arc's, and the witness all k — so each is found once, up front. *)
 let failing_rotation sys cycle =
   let k = List.length cycle in
   let s =
     Array.make (((2 * k) + 3) * Rows.words (Db.entity_count (System.db sys))) 0
   in
+  let txs = Array.of_list cycle in
+  let firsts =
+    Array.init k (fun j ->
+        match
+          Pair.common_first (System.txn sys txs.(j))
+            (System.txn sys txs.((j + 1) mod k))
+        with
+        | Some e -> e
+        | None -> assert false (* cycle edges share entities; pairs passed *))
+  in
   let rec go r =
     if r >= k then None
     else
-      match try_cycle sys s (rotate cycle r) with
+      match try_cycle sys s firsts r (rotate cycle r) with
       | Some _ as w -> w
       | None -> go (r + 1)
   in

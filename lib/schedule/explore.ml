@@ -44,18 +44,15 @@ module Obs = struct
   let prune () = Ddlock_obs.Metrics.Counter.incr pruned
 end
 
-(* The canonicalizer a symmetric search should use: [None] when symmetry
-   is off or the automorphism group is trivial (then canonicalization is
-   the identity and the plain engine is already optimal). *)
-let active_canon ~symmetry sys =
-  if not symmetry then None
-  else
-    let c = Canon.detect sys in
-    if Canon.nontrivial c then begin
-      Ddlock_obs.Metrics.Gauge.set_max Obs.orbit_gauge (Canon.orbit_size c);
-      Some c
-    end
-    else None
+(* The orbit quotient's canonicalizer: [None] when the automorphism
+   group is trivial (canonicalization would be the identity). *)
+let active_canon sys =
+  let c = Canon.detect sys in
+  if Canon.nontrivial c then begin
+    Ddlock_obs.Metrics.Gauge.set_max Obs.orbit_gauge (Canon.orbit_size c);
+    Some c
+  end
+  else None
 
 let default_cap = 2_000_000
 
@@ -345,41 +342,61 @@ let found lay = function
 (* The space escapes, so it gets a workspace of its own. *)
 let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
   let lay = Packed.layout sys in
-  let canon = active_canon ~symmetry sys and work = fresh_work lay in
+  let canon = if symmetry then active_canon sys else None in
+  let work = fresh_work lay in
   ignore
     (bfs_loop ~name:"explore.explore" ~max_states ~restrict:always
        ~prune:false ~por canon lay work ~found:(fun ~live:_ _ _ -> false));
   { lay; canon; work }
 
-(* The witness rule of every goal-directed search.  With no reduction
-   active (symmetry off or its group trivial, and no partial-order
-   reduction) the plain search runs once.  With one active, the reduced
-   search decides, and on a hit the plain search for the same goal
-   supplies the witness, or [Too_large]; so every flag set returns the
-   plain search's schedule and state.  Both searches drop the states
-   that can no longer deadlock. *)
-let deadlock_search ?(max_states = default_cap) ~name ~goal lay canon ~por =
+(* A goal-directed search on [lay]: plain, or reduced by [canon] and
+   persistent sets.  Both drop the states that can no longer
+   deadlock. *)
+let deadlock_search ~max_states ~name ~goal ~por canon lay =
   bfs_loop ~name ~max_states ~restrict:always ~prune:true ~por canon lay
     ~found:(found lay goal)
 
-let witness_search ?max_states ?(symmetry = false) ?(por = false)
-    ?(goal = Deadlock) ~name lay =
-  let search = deadlock_search ?max_states ~name ~goal lay in
-  let canon = active_canon ~symmetry (Packed.system lay) in
-  if (canon <> None || por) && borrow lay (search canon ~por) < 0 then None
-  else
-    borrow lay @@ fun w ->
-    let id = search None ~por:false w in
-    if id < 0 then None
-    else
-      Some
-        ( path w lay id,
-          Packed.decode_at lay (Arena.data w.arena) (id * Packed.words lay) )
+let reduced_free ~max_states ~goal lay canon =
+  borrow lay
+    (deadlock_search ~max_states ~name:"explore.por" ~goal ~por:true canon lay)
+  < 0
 
-let find_deadlock ?max_states ?symmetry ?por ?goal sys =
+let reduced_deadlock_free ?(max_states = default_cap) ?(goal = Deadlock) sys =
+  reduced_free ~max_states ~goal (Packed.layout sys) (active_canon sys)
+
+(* The one search rule.  The plain search decides, and its BFS supplies
+   every witness.  Only when it gives up does the reduced search take
+   over, under the same budget, and only when some reduction applies (a
+   nontrivial group, or two independent steps): if it reaches no goal
+   state the answer is [free].  Otherwise the plain search's
+   [Too_large] stands. *)
+let decide ~max_states ~goal lay ~free plain =
+  match plain () with
+  | r -> r
+  | exception (Too_large _ as gave_up) ->
+      let sys = Packed.system lay in
+      let canon = active_canon sys in
+      if
+        (canon <> None || Indep.has_independent_pair sys)
+        && try reduced_free ~max_states ~goal lay canon
+           with Too_large _ -> false
+      then free
+      else raise gave_up
+
+let witness_search ~max_states ~name ~goal lay () =
+  borrow lay @@ fun w ->
+  let id = deadlock_search ~max_states ~name ~goal ~por:false None lay w in
+  if id < 0 then None
+  else
+    Some
+      ( path w lay id,
+        Packed.decode_at lay (Arena.data w.arena) (id * Packed.words lay) )
+
+let find_deadlock ?(max_states = default_cap) ?(goal = Deadlock) sys =
+  let lay = Packed.layout sys in
   let r =
-    witness_search ?max_states ?symmetry ?por ?goal ~name:"explore.bfs"
-      (Packed.layout sys)
+    decide ~max_states ~goal lay ~free:None
+      (witness_search ~max_states ~name:"explore.bfs" ~goal lay)
   in
   if r <> None then begin
     Ddlock_obs.Metrics.Counter.incr Obs.deadlock_witnesses;
@@ -387,16 +404,15 @@ let find_deadlock ?max_states ?symmetry ?por ?goal sys =
   end;
   r
 
-(* A verdict needs no witness: the reduced search alone decides it. *)
-let deadlock_free ?max_states ?(symmetry = false) ?(por = false)
-    ?(goal = Deadlock) sys =
+let deadlock_free ?(max_states = default_cap) ?(goal = Deadlock) sys =
   let lay = Packed.layout sys in
-  let canon = active_canon ~symmetry sys in
+  decide ~max_states ~goal lay ~free:true @@ fun () ->
   borrow lay
-    (deadlock_search ?max_states ~name:"explore.bfs" ~goal lay canon ~por)
+    (deadlock_search ~max_states ~name:"explore.bfs" ~goal ~por:false None lay)
   < 0
 
-let deadlock_on ?max_states ~name lay = witness_search ?max_states ~name lay
+let deadlock_on ?(max_states = default_cap) ~name lay =
+  witness_search ~max_states ~name ~goal:Deadlock lay ()
 
 type counterexample = { steps : Step.t list; cycle : int list }
 

@@ -42,25 +42,30 @@ open Ddlock_model
     is kept, and every kept state is first discovered from a kept
     parent: the kept states keep their BFS order and tree, and the
     witness is the one a search keeping every state returns.  The
-    filter holds under [symmetry] (the count is the same on every
-    member of an orbit) and under [por] (every state on a reduced path
-    to a deadlock passes it).  A deadlock prefix ({!goal}) holds blocked
+    filter holds in the orbit quotient (the count is the same on every
+    member of an orbit) and under persistent sets (every state on a
+    reduced path to a deadlock passes it).  A deadlock prefix ({!goal}) holds blocked
     Locks of two transactions, so it passes the filter too.  It changes
     [states_visited] and where [max_states] bites, not the answers
     within the cap.  {!explore}, {!has_schedule} and the Lemma-1
     searches keep every state.
     ["explore.pruned"] counts the dropped successors (telemetry on).
 
-    {2 Witnesses}
+    {2 One search rule}
 
-    {!find_deadlock} returns the plain search's witness under every
-    flag set.  With neither reduction active — [symmetry] off or its
-    group trivial, and [por] off — the plain search runs once.
-    With one active, the reduced search decides; on a hit the plain
-    search for the same goal supplies the witness, or raises
-    {!Too_large}.  A reduced search that finds nothing is the answer,
-    so a reduction reaches deadlock-free verdicts that the plain budget
-    cannot.
+    {!find_deadlock} and {!deadlock_free} run the plain search, which
+    decides and supplies every witness.  Only when it raises
+    {!Too_large} does the reduced search ({!reduced_deadlock_free}:
+    the orbit quotient when the group of identical-transaction
+    permutations is nontrivial, persistent sets always, the same
+    [max_states]) take over, and only when some reduction applies — a
+    nontrivial group ({!Canon.nontrivial}) or two independent steps
+    ({!Indep.has_independent_pair}).  If it reaches no goal state the
+    answer is deadlock-free; otherwise the plain search's
+    [Too_large n] is raised again.  So a witness is always the plain
+    BFS's, the answers within the plain budget are the plain search's,
+    and a reduction reaches deadlock-free verdicts that the plain
+    budget cannot.
 
     {2 Workspaces}
 
@@ -136,33 +141,32 @@ val is_reachable : space -> State.t -> bool
 (** A deadlock search's goal: a deadlock state, or a deadlock prefix, whose
     reduction graph R(A′) (§3) is cyclic; one is reachable iff the other is
     (Theorem 1).  Both are invariant under identical-transaction
-    permutations, so [~symmetry] and [~por] are sound for each. *)
+    permutations, so the reduced search is sound for each. *)
 type goal = Deadlock | Deadlock_prefix
 
 (** First [goal] state (default [Deadlock]) in BFS order, with the
-    shortest partial schedule reaching it: the plain search's answer
-    under every flag set, and that of a search keeping the states this
-    one drops (see above).  [~symmetry] and [~por] decide the verdict
-    with a reduced search, and on a hit the plain search supplies the
-    witness, or {!Too_large} (see Witnesses above). *)
+    shortest partial schedule reaching it: the plain search's answer,
+    and that of a search keeping the states this one drops (see
+    above).  [None] when the plain search finds none, or when it gives
+    up and the reduced search proves there is none (see One search
+    rule above). *)
 val find_deadlock :
   ?max_states:int ->
-  ?symmetry:bool ->
-  ?por:bool ->
   ?goal:goal ->
   System.t ->
   (Step.t list * State.t) option
 
-(** Verdict only: a single search, reduced by [symmetry] and [por]
-    when they are on, with no plain re-search.  Like {!find_deadlock}
-    it stores only the states that can still deadlock. *)
-val deadlock_free :
-  ?max_states:int ->
-  ?symmetry:bool ->
-  ?por:bool ->
-  ?goal:goal ->
-  System.t ->
-  bool
+(** Verdict only, by the same rule as {!find_deadlock}, with no
+    witness decoded. *)
+val deadlock_free : ?max_states:int -> ?goal:goal -> System.t -> bool
+
+(** The reduced search alone: no [goal] state (default [Deadlock]) is
+    reachable in the persistent-set reduced space, quotiented by the
+    group of identical-transaction permutations when it is nontrivial.
+    Its verdict equals the plain search's whenever both fit in
+    [max_states].  {!find_deadlock} and {!deadlock_free} run it when
+    the plain search gives up. *)
+val reduced_deadlock_free : ?max_states:int -> ?goal:goal -> System.t -> bool
 
 (** {1 Safety and Lemma 1} *)
 
@@ -175,7 +179,7 @@ type counterexample = {
     serialization digraph (system is not safe ∧ deadlock-free).  The
     Lemma-1 searches run over the extended (prefix vector + D-arc)
     space, one packed row each, which has no cheap orbit
-    canonicalization, so they take no [?symmetry] parameter. *)
+    canonicalization, so they run the plain search only. *)
 val safe_and_deadlock_free :
   ?max_states:int -> System.t -> (unit, counterexample) result
 

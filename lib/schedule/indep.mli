@@ -37,5 +37,7 @@ val commutes : System.t -> State.t -> Step.t -> Step.t -> bool
     anything on [sys]?  True iff some two steps of different
     transactions touch different entities, or some single transaction
     has two order-incomparable nodes (a same-transaction diamond).
-    Used for the CLI [--por] no-op warning. *)
+    Without one, and with no identical transactions, the reduced
+    search is the plain one, so {!Explore.find_deadlock} does not run
+    it after a give-up. *)
 val has_independent_pair : System.t -> bool

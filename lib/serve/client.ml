@@ -81,17 +81,16 @@ let roundtrip_ex ~socket payload =
 
 let roundtrip ~socket payload = Result.map fst (roundtrip_ex ~socket payload)
 
-let analyze_payload ?max_states ?symmetry ?deadline_ms source =
-  Protocol.render_request_header ?max_states ?symmetry ?deadline_ms
+let analyze_payload ?max_states ?deadline_ms source =
+  Protocol.render_request_header ?max_states ?deadline_ms
     ~body_len:(String.length source) ()
   ^ source
 
-let analyze ~socket ?max_states ?symmetry ?deadline_ms source =
-  roundtrip ~socket (analyze_payload ?max_states ?symmetry ?deadline_ms source)
+let analyze ~socket ?max_states ?deadline_ms source =
+  roundtrip ~socket (analyze_payload ?max_states ?deadline_ms source)
 
-let analyze_ex ~socket ?max_states ?symmetry ?deadline_ms source =
-  roundtrip_ex ~socket
-    (analyze_payload ?max_states ?symmetry ?deadline_ms source)
+let analyze_ex ~socket ?max_states ?deadline_ms source =
+  roundtrip_ex ~socket (analyze_payload ?max_states ?deadline_ms source)
 
 let ping ~socket = roundtrip ~socket Protocol.ping_header
 let stats ~socket = roundtrip ~socket Protocol.stats_header

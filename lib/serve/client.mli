@@ -29,7 +29,6 @@ val no_meta : meta
 val analyze :
   socket:string ->
   ?max_states:int ->
-  ?symmetry:bool ->
   ?deadline_ms:int ->
   string ->
   (reply, error) result
@@ -40,7 +39,6 @@ val analyze :
 val analyze_ex :
   socket:string ->
   ?max_states:int ->
-  ?symmetry:bool ->
   ?deadline_ms:int ->
   string ->
   (reply * meta, error) result

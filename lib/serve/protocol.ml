@@ -10,7 +10,6 @@ type request =
   | Analyze of {
       body_len : int;
       max_states : int option;
-      symmetry : bool;
       deadline_ms : int option;
     }
 
@@ -58,9 +57,6 @@ let parse_request line =
       | Ok body_len ->
           let rec go acc = function
             | [] -> Ok acc
-            | "symmetry" :: rest ->
-                let max_states, _, deadline_ms = acc in
-                go (max_states, true, deadline_ms) rest
             | opt :: rest -> (
                 match String.index_opt opt '=' with
                 | Some i -> (
@@ -71,38 +67,36 @@ let parse_request line =
                         match int_of_token ~what:"max-states" v with
                         | Error _ as e -> e
                         | Ok n ->
-                            let _, sym, deadline_ms = acc in
-                            go (Some n, sym, deadline_ms) rest)
+                            let _, deadline_ms = acc in
+                            go (Some n, deadline_ms) rest)
                     | "deadline-ms" -> (
                         match int_of_token ~what:"deadline-ms" v with
                         | Error _ as e -> e
                         | Ok n ->
-                            let max_states, sym, _ = acc in
-                            go (max_states, sym, Some n) rest)
+                            let max_states, _ = acc in
+                            go (max_states, Some n) rest)
                     | _ ->
                         Error
                           (Printf.sprintf "unknown option %S" (one_line k)))
                 | None ->
                     Error (Printf.sprintf "unknown option %S" (one_line opt)))
           in
-          (match go (None, false, None) opts with
+          (match go (None, None) opts with
           | Error _ as e -> e
-          | Ok (max_states, symmetry, deadline_ms) ->
-              Ok (Analyze { body_len; max_states; symmetry; deadline_ms })))
+          | Ok (max_states, deadline_ms) ->
+              Ok (Analyze { body_len; max_states; deadline_ms })))
   | _ :: verb :: _ ->
       Error
         (Printf.sprintf
            "unknown verb %S (expected analyze | ping | stats | metrics | flight | trace)"
            (one_line verb))
 
-let render_request_header ?max_states ?(symmetry = false) ?deadline_ms
-    ~body_len () =
+let render_request_header ?max_states ?deadline_ms ~body_len () =
   let b = Buffer.create 64 in
   Buffer.add_string b (Printf.sprintf "ddlock/1 analyze %d" body_len);
   (match max_states with
   | Some n -> Buffer.add_string b (Printf.sprintf " max-states=%d" n)
   | None -> ());
-  if symmetry then Buffer.add_string b " symmetry";
   (match deadline_ms with
   | Some n -> Buffer.add_string b (Printf.sprintf " deadline-ms=%d" n)
   | None -> ());

@@ -6,7 +6,7 @@
     escaping, trivially parseable from any language:
 
     {v
-    client:  ddlock/1 analyze <len> [max-states=N] [symmetry] [deadline-ms=N]
+    client:  ddlock/1 analyze <len> [max-states=N] [deadline-ms=N]
              <len bytes of system source>
     client:  ddlock/1 ping
     client:  ddlock/1 stats
@@ -53,7 +53,6 @@ type request =
   | Analyze of {
       body_len : int;
       max_states : int option;  (** [None] = server default *)
-      symmetry : bool;
       deadline_ms : int option;  (** [None] = server default *)
     }
 
@@ -69,8 +68,7 @@ val parse_request : string -> (request, string) result
     human-readable, and safe to echo back in an [error] reply. *)
 
 val render_request_header :
-  ?max_states:int -> ?symmetry:bool -> ?deadline_ms:int -> body_len:int ->
-  unit -> string
+  ?max_states:int -> ?deadline_ms:int -> body_len:int -> unit -> string
 (** The [analyze] header line (LF included) for a [body_len]-byte body. *)
 
 val ping_header : string

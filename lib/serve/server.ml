@@ -189,13 +189,12 @@ let flight_dump t oc =
 
 (* ------------------------- request handling ------------------------ *)
 
-let cache_key ~max_states ~symmetry sys =
+let cache_key ~max_states sys =
   let salt =
     String.concat "\x00"
       [
         Sched.Canon.system_key sys;
         (match max_states with None -> "-" | Some n -> string_of_int n);
-        (if symmetry then "s" else "p");
       ]
   in
   Digest.to_hex (Digest.string salt)
@@ -205,12 +204,10 @@ type job_result =
   | Timed_out
   | Crashed of string
 
-let run_analysis ~max_states ~symmetry ~deadline_ns sys =
+let run_analysis ~max_states ~deadline_ns sys =
   try
     let run () =
-      let text, status, _report =
-        Analysis.render_full ?max_states ~symmetry sys
-      in
+      let text, status, _report = Analysis.render_full ?max_states sys in
       Done (status, text)
     in
     match deadline_ns with
@@ -235,7 +232,7 @@ type req_info = {
 
 (* Per-request outcome: [`Continue] keeps the connection open for the
    next request, [`Close] ends it (error replies and dead peers). *)
-let handle_analyze t fd ~req ~info ~max_states ~symmetry ~deadline_ms body =
+let handle_analyze t fd ~req ~info ~max_states ~deadline_ms body =
   let reply ?(extras = []) r =
     let head =
       Protocol.render_response_header
@@ -271,7 +268,7 @@ let handle_analyze t fd ~req ~info ~max_states ~symmetry ~deadline_ms body =
         | Some _ as d -> d
         | None -> t.cfg.default_deadline_ms
       in
-      let key = cache_key ~max_states ~symmetry sys in
+      let key = cache_key ~max_states sys in
       info.i_key <- key;
       info.i_params <-
         String.concat " "
@@ -280,7 +277,6 @@ let handle_analyze t fd ~req ~info ~max_states ~symmetry ~deadline_ms body =
                (match max_states with
                | Some n -> [ Printf.sprintf "max-states=%d" n ]
                | None -> []);
-               (if symmetry then [ "symmetry" ] else []);
                (match deadline_ms with
                | Some n -> [ Printf.sprintf "deadline-ms=%d" n ]
                | None -> []);
@@ -312,7 +308,7 @@ let handle_analyze t fd ~req ~info ~max_states ~symmetry ~deadline_ms body =
             Obs.Request.with_id req @@ fun () ->
             Pool.Cell.fill cell
               (Obs.Trace.span "serve.analysis" (fun () ->
-                   run_analysis ~max_states ~symmetry ~deadline_ns sys))
+                   run_analysis ~max_states ~deadline_ns sys))
           in
           if not (Pool.submit t.pool job) then begin
             Atomic.incr t.c.busy;
@@ -404,8 +400,7 @@ let handle_request t fd line =
             error
               (Printf.sprintf
                  "trace: request %d unknown (not traced, or aged out)" id))
-    | Ok (Protocol.Analyze { body_len; max_states; symmetry; deadline_ms })
-      -> (
+    | Ok (Protocol.Analyze { body_len; max_states; deadline_ms }) -> (
         info.i_verb <- "analyze";
         if body_len > t.cfg.max_request_bytes then
           error
@@ -416,8 +411,7 @@ let handle_request t fd line =
           | Error `Slow -> error "slow client: body read timed out"
           | Error _ -> `Close (* peer vanished mid-body *)
           | Ok body ->
-              handle_analyze t fd ~req ~info ~max_states ~symmetry
-                ~deadline_ms body)
+              handle_analyze t fd ~req ~info ~max_states ~deadline_ms body)
   in
   let lat_ns = Obs.Clock.now_ns () - t0 in
   Obs.Metrics.Histogram.record m_request_ns lat_ns;

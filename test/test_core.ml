@@ -355,14 +355,13 @@ let minimize_core_minimal_prop =
 (* ------------------------------------------------------------------ *)
 
 (* MD5 of [Analysis.render_full]'s text and exit status over a seeded
-   pool, under the default flags, [~symmetry:true] and [~por:true],
-   plus one capped run that gives up.  Recorded before the search
-   kernel's allocation rewrite, and again when a Theorem-3 failure
-   began to name the pair's own transactions instead of T1 and T2
-   (only those lines moved), and again when [~symmetry] began to print
-   the plain witness (its third now equals the plain third); if it
-   fails, rendered analysis bytes changed. *)
-let golden_analysis_digest = "e84fbab1ae33f4a05764c3f8269b494f"
+   pool, one render per system, plus one capped run that gives up.
+   Recorded before the search kernel's allocation rewrite, and again
+   when a Theorem-3 failure began to name the pair's own transactions
+   instead of T1 and T2 (only those lines moved), and again when the
+   search flags were deleted (the same bytes as the renders without
+   flags before); if it fails, rendered analysis bytes changed. *)
+let golden_analysis_digest = "902846bb37b23152dcd8cadb1ebb822a"
 
 let golden_analysis_pool () =
   let module G = Workload.Gentx in
@@ -382,8 +381,6 @@ let analysis_digest () =
   let add (text, status, _) = Printf.bprintf b "%s%d\n" text status in
   let pool = golden_analysis_pool () in
   List.iter (fun sys -> add (Analysis.render_full sys)) pool;
-  List.iter (fun sys -> add (Analysis.render_full ~symmetry:true sys)) pool;
-  List.iter (fun sys -> add (Analysis.render_full ~por:true sys)) pool;
   add
     (Analysis.render_full ~max_states:50
        (Workload.Gentx.dining_philosophers 5));
@@ -397,11 +394,9 @@ let test_golden_analysis_digest () =
    search state ({!Ddlock_schedule.Packed}): guard-ring copies,
    philosophers 16 and 32, and zipf systems of 64–80 nodes, every search
    capped at 3,000 states so that give-ups are covered too.  Recorded
-   before the searches moved to packed states, and again when
-   [find_deadlock ~por] stopped printing a reduced witness whose plain
-   re-search gives up, and again when [~symmetry] began to print the
-   plain witness: every third now equals the plain third. *)
-let golden_wide_digest = "c65bef974fe5a96c029092c48b68c5b4"
+   before the searches moved to packed states, and again when the
+   search flags were deleted (one render per system). *)
+let golden_wide_digest = "ec5e1918676b8e75510904644d0aaac6"
 
 let golden_wide_pool () =
   let module G = Workload.Gentx in
@@ -417,29 +412,36 @@ let test_golden_wide_digest () =
   let add (text, status, _) = Printf.bprintf b "%s%d\n" text status in
   let pool = golden_wide_pool () and max_states = 3_000 in
   List.iter (fun sys -> add (Analysis.render_full ~max_states sys)) pool;
-  List.iter
-    (fun sys -> add (Analysis.render_full ~max_states ~symmetry:true sys))
-    pool;
-  List.iter
-    (fun sys -> add (Analysis.render_full ~max_states ~por:true sys))
-    pool;
   check Alcotest.string "wide analysis digest" golden_wide_digest
     (Digest.to_hex (Digest.string (Buffer.contents b)))
 
-(* One witness rule: both golden pools render the same bytes and exit
-   status under every flag set. *)
-let test_flags_render_alike () =
-  let same pool ?max_states i sys =
-    let plain = Analysis.render_full ?max_states sys in
-    List.iter
-      (fun (symmetry, por) ->
-        if Analysis.render_full ?max_states ~symmetry ~por sys <> plain then
-          Alcotest.failf "%s pool, system %d: symmetry=%b por=%b differs" pool
-            i symmetry por)
-      [ (true, false); (false, true); (true, true) ]
+(* One search rule: under a budget the plain search may not fit, the
+   report is the full-budget one (the plain search decided), or its
+   deadlock verdict turns to [Gave_up], or to [Deadlock_free] when the
+   reduced search proves what the full budget finds; a render with the
+   same verdict has the same bytes. *)
+let test_capped_render () =
+  let check_capped pool ~max_states ~cap i sys =
+    let full, status, r = Analysis.render_full ~max_states sys in
+    let capped, status', r' = Analysis.render_full ~max_states:cap sys in
+    let ok =
+      status = status'
+      && { r' with deadlock = r.deadlock } = r
+      &&
+      match r'.deadlock with
+      | Gave_up _ -> true
+      | Deadlock_free -> r.deadlock = Deadlock_free && capped = full
+      | Deadlocks _ -> capped = full
+    in
+    if not ok then
+      Alcotest.failf "%s pool, system %d: capped render differs" pool i
   in
-  List.iteri (same "analysis") (golden_analysis_pool ());
-  List.iteri (same "wide" ~max_states:3_000) (golden_wide_pool ())
+  List.iteri
+    (check_capped "analysis" ~max_states:500_000 ~cap:20)
+    (golden_analysis_pool ());
+  List.iteri
+    (check_capped "wide" ~max_states:3_000 ~cap:200)
+    (golden_wide_pool ())
 
 (* ------------------------------------------------------------------ *)
 (* Buffer rendering = the Format renderer it replaced                  *)
@@ -621,9 +623,9 @@ end
 (* [render_full]'s text equals the reference's, and each Format
    wrapper prints what the reference printer printed, under a prefix
    that moves the box off column 0. *)
-let rendering_matches ?max_states ?symmetry ?por sys =
+let rendering_matches ?max_states sys =
   let module R = Format_reference in
-  let text, _, r = Analysis.render_full ?max_states ?symmetry ?por sys in
+  let text, _, r = Analysis.render_full ?max_states sys in
   let show pp x = Format.asprintf "# %a@." pp x in
   text = R.render sys r
   && show (Analysis.pp_report sys) r = show (R.pp_report sys) r
@@ -641,8 +643,8 @@ let rendering_matches ?max_states ?symmetry ?por sys =
 
 (* Systems like the benchmark's [analyze-search] pool (zipf hotspots
    and small random systems), systems that repair certifies, and the
-   paper's fixtures; each rendered plain, with [~symmetry], with
-   [~por], and with a budget small enough to give up. *)
+   paper's fixtures; each rendered with the default budget and with
+   one small enough to give up. *)
 let render_differential_prop =
   QCheck.Test.make ~name:"render_full = Format renderer reference" ~count:120
     QCheck.(int_bound 10_000_000)
@@ -668,10 +670,7 @@ let render_differential_prop =
             | 2 -> G.dining_philosophers 4
             | _ -> System.copies (G.guard_ring 3) 2)
       in
-      rendering_matches sys
-      && rendering_matches ~symmetry:true sys
-      && rendering_matches ~por:true sys
-      && rendering_matches ~max_states:20 sys)
+      rendering_matches sys && rendering_matches ~max_states:20 sys)
 
 (* Systems of two and three words per packed state, whose schedule
    lines run past Format's margin, searches capped so that some give
@@ -680,9 +679,7 @@ let test_render_differential_wide () =
   List.iter
     (fun sys ->
       check bool_t "wide rendering" true
-        (rendering_matches ~max_states:3_000 sys
-        && rendering_matches ~max_states:3_000 ~symmetry:true sys
-        && rendering_matches ~max_states:3_000 ~por:true sys))
+        (rendering_matches ~max_states:3_000 sys))
     (golden_wide_pool ())
 
 let qtests =
@@ -705,8 +702,8 @@ let suite =
       test_golden_analysis_digest;
     Alcotest.test_case "golden wide analysis digest" `Quick
       test_golden_wide_digest;
-    Alcotest.test_case "every flag set renders the plain bytes" `Quick
-      test_flags_render_alike;
+    Alcotest.test_case "capped render changes only its verdict" `Quick
+      test_capped_render;
     Alcotest.test_case "render_full = Format renderer on wide systems"
       `Quick test_render_differential_wide;
     Alcotest.test_case "analysis polynomial shortcut" `Quick

@@ -2,11 +2,11 @@
    static independence predicate of Sched.Indep must be sound w.r.t.
    the dynamic commutation oracle on every enabled pair of every
    reachable state, so must the packed persistent sets, and every
-   observable of the persistent-set reduced searches (?por threaded
-   through Explore / Prefix_search / Analysis / Minimize) must agree
-   with the plain ground truth —
-   verdicts, canonicalized witnesses, state-count upper bounds, sound
-   cap accounting — with symmetry on and off. *)
+   observable of the persistent-set reduced searches ([Explore.explore
+   ~por], [Prefix_search.all ~por] and the reduced search that decides
+   when the plain budget runs out) must agree with the plain ground
+   truth — verdicts, state-count upper bounds, sound cap accounting —
+   with symmetry on and off. *)
 
 open Ddlock_model
 open Ddlock_schedule
@@ -203,7 +203,7 @@ let test_fixture_counts () =
       check bool_t "reduced ≤ plain" true (reduced <= plain);
       check bool_t "verdict preserved"
         (Explore.deadlock_free sys)
-        (Explore.deadlock_free ~por:true sys))
+        (Explore.reduced_deadlock_free sys))
     (fixtures ());
   let sys = phil3 () in
   check bool_t "philosophers: strictly fewer states" true
@@ -214,10 +214,13 @@ let test_fixture_witnesses_canonical () =
   List.iter
     (fun sys ->
       let plain = Explore.find_deadlock sys in
-      check bool_t "find_deadlock ~por byte-identical" true
-        (Explore.find_deadlock ~por:true sys = plain);
-      check bool_t "find_deadlock ~por ~symmetry byte-identical" true
-        (Explore.find_deadlock ~por:true ~symmetry:true sys = plain))
+      (match plain with
+      | None -> ()
+      | Some w -> check bool_t "witness valid" true (witness_valid sys w));
+      check bool_t "reduced verdict" (plain = None)
+        (Explore.reduced_deadlock_free sys);
+      check bool_t "reduced prefix verdict" (plain = None)
+        (Explore.reduced_deadlock_free ~goal:Deadlock_prefix sys))
     (fixtures ())
 
 (* ------------------------------------------------------------------ *)
@@ -277,9 +280,7 @@ let por_verdict_witness_prop =
       let sys = Gentx.random_copies_system ~extra st ~copies in
       let plain = Explore.find_deadlock sys in
       (match plain with None -> true | Some w -> witness_valid sys w)
-      && Explore.find_deadlock ~por:true sys = plain
-      && Explore.find_deadlock ~por:true ~symmetry:true sys = plain
-      && Explore.deadlock_free ~por:true sys = (plain = None))
+      && Explore.reduced_deadlock_free sys = (plain = None))
 
 let por_state_bound_prop =
   QCheck.Test.make
@@ -322,8 +323,7 @@ let por_sound_reduction_prop =
 let por_cap_outcome_prop =
   (* Under a small cap the reduced search may give up where the
      uncapped one decides, but it never contradicts the uncapped
-     verdict, a witness is always valid, and a give-up always reports
-     the budget. *)
+     verdict, and a give-up always reports the budget. *)
   QCheck.Test.make
     ~name:"por cap outcome sound"
     ~count:40
@@ -332,13 +332,9 @@ let por_cap_outcome_prop =
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system st ~copies:2 in
       let deadlocks = Explore.find_deadlock sys <> None in
-      let sound symmetry =
-        match Explore.find_deadlock ~max_states ~symmetry ~por:true sys with
-        | Some w -> deadlocks && witness_valid sys w
-        | None -> not deadlocks
-        | exception Explore.Too_large n -> n = max_states
-      in
-      sound false && sound true)
+      match Explore.reduced_deadlock_free ~max_states sys with
+      | free -> free = not deadlocks
+      | exception Explore.Too_large n -> n = max_states)
 
 let por_obs_counters_prop =
   (* A reduced exploration counts no more states than plain, and its
@@ -373,9 +369,9 @@ let por_prefix_search_prop =
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system st ~copies:2 ~extra:true in
       let plain = Prefix_search.find sys in
-      let reduced = Prefix_search.find ~por:true sys in
-      Option.is_none plain = Option.is_none reduced
-      && (match reduced with
+      Explore.reduced_deadlock_free ~goal:Deadlock_prefix sys
+      = Option.is_none plain
+      && (match plain with
          | None -> true
          | Some w ->
              Schedule.is_legal sys w.Prefix_search.schedule
@@ -383,8 +379,7 @@ let por_prefix_search_prop =
                   (Schedule.prefix_vector sys w.Prefix_search.schedule)
                   w.Prefix_search.prefix
              && Reduction.has_cycle (Reduction.make sys w.Prefix_search.prefix))
-      && Prefix_search.deadlock_free ~por:true sys
-         = Prefix_search.deadlock_free sys
+      && Prefix_search.deadlock_free sys = Option.is_none plain
       &&
       let keys f =
         List.sort_uniq compare (List.map Fixtures.state_key (List.of_seq (f ())))
@@ -394,6 +389,8 @@ let por_prefix_search_prop =
       List.for_all (fun k -> List.mem k plain_all) por_all
       && (plain_all = []) = (por_all = []))
 
+(* Analysis and Minimize read the plain search; the reduced search
+   agrees with the verdict and finds the minimized core deadlocking. *)
 let por_analysis_minimize_prop =
   QCheck.Test.make
     ~name:"Analysis bytes and Minimize core ≡ under por" ~count:10
@@ -401,20 +398,16 @@ let por_analysis_minimize_prop =
     (fun seed ->
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system st ~copies:2 ~extra:true in
-      let plain = Ddlock.Analysis.render_full sys in
-      Ddlock.Analysis.render_full ~por:true sys = plain
-      && Ddlock.Analysis.render_full ~por:true ~symmetry:true sys = plain
+      let _, _, r = Ddlock.Analysis.render_full sys in
+      let reduced_free = Explore.reduced_deadlock_free sys in
+      (match r.Ddlock.Analysis.deadlock with
+      | Ddlock.Analysis.Deadlock_free -> reduced_free
+      | Ddlock.Analysis.Deadlocks _ -> not reduced_free
+      | Ddlock.Analysis.Gave_up _ -> false)
       &&
-      match
-        ( Ddlock.Minimize.deadlock_core sys,
-          Ddlock.Minimize.deadlock_core ~por:true sys )
-      with
-      | None, None -> true
-      | Some a, Some b ->
-          a.Ddlock.Minimize.kept_txns = b.Ddlock.Minimize.kept_txns
-          && a.Ddlock.Minimize.dropped_entities
-             = b.Ddlock.Minimize.dropped_entities
-      | _ -> false)
+      match Ddlock.Minimize.deadlock_core sys with
+      | None -> reduced_free
+      | Some m -> not (Explore.reduced_deadlock_free m.Ddlock.Minimize.core))
 
 let qtests =
   List.map Fixtures.to_alcotest

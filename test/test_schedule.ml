@@ -646,16 +646,17 @@ let test_packed_hash_spread () =
 
 (* Recorded before the searches moved to packed states: for each system,
    [explore.states_visited] after [explore] (plain, ~symmetry, ~por) and
-   [find_deadlock] (plain, ~symmetry, ~por), all capped at 4,000 states
-   (a search that exceeds the cap counts the 4,000 it held).  The ~por
-   columns were recorded again when the reduced search dropped sleep
-   sets: they are what the same persistent sets give alone.  The
-   [find_deadlock ~symmetry] column was recorded again when it began to
-   take its witness from the plain search: on a deadlocking copies
-   system it counts the reduced search and the plain one.  The three
-   [find_deadlock] columns were recorded again when the deadlock
-   searches began to drop the successors that cannot reach a deadlock
-   ({!Packed.may_deadlock}). *)
+   the deadlock searches, all capped at 4,000 states (a search that
+   exceeds the cap counts the 4,000 it held).  The ~por column was
+   recorded again when the reduced search dropped sleep sets: it is
+   what the same persistent sets give alone.  The last three columns
+   are [find_deadlock], [deadlock_free] and [reduced_deadlock_free],
+   recorded again when the deadlock searches began to drop the
+   successors that cannot reach a deadlock ({!Packed.may_deadlock}),
+   and again when the reduced search became the second stage of one
+   search rule: a plain search that gives up now also counts the
+   reduced one (systems 8, 10 and 14, which deadlock, so the give-up
+   stands). *)
 let visited_pool () =
   let module G = Ddlock_workload.Gentx in
   let ring k c = System.copies (G.guard_ring k) c in
@@ -670,17 +671,17 @@ let visited_pool () =
 
 let visited_expected =
   [
-    (826, 414, 108, 87, 128, 103); (158, 80, 66, 55, 28, 31);
-    (854, 161, 412, 46, 57, 63); (4000, 4000, 4000, 2596, 2638, 3134);
-    (4000, 4000, 4000, 2645, 2838, 2902); (75, 75, 63, 14, 14, 28);
-    (321, 321, 198, 40, 40, 76); (1363, 1363, 521, 121, 121, 206);
-    (4000, 4000, 4000, 4000, 4000, 4923); (468, 468, 155, 350, 350, 112);
-    (4000, 4000, 4000, 4000, 4000, 5504); (305, 305, 180, 225, 225, 141);
-    (4000, 4000, 4000, 3690, 3690, 3862); (400, 400, 47, 273, 273, 28);
-    (4000, 4000, 4000, 4000, 4000, 6150); (108, 108, 88, 10, 10, 20);
-    (4000, 4000, 2388, 906, 906, 945); (218, 218, 180, 160, 160, 140);
-    (4000, 4000, 2281, 461, 461, 555); (1024, 1024, 70, 815, 815, 57);
-    (4000, 4000, 4000, 1277, 1277, 1617);
+    (826, 414, 108, 87, 87, 9); (158, 80, 66, 55, 55, 16);
+    (854, 161, 412, 46, 46, 5); (4000, 4000, 4000, 2596, 2596, 9);
+    (4000, 4000, 4000, 2645, 2645, 19); (75, 75, 63, 14, 14, 14);
+    (321, 321, 198, 40, 40, 36); (1363, 1363, 521, 121, 121, 85);
+    (4000, 4000, 4000, 4923, 4923, 923); (468, 468, 155, 350, 350, 112);
+    (4000, 4000, 4000, 5504, 5504, 1504); (305, 305, 180, 225, 225, 141);
+    (4000, 4000, 4000, 3690, 3690, 172); (400, 400, 47, 273, 273, 28);
+    (4000, 4000, 4000, 6150, 6150, 2150); (108, 108, 88, 10, 10, 10);
+    (4000, 4000, 2388, 906, 906, 39); (218, 218, 180, 160, 160, 140);
+    (4000, 4000, 2281, 461, 461, 94); (1024, 1024, 70, 815, 815, 57);
+    (4000, 4000, 4000, 1277, 1277, 340);
   ]
 
 (* [explore.states_visited] after [f ()]; a search that gives up counts
@@ -708,9 +709,8 @@ let test_states_visited_unchanged () =
           visited (fun () -> Explore.explore ~max_states ~symmetry:true sys),
           visited (fun () -> Explore.explore ~max_states ~por:true sys),
           visited (fun () -> Explore.find_deadlock ~max_states sys),
-          visited (fun () ->
-              Explore.find_deadlock ~max_states ~symmetry:true sys),
-          visited (fun () -> Explore.find_deadlock ~max_states ~por:true sys) ))
+          visited (fun () -> Explore.deadlock_free ~max_states sys),
+          visited (fun () -> Explore.reduced_deadlock_free ~max_states sys) ))
       (visited_pool ())
   in
   List.iteri
@@ -817,18 +817,21 @@ let test_lemma1_golden_digest () =
   check bool_t "counterexamples exercised" true (!unsafe > 100);
   check Alcotest.string "Lemma-1 digest" lemma1_golden_digest digest
 
-(* A give-up on a multi-word system raises [Too_large] with the budget,
-   under every flag. *)
+(* A give-up on a multi-word system raises [Too_large] with the plain
+   search's budget, whatever the reduced search that follows finds. *)
 let test_too_large_multiword () =
   let module G = Ddlock_workload.Gentx in
+  let raises sys cap f =
+    match f ~max_states:cap sys with
+    | exception Explore.Too_large n -> check int_t "held at raise" cap n
+    | _ -> Alcotest.fail "expected Too_large"
+  in
   List.iter
     (fun (sys, cap) ->
-      List.iter
-        (fun (symmetry, por) ->
-          match Explore.find_deadlock ~max_states:cap ~symmetry ~por sys with
-          | exception Explore.Too_large n -> check int_t "held at raise" cap n
-          | _ -> Alcotest.fail "expected Too_large")
-        [ (false, false); (true, false); (false, true) ])
+      raises sys cap (fun ~max_states sys ->
+          ignore (Explore.find_deadlock ~max_states sys));
+      raises sys cap (fun ~max_states sys ->
+          ignore (Explore.deadlock_free ~max_states sys)))
     [
       (G.dining_philosophers 16, 2_500);
       (G.dining_philosophers 32, 700);
@@ -869,9 +872,9 @@ let test_too_large_at_doublings () =
     (List.init 13 Fun.id)
 
 (* Searches on one domain share its workspace.  A mix of searches on
-   systems of one to three words — plain and symmetric deadlock
+   systems of one to three words — plain and reduced deadlock
    searches, Lemma 1, the Rw decider, [has_schedule], a give-up, a
-   cancelled search and a [bfs] whose [found] runs another search —
+   cancelled search and a search whose polls run other searches —
    gives, run back to back in both orders on one domain, the result
    and [states_visited] each gives when it runs first on a fresh
    domain. *)
@@ -920,8 +923,8 @@ let test_workspace_reuse () =
     [
       ("find_deadlock fig2", fun () -> witness (Explore.find_deadlock (Fixtures.fig2 ())));
       ("find_deadlock ring", fun () -> witness (Explore.find_deadlock ~max_states:4_000 ring));
-      ( "find_deadlock ~symmetry ring",
-        fun () -> witness (Explore.find_deadlock ~symmetry:true ring) );
+      ( "reduced_deadlock_free ring",
+        fun () -> string_of_bool (Explore.reduced_deadlock_free ring) );
       ( "find_deadlock philosophers 32 (gives up)",
         fun () -> witness (Explore.find_deadlock ~max_states:700 phil32) );
       ("safe small", fun () -> lemma1 (Explore.safe small));
@@ -963,9 +966,9 @@ let test_workspace_reuse () =
                   ~finally:(fun () -> inside := false)
                   (fun () ->
                     Buffer.add_string inner
-                      (witness
-                         (Explore.find_deadlock ~symmetry:(!polls mod 80 = 0)
-                            ring)))
+                      (if !polls mod 80 = 0 then
+                         string_of_bool (Explore.reduced_deadlock_free ring)
+                       else witness (Explore.find_deadlock ring)))
               end
             end;
             false
@@ -1351,43 +1354,71 @@ let filter_system rng =
       G.zipf_system rng ~sites:2 ~entities:(4 + int 3) ~txns:(3 + int 2)
         ~theta:0.8
 
-(* [search ~max_states ~symmetry ~por sys] gives, under every flag
-   set, the schedule and state of the first [goal] state of the decoded
-   BFS, which keeps every state. *)
-let same_as_reference ~name ~goal search =
+(* [search ~max_states sys] gives the schedule and state of the first
+   [goal] state of the decoded BFS, which keeps every state, and
+   [reduced ~max_states sys] says whether there is none. *)
+let same_as_reference ~name ~goal search reduced =
   QCheck.Test.make ~name ~count:150 QCheck.(int_bound 10_000_000)
     (fun seed ->
       let sys = filter_system (Fixtures.rng seed) in
       let max_states = 20_000 in
       match reference_bfs sys ~cap:max_states ~goal:(goal sys) with
       | _, _, true -> QCheck.assume_fail ()
-      | _, reference, false ->
-          List.for_all
-            (fun (symmetry, por) ->
-              match (search ~max_states ~symmetry ~por sys, reference) with
-              | Some (steps, st), Some (steps', st') ->
-                  steps = steps' && State.equal st st'
-              | None, None -> true
-              | _ -> false)
-            [ (false, false); (true, false); (false, true); (true, true) ])
+      | _, reference, false -> (
+          reduced ~max_states sys = (reference = None)
+          &&
+          match (search ~max_states sys, reference) with
+          | Some (steps, st), Some (steps', st') ->
+              steps = steps' && State.equal st st'
+          | None, None -> true
+          | _ -> false))
 
 (* The deadlock searches drop the successors that cannot deadlock. *)
 let filter_witness_prop =
-  same_as_reference ~name:"find_deadlock = unfiltered bfs, every flag set"
-    ~goal:State.is_deadlock (fun ~max_states ~symmetry ~por sys ->
-      Explore.find_deadlock ~max_states ~symmetry ~por sys)
+  same_as_reference
+    ~name:"find_deadlock = unfiltered bfs, every system under the cap"
+    ~goal:State.is_deadlock
+    (fun ~max_states sys -> Explore.find_deadlock ~max_states sys)
+    (fun ~max_states sys -> Explore.reduced_deadlock_free ~max_states sys)
 
 (* The Theorem-1 search decides R(A′) on packed rows, with the same
    filter. *)
 let prefix_witness_prop =
   let module P = Ddlock_deadlock.Prefix_search in
   same_as_reference
-    ~name:"Prefix_search.find = decoded cyclic-R BFS, every flag set"
+    ~name:"Prefix_search.find = decoded cyclic-R BFS, and the reduced verdict"
     ~goal:(fun sys st -> Reduction.has_cycle (Reduction.make sys st))
-    (fun ~max_states ~symmetry ~por sys ->
+    (fun ~max_states sys ->
       Option.map
         (fun w -> (w.P.schedule, w.P.prefix))
-        (P.find ~max_states ~symmetry ~por sys))
+        (P.find ~max_states sys))
+    (fun ~max_states sys ->
+      Explore.reduced_deadlock_free ~max_states ~goal:Deadlock_prefix sys)
+
+(* The one search rule.  When the plain search fits, [find_deadlock]
+   is the decoded BFS's first deadlock with its tree schedule.  Under a
+   budget below the states the plain search holds, it raises
+   [Too_large] with that budget, or agrees with the verdict at the
+   default budget: a deadlock-free answer the reduced search proves. *)
+let search_rule_prop =
+  QCheck.Test.make ~name:"one search rule: plain witness, reduced take-over"
+    ~count:150 QCheck.(int_bound 10_000_000)
+    (fun seed ->
+      let rng = Fixtures.rng seed in
+      let sys = filter_system rng in
+      match reference_bfs sys ~cap:20_000 ~goal:(State.is_deadlock sys) with
+      | _, _, true -> QCheck.assume_fail ()
+      | _, reference, false -> (
+          let held =
+            with_counters @@ fun () ->
+            visited (fun () -> Explore.find_deadlock sys)
+          in
+          Explore.find_deadlock sys = reference
+          &&
+          let below = Random.State.int rng held in
+          match Explore.find_deadlock ~max_states:below sys with
+          | r -> r = None && reference = None
+          | exception Explore.Too_large n -> n = below))
 
 (* Every state reachable on [lay], up to [cap], by the packed kernel. *)
 let reachable lay ~cap =
@@ -1504,6 +1535,7 @@ let qtests =
       prefix_witness_prop;
       filter_sound_prop;
       packed_reduction_prop;
+      search_rule_prop;
     ]
 
 let suite =

@@ -24,22 +24,17 @@ let test_protocol_parse () =
   | _ -> Alcotest.fail "stats");
   (match
      Protocol.parse_request
-       "ddlock/1 analyze 42 max-states=1000 symmetry deadline-ms=250"
+       "ddlock/1 analyze 42 max-states=1000 deadline-ms=250"
    with
   | Ok
       (Protocol.Analyze
-        {
-          body_len = 42;
-          max_states = Some 1000;
-          symmetry = true;
-          deadline_ms = Some 250;
-        }) ->
+        { body_len = 42; max_states = Some 1000; deadline_ms = Some 250 }) ->
       ()
   | _ -> Alcotest.fail "analyze with options");
   (match Protocol.parse_request "ddlock/1 analyze 7" with
   | Ok
       (Protocol.Analyze
-        { body_len = 7; max_states = None; symmetry = false; deadline_ms = None })
+        { body_len = 7; max_states = None; deadline_ms = None })
     ->
       ()
   | _ -> Alcotest.fail "bare analyze");
@@ -56,25 +51,20 @@ let test_protocol_parse () =
   bad "ddlock/1 analyze five";
   bad "ddlock/1 analyze 7 max-states=many";
   bad "ddlock/1 analyze 7 frobnicate=1";
+  bad "ddlock/1 analyze 7 symmetry";
   bad "ddlock/1 shutdown";
   bad "ddlock/1 ping extra"
 
 let test_protocol_roundtrip () =
   let hdr =
-    Protocol.render_request_header ~max_states:9 ~symmetry:true
-      ~deadline_ms:5 ~body_len:3 ()
+    Protocol.render_request_header ~max_states:9 ~deadline_ms:5 ~body_len:3 ()
   in
   (match
      Protocol.parse_request (String.sub hdr 0 (String.length hdr - 1))
    with
   | Ok
-      (Protocol.Analyze
-        {
-          body_len = 3;
-          max_states = Some 9;
-          symmetry = true;
-          deadline_ms = Some 5;
-        }) ->
+      (Protocol.Analyze { body_len = 3; max_states = Some 9; deadline_ms = Some 5 })
+    ->
       ()
   | _ -> Alcotest.fail "request round-trip");
   let resp r =
@@ -303,33 +293,41 @@ let test_served_verdicts_equal_local () =
     systems
 
 let test_daemon_symmetric_bytes () =
-  (* A symmetric request renders the same bytes with or without a
-     deadline, equal to local [render_full ~symmetry:true].  The cache
-     is off so both requests are really analysed. *)
+  (* Copies systems render the same bytes with or without a deadline,
+     equal to local [render_full] at the same budget; on ring 9×2 the
+     plain search gives up and the reduced one proves the system
+     deadlock-free.  The cache is off so both requests are really
+     analysed. *)
   with_server
     ~tweak:(fun c -> { c with Server.cache_cap = 0 })
   @@ fun ~socket _t ->
+  let max_states = 20_000 in
   List.iter
     (fun sys ->
       let source = source_of sys in
-      let local_text, local_status, _ =
-        Analysis.render_full ~symmetry:true sys
-      in
+      let local_text, local_status, _ = Analysis.render_full ~max_states sys in
       let status, body =
-        expect_verdict (Client.analyze ~socket ~symmetry:true source)
+        expect_verdict (Client.analyze ~socket ~max_states source)
       in
       let status', body' =
         expect_verdict
-          (Client.analyze ~socket ~symmetry:true ~deadline_ms:60_000 source)
+          (Client.analyze ~socket ~max_states ~deadline_ms:60_000 source)
       in
       check int_t "status equals analyze exit" local_status status;
-      check string_t "bytes equal local symmetric analysis" local_text body;
+      check string_t "bytes equal local analysis" local_text body;
       check int_t "deadlined status" local_status status';
       check string_t "deadlined bytes equal undeadlined" body body')
     [
       Model.System.copies (Ddlock_workload.Gentx.guard_ring 4) 2;
       Model.System.copies (Ddlock_workload.Gentx.guard_ring 3) 3;
-    ]
+      Model.System.copies (Ddlock_workload.Gentx.guard_ring 9) 2;
+    ];
+  let _, _, r =
+    Analysis.render_full ~max_states
+      (Model.System.copies (Ddlock_workload.Gentx.guard_ring 9) 2)
+  in
+  check bool_t "ring 9×2 deadlock-free" true
+    (r.Analysis.deadlock = Analysis.Deadlock_free)
 
 let test_cache_collapses_symmetric_copies () =
   with_server @@ fun ~socket _t ->
@@ -401,6 +399,16 @@ let test_malformed_and_oversized () =
       check bool_t "long header rejected" true
         (String.length reply >= 5 && String.sub reply 0 5 = "error")
   | Error e -> Alcotest.fail (Format.asprintf "%a" Client.pp_error e));
+  (* The deleted [symmetry] token is an unknown option: one error
+     line, and the connection closes. *)
+  (match Client.raw ~socket "ddlock/1 analyze 5 symmetry\n" with
+  | Ok reply ->
+      check string_t "one unknown-option reply"
+        "error unknown option \"symmetry\"\n" reply
+  | Error e -> Alcotest.fail (Format.asprintf "%a" Client.pp_error e));
+  (match Client.ping ~socket with
+  | Ok Client.Pong -> ()
+  | _ -> Alcotest.fail "no pong after the symmetry token");
   (* Unparseable body: a well-framed request whose payload is junk. *)
   (match Client.analyze ~socket "this is not a system" with
   | Ok (Client.Server_error msg) ->

@@ -1,9 +1,10 @@
 (* Differential conformance battery for symmetry reduction: every
-   observable of the orbit-canonicalized searches (Sched.Canon threaded
-   through Explore / Prefix_search / Analysis / Minimize) must agree
-   with the plain ground truth — verdicts and witnesses, state-count
-   bounds, cap accounting, the counter totals — plus the
-   permutation-soundness contracts of Canon itself. *)
+   observable of the orbit-canonicalized searches (Sched.Canon in
+   [Explore.explore ~symmetry], [Prefix_search.all ~symmetry] and the
+   reduced search that decides when the plain budget runs out) must
+   agree with the plain ground truth — verdicts, state-count bounds,
+   cap accounting, the counter totals — plus the permutation-soundness
+   contracts of Canon itself. *)
 
 open Ddlock_model
 open Ddlock_schedule
@@ -78,8 +79,9 @@ let test_trivial_fallback () =
   (* With a trivial group the symmetric engines must be BIT-identical to
      the plain ones (they fall back, no canonicalization overhead). *)
   let sys = phil3 () in
-  check bool_t "witness identical" true
-    (Explore.find_deadlock ~symmetry:true sys = Explore.find_deadlock sys);
+  let keys sp = List.of_seq (Seq.map Fixtures.state_key (Explore.states sp)) in
+  check bool_t "states identical" true
+    (keys (Explore.explore ~symmetry:true sys) = keys (Explore.explore sys));
   check int_t "count identical"
     (Explore.state_count (Explore.explore sys))
     (Explore.state_count (Explore.explore ~symmetry:true sys))
@@ -123,9 +125,9 @@ let test_guard_ring_edges () =
     (Explore.state_count (Explore.explore (System.create [ t ])));
   let sys = System.copies t 2 in
   check bool_t "2 copies of 2-ring deadlock" false (Explore.deadlock_free sys);
-  check bool_t "symmetric verdict agrees" false
-    (Explore.deadlock_free ~symmetry:true sys);
-  match Explore.find_deadlock ~symmetry:true sys with
+  check bool_t "reduced verdict agrees" false
+    (Explore.reduced_deadlock_free sys);
+  match Explore.find_deadlock sys with
   | None -> Alcotest.fail "expected witness"
   | Some w -> check bool_t "witness valid" true (witness_valid sys w)
 
@@ -157,14 +159,19 @@ let canon_perm_soundness_prop =
 (* Properties: reduced engine ≡ plain engine                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The reduced search's verdict is the plain one, and a plain witness
+   is a genuine deadlock. *)
+let reduced_agrees sys =
+  match Explore.find_deadlock sys with
+  | None -> Explore.reduced_deadlock_free sys
+  | Some w -> witness_valid sys w && not (Explore.reduced_deadlock_free sys)
+
 let sym_verdict_copies_prop =
   QCheck.Test.make
-    ~name:"sym verdict ≡ plain on identical-copy systems (+ same witness)"
-    ~count:50 copies_arg
+    ~name:"sym verdict ≡ plain on identical-copy systems" ~count:50 copies_arg
     (fun (seed, copies, extra) ->
       let st = Fixtures.rng seed in
-      let sys = Gentx.random_copies_system ~extra st ~copies in
-      Explore.find_deadlock ~symmetry:true sys = Explore.find_deadlock sys)
+      reduced_agrees (Gentx.random_copies_system ~extra st ~copies))
 
 let sym_verdict_generic_prop =
   QCheck.Test.make
@@ -172,8 +179,7 @@ let sym_verdict_generic_prop =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let st = Fixtures.rng seed in
-      let sys = Fixtures.small_random_system st ~txns:3 in
-      Explore.find_deadlock ~symmetry:true sys = Explore.find_deadlock sys)
+      reduced_agrees (Fixtures.small_random_system st ~txns:3))
 
 let sym_state_bounds_prop =
   QCheck.Test.make
@@ -213,7 +219,7 @@ let sym_prefix_search_prop =
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system st ~copies:2 ~extra:true in
       let plain = Prefix_search.find sys in
-      Prefix_search.find ~symmetry:true sys = plain
+      Explore.reduced_deadlock_free ~goal:Deadlock_prefix sys = (plain = None)
       && (match plain with
          | None -> true
          | Some w ->
@@ -222,8 +228,7 @@ let sym_prefix_search_prop =
                   (Schedule.prefix_vector sys w.Prefix_search.schedule)
                   w.Prefix_search.prefix
              && Reduction.has_cycle (Reduction.make sys w.Prefix_search.prefix))
-      && Prefix_search.deadlock_free ~symmetry:true sys
-         = Prefix_search.deadlock_free sys)
+      && Prefix_search.deadlock_free sys = (plain = None))
 
 let sym_prefix_all_prop =
   QCheck.Test.make
@@ -262,8 +267,9 @@ let sym_cap_outcome_prop =
 
 let sym_obs_counters_prop =
   (* The counter totals of a symmetric search: a full exploration counts
-     each stored representative once, and a deadlock is reported
-     once. *)
+     each stored representative once, the reduced search no more than
+     its full space holds, and a deadlock is reported once, by the
+     plain search alone. *)
   QCheck.Test.make
     ~name:"states_visited / deadlock_witnesses totals under symmetry"
     ~count:25
@@ -282,12 +288,29 @@ let sym_obs_counters_prop =
       let ok =
         visited (fun () -> Explore.explore ~symmetry:true sys)
         = Explore.state_count (Explore.explore ~symmetry:true sys)
-        && witnesses (fun () -> Explore.find_deadlock ~symmetry:true sys)
+        && visited (fun () -> Explore.reduced_deadlock_free sys)
+           <= Explore.state_count (Explore.explore ~symmetry:true ~por:true sys)
+        && witnesses (fun () -> Explore.reduced_deadlock_free sys) = 0
+        && witnesses (fun () -> Explore.find_deadlock sys)
            = if Explore.find_deadlock sys = None then 0 else 1
       in
       Ddlock_obs.Control.off ();
       Ddlock_obs.Metrics.reset ();
       ok)
+
+(* Analysis and Minimize read the plain search; the reduced search
+   agrees with the verdict shape and finds the minimized core
+   deadlocking. *)
+let reduced_analysis_minimize sys =
+  let reduced_free = Explore.reduced_deadlock_free sys in
+  (match Ddlock.Analysis.deadlock_free sys with
+  | Ddlock.Analysis.Deadlock_free -> reduced_free
+  | Ddlock.Analysis.Deadlocks _ -> not reduced_free
+  | Ddlock.Analysis.Gave_up _ -> false)
+  &&
+  match Ddlock.Minimize.deadlock_core sys with
+  | None -> reduced_free
+  | Some m -> not (Explore.reduced_deadlock_free m.Ddlock.Minimize.core)
 
 let sym_analysis_minimize_prop =
   QCheck.Test.make
@@ -296,26 +319,8 @@ let sym_analysis_minimize_prop =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let st = Fixtures.rng seed in
-      let sys = Gentx.random_copies_system st ~copies:2 ~extra:true in
-      let shape = function
-        | Ddlock.Analysis.Deadlock_free -> 0
-        | Ddlock.Analysis.Deadlocks _ -> 1
-        | Ddlock.Analysis.Gave_up _ -> 2
-      in
-      shape (Ddlock.Analysis.deadlock_free ~symmetry:true sys)
-      = shape (Ddlock.Analysis.deadlock_free sys)
-      && (* The greedy shrink consults only verdicts, so the core is
-            symmetry-invariant. *)
-      match
-        (Ddlock.Minimize.deadlock_core sys,
-         Ddlock.Minimize.deadlock_core ~symmetry:true sys)
-      with
-      | None, None -> true
-      | Some a, Some b ->
-          a.Ddlock.Minimize.kept_txns = b.Ddlock.Minimize.kept_txns
-          && a.Ddlock.Minimize.dropped_entities
-             = b.Ddlock.Minimize.dropped_entities
-      | _ -> false)
+      reduced_analysis_minimize
+        (Gentx.random_copies_system st ~copies:2 ~extra:true))
 
 let qtests =
   List.map Fixtures.to_alcotest
