@@ -44,6 +44,10 @@
      of one spliced into another) each parse or are refused without an
      exception, and one that parses prints back to source that parses
      to the same transactions;
+   - the transaction store: every transaction of the round's systems
+     (and of the k-transaction system widened by 130 entities), rebuilt
+     by [Transaction.make] from its labels and [given_arcs], has the
+     same order, closure arcs and entity rows;
    - rw invariants: exclusive-abstraction deadlock-freedom implies rw
      deadlock-freedom (2 transactions), and the all-Write version of
      the rw system runs exactly like its exclusive abstraction (trace,
@@ -334,6 +338,49 @@ let () =
           ("replicated", rep_sys);
         ]
     in
+    (* --- each transaction's store: rebuilt by [Transaction.make] from
+       its labels and given arcs, it has the same order, closure and
+       entity rows (of three words on the widened schema) --- *)
+    let same_store t t' =
+      let module T = Model.Transaction in
+      let w = T.row_words t in
+      let same_row o o' =
+        List.for_all
+          (fun k -> (T.rows t).(o + k) = (T.rows t').(o' + k))
+          (List.init w Fun.id)
+      in
+      T.order t = T.order t'
+      && T.closure_arcs t = T.closure_arcs t'
+      && same_row (T.entity_row t) (T.entity_row t')
+      && List.for_all
+           (fun x ->
+             same_row (T.locks_after t x) (T.locks_after t' x)
+             && same_row (T.unlocks_after t x) (T.unlocks_after t' x)
+             && same_row (T.locks_before t x) (T.locks_before t' x)
+             && same_row (T.locks_before_unlock t x)
+                  (T.locks_before_unlock t' x))
+           (T.entities t)
+    in
+    List.iter
+      (fun (shape, ssys) ->
+        Array.iter
+          (fun t ->
+            match
+              Model.Transaction.make (System.db ssys)
+                (Model.Transaction.nodes t)
+                (Graph.Digraph.edges (Model.Transaction.given_arcs t))
+            with
+            | Ok t' when same_store t t' -> ()
+            | Ok _ | Error _ -> report ("rebuilt store (" ^ shape ^ ")") round)
+          (System.txns ssys))
+      [
+        ("pair", pair_sys);
+        ("centralized", csys);
+        ("system", sys);
+        ("tpcc", tpcc_sys);
+        ("replicated", rep_sys);
+        ("wide", Workload.Gentx.widen ~pad:130 sys);
+      ];
     (* --- the parser on mutated sources: the daemon parses untrusted
        bodies, so a mutant parses or is refused, never raises, and what
        parses prints back to the same transactions.  It draws from a

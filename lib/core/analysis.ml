@@ -95,7 +95,10 @@ type report = {
 
 let report ?max_states sys =
   Ddlock_obs.Trace.span "analysis.report" @@ fun () ->
-  let g = System.interaction_graph sys in
+  let g =
+    Ddlock_obs.Trace.span "analysis.interaction_graph" @@ fun () ->
+    System.interaction_graph sys
+  in
   (* Theorem 4 counts the interaction cycles it walks; the report's
      count finishes the walk. *)
   let safety, count_cycles =
@@ -111,7 +114,8 @@ let report ?max_states sys =
     site_count = Db.site_count db;
     total_nodes = System.total_nodes sys;
     all_two_phase =
-      Array.for_all Transaction.is_two_phase (System.txns sys);
+      Ddlock_obs.Trace.span "analysis.two_phase" (fun () ->
+          Array.for_all Transaction.is_two_phase (System.txns sys));
     interaction_edges = Ungraph.edge_count g;
     interaction_cycles =
       (* Cycle enumeration can be exponential in dense graphs; the count

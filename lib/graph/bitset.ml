@@ -6,6 +6,9 @@ let create cap =
   if cap < 0 then invalid_arg "Bitset.create: negative capacity";
   { cap; words = Array.make ((cap + word_bits - 1) / word_bits) 0 }
 
+let of_row cap a o =
+  { cap; words = Array.sub a o ((cap + word_bits - 1) / word_bits) }
+
 let capacity t = t.cap
 
 let check t i =

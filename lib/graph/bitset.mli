@@ -11,6 +11,10 @@ type t
 (** [create n] is an empty bitset with capacity [n] (all bits clear). *)
 val create : int -> t
 
+(** [of_row cap a o] is the set of capacity [cap] whose words are
+    copied from the row at offset [o] of [a] ({!Rows}'s layout). *)
+val of_row : int -> int array -> int -> t
+
 (** Capacity the set was created with. *)
 val capacity : t -> int
 

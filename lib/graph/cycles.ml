@@ -14,14 +14,12 @@ let scc g =
     incr next_index;
     stack := v :: !stack;
     on_stack.(v) <- true;
-    Array.iter
-      (fun w ->
+    Digraph.iter_succ g v (fun w ->
         if index.(w) = -1 then begin
           strongconnect w;
           lowlink.(v) <- min lowlink.(v) lowlink.(w)
         end
-        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      (Digraph.succ g v);
+        else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w));
     if lowlink.(v) = index.(v) then begin
       let rec pop acc =
         match !stack with
@@ -75,14 +73,12 @@ let simple_cycles g =
     let top = ref 1 in
     while !top > 0 do
       decr top;
-      Array.iter
-        (fun w ->
+      Digraph.iter_succ g stack.(!top) (fun w ->
           if w > s && fwd.(w) <> s then begin
             fwd.(w) <- s;
             stack.(!top) <- w;
             incr top
           end)
-        (Digraph.succ g stack.(!top))
     done;
     (* Backward pass, through reached nodes only: a node on a path back
        to [s] from a reached node is itself reached. *)
@@ -93,8 +89,7 @@ let simple_cycles g =
     top := 1;
     while !top > 0 do
       decr top;
-      Array.iter
-        (fun w ->
+      Digraph.iter_pred g stack.(!top) (fun w ->
           if fwd.(w) = s && comp.(w) <> s then begin
             comp.(w) <- s;
             members.(!size) <- w;
@@ -102,7 +97,6 @@ let simple_cycles g =
             stack.(!top) <- w;
             incr top
           end)
-        (Digraph.pred g stack.(!top))
     done;
     if Digraph.mem_edge g s s then results := [ s ] :: !results;
     if !size > 1 then begin
@@ -114,23 +108,19 @@ let simple_cycles g =
         let found = ref false in
         blocked.(v) <- true;
         path := v :: !path;
-        Array.iter
-          (fun w ->
+        Digraph.iter_succ g v (fun w ->
             if comp.(w) = s then
               if w = s then begin
                 (* v = s means the s->s self loop, already counted. *)
                 if v <> s then results := List.rev !path :: !results;
                 found := true
               end
-              else if not blocked.(w) then if circuit w then found := true)
-          (Digraph.succ g v);
+              else if not blocked.(w) then if circuit w then found := true);
         if !found then unblock v
         else
-          Array.iter
-            (fun w ->
+          Digraph.iter_succ g v (fun w ->
               if comp.(w) = s && not (List.mem v b.(w)) then
-                b.(w) <- v :: b.(w))
-            (Digraph.succ g v);
+                b.(w) <- v :: b.(w));
         path := List.tl !path;
         !found
       in

@@ -1,100 +1,153 @@
-type t = { n : int; succ : int array array; pred : int array array; m : int }
+(* Compressed sparse rows in one int array [a]: the successors of [u]
+   are [a.(a.(s + u)) .. a.(a.(s + u + 1) - 1)], its predecessors
+   likewise from [p]. *)
+type t = { n : int; m : int; a : int array; s : int; p : int }
 
-(* Sorts [a] in place by insertion and drops repeats, copying it only
-   when it had some.  Rows are short, and a row whose edges came in
-   consed order is already sorted (see [fill]), so the sort is one
-   pass over it. *)
-let sort_dedup a =
-  let n = Array.length a in
-  for i = 1 to n - 1 do
-    let x = a.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && a.(!j) > x do
-      a.(!j + 1) <- a.(!j);
-      decr j
+let words n m = 2 * (n + 1 + m)
+
+(* The successor rows at [off] (offsets) and [tgt] (targets): counting
+   sizes the rows, a second pass fills them in arc order, then each row
+   is sorted by insertion (rows are short and mostly sorted) and its
+   repeats dropped, compacting the rows towards [tgt].  Returns the
+   number of distinct arcs. *)
+let fill_succ a off tgt n arcs m =
+  for u = 0 to n do
+    a.(off + u) <- 0
+  done;
+  for k = 0 to m - 1 do
+    let u = arcs.(2 * k) and v = arcs.((2 * k) + 1) in
+    if u < 0 || u >= n || v < 0 || v >= n then
+      invalid_arg "Digraph.create: node out of range";
+    a.(off + u + 1) <- a.(off + u + 1) + 1
+  done;
+  a.(off) <- tgt;
+  for u = 1 to n do
+    a.(off + u) <- a.(off + u) + a.(off + u - 1)
+  done;
+  for k = 0 to m - 1 do
+    let u = arcs.(2 * k) in
+    a.(a.(off + u)) <- arcs.((2 * k) + 1);
+    a.(off + u) <- a.(off + u) + 1
+  done;
+  (* Each cursor now holds the end of its row, the start of the next. *)
+  for u = n downto 1 do
+    a.(off + u) <- a.(off + u - 1)
+  done;
+  a.(off) <- tgt;
+  let out = ref tgt in
+  for u = 0 to n - 1 do
+    let lo = a.(off + u) and hi = a.(off + u + 1) in
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
     done;
-    a.(!j + 1) <- x
+    a.(off + u) <- !out;
+    for i = lo to hi - 1 do
+      if i = lo || a.(i) <> a.(i - 1) then begin
+        a.(!out) <- a.(i);
+        incr out
+      end
+    done
   done;
-  let k = ref (min n 1) in
-  for i = 1 to n - 1 do
-    if a.(i) <> a.(!k - 1) then begin
-      a.(!k) <- a.(i);
-      incr k
-    end
+  a.(off + n) <- !out;
+  !out - tgt
+
+(* The predecessor rows at [off] and [tgt], read off the successor rows
+   at [s]: walking the tails in ascending order fills each row sorted
+   and without repeats. *)
+let fill_pred a off tgt n s =
+  for v = 0 to n do
+    a.(off + v) <- 0
   done;
-  if !k = n then a else Array.sub a 0 !k
-
-let rec count n out_cnt in_cnt = function
-  | [] -> ()
-  | (u, v) :: rest ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Digraph.create: node out of range";
-      out_cnt.(u) <- out_cnt.(u) + 1;
-      in_cnt.(v) <- in_cnt.(v) + 1;
-      count n out_cnt in_cnt rest
-
-(* Fills each row from its end, so a row whose edges were consed in
-   ascending order comes out sorted. *)
-let rec fill succ pred out_cnt in_cnt = function
-  | [] -> ()
-  | (u, v) :: rest ->
-      out_cnt.(u) <- out_cnt.(u) - 1;
-      succ.(u).(out_cnt.(u)) <- v;
-      in_cnt.(v) <- in_cnt.(v) - 1;
-      pred.(v).(in_cnt.(v)) <- u;
-      fill succ pred out_cnt in_cnt rest
-
-(* Rows are filled by counting: one pass sizes them, a second fills
-   them, then each is sorted and deduplicated in place. *)
-let build n edges =
-  let out_cnt = Array.make n 0 and in_cnt = Array.make n 0 in
-  count n out_cnt in_cnt edges;
-  let succ = Array.make n [||] and pred = Array.make n [||] in
+  for j = a.(s) to a.(s + n) - 1 do
+    let v = a.(j) in
+    a.(off + v + 1) <- a.(off + v + 1) + 1
+  done;
+  a.(off) <- tgt;
+  for v = 1 to n do
+    a.(off + v) <- a.(off + v) + a.(off + v - 1)
+  done;
   for u = 0 to n - 1 do
-    succ.(u) <- Array.make out_cnt.(u) 0;
-    pred.(u) <- Array.make in_cnt.(u) 0
+    for j = a.(s + u) to a.(s + u + 1) - 1 do
+      let v = a.(j) in
+      a.(a.(off + v)) <- u;
+      a.(off + v) <- a.(off + v) + 1
+    done
   done;
-  fill succ pred out_cnt in_cnt edges;
-  let m = ref 0 in
-  for u = 0 to n - 1 do
-    succ.(u) <- sort_dedup succ.(u);
-    pred.(u) <- sort_dedup pred.(u);
-    m := !m + Array.length succ.(u)
+  for v = n downto 1 do
+    a.(off + v) <- a.(off + v - 1)
   done;
-  { n; succ; pred; m = !m }
+  a.(off) <- tgt
 
-let create n edges = build n edges
+let write ~into:a ~at:o n arcs m =
+  let p = o + n + 1 + m in
+  let d = fill_succ a o (o + n + 1) n arcs m in
+  fill_pred a p (p + n + 1) n o;
+  { n; m = d; a; s = o; p }
+
+let buffer edges =
+  let arcs = Array.make (2 * List.length edges) 0 in
+  List.iteri
+    (fun k (u, v) ->
+      arcs.(2 * k) <- u;
+      arcs.((2 * k) + 1) <- v)
+    edges;
+  arcs
+
+let create n edges =
+  let m = List.length edges in
+  write ~into:(Array.make (words n m) 0) ~at:0 n (buffer edges) m
+
 let node_count t = t.n
 let edge_count t = t.m
-let succ t u = t.succ.(u)
-let pred t u = t.pred.(u)
-let out_degree t u = Array.length t.succ.(u)
-let in_degree t u = Array.length t.pred.(u)
+let adj t = t.a
+let[@inline] succ_start t u = t.a.(t.s + u)
+let[@inline] succ_stop t u = t.a.(t.s + u + 1)
+let[@inline] pred_start t u = t.a.(t.p + u)
+let[@inline] pred_stop t u = t.a.(t.p + u + 1)
+let[@inline] out_degree t u = succ_stop t u - succ_start t u
+let[@inline] in_degree t u = pred_stop t u - pred_start t u
+let succ t u = Array.sub t.a (succ_start t u) (out_degree t u)
+let pred t u = Array.sub t.a (pred_start t u) (in_degree t u)
 
-let mem_sorted a x =
+let iter_succ t u f =
+  for j = succ_start t u to succ_stop t u - 1 do
+    f t.a.(j)
+  done
+
+let iter_pred t u f =
+  for j = pred_start t u to pred_stop t u - 1 do
+    f t.a.(j)
+  done
+
+let mem_edge t u v =
+  let a = t.a in
   let rec go lo hi =
     if lo >= hi then false
     else
       let mid = (lo + hi) / 2 in
-      if a.(mid) = x then true
-      else if a.(mid) < x then go (mid + 1) hi
+      if a.(mid) = v then true
+      else if a.(mid) < v then go (mid + 1) hi
       else go lo mid
   in
-  go 0 (Array.length a)
-
-let mem_edge t u v = mem_sorted t.succ.(u) v
+  go (succ_start t u) (succ_stop t u)
 
 let edges t =
   let acc = ref [] in
   for u = t.n - 1 downto 0 do
-    for i = Array.length t.succ.(u) - 1 downto 0 do
-      acc := (u, t.succ.(u).(i)) :: !acc
+    for j = succ_stop t u - 1 downto succ_start t u do
+      acc := (u, t.a.(j)) :: !acc
     done
   done;
   !acc
 
-let add_edges t es = build t.n (List.rev_append (edges t) es)
-let transpose t = { t with succ = t.pred; pred = t.succ }
+let add_edges t es = create t.n (List.rev_append (edges t) es)
+let transpose t = { t with s = t.p; p = t.s }
 
 let induced t keep =
   let renum = Array.make t.n (-1) in
@@ -111,7 +164,7 @@ let induced t keep =
       if renum.(u) >= 0 && renum.(v) >= 0 then
         es := (renum.(u), renum.(v)) :: !es)
     (edges t);
-  (build !k !es, renum)
+  (create !k !es, renum)
 
 let reachable_from_set t srcs =
   let seen = Bitset.create t.n in
@@ -128,7 +181,7 @@ let reachable_from_set t srcs =
     | [] -> ()
     | u :: rest ->
         stack := rest;
-        Array.iter push t.succ.(u);
+        iter_succ t u push;
         go ()
   in
   go ();

@@ -1,8 +1,16 @@
 (** Directed graphs over the node set [0 .. n-1].
 
-    The representation is immutable after construction: adjacency is stored
-    as sorted, deduplicated arrays of successors and predecessors.  Self
-    loops are allowed; parallel edges are collapsed. *)
+    The representation is immutable after construction: compressed
+    sparse rows in one [int array].  For [n] nodes and [m] given arcs,
+    {!write} lays out [n + 1] successor offsets, then [m] target slots,
+    then [n + 1] predecessor offsets and [m] more target slots.  The
+    successors of [u] are [(adj g).(i)] for [i] from [succ_start g u] to
+    [succ_stop g u - 1], sorted and deduplicated, and likewise the
+    predecessors; repeats leave unused slots at the end of each target
+    block.  The offsets are absolute positions in the array, so a graph
+    written into a larger store (as {!Ddlock_model.Transaction} does)
+    is read the same way.  Self loops are allowed; parallel edges are
+    collapsed. *)
 
 type t
 
@@ -10,16 +18,50 @@ type t
     edges.  Raises [Invalid_argument] if an endpoint is out of range. *)
 val create : int -> (int * int) list -> t
 
+(** [words n m] is the number of ints {!write} uses for [n] nodes and
+    [m] arcs: [2·(n + 1 + m)]. *)
+val words : int -> int -> int
+
+(** [write ~into ~at n arcs m] lays out the graph whose arc [k < m] runs
+    from [arcs.(2k)] to [arcs.(2k + 1)] in [into.(at .. at + words n m
+    - 1)] and returns it as a view on [into].  Raises
+    [Invalid_argument] if an endpoint is out of range. *)
+val write : into:int array -> at:int -> int -> int array -> int -> t
+
+(** [buffer edges] is the arc buffer {!write} reads: arc [k] of
+    [edges] at [2k] and [2k + 1]. *)
+val buffer : (int * int) list -> int array
+
 (** Number of nodes. *)
 val node_count : t -> int
 
 (** Number of (distinct) edges. *)
 val edge_count : t -> int
 
-(** Sorted array of successors of a node.  Do not mutate. *)
+(** The array the rows live in.  Do not mutate. *)
+val adj : t -> int array
+
+(** [succ_start g u] is the position in {!adj} of [u]'s first
+    successor; [succ_stop g u] is one past its last. *)
+val succ_start : t -> int -> int
+
+val succ_stop : t -> int -> int
+
+(** The same for predecessors. *)
+val pred_start : t -> int -> int
+
+val pred_stop : t -> int -> int
+
+(** [iter_succ g u f] applies [f] to [u]'s successors, ascending. *)
+val iter_succ : t -> int -> (int -> unit) -> unit
+
+(** [iter_pred g u f] applies [f] to [u]'s predecessors, ascending. *)
+val iter_pred : t -> int -> (int -> unit) -> unit
+
+(** Sorted successors of a node, as a fresh array. *)
 val succ : t -> int -> int array
 
-(** Sorted array of predecessors of a node.  Do not mutate. *)
+(** Sorted predecessors of a node, as a fresh array. *)
 val pred : t -> int -> int array
 
 val out_degree : t -> int -> int
@@ -34,7 +76,7 @@ val edges : t -> (int * int) list
 (** [add_edges g es] is a new graph with the extra edges. *)
 val add_edges : t -> (int * int) list -> t
 
-(** Graph with every edge reversed. *)
+(** Graph with every edge reversed (a view on the same array). *)
 val transpose : t -> t
 
 (** [induced g keep] is the subgraph induced by the nodes for which

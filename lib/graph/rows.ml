@@ -1,8 +1,8 @@
 let bits = Sys.int_size
 let words n = (n + bits - 1) / bits
-let mem a o i = a.(o + (i / bits)) land (1 lsl (i mod bits)) <> 0
+let[@inline] mem a o i = a.(o + (i / bits)) land (1 lsl (i mod bits)) <> 0
 
-let set a o i =
+let[@inline] set a o i =
   let k = o + (i / bits) in
   a.(k) <- a.(k) lor (1 lsl (i mod bits))
 
@@ -16,7 +16,7 @@ let log2 =
   done;
   t
 
-let lowest x =
+let[@inline] lowest x =
   let b = x land -x in
   if b = min_int then bits - 1 else log2.(b mod 67)
 

@@ -3,53 +3,68 @@ module IntSet = Set.Make (Int)
 let in_degrees g =
   Array.init (Digraph.node_count g) (fun u -> Digraph.in_degree g u)
 
-(* Kahn's algorithm.  The ready nodes wait in a binary min-heap, so
-   the smallest ready id goes first and the order is deterministic. *)
-let order g =
-  let n = Digraph.node_count g in
-  let deg = in_degrees g in
-  let heap = Array.make n 0 and size = ref 0 in
-  let push u =
-    let i = ref !size in
-    incr size;
-    while !i > 0 && heap.((!i - 1) / 2) > u do
-      heap.(!i) <- heap.((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done;
-    heap.(!i) <- u
-  in
-  let pop () =
-    let top = heap.(0) in
-    decr size;
-    let x = heap.(!size) and i = ref 0 and sifting = ref true in
-    while !sifting do
-      let l = (2 * !i) + 1 in
-      let c = if l + 1 < !size && heap.(l + 1) < heap.(l) then l + 1 else l in
-      if c < !size && heap.(c) < x then begin
-        heap.(!i) <- heap.(c);
-        i := c
-      end
-      else sifting := false
-    done;
-    heap.(!i) <- x;
-    top
-  in
-  for u = 0 to n - 1 do
-    if deg.(u) = 0 then push u
+(* Pushes [u] on the binary min-heap of [size] ids at [a.(heap ..)]. *)
+let[@inline] push a heap size u =
+  let i = ref size in
+  while !i > 0 && a.(heap + ((!i - 1) / 2)) > u do
+    a.(heap + !i) <- a.(heap + ((!i - 1) / 2));
+    i := (!i - 1) / 2
   done;
-  let out = Array.make n 0 and k = ref 0 in
+  a.(heap + !i) <- u
+
+(* Pops the smallest of the heap's [size] ids. *)
+let[@inline] pop a heap size =
+  let top = a.(heap) and size = size - 1 in
+  let x = a.(heap + size) and i = ref 0 and sifting = ref true in
+  while !sifting do
+    let l = (2 * !i) + 1 in
+    let c = if l + 1 < size && a.(heap + l + 1) < a.(heap + l) then l + 1 else l in
+    if c < size && a.(heap + c) < x then begin
+      a.(heap + !i) <- a.(heap + c);
+      i := c
+    end
+    else sifting := false
+  done;
+  a.(heap + !i) <- x;
+  top
+
+(* Kahn's algorithm.  The ready nodes wait in a min-heap, so the
+   smallest ready id goes first and the order is deterministic.  The
+   in-degree countdown lives at [a.(scratch + u)] and the heap at
+   [a.(scratch + n ..)]; both are left dirty. *)
+let order_into g a ~scratch ~out =
+  let n = Digraph.node_count g and adj = Digraph.adj g in
+  let heap = scratch + n and size = ref 0 in
+  for u = 0 to n - 1 do
+    let d = Digraph.in_degree g u in
+    a.(scratch + u) <- d;
+    if d = 0 then begin
+      push a heap !size u;
+      incr size
+    end
+  done;
+  let k = ref 0 in
   while !size > 0 do
-    let u = pop () in
-    out.(!k) <- u;
+    let u = pop a heap !size in
+    decr size;
+    a.(out + !k) <- u;
     incr k;
-    let s = Digraph.succ g u in
-    for j = 0 to Array.length s - 1 do
-      let v = s.(j) in
-      deg.(v) <- deg.(v) - 1;
-      if deg.(v) = 0 then push v
+    for j = Digraph.succ_start g u to Digraph.succ_stop g u - 1 do
+      let v = adj.(j) in
+      a.(scratch + v) <- a.(scratch + v) - 1;
+      if a.(scratch + v) = 0 then begin
+        push a heap !size v;
+        incr size
+      end
     done
   done;
-  if !k = n then Some out else None
+  !k = n
+
+let order g =
+  let n = Digraph.node_count g in
+  let a = Array.make (3 * n) 0 in
+  if order_into g a ~scratch:0 ~out:(2 * n) then Some (Array.sub a (2 * n) n)
+  else None
 
 let is_acyclic g = order g <> None
 
@@ -63,8 +78,7 @@ let find_cycle g =
   let rec visit path u =
     color.(u) <- 1;
     let path = u :: path in
-    Array.iter
-      (fun v ->
+    Digraph.iter_succ g u (fun v ->
         if color.(v) = 1 then begin
           let rec take acc = function
             | [] -> acc
@@ -72,8 +86,7 @@ let find_cycle g =
           in
           raise (Cycle (take [] path))
         end
-        else if color.(v) = 0 then visit path v)
-      (Digraph.succ g u);
+        else if color.(v) = 0 then visit path v);
     color.(u) <- 2
   in
   try
@@ -108,11 +121,9 @@ let linear_extensions g =
           (fun u acc ->
             let deg' = Array.copy deg in
             let ready' = ref (IntSet.remove u ready) in
-            Array.iter
-              (fun v ->
+            Digraph.iter_succ g u (fun v ->
                 deg'.(v) <- deg'.(v) - 1;
-                if deg'.(v) = 0 then ready' := IntSet.add v !ready')
-              (Digraph.succ g u);
+                if deg'.(v) = 0 then ready' := IntSet.add v !ready');
             extend deg' !ready' (u :: prefix) (k + 1) :: acc)
           ready []
       in
@@ -124,6 +135,11 @@ let linear_extensions g =
     if deg.(u) = 0 then ready := IntSet.add u !ready
   done;
   extend deg !ready [] 0
+
+let all_pred g u p =
+  let ok = ref true in
+  Digraph.iter_pred g u (fun v -> if not (p v) then ok := false);
+  !ok
 
 let count_linear_extensions g =
   require_acyclic g "Topo.count_linear_extensions";
@@ -142,7 +158,7 @@ let count_linear_extensions g =
           for u = 0 to n - 1 do
             if
               (not (Bitset.mem placed u))
-              && Array.for_all (Bitset.mem placed) (Digraph.pred g u)
+              && all_pred g u (Bitset.mem placed)
             then begin
               let placed' = Bitset.copy placed in
               Bitset.set placed' u;
@@ -169,11 +185,9 @@ let random_linear_extension rng g =
       let idx = Random.State.int rng len in
       let u = List.nth !ready idx in
       ready := List.filter (fun v -> v <> u) !ready;
-      Array.iter
-        (fun v ->
+      Digraph.iter_succ g u (fun v ->
           deg.(v) <- deg.(v) - 1;
-          if deg.(v) = 0 then ready := v :: !ready)
-        (Digraph.succ g u);
+          if deg.(v) = 0 then ready := v :: !ready);
       go (u :: acc) (k + 1)
     end
   in

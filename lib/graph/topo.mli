@@ -5,6 +5,12 @@
     if [g] has a cycle. *)
 val order : Digraph.t -> int array option
 
+(** [order_into g a ~scratch ~out] writes {!order}'s order of [g]'s [n]
+    nodes to [a.(out .. out + n - 1)] and is [true], or is [false] if
+    [g] has a cycle.  It works in [a.(scratch .. scratch + 2n - 1)],
+    which it leaves dirty, and allocates nothing. *)
+val order_into : Digraph.t -> int array -> scratch:int -> out:int -> bool
+
 (** [is_acyclic g] iff [g] has no directed cycle. *)
 val is_acyclic : Digraph.t -> bool
 

@@ -10,7 +10,6 @@ let create n es =
 
 let node_count t = Digraph.node_count t.g
 let edge_count t = Digraph.edge_count t.g / 2
-let neighbours t u = Digraph.succ t.g u
 let mem_edge t u v = Digraph.mem_edge t.g u v
 
 let edges t =

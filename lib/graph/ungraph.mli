@@ -9,9 +9,6 @@ val create : int -> (int * int) list -> t
 val node_count : t -> int
 val edge_count : t -> int
 
-(** Sorted array of neighbours.  Do not mutate. *)
-val neighbours : t -> int -> int array
-
 val mem_edge : t -> int -> int -> bool
 
 (** Edges with [u < v], lexicographically sorted. *)

@@ -8,14 +8,27 @@
 
 type step = L of string | U of string
 
-(** [number db keys len] numbers one transaction's nodes from the node
-    keys [keys.(0 .. len-1)]: [2·entity] for a Lock, [2·entity + 1] for
-    an Unlock, each chain of steps ended by a negative key.  Node ids
+(** A transaction's steps as node keys, [2·entity] for a Lock and
+    [2·entity + 1] for an Unlock, each chain of steps ended by a
+    negative key.  One buffer serves one transaction after another: the
+    {!Parser} keeps one per source. *)
+type chains
+
+(** An empty buffer. *)
+val buffer : unit -> chains
+
+(** [add b k] appends the key [k] to [b]. *)
+val add : chains -> int -> unit
+
+(** [compile db b] numbers the nodes of [b]'s chains, builds the
+    transaction with {!Transaction.of_arcs} and empties [b].  Node ids
     follow first mention; then every mentioned entity gets its missing
-    node and the arc [Lx < Ux], in ascending entity order.  The result
-    is the labels and arcs {!Transaction.make} takes.  {!transaction}
-    and {!Parser} both number nodes this way. *)
-val number : Db.t -> int array -> int -> Node.t array * (int * int) list
+    node, in ascending entity order.  The arcs are [Lx < Ux] for each
+    mentioned entity and one for each pair of consecutive keys of a
+    chain, handed over in [b]'s own int buffer, which the next
+    transaction reuses.  {!transaction} and {!Parser} both number nodes
+    this way. *)
+val compile : Db.t -> chains -> (Transaction.t, Transaction.error list) result
 
 (** [transaction db ~chains ~arcs ()] — [chains] contribute arcs between
     consecutive steps; [arcs] are extra individual arcs.  Validation as in

@@ -33,6 +33,12 @@ val entities_of_site : t -> site -> entity list
 (** [find_entity t name] is the id of the entity called [name]. *)
 val find_entity : t -> string -> entity option
 
+(** [find_entity_sub t s ~pos ~len] is the id of the entity whose name
+    is [s.[pos .. pos + len - 1]], or -1 if there is none, looked up in
+    place in a table {!create} builds once: no string is cut out of
+    [s].  Raises [Invalid_argument] if the range is not within [s]. *)
+val find_entity_sub : t -> string -> pos:int -> len:int -> entity
+
 (** [find_entity_exn t name] raises [Not_found] when absent. *)
 val find_entity_exn : t -> string -> entity
 

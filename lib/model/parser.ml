@@ -27,14 +27,14 @@ type cursor = {
   mutable len : int;  (* and its length *)
 }
 
-let is_ident = function
+let[@inline] is_ident = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '.' | '\'' | '-' -> true
   | _ -> false
 
 let text c = String.sub c.src c.start c.len
 
 (* The token of the identifier at [c.start], read in place. *)
-let word c =
+let[@inline] word c =
   let s = c.src and k = c.start in
   match c.len with
   | 4 when s.[k] = 's' && s.[k + 1] = 'i' && s.[k + 2] = 't' && s.[k + 3] = 'e'
@@ -43,53 +43,61 @@ let word c =
   | 3 when s.[k] = 't' && s.[k + 1] = 'x' && s.[k + 2] = 'n' -> Kw_txn
   | _ -> Ident
 
-let rec advance c =
-  let n = String.length c.src in
-  if c.pos >= n then begin
+(* The byte of [s] at [i] < [String.length s]. *)
+let at s i = String.unsafe_get s i
+
+let advance c =
+  let s = c.src in
+  let n = String.length s and pos = ref c.pos and line = ref c.line in
+  let blank = ref true in
+  while !blank && !pos < n do
+    match at s !pos with
+    | '\n' ->
+        incr line;
+        incr pos
+    | ' ' | '\t' | '\r' -> incr pos
+    | '#' ->
+        while !pos < n && at s !pos <> '\n' do
+          incr pos
+        done
+    | _ -> blank := false
+  done;
+  c.line <- !line;
+  if !pos >= n then begin
+    c.pos <- !pos;
     c.tok <- Eof;
     c.tok_line <- 0
   end
-  else
-    match c.src.[c.pos] with
-    | '\n' ->
-        c.line <- c.line + 1;
-        c.pos <- c.pos + 1;
-        advance c
-    | ' ' | '\t' | '\r' ->
-        c.pos <- c.pos + 1;
-        advance c
-    | '#' ->
-        while c.pos < n && c.src.[c.pos] <> '\n' do
-          c.pos <- c.pos + 1
-        done;
-        advance c
-    | ch ->
-        c.tok_line <- c.line;
-        c.pos <- c.pos + 1;
-        c.tok <-
-          (match ch with
-          | '{' -> Lbrace
-          | '}' -> Rbrace
-          | '<' -> Less
-          | ';' -> Semi
-          | _ when is_ident ch ->
-              c.start <- c.pos - 1;
-              while c.pos < n && is_ident c.src.[c.pos] do
-                c.pos <- c.pos + 1
-              done;
-              c.len <- c.pos - c.start;
-              word c
-          | _ ->
-              raise
-                (Lex_error
-                   {
-                     line = c.line;
-                     message = Format.asprintf "unexpected character %C" ch;
-                   }))
+  else begin
+    let ch = at s !pos in
+    c.tok_line <- !line;
+    incr pos;
+    c.tok <-
+      (match ch with
+      | '{' -> Lbrace
+      | '}' -> Rbrace
+      | '<' -> Less
+      | ';' -> Semi
+      | _ when is_ident ch ->
+          c.start <- !pos - 1;
+          while !pos < n && is_ident (at s !pos) do
+            incr pos
+          done;
+          c.len <- !pos - c.start;
+          word c
+      | _ ->
+          raise
+            (Lex_error
+               {
+                 line = !line;
+                 message = Format.asprintf "unexpected character %C" ch;
+               }));
+    c.pos <- !pos
+  end
 
-let at_end c = if c.tok = Eof then fail 0 "unexpected end of input"
+let[@inline] at_end c = if c.tok = Eof then fail 0 "unexpected end of input"
 
-let expect c what tok =
+let[@inline] expect c what tok =
   at_end c;
   if c.tok <> tok then fail c.tok_line "expected %s" what;
   advance c
@@ -110,12 +118,8 @@ let step c db =
   let line = c.tok_line in
   at_end c;
   if c.tok <> Ident then fail c.tok_line "expected entity name";
-  let name = text c in
-  let e =
-    match Db.find_entity db name with
-    | Some e -> e
-    | None -> fail line "unknown entity %S" name
-  in
+  let e = Db.find_entity_sub db c.src ~pos:c.start ~len:c.len in
+  if e < 0 then fail line "unknown entity %S" (text c);
   advance c;
   match if op_len = 1 then c.src.[op_start] else ' ' with
   | 'L' -> 2 * e
@@ -143,37 +147,22 @@ let sites c =
   | db -> db
   | exception Invalid_argument m -> fail 0 "%s" m
 
-(* A transaction's statements as chains of node keys, each ended by -1,
-   in [keys.(0 .. len-1)]; [keys] grows as needed. *)
-type chains = { mutable keys : int array; mutable len : int }
-
-let push b k =
-  if b.len = Array.length b.keys then begin
-    let a = Array.make (2 * b.len) 0 in
-    Array.blit b.keys 0 a 0 b.len;
-    b.keys <- a
-  end;
-  b.keys.(b.len) <- k;
-  b.len <- b.len + 1
-
 let txn c db b =
   advance c;
   let name = ident c "transaction name" in
   expect c "'{'" Lbrace;
-  b.len <- 0;
   while c.tok <> Rbrace do
     if c.tok = Eof then fail 0 "unexpected end of input in txn block";
-    push b (step c db);
+    Builder.add b (step c db);
     while c.tok = Less do
       advance c;
-      push b (step c db)
+      Builder.add b (step c db)
     done;
     expect c "';'" Semi;
-    push b (-1)
+    Builder.add b (-1)
   done;
   advance c;
-  let labels, arcs = Builder.number db b.keys b.len in
-  match Transaction.make db labels arcs with
+  match Builder.compile db b with
   | Ok t -> (name, t)
   | Error es ->
       fail 0 "invalid transaction %s: %s" name
@@ -189,7 +178,7 @@ let parse src =
   try
     advance c;
     let db = sites c in
-    let b = { keys = Array.make 64 0; len = 0 } and named = ref [] in
+    let b = Builder.buffer () and named = ref [] in
     while c.tok <> Eof do
       if c.tok <> Kw_txn then fail c.tok_line "expected 'txn'";
       named := txn c db b :: !named

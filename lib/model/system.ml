@@ -27,18 +27,22 @@ let common_entities t i j =
     (Transaction.entity_set t.txns.(i))
     (Transaction.entity_set t.txns.(j))
 
+(* Whether [a] and [b] access a common entity: their R(T) rows meet. *)
+let share a b =
+  let ra = Transaction.rows a and oa = Transaction.entity_row a in
+  let rb = Transaction.rows b and ob = Transaction.entity_row b in
+  let k = ref 0 and w = Transaction.row_words a in
+  while !k < w && ra.(oa + !k) land rb.(ob + !k) = 0 do
+    incr k
+  done;
+  !k < w
+
 let interaction_graph t =
   let n = size t in
   let es = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if
-        not
-          (Bitset.disjoint
-             (Transaction.entity_set t.txns.(i))
-             (Transaction.entity_set t.txns.(j)))
-      then
-        es := (i, j) :: !es
+      if share t.txns.(i) t.txns.(j) then es := (i, j) :: !es
     done
   done;
   Ungraph.create n !es

@@ -35,17 +35,21 @@ let pp_error db ppf = function
 
 let error_to_string db e = Format.asprintf "%a" (pp_error db) e
 
+(* Everything but the labels lives in [store] (layout in the .mli):
+   the given arcs ([arcs] is a view on it), the order, the closure rows
+   ([closure], a view too), the [lock_of]/[unlock_of] tables (node id
+   or -1 per entity) and the entity rows. *)
 type t = {
   db : Db.t;
   node_labels : Node.t array;
+  store : int array;
   arcs : Digraph.t;
-  order : int array; (* [Topo.order arcs] *)
   closure : Closure.t;
-  lock_of : int array; (* entity -> node id or -1 *)
-  unlock_of : int array;
-  entity_set : Bitset.t;
+  order_at : int;
+  lock_at : int;
+  unlock_at : int;
+  rows_at : int;
   words : int; (* [Rows.words] of the entity count *)
-  rows : int array; (* [entity_rows] *)
 }
 
 let db t = t.db
@@ -53,112 +57,132 @@ let node_count t = Array.length t.node_labels
 let nodes t = t.node_labels
 let node t i = t.node_labels.(i)
 let given_arcs t = t.arcs
-let order t = t.order
+let order t = Array.sub t.store t.order_at (node_count t)
 (* Only printers read the Hasse diagram, so it is derived per call
    rather than stored in every transaction. *)
 let hasse t = Closure.reduction ~closure:t.closure t.arcs
-let precedes t u v = Bitset.mem t.closure.(u) v
+let[@inline] precedes t u v = Closure.reaches t.closure u v
+let[@inline] lock_of t e = t.store.(t.lock_at + e)
+let[@inline] unlock_of t e = t.store.(t.unlock_at + e)
 
 let closure_arcs t =
   let acc = ref [] in
   for u = node_count t - 1 downto 0 do
-    acc :=
-      List.rev_append (Bitset.fold (fun v l -> (u, v) :: l) t.closure.(u) []) !acc
+    for v = node_count t - 1 downto 0 do
+      if precedes t u v then acc := (u, v) :: !acc
+    done
   done;
   !acc
 
-(* The entity rows in one array of [w·(1 + 2n)] ints for [n] nodes,
-   [w] = [Rows.words ne]: R(T) first, then two rows per node, locks
-   after and unlocks after [Lx] at node [Lx], locks before [Lx] and
-   locks before [Ux] at node [Ux].  One pass over the closure rows of
-   the Lock nodes fills them: [Ly ≺ Lx] puts [x] in locks after [Ly]
-   and [y] in locks before [Lx], and [Ly ≺ Ux] puts [x] in unlocks
-   after [Ly] and [y] in locks before [Ux]. *)
-let entity_rows node_labels closure unlock_of w =
-  let n = Array.length node_labels in
-  let rows = Array.make (w * (1 + (2 * n))) 0 in
-  let at v = w * (1 + (2 * v)) in
-  for ly = 0 to n - 1 do
-    let { Node.entity = y; op } = node_labels.(ly) in
+(* The entity rows, [w] words each from [rows_at] on: R(T) first, then
+   two rows per node, locks after and unlocks after [Lx] at node [Lx],
+   locks before [Lx] and locks before [Ux] at node [Ux].  One pass over
+   the closure rows of the Lock nodes fills them: [Ly ≺ Lx] puts [x] in
+   locks after [Ly] and [y] in locks before [Lx], and [Ly ≺ Ux] puts
+   [x] in unlocks after [Ly] and [y] in locks before [Ux]. *)
+let fill_entity_rows t =
+  let s = t.store and w = t.words and r = t.rows_at in
+  let cw = Closure.row_words t.closure in
+  for ly = 0 to node_count t - 1 do
+    let { Node.entity = y; op } = t.node_labels.(ly) in
     if op = Node.Lock then begin
-      Rows.set rows 0 y;
-      for v = 0 to n - 1 do
-        if Bitset.mem closure.(ly) v then begin
-          let { Node.entity = x; op } = node_labels.(v) in
-          let ux = at unlock_of.(x) in
+      Rows.set s r y;
+      let c = Closure.row t.closure ly and lx = r + (w * (1 + (2 * ly))) in
+      for k = 0 to cw - 1 do
+        let bits = ref s.(c + k) in
+        while !bits <> 0 do
+          let b = !bits land - !bits in
+          bits := !bits lxor b;
+          let v = (k * Rows.bits) + Rows.lowest b in
+          let { Node.entity = x; op } = t.node_labels.(v) in
+          let ux = r + (w * (1 + (2 * unlock_of t x))) in
           match op with
           | Node.Lock ->
-              Rows.set rows (at ly) x;
-              Rows.set rows ux y
+              Rows.set s lx x;
+              Rows.set s ux y
           | Node.Unlock ->
-              Rows.set rows (at ly + w) x;
-              Rows.set rows (ux + w) y
-        end
+              Rows.set s (lx + w) x;
+              Rows.set s (ux + w) y
+        done
       done
     end
-  done;
-  rows
+  done
 
-(* One topological sort gives the order for the closure or shows a
-   cycle; only a cyclic input pays for [Topo.find_cycle]'s report. *)
-let make db node_labels arc_list =
-  let n = Array.length node_labels in
-  let ne = Db.entity_count db in
-  let arcs = Digraph.create n arc_list in
-  match Topo.order arcs with
-  | None -> Error [ Cyclic (Option.get (Topo.find_cycle arcs)) ]
-  | Some order ->
-      let errors = ref [] in
-      let closure = Closure.of_order arcs order in
-      let lock_of = Array.make ne (-1) and unlock_of = Array.make ne (-1) in
-      Array.iteri
-        (fun i (nd : Node.t) ->
-          let tbl =
-            match nd.op with Node.Lock -> lock_of | Node.Unlock -> unlock_of
-          in
-          if tbl.(nd.entity) >= 0 then
-            errors := Duplicate_op (nd.entity, nd.op) :: !errors
-          else tbl.(nd.entity) <- i)
+(* One store per transaction, laid out as the .mli says.  The
+   topological sort works in the entity rows' space before they are
+   filled, and only a cyclic input pays for [Topo.find_cycle]'s
+   report. *)
+let of_arcs db node_labels arcs m =
+  let n = Array.length node_labels and ne = Db.entity_count db in
+  let words = Rows.words ne in
+  let order_at = Digraph.words n m in
+  let closure_at = order_at + n in
+  let lock_at = closure_at + Closure.words n in
+  let unlock_at = lock_at + ne in
+  let rows_at = unlock_at + ne in
+  let store = Array.make (rows_at + (words * (1 + (2 * n)))) 0 in
+  let g = Digraph.write ~into:store ~at:0 n arcs m in
+  if not (Topo.order_into g store ~scratch:rows_at ~out:order_at) then
+    Error [ Cyclic (Option.get (Topo.find_cycle g)) ]
+  else begin
+    for i = rows_at to rows_at + (2 * n) - 1 do
+      store.(i) <- 0
+    done;
+    for i = lock_at to rows_at - 1 do
+      store.(i) <- -1
+    done;
+    let closure = Closure.view store closure_at n in
+    Closure.fill closure g store order_at;
+    let t =
+      {
+        db;
         node_labels;
-      let entity_set = Bitset.create ne in
-      for e = 0 to ne - 1 do
-        match (lock_of.(e) >= 0, unlock_of.(e) >= 0) with
-        | false, false -> ()
-        | true, false -> errors := Missing_unlock e :: !errors
-        | false, true -> errors := Missing_lock e :: !errors
-        | true, true ->
-            Bitset.set entity_set e;
-            if not (Bitset.mem closure.(lock_of.(e)) unlock_of.(e)) then
-              errors := Unlock_before_lock e :: !errors
-      done;
-      (* Same-site nodes must be totally ordered. *)
-      for u = 0 to n - 1 do
-        for v = u + 1 to n - 1 do
-          if
-            Db.same_site db node_labels.(u).Node.entity
-              node_labels.(v).Node.entity
-            && (not (Bitset.mem closure.(u) v))
-            && not (Bitset.mem closure.(v) u)
-          then errors := Site_unordered (u, v) :: !errors
-        done
-      done;
-      match !errors with
-      | [] ->
-          let words = Rows.words ne in
-          Ok
-            {
-              db;
-              node_labels;
-              arcs;
-              order;
-              closure;
-              lock_of;
-              unlock_of;
-              entity_set;
-              words;
-              rows = entity_rows node_labels closure unlock_of words;
-            }
-      | es -> Error (List.rev es)
+        store;
+        arcs = g;
+        closure;
+        order_at;
+        lock_at;
+        unlock_at;
+        rows_at;
+        words;
+      }
+    in
+    let errors = ref [] in
+    for i = 0 to n - 1 do
+      let { Node.entity = e; op } = node_labels.(i) in
+      let at = match op with Node.Lock -> lock_at | Node.Unlock -> unlock_at in
+      if store.(at + e) >= 0 then errors := Duplicate_op (e, op) :: !errors
+      else store.(at + e) <- i
+    done;
+    for e = 0 to ne - 1 do
+      match (lock_of t e >= 0, unlock_of t e >= 0) with
+      | false, false -> ()
+      | true, false -> errors := Missing_unlock e :: !errors
+      | false, true -> errors := Missing_lock e :: !errors
+      | true, true ->
+          if not (precedes t (lock_of t e) (unlock_of t e)) then
+            errors := Unlock_before_lock e :: !errors
+    done;
+    (* Same-site nodes must be totally ordered. *)
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        if
+          Db.same_site db node_labels.(u).Node.entity
+            node_labels.(v).Node.entity
+          && (not (precedes t u v))
+          && not (precedes t v u)
+        then errors := Site_unordered (u, v) :: !errors
+      done
+    done;
+    match !errors with
+    | [] ->
+        fill_entity_rows t;
+        Ok t
+    | es -> Error (List.rev es)
+  end
+
+let make db node_labels arcs =
+  of_arcs db node_labels (Digraph.buffer arcs) (List.length arcs)
 
 let make_exn db node_labels arc_list =
   match make db node_labels arc_list with
@@ -168,46 +192,46 @@ let make_exn db node_labels arc_list =
         ("Transaction.make_exn: "
         ^ String.concat "; " (List.map (error_to_string db) es))
 
-let lock_node t e = if t.lock_of.(e) >= 0 then Some t.lock_of.(e) else None
-let unlock_node t e = if t.unlock_of.(e) >= 0 then Some t.unlock_of.(e) else None
+let lock_node t e = if lock_of t e >= 0 then Some (lock_of t e) else None
 
-let lock_node_exn t e =
-  if t.lock_of.(e) >= 0 then t.lock_of.(e) else raise Not_found
+let unlock_node t e =
+  if unlock_of t e >= 0 then Some (unlock_of t e) else None
+
+let lock_node_exn t e = if lock_of t e >= 0 then lock_of t e else raise Not_found
 
 let unlock_node_exn t e =
-  if t.unlock_of.(e) >= 0 then t.unlock_of.(e) else raise Not_found
+  if unlock_of t e >= 0 then unlock_of t e else raise Not_found
 
-let accesses t e = Bitset.mem t.entity_set e
-let entity_set t = t.entity_set
-let entities t = Bitset.to_list t.entity_set
+let accesses t e = Rows.mem t.store t.rows_at e
+let entity_set t = Bitset.of_row (Db.entity_count t.db) t.store t.rows_at
+
+let entities t =
+  List.filter (accesses t) (List.init (Db.entity_count t.db) Fun.id)
 
 let row_words t = t.words
-let rows t = t.rows
-let entity_row _ = 0
-let locks_after t x = t.words * (1 + (2 * t.lock_of.(x)))
+let rows t = t.store
+let entity_row t = t.rows_at
+let locks_after t x = t.rows_at + (t.words * (1 + (2 * lock_of t x)))
 let unlocks_after t x = locks_after t x + t.words
-let locks_before t x = t.words * (1 + (2 * t.unlock_of.(x)))
+let locks_before t x = t.rows_at + (t.words * (1 + (2 * unlock_of t x)))
 let locks_before_unlock t x = locks_before t x + t.words
 
-let r_set t s =
+(* The accessed entities [e] for which [p e] holds. *)
+let entities_where t p =
   let r = Bitset.create (Db.entity_count t.db) in
-  Bitset.iter
-    (fun e -> if Bitset.mem t.closure.(t.lock_of.(e)) s then Bitset.set r e)
-    t.entity_set;
+  for e = 0 to Db.entity_count t.db - 1 do
+    if accesses t e && p e then Bitset.set r e
+  done;
   r
 
+let r_set t s = entities_where t (fun e -> precedes t (lock_of t e) s)
+
 let l_set t s =
-  let r = Bitset.create (Db.entity_count t.db) in
   let se = t.node_labels.(s).Node.entity in
-  Bitset.iter
-    (fun e ->
-      if
-        e <> se
-        && Bitset.mem t.closure.(s) t.unlock_of.(e)
-        && not (Bitset.mem t.closure.(s) t.lock_of.(e))
-      then Bitset.set r e)
-    t.entity_set;
-  r
+  entities_where t (fun e ->
+      e <> se
+      && precedes t s (unlock_of t e)
+      && not (precedes t s (lock_of t e)))
 
 let empty_prefix t = Bitset.create (node_count t)
 
@@ -218,32 +242,29 @@ let full_prefix t =
   done;
   p
 
-let is_prefix t p =
-  (* Downward closed: every predecessor (in the given arcs) of a member is
-     a member. *)
-  Bitset.for_all
-    (fun u -> Array.for_all (Bitset.mem p) (Digraph.pred t.arcs u))
-    p
+(* Whether every immediate predecessor of [u] is in [p]. *)
+let preds_in t p u =
+  let k = ref (Digraph.pred_start t.arcs u)
+  and stop = Digraph.pred_stop t.arcs u in
+  while !k < stop && Bitset.mem p t.store.(!k) do
+    incr k
+  done;
+  !k = stop
+
+(* Downward closed: every predecessor (in the given arcs) of a member is
+   a member. *)
+let is_prefix t p = Bitset.for_all (preds_in t p) p
 
 let down_closure t ns =
   let p = Bitset.create (node_count t) in
   let rec add u =
     if not (Bitset.mem p u) then begin
       Bitset.set p u;
-      Array.iter add (Digraph.pred t.arcs u)
+      Digraph.iter_pred t.arcs u add
     end
   in
   List.iter add ns;
   p
-
-(* Whether every immediate predecessor of [u] is in [p]. *)
-let preds_in t p u =
-  let ps = Digraph.pred t.arcs u in
-  let k = ref 0 in
-  while !k < Array.length ps && Bitset.mem p ps.(!k) do
-    incr k
-  done;
-  !k = Array.length ps
 
 let is_minimal_remaining t p u = (not (Bitset.mem p u)) && preds_in t p u
 
@@ -261,7 +282,7 @@ let prefixes t =
   let rec go acc k =
     if k = n then Seq.return (Bitset.copy acc)
     else
-      let u = t.order.(k) in
+      let u = t.store.(t.order_at + k) in
       fun () ->
         let without = go acc (k + 1) in
         let with_ =
@@ -276,41 +297,25 @@ let prefixes t =
   in
   go (Bitset.create n) 0
 
-let locked_in_prefix t p =
-  let r = Bitset.create (Db.entity_count t.db) in
-  Bitset.iter
-    (fun e -> if Bitset.mem p t.lock_of.(e) then Bitset.set r e)
-    t.entity_set;
-  r
+let locked_in_prefix t p = entities_where t (fun e -> Bitset.mem p (lock_of t e))
 
 let held_in_prefix t p =
-  let r = Bitset.create (Db.entity_count t.db) in
-  Bitset.iter
-    (fun e ->
-      if Bitset.mem p t.lock_of.(e) && not (Bitset.mem p t.unlock_of.(e)) then
-        Bitset.set r e)
-    t.entity_set;
-  r
+  entities_where t (fun e ->
+      Bitset.mem p (lock_of t e) && not (Bitset.mem p (unlock_of t e)))
 
-let y_set t p =
-  let r = Bitset.create (Db.entity_count t.db) in
-  Bitset.iter
-    (fun e -> if not (Bitset.mem p t.unlock_of.(e)) then Bitset.set r e)
-    t.entity_set;
-  r
+let y_set t p = entities_where t (fun e -> not (Bitset.mem p (unlock_of t e)))
 
 let max_prefix_avoiding t ys =
-  let drop = Bitset.create (node_count t) in
+  let p = full_prefix t in
   Bitset.iter
     (fun y ->
       if accesses t y then begin
-        let l = t.lock_of.(y) in
-        Bitset.set drop l;
-        Bitset.union_into ~into:drop t.closure.(l)
+        let l = lock_of t y in
+        for v = 0 to node_count t - 1 do
+          if v = l || precedes t l v then Bitset.clear p v
+        done
       end)
     ys;
-  let p = full_prefix t in
-  Bitset.diff_into ~into:p drop;
   p
 
 let linear_extensions t = Topo.linear_extensions t.arcs
@@ -319,12 +324,8 @@ let random_linear_extension rng t = Topo.random_linear_extension rng t.arcs
 
 let of_total_order db steps =
   let node_labels = Array.of_list steps in
-  let arcs =
-    List.init
-      (max 0 (Array.length node_labels - 1))
-      (fun i -> (i, i + 1))
-  in
-  make db node_labels arcs
+  let m = max 0 (Array.length node_labels - 1) in
+  of_arcs db node_labels (Array.init (2 * m) (fun k -> (k / 2) + (k mod 2))) m
 
 let restrict_to_prefix t p =
   Digraph.create (node_count t)
@@ -332,13 +333,17 @@ let restrict_to_prefix t p =
        (fun (u, v) -> Bitset.mem p u && Bitset.mem p v)
        (Digraph.edges (hasse t)))
 
-(* Two-phase iff no Unlock node's closure row holds a Lock node. *)
+(* Two-phase iff no Unlock node precedes a Lock node. *)
 let is_two_phase t =
-  let is_lock v = t.node_labels.(v).Node.op = Node.Lock in
-  not
-    (Array.exists
-       (fun u -> u >= 0 && Bitset.exists is_lock t.closure.(u))
-       t.unlock_of)
+  let n = node_count t and two_phase = ref true in
+  for u = 0 to n - 1 do
+    if t.node_labels.(u).Node.op = Node.Unlock then
+      for v = 0 to n - 1 do
+        if t.node_labels.(v).Node.op = Node.Lock && precedes t u v then
+          two_phase := false
+      done
+  done;
+  !two_phase
 
 let drop_entity t x =
   if not (accesses t x) then t

@@ -14,6 +14,22 @@ open Ddlock_graph
     O(1) — the "transitively closed form" assumed by the paper's O(n²)
     bounds.
 
+    {b Store.}  Besides its node labels, a transaction of [n] nodes,
+    [m] given arcs and [ne] schema entities keeps everything in one
+    [int array] ({!rows}), filled by one constructor ({!of_arcs}) with
+    no allocation per node:
+
+    + the given arcs as compressed sparse rows, {!Ddlock_graph.Digraph}'s
+      layout, [2·(n + 1 + m)] ints; {!given_arcs} is a view on them;
+    + the topological order, [n] ints;
+    + the closure rows, [n] rows of [Rows.words n] words, row [u]
+      holding the [v] with [u ≺ v] ({!Ddlock_graph.Closure}'s layout);
+    + the [Lx] and the [Ux] node of each entity, or -1, [2·ne] ints;
+    + the entity rows (below), [(1 + 2n)·Rows.words ne] words.
+
+    The same code builds and reads them at every size: rows of more
+    than 62 nodes or entities take more words, not another path.
+
     A {e prefix} of a transaction is a downward-closed set of its nodes,
     represented as a {!Ddlock_graph.Bitset.t} over node ids. *)
 
@@ -36,6 +52,12 @@ type t
     closure of [arcs]. *)
 val make : Db.t -> Node.t array -> (int * int) list -> (t, error list) result
 
+(** [of_arcs db nodes arcs m] is [make db nodes] of the [m] arcs
+    [(arcs.(2k), arcs.(2k + 1))], [k < m]: the one constructor, which
+    {!make} fronts.  [arcs] is only read. *)
+val of_arcs :
+  Db.t -> Node.t array -> int array -> int -> (t, error list) result
+
 (** [make_exn] raises [Invalid_argument] with a rendered error list. *)
 val make_exn : Db.t -> Node.t array -> (int * int) list -> t
 
@@ -47,11 +69,13 @@ val nodes : t -> Node.t array
 
 val node : t -> int -> Node.t
 
-(** The precedence arcs as given (before closure). *)
+(** The precedence arcs as given (before closure): a view on the
+    store, sorted and without repeats. *)
 val given_arcs : t -> Digraph.t
 
 (** The topological order {!make} sorts the given arcs in (the smallest
-    ready id first, as {!Ddlock_graph.Topo.order}).  Do not mutate. *)
+    ready id first, as {!Ddlock_graph.Topo.order}), copied out of the
+    store. *)
 val order : t -> int array
 
 (** Hasse diagram (transitive reduction) of the partial order.  Not
@@ -74,7 +98,8 @@ val lock_node_exn : t -> Db.entity -> int
 val unlock_node_exn : t -> Db.entity -> int
 val accesses : t -> Db.entity -> bool
 
-(** Accessed entities R(T) as a bitset over entity ids. *)
+(** Accessed entities R(T) as a fresh bitset over entity ids, copied
+    from {!entity_row}. *)
 val entity_set : t -> Bitset.t
 
 (** Accessed entities, ascending. *)
@@ -97,9 +122,9 @@ val entities : t -> Db.entity list
     - {!locks_before_unlock}[ t x]: [Ly ≺ Ux] (it holds [x] itself).
 
     The relation is strict, so only the rows that say so hold [x].
-    {!entity_row} is R(T).  All of them share one array of
-    [w·(1 + 2n)] ints, [w] = {!row_words}, for the n = 2·|R(T)| nodes:
-    R(T), then two rows per node, the rows after [Lx] at node [Lx] and
+    {!entity_row} is R(T).  They fill the last [w·(1 + 2n)] ints of
+    the store, [w] = {!row_words}, for the n = 2·|R(T)| nodes: R(T),
+    then two rows per node, the rows after [Lx] at node [Lx] and
     the rows before [Lx] and [Ux] at node [Ux].  That is
     O(|R(T)|·⌈ne/63⌉) words, never O(ne²), found through {!lock_node}
     and {!unlock_node} with no index of its own.  Do not mutate the
@@ -108,10 +133,10 @@ val entities : t -> Db.entity list
 (** Words per row: ⌈entity count / 63⌉. *)
 val row_words : t -> int
 
-(** The array that holds every row of the transaction. *)
+(** The transaction's store, which holds every row (layout above). *)
 val rows : t -> int array
 
-(** Offset of R(T), the accessed entities (0). *)
+(** Offset of R(T), the accessed entities. *)
 val entity_row : t -> int
 
 (** Offset of the entities [y] with [Lx ≺ Ly]. *)

@@ -131,13 +131,12 @@ let layout ?(read = fun _ -> false) ?(arcs = false) sys =
   for g = 0 to total - 1 do
     let i = txn.(g) in
     let arcs_i = Transaction.given_arcs (System.txn sys i) in
-    let p = Digraph.pred arcs_i (g - base.(i)) in
-    for k = 0 to Array.length p - 1 do
-      set_at preds (g * pwords) (base.(i) + p.(k))
+    let adj = Digraph.adj arcs_i and v = g - base.(i) in
+    for k = Digraph.pred_start arcs_i v to Digraph.pred_stop arcs_i v - 1 do
+      set_at preds (g * pwords) (base.(i) + adj.(k))
     done;
-    let s = Digraph.succ arcs_i (g - base.(i)) in
-    for k = 0 to Array.length s - 1 do
-      put wake_start wake g (base.(i) + s.(k))
+    for k = Digraph.succ_start arcs_i v to Digraph.succ_stop arcs_i v - 1 do
+      put wake_start wake g (base.(i) + adj.(k))
     done;
     let q = ref conf_start.(g) and x = entity.(g) in
     if x >= 0 then
@@ -375,24 +374,26 @@ let por l =
   let anc = Array.make (total * pw) 0 and desc = Array.make (total * pw) 0 in
   let touch = Array.make (total * pw) 0 and own = Array.make (n * pw) 0 in
   (* Row [g] of [rows] gets each neighbour [b + h] and its row. *)
-  let close rows g b nbrs =
-    Array.iter
-      (fun h ->
-        let go = g * pw and ho = (b + h) * pw in
-        for k = 0 to pw - 1 do
-          rows.(go + k) <- rows.(go + k) lor rows.(ho + k)
-        done;
-        set_at rows go (b + h))
-      nbrs
+  let close rows g b adj lo hi =
+    for j = lo to hi - 1 do
+      let h = adj.(j) in
+      let go = g * pw and ho = (b + h) * pw in
+      for k = 0 to pw - 1 do
+        rows.(go + k) <- rows.(go + k) lor rows.(ho + k)
+      done;
+      set_at rows go (b + h)
+    done
   in
   for i = 0 to n - 1 do
     let tx = System.txn l.sys i and b = l.base.(i) in
     let order = Transaction.order tx and arcs = Transaction.given_arcs tx in
-    let m = Array.length order in
+    let adj = Digraph.adj arcs and m = Array.length order in
     for k = 0 to m - 1 do
       let u = order.(k) and v = order.(m - 1 - k) in
-      close anc (b + u) b (Digraph.pred arcs u);
-      close desc (b + v) b (Digraph.succ arcs v);
+      close anc (b + u) b adj (Digraph.pred_start arcs u)
+        (Digraph.pred_stop arcs u);
+      close desc (b + v) b adj (Digraph.succ_start arcs v)
+        (Digraph.succ_stop arcs v);
       set_at own (i * pw) (b + k)
     done
   done;

@@ -25,12 +25,8 @@ let violation sys st (s : Step.t) =
   else
     let tx = System.txn sys s.txn in
     if Bitset.mem st.(s.txn) s.node then Some (Node_repeated s)
-    else if
-      not
-        (Array.for_all
-           (Bitset.mem st.(s.txn))
-           (Digraph.pred (Transaction.given_arcs tx) s.node))
-    then Some (Not_minimal s)
+    else if not (Transaction.is_minimal_remaining tx st.(s.txn) s.node) then
+      Some (Not_minimal s)
     else
       let nd = Transaction.node tx s.node in
       match nd.Node.op with

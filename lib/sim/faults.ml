@@ -64,12 +64,26 @@ let pp db ppf p =
     "loss=%.2f dup=%.2f retransmit=%.1f horizon=%.0f crashes=[%a] stalls=[%a]"
     p.loss p.dup p.retransmit p.horizon pp_list p.crashes pp_list p.stalls
 
-(* The private stream is seeded on its first draw: a plan without loss
-   or duplication never draws, and never pays for the seeding. *)
+(* The private stream is made on its first draw: a plan without loss or
+   duplication never draws, and never pays for it. *)
 type t = { plan : plan; rng : Random.State.t Lazy.t }
 
-let injector plan =
-  { plan; rng = lazy (Random.State.make [| plan.seed; 0xfa17 |]) }
+(* Seeding a stream costs several times a copy, so each domain keeps
+   the freshly seeded stream of the last seed it met: a batch or sweep
+   that replays one plan seeds once and hands each run a copy, which
+   draws exactly what a freshly seeded stream would. *)
+let seeded = Domain.DLS.new_key (fun () -> ref None)
+
+let stream seed =
+  let last = Domain.DLS.get seeded in
+  match !last with
+  | Some (s, st) when s = seed -> Random.State.copy st
+  | _ ->
+      let st = Random.State.make [| seed; 0xfa17 |] in
+      last := Some (seed, st);
+      Random.State.copy st
+
+let injector plan = { plan; rng = lazy (stream plan.seed) }
 let plan t = t.plan
 
 (* Fault-event telemetry: one counter per injection kind, incremented at

@@ -72,6 +72,10 @@ type t
 (** An injector owns the plan plus the private RNG stream; create a
     fresh one per run. *)
 
+(** [injector plan] starts a run of [plan].  Its private stream draws
+    what a stream freshly seeded by [plan.seed] draws; it is a copy of
+    one seeded once per domain for the last seed met, so replaying a
+    plan run after run seeds it once. *)
 val injector : plan -> t
 val plan : t -> plan
 

@@ -80,9 +80,10 @@ let pp_wait db ppf (w, e, h) =
     (Db.entity_name db e) (h + 1)
 
 let iter_ready_after tx ~executed ~started v f =
-  let succ = Digraph.succ (Transaction.given_arcs tx) v in
-  for k = 0 to Array.length succ - 1 do
-    let u = succ.(k) in
+  let arcs = Transaction.given_arcs tx in
+  let adj = Digraph.adj arcs in
+  for k = Digraph.succ_start arcs v to Digraph.succ_stop arcs v - 1 do
+    let u = adj.(k) in
     if
       (not (Bitset.mem started u))
       && Transaction.is_minimal_remaining tx executed u

@@ -574,6 +574,161 @@ let make_cycle_prop =
                   es)
       | Ok _ -> cycle = None)
 
+(* The compressed sparse rows against the edge list itself: each range
+   of [adj] is the node's successors (predecessors) as a sorted list
+   without repeats, [mem_edge] answers every pair, [edges] is the
+   sorted distinct list.  The same graph is also written at an offset
+   of a store whose other ints are garbage, as a transaction writes
+   it, and read through the same functions; [transpose] swaps the
+   rows. *)
+let csr_reference_prop =
+  QCheck.Test.make ~name:"CSR digraph = edge-list reference" ~count:300
+    QCheck.(pair edge_list_arb (int_bound 5))
+    (fun ((n, es), o) ->
+      let distinct = List.sort_uniq compare es in
+      let m = List.length es in
+      let arcs = Array.make (2 * m) 0 in
+      List.iteri
+        (fun k (u, v) ->
+          arcs.(2 * k) <- u;
+          arcs.((2 * k) + 1) <- v)
+        es;
+      let store = Array.make (o + Digraph.words n m + 3) (-7) in
+      let written = Digraph.write ~into:store ~at:o n arcs m in
+      let range g lo hi =
+        List.init (hi - lo) (fun i -> (Digraph.adj g).(lo + i))
+      in
+      let succs u = List.filter_map (fun (a, b) -> if a = u then Some b else None) distinct
+      and preds u = List.filter_map (fun (a, b) -> if b = u then Some a else None) distinct in
+      let agrees g =
+        Digraph.node_count g = n
+        && Digraph.edge_count g = List.length distinct
+        && Digraph.edges g = distinct
+        && List.for_all
+             (fun u ->
+               range g (Digraph.succ_start g u) (Digraph.succ_stop g u) = succs u
+               && range g (Digraph.pred_start g u) (Digraph.pred_stop g u)
+                  = preds u
+               && Array.to_list (Digraph.succ g u) = succs u
+               && Array.to_list (Digraph.pred g u) = preds u
+               && Digraph.out_degree g u = List.length (succs u)
+               && Digraph.in_degree g u = List.length (preds u)
+               && (let seen = ref [] in
+                   Digraph.iter_succ g u (fun v -> seen := v :: !seen);
+                   List.rev !seen = succs u)
+               && (let seen = ref [] in
+                   Digraph.iter_pred g u (fun v -> seen := v :: !seen);
+                   List.rev !seen = preds u)
+               && List.for_all
+                    (fun v -> Digraph.mem_edge g u v = List.mem (u, v) distinct)
+                    (List.init n Fun.id))
+             (List.init n Fun.id)
+      in
+      let t = Digraph.transpose written in
+      agrees (Digraph.create n es)
+      && agrees written
+      && store.(o + Digraph.words n m) = -7
+      && Digraph.edges t
+         = List.sort compare (List.map (fun (u, v) -> (v, u)) distinct)
+      && List.for_all
+           (fun u -> Array.to_list (Digraph.succ t u) = preds u)
+           (List.init n Fun.id))
+
+(* A well-formed transaction of [k] entities, one site each, with up to
+   140 nodes so that closure rows span up to three words: node [2e] is
+   [Le] and [2e + 1] is [Ue], and every arc, [Le < Ue] included, runs
+   up a random ranking of the nodes, with repeats. *)
+let store_txn_gen =
+  QCheck.Gen.(
+    oneof [ int_range 1 8; int_range 28 70 ] >>= fun k ->
+    let n = 2 * k in
+    shuffle_l (List.init n Fun.id) >|= Array.of_list >>= fun rank ->
+    list_size (int_bound (3 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+    >|= fun pairs ->
+    for e = 0 to k - 1 do
+      if rank.(2 * e) > rank.((2 * e) + 1) then begin
+        let r = rank.(2 * e) in
+        rank.(2 * e) <- rank.((2 * e) + 1);
+        rank.((2 * e) + 1) <- r
+      end
+    done;
+    let up (u, v) = if rank.(u) < rank.(v) then (u, v) else (v, u) in
+    ( k,
+      List.init k (fun e -> (2 * e, (2 * e) + 1))
+      @ List.filter_map (fun (u, v) -> if u = v then None else Some (up (u, v))) pairs ))
+
+(* Reachability by BFS over the edge list's own adjacency lists. *)
+let bfs_closure n es =
+  let adj = Array.make n [] in
+  List.iter (fun (u, v) -> adj.(u) <- v :: adj.(u)) es;
+  Array.init n (fun u ->
+      let seen = Array.make n false in
+      let rec go = function
+        | [] -> ()
+        | v :: rest ->
+            go
+              (List.fold_left
+                 (fun acc w ->
+                   if seen.(w) then acc
+                   else begin
+                     seen.(w) <- true;
+                     w :: acc
+                   end)
+                 rest adj.(v))
+      in
+      go [ u ];
+      seen)
+
+(* The transaction's store against the references: its order is the
+   Set-based Kahn order, [precedes] is BFS reachability, and each
+   entity row holds exactly the entities its definition names. *)
+let store_reference_prop =
+  QCheck.Test.make ~name:"transaction store = Kahn and BFS-closure references"
+    ~count:120
+    (QCheck.make store_txn_gen ~print:(fun (k, es) ->
+         Printf.sprintf "k=%d arcs=[%s]" k
+           (String.concat ";"
+              (List.map (fun (u, v) -> Printf.sprintf "%d->%d" u v) es))))
+    (fun (k, es) ->
+      let module M = Ddlock_model in
+      let n = 2 * k in
+      let db =
+        M.Db.one_site_per_entity (List.init k (fun e -> "e" ^ string_of_int e))
+      in
+      let labels =
+        Array.init n (fun v ->
+            if v land 1 = 0 then M.Node.lock (v / 2) else M.Node.unlock (v / 2))
+      in
+      let reach = bfs_closure n es in
+      match M.Transaction.make db labels es with
+      | Error _ -> false
+      | Ok t ->
+          let a = M.Transaction.rows t in
+          let row o y = Rows.mem a o y in
+          let all = List.init n Fun.id and ents = List.init k Fun.id in
+          Some (Array.to_list (M.Transaction.order t))
+          = reference_topo (Digraph.create n es)
+          && List.for_all
+               (fun u ->
+                 List.for_all
+                   (fun v -> M.Transaction.precedes t u v = reach.(u).(v))
+                   all)
+               all
+          && List.for_all (row (M.Transaction.entity_row t)) ents
+          && List.for_all
+               (fun x ->
+                 let lx = 2 * x and ux = (2 * x) + 1 in
+                 List.for_all
+                   (fun y ->
+                     let ly = 2 * y and uy = (2 * y) + 1 in
+                     row (M.Transaction.locks_after t x) y = reach.(lx).(ly)
+                     && row (M.Transaction.unlocks_after t x) y = reach.(lx).(uy)
+                     && row (M.Transaction.locks_before t x) y = reach.(ly).(lx)
+                     && row (M.Transaction.locks_before_unlock t x) y
+                        = reach.(ly).(ux))
+                   ents)
+               ents)
+
 (* Rows of words at an offset: membership, ascending iteration and
    [find] agree with the list of elements set, every bit of a word
    (the top one, [min_int], too) included. *)
@@ -616,6 +771,8 @@ let qtests =
       topo_reference_prop;
       closure_bfs_prop;
       make_cycle_prop;
+      csr_reference_prop;
+      store_reference_prop;
     ]
 
 let suite =
