@@ -12,7 +12,7 @@
    Run with:  dune exec bench/main.exe                 (everything)
               dune exec bench/main.exe -- SECTION...   (a subset)
    Sections: micro theorem4 exhaustive crossover sim recovery faults sm
-             rw obs sym por serve matrix
+             rw obs por serve matrix
 *)
 
 open Bechamel
@@ -69,8 +69,8 @@ let measure f =
 let pp_timing t = Printf.sprintf "%.3f ±%.3f" t.median t.mad
 
 (* States stored and time taken by a timed exploration of [sys]. *)
-let explore_timed ?symmetry ?por sys =
-  let space, t = measure (fun () -> Sched.Explore.explore ?symmetry ?por sys) in
+let explore_timed ?por sys =
+  let space, t = measure (fun () -> Sched.Explore.explore ?por sys) in
   (Sched.Explore.state_count space, t)
 
 (* ------------------------------------------------------------------ *)
@@ -390,18 +390,28 @@ let exhaustive () =
 
 let crossover () =
   header "E7 crossover: Theorem 3 vs exhaustive on growing chain pairs";
-  Format.printf "  %-8s %-18s %-18s@." "n" "theorem3 (ms)" "exhaustive (ms)";
+  (* A Theorem-3 call takes about a tenth of a microsecond, too short to
+     time one at a time: each trial times [reps] calls, and the table
+     gives the median microseconds per call. *)
+  let reps = 1_000 in
+  let per_call f =
+    let _, t =
+      measure (fun () ->
+          for _ = 1 to reps do
+            ignore (Sys.opaque_identity (f ()))
+          done)
+    in
+    t.median *. 1000. /. float_of_int reps
+  in
+  Format.printf "  %-8s %-16s %-18s %-8s@." "n" "theorem3 (us)"
+    "exhaustive (us)" "ratio";
   List.iter
     (fun n ->
       let t1, t2 = Workload.Gentx.chain_pair n in
       let sys = System.create [ t1; t2 ] in
-      let _, fast =
-        measure (fun () -> Safety.Pair.safe_and_deadlock_free t1 t2)
-      in
-      let _, slow =
-        measure (fun () -> Sched.Explore.safe_and_deadlock_free sys)
-      in
-      Format.printf "  %-8d %-18s %-18s@." n (pp_timing fast) (pp_timing slow))
+      let fast = per_call (fun () -> Safety.Pair.safe_and_deadlock_free t1 t2) in
+      let slow = per_call (fun () -> Sched.Explore.safe_and_deadlock_free sys) in
+      Format.printf "  %-8d %-16.3f %-18.3f %-8.1f@." n fast slow (slow /. fast))
     [ 2; 3; 4; 5; 6; 7 ]
 
 (* ------------------------------------------------------------------ *)
@@ -599,65 +609,15 @@ let obs () =
   write_json "obs" [ ("series", Arr series) ]
 
 (* ------------------------------------------------------------------ *)
-(* Symmetry reduction: orbit-quotient state counts vs copies           *)
-(* ------------------------------------------------------------------ *)
-
-let sym () =
-  header "E22 symmetry reduction: states visited, plain vs orbit quotient";
-  (* Copies of a guard ring are the worst case the paper's counterexample
-     figures are built from, and the best case for symmetry: the whole
-     automorphism group is the symmetric group on the copies, so the
-     quotient approaches raw/c! as the copies stop interacting. *)
-  let workloads =
-    List.map
-      (fun c -> (Printf.sprintf "%d copies of 3-ring" c, System.copies (Workload.Gentx.guard_ring 3) c, c))
-      [ 2; 3; 4 ]
-    @ List.map
-        (fun c -> (Printf.sprintf "%d copies of 2-ring" c, System.copies (Workload.Gentx.guard_ring 2) c, c))
-        [ 2; 3; 4; 5; 6 ]
-    (* Philosophers have pairwise-distinct transactions: the group is
-       trivial and the quotient is the plain space (factor 1.0). *)
-    @ [ ("philosophers k=4 (no-op)", Workload.Gentx.dining_philosophers 4, 1) ]
-  in
-  Format.printf "  %-26s %-8s %-10s %-10s %-8s %-18s %-18s@." "workload"
-    "copies" "raw" "reduced" "factor" "raw (ms)" "sym (ms)";
-  let series =
-    List.map
-      (fun (name, sys, copies) ->
-        let raw, raw_t = explore_timed sys in
-        let reduced, sym_t = explore_timed ~symmetry:true sys in
-        let orbit = Sched.Canon.orbit_size (Sched.Canon.detect sys) in
-        assert (reduced <= raw && raw <= reduced * orbit);
-        let factor = float_of_int raw /. float_of_int reduced in
-        Format.printf "  %-26s %-8d %-10d %-10d %-8.2f %-18s %-18s@." name
-          copies raw reduced factor (pp_timing raw_t) (pp_timing sym_t);
-        Obj
-          ([
-             ("workload", Str name);
-             ("copies", Int copies);
-             ("orbit", Int orbit);
-             ("raw_states", Int raw);
-             ("sym_states", Int reduced);
-             ("factor", Num factor);
-           ]
-          @ timed "raw_ms" raw_t @ timed "sym_ms" sym_t))
-      workloads
-  in
-  write_json "sym" [ ("series", Arr series) ]
-
-(* ------------------------------------------------------------------ *)
 (* Partial-order reduction: persistent-set state counts               *)
 (* ------------------------------------------------------------------ *)
 
 let por () =
   header
     "E24 partial-order reduction: states visited, plain vs persistent sets";
-  (* Asymmetric workloads are where POR earns its keep: philosophers are
-     pairwise distinct (trivial automorphism group, so the quotient is
-     the plain space, factor 1.0 in BENCH_sym.json) yet almost all interleavings
-     of far-apart philosophers commute.  Single guard-ring transactions
-     have wide diamonds and no copies at all.  The copies workload shows
-     the reduction composing with a nontrivial group. *)
+  (* Almost all interleavings of far-apart philosophers commute.
+     Single guard-ring transactions have wide diamonds and no copies
+     at all.  Two copies of a ring interleave identical transactions. *)
   let workloads =
     List.map
       (fun k ->
@@ -670,31 +630,26 @@ let por () =
         ("2 copies of 4-ring", System.copies (Workload.Gentx.guard_ring 4) 2);
       ]
   in
-  Format.printf "  %-22s %-10s %-10s %-8s %-10s %-18s %-18s@." "workload"
-    "plain" "reduced" "factor" "sym-fact" "plain (ms)" "por (ms)";
+  Format.printf "  %-22s %-10s %-10s %-8s %-18s %-18s@." "workload" "plain"
+    "reduced" "factor" "plain (ms)" "por (ms)";
   let series =
     List.map
       (fun (name, sys) ->
         let plain, plain_t = explore_timed sys in
         let reduced, por_t = explore_timed ~por:true sys in
-        let sym_states =
-          Sched.Explore.state_count (Sched.Explore.explore ~symmetry:true sys)
-        in
         assert (reduced <= plain);
         assert (
           Sched.Explore.reduced_deadlock_free sys
           = Sched.Explore.deadlock_free sys);
         let factor = float_of_int plain /. float_of_int reduced in
-        let sym_factor = float_of_int plain /. float_of_int sym_states in
-        Format.printf "  %-22s %-10d %-10d %-8.2f %-10.2f %-18s %-18s@." name
-          plain reduced factor sym_factor (pp_timing plain_t) (pp_timing por_t);
+        Format.printf "  %-22s %-10d %-10d %-8.2f %-18s %-18s@." name plain
+          reduced factor (pp_timing plain_t) (pp_timing por_t);
         Obj
           ([
              ("workload", Str name);
              ("plain_states", Int plain);
              ("por_states", Int reduced);
              ("factor", Num factor);
-             ("sym_factor", Num sym_factor);
            ]
           @ timed "plain_ms" plain_t @ timed "por_ms" por_t))
       workloads
@@ -735,7 +690,7 @@ let serve_bench () =
     source_of (System.db sys) (Array.to_list (System.txns sys))
   in
   (* K-copies workload: many clients submitting permuted renderings of
-     the same few copies-of-a-ring systems.  Canon.system_key collapses
+     the same few copies-of-a-ring systems.  Cache.system_key collapses
      the permutations, so everything after the first sighting of each
      shape must be a cache hit (the floor is a 90% hit rate). *)
   let st = rng 23 in
@@ -1033,7 +988,6 @@ let () =
       ("sm", sm_fixed);
       ("rw", rw_modes);
       ("obs", obs);
-      ("sym", sym);
       ("por", por);
       ("serve", serve_bench);
       ("matrix", matrix);

@@ -52,8 +52,8 @@ let max_states_arg =
        ~doc:"State budget for the exhaustive deadlock search, for each of \
              its two stages: the plain search decides and gives the \
              witness, and when it runs out of budget a search reduced by \
-             identical-transaction symmetry and partial-order reduction \
-             may still prove the system deadlock-free.")
+             partial-order reduction may still prove the system \
+             deadlock-free.")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Random seed.")
@@ -453,11 +453,13 @@ let minimize_cmd =
     let r = load file in
     let sys = Parser.system_of_result r in
     match Minimize.deadlock_core ~max_states sys with
-    | None ->
-        Format.printf
-          "# no deadlock found (deadlock-free, or search budget exceeded)@.";
+    | Minimize.Deadlock_free ->
+        Format.printf "# deadlock-free@.";
         exit 1
-    | Some core ->
+    | Minimize.Gave_up n ->
+        Format.printf "# unknown (search budget exhausted after %d states)@." n;
+        exit 1
+    | Minimize.Core core ->
         Format.eprintf "# kept transactions: %s@."
           (String.concat ", "
              (List.map

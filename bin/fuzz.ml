@@ -53,13 +53,12 @@
      the rw system runs exactly like its exclusive abstraction (trace,
      outcome, deadlock time and arcs, makespan; with and without a
      random fault plan);
-   - the reduced search (orbit quotient and persistent sets, which
-     decides when the plain search runs out of budget) vs the plain
-     ground truth: deadlock and Theorem-1 prefix verdicts on generic
-     and identical-copy systems, persistent-set state counts never
-     above plain, orbit counts within [raw/orbit_size, raw], and
-     [find_deadlock] under a budget of a few states gives the plain
-     witness, a verdict that agrees, or [Too_large].
+   - the reduced search (persistent sets, which decides when the
+     plain search runs out of budget) vs the plain ground truth:
+     deadlock and Theorem-1 prefix verdicts on generic and
+     identical-copy systems, reduced state counts never above plain,
+     and [find_deadlock] under a budget of a few states gives the
+     plain witness, a verdict that agrees, or [Too_large].
 
    The every-100-rounds summary line also reports cumulative per-engine
    wall-clock, so long soaks double as a coarse perf regression check.
@@ -428,9 +427,9 @@ let () =
               report "parser mutant round-trip" round)
     done;
     (* --- the reduced search vs the plain ground truth: the verdicts
-       of the orbit-quotient, persistent-set search that takes over
-       when the plain budget runs out, its state counts, and the one
-       search rule under a budget the plain search may not fit --- *)
+       of the persistent-set search that takes over when the plain
+       budget runs out, its state counts, and the one search rule
+       under a budget the plain search may not fit --- *)
     timed "reduced" (fun () ->
         if Sched.Explore.reduced_deadlock_free sys <> (reference = None) then
           report "reduced verdict" round;
@@ -451,16 +450,9 @@ let () =
          with
         | r -> if r <> reference then report "capped find_deadlock" round
         | exception Sched.Explore.Too_large _ -> ());
-        (* Identical copies: orbit counts bounded by the group order. *)
+        (* Identical copies: the plain witness and the reduced verdict. *)
         let copies = 2 + (round mod 2) in
         let ksys = Workload.Gentx.random_copies_system st ~copies in
-        let canon = Sched.Canon.detect ksys in
-        let raw = Sched.Explore.state_count (Sched.Explore.explore ksys) in
-        let reduced =
-          Sched.Explore.state_count (Sched.Explore.explore ~symmetry:true ksys)
-        in
-        if reduced > raw || raw > reduced * Sched.Canon.orbit_size canon then
-          report "sym state-count bound" round;
         let kref = unfiltered ksys in
         if Sched.Explore.find_deadlock ksys <> kref then
           report "copies find_deadlock" round;

@@ -63,7 +63,7 @@ let () =
 
   (* 3. The deadlocking core. *)
   (match Minimize.deadlock_core naive with
-  | Some core ->
+  | Minimize.Core core ->
       Format.printf "minimal deadlocking core: %s@."
         (String.concat ", "
            (List.map
@@ -74,7 +74,7 @@ let () =
           Format.printf "  (T%d's access to %s is irrelevant)@." (i + 1)
             (Db.entity_name db e))
         core.Minimize.dropped_entities
-  | None -> assert false);
+  | Minimize.Deadlock_free | Minimize.Gave_up _ -> assert false);
 
   (* 4. Dynamic cost of shipping it anyway. *)
   let rng = Random.State.make [| 42 |] in

@@ -44,7 +44,7 @@ type deadlock_verdict =
     Theorem-1 search ({!Ddlock_schedule.Explore.find_deadlock}).
     Default budget: 500_000 states, for each of its two stages: the
     plain search decides and supplies the witness, and when it gives
-    up a reduced search (orbit quotient, persistent sets) may still
+    up a reduced search (persistent sets) may still
     prove the system deadlock-free.  [Gave_up] carries the plain
     search's state count. *)
 val deadlock_free : ?max_states:int -> System.t -> deadlock_verdict

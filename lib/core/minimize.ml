@@ -7,31 +7,33 @@ type result = {
   dropped_entities : (int * Db.entity) list;
 }
 
+type outcome = Core of result | Deadlock_free | Gave_up of int
+
 let obs_candidates = Ddlock_obs.Metrics.Counter.make "minimize.candidates"
 let obs_shrunk = Ddlock_obs.Metrics.Counter.make "minimize.shrink_steps"
 
-(* Conservative deadlockability: [None] means "unknown" (budget hit) and
-   the candidate move is rejected.  Probes are verdict-only
-   ({!Explore.deadlock_free}). *)
+(* Deadlockability: [Error n] means "unknown" (the budget ran out after
+   [n] states), and a candidate move with that answer is rejected.
+   Probes are verdict-only ({!Explore.deadlock_free}). *)
 let deadlocks ?max_states sys =
   Ddlock_obs.Metrics.Counter.incr obs_candidates;
   match Explore.deadlock_free ?max_states sys with
-  | false -> Some true
-  | true -> Some false
-  | exception Explore.Too_large _ -> None
+  | free -> Ok (not free)
+  | exception Explore.Too_large n -> Error n
 
 let deadlock_core ?max_states sys =
   Ddlock_obs.Trace.span "minimize.deadlock_core" @@ fun () ->
   match deadlocks ?max_states sys with
-  | None | Some false -> None
-  | Some true ->
+  | Error n -> Gave_up n
+  | Ok false -> Deadlock_free
+  | Ok true ->
       (* State: list of (original index, transaction). *)
       let current = ref (Array.to_list (Array.mapi (fun i t -> (i, t)) (System.txns sys))) in
       let dropped = ref [] in
       let mk txns = System.create (List.map snd txns) in
       let still_deadlocks txns =
         List.length txns >= 2
-        && deadlocks ?max_states (mk txns) = Some true
+        && deadlocks ?max_states (mk txns) = Ok true
       in
       let changed = ref true in
       while !changed do
@@ -72,7 +74,7 @@ let deadlock_core ?max_states sys =
         in
         if not !changed then drop_ent [] !current
       done;
-      Some
+      Core
         {
           core = mk !current;
           kept_txns = List.map fst !current;

@@ -19,9 +19,16 @@ type result = {
       (** (original txn index, entity) accesses removed *)
 }
 
-(** [deadlock_core ?max_states sys] — requires the input to deadlock
-    (returns [None] otherwise or when the search budget is exceeded).
-    Every deadlockability re-check is a verdict-only
+(** What {!deadlock_core} found about its input. *)
+type outcome =
+  | Core of result  (** the input deadlocks; its shrunk core *)
+  | Deadlock_free  (** the input cannot deadlock: there is no core *)
+  | Gave_up of int
+      (** the input's own check exhausted the search budget after
+          this many states: deadlockability is unknown *)
+
+(** [deadlock_core ?max_states sys] shrinks a deadlocking input.  Every
+    deadlockability check is a verdict-only
     {!Ddlock_schedule.Explore.deadlock_free}; a candidate whose
     re-check gives up is rejected. *)
-val deadlock_core : ?max_states:int -> System.t -> result option
+val deadlock_core : ?max_states:int -> System.t -> outcome

@@ -20,7 +20,7 @@ let find ?max_states sys =
 let deadlock_free ?max_states sys =
   Explore.deadlock_free ?max_states ~goal:Deadlock_prefix sys
 
-let all ?max_states ?symmetry ?por sys =
+let all ?max_states ?por sys =
   Seq.filter
     (fun st -> Reduction.has_cycle (Reduction.make sys st))
-    (Explore.states (Explore.explore ?max_states ?symmetry ?por sys))
+    (Explore.states (Explore.explore ?max_states ?por sys))

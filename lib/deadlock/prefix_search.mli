@@ -27,13 +27,7 @@ val find : ?max_states:int -> System.t -> witness option
 val deadlock_free : ?max_states:int -> System.t -> bool
 
 (** All deadlock prefixes (reachable states with cyclic R), in
-    {!Ddlock_schedule.Explore.states} order.  With [~symmetry:true] one
-    representative per deadlock-prefix orbit; with [~por:true] the
-    cyclic states of a reduced space — a subset of the plain result
-    that is nonempty iff the plain result is. *)
-val all :
-  ?max_states:int ->
-  ?symmetry:bool ->
-  ?por:bool ->
-  System.t ->
-  State.t Seq.t
+    {!Ddlock_schedule.Explore.states} order.  With [~por:true] the
+    cyclic states of the persistent-set reduced space — a subset of the
+    plain result that is nonempty iff the plain result is. *)
+val all : ?max_states:int -> ?por:bool -> System.t -> State.t Seq.t

@@ -89,17 +89,6 @@ let subset a b =
 
 let equal a b = a.cap = b.cap && a.words = b.words
 
-let compare a b =
-  check_cap a b;
-  let n = Array.length a.words in
-  let rec go i =
-    if i >= n then 0
-    else
-      let c = Int.compare a.words.(i) b.words.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
-
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
     let word = t.words.(w) in

@@ -54,10 +54,6 @@ val subset : t -> t -> bool
 
 val equal : t -> t -> bool
 
-(** Deterministic total order compatible with {!equal} (word-wise; the
-    ordering itself is arbitrary but stable).  Capacities must match. *)
-val compare : t -> t -> int
-
 (** [iter f s] applies [f] to every set index in increasing order. *)
 val iter : (int -> unit) -> t -> unit
 

@@ -19,14 +19,6 @@ module Obs = struct
   let searches = Ddlock_obs.Metrics.Counter.make "explore.searches"
   let visit () = Ddlock_obs.Metrics.Counter.incr states_visited
 
-  (* Symmetry-reduction telemetry.  [canon_hits] counts inserted states
-     whose generating successor differed from its orbit representative.
-     [orbit_gauge] records the largest automorphism group order seen by a
-     symmetric search. *)
-  let canon_hits = Ddlock_obs.Metrics.Counter.make "canon.hits"
-  let orbit_gauge = Ddlock_obs.Metrics.Gauge.make "canon.orbit_size"
-  let hit moved = if moved then Ddlock_obs.Metrics.Counter.incr canon_hits
-
   (* Partial-order-reduction telemetry, bumped once per expanded state.
      [por_pruned] sums the enabled transitions not expanded;
      [por_persistent_size] sums the persistent-set sizes. *)
@@ -43,16 +35,6 @@ module Obs = struct
   let pruned = Ddlock_obs.Metrics.Counter.make "explore.pruned"
   let prune () = Ddlock_obs.Metrics.Counter.incr pruned
 end
-
-(* The orbit quotient's canonicalizer: [None] when the automorphism
-   group is trivial (canonicalization would be the identity). *)
-let active_canon sys =
-  let c = Canon.detect sys in
-  if Canon.nontrivial c then begin
-    Ddlock_obs.Metrics.Gauge.set_max Obs.orbit_gauge (Canon.orbit_size c);
-    Some c
-  end
-  else None
 
 let default_cap = 2_000_000
 
@@ -169,8 +151,8 @@ let path w lay id =
 (* Exact cap: a search may hold at most [max_states] states; discovering
    one more raises [Too_large] with the number already held, before the
    row is copied in, so the table never exceeds the budget (the initial
-   state included) nor grows just to give up.  A row already held (an
-   orbit already stored, under symmetry) never counts against it.  The
+   state included) nor grows just to give up.  A row already held
+   never counts against it.  The
    cancellation poll rides the same path: an installed deadline bounds
    the search in time exactly as [max_states] bounds it in space (one
    domain-local read per fresh row when no poll is set).  Returns the
@@ -199,26 +181,20 @@ let rec any_set e o n = n > 0 && (e.(o + n - 1) <> 0 || any_set e o (n - 1))
    its edges in O(1) ({!Packed.keeps}).  A dropped state's successors
    would all be dropped too, so each kept state is first discovered
    from the same kept parent as without the filter: the kept states
-   keep their order and their BFS tree.  Each successor is built in one scratch
-   buffer — with a canonicalizer, rewritten there to its orbit
-   representative, so the arena dedups whole orbits — and copied into
-   the arena only when it is fresh.  [restrict]/[found] read a state in
-   place (array, offset); under symmetry they see representatives and
-   must be invariant under the group (the deadlock and reduction-cycle
-   predicates are).  The empty initial state is its own orbit's
-   representative.
+   keep their order and their BFS tree.  Each successor is built in one
+   scratch buffer and copied into the arena only when it is fresh.
+   [restrict]/[found] read a state in place (array, offset).
 
    A fresh state's enabled set is carried from its parent's
-   ({!Packed.carry_enabled}), or computed afresh when symmetry moved
-   the successor: expanding a state reads it, and [found ~live] is told
-   whether it is non-empty.  Entering a chunk of ids gives back the
-   chunk of sets before it.
+   ({!Packed.carry_enabled}): expanding a state reads it, and [found
+   ~live] is told whether it is non-empty.  Entering a chunk of ids
+   gives back the chunk of sets before it.
 
    A node is expanded from the arena's row array as it stood when the
    expansion began: an [add] may move the rows to a larger array, but
    the old one still holds the node unchanged.  Returns the id of the
    first node (in insertion order) satisfying [found], or -1. *)
-let bfs_loop ~name ~max_states ~restrict ~prune ~por canon lay w ~found =
+let bfs_loop ~name ~max_states ~restrict ~prune ~por lay w ~found =
   let name = if por then "explore.por" else name in
   Ddlock_obs.Metrics.Counter.incr Obs.searches;
   Obs.T.span name @@ fun () ->
@@ -228,20 +204,6 @@ let bfs_loop ~name ~max_states ~restrict ~prune ~por canon lay w ~found =
   let reduce = if por then Some (Packed.por lay) else None in
   let size = ew lsl shift and off id = (id land (per - 1)) * ew in
   let last = [| -1; -1 |] in
-  (* Rewrites [scratch] to its representative; true when that moved it. *)
-  let canonical =
-    match canon with
-    | None -> fun () -> false
-    | Some c ->
-        let norm = Canon.normalize_packed c lay in
-        fun () ->
-          let rep = norm scratch in
-          rep != scratch
-          &&
-          let moved = not (Packed.equal rep scratch) in
-          Array.blit rep 0 scratch 0 words;
-          moved
-  in
   try
     ignore (add arena ~max_states scratch);
     record w 0 ~parent:(-1) ~via:(-1);
@@ -277,15 +239,12 @@ let bfs_loop ~name ~max_states ~restrict ~prune ~por canon lay w ~found =
         end
         else begin
           Packed.apply_into lay a o g scratch;
-          let moved = canonical () in
           if restrict scratch 0 then begin
             let fresh = Arena.count arena in
             if add arena ~max_states scratch = fresh then begin
               record w fresh ~parent:id ~via:g;
               let e = chunk w (fresh lsr shift) size and eo = off fresh in
-              if moved then Packed.enabled_into lay scratch 0 e eo
-              else Packed.carry_enabled lay scratch 0 g pe po e eo;
-              if telemetry then Obs.hit moved;
+              Packed.carry_enabled lay scratch 0 g pe po e eo;
               if
                 found ~live:(any_set e eo ew) (Arena.data arena)
                   (fresh * words)
@@ -300,11 +259,7 @@ let bfs_loop ~name ~max_states ~restrict ~prune ~por canon lay w ~found =
 
 (* ------------------------------ spaces ----------------------------- *)
 
-type space = {
-  lay : Packed.layout;
-  canon : Canon.t option;  (* Some ⇒ the arena holds orbit representatives *)
-  work : work;
-}
+type space = { lay : Packed.layout; work : work }
 
 let state_count sp = Arena.count sp.work.arena
 
@@ -316,13 +271,7 @@ let states sp =
 (* A state of another system's shape is not held. *)
 let is_reachable sp st =
   match Packed.encode sp.lay st with
-  | p ->
-      let p =
-        match sp.canon with
-        | None -> p
-        | Some c -> Canon.normalize_packed c sp.lay p
-      in
-      Arena.find sp.work.arena p >= 0
+  | p -> Arena.find sp.work.arena p >= 0
   | exception Invalid_argument _ -> false
 
 let always _ _ = true
@@ -340,52 +289,47 @@ let found lay = function
       fun ~live:_ a o -> cyclic a o
 
 (* The space escapes, so it gets a workspace of its own. *)
-let explore ?(max_states = default_cap) ?(symmetry = false) ?(por = false) sys =
+let explore ?(max_states = default_cap) ?(por = false) sys =
   let lay = Packed.layout sys in
-  let canon = if symmetry then active_canon sys else None in
   let work = fresh_work lay in
   ignore
     (bfs_loop ~name:"explore.explore" ~max_states ~restrict:always
-       ~prune:false ~por canon lay work ~found:(fun ~live:_ _ _ -> false));
-  { lay; canon; work }
+       ~prune:false ~por lay work ~found:(fun ~live:_ _ _ -> false));
+  { lay; work }
 
-(* A goal-directed search on [lay]: plain, or reduced by [canon] and
-   persistent sets.  Both drop the states that can no longer
-   deadlock. *)
-let deadlock_search ~max_states ~name ~goal ~por canon lay =
-  bfs_loop ~name ~max_states ~restrict:always ~prune:true ~por canon lay
+(* A goal-directed search on [lay]: plain, or reduced by persistent
+   sets.  Both drop the states that can no longer deadlock. *)
+let deadlock_search ~max_states ~name ~goal ~por lay =
+  bfs_loop ~name ~max_states ~restrict:always ~prune:true ~por lay
     ~found:(found lay goal)
 
-let reduced_free ~max_states ~goal lay canon =
+let reduced_free ~max_states ~goal lay =
   borrow lay
-    (deadlock_search ~max_states ~name:"explore.por" ~goal ~por:true canon lay)
+    (deadlock_search ~max_states ~name:"explore.por" ~goal ~por:true lay)
   < 0
 
 let reduced_deadlock_free ?(max_states = default_cap) ?(goal = Deadlock) sys =
-  reduced_free ~max_states ~goal (Packed.layout sys) (active_canon sys)
+  reduced_free ~max_states ~goal (Packed.layout sys)
 
 (* The one search rule.  The plain search decides, and its BFS supplies
    every witness.  Only when it gives up does the reduced search take
-   over, under the same budget, and only when some reduction applies (a
-   nontrivial group, or two independent steps): if it reaches no goal
-   state the answer is [free].  Otherwise the plain search's
-   [Too_large] stands. *)
+   over, under the same budget, and only when persistent sets can cut
+   something (two independent steps): if it reaches no goal state the
+   answer is [free].  Otherwise the plain search's [Too_large]
+   stands. *)
 let decide ~max_states ~goal lay ~free plain =
   match plain () with
   | r -> r
   | exception (Too_large _ as gave_up) ->
-      let sys = Packed.system lay in
-      let canon = active_canon sys in
       if
-        (canon <> None || Indep.has_independent_pair sys)
-        && try reduced_free ~max_states ~goal lay canon
-           with Too_large _ -> false
+        Indep.has_independent_pair (Packed.system lay)
+        && try reduced_free ~max_states ~goal lay with Too_large _ -> false
       then free
       else raise gave_up
 
 let witness_search ~max_states ~name ~goal lay () =
   borrow lay @@ fun w ->
-  let id = deadlock_search ~max_states ~name ~goal ~por:false None lay w in
+  let id = deadlock_search ~max_states ~name ~goal ~por:false lay w in
   if id < 0 then None
   else
     Some
@@ -408,7 +352,7 @@ let deadlock_free ?(max_states = default_cap) ?(goal = Deadlock) sys =
   let lay = Packed.layout sys in
   decide ~max_states ~goal lay ~free:true @@ fun () ->
   borrow lay
-    (deadlock_search ~max_states ~name:"explore.bfs" ~goal ~por:false None lay)
+    (deadlock_search ~max_states ~name:"explore.bfs" ~goal ~por:false lay)
   < 0
 
 let deadlock_on ?(max_states = default_cap) ~name lay =
@@ -426,8 +370,8 @@ let lemma1_on ?(max_states = default_cap) ~name ~complete lay =
   in
   borrow lay @@ fun w ->
   match
-    bfs_loop ~name ~max_states ~restrict:always ~prune:false ~por:false None
-      lay w ~found
+    bfs_loop ~name ~max_states ~restrict:always ~prune:false ~por:false lay w
+      ~found
   with
   | -1 -> Ok ()
   | id ->
@@ -458,7 +402,7 @@ let has_schedule sys target =
   match
     bfs_loop ~name:"explore.bfs" ~max_states:default_cap
       ~restrict:(fun a o -> sub a o 0)
-      ~prune:false ~por:false None lay w
+      ~prune:false ~por:false lay w
       ~found:(fun ~live:_ a o -> Packed.equal_at goal a o)
   with
   | -1 -> None

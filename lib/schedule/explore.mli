@@ -23,9 +23,8 @@ open Ddlock_model
     [states] and [is_reachable] arguments — are decoded or encoded at
     this edge; every goal is decided on the packed row.  Until a state
     is expanded the loop keeps its enabled set, carried from the
-    parent's when the state is new ({!Packed.carry_enabled}, or
-    recomputed when symmetry moved the successor to another orbit
-    member); expansion reads it, and the deadlock searches test it for
+    parent's when the state is new ({!Packed.carry_enabled});
+    expansion reads it, and the deadlock searches test it for
     emptiness (with some transaction unfinished) and decode only the
     witness.
 
@@ -42,9 +41,8 @@ open Ddlock_model
     is kept, and every kept state is first discovered from a kept
     parent: the kept states keep their BFS order and tree, and the
     witness is the one a search keeping every state returns.  The
-    filter holds in the orbit quotient (the count is the same on every
-    member of an orbit) and under persistent sets (every state on a
-    reduced path to a deadlock passes it).  A deadlock prefix ({!goal}) holds blocked
+    filter holds under persistent sets too (every state on a reduced
+    path to a deadlock passes it).  A deadlock prefix ({!goal}) holds blocked
     Locks of two transactions, so it passes the filter too.  It changes
     [states_visited] and where [max_states] bites, not the answers
     within the cap.  {!explore}, {!has_schedule} and the Lemma-1
@@ -56,15 +54,13 @@ open Ddlock_model
     {!find_deadlock} and {!deadlock_free} run the plain search, which
     decides and supplies every witness.  Only when it raises
     {!Too_large} does the reduced search ({!reduced_deadlock_free}:
-    the orbit quotient when the group of identical-transaction
-    permutations is nontrivial, persistent sets always, the same
-    [max_states]) take over, and only when some reduction applies — a
-    nontrivial group ({!Canon.nontrivial}) or two independent steps
+    persistent sets, the same [max_states]) take over, and only when
+    persistent sets can cut something — two independent steps
     ({!Indep.has_independent_pair}).  If it reaches no goal state the
     answer is deadlock-free; otherwise the plain search's
     [Too_large n] is raised again.  So a witness is always the plain
     BFS's, the answers within the plain budget are the plain search's,
-    and a reduction reaches deadlock-free verdicts that the plain
+    and the reduction reaches deadlock-free verdicts that the plain
     budget cannot.
 
     {2 Workspaces}
@@ -107,41 +103,31 @@ val default_cap : int
 
 type space
 
-(** [explore ?max_states ?symmetry ?por sys] computes the reachable
-    state space.  Default cap: {!default_cap} states.
-
-    With [~symmetry:true] the space is the {e quotient} under the
-    automorphism group of identical-transaction permutations
-    ({!Canon.detect}): only orbit representatives are stored, and a
-    successor that lands in an already-stored orbit is deduplicated
-    {e before} the cap check, so pruned orbit members never count
-    against [max_states].  When the group is trivial this is exactly
-    the plain exploration.
+(** [explore ?max_states ?por sys] computes the reachable state space.
+    Default cap: {!default_cap} states.
 
     With [~por:true] the space is the {e reduced} space of the
     persistent-set selective search: a subset of the reachable states
     that still contains every reachable deadlock state.
-    [is_reachable] answers membership in the {e reduced} space only.
-    Composes with [~symmetry:true]. *)
-val explore :
-  ?max_states:int -> ?symmetry:bool -> ?por:bool -> System.t -> space
+    [is_reachable] answers membership in the {e reduced} space only. *)
+val explore : ?max_states:int -> ?por:bool -> System.t -> space
 
 val state_count : space -> int
 
-(** Stored states: all reachable states, or one representative per
-    reachable orbit for a [~symmetry:true] space.  Yielded in insertion
-    order, which for a plain or symmetric space is BFS order. *)
+(** Stored states, in insertion order, which for a plain space is BFS
+    order. *)
 val states : space -> State.t Seq.t
 
-(** Membership (of the state's orbit, for a symmetric space). *)
+(** Membership in the stored states. *)
 val is_reachable : space -> State.t -> bool
 
 (** {1 Deadlock (Theorem 1 ground truth)} *)
 
 (** A deadlock search's goal: a deadlock state, or a deadlock prefix, whose
     reduction graph R(A′) (§3) is cyclic; one is reachable iff the other is
-    (Theorem 1).  Both are invariant under identical-transaction
-    permutations, so the reduced search is sound for each. *)
+    (Theorem 1).  Persistent sets keep every reachable deadlock state,
+    and its reduction graph is cyclic, so the reduced search is sound
+    for each. *)
 type goal = Deadlock | Deadlock_prefix
 
 (** First [goal] state (default [Deadlock]) in BFS order, with the
@@ -161,9 +147,7 @@ val find_deadlock :
 val deadlock_free : ?max_states:int -> ?goal:goal -> System.t -> bool
 
 (** The reduced search alone: no [goal] state (default [Deadlock]) is
-    reachable in the persistent-set reduced space, quotiented by the
-    group of identical-transaction permutations when it is nontrivial.
-    Its verdict equals the plain search's whenever both fit in
+    reachable in the persistent-set reduced space.  Its verdict equals the plain search's whenever both fit in
     [max_states].  {!find_deadlock} and {!deadlock_free} run it when
     the plain search gives up. *)
 val reduced_deadlock_free : ?max_states:int -> ?goal:goal -> System.t -> bool
@@ -178,8 +162,7 @@ type counterexample = {
 (** Lemma 1 decider: [Error cex] when some partial schedule has a cyclic
     serialization digraph (system is not safe ∧ deadlock-free).  The
     Lemma-1 searches run over the extended (prefix vector + D-arc)
-    space, one packed row each, which has no cheap orbit
-    canonicalization, so they run the plain search only. *)
+    space, one packed row each, and run the plain search only. *)
 val safe_and_deadlock_free :
   ?max_states:int -> System.t -> (unit, counterexample) result
 

@@ -1,9 +1,10 @@
 open Ddlock_model
 
 (** Independence of transaction steps: the relation partial-order
-    reduction rests on.  The reduction itself is a filter in the one
-    search loop: each expanded state's enabled steps are cut to a
-    persistent set computed on its packed row ({!Packed.persistent}).
+    reduction rests on, the reduced search's only reduction.  The
+    reduction itself is a filter in the one search loop: each expanded
+    state's enabled steps are cut to a persistent set computed on its
+    packed row ({!Packed.persistent}).
 
     Two steps are {e independent} when executing them in either order
     from any state where both are enabled reaches the same state, and
@@ -37,7 +38,7 @@ val commutes : System.t -> State.t -> Step.t -> Step.t -> bool
     anything on [sys]?  True iff some two steps of different
     transactions touch different entities, or some single transaction
     has two order-incomparable nodes (a same-transaction diamond).
-    Without one, and with no identical transactions, the reduced
-    search is the plain one, so {!Explore.find_deadlock} does not run
-    it after a give-up. *)
+    Without one every persistent set is the whole enabled set and the
+    reduced search is the plain one, so {!Explore.find_deadlock} does
+    not run it after a give-up. *)
 val has_independent_pair : System.t -> bool

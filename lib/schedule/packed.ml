@@ -763,66 +763,4 @@ let cyclic_at l a o =
   in
   scan next n (Array.make n 0) 0 (-1) 0
 
-(* Bits [63c, 63c + 63) of transaction [i]'s row as one int, as a
-   [Bitset] word holds them, so row node [63c + 62] is the sign bit.
-   They straddle at most two words. *)
-let chunk l p i c =
-  let b = l.base.(i) + (c * Sys.int_size) in
-  let n = min Sys.int_size (l.base.(i + 1) - b) in
-  let w = word b and o = b mod bits in
-  let v = p.(w) lsr o in
-  let v = if o + n > bits then v lor (p.(w + 1) lsl (bits - o)) else v in
-  if n = Sys.int_size then v else v land ((1 lsl n) - 1)
-
-(* [Bitset.compare] of two rows of one width: chunk by chunk from the
-   low end, signed. *)
-let rec compare_rows l p i j c =
-  if c * Sys.int_size >= l.base.(i + 1) - l.base.(i) then 0
-  else
-    match Int.compare (chunk l p i c) (chunk l p j c) with
-    | 0 -> compare_rows l p i j (c + 1)
-    | d -> d
-
-(* Writes [v] as chunk [c] of transaction [i]'s row in [q]: the inverse
-   of [chunk]. *)
-let set_chunk l q i c v =
-  let b = l.base.(i) + (c * Sys.int_size) in
-  let n = min Sys.int_size (l.base.(i + 1) - b) in
-  let w = word b and o = b mod bits in
-  let lo = min n (bits - o) in
-  let m = ((1 lsl lo) - 1) lsl o in
-  q.(w) <- (q.(w) land lnot m) lor ((v lsl o) land m);
-  if n > lo then begin
-    let m = (1 lsl (n - lo)) - 1 in
-    q.(w + 1) <- (q.(w + 1) land lnot m) lor ((v lsr lo) land m)
-  end
-
-(* Writes transaction [i]'s row of [p] into transaction [j]'s of [q]. *)
-let copy_row l p i q j =
-  let n = l.base.(i + 1) - l.base.(i) in
-  for c = 0 to ((n + Sys.int_size - 1) / Sys.int_size) - 1 do
-    set_chunk l q j c (chunk l p i c)
-  done
-
-let rec ascending l p g k =
-  k >= Array.length g
-  || (compare_rows l p g.(k - 1) g.(k) 0 <= 0 && ascending l p g (k + 1))
-
-let rec all_ascending l p classes c =
-  c >= Array.length classes
-  || (ascending l p classes.(c) 1 && all_ascending l p classes (c + 1))
-
-let sort_rows l classes p =
-  if all_ascending l p classes 0 then p
-  else begin
-    let p' = Array.copy p in
-    Array.iter
-      (fun g ->
-        let order = Array.copy g in
-        Array.sort (fun i j -> compare_rows l p i j 0) order;
-        Array.iteri (fun slot i -> copy_row l p i p' g.(slot)) order)
-      classes;
-    p'
-  end
-
 let hash (p : t) = Arena.hash p 0 (Array.length p)

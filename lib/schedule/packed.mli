@@ -147,7 +147,9 @@ val enabled_bits : layout -> int array -> int -> int array -> int
     one is in, else the lowest); a Lock whose entity another
     transaction holds, that holder's Unlock; any other node, every
     unexecuted node of the other transactions on its entity but an
-    Unlock's Unlocks. *)
+    Unlock's Unlocks.  Persistent sets are the only reduction of the
+    reduced search ({!Explore.reduced_deadlock_free}); the arena holds
+    every state it reaches as it is, with no rewriting of rows. *)
 
 (** The tables and buffers of one search's persistent sets, on a
     layout without [read] Locks. *)
@@ -227,14 +229,6 @@ val apply : layout -> t -> Step.t -> t
 
 (** {!State.is_deadlock}. *)
 val is_deadlock : layout -> t -> bool
-
-(** [sort_rows l classes p] — within each class (an array of
-    transaction indices, all of one node count), the members' rows
-    sorted ascending over the members in index order, in
-    {!Ddlock_graph.Bitset.compare}'s order on the rows as bitsets;
-    [p] itself when every class is already sorted.  This is
-    {!Canon.normalize} on packed states (see {!Canon.normalize_packed}). *)
-val sort_rows : layout -> int array array -> t -> t
 
 (** Word-wise equality (states of one layout). *)
 val equal : t -> t -> bool

@@ -8,8 +8,7 @@ open Ddlock_model
     words ({!Packed}) and build a [t] only at their edges (witnesses,
     enumerated states, caller predicates).  The functions here are the
     reference definitions that {!Packed} is tested against, and serve
-    the cold callers: narration, symmetry canonicalization, random runs
-    and schedule replay. *)
+    the cold callers: narration, random runs and schedule replay. *)
 
 type t = Bitset.t array
 

@@ -1,3 +1,23 @@
+open Ddlock.Model
+
+(* A transaction's node labels under its concrete numbering and its
+   closed precedence.  Identical copies (those of [System.copies] or
+   [gen --copies]) have equal keys. *)
+let structural_key tx =
+  (Array.to_list (Transaction.nodes tx), Transaction.closure_arcs tx)
+
+(* The schema with its names (verdict texts print them), then the
+   transactions' structural keys in order. *)
+let system_key sys =
+  let db = System.db sys in
+  let schema =
+    List.init (Db.site_count db) (fun s ->
+        ( Db.site_name db s,
+          List.map (Db.entity_name db) (Db.entities_of_site db s) ))
+  in
+  let txns = List.map structural_key (Array.to_list (System.txns sys)) in
+  Digest.to_hex (Digest.string (Marshal.to_string (schema, txns) []))
+
 (* LRU: hash table to intrusive doubly-linked nodes; [first] is the
    most-recently-used end, eviction pops [last]. *)
 

@@ -193,7 +193,7 @@ let cache_key ~max_states sys =
   let salt =
     String.concat "\x00"
       [
-        Sched.Canon.system_key sys;
+        Cache.system_key sys;
         (match max_states with None -> "-" | Some n -> string_of_int n);
       ]
   in

@@ -81,8 +81,7 @@ val small_random_system :
   System.t
 
 (** [random_copies_system rng ~copies] — [copies] physically identical
-    copies of one small random transaction (a non-trivial automorphism
-    group for [copies >= 2], cf. {!Ddlock_schedule.Canon}); with
+    copies of one small random transaction; with
     [~extra:true] one additional independent random transaction over the
     same schema is appended. *)
 val random_copies_system :

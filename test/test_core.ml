@@ -288,8 +288,9 @@ let test_minimize_philosophers () =
     System.create (Array.to_list (System.txns ring) @ [ bystander; bystander ])
   in
   match Minimize.deadlock_core sys with
-  | None -> Alcotest.fail "system deadlocks; expected a core"
-  | Some r ->
+  | Minimize.Deadlock_free | Minimize.Gave_up _ ->
+      Alcotest.fail "system deadlocks; expected a core"
+  | Minimize.Core r ->
       check bool_t "core still deadlocks" false
         (Sched.Explore.deadlock_free r.Minimize.core);
       check bool_t "no bystanders" true
@@ -305,8 +306,9 @@ let test_minimize_drops_entities () =
   let t2 = Model.Builder.two_phase_chain db [ "b"; "q"; "a" ] in
   let sys = System.create [ t1; t2 ] in
   match Minimize.deadlock_core sys with
-  | None -> Alcotest.fail "expected a core"
-  | Some r ->
+  | Minimize.Deadlock_free | Minimize.Gave_up _ ->
+      Alcotest.fail "expected a core"
+  | Minimize.Core r ->
       check int_t "2 txns" 2 (System.size r.Minimize.core);
       check bool_t "entities dropped" true
         (List.length r.Minimize.dropped_entities >= 2);
@@ -325,7 +327,7 @@ let test_minimize_none_for_deadlock_free () =
       ]
   in
   check bool_t "no core for DF systems" true
-    (Minimize.deadlock_core sys = None)
+    (Minimize.deadlock_core sys = Minimize.Deadlock_free)
 
 let minimize_core_minimal_prop =
   QCheck.Test.make
@@ -335,8 +337,9 @@ let minimize_core_minimal_prop =
       let st = Fixtures.rng seed in
       let sys = Fixtures.small_random_system st ~txns:3 in
       match Minimize.deadlock_core sys with
-      | None -> Sched.Explore.deadlock_free sys
-      | Some r ->
+      | Minimize.Deadlock_free -> Sched.Explore.deadlock_free sys
+      | Minimize.Gave_up _ -> false
+      | Minimize.Core r ->
           (not (Sched.Explore.deadlock_free r.Minimize.core))
           && (* dropping any single whole transaction breaks the deadlock *)
           (System.size r.Minimize.core < 2

@@ -5,11 +5,12 @@ let () =
       ("model", Test_model.suite);
       ("schedule", Test_schedule.suite);
       ("deadlock", Test_deadlock.suite);
-      (* These two suite names are the ids the tests have always run
-         under; the tests themselves live in test_schedule.ml. *)
+      (* These three suite names are the ids the tests have always run
+         under; the tests themselves live in test_schedule.ml and
+         test_por.ml. *)
       ("par", Test_schedule.hash_suite);
       ("fast", Test_schedule.arena_suite);
-      ("sym", Test_sym.suite);
+      ("sym", Test_por.copies_suite);
       ("por", Test_por.suite);
       ("safety", Test_safety.suite);
       ("conp", Test_conp.suite);

@@ -5,8 +5,10 @@
    observable of the persistent-set reduced searches ([Explore.explore
    ~por], [Prefix_search.all ~por] and the reduced search that decides
    when the plain budget runs out) must agree with the plain ground
-   truth — verdicts, state-count upper bounds, sound cap accounting —
-   with symmetry on and off. *)
+   truth — verdicts, state-count upper bounds, sound cap accounting.
+   [copies_suite] holds the reduced-verdict cross-checks on systems of
+   identical copies, the family on which the reduced search turns
+   plain give-ups into verdicts. *)
 
 open Ddlock_model
 open Ddlock_schedule
@@ -283,42 +285,29 @@ let por_verdict_witness_prop =
       && Explore.reduced_deadlock_free sys = (plain = None))
 
 let por_state_bound_prop =
-  QCheck.Test.make
-    ~name:"reduced state count ≤ plain (with and without symmetry)"
-    ~count:40 copies_arg
+  QCheck.Test.make ~name:"reduced state count ≤ plain" ~count:40 copies_arg
     (fun (seed, copies, extra) ->
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system ~extra st ~copies in
-      let plain = Explore.state_count (Explore.explore sys) in
-      let reduced = Explore.state_count (Explore.explore ~por:true sys) in
-      let plain_sym =
-        Explore.state_count (Explore.explore ~symmetry:true sys)
-      in
-      let reduced_sym =
-        Explore.state_count (Explore.explore ~symmetry:true ~por:true sys)
-      in
-      reduced <= plain && reduced_sym <= plain_sym && reduced_sym <= reduced)
+      Explore.state_count (Explore.explore ~por:true sys)
+      <= Explore.state_count (Explore.explore sys))
 
 let por_sound_reduction_prop =
   (* The reduced space is a sound reduction: reachable states only and
-     every reachable deadlock kept, over plain states and over orbit
-     representatives alike. *)
+     every reachable deadlock kept. *)
   QCheck.Test.make
     ~name:"por reduction keeps every deadlock"
     ~count:30 copies_arg
     (fun (seed, copies, extra) ->
       let st = Fixtures.rng seed in
       let sys = Gentx.random_copies_system ~extra st ~copies in
-      let sound symmetry =
-        let plain = Explore.explore ~symmetry sys in
-        let reduced = Explore.explore ~symmetry ~por:true sys in
-        Seq.for_all (Explore.is_reachable plain) (Explore.states reduced)
-        && Seq.for_all
-             (fun st ->
-               (not (State.is_deadlock sys st)) || Explore.is_reachable reduced st)
-             (Explore.states plain)
-      in
-      sound false && sound true)
+      let plain = Explore.explore sys in
+      let reduced = Explore.explore ~por:true sys in
+      Seq.for_all (Explore.is_reachable plain) (Explore.states reduced)
+      && Seq.for_all
+           (fun st ->
+             (not (State.is_deadlock sys st)) || Explore.is_reachable reduced st)
+           (Explore.states plain))
 
 let por_cap_outcome_prop =
   (* Under a small cap the reduced search may give up where the
@@ -406,8 +395,98 @@ let por_analysis_minimize_prop =
       | Ddlock.Analysis.Gave_up _ -> false)
       &&
       match Ddlock.Minimize.deadlock_core sys with
-      | None -> reduced_free
-      | Some m -> not (Explore.reduced_deadlock_free m.Ddlock.Minimize.core))
+      | Ddlock.Minimize.Deadlock_free -> reduced_free
+      | Ddlock.Minimize.Gave_up _ -> false
+      | Ddlock.Minimize.Core m ->
+          not (Explore.reduced_deadlock_free m.Ddlock.Minimize.core))
+
+(* ------------------------------------------------------------------ *)
+(* Identical copies: the reduced verdict ≡ the plain one               *)
+(* ------------------------------------------------------------------ *)
+
+(* Two copies of a 2-ring, the smallest ring: 2 entities, 4 nodes, 7
+   order ideals; two copies deadlock (even ring). *)
+let test_guard_ring_edges () =
+  (match Gentx.guard_ring 1 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "guard_ring 1 must be rejected");
+  let t = Gentx.guard_ring 2 in
+  check int_t "2 entities" 2 (List.length (Transaction.entities t));
+  check int_t "4 nodes" 4 (Transaction.node_count t);
+  check int_t "7 ideals" 7
+    (Explore.state_count (Explore.explore (System.create [ t ])));
+  let sys = System.copies t 2 in
+  check bool_t "2 copies of 2-ring deadlock" false (Explore.deadlock_free sys);
+  check bool_t "reduced verdict agrees" false
+    (Explore.reduced_deadlock_free sys);
+  match Explore.find_deadlock sys with
+  | None -> Alcotest.fail "expected witness"
+  | Some w -> check bool_t "witness valid" true (witness_valid sys w)
+
+(* The reduced search's verdict is the plain one, and a plain witness
+   is a genuine deadlock. *)
+let reduced_agrees sys =
+  match Explore.find_deadlock sys with
+  | None -> Explore.reduced_deadlock_free sys
+  | Some w -> witness_valid sys w && not (Explore.reduced_deadlock_free sys)
+
+let copies_verdict_prop =
+  QCheck.Test.make
+    ~name:"sym verdict ≡ plain on identical-copy systems" ~count:50 copies_arg
+    (fun (seed, copies, extra) ->
+      let st = Fixtures.rng seed in
+      reduced_agrees (Gentx.random_copies_system ~extra st ~copies))
+
+let generic_verdict_prop =
+  QCheck.Test.make
+    ~name:"sym verdict ≡ plain on generic random systems" ~count:50
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      reduced_agrees (Fixtures.small_random_system st ~txns:3))
+
+let copies_prefix_search_prop =
+  QCheck.Test.make
+    ~name:"prefix search: sym verdict ≡ plain, witness valid"
+    ~count:30
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      let sys = Gentx.random_copies_system st ~copies:2 ~extra:true in
+      let plain = Prefix_search.find sys in
+      Explore.reduced_deadlock_free ~goal:Deadlock_prefix sys = (plain = None)
+      && (match plain with
+         | None -> true
+         | Some w ->
+             Schedule.is_legal sys w.Prefix_search.schedule
+             && State.equal
+                  (Schedule.prefix_vector sys w.Prefix_search.schedule)
+                  w.Prefix_search.prefix
+             && Reduction.has_cycle (Reduction.make sys w.Prefix_search.prefix))
+      && Prefix_search.deadlock_free sys = (plain = None))
+
+(* Analysis and Minimize read the plain search; the reduced search
+   agrees with the verdict shape and finds the minimized core
+   deadlocking. *)
+let copies_analysis_minimize_prop =
+  QCheck.Test.make
+    ~name:"Analysis verdict shape and Minimize core ≡ under symmetry"
+    ~count:15
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Fixtures.rng seed in
+      let sys = Gentx.random_copies_system st ~copies:2 ~extra:true in
+      let reduced_free = Explore.reduced_deadlock_free sys in
+      (match Ddlock.Analysis.deadlock_free sys with
+      | Ddlock.Analysis.Deadlock_free -> reduced_free
+      | Ddlock.Analysis.Deadlocks _ -> not reduced_free
+      | Ddlock.Analysis.Gave_up _ -> false)
+      &&
+      match Ddlock.Minimize.deadlock_core sys with
+      | Ddlock.Minimize.Deadlock_free -> reduced_free
+      | Ddlock.Minimize.Gave_up _ -> false
+      | Ddlock.Minimize.Core m ->
+          not (Explore.reduced_deadlock_free m.Ddlock.Minimize.core))
 
 let qtests =
   List.map Fixtures.to_alcotest
@@ -436,3 +515,14 @@ let suite =
       test_fixture_witnesses_canonical;
   ]
   @ qtests
+
+(* Run under the suite name "sym", the ids these tests have always had. *)
+let copies_suite =
+  Alcotest.test_case "guard ring edge cases" `Quick test_guard_ring_edges
+  :: List.map Fixtures.to_alcotest
+       [
+         copies_verdict_prop;
+         generic_verdict_prop;
+         copies_prefix_search_prop;
+         copies_analysis_minimize_prop;
+       ]

@@ -598,34 +598,6 @@ let carried_enabled_prop =
       Packed.enabled_into lay p0 0 e 0;
       go p0)
 
-(* Systems with interchangeable transactions, of rows up to 62 nodes (one
-   [Bitset] word, sign bit clear) and of 64 and 66 (node 62 is the sign
-   bit of the first word; transactions have an even node count, so 63 is
-   not drawn). *)
-let packed_canon_prop =
-  QCheck.Test.make
-    ~name:"packed: normalize_packed = encode ∘ normalize ∘ decode"
-    ~count:200 QCheck.(int_bound 10_000_000) (fun seed ->
-      let module G = Ddlock_workload.Gentx in
-      let rng = Fixtures.rng seed in
-      let sys =
-        match Random.State.int rng 6 with
-        | 0 -> System.copies (G.guard_ring 4) 8
-        | 1 -> System.copies (G.guard_ring 31) 3
-        | 2 -> System.copies (G.guard_ring 32) 2
-        | 3 -> System.copies (G.guard_ring 33) 3
-        | 4 -> System.copies (G.guard_ring (2 + Random.State.int rng 12)) 5
-        | _ ->
-            G.random_copies_system rng
-              ~copies:(2 + Random.State.int rng 3)
-              ~extra:true
-      in
-      let lay = Packed.layout sys and c = Canon.detect sys in
-      let st = walk rng sys in
-      State.equal
-        (Packed.decode lay (Canon.normalize_packed c lay (Packed.encode lay st)))
-        (Canon.normalize c st))
-
 (* [Arena] takes its slot from the low bits of the hash, so states that
    differ only in high bits must still spread over the buckets.  1,024
    such states thrown uniformly at 1,024 buckets fill about 647. *)
@@ -645,8 +617,8 @@ let test_packed_hash_spread () =
   family "three words, third word" (fun k -> [| 1 lsl 21; 0; k lsl 30 |])
 
 (* Recorded before the searches moved to packed states: for each system,
-   [explore.states_visited] after [explore] (plain, ~symmetry, ~por) and
-   the deadlock searches, all capped at 4,000 states (a search that
+   [explore.states_visited] after [explore] (plain, ~por) and the
+   deadlock searches, all capped at 4,000 states (a search that
    exceeds the cap counts the 4,000 it held).  The ~por column was
    recorded again when the reduced search dropped sleep sets: it is
    what the same persistent sets give alone.  The last three columns
@@ -656,7 +628,10 @@ let test_packed_hash_spread () =
    and again when the reduced search became the second stage of one
    search rule: a plain search that gives up now also counts the
    reduced one (systems 8, 10 and 14, which deadlock, so the give-up
-   stands). *)
+   stands).  The [reduced_deadlock_free] column of systems 0–4 (fig2
+   and the ring copies) was recorded again when the reduced search
+   lost its orbit quotient: persistent sets alone store more of their
+   states. *)
 let visited_pool () =
   let module G = Ddlock_workload.Gentx in
   let ring k c = System.copies (G.guard_ring k) c in
@@ -671,17 +646,17 @@ let visited_pool () =
 
 let visited_expected =
   [
-    (826, 414, 108, 87, 87, 9); (158, 80, 66, 55, 55, 16);
-    (854, 161, 412, 46, 46, 5); (4000, 4000, 4000, 2596, 2596, 9);
-    (4000, 4000, 4000, 2645, 2645, 19); (75, 75, 63, 14, 14, 14);
-    (321, 321, 198, 40, 40, 36); (1363, 1363, 521, 121, 121, 85);
-    (4000, 4000, 4000, 4923, 4923, 923); (468, 468, 155, 350, 350, 112);
-    (4000, 4000, 4000, 5504, 5504, 1504); (305, 305, 180, 225, 225, 141);
-    (4000, 4000, 4000, 3690, 3690, 172); (400, 400, 47, 273, 273, 28);
-    (4000, 4000, 4000, 6150, 6150, 2150); (108, 108, 88, 10, 10, 10);
-    (4000, 4000, 2388, 906, 906, 39); (218, 218, 180, 160, 160, 140);
-    (4000, 4000, 2281, 461, 461, 94); (1024, 1024, 70, 815, 815, 57);
-    (4000, 4000, 4000, 1277, 1277, 340);
+    (826, 108, 87, 87, 16); (158, 66, 55, 55, 31);
+    (854, 412, 46, 46, 17); (4000, 4000, 2596, 2596, 538);
+    (4000, 4000, 2645, 2645, 257); (75, 63, 14, 14, 14);
+    (321, 198, 40, 40, 36); (1363, 521, 121, 121, 85);
+    (4000, 4000, 4923, 4923, 923); (468, 155, 350, 350, 112);
+    (4000, 4000, 5504, 5504, 1504); (305, 180, 225, 225, 141);
+    (4000, 4000, 3690, 3690, 172); (400, 47, 273, 273, 28);
+    (4000, 4000, 6150, 6150, 2150); (108, 88, 10, 10, 10);
+    (4000, 2388, 906, 906, 39); (218, 180, 160, 160, 140);
+    (4000, 2281, 461, 461, 94); (1024, 70, 815, 815, 57);
+    (4000, 4000, 1277, 1277, 340);
   ]
 
 (* [explore.states_visited] after [f ()]; a search that gives up counts
@@ -706,7 +681,6 @@ let test_states_visited_unchanged () =
     List.map
       (fun sys ->
         ( visited (fun () -> Explore.explore ~max_states sys),
-          visited (fun () -> Explore.explore ~max_states ~symmetry:true sys),
           visited (fun () -> Explore.explore ~max_states ~por:true sys),
           visited (fun () -> Explore.find_deadlock ~max_states sys),
           visited (fun () -> Explore.deadlock_free ~max_states sys),
@@ -845,7 +819,6 @@ let test_too_large_multiword () =
 let test_too_large_at_doublings () =
   let module G = Ddlock_workload.Gentx in
   let phil = G.dining_philosophers 16 in
-  let ring = System.copies (G.guard_ring 4) 8 in
   let raises name f cap =
     match f cap with
     | exception Explore.Too_large n ->
@@ -858,9 +831,6 @@ let test_too_large_at_doublings () =
         (fun cap ->
           raises "explore"
             (fun max_states -> Explore.explore ~max_states phil)
-            cap;
-          raises "explore ~symmetry"
-            (fun max_states -> Explore.explore ~max_states ~symmetry:true ring)
             cap;
           raises "explore ~por"
             (fun max_states -> Explore.explore ~max_states ~por:true phil)
@@ -1305,20 +1275,17 @@ let test_bfs_every_state () =
 let cap_arg = QCheck.(pair (int_bound 1_000_000) (int_range 1 40))
 
 let explore_cap_prop =
-  (* For any small cap a full exploration, plain or symmetric, fits with
-     its uncapped count or raises [Too_large] carrying the cap. *)
+  (* For any small cap a full exploration fits with its uncapped count
+     or raises [Too_large] carrying the cap. *)
   QCheck.Test.make ~name:"explore cap outcome exact"
     ~count:40 cap_arg
     (fun (seed, max_states) ->
       let st = Fixtures.rng seed in
       let sys = Fixtures.small_random_system st ~txns:2 in
-      List.for_all
-        (fun symmetry ->
-          let full = Explore.state_count (Explore.explore ~symmetry sys) in
-          match Explore.explore ~max_states ~symmetry sys with
-          | sp -> full <= max_states && Explore.state_count sp = full
-          | exception Explore.Too_large n -> full > max_states && n = max_states)
-        [ false; true ])
+      let full = Explore.state_count (Explore.explore sys) in
+      match Explore.explore ~max_states sys with
+      | sp -> full <= max_states && Explore.state_count sp = full
+      | exception Explore.Too_large n -> full > max_states && n = max_states)
 
 let find_deadlock_cap_prop =
   (* Under a small cap the search stops early or gives up, but never
@@ -1526,7 +1493,6 @@ let qtests =
       packed_enabled_prop;
       packed_apply_prop;
       packed_equal_hash_prop;
-      packed_canon_prop;
       carried_enabled_prop;
       arena_reference_prop;
       explore_cap_prop;

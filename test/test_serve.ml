@@ -228,13 +228,13 @@ let test_cancel_bounds_exploration () =
 
 let test_system_key_symmetry () =
   let t = Ddlock_workload.Gentx.guard_ring 4 in
-  let k2 = Sched.Canon.system_key (Model.System.copies t 2) in
-  let k2' = Sched.Canon.system_key (Model.System.copies t 2) in
+  let k2 = Cache.system_key (Model.System.copies t 2) in
+  let k2' = Cache.system_key (Model.System.copies t 2) in
   check string_t "copies key is deterministic" k2 k2';
-  let k3 = Sched.Canon.system_key (Model.System.copies t 3) in
+  let k3 = Cache.system_key (Model.System.copies t 3) in
   check bool_t "copy count changes the key" true (k2 <> k3);
   check bool_t "different system, different key" true
-    (Sched.Canon.system_key (Ddlock_workload.Gentx.dining_philosophers 4) <> k2)
+    (Cache.system_key (Ddlock_workload.Gentx.dining_philosophers 4) <> k2)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end server battery                                           *)
@@ -335,7 +335,7 @@ let test_cache_collapses_symmetric_copies () =
   let sys = Model.System.copies t 2 in
   let _ = expect_verdict (Client.analyze ~socket (source_of sys)) in
   (* The same system re-submitted twice more: both must be hits (the
-     K-copies workload collapses onto one Canon.system_key). *)
+     K-copies workload collapses onto one Cache.system_key). *)
   let _ = expect_verdict (Client.analyze ~socket (source_of sys)) in
   let _ = expect_verdict (Client.analyze ~socket (source_of sys)) in
   match Client.stats ~socket with
